@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .projection import (DEFAULT_PERP_CUTOFF, project, project_segments,
-                         pushforward_density)
+from .projection import (DEFAULT_PERP_CUTOFF, PiecewiseConstDensity, project,
+                         project_segments, pushforward_density)
 from .sets import DiscreteMeasure, SegmentUnion
 from .torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                     _as_intervals, _direction_mask, triadic_cover, wrap)
@@ -350,6 +350,16 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
         thetas.extend(wrap(lo + (i + 0.5) * ln / n) for i in range(n))
     weight = total_len / len(thetas)
 
+    # one pushforward density per distinct theta, shared by the sampling and
+    # the Fourier-ratio loops (quadrature nodes repeat across atoms)
+    densities: dict[float, PiecewiseConstDensity] = {}
+
+    def density_at(theta: float) -> PiecewiseConstDensity:
+        density = densities.get(theta)
+        if density is None:
+            density = densities[theta] = pushforward_density(union, theta, perp_cutoff)
+        return density
+
     # big-projection hypothesis, then bounded-projection subsets per sample
     good = np.zeros((len(thetas), len(mu)), dtype=bool)
     for j, theta in enumerate(thetas):
@@ -358,7 +368,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
             raise ValueError(
                 f"big projection hypothesis fails at theta={theta}: "
                 f"H(pi_theta(E)) = {proj.measure} <= kappa H(E) = {kappa * total_mass}")
-        density = pushforward_density(union, theta, perp_cutoff)
+        density = density_at(theta)
         e = np.array([math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)])
         t_vals = mu.points @ e
         from .projection import maximal_values_batch
@@ -397,8 +407,8 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
             n = 8
             for kq in range(n):
                 th = wrap(iv.low + (kq + 0.5) * iv.length / n)
-                density = pushforward_density(union, th, perp_cutoff)
-                pointwise.append(density.value_at(project(th, mu.points[i])) * iv.length / n)
+                value = density_at(th).value_at(project(th, mu.points[i]))
+                pointwise.append(value * iv.length / n)
         rhs = math.fsum(pointwise)
         fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
 

@@ -96,23 +96,6 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
     return ok, lip
 
 
-def _cone_incidences(pts: np.ndarray, interval: DirectionInterval, rho: float,
-                     low: int, high: int) -> dict[int, list[tuple[int, int]]]:
-    """For every apex with too many bad scales this would be recomputed; here:
-    per apex x, the list of (scale, witness) pairs over the current set."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for i in range(len(pts)):
-        diff = pts - pts[i]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        dmask = _direction_mask(pts[i], interval, pts, dist)
-        for k in range(low, high + 1):
-            rk, rk1 = rho**k, rho ** (k + 1)
-            hits = np.nonzero(dmask & (dist > rk1) & (dist <= rk))[0]
-            for j in hits:
-                out.setdefault(i, []).append((k, int(j)))
-    return out
-
-
 def _scale_range(pts: np.ndarray, rho: float) -> int:
     """High scale index covering every pairwise distance from below."""
     n = len(pts)
@@ -137,7 +120,9 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     Precondition (checked): every point has at most m_cap bad scales for the
     full interval. The greedy step removes the atom participating in the most
     offending (apex, scale, witness) incidences; ties break lexicographically
-    by coordinates, then index. The result is rechecked exactly.
+    by coordinates, then index. The halved-cone annulus of every pair is
+    found once; each deletion then updates the incidence counts instead of
+    recounting them. The result is rechecked exactly.
     """
     pts_all = np.asarray(points, dtype=float)
     idx = np.array(sorted(idx), dtype=np.int64)
@@ -153,35 +138,42 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
             f"precondition fails: {len(offenders)} points exceed {m_cap} bad scales: "
             f"{offenders[:5]}")
 
-    half = interval.dilate(0.5) if isinstance(interval, AngleInterval) else \
-        interval.as_angle_interval().dilate(0.5)
-    keep = idx.copy()
+    half = interval.dilate(0.5)
+    pts = pts_all[idx]
+    n = len(idx)
+    # scale[a, j]: the annulus (rho^{k+1}, rho^k], k <= high, of apex a that
+    # holds j inside the halved cone, or -1; hits[a, k] counts its witnesses
+    scale = np.full((n, n), -1, dtype=np.int16)
+    for a in range(n):
+        diff = pts - pts[a]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        dmask = _direction_mask(pts[a], half, pts, dist)
+        for k in range(0, high + 1):
+            rk, rk1 = rho**k, rho ** (k + 1)
+            scale[a, dmask & (dist > rk1) & (dist <= rk)] = k
+    hits = np.zeros((n, high + 1), dtype=np.int64)
+    rows, cols = np.nonzero(scale >= 0)
+    np.add.at(hits, (rows, scale[rows, cols]), 1)
+
+    alive = np.ones(n, dtype=bool)
     while True:
-        pts = pts_all[keep]
-        counts = np.zeros(len(keep))
-        worst = 0
-        for a in range(len(keep)):
-            diff = pts - pts[a]
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            dmask = _direction_mask(pts[a], half, pts, dist)
-            n_bad = 0
-            incid = []
-            for k in range(0, high + 1):
-                rk, rk1 = rho**k, rho ** (k + 1)
-                hits = np.nonzero(dmask & (dist > rk1) & (dist <= rk))[0]
-                if len(hits):
-                    n_bad += 1
-                    incid.append((k, hits))
-            if n_bad >= m_cap:
-                worst = max(worst, n_bad)
-                counts[a] += sum(len(h) for _, h in incid) + n_bad
-                for k, hits in incid:
-                    counts[hits] += 1.0
-        if worst < m_cap or len(keep) == 1:
+        n_bad = np.count_nonzero(hits, axis=1)
+        offender = alive & (n_bad >= m_cap)
+        if not offender.any() or np.count_nonzero(alive) == 1:
             break
-        order = sorted(range(len(keep)),
-                       key=lambda a: (-counts[a], pts[a, 0], pts[a, 1], keep[a]))
-        keep = np.delete(keep, order[0])
+        # incidences (apex, scale, witness) with an offending apex: the apex
+        # counts each witness and each bad scale, every witness counts once
+        counts = np.where(offender, hits.sum(axis=1) + n_bad, 0)
+        counts = counts + np.count_nonzero(scale[offender] >= 0, axis=0)
+        tied = np.nonzero(alive & (counts == counts[alive].max()))[0]
+        drop = tied[np.lexsort((idx[tied], pts[tied, 1], pts[tied, 0]))[0]]
+        seen_by = np.nonzero(scale[:, drop] >= 0)[0]
+        hits[seen_by, scale[seen_by, drop]] -= 1
+        hits[drop] = 0
+        scale[drop, :] = -1
+        scale[:, drop] = -1
+        alive[drop] = False
+    keep = idx[alive]
 
     for i in keep:
         bs = bad_scales(pts_all[keep], pts_all[i], half, rho, 0, high)

@@ -101,8 +101,9 @@ def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int =
     """Favard length by midpoint-rule quadrature over theta in [0, 1).
 
     Fav(E) = integral over the torus of the projection measure; the midpoint
-    grid (i + 1/2)/n avoids the kink angles of the integrand. Deterministic
-    for a fixed worker count (per-shard compensated sums, combined in order).
+    grid (i + 1/2)/n avoids the kink angles of the integrand. The per-angle
+    values are summed by one exactly rounded fsum, so the result does not
+    depend on the worker count.
     """
     if n_angles < 2:
         raise ValueError("n_angles must be >= 2")
@@ -110,23 +111,23 @@ def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int =
     shards = max(1, int(workers))
     bounds = np.linspace(0, n_angles, shards + 1, dtype=int)
     # angle blocks inside a shard keep the per-angle memory bounded; the
-    # resulting values (and their fsum) do not depend on the block size
+    # resulting values do not depend on the block size
     block = max(1, 2_000_000 // max(1, len(union.segments)))
 
-    def shard_sum(a: int, b: int) -> float:
+    def shard_values(a: int, b: int) -> list[float]:
         vals: list[float] = []
         for c in range(a, b, block):
             vals.extend(_projection_measures(union, thetas[c:min(c + block, b)]).tolist())
-        return math.fsum(vals)
+        return vals
 
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if shards == 1 or len(spans) == 1:
-        partial = [shard_sum(a, b) for a, b in spans]
+        parts = [shard_values(a, b) for a, b in spans]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=shards) as pool:
-            partial = list(pool.map(lambda ab: shard_sum(*ab), spans))
-    return math.fsum(partial) / n_angles
+            parts = list(pool.map(lambda ab: shard_values(*ab), spans))
+    return math.fsum(v for vals in parts for v in vals) / n_angles
 
 
 def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int = 0,
@@ -311,9 +312,10 @@ def maximal_value(density: PiecewiseConstDensity, t: float) -> float:
 def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.ndarray:
     """maximal_value at many points, vectorized over the same candidate logic.
 
-    Agrees with maximal_value pointwise (same formulas; the dense part goes
-    through the prefix integral of the density, evaluated by linear
-    interpolation).
+    Agrees with maximal_value pointwise (same formulas): for every point and
+    candidate radius, the dense window mass is accumulated piece by piece
+    from the overlap of each density piece with the centered window, and
+    atoms are resolved by |p - t| against the radius.
     """
     ts = np.asarray(ts, dtype=float)
     if density.total_mass <= 0.0:

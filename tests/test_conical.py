@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from favard.conical import (bad_scales, cone_mass,
+from favard import conical
+from favard.conical import (_auto_energy_high, bad_scales, cone_mass,
                             cone_mass_exact, conical_energy,
                             energy_integral_quadrature,
                             select_bounded_projection_set,
                             select_good_directions)
-from favard.projection import mu_theta_perp
+from favard.projection import (DEFAULT_PERP_CUTOFF, maximal_values_batch, mu_theta_perp,
+                               pushforward_density)
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
-from favard.torus import AngleInterval, TriadicInterval
+from favard.torus import TOL, AngleInterval, TriadicInterval, project, triadic_cover, wrap
 
 
 def measure_at(points, weights=None):
@@ -294,4 +296,72 @@ class TestSelection:
             for a in range(len(ivs)):
                 for b in range(a + 1, len(ivs)):
                     assert not ivs[a].intersects(ivs[b])
-        assert all(v > 0 for v in res.energy_ratios.values()) or True
+        assert res.energy_ratios
+        assert all(math.isfinite(v) and v >= 0.0 for v in res.energy_ratios.values())
+
+    def test_one_density_per_theta(self, monkeypatch):
+        horiz, _ = split_parallel(four_corners(1).skeleton())
+        g = AngleInterval(0.0, 0.02)
+        kwargs = dict(kappa=0.05, triadic_depth=5, pitch=1 / 64)
+        built = []
+
+        def counting(union, theta, perp_cutoff=DEFAULT_PERP_CUTOFF):
+            built.append(theta)
+            return pushforward_density(union, theta, perp_cutoff)
+
+        monkeypatch.setattr(conical, "pushforward_density", counting)
+        res = select_good_directions(horiz, g, **kwargs)
+        monkeypatch.undo()
+        assert len(built) == len(set(built))
+        expected = reference_selection(horiz, g, **kwargs)
+        assert np.array_equal(res.eprime, expected["eprime"])
+        assert res.family.families == expected["families"]
+        assert res.energy_ratios == expected["energy_ratios"]
+        assert res.fourier_ratios == expected["fourier_ratios"]
+        # nodes shared by several atoms' families: a density per node repeats
+        assert expected["builds"] > len(built)
+
+
+def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5,
+                        samples_per_length=729):
+    """select_good_directions on one arc with a fresh pushforward density for
+    every sample and every quadrature node (no per-theta reuse)."""
+    m_bound = 6.0 / kappa
+    mu = union.atoms(pitch)
+    total_len = 2.0 * g.half_width
+    n = max(2, int(round(samples_per_length * total_len)))
+    thetas = [wrap(g.center - g.half_width + (i + 0.5) * total_len / n) for i in range(n)]
+    builds = 0
+    good = np.zeros((len(thetas), len(mu)), dtype=bool)
+    for j, theta in enumerate(thetas):
+        density = pushforward_density(union, theta)
+        builds += 1
+        e = np.array([math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)])
+        good[j] = maximal_values_batch(density, mu.points @ e) <= m_bound + TOL
+    eprime = good.sum(axis=0) * (total_len / len(thetas)) >= (kappa / 4.0) * total_len - TOL
+    families = {}
+    for i in np.nonzero(eprime)[0]:
+        chosen = {}
+        for j, theta in enumerate(thetas):
+            if good[j, i]:
+                iv = triadic_cover(theta, triadic_depth)
+                chosen.setdefault((iv.level, iv.index), theta)
+        families[int(i)] = [(TriadicInterval(lv, ix), th)
+                            for (lv, ix), th in sorted(chosen.items())]
+    high = _auto_energy_high(mu, rho)
+    energy_ratios, fourier_ratios = {}, {}
+    for i, members in families.items():
+        energy = conical_energy(mu, mu.points[i], [iv.perp() for iv, _ in members],
+                                rho, 0, high).total_float
+        energy_ratios[i] = energy / (m_bound * total_len)
+        pointwise = []
+        for iv, _ in members:
+            for kq in range(8):
+                th = wrap(iv.low + (kq + 0.5) * iv.length / 8)
+                density = pushforward_density(union, th)
+                builds += 1
+                pointwise.append(density.value_at(project(th, mu.points[i])) * iv.length / 8)
+        rhs = math.fsum(pointwise)
+        fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
+    return {"eprime": eprime, "families": families, "energy_ratios": energy_ratios,
+            "fourier_ratios": fourier_ratios, "builds": builds}

@@ -2,13 +2,64 @@ import numpy as np
 import pytest
 
 from favard.conical import bad_scales
-from favard.graphs import GraphCertificate, extract_graph, reduce_bad_scales, verify_lipschitz
-from favard.torus import AngleInterval
+from favard.graphs import (GraphCertificate, _scale_range, extract_graph, reduce_bad_scales,
+                           verify_lipschitz)
+from favard.torus import AngleInterval, TriadicInterval, _direction_mask
 
 
 def abs_graph_points(n=25, span=0.3):
     ts = np.linspace(-span, span, n)
     return np.column_stack([ts, np.abs(ts)])
+
+
+def reference_reduce(points, idx, interval, m_cap, rho=0.5):
+    """The greedy loop of reduce_bad_scales with every incidence recounted
+    after each deletion: the oracle for the incremental counts."""
+    pts_all = np.asarray(points, dtype=float)
+    idx = np.array(sorted(idx), dtype=np.int64)
+    high = _scale_range(pts_all[idx], rho)
+    half = interval.dilate(0.5) if isinstance(interval, AngleInterval) else \
+        interval.as_angle_interval().dilate(0.5)
+    keep = idx.copy()
+    while True:
+        pts = pts_all[keep]
+        counts = np.zeros(len(keep))
+        worst = 0
+        for a in range(len(keep)):
+            diff = pts - pts[a]
+            dist = np.hypot(diff[:, 0], diff[:, 1])
+            dmask = _direction_mask(pts[a], half, pts, dist)
+            n_bad = 0
+            incid = []
+            for k in range(0, high + 1):
+                rk, rk1 = rho**k, rho ** (k + 1)
+                hits = np.nonzero(dmask & (dist > rk1) & (dist <= rk))[0]
+                if len(hits):
+                    n_bad += 1
+                    incid.append((k, hits))
+            if n_bad >= m_cap:
+                worst = max(worst, n_bad)
+                counts[a] += sum(len(h) for _, h in incid) + n_bad
+                for k, hits in incid:
+                    counts[hits] += 1.0
+        if worst < m_cap or len(keep) == 1:
+            break
+        order = sorted(range(len(keep)),
+                       key=lambda a: (-counts[a], pts[a, 0], pts[a, 1], keep[a]))
+        keep = np.delete(keep, order[0])
+    return keep
+
+
+def precondition_subset(pts, interval, m_cap, rho):
+    """Indices left after dropping, one at a time, the point with the most bad
+    scales until none has more than m_cap for the full interval."""
+    idx = list(range(len(pts)))
+    high = _scale_range(pts, rho)
+    while True:
+        counts = [len(bad_scales(pts[idx], pts[i], interval, rho, 0, high)) for i in idx]
+        if max(counts) <= m_cap:
+            return np.array(idx)
+        del idx[int(np.argmax(counts))]
 
 
 class TestVerifyLipschitz:
@@ -75,6 +126,28 @@ class TestReduce:
         for i in keep:
             bs = bad_scales(pts[keep], pts[i], half, 0.5, 0, high)
             assert len(bs) <= max(m_cap, 1) - 1
+
+
+    def test_incremental_counts_match_full_recount(self):
+        deletions = {1: 0, 2: 0, 3: 0}
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            pts = rng.random((36, 2)) * 0.7
+            if seed % 2 == 0:
+                j = AngleInterval(float(rng.random()), float(0.02 + 0.06 * rng.random()))
+            else:
+                level = 2 + seed % 3
+                j = TriadicInterval(level, int(rng.integers(0, 3**level)))
+            rho = 0.5 if seed % 3 else 0.3
+            for m_cap in (1, 2, 3):
+                idx = rng.permutation(precondition_subset(pts, j, m_cap, rho))
+                keep = reduce_bad_scales(pts, idx, j, m_cap, rho)
+                expected = reference_reduce(pts, idx, j, m_cap, rho)
+                assert keep.dtype == expected.dtype
+                assert np.array_equal(keep, expected), (seed, m_cap)
+                deletions[m_cap] += len(idx) - len(keep)
+        # the comparison must cover real greedy deletions at every cap
+        assert all(d > 0 for d in deletions.values()), deletions
 
 
 class TestExtract:

@@ -133,6 +133,12 @@ class TestFavard:
         assert favard(u, 512, workers=1) == favard(u, 512, workers=1)
         assert favard(u, 512, workers=4) == favard(u, 512, workers=4)
 
+    def test_independent_of_worker_count(self):
+        # per-shard sums rounded separately made workers=3 differ in the last ulp
+        u = four_corners(4).skeleton()
+        values = {w: favard(u, 2048, workers=w) for w in (1, 2, 3, 4, 7)}
+        assert len(set(values.values())) == 1, values
+
 
 class TestFavardMC:
     def test_unit_segment_within_three_sigma(self):
