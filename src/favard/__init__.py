@@ -11,6 +11,7 @@ plane. Directions live on the torus T = R/Z. The main entry points:
 - ``favard.lattice``    generalized anisotropic lattices, Whitney decompositions
 - ``favard.tree``       the good-direction tree, packing sums, gap intervals
 - ``favard.graphs``     bad-scale reduction and Lipschitz graph certificates
+- ``favard.pipeline``   the end-to-end pipeline: big projections to a graph
 - ``favard.cli``        the ``favard`` command line driver
 """
 

@@ -3,8 +3,9 @@
 Subcommands: compute, mc, cantor-decay, pipeline, content, lattice-check,
 tree-check, extract-graph. Every command writes a JSON report embedding the
 full configuration and a content hash of its inputs. Exit codes: 0 all
-asserted invariants passed, 1 I/O or usage error, 2 invariant failure,
-3 hypothesis/precondition failure.
+asserted invariants passed, 1 I/O or usage error (including non-finite
+input), 2 invariant or postcondition failure, 3 hypothesis/precondition
+failure.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, content_hash
-from .conical import bad_scales, select_good_directions
-from .graphs import extract_graph, verify_lipschitz
+from .graphs import extract_graph
 from .lattice import check_cube_invariants, descend
+from .pipeline import run_pipeline
 from .projection import favard, favard_mc
-from .sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
-                   four_corners, segment_distances, split_parallel)
-from .torus import AngleInterval, TriadicInterval, perp, wrap
-from .tree import (build_tree, collect_bad_cubes, packing_sums,
-                   propagate_good_directions, verify_tree)
+from .sets import (DyadicSquareSet, Segment, SegmentUnion, four_corners,
+                   pairwise_extremes, segment_distances, split_parallel)
+from .torus import AngleInterval, TriadicInterval
+from .tree import build_tree, collect_bad_cubes, packing_sums, verify_tree
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -88,7 +88,7 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
             json.dump(rows, fh, indent=1)
     status = EXIT_OK
     if args.mc:
-        est, se = favard_mc(union, args.mc, cfg.seed, cfg.workers)
+        est, se = favard_mc(union, args.mc, cfg.seed)
         payload["mc"] = {"estimate": est, "stderr": se, "needles": args.mc}
         payload["mc_within_3_sigma"] = abs(est - exact) <= 3.0 * se
         if not payload["mc_within_3_sigma"]:
@@ -104,7 +104,7 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
 def cmd_mc(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
     union = _as_segments(model)
-    est, se = favard_mc(union, args.needles, cfg.seed, cfg.workers)
+    est, se = favard_mc(union, args.needles, cfg.seed)
     payload = {
         "command": "mc", "input": args.input, "input_hash": content_hash(args.input),
         "config": cfg.to_dict(),
@@ -141,144 +141,6 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK if decreasing else EXIT_INVARIANT
 
 
-def _rotate_quarter(pts: np.ndarray) -> np.ndarray:
-    """Rotate by +90 degrees: (x, y) -> (-y, x)."""
-    return np.column_stack([-pts[:, 1], pts[:, 0]])
-
-
-def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> dict:
-    """The end-to-end extraction pipeline on a parallel segment union.
-
-    Stages: normalize to diameter 1; find the big-projection directions and a
-    triadic root interval inside them; select per-atom good families;
-    propagate the families in the quarter-rotated frame (where the
-    perpendicular families stay triadic); bound the bad scales of the
-    finished set; extract a Lipschitz graph and map it back. Raises
-    ValueError with the stage name on hypothesis failure.
-    """
-    report: dict = {"kappa": kappa}
-    if union.parallel_hint is None:
-        directions = {round(s.direction_angle, 9) for s in union.segments}
-        if len(directions) > 1:
-            raise ValueError("stage normalize: input segments are not parallel")
-    diam = union.diameter()
-    pts0 = union.endpoints()
-    lo = pts0.min(axis=0)
-    scale = 1.0 / diam
-    segs = [Segment(((s.a[0] - lo[0]) * scale, (s.a[1] - lo[1]) * scale),
-                    ((s.b[0] - lo[0]) * scale, (s.b[1] - lo[1]) * scale))
-            for s in union.segments]
-    norm = SegmentUnion(segs, parallel_hint=union.parallel_hint)
-    report["normalization"] = {"scale": scale, "offset": lo.tolist()}
-
-    from .sets import ahlfors_constant
-    a_const = max(2.0, ahlfors_constant(norm, 400, cfg.seed))
-    m_bound = cfg.c_m / kappa
-    report["a_const"] = a_const
-    report["m_bound"] = m_bound
-
-    total = norm.total_length
-    grid = (np.arange(cfg.n_angles) + 0.5) / cfg.n_angles
-    from .projection import _projection_measures
-    measures = _projection_measures(norm, grid)
-    good = measures > kappa * total * 1.05
-    if not good.any():
-        raise ValueError(f"stage directions: no theta with H(pi_theta(E)) > kappa H(E);"
-                         f" max ratio = {measures.max() / total}")
-
-    level = max(1, math.ceil(math.log(a_const * m_bound / cfg.c_j) / math.log(3.0)))
-    best, best_score = None, -1.0
-    for idx in range(3**level):
-        j = TriadicInterval(level, idx)
-        inside = (grid >= j.low) & (grid < j.high)
-        score = float(np.count_nonzero(good & inside)) / max(1, np.count_nonzero(inside))
-        if score > best_score:
-            best, best_score = j, score
-    root_iv = best
-    report["root_iv"] = {"level": root_iv.level, "index": root_iv.index, "coverage": best_score}
-    if best_score < 1.0:
-        raise ValueError("stage directions: no triadic root interval fully inside "
-                         "the good direction set "
-                         f"at level {level} (best coverage {best_score})")
-
-    depth_abs = max(6, root_iv.level + 2)
-    selection = select_good_directions(
-        norm, root_iv.as_angle_interval(), kappa, m_bound,
-        samples_per_length=6 * 3**depth_abs,
-        triadic_depth=depth_abs, rho=cfg.rho, pitch=cfg.atom_pitch)
-    report["selection"] = {
-        "eprime_mass_fraction": selection.eprime_mass_fraction,
-        "min_family_length": selection.min_family_length,
-        "g_length": selection.g_length,
-        "max_energy_ratio": max(selection.energy_ratios.values(), default=0.0),
-        "max_fourier_ratio": max((v for v in selection.fourier_ratios.values()
-                                  if math.isfinite(v)), default=0.0),
-    }
-    if selection.eprime_mass_fraction < kappa / 4.0 - 1e-9:
-        raise ValueError("stage selection: selected mass below kappa/4 of the total")
-
-    atoms = selection.atoms
-    rot_atoms = DiscreteMeasure(_rotate_quarter(atoms.points), atoms.weights)
-    shift = rot_atoms.points.min(axis=0)
-    rot_atoms = DiscreteMeasure(rot_atoms.points - shift, atoms.weights)
-    rot_union = SegmentUnion(
-        [Segment((-s.a[1] - shift[0], s.a[0] - shift[1]),
-                 (-s.b[1] - shift[0], s.b[0] - shift[1])) for s in norm.segments])
-
-    families = {i: fam for i, fam in selection.family.families.items()}
-    params = cfg.tree_params()
-    params.check_witnesses = True
-    prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,
-                                     a_const, m_bound, params,
-                                     segment_model=rot_union)
-    report["propagation"] = {
-        "rounds": prop.rounds,
-        "trace": prop.trace,
-        "finished_mass_fraction": float(
-            math.fsum(atoms.weights[prop.finished_mask].tolist())
-            / math.fsum(atoms.weights[selection.eprime].tolist())),
-    }
-
-    f_idx = np.nonzero(prop.finished_mask)[0]
-    half_j0 = root_iv.dilate(0.5)
-    high = max(1, math.ceil(math.log(max(1e-12, _min_pair_gap(rot_atoms.points[f_idx])))
-                            / math.log(cfg.rho))) + 1
-    m0 = 0
-    for i in f_idx:
-        bs = bad_scales(rot_atoms.points[f_idx], rot_atoms.points[i], half_j0,
-                        cfg.rho, 0, high)
-        m0 = max(m0, len(bs))
-    report["bad_scale_bound"] = {"m0": m0, "scale_high": high}
-
-    cert = extract_graph(rot_atoms.points[f_idx], half_j0, m0, cfg.rho)
-    retained_global = [int(f_idx[i]) for i in cert.retained_idx]
-    final_width = cert.cone_half_width
-    orig_interval = AngleInterval(wrap(root_iv.center - 0.25), final_width)
-    ok, lip = verify_lipschitz(atoms.points[retained_global], orig_interval)
-    if not ok:
-        raise AssertionError("stage extract: back-mapped certificate fails the cone test")
-    report["certificate"] = {
-        "theta0": perp(orig_interval.center),
-        "lip": lip,
-        "cone_half_width": final_width,
-        "retained_atoms": len(retained_global),
-        "retained_mass": math.fsum(atoms.weights[retained_global].tolist()),
-        "retained_mass_fraction": math.fsum(atoms.weights[retained_global].tolist())
-        / math.fsum(atoms.weights.tolist()),
-        "retained_idx": retained_global,
-    }
-    report["all_stage_invariants"] = bool(
-        selection.min_family_length > 0.0
-        and all(t["containment_ok"] and t["growth_ok"] for t in prop.trace)
-        and len(retained_global) > 0)
-    return report
-
-
-def _min_pair_gap(pts: np.ndarray) -> float:
-    from .conical import _min_gap
-    return _min_gap(pts)
-
-
 def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
     if isinstance(model, DyadicSquareSet):
@@ -286,11 +148,7 @@ def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
         union = horiz if horiz.total_length >= vert.total_length else vert
     else:
         union = model
-    try:
-        report = run_pipeline(union, args.kappa, cfg)
-    except ValueError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    report = run_pipeline(union, args.kappa, cfg)
     report.update({"command": "pipeline", "input": args.input,
                    "input_hash": content_hash(args.input), "config": cfg.to_dict()})
     path = _write_report(args.out, "pipeline_report", report)
@@ -311,9 +169,12 @@ def _load_polyline(path: str) -> list[Segment]:
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected x,y")
             try:
-                pts.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-numeric field") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"{path}:{lineno}: non-finite coordinate")
+            pts.append((x, y))
     if len(pts) < 2:
         raise InputError(f"{path}: a polyline needs at least two points")
     return [Segment(a, b) for a, b in zip(pts, pts[1:]) if a != b]
@@ -332,7 +193,7 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
         if near_mask.any() else 0.0
 
     gamma_atoms = curve.atoms(delta / 4.0)
-    d_e = _cloud_dist(gamma_atoms.points, e_pts)
+    d_e = pairwise_extremes(gamma_atoms.points, e_pts)[0]
     g_mask = d_e <= delta + e_slack
     rhs = _cloud_content(gamma_atoms.points[g_mask], gamma_atoms.weights[g_mask],
                          delta / 8.0) if g_mask.any() else 0.0
@@ -353,17 +214,6 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
     print(f"H_inf(E n Gamma(3d)) = {lhs}; H_inf(E(d) n Gamma) = {rhs}; "
           f"ratio = {ratio} -> {path}")
     return EXIT_OK
-
-
-def _cloud_dist(pts: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    out = np.full(len(pts), math.inf)
-    block = 1024
-    for a in range(0, len(cloud), block):
-        sub = cloud[a:a + block]
-        d = np.hypot(pts[:, None, 0] - sub[None, :, 0],
-                     pts[:, None, 1] - sub[None, :, 1]).min(axis=1)
-        np.minimum(out, d, out=out)
-    return out
 
 
 def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
@@ -531,7 +381,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"hypothesis/precondition failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -25,7 +25,6 @@ class ExperimentConfig:
     c_eps: float = 2.0**-6
     c_lambda: float = 2.0**-8
     big_lambda: float = 2.0**6
-    gamma: float = 8.0                      # rho^-3 at the default rho
     c_n: float = 8.0
     c_y: float = 0.25
     c_j: float = 1.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .projection import (DEFAULT_PERP_CUTOFF, PiecewiseConstDensity, project,
                          project_segments, pushforward_density)
-from .sets import DiscreteMeasure, SegmentUnion
+from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
 from .torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                     _as_intervals, _direction_mask, triadic_cover, wrap)
 
@@ -34,8 +34,7 @@ def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
 
 
 def _interval_key(interval: DirectionInterval) -> tuple[float, float]:
-    half = interval.half_width if isinstance(interval, AngleInterval) else interval.length / 2.0
-    return (wrap(interval.center - half), half)
+    return (wrap(interval.center - interval.half_width), interval.half_width)
 
 
 def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
@@ -314,7 +313,6 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
                            triadic_depth: int = 6,
                            rho: float = 0.5,
                            pitch: Optional[float] = None,
-                           energy_high: Optional[int] = None,
                            perp_cutoff: float = DEFAULT_PERP_CUTOFF) -> SelectionResult:
     """Select the large-mass subset with per-point good triadic direction
     families (big projections to bounded projections to finite families).
@@ -332,8 +330,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     if m_bound is None:
         m_bound = c_m / kappa
     intervals = _as_intervals(directions)
-    total_len = math.fsum(2.0 * iv.half_width if isinstance(iv, AngleInterval) else iv.length
-                          for iv in intervals)
+    total_len = math.fsum(iv.length for iv in intervals)
     if total_len <= 0.0:
         raise ValueError("empty direction set")
     mu = _atoms_of(union, pitch)
@@ -391,8 +388,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     fam = GoodDirectionFamily(families, m_bound)
     min_len = min((fam.union_length(i) for i in families), default=0.0)
 
-    if energy_high is None:
-        energy_high = _auto_energy_high(mu, rho)
+    energy_high = _auto_energy_high(mu, rho)
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
     for i, members in families.items():
@@ -422,26 +418,9 @@ def _auto_energy_high(mu: DiscreteMeasure, rho: float) -> int:
     every annulus is empty."""
     if len(mu) < 2:
         return 1
-    gap = _min_gap(mu.points)
+    gap = float(pairwise_extremes(mu.points)[0].min())
     if gap <= 0.0:
         return 40
     k = max(1, math.ceil(math.log(gap) / math.log(rho)))
     return min(k + 1, 60)
 
-
-def _min_gap(pts: np.ndarray) -> float:
-    best = math.inf
-    n = len(pts)
-    block = 512
-    for a in range(0, n, block):
-        pa = pts[a:a + block]
-        for b in range(a, n, block):
-            pb = pts[b:b + block]
-            dx = pa[:, None, 0] - pb[None, :, 0]
-            dy = pa[:, None, 1] - pb[None, :, 1]
-            d = np.hypot(dx, dy)
-            if a == b:
-                np.fill_diagonal(d, math.inf)
-            m = float(d.min()) if d.size else math.inf
-            best = min(best, m)
-    return best

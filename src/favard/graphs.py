@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conical import bad_scales
-from .torus import (TOL, AngleInterval, DirectionInterval, _direction_mask,
-                    direction_vector, perp)
+from .sets import pairwise_extremes
+from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp
 
 
 @dataclass
@@ -98,15 +98,9 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
 
 def _scale_range(pts: np.ndarray, rho: float) -> int:
     """High scale index covering every pairwise distance from below."""
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         return 1
-    best = math.inf
-    for i in range(n):
-        diff = pts[i + 1:] - pts[i]
-        if len(diff):
-            d = np.hypot(diff[:, 0], diff[:, 1])
-            best = min(best, float(d.min()))
+    best = float(pairwise_extremes(pts)[0].min())
     if best <= 0.0:
         raise ValueError("coincident points have no cone-free scale range")
     return max(1, math.ceil(math.log(best) / math.log(rho))) + 1
@@ -208,17 +202,12 @@ def extract_graph(points: np.ndarray, interval: DirectionInterval, m0: int,
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty input")
-    base = interval if isinstance(interval, AngleInterval) else interval.as_angle_interval()
-    d = 0.0
-    for i in range(len(pts)):
-        diff = pts[i + 1:] - pts[i]
-        if len(diff):
-            d = max(d, float(np.max(np.hypot(diff[:, 0], diff[:, 1]))))
+    d = float(np.max(pairwise_extremes(pts)[1], initial=0.0))
     if d > 1.0 + TOL:
         raise ValueError(f"diameter {d} > 1; rescale before extraction")
 
     keep = np.arange(len(pts), dtype=np.int64)
-    current = base
+    current = interval
     for j in range(m0):
         keep = reduce_bad_scales(pts, keep, current, m0 - j, rho)
         current = current.dilate(0.5)

@@ -141,15 +141,8 @@ class AnisoCube:
     def __len__(self) -> int:
         return len(self.atom_idx)
 
-    @property
-    def scale(self) -> float:
-        return self.rho**self.level
-
     def center(self, points: np.ndarray) -> np.ndarray:
         return points[self.center_idx]
-
-    def ball_radius(self) -> float:
-        return 4.0 * self.scale
 
     def mass(self, weights: np.ndarray) -> float:
         return math.fsum(weights[self.atom_idx].tolist())
@@ -161,8 +154,7 @@ class AnisoCube:
 
 
 def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
-            k: int, interval: DirectionInterval, l: int, rho: float = 0.5,
-            base_interval: Optional[DirectionInterval] = None) -> list[AnisoCube]:
+            k: int, interval: DirectionInterval, l: int, rho: float = 0.5) -> list[AnisoCube]:
     """Dyadic descendants of the carrier at generation k+l adapted to `interval`.
 
     The carrier is the atom set `member_idx`; `interval` must be contained in
@@ -180,20 +172,19 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     m = side_exponent(h_child, k, l, rho)
     side = rho**m
     pts = np.asarray(points, dtype=float)
-    coords = to_metric_coords(base_interval, pts) if base_interval is not None else pts
 
-    cells = base_cells(pts[member_idx], base_interval, m, rho)
+    cells = base_cells(pts[member_idx], None, m, rho)
     cell_list = []
     for key, rel in cells.items():
         idx = member_idx[rel]
-        center = cell_center_atom(pts, idx, key, side, coords)
+        center = cell_center_atom(pts, idx, key, side, pts)
         cell_list.append((key, idx, center))
 
     # greedy maximal net over cell centers, insertion order lexicographic by
-    # mapped center coordinates
+    # center coordinates
     sep = 3.0 * rho**gen
     order = sorted(range(len(cell_list)),
-                   key=lambda t: (coords[cell_list[t][2]][0], coords[cell_list[t][2]][1]))
+                   key=lambda t: (pts[cell_list[t][2]][0], pts[cell_list[t][2]][1]))
     net: list[int] = []
     net_pts: list[np.ndarray] = []
     for t in order:
@@ -231,20 +222,17 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
 
 
 def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval,
-            rho: Optional[float] = None,
-            base_interval: Optional[DirectionInterval] = None) -> list[AnisoCube]:
+            rho: Optional[float] = None) -> list[AnisoCube]:
     """Re-partition a cube at its own generation, adapted to a narrower interval."""
     rho = cube.rho if rho is None else rho
-    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0,
-                   rho, base_interval)
+    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, rho)
 
 
-def children(points: np.ndarray, cube: AnisoCube, rho: Optional[float] = None,
-             base_interval: Optional[DirectionInterval] = None) -> list[AnisoCube]:
+def children(points: np.ndarray, cube: AnisoCube,
+             rho: Optional[float] = None) -> list[AnisoCube]:
     """Descend one generation with the same direction interval."""
     rho = cube.rho if rho is None else rho
-    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1,
-                   rho, base_interval)
+    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, rho)
 
 
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
@@ -350,15 +338,6 @@ class DyadicInterval1D:
         """The concentric triple 3I as (low, high)."""
         L = self.length
         return (self.low - L, self.high + L)
-
-
-def _contains_interval(components: Sequence[tuple[float, float]],
-                       lo: float, hi: float) -> bool:
-    """Whether [lo, hi) is contained in the open set (component-wise)."""
-    for a, b in components:
-        if a < lo and hi <= b:
-            return True
-    return False
 
 
 @dataclass

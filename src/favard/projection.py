@@ -130,8 +130,8 @@ def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int =
     return math.fsum(v for vals in parts for v in vals) / n_angles
 
 
-def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int = 0,
-              workers: int = 1) -> tuple[float, float]:
+def favard_mc(union: SegmentUnion, needle_count: int,
+              rng_seed: int = 0) -> tuple[float, float]:
     """Unbiased Buffon-needle estimate of Fav(E) with its standard error.
 
     Samples (theta, t) with theta uniform on the torus and t uniform on a
@@ -144,6 +144,7 @@ def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int = 0,
     if not union.segments:
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()
+    ends = union.endpoints()
     rng = np.random.default_rng(rng_seed)
     hits = 0
     chunk = 100_000
@@ -155,7 +156,6 @@ def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int = 0,
         ang = 2.0 * math.pi * thetas
         ex, ey = np.cos(ang), np.sin(ang)
         t = center[0] * ex + center[1] * ey + offsets
-        ends = union.endpoints()
         proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
         lows = np.minimum(proj[:, 0::2], proj[:, 1::2])
         highs = np.maximum(proj[:, 0::2], proj[:, 1::2])
@@ -193,15 +193,6 @@ class PiecewiseConstDensity:
             if len(self.values) else 0.0
         return dense + math.fsum(m for _, m in self.atoms)
 
-    def dense_window_mass(self, a: float, b: float) -> float:
-        """Mass of the density part on (a, b) (atoms excluded)."""
-        if b <= a or not len(self.values):
-            return 0.0
-        lo = np.maximum(self.breakpoints[:-1], a)
-        hi = np.minimum(self.breakpoints[1:], b)
-        overlap = np.clip(hi - lo, 0.0, None)
-        return float(overlap @ self.values)
-
     def dense_mass_centered(self, t: float, r: float) -> float:
         """Density mass of (t - r, t + r), computed in t-centered coordinates.
 
@@ -216,12 +207,6 @@ class PiecewiseConstDensity:
         hi = np.minimum(shifted[1:], r)
         overlap = np.clip(hi - lo, 0.0, None)
         return float(overlap @ self.values)
-
-    def window_mass(self, a: float, b: float) -> float:
-        """nu((a, b)) of the open window (atoms at the endpoints excluded)."""
-        if b <= a:
-            return 0.0
-        return self.dense_window_mass(a, b) + math.fsum(m for p, m in self.atoms if a < p < b)
 
     def _adjacent_values(self, t: float) -> tuple[float, float]:
         if not len(self.values):

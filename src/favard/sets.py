@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .torus import TOL, line_angle
 
 DEFAULT_ATOMS_PER_SEGMENT = 64
+PAIR_TILE = 512     # side of the largest distance tile pairwise_extremes builds
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,7 @@ class SegmentUnion:
         return out
 
     def diameter(self) -> float:
-        pts = self.endpoints()
-        if len(pts) == 0:
-            return 0.0
-        d = 0.0
-        for i in range(len(pts)):
-            diff = pts[i + 1:] - pts[i]
-            if len(diff):
-                d = max(d, float(np.max(np.hypot(diff[:, 0], diff[:, 1]))))
-        return d
+        return float(np.max(pairwise_extremes(self.endpoints())[1], initial=0.0))
 
     def bounding_center_radius(self) -> tuple[np.ndarray, float]:
         pts = self.endpoints()
@@ -168,6 +160,8 @@ class SegmentUnion:
                     x1, y1, x2, y2 = (float(p) for p in parts)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from exc
+                if not all(map(math.isfinite, (x1, y1, x2, y2))):
+                    raise ValueError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
                 segs.append(Segment((x1, y1), (x2, y2)))
         if not segs:
             raise ValueError(f"{path}: no segments")
@@ -200,9 +194,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return math.fsum(self.weights.tolist())
-
-    def total_mass_exact(self) -> Fraction:
-        return sum((Fraction(w) for w in self.weights.tolist()), Fraction(0))
 
     def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
         return DiscreteMeasure(self.points[mask], self.weights[mask])
@@ -437,6 +428,34 @@ def _cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
         if total >= enclosing:
             return enclosing
     return min(total, enclosing)
+
+
+def pairwise_extremes(pts: np.ndarray,
+                      cloud: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point (nearest, farthest) Euclidean distance to the other points of
+    `pts`, or to the points of `cloud` when one is given.
+
+    The distance matrix is built in tiles of at most PAIR_TILE x PAIR_TILE, so
+    memory stays bounded on large inputs. A point with nothing to compare
+    against gets (inf, -inf).
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    other = pts if cloud is None else np.asarray(cloud, dtype=float).reshape(-1, 2)
+    near = np.full(len(pts), math.inf)
+    far = np.full(len(pts), -math.inf)
+    for a in range(0, len(pts), PAIR_TILE):
+        pa, rows = pts[a:a + PAIR_TILE], slice(a, a + PAIR_TILE)
+        for b in range(0, len(other), PAIR_TILE):
+            pb = other[b:b + PAIR_TILE]
+            d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
+            on_diagonal = cloud is None and a == b
+            if on_diagonal:
+                np.fill_diagonal(d, math.inf)      # a point is not its own neighbour
+            np.minimum(near[rows], d.min(axis=1), out=near[rows])
+            if on_diagonal:
+                np.fill_diagonal(d, -math.inf)
+            np.maximum(far[rows], d.max(axis=1), out=far[rows])
+    return near, far
 
 
 def segment_distances(pts: np.ndarray, segments: Iterable[Segment]) -> np.ndarray:

@@ -25,9 +25,6 @@ import numpy as np
 
 TOL = 1e-12
 
-Point = np.ndarray  # shape (2,)
-
-
 def wrap(theta: float) -> float:
     """Representative of theta in [0, 1)."""
     t = math.fmod(theta, 1.0)
@@ -55,12 +52,6 @@ def project(theta: float, p) -> float:
     """Orthogonal projection pi_theta(p) = p . e_theta."""
     e = direction_vector(theta)
     return float(p[0] * e[0] + p[1] * e[1])
-
-
-def project_points(theta: float, pts: np.ndarray) -> np.ndarray:
-    """pi_theta applied to an (n, 2) array of points."""
-    e = direction_vector(theta)
-    return pts @ e
 
 
 def line_angle(v) -> float:
@@ -237,7 +228,7 @@ def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarr
     test on the line direction (the sine characterization breaks past 1/4).
     """
     center = interval.center
-    a = interval.half_width if isinstance(interval, AngleInterval) else interval.length / 2.0
+    a = interval.half_width
     if a >= 0.5 - TOL:
         return np.ones(len(pts), dtype=bool)
     diff = pts - apex
@@ -283,7 +274,7 @@ def in_cone(spec: ConeSpec, y) -> bool:
     if len(spec.directions) != 1:
         raise ValueError("in_cone expects a single direction interval")
     interval = spec.directions[0]
-    a = interval.half_width if isinstance(interval, AngleInterval) else interval.length / 2.0
+    a = interval.half_width
     if a > 0.25 + TOL:
         raise ValueError(f"half-width {a} > 1/4: sine characterization unavailable")
     apex = np.asarray(spec.apex, dtype=float)
@@ -333,10 +324,3 @@ def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray
     par = pts @ e
     per = pts @ np.array([-e[1], e[0]])
     return np.column_stack([per / h, par])
-
-
-def metric_ball_contains(interval: DirectionInterval, center, radius: float,
-                         pts: np.ndarray, closed: bool = False) -> np.ndarray:
-    """Mask of points in the d_I-ball B_I(center, radius) (open by default)."""
-    d = d_metric_many(interval, center, pts)
-    return d <= radius + TOL if closed else d < radius

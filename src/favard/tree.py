@@ -23,13 +23,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .conical import annulus_mask, bad_scales, conical_energy
+from .conical import _auto_energy_high, annulus_mask, bad_scales, conical_energy
 from .lattice import AnisoCube, descend
 from .sets import DiscreteMeasure
 from .torus import (TOL, AngleInterval, TriadicInterval, d_metric,
                     d_metric_many, direction_vector, perp, wrap)
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
+MAX_ROUNDS = 64                                  # hard cap on propagation rounds
 
 
 @dataclass
@@ -40,13 +41,11 @@ class TreeParams:
     k_max: int = 5
     triadic_depth: int = 5          # max shattering depth below the root interval
     c_eps: float = 2.0**-6          # eps = c_eps / (A M)
-    energy_high: Optional[int] = None
     c_j: float = 1.0                # root-interval length budget c_j / (A M)
     c_lambda: float = 2.0**-8
     big_lambda: float = 2.0**6
     c_n: float = 8.0                # N_strips = ceil(c_n * A * M)
     c_y: float = 0.25
-    max_rounds: int = 64
     check_witnesses: bool = False
 
 
@@ -225,10 +224,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
             if units.overlap(a, b) > 0:
                 raise ValueError(f"family of atom {i} is not disjoint")
 
-    high = params.energy_high
-    if high is None:
-        from .conical import _auto_energy_high
-        high = _auto_energy_high(atoms, params.rho)
+    high = _auto_energy_high(atoms, params.rho)
 
     energies: dict[int, float] = {}
     for i in np.nonzero(eprime)[0]:
@@ -429,6 +425,7 @@ class TreeNode:
     parent: Optional[int]
     root_id: int
     children: list[int] = field(default_factory=list)
+    is_bad: bool = False           # set by collect_bad_cubes
 
 
 @dataclass
@@ -476,7 +473,7 @@ class DirectionTree:
                              "index": node.interval.index},
                 "atom_ids": [int(i) for i in node.cube.atom_idx],
                 "tag": node.tag, "parent": node.parent, "root": node.root_id,
-                "bad": bool(getattr(node, "is_bad", False)),
+                "bad": node.is_bad,
             })
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1)
@@ -511,7 +508,7 @@ def _goodness_integral(stages: GoodStages, good_k: dict[int, list[TriadicInterva
     return lhs, rhs
 
 
-def build_tree(stages: GoodStages, params: Optional[TreeParams] = None) -> DirectionTree:
+def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
     """Grow the direction tree of anisotropic cubes.
 
     Generation 0 takes the cubes of the root-adapted partition that meet the
@@ -521,7 +518,6 @@ def build_tree(stages: GoodStages, params: Optional[TreeParams] = None) -> Direc
     strict core membership decides. Shattering deeper than the family depth
     indicates a construction bug and raises.
     """
-    params = params or stages_params(stages)
     rho = params.rho
     pts = stages.atoms.points
     all_idx = np.arange(len(pts), dtype=np.int64)
@@ -600,12 +596,6 @@ def build_tree(stages: GoodStages, params: Optional[TreeParams] = None) -> Direc
     return DirectionTree(stages, params, nodes, generations, roots, stopped)
 
 
-def stages_params(stages: GoodStages) -> TreeParams:
-    p = TreeParams()
-    p.rho = stages.rho
-    return p
-
-
 def packing_sums(tree: DirectionTree) -> dict:
     """Roots and bad packing sums against the eps^-1 * root-length * mass budget."""
     stages = tree.stages
@@ -616,7 +606,7 @@ def packing_sums(tree: DirectionTree) -> dict:
         for r in tree.roots)
     budget = (1.0 / stages.eps) * units.to_float(units.length(stages.root_iv)) * \
         math.fsum(w.tolist())
-    bad = [nid for nid, node in tree.nodes.items() if getattr(node, "is_bad", False)]
+    bad = [nid for nid, node in tree.nodes.items() if node.is_bad]
     bad_sum = math.fsum(
         units.to_float(units.length(tree.nodes[b].interval)) * tree.node_mass(b)
         for b in bad)
@@ -633,11 +623,11 @@ def packing_sums(tree: DirectionTree) -> dict:
     }
 
 
-def collect_bad_cubes(tree: DirectionTree, model: Optional[DiscreteMeasure] = None) -> list[int]:
+def collect_bad_cubes(tree: DirectionTree) -> list[int]:
     """Nodes Q with some member x whose annulus cone X(x, 15 J_Q, rho l(Q), l(Q))
-    meets the atom model. Marks nodes in place and returns their ids."""
+    meets the atoms. Marks nodes in place and returns their ids."""
     stages = tree.stages
-    mu = model if model is not None else stages.atoms
+    mu = stages.atoms
     rho = tree.params.rho
     bad = []
     for nid, node in tree.nodes.items():
@@ -649,7 +639,7 @@ def collect_bad_cubes(tree: DirectionTree, model: Optional[DiscreteMeasure] = No
             if mask.any():
                 found = True
                 break
-        node.is_bad = found  # type: ignore[attr-defined]
+        node.is_bad = found
         if found:
             bad.append(nid)
     return bad
@@ -861,7 +851,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
 
     The average family fraction grows by at least (eps/12) tau per
     unfinished round, so the loop ends within ceil(12 / (eps tau)) rounds;
-    exceeding the cap (or the configured max_rounds) raises with the trace.
+    exceeding the cap (or MAX_ROUNDS) raises with the trace.
     """
     params = params or TreeParams()
     eprime = np.asarray(eprime, dtype=bool)
@@ -879,7 +869,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
         raise ValueError("family hypothesis fails: some family has zero length")
 
     eps = params.c_eps / (a_const * m_bound)
-    cap = min(params.max_rounds, math.ceil(12.0 / (eps * tau)) + 1)
+    cap = min(MAX_ROUNDS, math.ceil(12.0 / (eps * tau)) + 1)
 
     if params.check_witnesses and segment_model is not None:
         _check_witnesses(segment_model, atoms, eprime, families, m_bound)

@@ -66,6 +66,14 @@ class TestCompute:
         path.write_text("0,0,1\n")
         assert main(["--out", str(tmp_path), "compute", str(path)]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_is_input_error(self, tmp_path, capsys, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"0,0,1,0\n{value},0,1,1\n")
+        assert main(["--out", str(tmp_path), "compute", str(path)]) == 1
+        assert f"{path}:2: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "compute_report.json").exists()
+
     def test_mc_cross_check(self, cantor_json, tmp_path):
         code = main(["--out", str(tmp_path), "compute", cantor_json,
                      "--n-angles", "2048", "--mc", "300000"])
@@ -120,6 +128,15 @@ class TestContent:
         report = json.loads((tmp_path / "content_report.json").read_text())
         assert report["ratio"] == "empty"
 
+    def test_non_finite_curve_vertex_is_input_error(self, cantor_json, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("0.0,0.03125\nnan,0.03125\n1.0,0.03125\n")
+        code = main(["--out", str(tmp_path), "content", cantor_json,
+                     "--delta", str(1 / 64), "--curve", str(curve)])
+        assert code == 1
+        assert f"{curve}:2: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "content_report.json").exists()
+
 
 class TestChecks:
     def test_lattice_check(self, tmp_path):
@@ -148,6 +165,22 @@ class TestPipelineCLI:
         code = main(["--config", str(cfg), "--out", str(tmp_path),
                      "pipeline", str(path), "--kappa", "0.9"])
         assert code == 3
+
+    def test_failed_postcondition_exits_2_naming_the_stage(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import favard.pipeline
+
+        path = tmp_path / "segs.csv"
+        horiz, _ = split_parallel(four_corners(1).skeleton())
+        horiz.to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 1024, "atom_pitch": 1 / 128}))
+        monkeypatch.setattr(favard.pipeline, "verify_lipschitz", lambda pts, iv: (False, 1.0))
+        code = main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "0.06"])
+        assert code == 2
+        assert "stage extract" in capsys.readouterr().err
+        assert not (tmp_path / "pipeline_report.json").exists()
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +70,38 @@ def test_compute_per_angle(tmp_path):
     rows = json.loads((tmp_path / "projection_measures.json").read_text())
     assert len(rows) == 64
     assert all(set(r) == {"theta", "measure"} for r in rows)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names a module uses: loads, attribute accesses and imported names."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_symbol_is_used():
+    """Every module-level public function and class of the package is used
+    somewhere in the source, the tests or the benchmark, besides its own
+    definition (a definition is not a reference in the AST)."""
+    used: set[str] = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    defined = {}
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.name
+    assert defined
+    unused = sorted(f"{mod}:{name}" for name, mod in defined.items() if name not in used)
+    assert unused == []

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from favard.projection import project_segments
+from favard.graphs import _scale_range
 from favard.sets import (DyadicSquareSet, Segment,
                          SegmentUnion, ahlfors_constant, dyadic_neighborhood,
-                         four_corners, hausdorff_content, segment_distances,
-                         split_parallel)
+                         four_corners, hausdorff_content, pairwise_extremes,
+                         segment_distances, split_parallel)
 
 
 class TestSegment:
@@ -251,3 +252,102 @@ class TestSegmentDistances:
         d = segment_distances(np.array([[0.5, 0.3], [2.0, 0.0]]), segs)
         assert d[0] == pytest.approx(0.3)
         assert d[1] == pytest.approx(1.0)
+
+
+# The hand-rolled loops that pairwise_extremes replaced, kept as oracles.
+
+def row_loop_min_gap(pts):
+    """The row loop of the old graphs._scale_range."""
+    best = math.inf
+    for i in range(len(pts)):
+        diff = pts[i + 1:] - pts[i]
+        if len(diff):
+            best = min(best, float(np.hypot(diff[:, 0], diff[:, 1]).min()))
+    return best
+
+
+def row_loop_diameter(pts):
+    """The old SegmentUnion.diameter (and the diameter loop of extract_graph)."""
+    if len(pts) == 0:
+        return 0.0
+    d = 0.0
+    for i in range(len(pts)):
+        diff = pts[i + 1:] - pts[i]
+        if len(diff):
+            d = max(d, float(np.max(np.hypot(diff[:, 0], diff[:, 1]))))
+    return d
+
+
+def blocked_min_gap(pts):
+    """The old conical._min_gap."""
+    best = math.inf
+    n = len(pts)
+    block = 512
+    for a in range(0, n, block):
+        pa = pts[a:a + block]
+        for b in range(a, n, block):
+            pb = pts[b:b + block]
+            d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
+            if a == b:
+                np.fill_diagonal(d, math.inf)
+            best = min(best, float(d.min()) if d.size else math.inf)
+    return best
+
+
+def blocked_cloud_dist(pts, cloud):
+    """The old cli._cloud_dist."""
+    out = np.full(len(pts), math.inf)
+    block = 1024
+    for a in range(0, len(cloud), block):
+        sub = cloud[a:a + block]
+        d = np.hypot(pts[:, None, 0] - sub[None, :, 0],
+                     pts[:, None, 1] - sub[None, :, 1]).min(axis=1)
+        np.minimum(out, d, out=out)
+    return out
+
+
+def clouds():
+    rng = np.random.default_rng(3)
+    coincident = np.array([[0.2, 0.3], [0.5, 0.1], [0.2, 0.3], [0.9, 0.9]])
+    return {"n0": np.empty((0, 2)), "n1": rng.random((1, 2)), "n2": rng.random((2, 2)),
+            "coincident": coincident, "n1300": rng.random((1300, 2))}
+
+
+class TestPairwiseExtremes:
+    @pytest.mark.parametrize("name", sorted(clouds()))
+    def test_within_matches_the_old_loops(self, name):
+        pts = clouds()[name]
+        near, far = pairwise_extremes(pts)
+        assert near.shape == far.shape == (len(pts),)
+        gap = float(np.min(near, initial=math.inf))
+        assert gap == row_loop_min_gap(pts) == blocked_min_gap(pts)
+        assert float(np.max(far, initial=0.0)) == row_loop_diameter(pts)
+        # per point, against the dense matrix with the diagonal excluded
+        d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        np.fill_diagonal(d, math.inf)
+        assert np.array_equal(near, d.min(axis=1, initial=math.inf))
+        np.fill_diagonal(d, -math.inf)
+        assert np.array_equal(far, d.max(axis=1, initial=-math.inf))
+
+    @pytest.mark.parametrize("name", sorted(clouds()))
+    def test_cloud_matches_the_old_loop(self, name):
+        pts = clouds()[name]
+        cloud = np.random.default_rng(4).random((1300, 2))
+        assert np.array_equal(pairwise_extremes(pts, cloud)[0], blocked_cloud_dist(pts, cloud))
+        assert np.array_equal(pairwise_extremes(cloud, pts)[0], blocked_cloud_dist(cloud, pts))
+
+    def test_empty_cloud(self):
+        pts = np.random.default_rng(5).random((7, 2))
+        near, far = pairwise_extremes(pts, np.empty((0, 2)))
+        assert np.array_equal(near, blocked_cloud_dist(pts, np.empty((0, 2))))
+        assert np.all(near == math.inf) and np.all(far == -math.inf)
+
+    def test_call_sites_match_the_old_loops(self):
+        union = four_corners(3).skeleton()
+        assert union.diameter() == row_loop_diameter(union.endpoints())
+        pts = clouds()["n1300"]
+        rho = 0.5
+        expected = max(1, math.ceil(math.log(row_loop_min_gap(pts)) / math.log(rho))) + 1
+        assert _scale_range(pts, rho) == expected
+        with pytest.raises(ValueError, match="coincident"):
+            _scale_range(clouds()["coincident"], rho)

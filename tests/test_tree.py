@@ -165,6 +165,30 @@ class TestGoodAtScale:
         for i in range(len(atoms)):
             assert full[i] == maximal_intervals(universe)
 
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_batch_matches_the_scalar_oracle(self, make, thinned):
+        params = TreeParams()
+        stages = stages_for(*make(), params=params)
+        k_top = params.k_max
+        if thinned:
+            # every third atom stops carrying its core intervals, so the
+            # others see them only through the d_I balls, which shrink with k
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+            k_top += 3
+        emptied = False
+        for k in range(k_top + 1):
+            batch = good_at_scale_all(stages, k)
+            assert sorted(batch) == list(range(len(stages.atoms)))
+            for i in range(len(stages.atoms)):
+                assert batch[i] == good_at_scale(stages, i, k), (k, i)
+            emptied |= any(not ivs for ivs in batch.values())
+        assert emptied == thinned
+
     def test_empty_controlled_gives_empty_families(self):
         atoms = line_atoms(16)
         stages = synthetic_stages_constant_core(atoms, ROOT)
