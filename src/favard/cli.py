@@ -23,7 +23,7 @@ from .config import ExperimentConfig, content_hash
 from .graphs import extract_graph
 from .lattice import check_cube_invariants, descend
 from .pipeline import run_pipeline
-from .projection import favard, favard_mc
+from .projection import favard, favard_mc, projection_measures
 from .sets import (DyadicSquareSet, Segment, SegmentUnion, four_corners,
                    pairwise_extremes, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
@@ -78,10 +78,9 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
         "favard": exact, "n_angles": n, "method": "exact",
     }
     if args.per_angle:
-        from .projection import project_segments
         thetas = (np.arange(n) + 0.5) / n
-        rows = [{"theta": float(t), "measure": project_segments(union, float(t)).measure}
-                for t in thetas]
+        rows = [{"theta": t, "measure": m}
+                for t, m in zip(thetas.tolist(), projection_measures(union, thetas).tolist())]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "projection_measures.json", "w", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .conical import bad_scales, select_good_directions
 from .graphs import _scale_range, extract_graph, verify_lipschitz
-from .projection import _projection_measures
+from .projection import projection_measures
 from .sets import DiscreteMeasure, Segment, SegmentUnion, ahlfors_constant
 from .torus import AngleInterval, TriadicInterval, perp, wrap
 from .tree import propagate_good_directions
@@ -53,7 +53,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
 
     total = norm.total_length
     grid = (np.arange(cfg.n_angles) + 0.5) / cfg.n_angles
-    measures = _projection_measures(norm, grid)
+    measures = projection_measures(norm, grid)
     good = measures > kappa * total * 1.05
     if not good.any():
         raise ValueError(f"stage directions: no theta with H(pi_theta(E)) > kappa H(E);"

@@ -73,61 +73,88 @@ def project_segments(union: SegmentUnion, theta: float) -> IntervalUnion1D:
     return IntervalUnion1D.from_pairs(pairs)
 
 
-def _projection_measures(union: SegmentUnion, thetas: np.ndarray) -> np.ndarray:
-    """Measure of pi_theta(E) for a batch of angles (vectorized sweep merge)."""
-    n_seg = len(union.segments)
+SWEEP_BLOCK = 4096     # projected intervals per angle block of the sweep
+MC_CHUNK = 100_000     # needles drawn from the generator at a time
+NEEDLE_BLOCK = 32_768  # needle-segment pairs per block of the Monte Carlo hit test
+
+
+def _segment_coords(union: SegmentUnion) -> np.ndarray:
+    """(4, n) array with rows ax, ay, bx, by of the segment endpoints."""
+    ends = union.endpoints()
+    return np.stack([ends[0::2, 0], ends[0::2, 1], ends[1::2, 0], ends[1::2, 1]])
+
+
+def _sweep(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Measure of pi_theta(E) for each angle, from the (4, n) endpoint rows.
+
+    With the projected intervals sorted by low end and runmax_i the running
+    maximum of the high ends, the measure is
+        (runmax_last - low_first) - sum_i max(0, low_{i+1} - runmax_i).
+    A gap between tied lows is exactly 0, so each value depends only on the
+    multiset of intervals, never on how ties are ordered. That lets each
+    block start its stable (run-adaptive) sort from the previous angle's
+    order: the sort stays exact and the values do not depend on block or
+    shard boundaries.
+    """
+    n_seg = coords.shape[1]
+    out = np.zeros(len(thetas))
     if n_seg == 0:
-        return np.zeros(len(thetas))
-    ends = union.endpoints()                       # (2n, 2)
-    ang = 2.0 * math.pi * np.asarray(thetas)
-    ex, ey = np.cos(ang), np.sin(ang)              # (A,)
-    proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
-    pa = proj[:, 0::2]
-    pb = proj[:, 1::2]
-    lows = np.minimum(pa, pb)                      # (A, n)
-    highs = np.maximum(pa, pb)
-    order = np.argsort(lows, axis=1, kind="stable")
-    lows = np.take_along_axis(lows, order, axis=1)
-    highs = np.take_along_axis(highs, order, axis=1)
-    run = np.maximum.accumulate(highs, axis=1)
-    prev = np.empty_like(run)
-    prev[:, 0] = -np.inf
-    prev[:, 1:] = run[:, :-1]
-    covered = np.clip(np.maximum(highs, prev) - np.maximum(lows, prev), 0.0, None)
-    return covered.sum(axis=1)
+        return out
+    ang = 2.0 * math.pi * thetas
+    ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    ax, ay, bx, by = coords
+    block = max(1, SWEEP_BLOCK // n_seg)
+    order = np.arange(n_seg)
+    for c in range(0, len(thetas), block):
+        ex_b, ey_b = ex[c:c + block], ey[c:c + block]
+        pa = ax * ex_b + ay * ey_b
+        pb = bx * ex_b + by * ey_b
+        lows = np.minimum(pa, pb)
+        # sort each angle starting from the previous angle's order
+        idx = np.argsort(np.take(lows, order, axis=1), axis=1, kind="stable")
+        perm = order[idx]
+        flat = perm + (n_seg * np.arange(len(perm)))[:, None]
+        lows = np.take(lows, flat)
+        run = np.maximum.accumulate(np.take(np.maximum(pa, pb), flat), axis=1)
+        gaps = np.maximum(lows[:, 1:] - run[:, :-1], 0.0).sum(axis=1)
+        out[c:c + block] = (run[:, -1] - lows[:, 0]) - gaps
+        order = perm[-1]
+    return out
+
+
+def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
+    """Measure of pi_theta(E) for each angle of `thetas` (vectorized sweep).
+
+    Memory stays bounded by blocks of about SWEEP_BLOCK projected intervals,
+    and each value depends only on its own angle.
+    """
+    return _sweep(_segment_coords(union), np.asarray(thetas, dtype=float).reshape(-1))
 
 
 def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int = 1) -> float:
     """Favard length by midpoint-rule quadrature over theta in [0, 1).
 
     Fav(E) = integral over the torus of the projection measure; the midpoint
-    grid (i + 1/2)/n avoids the kink angles of the integrand. The per-angle
-    values are summed by one exactly rounded fsum, so the result does not
-    depend on the worker count.
+    grid (i + 1/2)/n avoids the kink angles of the integrand. The angles are
+    split into `workers` contiguous shards swept on threads; every per-angle
+    value is independent of the shard it lands in, and all of them are summed
+    by one exactly rounded fsum, so the result does not depend on the worker
+    count.
     """
     if n_angles < 2:
         raise ValueError("n_angles must be >= 2")
     thetas = (np.arange(n_angles) + 0.5) / n_angles
+    coords = _segment_coords(union)
     shards = max(1, int(workers))
     bounds = np.linspace(0, n_angles, shards + 1, dtype=int)
-    # angle blocks inside a shard keep the per-angle memory bounded; the
-    # resulting values do not depend on the block size
-    block = max(1, 2_000_000 // max(1, len(union.segments)))
-
-    def shard_values(a: int, b: int) -> list[float]:
-        vals: list[float] = []
-        for c in range(a, b, block):
-            vals.extend(_projection_measures(union, thetas[c:min(c + block, b)]).tolist())
-        return vals
-
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if shards == 1 or len(spans) == 1:
-        parts = [shard_values(a, b) for a, b in spans]
+        parts = [_sweep(coords, thetas[a:b]) for a, b in spans]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(lambda ab: shard_values(*ab), spans))
-    return math.fsum(v for vals in parts for v in vals) / n_angles
+            parts = list(pool.map(lambda ab: _sweep(coords, thetas[ab[0]:ab[1]]), spans))
+    return math.fsum(v for vals in parts for v in vals.tolist()) / n_angles
 
 
 def favard_mc(union: SegmentUnion, needle_count: int,
@@ -137,30 +164,33 @@ def favard_mc(union: SegmentUnion, needle_count: int,
     Samples (theta, t) with theta uniform on the torus and t uniform on a
     window of half-width R covering every projection; the indicator that the
     line pi_theta^{-1}(t) meets E, scaled by the window size 2R, has mean
-    Fav(E).
+    Fav(E). Needles are drawn MC_CHUNK at a time and tested against every
+    segment in blocks of about NEEDLE_BLOCK needle-segment pairs, so memory
+    stays bounded whatever the needle count.
     """
     if needle_count < 100:
         raise ValueError("needle_count must be >= 100")
     if not union.segments:
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()
-    ends = union.endpoints()
+    ax, ay, bx, by = _segment_coords(union)
+    block = max(1, NEEDLE_BLOCK // len(ax))
     rng = np.random.default_rng(rng_seed)
     hits = 0
-    chunk = 100_000
     done = 0
     while done < needle_count:
-        m = min(chunk, needle_count - done)
+        m = min(MC_CHUNK, needle_count - done)
         thetas = rng.random(m)
         offsets = (2.0 * rng.random(m) - 1.0) * radius
         ang = 2.0 * math.pi * thetas
-        ex, ey = np.cos(ang), np.sin(ang)
-        t = center[0] * ex + center[1] * ey + offsets
-        proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
-        lows = np.minimum(proj[:, 0::2], proj[:, 1::2])
-        highs = np.maximum(proj[:, 0::2], proj[:, 1::2])
-        inside = (t[:, None] >= lows) & (t[:, None] <= highs)
-        hits += int(np.count_nonzero(inside.any(axis=1)))
+        ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        t = center[0] * ex + center[1] * ey + offsets[:, None]
+        for c in range(0, m, block):
+            ex_b, ey_b, t_b = ex[c:c + block], ey[c:c + block], t[c:c + block]
+            pa = ax * ex_b + ay * ey_b
+            pb = bx * ex_b + by * ey_b
+            inside = (t_b >= np.minimum(pa, pb)) & (t_b <= np.maximum(pa, pb))
+            hits += int(np.count_nonzero(inside.any(axis=1)))
         done += m
     window = 2.0 * radius
     p = hits / needle_count

@@ -33,6 +33,8 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "a", (float(self.a[0]), float(self.a[1])))
         object.__setattr__(self, "b", (float(self.b[0]), float(self.b[1])))
+        if not all(map(math.isfinite, self.a + self.b)):
+            raise ValueError(f"non-finite segment {self.a} -> {self.b}")
         if self.length <= 0.0:
             raise ValueError(f"degenerate segment {self.a} -> {self.b}")
 
@@ -404,14 +406,12 @@ def _cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
     if not radii:
         radii = [enclosing]
 
+    dist = np.hypot(pts[None, :, 0] - centers[:, None, 0], pts[None, :, 1] - centers[:, None, 1])
     uncovered = np.ones(len(pts), dtype=bool)
     total = 0.0
     # greedy weighted set cover, score = newly covered mass / radius
     while uncovered.any():
         best_score, best_mask, best_r = -1.0, None, None
-        dx = pts[None, :, 0] - centers[:, None, 0]
-        dy = pts[None, :, 1] - centers[:, None, 1]
-        dist = np.hypot(dx, dy)
         for r in radii:
             inside = dist <= max(r - slack, 0.0) + TOL
             gains = (inside & uncovered) @ wts

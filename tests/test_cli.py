@@ -74,6 +74,21 @@ class TestCompute:
         assert f"{path}:2: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "compute_report.json").exists()
 
+    def test_per_angle_rows_are_the_summed_values(self, tmp_path):
+        # on this input, re-projecting each angle one by one gives rows whose
+        # mean misses the reported favard by an ulp
+        path = tmp_path / "cantor4.json"
+        four_corners(4).to_json(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 1}))
+        code = main(["--config", str(cfg), "--out", str(tmp_path), "compute", str(path),
+                     "--n-angles", "1000", "--per-angle"])
+        assert code == 0
+        favard_value = json.loads((tmp_path / "compute_report.json").read_text())["favard"]
+        rows = json.loads((tmp_path / "projection_measures.json").read_text())
+        assert [r["theta"] for r in rows] == ((np.arange(1000) + 0.5) / 1000).tolist()
+        assert math.fsum(r["measure"] for r in rows) / 1000 == favard_value
+
     def test_mc_cross_check(self, cantor_json, tmp_path):
         code = main(["--out", str(tmp_path), "compute", cantor_json,
                      "--n-angles", "2048", "--mc", "300000"])

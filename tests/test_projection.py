@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from favard.projection import (IntervalUnion1D, PiecewiseConstDensity, favard,
                                favard_mc, maximal_value, maximal_values_batch,
-                               mu_theta, project_segments, pushforward_density)
+                               mu_theta, project_segments, projection_measures,
+                               pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 
 
@@ -39,6 +41,69 @@ def oracle_maximal(density, t, n=10_000):
         bdy = sum(m for p, m in density.atoms if abs(p - t) == r)
         best = max(best, (dense + inner) / (2 * r), (dense + inner + bdy) / (2 * r))
     return best
+
+
+def reference_sweep(union, thetas):
+    """The index-stable sweep that projection_measures replaced: all angles in
+    one (angles x segments) array, each row sorted from the identity order,
+    measure summed as clipped per-interval contributions."""
+    if not union.segments:
+        return np.zeros(len(thetas))
+    ends = union.endpoints()
+    ang = 2.0 * math.pi * np.asarray(thetas)
+    ex, ey = np.cos(ang), np.sin(ang)
+    proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
+    lows = np.minimum(proj[:, 0::2], proj[:, 1::2])
+    highs = np.maximum(proj[:, 0::2], proj[:, 1::2])
+    order = np.argsort(lows, axis=1, kind="stable")
+    lows = np.take_along_axis(lows, order, axis=1)
+    highs = np.take_along_axis(highs, order, axis=1)
+    run = np.maximum.accumulate(highs, axis=1)
+    prev = np.empty_like(run)
+    prev[:, 0] = -np.inf
+    prev[:, 1:] = run[:, :-1]
+    return np.clip(np.maximum(highs, prev) - np.maximum(lows, prev), 0.0, None).sum(axis=1)
+
+
+def reference_favard_mc(union, needle_count, rng_seed=0):
+    """The dense favard_mc that the needle-blocked one replaced: one
+    (needles x segments) hit test per 100,000-needle chunk."""
+    center, radius = union.bounding_center_radius()
+    ends = union.endpoints()
+    rng = np.random.default_rng(rng_seed)
+    hits = done = 0
+    while done < needle_count:
+        m = min(100_000, needle_count - done)
+        thetas = rng.random(m)
+        offsets = (2.0 * rng.random(m) - 1.0) * radius
+        ang = 2.0 * math.pi * thetas
+        ex, ey = np.cos(ang), np.sin(ang)
+        t = center[0] * ex + center[1] * ey + offsets
+        proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
+        lows = np.minimum(proj[:, 0::2], proj[:, 1::2])
+        highs = np.maximum(proj[:, 0::2], proj[:, 1::2])
+        inside = (t[:, None] >= lows) & (t[:, None] <= highs)
+        hits += int(np.count_nonzero(inside.any(axis=1)))
+        done += m
+    window = 2.0 * radius
+    p = hits / needle_count
+    return window * p, window * math.sqrt(max(p * (1.0 - p), 0.0) / needle_count)
+
+
+def sweep_inputs():
+    """Unions with shared endpoints, duplicate segments, segments
+    perpendicular to the test angles, and 1-3 random segments."""
+    rng = np.random.default_rng(11)
+    unions = [four_corners(k).skeleton() for k in range(4)]
+    unions.append(DyadicSquareSet(2, [(0, 0), (1, 0), (1, 1), (3, 2)]).skeleton())
+    horizontal = [Segment((0, 0), (1, 0)), Segment((0.5, 2), (3, 2)), Segment((-1, 1), (0, 1))]
+    unions.append(SegmentUnion(horizontal + horizontal[:2]))
+    unions.append(SegmentUnion([Segment((0, 0), (0, 1)), Segment((0, 0), (0, 1)),
+                                Segment((0, 0), (1, 0)), Segment((2, 0), (2, 1))]))
+    for n in (1, 2, 3) * 20:
+        unions.append(SegmentUnion([Segment(tuple(rng.random(2)), tuple(rng.random(2)))
+                                    for _ in range(n)]))
+    return unions
 
 
 class TestIntervalUnion:
@@ -140,6 +205,60 @@ class TestFavard:
         assert len(set(values.values())) == 1, values
 
 
+class TestSweep:
+    def test_matches_old_sweep_and_exact_projection(self):
+        # the span formula subtracts gaps from the whole extent, so its
+        # rounding scales with the diameter, which bounds every measure
+        rng = np.random.default_rng(12)
+        thetas = np.concatenate([[0.0, 0.125, 0.25, 0.5, 0.75], rng.random(40),
+                                 (np.arange(64) + 0.5) / 64])
+        for u in sweep_inputs():
+            fast = projection_measures(u, thetas)
+            tol = 1e-13 * u.diameter()
+            assert np.all(np.abs(fast - reference_sweep(u, thetas)) <= tol)
+            exact = np.array([project_segments(u, float(t)).measure for t in thetas])
+            assert np.all(np.abs(fast - exact) <= tol)
+
+    def test_value_depends_only_on_its_angle(self):
+        rng = np.random.default_rng(13)
+        duplicates = SegmentUnion([Segment((0, 0), (1, 0))] * 3 + [Segment((0.5, 2), (3, 2))])
+        unions = [four_corners(1).skeleton(), four_corners(3).skeleton(),
+                  four_corners(5).skeleton(), duplicates]
+        for u in unions:
+            thetas = np.concatenate([(np.arange(300) + 0.5) / 300, rng.random(100)])
+            full = projection_measures(u, thetas)
+            for _ in range(6):
+                a, b = sorted(rng.integers(0, len(thetas) + 1, 2))
+                assert np.array_equal(full[a:b], projection_measures(u, thetas[a:b]))
+
+    def test_favard_is_the_mean_of_the_sweep(self):
+        u = four_corners(3).skeleton()
+        thetas = (np.arange(512) + 0.5) / 512
+        assert favard(u, 512, workers=3) == math.fsum(projection_measures(u, thetas)) / 512
+
+    def test_empty_union(self):
+        assert projection_measures(SegmentUnion([]), np.array([0.1, 0.2])).tolist() == [0.0, 0.0]
+
+
+class TestMemory:
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_favard_mc_memory_bounded(self):
+        u = four_corners(2).skeleton()
+        assert self.peak_bytes(favard_mc, u, 100_000) < 16 * 2**20
+
+    def test_favard_memory_bounded(self):
+        u = four_corners(5).skeleton()
+        assert self.peak_bytes(favard, u, 256) < 8 * 2**20
+
+
 class TestFavardMC:
     def test_unit_segment_within_three_sigma(self):
         u = SegmentUnion([Segment((0, 0), (1, 0))])
@@ -154,6 +273,17 @@ class TestFavardMC:
         exact = favard(sk, 4096)
         est, se = favard_mc(sk, 1_000_000, rng_seed=1)
         assert abs(est - exact) <= 3 * se
+
+    def test_bit_identical_to_dense_oracle(self):
+        # 230,001 needles cross the 100,000-needle draw chunk twice
+        rng = np.random.default_rng(14)
+        unions = [SegmentUnion([Segment(tuple(rng.random(2)), tuple(rng.random(2) + 0.5))
+                                for _ in range(5)]),
+                  four_corners(1).skeleton()]
+        for u in unions:
+            for seed in (0, 1, 2):
+                for needles in (100, 230_001):
+                    assert favard_mc(u, needles, seed) == reference_favard_mc(u, needles, seed)
 
     def test_needle_count_guard(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,23 @@ import pytest
 
 from favard.projection import project_segments
 from favard.graphs import _scale_range
-from favard.sets import (DyadicSquareSet, Segment,
-                         SegmentUnion, ahlfors_constant, dyadic_neighborhood,
-                         four_corners, hausdorff_content, pairwise_extremes,
-                         segment_distances, split_parallel)
+from favard.sets import (TOL, DyadicSquareSet, Segment,
+                         SegmentUnion, _cloud_content, _cloud_of, ahlfors_constant,
+                         dyadic_neighborhood, four_corners, hausdorff_content,
+                         pairwise_extremes, segment_distances, split_parallel)
 
 
 class TestSegment:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Segment((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        for a, b in (((value, 0), (1, 1)), ((0, value), (1, 1)),
+                     ((0, 0), (value, 1)), ((0, 0), (1, value))):
+            with pytest.raises(ValueError, match="non-finite"):
+                Segment(a, b)
 
     def test_direction_mod_half(self):
         assert Segment((0, 0), (1, 0)).direction_angle == 0.0
@@ -231,6 +238,65 @@ class TestHausdorffContent:
                              delta / 8)
         assert lhs > 0 and rhs > 0
         assert lhs >= rhs / 8.0
+
+
+def reference_cloud_content(pts, wts, slack, min_radius=0.0):
+    """_cloud_content as it was before the centers x points distance matrix
+    moved out of the greedy loop: the matrix is rebuilt on every step."""
+    if len(pts) == 0:
+        return 0.0
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    center = (lo + hi) / 2.0
+    enclosing = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]))) + slack
+    enclosing = max(enclosing, min_radius)
+    if len(pts) == 1:
+        return max(min_radius, slack) if min_radius > 0.0 or slack > 0.0 else 0.0
+    step = max(1, len(pts) // 400)
+    centers = pts[::step]
+    radii = []
+    r = enclosing
+    floor = max(min_radius, 4.0 * slack, enclosing * 2.0**-12)
+    while r >= floor:
+        radii.append(r)
+        r /= 2.0
+    if not radii:
+        radii = [enclosing]
+    uncovered = np.ones(len(pts), dtype=bool)
+    total = 0.0
+    while uncovered.any():
+        best_score, best_mask, best_r = -1.0, None, None
+        dx = pts[None, :, 0] - centers[:, None, 0]
+        dy = pts[None, :, 1] - centers[:, None, 1]
+        dist = np.hypot(dx, dy)
+        for r in radii:
+            inside = dist <= max(r - slack, 0.0) + TOL
+            gains = (inside & uncovered) @ wts
+            k = int(np.argmax(gains))
+            score = gains[k] / r
+            if score > best_score:
+                best_score, best_mask, best_r = score, inside[k], r
+        if best_mask is None or best_score <= 0.0:
+            total += float(np.count_nonzero(uncovered)) * radii[-1]
+            break
+        uncovered &= ~best_mask
+        total += best_r
+        if total >= enclosing:
+            return enclosing
+    return min(total, enclosing)
+
+
+class TestCloudContent:
+    def test_matches_the_per_step_oracle(self):
+        pts, wts, slack = _cloud_of(four_corners(2).skeleton())
+        cases = [(pts, wts, slack, 1 / 64)]
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            n = int(rng.integers(1, 900))
+            cloud = rng.random((n, 2)) * rng.uniform(0.1, 3.0)
+            cases.append((cloud, rng.uniform(0.01, 1.0, n), float(rng.choice([0.0, 0.01])),
+                          float(rng.choice([0.0, 1 / 64, 0.1]))))
+        for args in cases:
+            assert _cloud_content(*args) == reference_cloud_content(*args)
 
 
 class TestDyadicNeighborhood:
