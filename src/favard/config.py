@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -39,6 +40,8 @@ class ExperimentConfig:
             raise ValueError("n_angles must be >= 2")
         if self.k_max < 0 or self.triadic_depth < 0:
             raise ValueError("k_max and triadic_depth must be >= 0")
+        if self.atom_pitch is not None and not 0.0 < self.atom_pitch < math.inf:
+            raise ValueError(f"atom_pitch must be finite and > 0, got {self.atom_pitch}")
         env = os.environ.get("FAVARD_WORKERS")
         if env:
             self.workers = max(1, int(env))

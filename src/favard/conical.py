@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .projection import (DEFAULT_PERP_CUTOFF, PiecewiseConstDensity, project,
-                         project_segments, pushforward_density)
+from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
 from .torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
-                    _as_intervals, _direction_mask, triadic_cover, wrap)
+                    _as_intervals, _direction_mask, project, triadic_cover, wrap)
 
 
 def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
@@ -205,36 +204,34 @@ class BoundedProjectionReport:
     projection_measure: float
     total_mass: float
     selected_mass: float
-    weak_type_hypothesis: bool      # M >= C_weak * H(E) / H(pi_theta(E))
+    weak_type_hypothesis: bool      # M >= C_WEAK * H(E) / H(pi_theta(E))
     half_measure_conclusion: bool   # selected mass >= projection measure / 2
+
+
+C_WEAK = 6.0    # weak-(1,1) threshold constant of the bounded-projection step
 
 
 def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: float,
                                   pitch: Optional[float] = None,
-                                  c_weak: float = 6.0,
-                                  perp_cutoff: float = DEFAULT_PERP_CUTOFF,
                                   ) -> tuple[DiscreteMeasure, np.ndarray, BoundedProjectionReport]:
     """Atoms x of E with mu_theta(x) <= M, plus the weak-(1,1) bookkeeping.
 
     Raises when the projection has zero measure. When the weak-type threshold
-    M >= c_weak * H(E)/H(pi_theta(E)) holds, the report records whether the
+    M >= C_WEAK * H(E)/H(pi_theta(E)) holds, the report records whether the
     selected mass reaches half the projection measure.
     """
     if m_bound <= 0.0:
         raise ValueError("M must be positive")
-    proj = project_segments(union, theta)
-    if proj.measure <= 0.0:
+    measure = float(projection_measures(union, [theta])[0])
+    if measure <= 0.0:
         raise ValueError(f"projection at theta={theta} has zero measure")
     mu = _atoms_of(union, pitch)
-    density = pushforward_density(union, theta, perp_cutoff)
-    t_vals = mu.points @ np.array([math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)])
-    from .projection import maximal_values_batch
-    keep = maximal_values_batch(density, t_vals) <= m_bound + TOL
+    keep = Projector(union).mu_theta(theta, mu.points) <= m_bound + TOL
     total = mu.total_mass
     selected = math.fsum(mu.weights[keep].tolist())
-    hyp = m_bound >= c_weak * total / proj.measure
-    rep = BoundedProjectionReport(theta, m_bound, proj.measure, total, selected,
-                                  hyp, selected >= proj.measure / 2.0 - TOL)
+    hyp = m_bound >= C_WEAK * total / measure
+    rep = BoundedProjectionReport(theta, m_bound, measure, total, selected,
+                                  hyp, selected >= measure / 2.0 - TOL)
     return mu.restrict(keep), keep, rep
 
 
@@ -312,8 +309,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
                            samples_per_length: int = 729,
                            triadic_depth: int = 6,
                            rho: float = 0.5,
-                           pitch: Optional[float] = None,
-                           perp_cutoff: float = DEFAULT_PERP_CUTOFF) -> SelectionResult:
+                           pitch: Optional[float] = None) -> SelectionResult:
     """Select the large-mass subset with per-point good triadic direction
     families (big projections to bounded projections to finite families).
 
@@ -349,27 +345,16 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
 
     # one pushforward density per distinct theta, shared by the sampling and
     # the Fourier-ratio loops (quadrature nodes repeat across atoms)
-    densities: dict[float, PiecewiseConstDensity] = {}
-
-    def density_at(theta: float) -> PiecewiseConstDensity:
-        density = densities.get(theta)
-        if density is None:
-            density = densities[theta] = pushforward_density(union, theta, perp_cutoff)
-        return density
+    projector = Projector(union)
 
     # big-projection hypothesis, then bounded-projection subsets per sample
-    good = np.zeros((len(thetas), len(mu)), dtype=bool)
-    for j, theta in enumerate(thetas):
-        proj = project_segments(union, theta)
-        if proj.measure <= kappa * total_mass + TOL:
+    for theta, measure in zip(thetas, projection_measures(union, thetas).tolist()):
+        if measure <= kappa * total_mass + TOL:
             raise ValueError(
                 f"big projection hypothesis fails at theta={theta}: "
-                f"H(pi_theta(E)) = {proj.measure} <= kappa H(E) = {kappa * total_mass}")
-        density = density_at(theta)
-        e = np.array([math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)])
-        t_vals = mu.points @ e
-        from .projection import maximal_values_batch
-        good[j] = maximal_values_batch(density, t_vals) <= m_bound + TOL
+                f"H(pi_theta(E)) = {measure} <= kappa H(E) = {kappa * total_mass}")
+    good = np.array([projector.mu_theta(theta, mu.points) <= m_bound + TOL
+                     for theta in thetas])
 
     good_len = good.sum(axis=0) * weight      # per-atom good-direction measure
     eprime = good_len >= (kappa / 4.0) * total_len - TOL
@@ -403,7 +388,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
             n = 8
             for kq in range(n):
                 th = wrap(iv.low + (kq + 0.5) * iv.length / n)
-                value = density_at(th).value_at(project(th, mu.points[i]))
+                value = projector.density(th).value_at(project(th, mu.points[i]))
                 pointwise.append(value * iv.length / n)
         rhs = math.fsum(pointwise)
         fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf

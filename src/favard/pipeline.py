@@ -99,10 +99,8 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
                  (-s.b[1] - shift[0], s.b[0] - shift[1])) for s in norm.segments])
 
     families = {i: fam for i, fam in selection.family.families.items()}
-    params = cfg.tree_params()
-    params.check_witnesses = True
     prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,
-                                     a_const, m_bound, params,
+                                     a_const, m_bound, cfg.tree_params(),
                                      segment_model=rot_union)
     report["propagation"] = {
         "rounds": prop.rounds,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .sets import SegmentUnion
-from .torus import direction_vector, perp, project
+from .torus import direction_vector, project
 
-DEFAULT_PERP_CUTOFF = 1e-9
+PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 DEFAULT_N_ANGLES = 2048
 
 
@@ -257,24 +256,21 @@ class PiecewiseConstDensity:
         return (left + right) / 2.0
 
 
-def pushforward_density(union: SegmentUnion, theta: float,
-                        perp_cutoff: float = DEFAULT_PERP_CUTOFF) -> PiecewiseConstDensity:
+def pushforward_density(union: SegmentUnion, theta: float) -> PiecewiseConstDensity:
     """Pushforward of arclength on E under pi_theta.
 
     A segment of direction phi contributes density 1/|cos(2 pi (theta - phi))|
-    on the projection of its endpoints; segments with |cos| < perp_cutoff
+    on the projection of its endpoints; segments with |cos| < PERP_CUTOFF
     contribute an atom of mass = length at the projected point. Total mass
     equals the total length of E.
     """
-    if perp_cutoff < 0.0:
-        raise ValueError("perp_cutoff must be >= 0")
     pieces = []
     atoms = []
     for s in union.segments:
         c = abs(math.cos(2.0 * math.pi * (theta - s.direction_angle)))
         pa, pb = project(theta, s.a), project(theta, s.b)
         lo, hi = min(pa, pb), max(pa, pb)
-        if c < perp_cutoff or hi - lo <= 0.0:
+        if c < PERP_CUTOFF or hi - lo <= 0.0:
             atoms.append(((lo + hi) / 2.0, s.length))
         else:
             pieces.append((lo, hi, s.length / (hi - lo)))
@@ -375,17 +371,24 @@ def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.n
     return best
 
 
-def mu_theta(union: SegmentUnion, theta: float, x,
-             perp_cutoff: float = DEFAULT_PERP_CUTOFF,
-             density: Optional[PiecewiseConstDensity] = None) -> float:
-    """mu_theta(x) = M(pi_theta mu)(pi_theta(x)) for mu = arclength on E."""
-    if density is None:
-        density = pushforward_density(union, theta, perp_cutoff)
-    return maximal_value(density, project(theta, x))
+class Projector:
+    """mu_theta(x) = M(pi_theta mu)(pi_theta x) for mu = arclength on E.
 
+    One pushforward density per angle, built on first use and kept under the
+    exact float theta, so every later evaluation at that angle reuses it.
+    """
 
-def mu_theta_perp(union: SegmentUnion, theta: float, x,
-                  perp_cutoff: float = DEFAULT_PERP_CUTOFF,
-                  density: Optional[PiecewiseConstDensity] = None) -> float:
-    """mu_theta^perp(x), the maximal value along the perpendicular direction."""
-    return mu_theta(union, perp(theta), x, perp_cutoff, density)
+    def __init__(self, union: SegmentUnion):
+        self.union = union
+        self._densities: dict[float, PiecewiseConstDensity] = {}
+
+    def density(self, theta: float) -> PiecewiseConstDensity:
+        density = self._densities.get(theta)
+        if density is None:
+            density = self._densities[theta] = pushforward_density(self.union, theta)
+        return density
+
+    def mu_theta(self, theta: float, points) -> np.ndarray:
+        """mu_theta at each row of the (n, 2) `points`."""
+        ts = np.asarray(points, dtype=float) @ direction_vector(theta)
+        return maximal_values_batch(self.density(theta), ts)

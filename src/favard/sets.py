@@ -131,6 +131,8 @@ class SegmentUnion:
         Each segment splits into ceil(length / pitch) equal pieces; the atom
         weight is the exact piece length, so total mass equals total length.
         """
+        if pitch is not None and not 0.0 < pitch < math.inf:
+            raise ValueError(f"atom pitch must be finite and > 0, got {pitch}")
         if not self.segments:
             return DiscreteMeasure(np.empty((0, 2)), np.empty(0))
         if pitch is None:
@@ -199,10 +201,6 @@ class DiscreteMeasure:
 
     def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
         return DiscreteMeasure(self.points[mask], self.weights[mask])
-
-    @classmethod
-    def single(cls, point, weight: float = 1.0) -> "DiscreteMeasure":
-        return cls(np.array([point], dtype=float), np.array([weight]))
 
 
 class DyadicSquareSet:

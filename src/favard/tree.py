@@ -25,8 +25,9 @@ import numpy as np
 
 from .conical import _auto_energy_high, annulus_mask, bad_scales, conical_energy
 from .lattice import AnisoCube, descend
+from .projection import Projector
 from .sets import DiscreteMeasure
-from .torus import (TOL, AngleInterval, TriadicInterval, d_metric,
+from .torus import (TOL, AngleInterval, TriadicInterval, _direction_mask, d_metric,
                     d_metric_many, direction_vector, perp, wrap)
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
@@ -46,7 +47,6 @@ class TreeParams:
     big_lambda: float = 2.0**6
     c_n: float = 8.0                # N_strips = ceil(c_n * A * M)
     c_y: float = 0.25
-    check_witnesses: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +846,9 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
                               params: Optional[TreeParams] = None,
                               segment_model=None) -> PropagationResult:
     """Iterate stage construction and family growth until the finished set
-    finished set (family union = the whole root interval) carries a quarter
-    of the selected mass.
+    (family union = the whole root interval) carries a quarter of the
+    selected mass. Given a `segment_model`, every witness is first checked
+    against the bound M.
 
     The average family fraction grows by at least (eps/12) tau per
     unfinished round, so the loop ends within ceil(12 / (eps tau)) rounds;
@@ -871,7 +872,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     eps = params.c_eps / (a_const * m_bound)
     cap = min(MAX_ROUNDS, math.ceil(12.0 / (eps * tau)) + 1)
 
-    if params.check_witnesses and segment_model is not None:
+    if segment_model is not None:
         _check_witnesses(segment_model, atoms, eprime, families, m_bound)
 
     trace: list[dict] = []
@@ -917,19 +918,15 @@ def _check_witnesses(segment_model, atoms: DiscreteMeasure, eprime: np.ndarray,
     """Witness bound: every witness satisfies mu_theta_perp(x) <= M.
 
     Evaluated on the segment model (the atomized pushforward has no bounded
-    maximal function). Densities are cached per distinct witness angle.
+    maximal function), one density per distinct witness angle.
     """
-    from .projection import maximal_values_batch, pushforward_density
-    from .torus import direction_vector as dvec
-
+    projector = Projector(segment_model)
     by_angle: dict[float, list[int]] = {}
     for i in np.nonzero(eprime)[0]:
         for iv, th in families.get(int(i), []):
             by_angle.setdefault(perp(th), []).append(int(i))
     for t, idx in by_angle.items():
-        density = pushforward_density(segment_model, t)
-        e = dvec(t)
-        vals = maximal_values_batch(density, atoms.points[idx] @ e)
+        vals = projector.mu_theta(t, atoms.points[idx])
         bad = np.nonzero(vals > m_bound + TOL)[0]
         if len(bad):
             raise ValueError(
@@ -999,7 +996,6 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     for zi in np.nonzero(big_ball)[0]:
         diff = f_pts - pts[zi]
         dist = np.hypot(diff[:, 0], diff[:, 1])
-        from .torus import _direction_mask
         dmask = _direction_mask(pts[zi], interval, f_pts, dist)
         hit = dmask & (dist > lam * r) & (dist <= big * big_r)
         if hit.any():
@@ -1010,7 +1006,6 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     # (iv) the exterior annular witness
     diff = pts - x
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    from .torus import _direction_mask
     in_alpha = _direction_mask(x, interval.dilate(alpha), pts, dist)
     in_j = _direction_mask(x, interval, pts, dist)
     annulus = (dist > rho * r) & (dist <= r)

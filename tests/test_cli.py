@@ -169,6 +169,18 @@ class TestChecks:
         assert cert["lip"] == pytest.approx(0.0, abs=1e-9)
         assert (tmp_path / "retained_atoms.csv").exists()
 
+    @pytest.mark.parametrize("pitch", [0, -0.1, math.inf, math.nan])
+    def test_degenerate_atom_pitch_is_config_error(self, tmp_path, capsys, pitch):
+        path = tmp_path / "two.csv"
+        SegmentUnion([Segment((0, 0), (1, 0)), Segment((0, 0.5), (1, 0.5))]).to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"atom_pitch": pitch}))
+        code = main(["--config", str(cfg), "--out", str(tmp_path), "extract-graph", str(path),
+                     "--center", "0.25", "--half-width", "0.04", "--m0", "0"])
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
 
 class TestPipelineCLI:
     def test_kappa_too_large_is_hypothesis_failure(self, tmp_path):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from favard import conical
+from favard import projection
 from favard.conical import (_auto_energy_high, bad_scales, cone_mass,
                             cone_mass_exact, conical_energy,
                             energy_integral_quadrature,
                             select_bounded_projection_set,
                             select_good_directions)
-from favard.projection import (DEFAULT_PERP_CUTOFF, maximal_values_batch, mu_theta_perp,
-                               pushforward_density)
+from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
-from favard.torus import TOL, AngleInterval, TriadicInterval, project, triadic_cover, wrap
+from favard.torus import (TOL, AngleInterval, TriadicInterval, perp, project, triadic_cover,
+                          wrap)
 
 
 def measure_at(points, weights=None):
@@ -190,7 +190,7 @@ class TestBadScales:
         x = (0.5, 0.0)
         j = AngleInterval(0.0, 0.02)
         theta = j.center + 0.01
-        m_val = mu_theta_perp(segs, theta, x)
+        m_val = Projector(segs).mu_theta(perp(theta), [x])[0]
         l, jj = 0, 8
         bs = bad_scales(mu, x, j, 0.5, l, jj)
         prof = conical_energy(mu, x, j, 0.5, l, jj)
@@ -210,7 +210,7 @@ class TestUnionConeMassBounds:
         m_val = 0.0
         for iv in intervals:
             theta = iv.center  # theta in alpha I
-            m_val = max(m_val, mu_theta_perp(segs, theta, x))
+            m_val = max(m_val, Projector(segs).mu_theta(perp(theta), [x])[0])
         h_len = sum(iv.length for iv in intervals)
         for r in (0.1, 0.3, 0.7):
             mass = cone_mass(mu, x, intervals, 0.0, r)
@@ -305,11 +305,11 @@ class TestSelection:
         kwargs = dict(kappa=0.05, triadic_depth=5, pitch=1 / 64)
         built = []
 
-        def counting(union, theta, perp_cutoff=DEFAULT_PERP_CUTOFF):
+        def counting(union, theta):
             built.append(theta)
-            return pushforward_density(union, theta, perp_cutoff)
+            return pushforward_density(union, theta)
 
-        monkeypatch.setattr(conical, "pushforward_density", counting)
+        monkeypatch.setattr(projection, "pushforward_density", counting)
         res = select_good_directions(horiz, g, **kwargs)
         monkeypatch.undo()
         assert len(built) == len(set(built))

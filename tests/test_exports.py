@@ -88,20 +88,28 @@ def _references(tree: ast.AST) -> set[str]:
     return out
 
 
+def _public_definitions(path: Path):
+    """(label, name) of each public module-level function and class, and of
+    each public method and property of those classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.name}: {node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{path.name}: {node.name}.{item.name}", item.name
+
+
 def test_every_public_symbol_is_used():
-    """Every module-level public function and class of the package is used
-    somewhere in the source, the tests or the benchmark, besides its own
+    """Every public function, class, method and property of the package is
+    used somewhere in the source, the tests or the benchmark, besides its own
     definition (a definition is not a reference in the AST)."""
     used: set[str] = set()
     for folder in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    defined = {}
-    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.name
-    assert defined
-    unused = sorted(f"{mod}:{name}" for name, mod in defined.items() if name not in used)
+    defined = [d for path in sorted((ROOT / "src" / "favard").glob("*.py"))
+               for d in _public_definitions(path)]
+    assert ("sets.py: DiscreteMeasure.restrict", "restrict") in defined
+    unused = sorted(label for label, name in defined if name not in used)
     assert unused == []

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from favard.projection import (IntervalUnion1D, PiecewiseConstDensity, favard,
+from favard.projection import (IntervalUnion1D, PiecewiseConstDensity, Projector, favard,
                                favard_mc, maximal_value, maximal_values_batch,
-                               mu_theta, project_segments, projection_measures,
+                               project_segments, projection_measures,
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
+from favard.torus import direction_vector, perp, project
 
 
 def random_density(rng, allow_atoms=True):
@@ -240,6 +241,36 @@ class TestSweep:
         assert projection_measures(SegmentUnion([]), np.array([0.1, 0.2])).tolist() == [0.0, 0.0]
 
 
+def mapped(union, f):
+    """The union with both endpoints of every segment mapped by f."""
+    return SegmentUnion([Segment(f(*s.a), f(*s.b)) for s in union.segments])
+
+
+class TestSweepMetamorphic:
+    THETAS = (np.arange(512) + 0.5) / 512
+
+    def test_scaling_by_two_doubles_every_value(self):
+        for u in sweep_inputs():
+            doubled = projection_measures(mapped(u, lambda x, y: (2 * x, 2 * y)), self.THETAS)
+            assert np.array_equal(doubled, 2 * projection_measures(u, self.THETAS))
+
+    def test_translation_moves_values_by_rounding_only(self):
+        rng = np.random.default_rng(14)
+        for u in sweep_inputs():
+            dx, dy = rng.uniform(-10, 10, 2)
+            moved = projection_measures(mapped(u, lambda x, y: (x + dx, y + dy)), self.THETAS)
+            tol = 1e-13 * (u.diameter() + math.hypot(dx, dy))
+            assert np.all(np.abs(moved - projection_measures(u, self.THETAS)) <= tol)
+
+    def test_quarter_turn_shifts_the_midpoint_grid(self):
+        # measure of the rotated union at theta + 1/4 = measure at theta, and
+        # theta + 1/4 is n/4 steps further along the midpoint grid
+        for u in sweep_inputs():
+            turned = projection_measures(mapped(u, lambda x, y: (-y, x)), self.THETAS)
+            expected = np.roll(projection_measures(u, self.THETAS), len(self.THETAS) // 4)
+            assert np.all(np.abs(turned - expected) <= 1e-12 * u.diameter())
+
+
 class TestMemory:
     @staticmethod
     def peak_bytes(fn, *args):
@@ -393,20 +424,60 @@ class TestMaximal:
             worst = max(worst, meas * level / d.total_mass)
         assert worst <= 3.0 + 0.05
 
+    def test_projector_matches_the_scalar_oracle(self):
+        # random unions plus segments perpendicular to theta, which push
+        # forward to atoms
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            theta = float(rng.random())
+            segs = [Segment(tuple(rng.random(2)), tuple(rng.random(2) + 0.2))
+                    for _ in range(int(rng.integers(1, 6)))]
+            for _ in range(int(rng.integers(1, 3))):
+                a = rng.random(2)
+                b = a + rng.uniform(0.1, 1.0) * direction_vector(perp(theta))
+                segs.append(Segment(tuple(a), tuple(b)))
+            u = SegmentUnion(segs)
+            density = pushforward_density(u, theta)
+            assert density.atoms
+            pts = rng.uniform(-0.5, 2.5, (30, 2))
+            for x, b in zip(pts, Projector(u).mu_theta(theta, pts)):
+                s = maximal_value(density, project(theta, x))
+                assert b == pytest.approx(s, abs=1e-10, rel=1e-10)
+
+    def test_projector_on_an_atom_is_inf(self):
+        # at theta = 0 a vertical segment is an atom at its x coordinate, and
+        # every point above or below it projects onto the atom exactly
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            xs = rng.random(3)
+            u = SegmentUnion([Segment((0, 0), (1, 0))]
+                             + [Segment((x, 0.5), (x, 1.5)) for x in xs])
+            density = pushforward_density(u, 0.0)
+            assert sorted(p for p, _ in density.atoms) == sorted(xs.tolist())
+            pts = np.column_stack([xs, rng.uniform(-2, 2, 3)])
+            assert Projector(u).mu_theta(0.0, pts).tolist() == [math.inf] * 3
+            assert [maximal_value(density, project(0.0, x)) for x in pts] == [math.inf] * 3
+
+    def test_projector_density_is_built_once(self):
+        proj = Projector(four_corners(1).skeleton())
+        first = proj.density(0.3)
+        assert proj.density(0.3) is first
+        assert proj.density(0.7) is not first
+
     def test_mu_theta_unit_segment(self):
         u = SegmentUnion([Segment((0, 0), (1, 0))])
-        assert mu_theta(u, 0.0, (0.5, 0.0)) == pytest.approx(1.0)
+        assert Projector(u).mu_theta(0.0, [(0.5, 0.0)])[0] == pytest.approx(1.0)
 
     def test_mu_theta_stacked(self):
         n = 5
         u = SegmentUnion([Segment((0, k), (1, k)) for k in range(n)])
-        assert mu_theta(u, 0.0, (0.5, 0.0)) == pytest.approx(n)
+        assert Projector(u).mu_theta(0.0, [(0.5, 0.0)])[0] == pytest.approx(n)
 
     def test_mu_theta_near_perpendicular_closed_form(self):
         # one unit segment, theta = 1/4 + kappa: maximal value ~ 1/|sin 2 pi k|
         u = SegmentUnion([Segment((0, 0), (1, 0))])
         for kappa in (0.02, 0.05, 0.1):
             theta = 0.25 + kappa
-            val = mu_theta(u, theta, (0.5, 0.0))
+            val = Projector(u).mu_theta(theta, [(0.5, 0.0)])[0]
             assert val == pytest.approx(1.0 / abs(math.sin(2 * math.pi * kappa)),
                                         rel=1e-9)

@@ -47,6 +47,12 @@ class TestSegmentUnion:
         atoms = u.atoms(0.01)
         assert atoms.total_mass == pytest.approx(u.total_length, abs=1e-12)
 
+    @pytest.mark.parametrize("pitch", [0.0, -0.1, math.inf, math.nan])
+    def test_degenerate_atom_pitch_rejected(self, pitch):
+        u = SegmentUnion([Segment((0, 0), (1, 0)), Segment((0, 1), (0.3, 1))])
+        with pytest.raises(ValueError, match="pitch"):
+            u.atoms(pitch)
+
     def test_csv_roundtrip(self, tmp_path):
         u = SegmentUnion([Segment((0, 0), (1, 0)), Segment((0.25, -1), (0.25, 2))])
         path = tmp_path / "segs.csv"

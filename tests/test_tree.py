@@ -318,7 +318,6 @@ class TestPropagation:
         # witness perpendicular to the segment: mu_theta_perp is huge
         fams = {i: [(ROOT, 0.0)] for i in range(n)}
         params = TreeParams()
-        params.check_witnesses = True
         with pytest.raises(ValueError, match="witness bound"):
             propagate_good_directions(atoms, np.ones(n, bool), fams, ROOT, 2.0, 8.0,
                                       params, segment_model=segs)
