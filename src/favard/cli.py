@@ -246,20 +246,19 @@ def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
 def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
     from .fixtures import (cantor_horizontal_instance, single_line_instance,
                            stages_for, two_direction_instance)
-    params = cfg.tree_params()
     results = {}
     status = EXIT_OK
     fixtures = {
-        "single_line": lambda: stages_for(*single_line_instance()[1:], params=params),
-        "two_direction": lambda: stages_for(*two_direction_instance(), params=params),
+        "single_line": lambda: stages_for(*single_line_instance()[1:], params=cfg),
+        "two_direction": lambda: stages_for(*two_direction_instance(), params=cfg),
         "cantor_horizontal": lambda: stages_for(*cantor_horizontal_instance()[1:],
-                                                params=params),
+                                                params=cfg),
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, make in fixtures.items():
         stages = make()
-        tree = build_tree(stages, params)
+        tree = build_tree(stages, cfg)
         collect_bad_cubes(tree)
         rep = verify_tree(tree)
         rep["packing"] = {k: v for k, v in packing_sums(tree).items()

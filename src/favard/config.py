@@ -1,4 +1,18 @@
-"""Experiment configuration shared by the CLI commands.
+"""Experiment configuration shared by the CLI commands and the library.
+
+One object holds every constant a run can set; the tree pipeline reads it
+directly. Keys (a config file may set any subset; unknown keys are an error):
+
+- ``rho``: scale ratio of the dyadic annuli, in (0, 1/2].
+- ``n_angles``: midpoint-rule angles of the quadrature and direction grid, >= 2.
+- ``atom_pitch``: atom spacing along segments; None picks min segment length / 64.
+- ``triadic_depth``: N, the deepest shattering level below the root interval.
+- ``k_max``: the number of tree generations grown.
+- ``c_eps``: eps = c_eps / (A M), the stage coverage slack.
+- ``c_j``: the root-interval length budget c_j / (A M).
+- ``c_m``: the projection bound M = c_m / kappa.
+- ``seed``: seed of every random draw.
+- ``workers``: worker processes of the quadrature; FAVARD_WORKERS overrides it.
 
 Every command embeds the full configuration and a content hash of its inputs
 in the emitted JSON, so results are reproducible byte-for-byte given the same
@@ -24,27 +38,28 @@ class ExperimentConfig:
     triadic_depth: int = 5                  # N
     k_max: int = 5
     c_eps: float = 2.0**-6
-    c_lambda: float = 2.0**-8
-    big_lambda: float = 2.0**6
-    c_n: float = 8.0
-    c_y: float = 0.25
     c_j: float = 1.0
     c_m: float = 6.0                        # M = c_m / kappa
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.rho <= 0.5):
-            raise ValueError("rho must lie in (0, 1/2]")
-        if self.n_angles < 2:
-            raise ValueError("n_angles must be >= 2")
-        if self.k_max < 0 or self.triadic_depth < 0:
-            raise ValueError("k_max and triadic_depth must be >= 0")
-        if self.atom_pitch is not None and not 0.0 < self.atom_pitch < math.inf:
-            raise ValueError(f"atom_pitch must be finite and > 0, got {self.atom_pitch}")
         env = os.environ.get("FAVARD_WORKERS")
         if env:
             self.workers = max(1, int(env))
+        if not (0.0 < self.rho <= 0.5):
+            raise ValueError("rho must lie in (0, 1/2]")
+        if self.atom_pitch is not None and not 0.0 < self.atom_pitch < math.inf:
+            raise ValueError(f"atom_pitch must be finite and > 0, got {self.atom_pitch}")
+        for key in ("c_eps", "c_j", "c_m"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        for key, least in (("n_angles", 2), ("k_max", 0), ("triadic_depth", 0),
+                           ("seed", 0), ("workers", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -58,13 +73,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    def tree_params(self):
-        from .tree import TreeParams
-        return TreeParams(rho=self.rho, k_max=self.k_max,
-                          triadic_depth=self.triadic_depth, c_eps=self.c_eps,
-                          c_j=self.c_j, c_lambda=self.c_lambda,
-                          big_lambda=self.big_lambda, c_n=self.c_n, c_y=self.c_y)
 
 
 def content_hash(path) -> str:

@@ -10,16 +10,17 @@ direction sets, independent of grouping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
-from .torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
-                    _as_intervals, _direction_mask, project, triadic_cover, wrap)
+from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals,
+                    _direction_mask, project, triadic_cover, wrap)
 
 
 def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
@@ -34,6 +35,17 @@ def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
 
 def _interval_key(interval: DirectionInterval) -> tuple[float, float]:
     return (wrap(interval.center - interval.half_width), interval.half_width)
+
+
+def scale_index(dist: np.ndarray, rho: float, low: int, high: int) -> np.ndarray:
+    """Per distance d, the scale k in [low, high] with rho^{k+1} < d <= rho^k, or -1.
+
+    The annulus radii are the Python floats rho**k, so every caller that
+    compares against rho**k directly classifies each distance the same way.
+    """
+    radii = np.array([rho**k for k in range(high + 1, low - 1, -1)])   # ascending
+    j = np.searchsorted(radii, dist, side="left")       # radii[j - 1] < d <= radii[j]
+    return np.where((j > 0) & (j < len(radii)), high + 1 - j, -1)
 
 
 def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
@@ -111,22 +123,12 @@ def conical_energy(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     apex = np.asarray(x, dtype=float)
     diff = mu.points - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    log_rho = math.log(rho)
+    scale = scale_index(dist, rho, low, high)
     masses = [Fraction(0) for _ in range(high - low + 1)]
     for interval in intervals:
-        dmask = _direction_mask(apex, interval, mu.points, dist)
-        sel = dmask & (dist > rho ** (high + 1)) & (dist <= rho**low)
-        hits = np.nonzero(sel)[0]
-        for i in hits:
-            d = float(dist[i])
-            # log estimate, then exact boundary fixup to match the (r, R] rule
-            k = int(math.floor(math.log(d) / log_rho + 1e-9))
-            while d <= rho ** (k + 1):
-                k += 1
-            while d > rho**k:
-                k -= 1
-            if low <= k <= high:
-                masses[k - low] += Fraction(float(mu.weights[i])) / Fraction(rho) ** k
+        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
+        for w, k in zip(mu.weights[sel].tolist(), scale[sel].tolist()):
+            masses[k - low] += Fraction(w) / Fraction(rho) ** k
     return EnergyProfile(rho, low, high, masses)
 
 
@@ -175,26 +177,19 @@ class BadScaleSet:
 
 def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
                low: int = 0, high: int = 30,
-               restrict: Optional[np.ndarray] = None,
-               pitch: Optional[float] = None) -> BadScaleSet:
+               restrict: Optional[np.ndarray] = None) -> BadScaleSet:
     """Bad scales of x for the direction interval: k with X(x, J, rho^{k+1}, rho^k)
     meeting the atom model (or the subset selected by the boolean `restrict`).
     """
     if low > high:
         raise ValueError("need low <= high")
-    mu = _atoms_of(model, pitch)
+    mu = _atoms_of(model)
     pts = mu.points if restrict is None else mu.points[restrict]
     apex = np.asarray(x, dtype=float)
     diff = pts - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    dmask = _direction_mask(apex, direction, pts, dist)
-    dist = dist[dmask]
-    bad = set()
-    for k in range(low, high + 1):
-        rk, rk1 = rho**k, rho ** (k + 1)
-        if np.any((dist > rk1) & (dist <= rk)):
-            bad.add(k)
-    return BadScaleSet(frozenset(bad), low, high)
+    scale = scale_index(dist[_direction_mask(apex, direction, pts, dist)], rho, low, high)
+    return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
 
 
 @dataclass
@@ -212,7 +207,6 @@ C_WEAK = 6.0    # weak-(1,1) threshold constant of the bounded-projection step
 
 
 def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: float,
-                                  pitch: Optional[float] = None,
                                   ) -> tuple[DiscreteMeasure, np.ndarray, BoundedProjectionReport]:
     """Atoms x of E with mu_theta(x) <= M, plus the weak-(1,1) bookkeeping.
 
@@ -225,7 +219,7 @@ def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: fl
     measure = float(projection_measures(union, [theta])[0])
     if measure <= 0.0:
         raise ValueError(f"projection at theta={theta} has zero measure")
-    mu = _atoms_of(union, pitch)
+    mu = _atoms_of(union)
     keep = Projector(union).mu_theta(theta, mu.points) <= m_bound + TOL
     total = mu.total_mass
     selected = math.fsum(mu.weights[keep].tolist())
@@ -245,7 +239,6 @@ class GoodDirectionFamily:
 
     families: dict[int, list[tuple[TriadicInterval, float]]]
     m_bound: float
-    good_set_length: dict[int, float] = field(default_factory=dict)
 
     def intervals(self, i: int) -> list[TriadicInterval]:
         return [iv for iv, _ in self.families.get(i, [])]
@@ -305,7 +298,6 @@ class SelectionResult:
 
 def select_good_directions(union: SegmentUnion, directions, kappa: float,
                            m_bound: Optional[float] = None, *,
-                           c_m: float = 6.0,
                            samples_per_length: int = 729,
                            triadic_depth: int = 6,
                            rho: float = 0.5,
@@ -319,12 +311,12 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     The families are the depth-`triadic_depth` triadic intervals containing at
     least one sampled direction that is good for the atom; the witness is such
     a sample. Conical energies over the perpendicular families are recorded as
-    ratios against M H(G).
+    ratios against M H(G). M defaults to the config's c_m / kappa.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
     if m_bound is None:
-        m_bound = c_m / kappa
+        m_bound = ExperimentConfig.c_m / kappa
     intervals = _as_intervals(directions)
     total_len = math.fsum(iv.length for iv in intervals)
     if total_len <= 0.0:
@@ -335,12 +327,8 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     # deterministic midpoint samples, proportional to arc length
     thetas: list[float] = []
     for iv in intervals:
-        if isinstance(iv, AngleInterval):
-            lo, ln = iv.center - iv.half_width, 2.0 * iv.half_width
-        else:
-            lo, ln = iv.low, iv.length
-        n = max(2, int(round(samples_per_length * ln)))
-        thetas.extend(wrap(lo + (i + 0.5) * ln / n) for i in range(n))
+        n = max(2, int(round(samples_per_length * iv.length)))
+        thetas.extend(wrap(iv.low + (i + 0.5) * iv.length / n) for i in range(n))
     weight = total_len / len(thetas)
 
     # one pushforward density per distinct theta, shared by the sampling and

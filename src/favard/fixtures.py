@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from .torus import TriadicInterval
-from .tree import Family, GoodStages, TreeParams, build_good_stages
+from .tree import Family, GoodStages, TriadicUnits, build_good_stages
 
 # [6/27, 7/27): a transverse (near-vertical) triadic direction interval
 TRANSVERSE_ROOT = TriadicInterval(3, 6)
+# the Ahlfors constant A and the projection bound M of every fixture
+FIXTURE_A, FIXTURE_M = 2.0, 8.0
 
 
 def single_line_instance(pitch: float = 1.0 / 128.0):
@@ -64,32 +67,26 @@ def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
     return union, atoms, eprime, families, root_iv
 
 
-def stages_for(atoms, eprime, families, root_iv, a_const=2.0, m_bound=8.0,
-               params: TreeParams | None = None) -> GoodStages:
-    return build_good_stages(atoms, eprime, families, root_iv, a_const, m_bound, params)
+def stages_for(atoms, eprime, families, root_iv,
+               params: ExperimentConfig | None = None) -> GoodStages:
+    return build_good_stages(atoms, eprime, families, root_iv, FIXTURE_A, FIXTURE_M, params)
 
 
-def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInterval,
-                                 rho: float = 0.5, a_const: float = 2.0,
-                                 m_bound: float = 8.0,
-                                 depth: int = 5) -> GoodStages:
+def synthetic_stages_constant_core(atoms: DiscreteMeasure,
+                                   root_iv: TriadicInterval) -> GoodStages:
     """Stages whose core family is the whole root interval for every atom:
-    the no-shattering reference instance."""
-    from .tree import TriadicUnits
-
+    the no-shattering reference instance, at the default config."""
+    defaults = ExperimentConfig     # class attributes: the field defaults
     n = len(atoms)
-    eprime = np.ones(n, dtype=bool)
     all_mask = np.ones(n, dtype=bool)
-    fam = {i: [(root_iv, root_iv.center)] for i in range(n)}
-    units = TriadicUnits(root_iv.level + depth + 3)
-    eps = (2.0**-6) / (a_const * m_bound)
     return GoodStages(
-        atoms=atoms, root_iv=root_iv, a_const=a_const, m_bound=m_bound, eps=eps, rho=rho,
-        units=units, eprime=eprime, families=fam, energy_high=20,
-        energy_threshold=1.0, controlled=all_mask, energies={i: 0.0 for i in range(n)},
+        atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M,
+        eps=defaults.c_eps / (FIXTURE_A * FIXTURE_M), rho=defaults.rho,
+        units=TriadicUnits(root_iv.level + defaults.triadic_depth + 3),
+        eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
+        energy_threshold=1.0, controlled=all_mask,
         cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
         core={i: [root_iv] for i in range(n)},
         full_cover=all_mask.copy(), partial_cover=np.zeros(n, dtype=bool),
-        interval_budget_point={i: m_bound for i in range(n)}, interval_budget=m_bound,
-        scale_budget=a_const * m_bound, checks={"synthetic": True},
+        scale_budget=FIXTURE_A * FIXTURE_M, checks={"synthetic": True},
     )

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .conical import bad_scales
+from .conical import bad_scales, scale_index
 from .sets import pairwise_extremes
 from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp
 
@@ -142,9 +142,7 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
         diff = pts - pts[a]
         dist = np.hypot(diff[:, 0], diff[:, 1])
         dmask = _direction_mask(pts[a], half, pts, dist)
-        for k in range(0, high + 1):
-            rk, rk1 = rho**k, rho ** (k + 1)
-            scale[a, dmask & (dist > rk1) & (dist <= rk)] = k
+        scale[a, dmask] = scale_index(dist[dmask], rho, 0, high)
     hits = np.zeros((n, high + 1), dtype=np.int64)
     rows, cols = np.nonzero(scale >= 0)
     np.add.at(hits, (rows, scale[rows, cols]), 1)
@@ -176,14 +174,17 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     return keep
 
 
+C0_BENCHMARK = 1.0 / 16.0     # the constant c0 of the iteration benchmark
+
+
 def mass_benchmark(retained_mass: float, interval_length: float, a_const: float,
-                   tau: float, c0: float = 1.0 / 16.0) -> dict:
+                   tau: float) -> dict:
     """Retained mass against the iteration benchmark c0 alpha A^-2 tau^2.
 
     The greedy reduction is not guaranteed to attain the benchmark; the
     comparison is reported, never asserted.
     """
-    benchmark = c0 * interval_length * tau**2 / a_const**2
+    benchmark = C0_BENCHMARK * interval_length * tau**2 / a_const**2
     return {"retained_mass": retained_mass, "benchmark": benchmark,
             "meets_benchmark": retained_mass >= benchmark}
 

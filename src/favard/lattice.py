@@ -147,11 +147,6 @@ class AnisoCube:
     def mass(self, weights: np.ndarray) -> float:
         return math.fsum(weights[self.atom_idx].tolist())
 
-    def interval_key(self) -> tuple:
-        if isinstance(self.interval, TriadicInterval):
-            return ("t", self.interval.level, self.interval.index)
-        return ("a", self.interval.center, self.interval.half_width)
-
 
 def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
             k: int, interval: DirectionInterval, l: int, rho: float = 0.5) -> list[AnisoCube]:
@@ -221,18 +216,14 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     return cubes
 
 
-def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval,
-            rho: Optional[float] = None) -> list[AnisoCube]:
+def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:
     """Re-partition a cube at its own generation, adapted to a narrower interval."""
-    rho = cube.rho if rho is None else rho
-    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, rho)
+    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, cube.rho)
 
 
-def children(points: np.ndarray, cube: AnisoCube,
-             rho: Optional[float] = None) -> list[AnisoCube]:
+def children(points: np.ndarray, cube: AnisoCube) -> list[AnisoCube]:
     """Descend one generation with the same direction interval."""
-    rho = cube.rho if rho is None else rho
-    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, rho)
+    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, cube.rho)
 
 
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
@@ -266,7 +257,7 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
     min_sep = math.inf
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
-            if not np.array_equal(cubes[i].interval_key(), cubes[j].interval_key()):
+            if cubes[i].interval != cubes[j].interval:
                 continue
             d = d_metric(cubes[i].interval, pts[cubes[i].center_idx], pts[cubes[j].center_idx])
             min_sep = min(min_sep, d / cubes[i].rho**gen)

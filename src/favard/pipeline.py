@@ -100,7 +100,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
 
     families = {i: fam for i, fam in selection.family.families.items()}
     prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,
-                                     a_const, m_bound, cfg.tree_params(),
+                                     a_const, m_bound, cfg,
                                      segment_model=rot_union)
     report["propagation"] = {
         "rounds": prop.rounds,

@@ -77,6 +77,11 @@ class AngleInterval:
     def length(self) -> float:
         return 2.0 * self.half_width
 
+    @property
+    def low(self) -> float:
+        """The left end center - half_width, not wrapped into [0, 1)."""
+        return self.center - self.half_width
+
     def dilate(self, factor: float) -> "AngleInterval":
         """Concentric dilation C*I; the length is capped at 1 (the whole torus)."""
         if factor <= 0.0:

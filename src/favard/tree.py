@@ -23,30 +23,16 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .conical import _auto_energy_high, annulus_mask, bad_scales, conical_energy
 from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
-from .torus import (TOL, AngleInterval, TriadicInterval, _direction_mask, d_metric,
-                    d_metric_many, direction_vector, perp, wrap)
+from .torus import (TOL, AngleInterval, TriadicInterval, _direction_mask, d_metric_many,
+                    direction_vector, perp, wrap)
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
 MAX_ROUNDS = 64                                  # hard cap on propagation rounds
-
-
-@dataclass
-class TreeParams:
-    """Knobs of the tree pipeline; defaults are the desk-scale choices."""
-
-    rho: float = 0.5
-    k_max: int = 5
-    triadic_depth: int = 5          # max shattering depth below the root interval
-    c_eps: float = 2.0**-6          # eps = c_eps / (A M)
-    c_j: float = 1.0                # root-interval length budget c_j / (A M)
-    c_lambda: float = 2.0**-8
-    big_lambda: float = 2.0**6
-    c_n: float = 8.0                # N_strips = ceil(c_n * A * M)
-    c_y: float = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +109,19 @@ class GoodStages:
 
     atoms: DiscreteMeasure
     root_iv: TriadicInterval
-    a_const: float
     m_bound: float
     eps: float
     rho: float
     units: TriadicUnits
     eprime: np.ndarray                       # bool mask over atoms
     families: dict[int, Family]              # per-selected-atom direction families
-    energy_high: int
     energy_threshold: float                  # twice-average energy cutoff
     controlled: np.ndarray                   # energy-controlled subset of selected
-    energies: dict[int, float]               # per-point energy over the family
     cover: dict[int, list[TriadicInterval]]
     filtered: dict[int, list[TriadicInterval]]
     core: dict[int, list[TriadicInterval]]
     full_cover: np.ndarray
     partial_cover: np.ndarray
-    interval_budget_point: dict[int, float]
-    interval_budget: float
     scale_budget: float
     checks: dict
 
@@ -197,7 +178,7 @@ def _clip_to(target: TriadicInterval, members: list[TriadicInterval]) -> list[Tr
 def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
                       families: dict[int, Family], root_iv: TriadicInterval,
                       a_const: float, m_bound: float,
-                      params: Optional[TreeParams] = None) -> GoodStages:
+                      params: Optional[ExperimentConfig] = None) -> GoodStages:
     """Prune per-point families to the energy-controlled stage families.
 
     The controlled set keeps the points whose energy over the family union is
@@ -206,7 +187,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     cover members with oversized per-interval energy; the core family takes
     their middle children. Verified side conditions land in `checks`.
     """
-    params = params or TreeParams()
+    params = params or ExperimentConfig()
     eps = params.c_eps / (a_const * m_bound)
     units = TriadicUnits(root_iv.level + params.triadic_depth + 3)
     eprime = np.asarray(eprime, dtype=bool)
@@ -249,7 +230,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     cover: dict[int, list[TriadicInterval]] = {}
     filtered: dict[int, list[TriadicInterval]] = {}
     core: dict[int, list[TriadicInterval]] = {}
-    interval_budget_point: dict[int, float] = {}
+    interval_budget = m_bound
     g1_large_ok = True
     g0_covers_ok = True
     for i in np.nonzero(controlled)[0]:
@@ -275,7 +256,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         if g1_cap < g_len / 3.0 - 1e-9:
             g1_large_ok = False
         core[i] = [iv.middle_child() for iv in kept]
-        interval_budget_point[i] = max(energy_threshold / units.to_float(g0_len), m_bound)
+        interval_budget = max(interval_budget, energy_threshold / units.to_float(g0_len))
 
     full_cover = np.zeros(len(atoms), dtype=bool)
     partial_cover = np.zeros(len(atoms), dtype=bool)
@@ -287,16 +268,15 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         else:
             partial_cover[i] = True
 
-    interval_budget = max(interval_budget_point.values(), default=m_bound)
     checks = {
         "chebyshev_e0": chebyshev_ok,
         "e0_mass_fraction": e0_mass / emass,
         "g1_large": g1_large_ok,
         "g0_covers": g0_covers_ok,
     }
-    return GoodStages(atoms, root_iv, a_const, m_bound, eps, params.rho, units, eprime,
-                      families, high, energy_threshold, controlled, energies, cover, filtered, core,
-                      full_cover, partial_cover, interval_budget_point, interval_budget, a_const * interval_budget, checks)
+    return GoodStages(atoms, root_iv, m_bound, eps, params.rho, units, eprime, families,
+                      energy_threshold, controlled, cover, filtered, core, full_cover,
+                      partial_cover, a_const * interval_budget, checks)
 
 
 @dataclass
@@ -394,22 +374,6 @@ def good_at_scale_all(stages: GoodStages, k: int) -> dict[int, list[TriadicInter
     return {i: maximal_intervals(ivs) for i, ivs in raw.items()}
 
 
-def good_at_scale(stages: GoodStages, x_idx: int, k: int) -> list[TriadicInterval]:
-    """Good intervals at scale k for one atom (same rule as the batch form)."""
-    rho = stages.rho
-    pts = stages.atoms.points
-    radius = 10.0 * rho**k
-    raw = []
-    for interval in stages.core_universe():
-        carriers = stages.core_carriers(interval)
-        if len(carriers) == 0:
-            continue
-        d = min(d_metric(interval, pts[x_idx], pts[c]) for c in carriers)
-        if d < radius:
-            raw.append(interval)
-    return maximal_intervals(raw)
-
-
 # ---------------------------------------------------------------------------
 # the tree
 # ---------------------------------------------------------------------------
@@ -437,13 +401,12 @@ class StoppedPiece:
     interval: TriadicInterval
     atom_idx: np.ndarray
     parent_node: int
-    shatter_depth: int
 
 
 @dataclass
 class DirectionTree:
     stages: GoodStages
-    params: TreeParams
+    params: ExperimentConfig
     nodes: dict[int, TreeNode]
     generations: list[list[int]]
     roots: list[int]
@@ -508,7 +471,7 @@ def _goodness_integral(stages: GoodStages, good_k: dict[int, list[TriadicInterva
     return lhs, rhs
 
 
-def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
+def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) -> DirectionTree:
     """Grow the direction tree of anisotropic cubes.
 
     Generation 0 takes the cubes of the root-adapted partition that meet the
@@ -518,6 +481,7 @@ def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
     strict core membership decides. Shattering deeper than the family depth
     indicates a construction bug and raises.
     """
+    params = params or ExperimentConfig()
     rho = params.rho
     pts = stages.atoms.points
     all_idx = np.arange(len(pts), dtype=np.int64)
@@ -558,7 +522,7 @@ def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
                                parent_node: int, depth: int) -> None:
             if not _sees_core_direction(stages, piece.atom_idx, j_piece):
                 stopped.append(StoppedPiece("end", k + 1, j_piece, piece.atom_idx,
-                                            parent_node, depth))
+                                            parent_node))
                 return
             if _owns_core_interval(stages, piece.atom_idx, j_piece):
                 next_gen.append(new_node(piece, k + 1, j_piece, "root", parent_node))
@@ -568,7 +532,7 @@ def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
                     f"shattering did not terminate by depth {depth} at generation "
                     f"{k + 1}; interval {j_piece}, atoms {piece.atom_idx[:8]}")
             stopped.append(StoppedPiece("sh", k + 1, j_piece, piece.atom_idx,
-                                        parent_node, depth))
+                                        parent_node))
             for j_child in j_piece.children():
                 for sub in descend(pts, piece.atom_idx, j_piece, k + 1, j_child, 0, rho):
                     classify_shattered(sub, j_child, parent_node, depth + 1)
@@ -579,14 +543,14 @@ def build_tree(stages: GoodStages, params: TreeParams) -> DirectionTree:
             for piece in kids:
                 if not _sees_core_direction(stages, piece.atom_idx, node.interval):
                     stopped.append(StoppedPiece("end", k + 1, node.interval,
-                                                piece.atom_idx, nid, 0))
+                                                piece.atom_idx, nid))
                     continue
                 lhs, rhs = _goodness_integral(stages, good_k, piece.atom_idx, node.interval)
                 if lhs >= rhs - 1e-12:
                     next_gen.append(new_node(piece, k + 1, node.interval, "good", nid))
                 else:
                     stopped.append(StoppedPiece("sh", k + 1, node.interval,
-                                                piece.atom_idx, nid, 0))
+                                                piece.atom_idx, nid))
                     for j_child in node.interval.children():
                         for sub in descend(pts, piece.atom_idx, node.interval, k + 1,
                                            j_child, 0, rho):
@@ -650,7 +614,10 @@ def collect_bad_cubes(tree: DirectionTree) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def verify_tree(tree: DirectionTree, c_bad: float = 64.0) -> dict:
+C_BAD = 64.0     # bad scales per point allowed, in units of the stage scale budget
+
+
+def verify_tree(tree: DirectionTree) -> dict:
     """Exhaustive structural checks of the tree; returns named pass/fail flags
     plus the measured constants. Everything is exact on atoms (tolerance TOL).
     """
@@ -750,7 +717,7 @@ def verify_tree(tree: DirectionTree, c_bad: float = 64.0) -> dict:
         for i in node.cube.atom_idx:
             bs = bad_scales(stages.atoms, pts[i], narrowed, rho, 0, node.generation)
             worst = max(worst, len(bs) / stages.scale_budget)
-            if len(bs) > c_bad * stages.scale_budget + TOL:
+            if len(bs) > C_BAD * stages.scale_budget + TOL:
                 t8 = False
     report["bad_scale_budget"] = t8
     report["bad_scale_max_ratio"] = worst
@@ -811,8 +778,7 @@ def bad_chain_check(tree: DirectionTree, bad_ids: list[int]) -> dict:
 
 def _merge_angle_intervals(ivs: list[AngleInterval]) -> list[AngleInterval]:
     """Merge overlapping arcs into disjoint arcs (input arcs not near-full)."""
-    spans = sorted((wrap(iv.center - iv.half_width),
-                    wrap(iv.center - iv.half_width) + 2 * iv.half_width) for iv in ivs)
+    spans = sorted((wrap(iv.low), wrap(iv.low) + iv.length) for iv in ivs)
     merged: list[list[float]] = []
     for lo, hi in spans:
         if merged and lo <= merged[-1][1] + TOL:
@@ -843,7 +809,7 @@ class PropagationResult:
 def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
                               families: dict[int, Family], root_iv: TriadicInterval,
                               a_const: float, m_bound: float,
-                              params: Optional[TreeParams] = None,
+                              params: Optional[ExperimentConfig] = None,
                               segment_model=None) -> PropagationResult:
     """Iterate stage construction and family growth until the finished set
     (family union = the whole root interval) carries a quarter of the
@@ -854,7 +820,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     unfinished round, so the loop ends within ceil(12 / (eps tau)) rounds;
     exceeding the cap (or MAX_ROUNDS) raises with the trace.
     """
-    params = params or TreeParams()
+    params = params or ExperimentConfig()
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
     units = TriadicUnits(root_iv.level + params.triadic_depth + 3)
@@ -939,6 +905,12 @@ def _check_witnesses(segment_model, atoms: DiscreteMeasure, eprime: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+C_LAMBDA = 2.0**-8     # lambda = C_LAMBDA / (M A), the gap-to-tube width ratio
+BIG_LAMBDA = 2.0**6    # the dilation Lambda of the measure ball and the empty cone
+C_N = 8.0              # N_strips = ceil(C_N * A * M)
+C_Y = 0.25             # relative width of the exit tube Y
+
+
 @dataclass
 class GapIntervalResult:
     interval: tuple[float, float]
@@ -953,8 +925,8 @@ class GapIntervalResult:
 
 def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
                       interval: AngleInterval, z0, r: float, big_r: float,
-                      x_idx: int, alpha: float, m_bound: float, a_const: float,
-                      params: Optional[TreeParams] = None) -> GapIntervalResult:
+                      x_idx: int, alpha: float, m_bound: float,
+                      a_const: float) -> GapIntervalResult:
     """Find an interval in the perpendicular projection of B_0 missed by F.
 
     Implements the tube construction: around a witness y in the annular cone
@@ -962,12 +934,11 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     into 2N+1 strips; the beats chain finds a nice strip whose lowest point
     z_* leaves an empty exit tube Y below it; the gap interval is the
     perpendicular projection of Y. Hypotheses (i)-(iv) are checked and the
-    failed clause is named.
+    failed clause is named. The scale ratio and c_J are the config defaults.
     """
-    params = params or TreeParams()
-    rho = params.rho
-    lam = params.c_lambda / (m_bound * a_const)
-    big = params.big_lambda
+    rho = ExperimentConfig.rho
+    lam = C_LAMBDA / (m_bound * a_const)
+    big = BIG_LAMBDA
     pts = atoms.points
     f_idx = np.asarray(f_idx, dtype=np.int64)
     z0 = np.asarray(z0, dtype=float)
@@ -976,7 +947,7 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     checks: dict = {}
 
     # (i) the interval is narrow enough
-    checks["i_interval_narrow"] = h_j <= params.c_j / (m_bound * a_const) + TOL
+    checks["i_interval_narrow"] = h_j <= ExperimentConfig.c_j / (m_bound * a_const) + TOL
     if not checks["i_interval_narrow"]:
         raise ValueError(f"hypothesis (i) fails: H(J) = {h_j} > c_J / (M A)")
 
@@ -1028,7 +999,7 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     gap_par = abs(p_par(x) - p_par(y))
     t_g = (p_per(x) + p_per(y)) / 2.0
 
-    n_strips = math.ceil(params.c_n * a_const * m_bound)
+    n_strips = math.ceil(C_N * a_const * m_bound)
     per_all = pts @ e_per
     par_all = pts @ e_par
     in_tube = (np.abs(per_all - t_g) <= 2.0 * gap_perp + TOL)
@@ -1069,9 +1040,8 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     z_star = strip_z[nice]
     zs_per = per_all[z_star]
 
-    c_y = params.c_y
-    t_y = c_y * lam * p_per(x) + (1.0 - c_y * lam) * zs_per
-    half = 0.5 * c_y * lam * abs(zs_per - p_per(x))
+    t_y = C_Y * lam * p_per(x) + (1.0 - C_Y * lam) * zs_per
+    half = 0.5 * C_Y * lam * abs(zs_per - p_per(x))
     lo, hi = t_y - half, t_y + half
 
     f_per = per_all[f_idx]

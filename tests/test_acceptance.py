@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from favard.config import ExperimentConfig
 from favard.conical import (bad_scales, conical_energy,
                             energy_integral_quadrature)
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
@@ -23,8 +24,8 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment,
                          SegmentUnion, four_corners, split_parallel)
 from favard.torus import (AngleInterval, ConeSpec, TriadicInterval, d_metric,
                           direction_vector, in_cone)
-from favard.tree import (TreeParams, build_tree, collect_bad_cubes,
-                         find_gap_interval, packing_sums, verify_tree)
+from favard.tree import (build_tree, collect_bad_cubes, find_gap_interval,
+                         packing_sums, verify_tree)
 
 GOLDEN = Path(__file__).parent / "golden" / "cantor_favard.json"
 
@@ -289,7 +290,7 @@ class TestCriterion7Whitney:
 
 class TestCriterion8Tree:
     def test_three_fixtures(self):
-        params = TreeParams(k_max=5, triadic_depth=5)
+        params = ExperimentConfig(k_max=5, triadic_depth=5)
         fixtures = {
             "single_line": stages_for(*single_line_instance()[1:], params=params),
             "two_direction": stages_for(*two_direction_instance(), params=params),

@@ -169,17 +169,28 @@ class TestChecks:
         assert cert["lip"] == pytest.approx(0.0, abs=1e-9)
         assert (tmp_path / "retained_atoms.csv").exists()
 
-    @pytest.mark.parametrize("pitch", [0, -0.1, math.inf, math.nan])
-    def test_degenerate_atom_pitch_is_config_error(self, tmp_path, capsys, pitch):
+    @staticmethod
+    def _assert_config_error(tmp_path, capsys, key, value):
         path = tmp_path / "two.csv"
         SegmentUnion([Segment((0, 0), (1, 0)), Segment((0, 0.5), (1, 0.5))]).to_csv(path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"atom_pitch": pitch}))
+        cfg.write_text(json.dumps({key: value}))
         code = main(["--config", str(cfg), "--out", str(tmp_path), "extract-graph", str(path),
                      "--center", "0.25", "--half-width", "0.04", "--m0", "0"])
         assert code == 1
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "certificate.json").exists()
+
+    @pytest.mark.parametrize("pitch", [0, -0.1, math.inf, math.nan])
+    def test_degenerate_atom_pitch_is_config_error(self, tmp_path, capsys, pitch):
+        self._assert_config_error(tmp_path, capsys, "atom_pitch", pitch)
+
+    # c_n and c_y are no longer config keys: setting one is an unknown-key error
+    @pytest.mark.parametrize("key, value", [
+        ("c_j", 0), ("c_eps", 0), ("c_eps", -1), ("c_m", 0), ("c_m", math.nan),
+        ("seed", 1.5), ("n_angles", 2.5), ("c_n", 0), ("c_y", math.nan)])
+    def test_degenerate_config_value_is_config_error(self, tmp_path, capsys, key, value):
+        self._assert_config_error(tmp_path, capsys, key, value)
 
 
 class TestPipelineCLI:

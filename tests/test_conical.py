@@ -6,7 +6,7 @@ import pytest
 from favard import projection
 from favard.conical import (_auto_energy_high, bad_scales, cone_mass,
                             cone_mass_exact, conical_energy,
-                            energy_integral_quadrature,
+                            energy_integral_quadrature, scale_index,
                             select_bounded_projection_set,
                             select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
@@ -130,6 +130,31 @@ class TestConicalEnergy:
                 assert inner <= 64.0 * mid + 1e-9
                 assert mid <= 64.0 * full + 1e-9
         assert worst_lo <= 64.0 and worst_hi <= 64.0
+
+
+class TestScaleIndex:
+    @staticmethod
+    def per_k_loop(dist, rho, low, high):
+        """The per-scale loop scale_index replaces."""
+        out = np.full(len(dist), -1)
+        for k in range(low, high + 1):
+            out[(dist > rho ** (k + 1)) & (dist <= rho**k)] = k
+        return out
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    @pytest.mark.parametrize("low, high", [(0, 30), (2, 7), (4, 4)])
+    def test_matches_the_per_k_loop(self, rho, low, high):
+        powers = np.array([rho**k for k in range(low - 1, high + 3)])
+        dist = np.concatenate([
+            np.random.default_rng(0).random(2000) ** 6 * 2.0,
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            [0.0, rho**low * 1.5, 3.0],
+        ])
+        got = scale_index(dist, rho, low, high)
+        assert np.array_equal(got, self.per_k_loop(dist, rho, low, high))
+        assert (got == -1).any() and (got == low).any() and (got == high).any()
 
 
 class TestBadScales:

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 
 from favard.cli import main
+from favard.config import ExperimentConfig
 from favard.conical import conical_energy, select_good_directions, write_energy_csv
 from favard.fixtures import single_line_instance, stages_for
 from favard.lattice import cubes_to_json, descend
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
 from favard.torus import AngleInterval, TriadicInterval
-from favard.tree import TreeParams, build_tree
+from favard.tree import build_tree
 
 
 def test_energy_csv(tmp_path):
@@ -50,7 +51,7 @@ def test_lattice_dump(tmp_path):
 
 
 def test_tree_dump(tmp_path):
-    params = TreeParams(k_max=2, triadic_depth=2)
+    params = ExperimentConfig(k_max=2, triadic_depth=2)
     stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
     tree = build_tree(stages, params)
     path = tmp_path / "tree.json"
@@ -88,28 +89,74 @@ def _references(tree: ast.AST) -> set[str]:
     return out
 
 
-def _public_definitions(path: Path):
-    """(label, name) of each public module-level function and class, and of
-    each public method and property of those classes."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{path.name}: {node.name}", node.name
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{path.name}: {node.name}.{item.name}", item.name
+def _source_trees():
+    """The parsed modules of the source, the tests and the benchmark."""
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _public_definitions():
+    """(label, node, is_method) of each public module-level function and class
+    of the package, and of each public method and property of those classes."""
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.name}: {node.name}", node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.name}: {node.name}.{item.name}", item, True
 
 
 def test_every_public_symbol_is_used():
     """Every public function, class, method and property of the package is
     used somewhere in the source, the tests or the benchmark, besides its own
     definition (a definition is not a reference in the AST)."""
-    used: set[str] = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    defined = [d for path in sorted((ROOT / "src" / "favard").glob("*.py"))
-               for d in _public_definitions(path)]
+    used = set().union(*(_references(tree) for tree in _source_trees()))
+    defined = [(label, node.name) for label, node, _ in _public_definitions()]
     assert ("sets.py: DiscreteMeasure.restrict", "restrict") in defined
     unused = sorted(label for label, name in defined if name not in used)
     assert unused == []
+
+
+def _defaulted_parameters(func: ast.FunctionDef, is_method: bool):
+    """(name, position) of each parameter with a default; the position is
+    that of the call's positional arguments, so a method's self or cls does
+    not count (None for keyword-only parameters)."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    for pos in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[pos].arg, pos - is_method
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_keyword_is_passed():
+    """Every defaulted parameter of a public function or method is passed by
+    some call in the source, the tests or the benchmark: by keyword, or
+    positionally at or past its position. A call with *args passes all
+    of them. A default nothing overrides is a constant, not a knob."""
+    calls: dict[str, list[tuple[int, set, bool]]] = {}
+    for tree in _source_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}, starred))
+    never = []
+    for label, func, is_method in _public_definitions():
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for param, pos in _defaulted_parameters(func, is_method):
+            if not any(starred or param in kws or (pos is not None and n_pos > pos)
+                       for n_pos, kws, starred in calls.get(func.name, [])):
+                never.append(f"{label}({param})")
+    assert never == []

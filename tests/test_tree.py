@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, synthetic_stages_constant_core,
                              two_direction_instance)
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
-from favard.torus import AngleInterval, TriadicInterval, direction_vector
-from favard.tree import (TreeParams, TriadicUnits, bad_chain_check,
-                         grow_families, build_good_stages, build_tree,
-                         collect_bad_cubes, find_gap_interval, good_at_scale,
-                         good_at_scale_all, maximal_intervals, packing_sums,
-                         propagate_good_directions, verify_tree)
+from favard.torus import AngleInterval, TriadicInterval, d_metric, direction_vector
+from favard.tree import (TriadicUnits, bad_chain_check, grow_families,
+                         build_good_stages, build_tree, collect_bad_cubes,
+                         find_gap_interval, good_at_scale_all, maximal_intervals,
+                         packing_sums, propagate_good_directions, verify_tree)
 
 
 def line_atoms(n=96, y=0.0):
@@ -149,6 +149,21 @@ class TestGstar:
             assert gs.min_growth_ratio >= 1.0 / 3.0 - 1e-9
 
 
+def good_at_scale(stages, x_idx, k):
+    """Good intervals at scale k for one atom, one scalar d_I at a time: the
+    oracle of the batch form good_at_scale_all."""
+    pts = stages.atoms.points
+    raw = []
+    for interval in stages.core_universe():
+        carriers = stages.core_carriers(interval)
+        if len(carriers) == 0:
+            continue
+        d = min(d_metric(interval, pts[x_idx], pts[c]) for c in carriers)
+        if d < 10.0 * stages.rho**k:
+            raw.append(interval)
+    return maximal_intervals(raw)
+
+
 class TestGoodAtScale:
     def test_large_k_reduces_to_carriers(self):
         _, atoms, eprime, fams, root_iv = single_line_instance(pitch=1 / 32)
@@ -171,7 +186,7 @@ class TestGoodAtScale:
                                       lambda: cantor_horizontal_instance()[1:]],
                              ids=["single_line", "two_direction", "cantor_horizontal"])
     def test_batch_matches_the_scalar_oracle(self, make, thinned):
-        params = TreeParams()
+        params = ExperimentConfig()
         stages = stages_for(*make(), params=params)
         k_top = params.k_max
         if thinned:
@@ -201,7 +216,7 @@ class TestBuildTree:
     def test_no_shattering_with_constant_core(self):
         _, atoms, _, _, root_iv = single_line_instance(pitch=1 / 128)
         stages = synthetic_stages_constant_core(atoms, root_iv)
-        params = TreeParams(k_max=4, triadic_depth=4)
+        params = ExperimentConfig(k_max=4, triadic_depth=4)
         tree = build_tree(stages, params)
         assert all(s.kind != "sh" for s in tree.stopped)
         assert all(tree.nodes[nid].tag in ("root0", "good") for nid in tree.nodes)
@@ -212,11 +227,11 @@ class TestBuildTree:
         atoms = line_atoms(16)
         stages = synthetic_stages_constant_core(atoms, ROOT)
         stages.controlled[:] = False
-        tree = build_tree(stages, TreeParams(k_max=2, triadic_depth=2))
+        tree = build_tree(stages, ExperimentConfig(k_max=2, triadic_depth=2))
         assert len(tree.nodes) == 0
 
     def test_two_direction_shatters(self):
-        params = TreeParams(k_max=4, triadic_depth=4)
+        params = ExperimentConfig(k_max=4, triadic_depth=4)
         stages = stages_for(*two_direction_instance(), params=params)
         tree = build_tree(stages, params)
         sh = [s for s in tree.stopped if s.kind == "sh"]
@@ -234,7 +249,7 @@ class TestBuildTree:
         assert base < ps["roots_sum"] <= ps["roots_budget"]
 
     def test_single_line_properties(self):
-        params = TreeParams(k_max=4, triadic_depth=4)
+        params = ExperimentConfig(k_max=4, triadic_depth=4)
         stages = stages_for(*single_line_instance()[1:], params=params)
         tree = build_tree(stages, params)
         rep = verify_tree(tree)
@@ -243,7 +258,7 @@ class TestBuildTree:
 
 class TestBadCubes:
     def test_transverse_line_narrow_generations_clean(self):
-        params = TreeParams(k_max=3, triadic_depth=3)
+        params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance()[1:], params=params)
         tree = build_tree(stages, params)
         bad = collect_bad_cubes(tree)
@@ -263,7 +278,7 @@ class TestBadCubes:
         pts = np.vstack([atoms.points, extra])
         mu = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
         stages = synthetic_stages_constant_core(mu, ROOT)
-        params = TreeParams(k_max=3, triadic_depth=3)
+        params = ExperimentConfig(k_max=3, triadic_depth=3)
         tree = build_tree(stages, params)
         bad = collect_bad_cubes(tree)
         gens = {tree.nodes[b].generation for b in bad}
@@ -273,11 +288,11 @@ class TestBadCubes:
         atoms = line_atoms(8)
         stages = synthetic_stages_constant_core(atoms, ROOT)
         stages.controlled[:] = False
-        tree = build_tree(stages, TreeParams(k_max=2, triadic_depth=2))
+        tree = build_tree(stages, ExperimentConfig(k_max=2, triadic_depth=2))
         assert collect_bad_cubes(tree) == []
 
     def test_bad_chain_constants(self):
-        params = TreeParams(k_max=3, triadic_depth=3)
+        params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
         tree = build_tree(stages, params)
         bad = collect_bad_cubes(tree)
@@ -317,7 +332,7 @@ class TestPropagation:
         n = len(atoms)
         # witness perpendicular to the segment: mu_theta_perp is huge
         fams = {i: [(ROOT, 0.0)] for i in range(n)}
-        params = TreeParams()
+        params = ExperimentConfig()
         with pytest.raises(ValueError, match="witness bound"):
             propagate_good_directions(atoms, np.ones(n, bool), fams, ROOT, 2.0, 8.0,
                                       params, segment_model=segs)
@@ -406,7 +421,7 @@ class TestGapInterval:
 
 class TestStopFamilies:
     def test_stop_pieces_attach_to_roots(self):
-        params = TreeParams(k_max=3, triadic_depth=3)
+        params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*two_direction_instance(), params=params)
         tree = build_tree(stages, params)
         covered = []
