@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
 from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals,
-                    _direction_mask, project, triadic_cover, wrap)
+                    _direction_mask, direction_vector, row_dot, triadic_cover, wrap)
 
 
 def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
@@ -361,6 +361,23 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     fam = GoodDirectionFamily(families, m_bound)
     min_len = min((fam.union_length(i) for i in families), default=0.0)
 
+    # pointwise pushforward values integrated over each family, the reference
+    # quantity the energies are compared against: each (member, node) pair is
+    # looked up once for all atoms that carry the member
+    carriers: dict[TriadicInterval, list[int]] = {}
+    for i, members in families.items():
+        for iv, _ in members:
+            carriers.setdefault(iv, []).append(i)
+    pointwise: dict[int, list[float]] = {i: [] for i in families}
+    n = 8
+    for iv, atoms in carriers.items():
+        for kq in range(n):
+            th = wrap(iv.low + (kq + 0.5) * iv.length / n)
+            ts = row_dot(mu.points[atoms], direction_vector(th))
+            values = projector.density(th).value_at(ts) * iv.length / n
+            for i, value in zip(atoms, values.tolist()):
+                pointwise[i].append(value)
+
     energy_high = _auto_energy_high(mu, rho)
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
@@ -369,16 +386,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
         prof = conical_energy(mu, mu.points[i], perp_intervals, rho, 0, energy_high)
         energy = prof.total_float
         energy_ratios[i] = energy / (m_bound * total_len)
-        # pointwise pushforward values integrated over the family, the
-        # reference quantity the energies are compared against
-        pointwise = []
-        for iv, _ in members:
-            n = 8
-            for kq in range(n):
-                th = wrap(iv.low + (kq + 0.5) * iv.length / n)
-                value = projector.density(th).value_at(project(th, mu.points[i]))
-                pointwise.append(value * iv.length / n)
-        rhs = math.fsum(pointwise)
+        rhs = math.fsum(pointwise[i])
         fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
 
     return SelectionResult(mu, eprime, fam, kappa, m_bound, total_len,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conical import bad_scales, scale_index
 from .sets import pairwise_extremes
-from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp
+from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp, row_dot
 
 
 @dataclass
@@ -74,8 +74,8 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
         return True, 0.0
     e_t = direction_vector(perp(interval.center))
     e_f = direction_vector(interval.center)
-    t_vals = pts @ e_t
-    f_vals = pts @ e_f
+    t_vals = row_dot(pts, e_t)
+    f_vals = row_dot(pts, e_f)
     ok = True
     lip = 0.0
     for i in range(n):
@@ -216,8 +216,9 @@ def extract_graph(points: np.ndarray, interval: DirectionInterval, m0: int,
     ok, lip = verify_lipschitz(pts[keep], current)
     if not ok:
         raise AssertionError("extraction postcondition failed: cones not empty")
-    e_t = direction_vector(perp(current.center))
-    e_f = direction_vector(current.center)
-    coords = sorted((float(p @ e_t), float(p @ e_f)) for p in pts[keep])
+    kept = pts[keep]
+    t_vals = row_dot(kept, direction_vector(perp(current.center)))
+    f_vals = row_dot(kept, direction_vector(current.center))
+    coords = sorted(zip(t_vals.tolist(), f_vals.tolist()))
     return GraphCertificate(perp(current.center), lip, coords,
                             [int(i) for i in keep], current.half_width)

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .torus import (TOL, DirectionInterval, TriadicInterval, d_metric,
-                    d_metric_many, to_metric_coords)
+from .torus import TOL, DirectionInterval, TriadicInterval, d_metric_many, to_metric_coords
 
 
 def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
@@ -116,8 +115,7 @@ def cell_center_atom(points: np.ndarray, idx: np.ndarray, key: tuple[int, int],
     cy = (key[1] + 0.5) * side
     sub = coords[idx]
     d2 = (sub[:, 0] - cx) ** 2 + (sub[:, 1] - cy) ** 2
-    order = sorted(range(len(idx)), key=lambda t: (d2[t], sub[t, 0], sub[t, 1], idx[t]))
-    return int(idx[order[0]])
+    return int(idx[np.lexsort((idx, sub[:, 1], sub[:, 0], d2))[0]])
 
 
 @dataclass
@@ -169,51 +167,39 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     pts = np.asarray(points, dtype=float)
 
     cells = base_cells(pts[member_idx], None, m, rho)
-    cell_list = []
-    for key, rel in cells.items():
-        idx = member_idx[rel]
-        center = cell_center_atom(pts, idx, key, side, pts)
-        cell_list.append((key, idx, center))
+    parts = [member_idx[rel] for rel in cells.values()]
+    centers = np.array([cell_center_atom(pts, idx, key, side, pts)
+                        for key, idx in zip(cells, parts)], dtype=np.int64)
+    c = pts[centers]
 
-    # greedy maximal net over cell centers, insertion order lexicographic by
-    # center coordinates
+    # greedy maximal net over cell centers, swept in lexicographic order of the
+    # center coordinates. Each net point adds one d_J row against all centers:
+    # centers within sep are no longer free, and every cell keeps the first net
+    # point that is "very close" (close) and the first within sep (near).
     sep = 3.0 * rho**gen
-    order = sorted(range(len(cell_list)),
-                   key=lambda t: (pts[cell_list[t][2]][0], pts[cell_list[t][2]][1]))
-    net: list[int] = []
-    net_pts: list[np.ndarray] = []
-    for t in order:
-        c = pts[cell_list[t][2]]
-        if all(d_metric(interval, c, q) > sep for q in net_pts):
-            net.append(cell_list[t][2])
-            net_pts.append(c)
-
-    groups: dict[int, list[np.ndarray]] = {i: [] for i in range(len(net))}
     very_close = rho**gen
-    for key, idx, center in cell_list:
-        c = pts[center]
-        dists = [d_metric(interval, c, q) for q in net_pts]
-        assigned = None
-        for i, d in enumerate(dists):
-            if d <= very_close + TOL:
-                assigned = i
-                break
-        if assigned is None:
-            for i, d in enumerate(dists):
-                if d <= sep + TOL:
-                    assigned = i
-                    break
-        if assigned is None:
-            raise AssertionError("net maximality violated: no pretty-close net point")
-        groups[assigned].append(idx)
-
-    cubes = []
-    for i, parts in groups.items():
-        if not parts:
+    free = np.ones(len(c), dtype=bool)
+    close = np.full(len(c), -1)
+    near = np.full(len(c), -1)
+    net: list[int] = []
+    for t in np.lexsort((c[:, 1], c[:, 0])):
+        if not free[t]:
             continue
-        atom_idx = np.sort(np.concatenate(parts))
-        cubes.append(AnisoCube(atom_idx, net[i], gen, interval, m, rho))
-    return cubes
+        d = d_metric_many(interval, c[t], c)
+        free &= d > sep
+        close[(close < 0) & (d <= very_close + TOL)] = len(net)
+        near[(near < 0) & (d <= sep + TOL)] = len(net)
+        net.append(int(centers[t]))
+    owner = np.where(close >= 0, close, near)
+    if np.any(owner < 0):
+        raise AssertionError("net maximality violated: no pretty-close net point")
+
+    atoms = np.concatenate(parts)
+    atom_owner = np.repeat(owner, [len(idx) for idx in parts])
+    groups = np.split(atoms[np.lexsort((atoms, atom_owner))],
+                      np.cumsum(np.bincount(atom_owner, minlength=len(net)))[:-1])
+    return [AnisoCube(group, net[i], gen, interval, m, rho)
+            for i, group in enumerate(groups) if len(group)]
 
 
 def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:
@@ -253,15 +239,19 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
         if not np.all(np.isin(inner, c.atom_idx)):
             sandwich_inner = False
 
+    # separation: one d_J row per cube against the later cubes of its interval
     separation = True
     min_sep = math.inf
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            if cubes[i].interval != cubes[j].interval:
-                continue
-            d = d_metric(cubes[i].interval, pts[cubes[i].center_idx], pts[cubes[j].center_idx])
-            min_sep = min(min_sep, d / cubes[i].rho**gen)
-            if d <= 3.0 * cubes[i].rho**gen:
+    by_interval: dict[DirectionInterval, list[AnisoCube]] = {}
+    for c in cubes:
+        by_interval.setdefault(c.interval, []).append(c)
+    for group in by_interval.values():
+        centers = pts[[c.center_idx for c in group]]
+        for i, c in enumerate(group[:-1]):
+            scale = c.rho**gen
+            d = d_metric_many(c.interval, centers[i], centers[i + 1:])
+            min_sep = min(min_sep, float((d / scale).min()))
+            if np.any(d <= 3.0 * scale):
                 separation = False
 
     return {

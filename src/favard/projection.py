@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import SegmentUnion
-from .torus import direction_vector, project
+from .torus import direction_vector, project, row_dot
 
 PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 DEFAULT_N_ANGLES = 2048
@@ -237,22 +237,21 @@ class PiecewiseConstDensity:
         overlap = np.clip(hi - lo, 0.0, None)
         return float(overlap @ self.values)
 
-    def _adjacent_values(self, t: float) -> tuple[float, float]:
-        if not len(self.values):
-            return 0.0, 0.0
-        i = int(np.searchsorted(self.breakpoints, t, side="left")) - 1
-        left = self.values[i] if 0 <= i < len(self.values) else 0.0
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        right = self.values[j] if 0 <= j < len(self.values) else 0.0
-        return left, right
+    def _adjacent_values(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Density values just left and right of each t (0 outside the pieces)."""
+        padded = np.concatenate(([0.0], self.values, [0.0]))
+        return (padded[np.searchsorted(self.breakpoints, ts, side="left")],
+                padded[np.searchsorted(self.breakpoints, ts, side="right")])
 
-    def value_at(self, t: float) -> float:
-        """Pointwise density value; at a breakpoint, the larger adjacent value."""
-        return max(self._adjacent_values(t))
+    def value_at(self, ts):
+        """Pointwise density value at t or at each t of an array; at a
+        breakpoint, the larger adjacent value."""
+        return np.maximum(*self._adjacent_values(ts))
 
-    def small_window_limit(self, t: float) -> float:
-        """lim_{r -> 0+} nu((t-r, t+r)) / 2r, the two-sided density average."""
-        left, right = self._adjacent_values(t)
+    def small_window_limit(self, ts):
+        """lim_{r -> 0+} nu((t-r, t+r)) / 2r, the two-sided density average,
+        at t or at each t of an array."""
+        left, right = self._adjacent_values(ts)
         return (left + right) / 2.0
 
 
@@ -358,14 +357,7 @@ def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.n
     best = ratios.max(axis=1) if ratios.shape[1] else np.full(len(ts), -np.inf)
 
     # r -> 0+ limit: two-sided average of the adjacent density values
-    if have_dense:
-        iv_left = np.searchsorted(b, ts, side="left") - 1
-        iv_right = np.searchsorted(b, ts, side="right") - 1
-        vleft = np.where((iv_left >= 0) & (iv_left < len(density.values)),
-                         density.values[np.clip(iv_left, 0, len(density.values) - 1)], 0.0)
-        vright = np.where((iv_right >= 0) & (iv_right < len(density.values)),
-                          density.values[np.clip(iv_right, 0, len(density.values) - 1)], 0.0)
-        best = np.maximum(best, (vleft + vright) / 2.0)
+    best = np.maximum(best, density.small_window_limit(ts))
     for p, _ in density.atoms:
         best = np.where(ts == p, np.inf, best)
     return best
@@ -390,5 +382,5 @@ class Projector:
 
     def mu_theta(self, theta: float, points) -> np.ndarray:
         """mu_theta at each row of the (n, 2) `points`."""
-        ts = np.asarray(points, dtype=float) @ direction_vector(theta)
+        ts = row_dot(points, direction_vector(theta))
         return maximal_values_batch(self.density(theta), ts)

@@ -48,10 +48,19 @@ def direction_vector(theta: float) -> np.ndarray:
     return np.array([math.cos(t), math.sin(t)])
 
 
+def row_dot(pts, v) -> np.ndarray:
+    """p . v for each row p of `pts` (or for one point), by elementwise products.
+
+    Unlike a BLAS product, each row's value does not depend on how many rows
+    share the call; this is the one projection formula of the package.
+    """
+    pts = np.asarray(pts, dtype=float)
+    return pts[..., 0] * v[0] + pts[..., 1] * v[1]
+
+
 def project(theta: float, p) -> float:
     """Orthogonal projection pi_theta(p) = p . e_theta."""
-    e = direction_vector(theta)
-    return float(p[0] * e[0] + p[1] * e[1])
+    return float(row_dot(p, direction_vector(theta)))
 
 
 def line_angle(v) -> float:
@@ -238,8 +247,7 @@ def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarr
         return np.ones(len(pts), dtype=bool)
     diff = pts - apex
     if a <= 0.25:
-        e_perp = direction_vector(perp(center))
-        lhs = np.abs(diff @ e_perp)
+        lhs = np.abs(row_dot(diff, direction_vector(perp(center))))
         return lhs <= math.sin(2.0 * math.pi * a) * dist + TOL
     ang = np.arctan2(diff[:, 1], diff[:, 0]) / (2.0 * math.pi)
     gap = np.abs(np.mod(ang - center + 0.25, 0.5) - 0.25)
@@ -297,24 +305,26 @@ def d_metric(interval: DirectionInterval, x, y) -> float:
     d_I(x, y) = (H(I)^-2 |pi_I_perp(x) - pi_I_perp(y)|^2
                  + |pi_I(x) - pi_I(y)|^2)^(1/2),
     where pi_I projects along the midpoint direction of I. Balls are tubes of
-    dimensions H(I) r x r pointing along I.
+    dimensions H(I) r x r pointing along I. This is the one-row call of
+    d_metric_many.
     """
-    h = interval.length
+    return float(d_metric_many(interval, x, np.reshape(y, (1, 2)))[0])
+
+
+def _metric_coords(interval: DirectionInterval, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H(I)^-1 pi_I_perp, pi_I) of each row, by elementwise products."""
     e = direction_vector(interval.center)
-    dx, dy = x[0] - y[0], x[1] - y[1]
-    par = dx * e[0] + dy * e[1]
-    per = -dx * e[1] + dy * e[0]
-    return math.hypot(per / h, par)
+    return row_dot(diff, (-e[1], e[0])) / interval.length, row_dot(diff, e)
 
 
 def d_metric_many(interval: DirectionInterval, x, pts: np.ndarray) -> np.ndarray:
-    """d_I(x, p) for every row p of `pts`."""
-    h = interval.length
-    e = direction_vector(interval.center)
+    """d_I(x, p) for every row p of `pts`.
+
+    Each value depends only on its own row, and swapping x and p negates both
+    coordinates, so d_I is exactly symmetric.
+    """
     diff = np.asarray(pts, dtype=float) - np.asarray(x, dtype=float)
-    par = diff @ e
-    per = diff @ np.array([-e[1], e[0]])
-    return np.hypot(per / h, par)
+    return np.hypot(*_metric_coords(interval, diff))
 
 
 def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray:
@@ -323,9 +333,4 @@ def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray
     Maps p to (H(I)^-1 pi_I_perp(p), pi_I(p)); the inverse is the
     rotation-plus-scaling isometry (R^2, euclid) -> (R^2, d_I).
     """
-    h = interval.length
-    e = direction_vector(interval.center)
-    pts = np.asarray(pts, dtype=float)
-    par = pts @ e
-    per = pts @ np.array([-e[1], e[0]])
-    return np.column_stack([per / h, par])
+    return np.column_stack(_metric_coords(interval, np.asarray(pts, dtype=float)))

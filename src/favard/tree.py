@@ -29,7 +29,7 @@ from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
 from .torus import (TOL, AngleInterval, TriadicInterval, _direction_mask, d_metric_many,
-                    direction_vector, perp, wrap)
+                    direction_vector, perp, row_dot, wrap)
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
 MAX_ROUNDS = 64                                  # hard cap on propagation rounds
@@ -56,11 +56,6 @@ class TriadicUnits:
         u = self.length(iv)
         return iv.index * u, (iv.index + 1) * u
 
-    def overlap(self, a: TriadicInterval, b: TriadicInterval) -> int:
-        a0, a1 = self.bounds(a)
-        b0, b1 = self.bounds(b)
-        return max(0, min(a1, b1) - max(a0, b0))
-
     def union_length(self, ivs: Iterable[TriadicInterval]) -> int:
         spans = sorted(self.bounds(iv) for iv in ivs)
         total, cur_hi = 0, None
@@ -74,16 +69,7 @@ class TriadicUnits:
         return total
 
     def cover_length(self, target: TriadicInterval, ivs: Iterable[TriadicInterval]) -> int:
-        t0, t1 = self.bounds(target)
-        spans = sorted(self.bounds(iv) for iv in ivs)
-        total, cur = 0, t0
-        for lo, hi in spans:
-            lo, hi = max(lo, t0), min(hi, t1)
-            if hi <= max(lo, cur):
-                continue
-            total += hi - max(lo, cur)
-            cur = max(cur, hi)
-        return total
+        return self.union_length(_clip_to(target, list(ivs)))
 
     def to_float(self, units: int) -> float:
         return units / self.scale
@@ -200,10 +186,8 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         for iv in ivs:
             if not root_iv.contains(iv):
                 raise ValueError(f"family interval {iv} of atom {i} outside the root interval")
-        for a, b in zip(sorted(ivs, key=lambda t: units.bounds(t)),
-                        sorted(ivs, key=lambda t: units.bounds(t))[1:]):
-            if units.overlap(a, b) > 0:
-                raise ValueError(f"family of atom {i} is not disjoint")
+        if len(maximal_intervals(ivs)) != len(ivs):
+            raise ValueError(f"family of atom {i} is not disjoint")
 
     high = _auto_energy_high(atoms, params.rho)
 
@@ -990,18 +974,18 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     e_per = direction_vector(perp(interval.center))
 
     def p_par(p):
-        return (p - np.zeros(2)) @ e_par
+        return row_dot(p, e_par)
 
     def p_per(p):
-        return p @ e_per
+        return row_dot(p, e_per)
 
     gap_perp = abs(p_per(x) - p_per(y))
     gap_par = abs(p_par(x) - p_par(y))
     t_g = (p_per(x) + p_per(y)) / 2.0
 
     n_strips = math.ceil(C_N * a_const * m_bound)
-    per_all = pts @ e_per
-    par_all = pts @ e_par
+    per_all = p_per(pts)
+    par_all = p_par(pts)
     in_tube = (np.abs(per_all - t_g) <= 2.0 * gap_perp + TOL)
     rel = par_all - p_par(y)
     # strip i covers rel in [(2i-1), (2i+1)] * gap_par / (2(2N+1))

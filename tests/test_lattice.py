@@ -3,9 +3,84 @@ import math
 import numpy as np
 import pytest
 
-from favard.lattice import (base_cells, check_cube_invariants,
+from favard.config import ExperimentConfig
+from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
+                             stages_for, two_direction_instance)
+from favard.lattice import (AnisoCube, base_cells, cell_center_atom, check_cube_invariants,
                             children, descend, shatter, side_exponent, whitney)
-from favard.torus import AngleInterval, TriadicInterval, d_metric
+from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric
+from favard.tree import build_tree
+
+
+def reference_cell_center_atom(idx, key, side, coords):
+    """The member atom nearest the cell's center, by one Python sort."""
+    cx = (key[0] + 0.5) * side
+    cy = (key[1] + 0.5) * side
+    sub = coords[idx]
+    d2 = (sub[:, 0] - cx) ** 2 + (sub[:, 1] - cy) ** 2
+    order = sorted(range(len(idx)), key=lambda t: (d2[t], sub[t, 0], sub[t, 1], idx[t]))
+    return int(idx[order[0]])
+
+
+def reference_descend(points, member_idx, j_parent, k, interval, l, rho=0.5):
+    """descend with one scalar d_J per (cell, net point) pair: the oracle of
+    the net sweep."""
+    member_idx = np.asarray(member_idx, dtype=np.int64)
+    gen = k + l
+    m = side_exponent(interval.length, k, l, rho)
+    pts = np.asarray(points, dtype=float)
+    cell_list = []
+    for key, rel in base_cells(pts[member_idx], None, m, rho).items():
+        idx = member_idx[rel]
+        cell_list.append((key, idx, reference_cell_center_atom(idx, key, rho**m, pts)))
+
+    sep = 3.0 * rho**gen
+    order = sorted(range(len(cell_list)),
+                   key=lambda t: (pts[cell_list[t][2]][0], pts[cell_list[t][2]][1]))
+    net, net_pts = [], []
+    for t in order:
+        c = pts[cell_list[t][2]]
+        if all(d_metric(interval, c, q) > sep for q in net_pts):
+            net.append(cell_list[t][2])
+            net_pts.append(c)
+
+    groups = {i: [] for i in range(len(net))}
+    very_close = rho**gen
+    for key, idx, center in cell_list:
+        dists = [d_metric(interval, pts[center], q) for q in net_pts]
+        assigned = next((i for i, d in enumerate(dists) if d <= very_close + TOL), None)
+        if assigned is None:
+            assigned = next(i for i, d in enumerate(dists) if d <= sep + TOL)
+        groups[assigned].append(idx)
+    return [AnisoCube(np.sort(np.concatenate(parts)), net[i], gen, interval, m, rho)
+            for i, parts in groups.items() if parts]
+
+
+def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
+    """check_cube_invariants with one scalar d_J per pair of cube centers.
+
+    The partition and sandwich entries come from the library call; the
+    separation entries are recomputed pair by pair.
+    """
+    report = check_cube_invariants(points, carrier_idx, cubes, gen)
+    separation = True
+    min_sep = math.inf
+    for i in range(len(cubes)):
+        for j in range(i + 1, len(cubes)):
+            if cubes[i].interval != cubes[j].interval:
+                continue
+            d = d_metric(cubes[i].interval, points[cubes[i].center_idx],
+                         points[cubes[j].center_idx])
+            min_sep = min(min_sep, d / cubes[i].rho**gen)
+            if d <= 3.0 * cubes[i].rho**gen:
+                separation = False
+    return {**report, "net_separation": separation,
+            "min_net_separation_over_scale": None if math.isinf(min_sep) else min_sep}
+
+
+def assert_same_cubes(got, want):
+    assert [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m) for c in got] == \
+        [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m) for c in want]
 
 
 class TestSideRule:
@@ -134,6 +209,99 @@ class TestDescend:
         worst = min(c.mass(w) / (j.length * 1.0) for c in cubes)
         assert worst > 0.0  # positive lower bound; the constant is recorded
         print(f"mass lower bound constant c*A: {worst:.4f}")
+
+
+def lattice_check_instances(count=200):
+    """The seeded instances of the lattice-check command at the default seed."""
+    rng = np.random.default_rng(ExperimentConfig.seed)
+    for trial in range(count):
+        n = int(rng.integers(30, 120))
+        pts = rng.random((n, 2))
+        h_choice = TriadicInterval(1, int(rng.integers(0, 3))) if trial % 2 == 0 \
+            else TriadicInterval(3, int(rng.integers(0, 27)))
+        l = int(rng.integers(0, 3))
+        k = int(rng.integers(0, 3))
+        yield pts, h_choice, k, l
+
+
+def tie_carriers():
+    """Grid and regular-line carriers, whose cell centers and d_J values tie."""
+    g = np.arange(12) / 11.0
+    grid = np.column_stack([np.repeat(g, 12), np.tile(g, 12)])
+    line = np.column_stack([np.linspace(0.0, 1.0, 97), np.zeros(97)])
+    tilted = np.column_stack([np.linspace(0.0, 1.0, 64), np.linspace(0.0, 0.5, 64)])
+    doubled = np.vstack([line[:40], line[:40]])
+    for pts in (grid, line, tilted, doubled, 0.5 * grid + 0.25):
+        for iv in (TriadicInterval(1, 0), TriadicInterval(2, 4), TriadicInterval(3, 6),
+                   AngleInterval(0.0, 0.05), AngleInterval(0.25, 0.01)):
+            for k, l in ((0, 0), (0, 2), (2, 1)):
+                yield pts, iv, k, l
+
+
+class TestNetSweepOracle:
+    """descend and check_cube_invariants give the cubes and reports of their
+    scalar references."""
+
+    def check(self, pts, iv, k, l):
+        carrier = np.arange(len(pts))
+        cubes = descend(pts, carrier, iv, k, iv, l)
+        assert_same_cubes(cubes, reference_descend(pts, carrier, iv, k, iv, l))
+        assert check_cube_invariants(pts, carrier, cubes, k + l) == \
+            reference_check_cube_invariants(pts, carrier, cubes, k + l)
+
+    def test_lattice_check_instances(self):
+        for pts, iv, k, l in lattice_check_instances():
+            self.check(pts, iv, k, l)
+
+    def test_tie_carriers(self):
+        for pts, iv, k, l in tie_carriers():
+            self.check(pts, iv, k, l)
+
+    def test_separation_boundary(self):
+        # centers exactly 3 rho^gen apart along the interval are not separated
+        iv = AngleInterval(0.0, 0.05)
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.5], [0.5, 0.0]])
+        cubes = [AnisoCube([i], i, 0, iv, 0, 0.5) for i in range(3)] + \
+            [AnisoCube([3], 3, 0, TriadicInterval(1, 0), 0, 0.5)]
+        report = check_cube_invariants(pts, np.arange(4), cubes, 0)
+        assert report == reference_check_cube_invariants(pts, np.arange(4), cubes, 0)
+        assert not report["net_separation"]
+        assert report["min_net_separation_over_scale"] == 3.0
+
+    def test_center_atom_ties(self):
+        # equidistant from the cell center (0.5, 0.5): ties break by x, then y,
+        # then index (atoms 0 and 3 coincide)
+        pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.25, 0.5], [0.5, 0.75]])
+        for idx, want in (([4, 1, 3, 2, 0], 0), ([4, 2, 1], 2), ([1, 4], 4)):
+            idx = np.array(idx)
+            assert cell_center_atom(pts, idx, (0, 0), 1.0, pts) == \
+                reference_cell_center_atom(idx, (0, 0), 1.0, pts) == want
+
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_tree_fixtures(self, make, thinned, monkeypatch):
+        params = ExperimentConfig()
+        stages = stages_for(*make(), params=params)
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        calls = []
+
+        def checked(points, member_idx, j_parent, k, interval, l, rho):
+            cubes = descend(points, member_idx, j_parent, k, interval, l, rho)
+            assert_same_cubes(cubes, reference_descend(points, member_idx, j_parent, k,
+                                                       interval, l, rho))
+            assert check_cube_invariants(points, member_idx, cubes, k + l) == \
+                reference_check_cube_invariants(points, member_idx, cubes, k + l)
+            calls.append(len(cubes))
+            return cubes
+
+        monkeypatch.setattr("favard.tree.descend", checked)
+        tree = build_tree(stages, params)
+        assert len(calls) > 1 and len(tree.nodes) > 0
 
 
 class TestWhitney:

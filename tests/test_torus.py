@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from favard.projection import Projector
+from favard.sets import four_corners
 from favard.torus import (AngleInterval, ConeSpec, TriadicInterval, cone_mask,
-                          circ_dist, d_metric, direction_vector, in_cone,
+                          circ_dist, d_metric, d_metric_many, direction_vector, in_cone,
                           line_angle, perp, project, to_metric_coords,
                           triadic_cover, triadic_nav, wrap)
 
@@ -207,6 +209,41 @@ class TestMetric:
             d1 = d_metric(iv, pts[0], pts[1])
             d2 = float(np.linalg.norm(mapped[0] - mapped[1]))
             assert d1 == pytest.approx(d2, abs=1e-12)
+
+
+class TestBatchIndependence:
+    """A row's value does not depend on how many rows share the call."""
+
+    PTS = np.random.default_rng(21).normal(size=(1000, 2))
+
+    def assert_rowwise(self, f):
+        batch = f(self.PTS)
+        for i in range(len(self.PTS)):
+            assert np.array_equal(f(self.PTS[i:i + 1])[0], batch[i]), i
+
+    def test_d_metric_many(self):
+        iv = AngleInterval(0.137, 0.01)
+        self.assert_rowwise(lambda p: d_metric_many(iv, (0.3, -0.7), p))
+
+    def test_to_metric_coords(self):
+        iv = TriadicInterval(3, 5)
+        self.assert_rowwise(lambda p: to_metric_coords(iv, p))
+
+    def test_cone_mask(self):
+        iv = AngleInterval(0.21, 0.03)
+        self.assert_rowwise(lambda p: cone_mask(np.array([0.1, 0.2]), iv, p))
+
+    def test_projector_mu_theta(self):
+        projector = Projector(four_corners(2).skeleton())
+        self.assert_rowwise(lambda p: projector.mu_theta(0.0713, 0.4 * p + 0.5))
+
+    def test_d_metric_is_the_one_row_call_and_exactly_symmetric(self):
+        iv = AngleInterval(0.137, 0.01)
+        x = np.array([0.3, -0.7])
+        row = d_metric_many(iv, x, self.PTS)
+        back = np.array([d_metric_many(iv, p, x[None])[0] for p in self.PTS])
+        assert np.array_equal(row, back)
+        assert [d_metric(iv, x, p) for p in self.PTS] == row.tolist()
 
 
 class TestConeBallInclusions:

@@ -30,15 +30,6 @@ class TestTriadicUnits:
         assert u.length(TriadicInterval(2, 3)) == 9
         assert u.length(TriadicInterval(4, 0)) == 1
 
-    def test_overlap_nested_or_disjoint(self):
-        u = TriadicUnits(5)
-        a = TriadicInterval(2, 3)
-        inside = TriadicInterval(4, 28)
-        assert a.contains(inside)
-        assert u.overlap(a, inside) == u.length(inside)
-        assert u.overlap(inside, a) == u.length(inside)
-        assert u.overlap(a, TriadicInterval(2, 4)) == 0
-
     def test_union_and_cover(self):
         u = TriadicUnits(3)
         parts = [TriadicInterval(2, 0), TriadicInterval(2, 1), TriadicInterval(1, 0)]
@@ -254,6 +245,32 @@ class TestBuildTree:
         tree = build_tree(stages, params)
         rep = verify_tree(tree)
         assert rep["all_pass"], rep
+
+    NINE_PROPERTIES = ("sandwich_balls", "goodness_integral", "unique_ancestor",
+                       "product_disjointness", "roots_packing",
+                       "subtree_interval_constant", "core_covering",
+                       "bad_scale_budget", "children_products_nested_disjoint")
+
+    @pytest.mark.parametrize("make,nodes,shatters", [
+        (lambda: single_line_instance()[1:], 392, 18),
+        (two_direction_instance, 166, 44),
+        (lambda: cantor_horizontal_instance()[1:], 349, 6),
+    ], ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_thinned_fixture_properties(self, make, nodes, shatters):
+        # every third atom stops carrying its core intervals, so the goodness
+        # integrals see them only through the d_I balls of good_at_scale_all
+        params = ExperimentConfig()
+        stages = stages_for(*make(), params=params)
+        for i in list(stages.core)[::3]:
+            stages.core[i] = []
+        tree = build_tree(stages, params)
+        collect_bad_cubes(tree)
+        rep = verify_tree(tree)
+        assert {key: rep[key] for key in self.NINE_PROPERTIES} == \
+            dict.fromkeys(self.NINE_PROPERTIES, True)
+        assert rep["all_pass"]
+        assert len(tree.nodes) == nodes
+        assert sum(s.kind == "sh" for s in tree.stopped) == shatters
 
 
 class TestBadCubes:
