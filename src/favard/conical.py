@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, open_fresh
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
 from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals,
@@ -251,7 +251,7 @@ def write_energy_csv(path, entries) -> None:
     """Energy profiles as CSV rows x1,x2,k,m_k for (point, profile) entries."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_fresh(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "k", "m_k"])
         for point, profile in entries:
@@ -292,7 +292,7 @@ class SelectionResult:
                 for i, fam in sorted(self.family.families.items())
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_fresh(path) as fh:
             json.dump(payload, fh, indent=1)
 
 

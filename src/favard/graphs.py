@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from .config import open_fresh
 from .conical import bad_scales, scale_index
 from .sets import pairwise_extremes
 from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp, row_dot
@@ -38,7 +39,7 @@ class GraphCertificate:
     cone_half_width: float
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_fresh(path) as fh:
             json.dump({"theta0": self.theta0, "lip": self.lip,
                        "cone_half_width": self.cone_half_width,
                        "points": self.points,

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import open_fresh
 from .torus import TOL, DirectionInterval, TriadicInterval, d_metric_many, to_metric_coords
 
 
@@ -105,17 +106,29 @@ class BaseLattice:
         return {"partition": partition, "nesting": nesting}
 
 
+def cell_center_atoms(keys: Sequence[tuple[int, int]], parts: Sequence[np.ndarray],
+                      side: float, coords: np.ndarray) -> np.ndarray:
+    """Per cell, the index of the member atom nearest the cell's geometric center.
+
+    Cell t has grid key keys[t] and member indices parts[t] (nonempty); ties
+    break lexicographically by mapped coordinates, then by index. One lexsort
+    over all members keyed (cell, d2, x, y, index) serves every cell.
+    """
+    sizes = [len(idx) for idx in parts]
+    idx = np.concatenate(parts)
+    cell = np.repeat(np.arange(len(parts)), sizes)
+    mid = (np.asarray(keys, dtype=float)[cell] + 0.5) * side
+    sub = coords[idx]
+    d2 = (sub[:, 0] - mid[:, 0]) ** 2 + (sub[:, 1] - mid[:, 1]) ** 2
+    order = np.lexsort((idx, sub[:, 1], sub[:, 0], d2, cell))
+    return idx[order[np.cumsum(sizes) - sizes]]
+
+
 def cell_center_atom(points: np.ndarray, idx: np.ndarray, key: tuple[int, int],
                      side: float, coords: np.ndarray) -> int:
-    """Index of the member atom nearest the cell's geometric center.
-
-    Ties break lexicographically by mapped coordinates, then by index.
-    """
-    cx = (key[0] + 0.5) * side
-    cy = (key[1] + 0.5) * side
-    sub = coords[idx]
-    d2 = (sub[:, 0] - cx) ** 2 + (sub[:, 1] - cy) ** 2
-    return int(idx[np.lexsort((idx, sub[:, 1], sub[:, 0], d2))[0]])
+    """Index of the member atom nearest the cell's geometric center (one cell
+    of `cell_center_atoms`)."""
+    return int(cell_center_atoms([key], [idx], side, coords)[0])
 
 
 @dataclass
@@ -168,8 +181,7 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
 
     cells = base_cells(pts[member_idx], None, m, rho)
     parts = [member_idx[rel] for rel in cells.values()]
-    centers = np.array([cell_center_atom(pts, idx, key, side, pts)
-                        for key, idx in zip(cells, parts)], dtype=np.int64)
+    centers = cell_center_atoms(list(cells), parts, side, pts)
     c = pts[centers]
 
     # greedy maximal net over cell centers, swept in lexicographic order of the
@@ -280,7 +292,7 @@ def cubes_to_json(path, cubes: Sequence[AnisoCube], points: np.ndarray) -> None:
         rows.append({"center": [float(center[0]), float(center[1])],
                      "level": c.level, "interval": interval,
                      "atom_ids": [int(i) for i in c.atom_idx]})
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(rows, fh, indent=1)
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, open_fresh
 from .conical import _auto_energy_high, annulus_mask, bad_scales, conical_energy
 from .lattice import AnisoCube, descend
 from .projection import Projector
@@ -422,7 +422,7 @@ class DirectionTree:
                 "tag": node.tag, "parent": node.parent, "root": node.root_id,
                 "bad": node.is_bad,
             })
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_fresh(path) as fh:
             json.dump(rows, fh, indent=1)
 
 
@@ -642,15 +642,26 @@ def verify_tree(tree: DirectionTree) -> dict:
                 t2 = False
     report["goodness_integral"] = t2
 
-    # unique ordering ancestor; same/lower generations nest or split
+    # unique ordering ancestor; same/lower generations nest or split. Only a
+    # node sharing an atom with q can hold all of q's atoms or meet q's
+    # product, so q is compared with the holders of its atoms alone.
     t3 = True
     t4 = True
+    holders = []
+    for gen in tree.generations:
+        by_atom: dict[int, list[int]] = {}
+        for p in gen:
+            for a in atom_sets[p]:
+                by_atom.setdefault(a, []).append(p)
+        holders.append(by_atom)
     for k, gen in enumerate(tree.generations):
         for l in range(k + 1):
             for q in gen:
                 qn = tree.nodes[q]
                 hits = 0
-                for p in tree.generations[l]:
+                near = {p for a in atom_sets[q] for p in holders[l].get(a, ())} \
+                    if atom_sets[q] else tree.generations[l]
+                for p in near:
                     pn = tree.nodes[p]
                     atoms_sub = atom_sets[q] <= atom_sets[p]
                     ivs_sub = pn.interval.contains(qn.interval)

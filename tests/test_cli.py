@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -191,6 +192,34 @@ class TestChecks:
         ("seed", 1.5), ("n_angles", 2.5), ("c_n", 0), ("c_y", math.nan)])
     def test_degenerate_config_value_is_config_error(self, tmp_path, capsys, key, value):
         self._assert_config_error(tmp_path, capsys, key, value)
+
+
+class TestRerun:
+    """A rerun into the same --out replaces every output file."""
+
+    @staticmethod
+    def _run_both(out, line_csv):
+        assert main(["--out", str(out), "tree-check"]) == 0
+        assert main(["--out", str(out), "extract-graph", str(line_csv),
+                     "--center", "0.25", "--half-width", "0.04", "--m0", "0"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_rerun_is_byte_identical_and_replaces_files(self, tmp_path):
+        line_csv = tmp_path / "line.csv"
+        SegmentUnion([Segment((x, 0.0), (x + 0.05, 0.0))
+                      for x in np.linspace(0, 0.9, 10)]).to_csv(line_csv)
+        fresh = self._run_both(tmp_path / "fresh", line_csv)
+        assert {"tree_check_report.json", "certificate.json", "retained_atoms.csv",
+                "extract_graph_report.json"} <= set(fresh)
+        out = tmp_path / "out"
+        first = self._run_both(out, line_csv)
+        report = out / "tree_check_report.json"
+        link = tmp_path / "link.json"
+        os.link(report, link)
+        assert self._run_both(out, line_csv) == first == fresh
+        # truncating in place would rewrite the linked file too
+        assert not os.path.samefile(link, report)
+        assert link.read_bytes() == first["tree_check_report.json"]
 
 
 class TestPipelineCLI:

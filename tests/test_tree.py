@@ -7,12 +7,14 @@ from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, synthetic_stages_constant_core,
                              two_direction_instance)
+from favard.lattice import AnisoCube
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
 from favard.torus import AngleInterval, TriadicInterval, d_metric, direction_vector
 from favard.tree import (TriadicUnits, bad_chain_check, grow_families,
                          build_good_stages, build_tree, collect_bad_cubes,
                          find_gap_interval, good_at_scale_all, maximal_intervals,
-                         packing_sums, propagate_good_directions, verify_tree)
+                         packing_sums, propagate_good_directions, verify_tree,
+                         TreeNode)
 
 
 def line_atoms(n=96, y=0.0):
@@ -271,6 +273,98 @@ class TestBuildTree:
         assert rep["all_pass"]
         assert len(tree.nodes) == nodes
         assert sum(s.kind == "sh" for s in tree.stopped) == shatters
+
+
+def reference_ancestry(tree):
+    """unique_ancestor and product_disjointness by comparing every node of
+    generation k with every node of each generation l <= k: the oracle of
+    verify_tree's atom-indexed comparison."""
+    atom_sets = {nid: frozenset(node.cube.atom_idx.tolist())
+                 for nid, node in tree.nodes.items()}
+    t3 = True
+    t4 = True
+    for k, gen in enumerate(tree.generations):
+        for l in range(k + 1):
+            for q in gen:
+                qn = tree.nodes[q]
+                hits = 0
+                for p in tree.generations[l]:
+                    pn = tree.nodes[p]
+                    atoms_sub = atom_sets[q] <= atom_sets[p]
+                    ivs_sub = pn.interval.contains(qn.interval)
+                    if atoms_sub and ivs_sub:
+                        hits += 1
+                    else:
+                        atoms_meet = bool(atom_sets[q] & atom_sets[p])
+                        ivs_meet = qn.interval.intersects(pn.interval)
+                        if atoms_meet and ivs_meet and not (k == l and p == q):
+                            t4 = False
+                if hits != 1:
+                    t3 = False
+    return {"unique_ancestor": t3, "product_disjointness": t4}
+
+
+def _ancestry(tree):
+    rep = verify_tree(tree)
+    return {key: rep[key] for key in ("unique_ancestor", "product_disjointness")}
+
+
+class TestAncestryOracle:
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_fixtures(self, make, thinned):
+        params = ExperimentConfig()
+        stages = stages_for(*make(), params=params)
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        tree = build_tree(stages, params)
+        assert _ancestry(tree) == reference_ancestry(tree) == \
+            {"unique_ancestor": True, "product_disjointness": True}
+
+    @staticmethod
+    def _small_tree():
+        params = ExperimentConfig(k_max=2, triadic_depth=2)
+        stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
+        return build_tree(stages, params)
+
+    @staticmethod
+    def _add_root0(tree, atom_idx, like, interval=None):
+        """A generation-0 node over `atom_idx`, shaped like node `like`, with
+        `like`'s interval unless another is given."""
+        old = tree.nodes[like]
+        nid = max(tree.nodes) + 1
+        cube = AnisoCube(atom_idx, old.cube.center_idx, 0, old.cube.interval,
+                         old.cube.base_m, old.cube.rho)
+        tree.nodes[nid] = TreeNode(nid, cube, 0, interval or old.interval, "root0", None, nid)
+        tree.generations[0].append(nid)
+
+    def test_half_copy_breaks_both(self):
+        # a second generation-0 node holding half of a node's atoms over the
+        # same interval: the half has two ancestors and meets the whole
+        tree = self._small_tree()
+        first = tree.generations[0][0]
+        atoms = tree.nodes[first].cube.atom_idx
+        assert len(atoms) >= 2
+        self._add_root0(tree, atoms[: len(atoms) // 2], first)
+        assert _ancestry(tree) == reference_ancestry(tree) == \
+            {"unique_ancestor": False, "product_disjointness": False}
+
+    def test_empty_node_is_its_own_ancestor(self):
+        # an empty atom set lies inside every node but shares an atom with
+        # none: over an interval no other node contains, its one ancestor is
+        # itself, which only a comparison with all nodes of its generation finds
+        tree = self._small_tree()
+        first = tree.generations[0][0]
+        iv = tree.nodes[first].interval
+        other = TriadicInterval(iv.level, (iv.index + 1) % 3**iv.level)
+        assert all(not tree.nodes[p].interval.intersects(other) for p in tree.generations[0])
+        self._add_root0(tree, np.array([], dtype=np.int64), first, other)
+        assert _ancestry(tree) == reference_ancestry(tree) == \
+            {"unique_ancestor": True, "product_disjointness": True}
 
 
 class TestBadCubes:
