@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, content_hash, open_fresh
+from .config import ExperimentConfig, content_hash
 from .graphs import extract_graph
 from .lattice import check_cube_invariants, descend
 from .pipeline import run_pipeline
@@ -61,7 +61,7 @@ def _write_report(out_dir: str, name: str, payload: dict) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
-    with open_fresh(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, default=str)
     return path
 
@@ -83,7 +83,7 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
                 for t, m in zip(thetas.tolist(), projection_measures(union, thetas).tolist())]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open_fresh(out / "projection_measures.json") as fh:
+        with open(out / "projection_measures.json", "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1)
     status = EXIT_OK
     if args.mc:
@@ -130,7 +130,7 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
                "rows": rows, "strictly_decreasing": decreasing}
     path = _write_report(args.out, "cantor_decay_report", payload)
     csv_path = Path(args.out) / "cantor_decay.csv"
-    with open_fresh(csv_path, newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
@@ -288,7 +288,7 @@ def cmd_extract_graph(args, cfg: ExperimentConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cert.to_json(out / "certificate.json")
-    with open_fresh(out / "retained_atoms.csv", newline="") as fh:
+    with open(out / "retained_atoms.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["atom_index"])
         for i in cert.retained_idx:

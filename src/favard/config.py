@@ -16,8 +16,7 @@ directly. Keys (a config file may set any subset; unknown keys are an error):
 
 Every command embeds the full configuration and a content hash of its inputs
 in the emitted JSON, so results are reproducible byte-for-byte given the same
-config and worker count. Every file the package writes is opened by
-`open_fresh`.
+config and worker count.
 """
 
 from __future__ import annotations
@@ -74,22 +73,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-
-def open_fresh(path, newline=None):
-    """Open `path` for writing (UTF-8) as a new file, replacing any file there.
-
-    The old file is unlinked rather than truncated: on ext4 with the default
-    ``auto_da_alloc``, truncating a recently written file blocks for 50-110 ms
-    whatever its size, while unlinking it does not (a rename over it stalls
-    the same way). A symlink or hard link at `path` therefore keeps the old
-    bytes, and a crash mid-write leaves a short or missing file.
-    """
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 def content_hash(path) -> str:

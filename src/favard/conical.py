@@ -10,16 +10,17 @@ direction sets, independent of grouping.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, open_fresh
+from .config import ExperimentConfig
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
-from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals,
+from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, _as_intervals,
                     _direction_mask, direction_vector, row_dot, triadic_cover, wrap)
 
 
@@ -124,11 +125,18 @@ def conical_energy(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     diff = mu.points - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
     scale = scale_index(dist, rho, low, high)
-    masses = [Fraction(0) for _ in range(high - low + 1)]
+    ks: list[int] = []
+    ws: list[float] = []
     for interval in intervals:
         sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
-        for w, k in zip(mu.weights[sel].tolist(), scale[sel].tolist()):
-            masses[k - low] += Fraction(w) / Fraction(rho) ** k
+        ks += scale[sel].tolist()
+        ws += mu.weights[sel].tolist()
+    # the sums are exact, so the n atoms of one scale and one weight, over all
+    # arcs, add n * w at once
+    masses = [Fraction(0) for _ in range(high - low + 1)]
+    r = Fraction(rho)
+    for (k, w), n in Counter(zip(ks, ws)).items():
+        masses[k - low] += Fraction(w) * n / r**k
     return EnergyProfile(rho, low, high, masses)
 
 
@@ -175,6 +183,17 @@ class BadScaleSet:
         return k in self.scales
 
 
+def _annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
+                    rho: float, low: int, high: int) -> np.ndarray:
+    """scale[a, j]: the k in [low, high] with pts[j] in X(apexes[a], direction,
+    rho^{k+1}, rho^k), or -1."""
+    apex = np.asarray(apexes, dtype=float).reshape(-1, 1, 2)
+    diff = pts - apex
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    return np.where(_direction_mask(apex, direction, pts, dist),
+                    scale_index(dist, rho, low, high), -1)
+
+
 def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
                low: int = 0, high: int = 30,
                restrict: Optional[np.ndarray] = None) -> BadScaleSet:
@@ -185,11 +204,27 @@ def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
         raise ValueError("need low <= high")
     mu = _atoms_of(model)
     pts = mu.points if restrict is None else mu.points[restrict]
-    apex = np.asarray(x, dtype=float)
-    diff = pts - apex
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist[_direction_mask(apex, direction, pts, dist)], rho, low, high)
+    scale = _annulus_scales(pts, x, direction, rho, low, high)[0]
     return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
+
+
+def bad_scale_counts(model, xs: np.ndarray, direction: DirectionInterval, rho: float = 0.5,
+                     low: int = 0, high: int = 30) -> np.ndarray:
+    """len(bad_scales(model, x, direction, rho, low, high)) for each row x of
+    `xs`, from one (apexes x atoms) scale block per PAIR_TILE pairs."""
+    if low > high:
+        raise ValueError("need low <= high")
+    pts = _atoms_of(model).points
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    step = max(1, PAIR_TILE // max(1, len(pts)))
+    counts = np.zeros(len(xs), dtype=np.int64)
+    for lo in range(0, len(xs), step):
+        scale = np.sort(_annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high),
+                        axis=1)
+        new = scale >= 0           # the first of each distinct scale
+        new[:, 1:] &= scale[:, 1:] != scale[:, :-1]
+        counts[lo:lo + step] = new.sum(axis=1)
+    return counts
 
 
 @dataclass
@@ -251,7 +286,7 @@ def write_energy_csv(path, entries) -> None:
     """Energy profiles as CSV rows x1,x2,k,m_k for (point, profile) entries."""
     import csv
 
-    with open_fresh(path, newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "k", "m_k"])
         for point, profile in entries:
@@ -292,7 +327,7 @@ class SelectionResult:
                 for i, fam in sorted(self.family.families.items())
             },
         }
-        with open_fresh(path) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
 
 

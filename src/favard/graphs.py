@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .config import open_fresh
-from .conical import bad_scales, scale_index
+from .conical import bad_scale_counts, scale_index
 from .sets import pairwise_extremes
 from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp, row_dot
 
@@ -39,7 +38,7 @@ class GraphCertificate:
     cone_half_width: float
 
     def to_json(self, path) -> None:
-        with open_fresh(path) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump({"theta0": self.theta0, "lip": self.lip,
                        "cone_half_width": self.cone_half_width,
                        "points": self.points,
@@ -123,11 +122,8 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     idx = np.array(sorted(idx), dtype=np.int64)
     high = _scale_range(pts_all[idx], rho)
 
-    offenders = []
-    for i in idx:
-        bs = bad_scales(pts_all[idx], pts_all[i], interval, rho, 0, high)
-        if len(bs) > m_cap:
-            offenders.append((int(i), len(bs)))
+    counts = bad_scale_counts(pts_all[idx], pts_all[idx], interval, rho, 0, high)
+    offenders = [(int(i), int(c)) for i, c in zip(idx, counts) if c > m_cap]
     if offenders:
         raise ValueError(
             f"precondition fails: {len(offenders)} points exceed {m_cap} bad scales: "
@@ -168,10 +164,8 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
         alive[drop] = False
     keep = idx[alive]
 
-    for i in keep:
-        bs = bad_scales(pts_all[keep], pts_all[i], half, rho, 0, high)
-        if len(bs) > m_cap - 1:
-            raise AssertionError("reduction postcondition failed")
+    if np.any(bad_scale_counts(pts_all[keep], pts_all[keep], half, rho, 0, high) > m_cap - 1):
+        raise AssertionError("reduction postcondition failed")
     return keep
 
 

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import open_fresh
-from .torus import TOL, DirectionInterval, TriadicInterval, d_metric_many, to_metric_coords
+from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, d_metric_many,
+                    to_metric_coords)
 
 
 def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
@@ -84,8 +84,8 @@ class BaseLattice:
         return self.levels[m]
 
     def center_atom(self, m: int, key: tuple[int, int]) -> int:
-        return cell_center_atom(self.points, self.levels[m][key], key,
-                                self.rho**m, self._coords)
+        idx = self.levels[m][key]
+        return int(idx[cell_order(idx, self._coords, self.rho**m)[0][0]])
 
     def verify(self) -> dict:
         """Partition of the cloud at every level, and exact nesting."""
@@ -106,29 +106,22 @@ class BaseLattice:
         return {"partition": partition, "nesting": nesting}
 
 
-def cell_center_atoms(keys: Sequence[tuple[int, int]], parts: Sequence[np.ndarray],
-                      side: float, coords: np.ndarray) -> np.ndarray:
-    """Per cell, the index of the member atom nearest the cell's geometric center.
+def cell_order(idx: np.ndarray, coords: np.ndarray,
+               side: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms `idx` sorted by half-open grid cell of side `side`, cells in
+    key order, and within a cell by squared distance from the cell's
+    geometric center, then by mapped coordinates, then by index.
 
-    Cell t has grid key keys[t] and member indices parts[t] (nonempty); ties
-    break lexicographically by mapped coordinates, then by index. One lexsort
-    over all members keyed (cell, d2, x, y, index) serves every cell.
+    Returns (order, first): positions into `idx`, and a mask of the sorted
+    atoms that open a cell, which are the cells' center atoms.
     """
-    sizes = [len(idx) for idx in parts]
-    idx = np.concatenate(parts)
-    cell = np.repeat(np.arange(len(parts)), sizes)
-    mid = (np.asarray(keys, dtype=float)[cell] + 0.5) * side
     sub = coords[idx]
+    keys = np.floor(sub / side).astype(np.int64)
+    mid = (keys + 0.5) * side
     d2 = (sub[:, 0] - mid[:, 0]) ** 2 + (sub[:, 1] - mid[:, 1]) ** 2
-    order = np.lexsort((idx, sub[:, 1], sub[:, 0], d2, cell))
-    return idx[order[np.cumsum(sizes) - sizes]]
-
-
-def cell_center_atom(points: np.ndarray, idx: np.ndarray, key: tuple[int, int],
-                     side: float, coords: np.ndarray) -> int:
-    """Index of the member atom nearest the cell's geometric center (one cell
-    of `cell_center_atoms`)."""
-    return int(cell_center_atoms([key], [idx], side, coords)[0])
+    order = np.lexsort((idx, sub[:, 1], sub[:, 0], d2, keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    return order, np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
 
 
 @dataclass
@@ -179,9 +172,10 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     side = rho**m
     pts = np.asarray(points, dtype=float)
 
-    cells = base_cells(pts[member_idx], None, m, rho)
-    parts = [member_idx[rel] for rel in cells.values()]
-    centers = cell_center_atoms(list(cells), parts, side, pts)
+    order, first = cell_order(member_idx, pts, side)
+    atoms = member_idx[order]
+    cell = np.cumsum(first) - 1
+    centers = atoms[first]
     c = pts[centers]
 
     # greedy maximal net over cell centers, swept in lexicographic order of the
@@ -206,8 +200,7 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     if np.any(owner < 0):
         raise AssertionError("net maximality violated: no pretty-close net point")
 
-    atoms = np.concatenate(parts)
-    atom_owner = np.repeat(owner, [len(idx) for idx in parts])
+    atom_owner = owner[cell]
     groups = np.split(atoms[np.lexsort((atoms, atom_owner))],
                       np.cumsum(np.bincount(atom_owner, minlength=len(net)))[:-1])
     return [AnisoCube(group, net[i], gen, interval, m, rho)
@@ -235,36 +228,43 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
     all_atoms = np.sort(np.concatenate([c.atom_idx for c in cubes])) if cubes else np.array([])
     partition = bool(len(all_atoms) == len(carrier) and np.all(all_atoms == carrier))
 
+    # per interval: one d_J call for every (cube, own atom) pair, and per block
+    # of cubes one for every (cube, carrier atom) and (cube, cube center) pair
     sandwich_outer = True
     sandwich_inner = True
-    max_rel_dist = 0.0
-    for c in cubes:
-        interval = c.interval
-        scale = c.rho**gen
-        d = d_metric_many(interval, pts[c.center_idx], pts[c.atom_idx])
-        if len(d):
-            max_rel_dist = max(max_rel_dist, float(d.max()) / scale)
-        if np.any(d > 4.0 * scale + TOL):
-            sandwich_outer = False
-        dc = d_metric_many(interval, pts[c.center_idx], pts[carrier])
-        inner = carrier[dc < 0.5 * scale]
-        if not np.all(np.isin(inner, c.atom_idx)):
-            sandwich_inner = False
-
-    # separation: one d_J row per cube against the later cubes of its interval
     separation = True
+    max_rel_dist = 0.0
     min_sep = math.inf
     by_interval: dict[DirectionInterval, list[AnisoCube]] = {}
     for c in cubes:
         by_interval.setdefault(c.interval, []).append(c)
-    for group in by_interval.values():
+    for interval, group in by_interval.items():
+        scale = np.array([c.rho**gen for c in group])
         centers = pts[[c.center_idx for c in group]]
-        for i, c in enumerate(group[:-1]):
-            scale = c.rho**gen
-            d = d_metric_many(c.interval, centers[i], centers[i + 1:])
-            min_sep = min(min_sep, float((d / scale).min()))
-            if np.any(d <= 3.0 * scale):
-                separation = False
+        owner = np.repeat(np.arange(len(group)), [len(c) for c in group])
+        atoms = np.concatenate([c.atom_idx for c in group])
+        d = d_metric_many(interval, centers[owner], pts[atoms])
+        if len(d):
+            max_rel_dist = max(max_rel_dist, float((d / scale[owner]).max()))
+        if np.any(d > 4.0 * scale[owner] + TOL):
+            sandwich_outer = False
+        step = max(1, PAIR_TILE // (len(pts) + len(group)))
+        for lo in range(0, len(group), step):
+            rows = np.arange(lo, min(lo + step, len(group)))
+            s = scale[rows, None]
+            dc = d_metric_many(interval, centers[rows, None], pts[carrier])
+            member = np.zeros((len(rows), len(pts)), dtype=bool)
+            own = (owner >= lo) & (owner < lo + step)
+            member[owner[own] - lo, atoms[own]] = True
+            if not np.all(member[:, carrier][dc < 0.5 * s]):
+                sandwich_inner = False
+            # separation from each cube to the later cubes of its interval
+            later = np.arange(len(group)) > rows[:, None]
+            if later.any():
+                ds = d_metric_many(interval, centers[rows, None], centers)
+                min_sep = min(min_sep, float((ds / s)[later].min()))
+                if np.any((ds <= 3.0 * s)[later]):
+                    separation = False
 
     return {
         "partition": partition,
@@ -292,7 +292,7 @@ def cubes_to_json(path, cubes: Sequence[AnisoCube], points: np.ndarray) -> None:
         rows.append({"center": [float(center[0]), float(center[1])],
                      "level": c.level, "interval": interval,
                      "atom_ids": [int(i) for i in c.atom_idx]})
-    with open_fresh(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
 
 

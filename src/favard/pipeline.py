@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import bad_scales, select_good_directions
+from .conical import bad_scale_counts, select_good_directions
 from .graphs import _scale_range, extract_graph, verify_lipschitz
 from .projection import projection_measures
 from .sets import DiscreteMeasure, Segment, SegmentUnion, ahlfors_constant
@@ -113,11 +113,8 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     f_idx = np.nonzero(prop.finished_mask)[0]
     half_j0 = root_iv.dilate(0.5)
     high = _scale_range(rot_atoms.points[f_idx], cfg.rho)
-    m0 = 0
-    for i in f_idx:
-        bs = bad_scales(rot_atoms.points[f_idx], rot_atoms.points[i], half_j0,
-                        cfg.rho, 0, high)
-        m0 = max(m0, len(bs))
+    finished = rot_atoms.points[f_idx]
+    m0 = int(bad_scale_counts(finished, finished, half_j0, cfg.rho, 0, high).max(initial=0))
     report["bad_scale_bound"] = {"m0": m0, "scale_high": high}
 
     cert = extract_graph(rot_atoms.points[f_idx], half_j0, m0, cfg.rho)

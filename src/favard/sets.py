@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import open_fresh
 from .torus import TOL, line_angle
 
 DEFAULT_ATOMS_PER_SEGMENT = 64
@@ -173,7 +172,7 @@ class SegmentUnion:
         return cls(segs)
 
     def to_csv(self, path) -> None:
-        with open_fresh(path) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for s in self.segments:
                 fh.write(f"{s.a[0]!r},{s.a[1]!r},{s.b[0]!r},{s.b[1]!r}\n")
 
@@ -263,7 +262,7 @@ class DyadicSquareSet:
         return SegmentUnion(segs)
 
     def to_json(self, path) -> None:
-        with open_fresh(path) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump({"level": self.level, "cells": sorted(self.cells)}, fh)
 
     @classmethod

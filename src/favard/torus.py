@@ -24,6 +24,7 @@ from typing import Union
 import numpy as np
 
 TOL = 1e-12
+PAIR_TILE = 1 << 14     # pairwise values per block where a pair matrix is built
 
 def wrap(theta: float) -> float:
     """Representative of theta in [0, 1)."""
@@ -249,7 +250,7 @@ def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarr
     if a <= 0.25:
         lhs = np.abs(row_dot(diff, direction_vector(perp(center))))
         return lhs <= math.sin(2.0 * math.pi * a) * dist + TOL
-    ang = np.arctan2(diff[:, 1], diff[:, 0]) / (2.0 * math.pi)
+    ang = np.arctan2(diff[..., 1], diff[..., 0]) / (2.0 * math.pi)
     gap = np.abs(np.mod(ang - center + 0.25, 0.5) - 0.25)
     ok = gap <= a + TOL
     ok |= dist <= TOL  # the apex lies on every line through it

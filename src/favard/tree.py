@@ -23,8 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, open_fresh
-from .conical import _auto_energy_high, annulus_mask, bad_scales, conical_energy
+from .config import ExperimentConfig
+from .conical import _auto_energy_high, annulus_mask, bad_scale_counts, conical_energy
 from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
@@ -422,7 +422,7 @@ class DirectionTree:
                 "tag": node.tag, "parent": node.parent, "root": node.root_id,
                 "bad": node.is_bad,
             })
-        with open_fresh(path) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1)
 
 
@@ -708,11 +708,11 @@ def verify_tree(tree: DirectionTree) -> dict:
     t8 = True
     worst = 0.0
     for nid, node in tree.nodes.items():
-        narrowed = node.interval.dilate(0.8)
-        for i in node.cube.atom_idx:
-            bs = bad_scales(stages.atoms, pts[i], narrowed, rho, 0, node.generation)
-            worst = max(worst, len(bs) / stages.scale_budget)
-            if len(bs) > C_BAD * stages.scale_budget + TOL:
+        counts = bad_scale_counts(stages.atoms, pts[node.cube.atom_idx],
+                                  node.interval.dilate(0.8), rho, 0, node.generation)
+        for count in counts.tolist():
+            worst = max(worst, count / stages.scale_budget)
+            if count > C_BAD * stages.scale_budget + TOL:
                 t8 = False
     report["bad_scale_budget"] = t8
     report["bad_scale_max_ratio"] = worst

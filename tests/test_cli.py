@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -195,7 +194,7 @@ class TestChecks:
 
 
 class TestRerun:
-    """A rerun into the same --out replaces every output file."""
+    """A rerun into the same --out writes the same bytes as a fresh run."""
 
     @staticmethod
     def _run_both(out, line_csv):
@@ -204,7 +203,7 @@ class TestRerun:
                      "--center", "0.25", "--half-width", "0.04", "--m0", "0"]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    def test_rerun_is_byte_identical_and_replaces_files(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path):
         line_csv = tmp_path / "line.csv"
         SegmentUnion([Segment((x, 0.0), (x + 0.05, 0.0))
                       for x in np.linspace(0, 0.9, 10)]).to_csv(line_csv)
@@ -213,13 +212,7 @@ class TestRerun:
                 "extract_graph_report.json"} <= set(fresh)
         out = tmp_path / "out"
         first = self._run_both(out, line_csv)
-        report = out / "tree_check_report.json"
-        link = tmp_path / "link.json"
-        os.link(report, link)
         assert self._run_both(out, line_csv) == first == fresh
-        # truncating in place would rewrite the linked file too
-        assert not os.path.samefile(link, report)
-        assert link.read_bytes() == first["tree_check_report.json"]
 
 
 class TestPipelineCLI:

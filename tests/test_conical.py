@@ -1,18 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from favard import projection
-from favard.conical import (_auto_energy_high, bad_scales, cone_mass,
+from favard import conical, projection
+from favard.conical import (_auto_energy_high, bad_scale_counts, bad_scales, cone_mass,
                             cone_mass_exact, conical_energy,
                             energy_integral_quadrature, scale_index,
                             select_bounded_projection_set,
                             select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
-from favard.torus import (TOL, AngleInterval, TriadicInterval, perp, project, triadic_cover,
-                          wrap)
+from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
+                          _direction_mask, perp, project, triadic_cover, wrap)
 
 
 def measure_at(points, weights=None):
@@ -64,7 +65,42 @@ class TestConeMass:
             assert total == parts  # exact rational equality
 
 
+def reference_energy_masses(mu, x, directions, rho, low, high):
+    """conical_energy's per-scale masses summed atom by atom in canonical arc
+    order: the oracle of its grouped sums."""
+    apex = np.asarray(x, dtype=float)
+    diff = mu.points - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    scale = scale_index(dist, rho, low, high)
+    masses = [Fraction(0) for _ in range(high - low + 1)]
+    for interval in sorted(_as_intervals(directions),
+                           key=lambda iv: (wrap(iv.center - iv.half_width), iv.half_width)):
+        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
+        for w, k in zip(mu.weights[sel].tolist(), scale[sel].tolist()):
+            masses[k - low] += Fraction(w) / Fraction(rho) ** k
+    return masses
+
+
 class TestConicalEnergy:
+    @pytest.mark.parametrize("rho", [0.5, 1.0 / 3.0])
+    def test_matches_the_per_atom_sum(self, rho):
+        # repeated weights (summed as n * w) and distinct ones, one arc and a
+        # union of arcs
+        rng = np.random.default_rng(6)
+        pts = rng.normal(scale=0.5, size=(300, 2))
+        filled = []
+        for w in (np.full(300, 1 / 96), rng.choice([1 / 3, 0.1, 2.5], 300),
+                  rng.uniform(0.1, 1.0, 300)):
+            mu = measure_at(pts, w)
+            for x in pts[:6]:
+                for dirs in (AngleInterval(rng.random(), 0.1),
+                             (AngleInterval(0.1, 0.03), TriadicInterval(2, 5),
+                              AngleInterval(0.7, 0.3))):
+                    prof = conical_energy(mu, x, dirs, rho, 1, 9)
+                    assert prof.masses == reference_energy_masses(mu, x, dirs, rho, 1, 9)
+                    filled.append(sum(m != 0 for m in prof.masses))
+        assert sum(filled) >= len(filled)
+
     def test_empty_annuli(self):
         mu = measure_at([[5.0, 5.0]])
         prof = conical_energy(mu, (0, 0), AngleInterval(0.25, 0.1), 0.5, 0, 6)
@@ -157,7 +193,42 @@ class TestScaleIndex:
         assert (got == -1).any() and (got == low).any() and (got == high).any()
 
 
+def reference_bad_scales(pts, x, direction, rho, low, high):
+    """The bad scales of one apex from its own distance row: the oracle of the
+    (apexes x atoms) blocks behind bad_scales and bad_scale_counts."""
+    apex = np.asarray(x, dtype=float)
+    diff = pts - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    scale = scale_index(dist[_direction_mask(apex, direction, pts, dist)], rho, low, high)
+    return frozenset(np.unique(scale[scale >= 0]).tolist())
+
+
 class TestBadScales:
+    @pytest.mark.parametrize("tile", [conical.PAIR_TILE, 1, 700],
+                             ids=["one_block", "rows", "blocks"])
+    def test_blocks_match_the_per_apex_rows(self, tile, monkeypatch):
+        # narrow arcs (sine test), an arc past 1/4 (angle test) and the full
+        # circle; coincident atoms and apexes on atoms
+        monkeypatch.setattr(conical, "PAIR_TILE", tile)
+        rng = np.random.default_rng(8)
+        pts = np.vstack([rng.normal(scale=0.4, size=(150, 2)), np.zeros((2, 2))])
+        xs = np.vstack([pts[::3], rng.normal(scale=0.4, size=(20, 2))])
+        mask = rng.random(len(pts)) < 0.5
+        seen = set()
+        for j in (AngleInterval(0.1, 0.02), TriadicInterval(2, 4), AngleInterval(0.6, 0.3),
+                  AngleInterval(0.0, 0.5)):
+            for rho, low, high in ((0.5, 0, 12), (1 / 3, 2, 7)):
+                want = [reference_bad_scales(pts, x, j, rho, low, high) for x in xs]
+                assert [bad_scales(pts, x, j, rho, low, high).scales for x in xs] == want
+                assert bad_scale_counts(pts, xs, j, rho, low, high).tolist() == \
+                    [len(w) for w in want]
+                assert [bad_scales(pts, x, j, rho, low, high, restrict=mask).scales
+                        for x in xs[:10]] == \
+                    [reference_bad_scales(pts[mask], x, j, rho, low, high) for x in xs[:10]]
+                seen.update(len(w) for w in want)
+        assert len(seen) >= 5
+        assert bad_scale_counts(pts, np.empty((0, 2)), j).tolist() == []
+
     def test_axis_perpendicular_empty(self):
         mu = measure_at([[x, 0.0] for x in np.linspace(0.1, 1, 10)])
         j = AngleInterval(0.25, 0.1)

@@ -160,36 +160,3 @@ def test_every_keyword_is_passed():
                        for n_pos, kws, starred in calls.get(func.name, [])):
                 never.append(f"{label}({param})")
     assert never == []
-
-
-def _writes(tree: ast.AST):
-    """(function, name) of each call that can write a file: `open` with a
-    mode that is not a read-only literal, `write_text` and `write_bytes`."""
-    owner: dict[ast.AST, str] = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                owner[node] = func.name     # inner definitions are walked later
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        if name in ("write_text", "write_bytes"):
-            yield owner.get(node), name
-        elif name == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and set(mode.value) <= set("rbt")):
-                yield owner.get(node), name
-
-
-def test_one_file_writer():
-    """The package opens a file for writing in one place, `open_fresh`,
-    which replaces an existing file instead of truncating it in place."""
-    writes = [(path.name, *write)
-              for path in sorted((ROOT / "src" / "favard").glob("*.py"))
-              for write in _writes(ast.parse(path.read_text(encoding="utf-8")))]
-    assert writes == [("config.py", "open_fresh", "open")]

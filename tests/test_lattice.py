@@ -6,9 +6,10 @@ import pytest
 from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
-from favard.lattice import (AnisoCube, base_cells, cell_center_atom, check_cube_invariants,
+from favard import lattice
+from favard.lattice import (AnisoCube, base_cells, cell_order, check_cube_invariants,
                             children, descend, shatter, side_exponent, whitney)
-from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric
+from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric, d_metric_many
 from favard.tree import build_tree
 
 
@@ -57,12 +58,26 @@ def reference_descend(points, member_idx, j_parent, k, interval, l, rho=0.5):
 
 
 def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
-    """check_cube_invariants with one scalar d_J per pair of cube centers.
+    """check_cube_invariants cube by cube: the sandwich from one d_J row per
+    cube and an `isin` of its inner atoms, the separation from one scalar d_J
+    per pair of cube centers.
 
-    The partition and sandwich entries come from the library call; the
-    separation entries are recomputed pair by pair.
+    The partition entry comes from the library call.
     """
     report = check_cube_invariants(points, carrier_idx, cubes, gen)
+    carrier = np.sort(np.asarray(carrier_idx, dtype=np.int64))
+    outer = inner = True
+    max_rel = 0.0
+    for c in cubes:
+        scale = c.rho**gen
+        d = d_metric_many(c.interval, points[c.center_idx], points[c.atom_idx])
+        if len(d):
+            max_rel = max(max_rel, float(d.max()) / scale)
+        if np.any(d > 4.0 * scale + TOL):
+            outer = False
+        dc = d_metric_many(c.interval, points[c.center_idx], points[carrier])
+        if not np.all(np.isin(carrier[dc < 0.5 * scale], c.atom_idx)):
+            inner = False
     separation = True
     min_sep = math.inf
     for i in range(len(cubes)):
@@ -74,7 +89,8 @@ def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
             min_sep = min(min_sep, d / cubes[i].rho**gen)
             if d <= 3.0 * cubes[i].rho**gen:
                 separation = False
-    return {**report, "net_separation": separation,
+    return {**report, "sandwich_outer": outer, "sandwich_inner": inner,
+            "max_center_dist_over_scale": max_rel, "net_separation": separation,
             "min_net_separation_over_scale": None if math.isinf(min_sep) else min_sep}
 
 
@@ -268,14 +284,57 @@ class TestNetSweepOracle:
         assert not report["net_separation"]
         assert report["min_net_separation_over_scale"] == 3.0
 
+    @staticmethod
+    def _corrupted(pts, cubes):
+        """Cube lists that break the sandwich, the partition or the separation:
+        an atom moved to another cube, a cube centered on its farthest atom, a
+        cube listed twice, two cubes merged, the first cube's rho halved and the
+        last one's doubled."""
+        a, b = cubes[0], cubes[-1]
+        moved = [AnisoCube(a.atom_idx[1:], a.center_idx, a.level, a.interval, a.base_m, a.rho),
+                 *cubes[1:-1],
+                 AnisoCube(np.r_[b.atom_idx, a.atom_idx[:1]], b.center_idx, b.level,
+                           b.interval, b.base_m, b.rho)]
+        far = int(a.atom_idx[np.argmax(d_metric_many(a.interval, pts[a.center_idx],
+                                                     pts[a.atom_idx]))])
+        recentered = [AnisoCube(a.atom_idx, far, a.level, a.interval, a.base_m, a.rho),
+                      *cubes[1:]]
+        merged = [AnisoCube(np.r_[a.atom_idx, b.atom_idx], a.center_idx, a.level,
+                            a.interval, a.base_m, a.rho), *cubes[1:-1]]
+        rescaled = [AnisoCube(a.atom_idx, a.center_idx, a.level, a.interval, a.base_m,
+                              a.rho / 2), *cubes[1:-1],
+                    AnisoCube(b.atom_idx, b.center_idx, b.level, b.interval, b.base_m,
+                              b.rho * 2)]
+        return moved, recentered, [*cubes, a], merged, rescaled
+
+    @pytest.mark.parametrize("tile", [lattice.PAIR_TILE, 1], ids=["one_block", "row_blocks"])
+    def test_corrupted_cubes(self, tile, monkeypatch):
+        monkeypatch.setattr(lattice, "PAIR_TILE", tile)
+        broken = {"partition": 0, "sandwich_outer": 0, "sandwich_inner": 0,
+                  "net_separation": 0}
+        for pts, iv, k, l in lattice_check_instances(40):
+            carrier = np.arange(len(pts))
+            cubes = descend(pts, carrier, iv, k, iv, l)
+            if len(cubes) < 3 or len(cubes[0]) < 2:
+                continue
+            for bad in self._corrupted(pts, cubes):
+                report = check_cube_invariants(pts, carrier, bad, k + l)
+                assert report == reference_check_cube_invariants(pts, carrier, bad, k + l)
+                for key in broken:
+                    broken[key] += not report[key]
+        assert all(broken.values()), broken
+
     def test_center_atom_ties(self):
         # equidistant from the cell center (0.5, 0.5): ties break by x, then y,
-        # then index (atoms 0 and 3 coincide)
-        pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.25, 0.5], [0.5, 0.75]])
-        for idx, want in (([4, 1, 3, 2, 0], 0), ([4, 2, 1], 2), ([1, 4], 4)):
+        # then index (atoms 0 and 3 coincide); atoms 5-8 pin the nearest atom
+        # to the center of cell (0, 0) and of cell (1, 0)
+        pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.25, 0.5], [0.5, 0.75],
+                        [0.1, 0.1], [0.6, 0.55], [1.2, 0.3], [1.45, 0.55]])
+        for idx, key, want in (([4, 1, 3, 2, 0], (0, 0), 0), ([4, 2, 1], (0, 0), 2),
+                               ([1, 4], (0, 0), 4), ([5, 6], (0, 0), 6), ([8, 7], (1, 0), 8)):
             idx = np.array(idx)
-            assert cell_center_atom(pts, idx, (0, 0), 1.0, pts) == \
-                reference_cell_center_atom(idx, (0, 0), 1.0, pts) == want
+            assert idx[cell_order(idx, pts, 1.0)[0][0]] == \
+                reference_cell_center_atom(idx, key, 1.0, pts) == want
 
     @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
     @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
