@@ -23,7 +23,7 @@ from .config import ExperimentConfig, content_hash
 from .graphs import extract_graph
 from .lattice import check_cube_invariants, descend
 from .pipeline import run_pipeline
-from .projection import favard, favard_mc, projection_measures
+from .projection import favard, favard_mc, midpoint_measures
 from .sets import (DyadicSquareSet, Segment, SegmentUnion, four_corners,
                    pairwise_extremes, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
@@ -70,7 +70,8 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
     union = _as_segments(model)
     n = args.n_angles or cfg.n_angles
-    exact = favard(union, n, cfg.workers)
+    values = midpoint_measures(union, n, cfg.workers)
+    exact = math.fsum(values.tolist()) / n      # favard(union, n, workers)
     payload = {
         "command": "compute", "input": args.input,
         "input_hash": content_hash(args.input),
@@ -79,8 +80,7 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
     }
     if args.per_angle:
         thetas = (np.arange(n) + 0.5) / n
-        rows = [{"theta": t, "measure": m}
-                for t, m in zip(thetas.tolist(), projection_measures(union, thetas).tolist())]
+        rows = [{"theta": t, "measure": m} for t, m in zip(thetas.tolist(), values.tolist())]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "projection_measures.json", "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ directly. Keys (a config file may set any subset; unknown keys are an error):
 - ``c_j``: the root-interval length budget c_j / (A M).
 - ``c_m``: the projection bound M = c_m / kappa.
 - ``seed``: seed of every random draw.
-- ``workers``: worker processes of the quadrature; FAVARD_WORKERS overrides it.
+- ``workers``: threads of the Favard quadrature; FAVARD_WORKERS overrides it.
 
 Every command embeds the full configuration and a content hash of its inputs
 in the emitted JSON, so results are reproducible byte-for-byte given the same

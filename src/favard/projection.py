@@ -130,22 +130,24 @@ def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
     return _sweep(_segment_coords(union), np.asarray(thetas, dtype=float).reshape(-1))
 
 
-def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int = 1) -> float:
-    """Favard length by midpoint-rule quadrature over theta in [0, 1).
+def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
+                      workers: int = 1) -> np.ndarray:
+    """Measure of pi_theta(E) at each angle of the midpoint grid (i + 1/2)/n.
 
-    Fav(E) = integral over the torus of the projection measure; the midpoint
-    grid (i + 1/2)/n avoids the kink angles of the integrand. The angles are
-    split into `workers` contiguous shards swept on threads; every per-angle
-    value is independent of the shard it lands in, and all of them are summed
-    by one exactly rounded fsum, so the result does not depend on the worker
-    count.
+    Projecting onto -e mirrors the projection onto e, so the measure has
+    period 1/2 in theta. For even n, theta -> theta + 1/2 maps the grid onto
+    itself: only its first n/2 angles are swept and the values are tiled, so
+    entries i and i + n/2 are equal. Odd n sweeps the full grid. The swept
+    angles are split into `workers` contiguous shards run on threads; every
+    value is independent of the shard it lands in.
     """
     if n_angles < 2:
         raise ValueError("n_angles must be >= 2")
-    thetas = (np.arange(n_angles) + 0.5) / n_angles
+    m = n_angles // 2 if n_angles % 2 == 0 else n_angles
+    thetas = (np.arange(m) + 0.5) / n_angles
     coords = _segment_coords(union)
     shards = max(1, int(workers))
-    bounds = np.linspace(0, n_angles, shards + 1, dtype=int)
+    bounds = np.linspace(0, m, shards + 1, dtype=int)
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if shards == 1 or len(spans) == 1:
         parts = [_sweep(coords, thetas[a:b]) for a, b in spans]
@@ -153,7 +155,22 @@ def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int =
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(lambda ab: _sweep(coords, thetas[ab[0]:ab[1]]), spans))
-    return math.fsum(v for vals in parts for v in vals.tolist()) / n_angles
+    return np.tile(np.concatenate(parts), n_angles // m)
+
+
+def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int = 1) -> float:
+    """Favard length by midpoint-rule quadrature over theta in [0, 1).
+
+    Fav(E) = integral over the torus of the projection measure; the midpoint
+    grid (i + 1/2)/n avoids the kink angles of the integrand. The values are
+    those of midpoint_measures (the rows of `compute --per-angle`): since
+    |pi_{theta + 1/2} E| = |pi_theta E|, an even n sweeps only the first half
+    of the grid and rows i and i + n/2 are equal, while an odd n sweeps the
+    full grid. All of them are summed by one exactly rounded fsum, so the
+    result does not depend on the worker count, and for even n it is exactly
+    the mean of the swept half.
+    """
+    return math.fsum(midpoint_measures(union, n_angles, workers).tolist()) / n_angles
 
 
 def favard_mc(union: SegmentUnion, needle_count: int,

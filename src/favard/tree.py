@@ -395,6 +395,8 @@ class DirectionTree:
     generations: list[list[int]]
     roots: list[int]
     stopped: list[StoppedPiece]
+    # good_at_scale_all(stages, k) for k = 1..k_max, as build_tree grew the tree
+    good_by_scale: dict[int, dict[int, list[TriadicInterval]]]
 
     def node_mass(self, node_id: int) -> float:
         return self.nodes[node_id].cube.mass(self.stages.atoms.weights)
@@ -498,8 +500,9 @@ def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) ->
 
     depth_cap = params.triadic_depth + 2
 
+    good_by_scale: dict[int, dict[int, list[TriadicInterval]]] = {}
     for k in range(params.k_max):
-        good_k = good_at_scale_all(stages, k + 1)
+        good_k = good_by_scale[k + 1] = good_at_scale_all(stages, k + 1)
         next_gen: list[int] = []
 
         def classify_shattered(piece: AnisoCube, j_piece: TriadicInterval,
@@ -541,7 +544,7 @@ def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) ->
                             classify_shattered(sub, j_child, nid, 1)
         generations.append(next_gen)
 
-    return DirectionTree(stages, params, nodes, generations, roots, stopped)
+    return DirectionTree(stages, params, nodes, generations, roots, stopped, good_by_scale)
 
 
 def packing_sums(tree: DirectionTree) -> dict:
@@ -631,10 +634,11 @@ def verify_tree(tree: DirectionTree) -> dict:
             t1 = False
     report["sandwich_balls"] = t1
 
-    # goodness integral for every node of generation >= 1
+    # goodness integral for every node of generation >= 1, on the good
+    # intervals build_tree computed for its scale
     t2 = True
     for k in range(1, len(tree.generations)):
-        good_k = good_at_scale_all(stages, k)
+        good_k = tree.good_by_scale[k]
         for nid in tree.generations[k]:
             node = tree.nodes[nid]
             lhs, rhs = _goodness_integral(stages, good_k, node.cube.atom_idx, node.interval)

@@ -8,6 +8,7 @@ import pytest
 
 from favard.cli import main
 from favard.config import ExperimentConfig
+from favard.projection import favard
 from favard.sets import Segment, SegmentUnion, four_corners, split_parallel
 
 
@@ -88,6 +89,21 @@ class TestCompute:
         rows = json.loads((tmp_path / "projection_measures.json").read_text())
         assert [r["theta"] for r in rows] == ((np.arange(1000) + 0.5) / 1000).tolist()
         assert math.fsum(r["measure"] for r in rows) / 1000 == favard_value
+
+    @pytest.mark.parametrize("n", [1000, 999])
+    def test_report_is_favard(self, cantor_json, tmp_path, n):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        code = main(["--config", str(cfg), "--out", str(tmp_path), "compute", cantor_json,
+                     "--n-angles", str(n), "--per-angle"])
+        assert code == 0
+        report = json.loads((tmp_path / "compute_report.json").read_text())
+        assert report["favard"] == favard(four_corners(2).skeleton(), n, 2)
+        measures = [r["measure"] for r in
+                    json.loads((tmp_path / "projection_measures.json").read_text())]
+        assert len(measures) == n
+        if n % 2 == 0:
+            assert measures[:n // 2] == measures[n // 2:]
 
     def test_mc_cross_check(self, cantor_json, tmp_path):
         code = main(["--out", str(tmp_path), "compute", cantor_json,

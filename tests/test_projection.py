@@ -6,7 +6,7 @@ import pytest
 
 from favard.projection import (IntervalUnion1D, PiecewiseConstDensity, Projector, favard,
                                favard_mc, maximal_value, maximal_values_batch,
-                               project_segments, projection_measures,
+                               midpoint_measures, project_segments, projection_measures,
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 from favard.torus import direction_vector, perp, project
@@ -233,9 +233,30 @@ class TestSweep:
                 assert np.array_equal(full[a:b], projection_measures(u, thetas[a:b]))
 
     def test_favard_is_the_mean_of_the_sweep(self):
+        # the even grid is swept on its first half only: |pi_{theta+1/2}E| = |pi_theta E|
         u = four_corners(3).skeleton()
         thetas = (np.arange(512) + 0.5) / 512
-        assert favard(u, 512, workers=3) == math.fsum(projection_measures(u, thetas)) / 512
+        values = midpoint_measures(u, 512, workers=3)
+        assert favard(u, 512, workers=3) == math.fsum(values.tolist()) / 512
+        assert np.array_equal(values[:256], projection_measures(u, thetas[:256]))
+        full = projection_measures(u, thetas)
+        assert np.all(np.abs(full[256:] - full[:256]) <= 1e-13 * u.diameter())
+
+    def test_midpoint_measures_sweep_half_of_an_even_grid(self):
+        for u in sweep_inputs():
+            for n in (64, 63):
+                thetas = (np.arange(n) + 0.5) / n
+                values = midpoint_measures(u, n)
+                for workers in (2, 3):
+                    assert np.array_equal(midpoint_measures(u, n, workers), values)
+                if n % 2:
+                    assert np.array_equal(values, projection_measures(u, thetas))
+                    continue
+                half = n // 2
+                assert np.array_equal(values[:half], projection_measures(u, thetas[:half]))
+                assert np.array_equal(values[half:], values[:half])
+                tol = 1e-13 * u.diameter()
+                assert np.all(np.abs(projection_measures(u, thetas[half:]) - values[:half]) <= tol)
 
     def test_empty_union(self):
         assert projection_measures(SegmentUnion([]), np.array([0.1, 0.2])).tolist() == [0.0, 0.0]
@@ -269,6 +290,103 @@ class TestSweepMetamorphic:
             turned = projection_measures(mapped(u, lambda x, y: (-y, x)), self.THETAS)
             expected = np.roll(projection_measures(u, self.THETAS), len(self.THETAS) // 4)
             assert np.all(np.abs(turned - expected) <= 1e-12 * u.diameter())
+
+
+def exact_favard(union):
+    """Closed-form Favard length of a segment union, with its arc data.
+
+    Between consecutive critical angles (theta perpendicular to p - q for two
+    endpoints p, q) the order of the projected endpoints is fixed. So is the
+    grouping of the projected segments into clusters, and |pi_theta E| = V . e
+    where V sums (highest endpoint - lowest endpoint) over the clusters. An
+    arc of width w centred at theta_c then contributes V . e(theta_c) *
+    sin(pi w) / pi. Returns the integral, max |V| over the arcs and the sum of
+    |V' - V| over consecutive arcs, the jumps at the integrand's kinks.
+    """
+    ends = np.unique(union.endpoints(), axis=0)
+    i, j = np.triu_indices(len(ends), 1)
+    d = ends[i] - ends[j]
+    phi = np.arctan2(d[:, 1], d[:, 0]) / (2 * math.pi)
+    crit = np.unique(np.mod(np.concatenate([phi + 0.25, phi + 0.75]), 1.0))
+    edges = np.append(crit, crit[0] + 1.0)
+    segs = union.endpoints().reshape(-1, 2, 2)
+    terms, vs = [], []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        mid = (t0 + t1) / 2
+        e = np.array([math.cos(2 * math.pi * mid), math.sin(2 * math.pi * mid)])
+        proj = segs @ e
+        hi_end = np.argmax(proj, axis=1)
+        lo_pts = segs[np.arange(len(segs)), 1 - hi_end]
+        hi_pts = segs[np.arange(len(segs)), hi_end]
+        v = np.zeros(2)
+        start = reach = None
+        for k in np.argsort(proj.min(axis=1), kind="stable"):
+            if reach is None or lo_pts[k] @ e > reach @ e:
+                if reach is not None:
+                    v += reach - start
+                start, reach = lo_pts[k], hi_pts[k]
+            elif hi_pts[k] @ e > reach @ e:
+                reach = hi_pts[k]
+        v += reach - start
+        vs.append(v)
+        terms.append(float(v @ e) * math.sin(math.pi * (t1 - t0)) / math.pi)
+    vs = np.array(vs)
+    jumps = np.hypot(*(np.roll(vs, -1, axis=0) - vs).T)
+    return math.fsum(terms), float(np.hypot(*vs.T).max()), math.fsum(jumps.tolist())
+
+
+def polygon(n):
+    ang = 2 * math.pi * np.arange(n + 1) / n
+    pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    return SegmentUnion([Segment(tuple(pts[i]), tuple(pts[i + 1])) for i in range(n)])
+
+
+class TestExactFavard:
+    def test_closed_forms(self):
+        segment = SegmentUnion([Segment((0, 0), (1, 0))])
+        square = DyadicSquareSet(0, [(0, 0)]).skeleton()
+        # a convex curve's Favard length is its perimeter over pi
+        for u, value in ((segment, 2 / math.pi), (square, 4 / math.pi),
+                         (polygon(64), 128 * math.sin(math.pi / 64) / math.pi)):
+            assert abs(exact_favard(u)[0] - value) <= 1e-15 * u.total_length
+
+    def test_midpoint_rule_error_within_its_bound(self):
+        # midpoint error per cell: h^3/24 max|f''| with f'' = -4 pi^2 V.e on an
+        # arc, plus |f' jump| h^2/8 = 2 pi |dV| h^2/8 per kink; the per-angle
+        # rounding of the sweep is pinned at 1e-13 diam
+        unions = [SegmentUnion([Segment((0, 0), (1, 0))]),
+                  DyadicSquareSet(0, [(0, 0)]).skeleton(),
+                  four_corners(1).skeleton(), four_corners(2).skeleton()]
+        for u in unions:
+            exact, v_max, jumps = exact_favard(u)
+            for n in (512, 511, 64, 63):
+                h = 1.0 / n
+                bound = h * h * (4 * math.pi**2 * v_max / 24 + 2 * math.pi / 8 * jumps)
+                assert abs(favard(u, n) - exact) <= bound + 1e-13 * u.diameter()
+
+
+class TestFavardMetamorphic:
+    N = 512
+
+    def test_translation_moves_favard_by_rounding_only(self):
+        rng = np.random.default_rng(15)
+        for u in sweep_inputs():
+            dx, dy = rng.uniform(-10, 10, 2)
+            moved = favard(mapped(u, lambda x, y: (x + dx, y + dy)), self.N)
+            assert abs(moved - favard(u, self.N)) <= 1e-13 * (u.diameter() + math.hypot(dx, dy))
+
+    def test_scaling_by_two_doubles_favard(self):
+        for u in sweep_inputs():
+            assert favard(mapped(u, lambda x, y: (2 * x, 2 * y)), self.N) == 2 * favard(u, self.N)
+
+    def test_rotation_by_grid_steps(self):
+        # the rotated union at theta_i is the union at theta_{i-j}; for j = n/4 + 1
+        # part of the rotated half grid lands in the other half of the torus
+        for j in (1, self.N // 4 + 1):
+            c, s = math.cos(2 * math.pi * j / self.N), math.sin(2 * math.pi * j / self.N)
+            for u in sweep_inputs():
+                turned = favard(mapped(u, lambda x, y: (c * x - s * y, s * x + c * y)), self.N)
+                assert abs(turned - favard(u, self.N)) <= 1e-12
 
 
 class TestMemory:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,22 @@ class TestGoodAtScale:
                 assert batch[i] == good_at_scale(stages, i, k), (k, i)
             emptied |= any(not ivs for ivs in batch.values())
         assert emptied == thinned
+
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_verify_tree_reads_the_good_tables_of_build_tree(self, make, thinned):
+        params = ExperimentConfig()
+        stages = stages_for(*make(), params=params)
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        tree = build_tree(stages, params)
+        fresh = {k: good_at_scale_all(stages, k) for k in range(1, params.k_max + 1)}
+        assert tree.good_by_scale == fresh
+        assert verify_tree(tree) == verify_tree(dataclasses.replace(tree, good_by_scale=fresh))
 
     def test_empty_controlled_gives_empty_families(self):
         atoms = line_atoms(16)
