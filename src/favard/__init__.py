@@ -8,8 +8,8 @@ plane. Directions live on the torus T = R/Z. The main entry points:
 - ``favard.sets``       segment unions, dyadic square sets, Cantor generators
 - ``favard.projection`` exact projections, Favard quadrature, maximal functions
 - ``favard.conical``    conical energies, bad scales, good-direction selection
-- ``favard.lattice``    generalized anisotropic lattices, Whitney decompositions
-- ``favard.tree``       the good-direction tree, packing sums, gap intervals
+- ``favard.lattice``    generalized anisotropic lattices and their invariants
+- ``favard.tree``       the good-direction tree, packing sums, propagation
 - ``favard.graphs``     bad-scale reduction and Lipschitz graph certificates
 - ``favard.pipeline``   the end-to-end pipeline: big projections to a graph
 - ``favard.cli``        the ``favard`` command line driver

@@ -27,7 +27,7 @@ from .projection import favard, favard_mc, midpoint_measures
 from .sets import (DyadicSquareSet, Segment, SegmentUnion, four_corners,
                    pairwise_extremes, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
-from .tree import build_tree, collect_bad_cubes, packing_sums, verify_tree
+from .tree import bad_chain_check, build_tree, collect_bad_cubes, packing_sums, verify_tree
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -259,15 +259,18 @@ def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
     for name, make in fixtures.items():
         stages = make()
         tree = build_tree(stages, cfg)
-        collect_bad_cubes(tree)
+        bad = collect_bad_cubes(tree)
         rep = verify_tree(tree)
         rep["packing"] = {k: v for k, v in packing_sums(tree).items()
                           if k != "bad_per_root_mass"}
         rep["nodes"] = len(tree.nodes)
+        rep["bad_chain"] = chain = bad_chain_check(tree, bad)
         results[name] = rep
         tree.to_json(out_dir / f"tree_{name}.json")
-        print(f"{name}: all_pass = {rep['all_pass']} ({rep['nodes']} nodes)")
-        if not rep["all_pass"]:
+        print(f"{name}: all_pass = {rep['all_pass']} ({rep['nodes']} nodes), "
+              f"bad-chain constant = {chain['max_constant']:.6g} "
+              f"({chain['zero_rhs_violations']} violations)")
+        if not rep["all_pass"] or chain["zero_rhs_violations"] > 0:
             status = EXIT_INVARIANT
     payload = {"command": "tree-check", "config": cfg.to_dict(), "results": results}
     path = _write_report(args.out, "tree_check_report", payload)

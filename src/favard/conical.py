@@ -64,28 +64,6 @@ def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
     return radial & _direction_mask(apex, interval, mu.points, dist)
 
 
-def cone_mass_exact(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> Fraction:
-    """mu(X(x, G, r, R)) as an exact rational.
-
-    G is a single arc or a disjoint union of arcs; the mass is computed per
-    arc (in canonical arc order) and summed in rational arithmetic, so it is
-    exactly additive over disjoint direction sets.
-    """
-    if r < 0.0 or big_r <= r:
-        raise ValueError("need 0 <= r < R")
-    total = Fraction(0)
-    for interval in sorted(_as_intervals(directions), key=_interval_key):
-        mask = annulus_mask(mu, x, interval, r, big_r)
-        for w in mu.weights[mask].tolist():
-            total += Fraction(w)
-    return total
-
-
-def cone_mass(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> float:
-    """Float view of cone_mass_exact."""
-    return float(cone_mass_exact(mu, x, directions, r, big_r))
-
-
 @dataclass
 class EnergyProfile:
     """Per-scale normalized annulus masses m_k = mu(X(x, G, rho^{k+1}, rho^k)) / rho^k."""
@@ -140,49 +118,6 @@ def conical_energy(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     return EnergyProfile(rho, low, high, masses)
 
 
-def energy_integral_quadrature(mu: DiscreteMeasure, x, directions, rho: float,
-                               r_min: float, r_max: float, n: int = 400) -> float:
-    """Independent quadrature oracle for int_{r_min}^{r_max} mu(X(x,G,rho r,r))/r dr/r.
-
-    Midpoint rule in log r with plain float annulus masses; used to check the
-    two-sided comparison with the dyadic sums, never as the primary energy.
-    """
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    apex = np.asarray(x, dtype=float)
-    diff = mu.points - apex
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    dmask = np.zeros(len(dist), dtype=bool)
-    for interval in _as_intervals(directions):
-        dmask |= _direction_mask(apex, interval, mu.points, dist)
-    d_in = dist[dmask]
-    w_in = mu.weights[dmask]
-    logs = np.linspace(math.log(r_min), math.log(r_max), n + 1)
-    mids = (logs[:-1] + logs[1:]) / 2.0
-    h = logs[1] - logs[0]
-    vals = []
-    for lr in mids:
-        r = math.exp(lr)
-        mass = float(w_in[(d_in > rho * r) & (d_in <= r)].sum())
-        vals.append(mass / r)
-    return math.fsum(vals) * h
-
-
-@dataclass(frozen=True)
-class BadScaleSet:
-    """Scales k in [low, high] whose annulus cone meets the (restricted) set."""
-
-    scales: frozenset[int]
-    low: int
-    high: int
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.scales
-
-
 def _annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
                     rho: float, low: int, high: int) -> np.ndarray:
     """scale[a, j]: the k in [low, high] with pts[j] in X(apexes[a], direction,
@@ -194,24 +129,11 @@ def _annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInt
                     scale_index(dist, rho, low, high), -1)
 
 
-def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
-               low: int = 0, high: int = 30,
-               restrict: Optional[np.ndarray] = None) -> BadScaleSet:
-    """Bad scales of x for the direction interval: k with X(x, J, rho^{k+1}, rho^k)
-    meeting the atom model (or the subset selected by the boolean `restrict`).
-    """
-    if low > high:
-        raise ValueError("need low <= high")
-    mu = _atoms_of(model)
-    pts = mu.points if restrict is None else mu.points[restrict]
-    scale = _annulus_scales(pts, x, direction, rho, low, high)[0]
-    return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
-
-
 def bad_scale_counts(model, xs: np.ndarray, direction: DirectionInterval, rho: float = 0.5,
                      low: int = 0, high: int = 30) -> np.ndarray:
-    """len(bad_scales(model, x, direction, rho, low, high)) for each row x of
-    `xs`, from one (apexes x atoms) scale block per PAIR_TILE pairs."""
+    """Number of bad scales of each row x of `xs`: the k in [low, high] with
+    X(x, direction, rho^{k+1}, rho^k) meeting the atom model, from one
+    (apexes x atoms) scale block per PAIR_TILE pairs."""
     if low > high:
         raise ValueError("need low <= high")
     pts = _atoms_of(model).points
@@ -225,43 +147,6 @@ def bad_scale_counts(model, xs: np.ndarray, direction: DirectionInterval, rho: f
         new[:, 1:] &= scale[:, 1:] != scale[:, :-1]
         counts[lo:lo + step] = new.sum(axis=1)
     return counts
-
-
-@dataclass
-class BoundedProjectionReport:
-    theta: float
-    m_bound: float
-    projection_measure: float
-    total_mass: float
-    selected_mass: float
-    weak_type_hypothesis: bool      # M >= C_WEAK * H(E) / H(pi_theta(E))
-    half_measure_conclusion: bool   # selected mass >= projection measure / 2
-
-
-C_WEAK = 6.0    # weak-(1,1) threshold constant of the bounded-projection step
-
-
-def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: float,
-                                  ) -> tuple[DiscreteMeasure, np.ndarray, BoundedProjectionReport]:
-    """Atoms x of E with mu_theta(x) <= M, plus the weak-(1,1) bookkeeping.
-
-    Raises when the projection has zero measure. When the weak-type threshold
-    M >= C_WEAK * H(E)/H(pi_theta(E)) holds, the report records whether the
-    selected mass reaches half the projection measure.
-    """
-    if m_bound <= 0.0:
-        raise ValueError("M must be positive")
-    measure = float(projection_measures(union, [theta])[0])
-    if measure <= 0.0:
-        raise ValueError(f"projection at theta={theta} has zero measure")
-    mu = _atoms_of(union)
-    keep = Projector(union).mu_theta(theta, mu.points) <= m_bound + TOL
-    total = mu.total_mass
-    selected = math.fsum(mu.weights[keep].tolist())
-    hyp = m_bound >= C_WEAK * total / measure
-    rep = BoundedProjectionReport(theta, m_bound, measure, total, selected,
-                                  hyp, selected >= measure / 2.0 - TOL)
-    return mu.restrict(keep), keep, rep
 
 
 @dataclass
@@ -280,20 +165,6 @@ class GoodDirectionFamily:
 
     def union_length(self, i: int) -> float:
         return math.fsum(iv.length for iv in self.intervals(i))
-
-
-def write_energy_csv(path, entries) -> None:
-    """Energy profiles as CSV rows x1,x2,k,m_k for (point, profile) entries."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "k", "m_k"])
-        for point, profile in entries:
-            for k, m in zip(range(profile.low, profile.high + 1),
-                            profile.masses_float()):
-                writer.writerow([repr(float(point[0])), repr(float(point[1])),
-                                 k, repr(m)])
 
 
 @dataclass
@@ -439,4 +310,3 @@ def _auto_energy_high(mu: DiscreteMeasure, rho: float) -> int:
         return 40
     k = max(1, math.ceil(math.log(gap) / math.log(rho)))
     return min(k + 1, 60)
-

@@ -7,7 +7,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from .torus import TriadicInterval
-from .tree import Family, GoodStages, TriadicUnits, build_good_stages
+from .tree import Family, GoodStages, build_good_stages
 
 # [6/27, 7/27): a transverse (near-vertical) triadic direction interval
 TRANSVERSE_ROOT = TriadicInterval(3, 6)
@@ -70,23 +70,3 @@ def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
 def stages_for(atoms, eprime, families, root_iv,
                params: ExperimentConfig | None = None) -> GoodStages:
     return build_good_stages(atoms, eprime, families, root_iv, FIXTURE_A, FIXTURE_M, params)
-
-
-def synthetic_stages_constant_core(atoms: DiscreteMeasure,
-                                   root_iv: TriadicInterval) -> GoodStages:
-    """Stages whose core family is the whole root interval for every atom:
-    the no-shattering reference instance, at the default config."""
-    defaults = ExperimentConfig     # class attributes: the field defaults
-    n = len(atoms)
-    all_mask = np.ones(n, dtype=bool)
-    return GoodStages(
-        atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M,
-        eps=defaults.c_eps / (FIXTURE_A * FIXTURE_M), rho=defaults.rho,
-        units=TriadicUnits(root_iv.level + defaults.triadic_depth + 3),
-        eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
-        energy_threshold=1.0, controlled=all_mask,
-        cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
-        core={i: [root_iv] for i in range(n)},
-        full_cover=all_mask.copy(), partial_cover=np.zeros(n, dtype=bool),
-        scale_budget=FIXTURE_A * FIXTURE_M, checks={"synthetic": True},
-    )

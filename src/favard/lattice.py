@@ -1,8 +1,7 @@
-"""Generalized anisotropic dyadic lattices and Whitney decompositions.
+"""Generalized anisotropic dyadic lattices.
 
-The base lattice is one fixed half-open square grid (origin 0) on the plane,
-optionally in the mapped coordinates of a reference interval; its levels nest
-exactly. Descendants of a carrier adapted to a direction interval J are built
+The base lattice is one fixed half-open square grid (origin 0) on the plane;
+its levels nest exactly. Descendants of a carrier adapted to a direction interval J are built
 by grouping base cells around a greedily chosen 3 rho^{k+l}-separated net of
 cell centers in the metric d_J: cells within d_J-distance rho^{k+l} of a net
 point are "very close" (the unique such point takes them), remaining cells go
@@ -18,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, d_metric_many,
-                    to_metric_coords)
+from .torus import PAIR_TILE, TOL, DirectionInterval, d_metric_many
 
 
 def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
@@ -41,69 +39,6 @@ def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
     if not (h_j * rho ** (k + l + 2) < 5 * rho**m <= h_j * rho ** (k + l + 1)):
         raise AssertionError("side rule violated; rho/H(J) out of supported range")
     return m
-
-
-def base_cells(points: np.ndarray, interval: Optional[DirectionInterval], m: int,
-               rho: float = 0.5) -> dict[tuple[int, int], np.ndarray]:
-    """Partition point indices into half-open grid cells of side rho^m.
-
-    With a reference interval the grid lives in the mapped coordinates of the
-    d_I isometry (so cells are d_I-cubes); with interval=None it is the plain
-    Euclidean grid. The grid origin is 0, so levels nest exactly for rho=1/2.
-    """
-    pts = np.asarray(points, dtype=float)
-    coords = to_metric_coords(interval, pts) if interval is not None else pts
-    side = rho**m
-    keys = np.floor(coords / side).astype(np.int64)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for idx, (i, j) in enumerate(map(tuple, keys)):
-        cells.setdefault((int(i), int(j)), []).append(idx)
-    return {k: np.array(v, dtype=np.int64) for k, v in sorted(cells.items())}
-
-
-class BaseLattice:
-    """Nested levels of half-open grid cells over a fixed atom cloud.
-
-    Cells live in the mapped coordinates of the reference interval (or the
-    plain plane when the interval is None); every level partitions the cloud
-    and levels nest. Each nonempty cell designates the member atom nearest its
-    geometric center.
-    """
-
-    def __init__(self, points: np.ndarray, interval: Optional[DirectionInterval],
-                 levels: Sequence[int], rho: float = 0.5):
-        self.points = np.asarray(points, dtype=float)
-        self.interval = interval
-        self.rho = rho
-        self.levels = {int(m): base_cells(self.points, interval, int(m), rho)
-                       for m in levels}
-        self._coords = to_metric_coords(interval, self.points) \
-            if interval is not None else self.points
-
-    def cells(self, m: int) -> dict[tuple[int, int], np.ndarray]:
-        return self.levels[m]
-
-    def center_atom(self, m: int, key: tuple[int, int]) -> int:
-        idx = self.levels[m][key]
-        return int(idx[cell_order(idx, self._coords, self.rho**m)[0][0]])
-
-    def verify(self) -> dict:
-        """Partition of the cloud at every level, and exact nesting."""
-        n = len(self.points)
-        partition = all(
-            sorted(int(i) for idx in cells.values() for i in idx) == list(range(n))
-            for cells in self.levels.values())
-        nesting = True
-        ms = sorted(self.levels)
-        for coarse, fine in zip(ms, ms[1:]):
-            owner = {}
-            for key, idx in self.levels[coarse].items():
-                for i in idx:
-                    owner[int(i)] = key
-            for key, idx in self.levels[fine].items():
-                if len({owner[int(i)] for i in idx}) != 1:
-                    nesting = False
-        return {"partition": partition, "nesting": nesting}
 
 
 def cell_order(idx: np.ndarray, coords: np.ndarray,
@@ -207,16 +142,6 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
             for i, group in enumerate(groups) if len(group)]
 
 
-def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:
-    """Re-partition a cube at its own generation, adapted to a narrower interval."""
-    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, cube.rho)
-
-
-def children(points: np.ndarray, cube: AnisoCube) -> list[AnisoCube]:
-    """Descend one generation with the same direction interval."""
-    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, cube.rho)
-
-
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
                           cubes: Sequence[AnisoCube], gen: int) -> dict:
     """Exact lattice invariants: partition, sandwich (0.5 / 4 radii), separation.
@@ -275,149 +200,3 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
         "min_net_separation_over_scale": None if math.isinf(min_sep) else min_sep,
         "cube_count": len(cubes),
     }
-
-
-def cubes_to_json(path, cubes: Sequence[AnisoCube], points: np.ndarray) -> None:
-    """Lattice dump: a JSON list of cubes {center, level, interval, atom_ids}."""
-    import json
-
-    rows = []
-    for c in cubes:
-        center = points[c.center_idx]
-        iv = c.interval
-        if isinstance(iv, TriadicInterval):
-            interval = {"kind": "triadic", "level": iv.level, "index": iv.index}
-        else:
-            interval = {"kind": "arc", "center": iv.center, "half_width": iv.half_width}
-        rows.append({"center": [float(center[0]), float(center[1])],
-                     "level": c.level, "interval": interval,
-                     "atom_ids": [int(i) for i in c.atom_idx]})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-
-
-# ---------------------------------------------------------------------------
-# Whitney decompositions of open subsets of R
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DyadicInterval1D:
-    """[index 2^exp, (index+1) 2^exp) on R; exp may be negative."""
-
-    exp: int
-    index: int
-
-    @property
-    def low(self) -> float:
-        return self.index * 2.0**self.exp
-
-    @property
-    def high(self) -> float:
-        return (self.index + 1) * 2.0**self.exp
-
-    @property
-    def length(self) -> float:
-        return 2.0**self.exp
-
-    def parent(self) -> "DyadicInterval1D":
-        return DyadicInterval1D(self.exp + 1, self.index // 2)
-
-    def children(self) -> tuple["DyadicInterval1D", "DyadicInterval1D"]:
-        return (DyadicInterval1D(self.exp - 1, 2 * self.index),
-                DyadicInterval1D(self.exp - 1, 2 * self.index + 1))
-
-    def triple(self) -> tuple[float, float]:
-        """The concentric triple 3I as (low, high)."""
-        L = self.length
-        return (self.low - L, self.high + L)
-
-
-@dataclass
-class WhitneyDecomposition:
-    """Maximal dyadic intervals I with 3I inside the open set U.
-
-    A finite list cannot partition an open set exactly: Whitney intervals
-    accumulate at the boundary (and grow without bound inside rays), so the
-    list is truncated at `min_exp`/`max_exp`; `complete` records whether every
-    boundary gap at the truncation scale is empty. The recorded intervals
-    satisfy 3I subset U and 3(parent of I) not subset U exactly.
-    """
-
-    components: tuple[tuple[float, float], ...]
-    intervals: list[DyadicInterval1D]
-    min_exp: int
-    max_exp: int
-    complete: bool
-
-    def covered_measure(self) -> float:
-        return math.fsum(iv.length for iv in self.intervals)
-
-    def total_measure(self) -> float:
-        return math.fsum(b - a for a, b in self.components if math.isfinite(b - a))
-
-    def locate(self, lo: float, hi: float) -> Optional[DyadicInterval1D]:
-        """A Whitney interval containing the midpoint of [lo, hi], if recorded."""
-        mid = (lo + hi) / 2.0
-        for iv in self.intervals:
-            if iv.low <= mid < iv.high:
-                return iv
-        return None
-
-
-def whitney(open_set: Sequence[tuple[float, float]], min_exp: int = -40,
-            max_exp: int = 40) -> WhitneyDecomposition:
-    """Whitney decomposition of a finite union of open intervals U != R.
-
-    Components may be unbounded rays (use +-inf); intervals of length outside
-    [2^min_exp, 2^max_exp] are not enumerated.
-    """
-    comps = []
-    for a, b in open_set:
-        if not (a < b):
-            raise ValueError(f"empty or inverted component ({a}, {b})")
-        comps.append((float(a), float(b)))
-    comps.sort()
-    for (a1, b1), (a2, b2) in zip(comps, comps[1:]):
-        if a2 < b1:
-            raise ValueError("components must be disjoint")
-    if comps and comps[0][0] == -math.inf and comps[-1][1] == math.inf and len(comps) == 1:
-        raise ValueError("U = R has no Whitney decomposition")
-
-    out: set[DyadicInterval1D] = set()
-    complete = True
-
-    def triple_fits(iv: DyadicInterval1D, a: float, b: float) -> bool:
-        t_lo, t_hi = iv.triple()
-        return a < t_lo and t_hi <= b
-
-    for a, b in comps:
-        if math.isfinite(a) and math.isfinite(b):
-            top = min(max_exp, math.ceil(math.log2(b - a)) + 1)
-        else:
-            top = max_exp
-            complete = False  # rays cannot be covered by finitely many intervals
-        lo_anchor = a if math.isfinite(a) else b - 2.0**top * 4
-        hi_anchor = b if math.isfinite(b) else a + 2.0**top * 4
-        i0 = math.floor(lo_anchor / 2.0**top) - 1
-        i1 = math.floor(hi_anchor / 2.0**top) + 1
-        stack = [DyadicInterval1D(top, i) for i in range(i0, i1 + 1)]
-        while stack:
-            iv = stack.pop()
-            if iv.high <= a or iv.low >= b:
-                continue
-            if triple_fits(iv, a, b):
-                # ascend to the maximal dyadic ancestor whose triple fits
-                guard = 0
-                while triple_fits(iv.parent(), a, b) and guard < 80:
-                    iv = iv.parent()
-                    guard += 1
-                out.add(iv)
-                continue
-            if iv.exp - 1 < min_exp:
-                complete = False
-                continue
-            stack.extend(iv.children())
-
-    ordered = sorted(out, key=lambda iv: (iv.low, iv.exp))
-    return WhitneyDecomposition(tuple(comps), ordered, min_exp, max_exp, complete)

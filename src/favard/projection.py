@@ -23,55 +23,6 @@ PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 DEFAULT_N_ANGLES = 2048
 
 
-@dataclass(frozen=True)
-class IntervalUnion1D:
-    """Sorted union of disjoint closed intervals on R.
-
-    Adjacent intervals ([a,b], [b,c]) are merged; degenerate intervals [a,a]
-    are kept (they carry no measure but witness point projections).
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalUnion1D":
-        pairs = [(float(l), float(r)) for l, r in pairs if r >= l]
-        pairs.sort()
-        merged: list[list[float]] = []
-        for l, r in pairs:
-            if merged and l <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], r)
-            else:
-                merged.append([l, r])
-        return cls(tuple((l, r) for l, r in merged))
-
-    @property
-    def measure(self) -> float:
-        return math.fsum(r - l for l, r in self.intervals)
-
-    def contains(self, t: float) -> bool:
-        lo = 0
-        hi = len(self.intervals)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.intervals[mid][1] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.intervals) and self.intervals[lo][0] <= t
-
-
-def project_segments(union: SegmentUnion, theta: float) -> IntervalUnion1D:
-    """Exact projection pi_theta(E) of a segment union, as an interval union."""
-    e = direction_vector(theta)
-    pairs = []
-    for s in union.segments:
-        pa = s.a[0] * e[0] + s.a[1] * e[1]
-        pb = s.b[0] * e[0] + s.b[1] * e[1]
-        pairs.append((min(pa, pb), max(pa, pb)))
-    return IntervalUnion1D.from_pairs(pairs)
-
-
 SWEEP_BLOCK = 4096     # projected intervals per angle block of the sweep
 MC_CHUNK = 100_000     # needles drawn from the generator at a time
 NEEDLE_BLOCK = 32_768  # needle-segment pairs per block of the Monte Carlo hit test
@@ -300,49 +251,19 @@ def pushforward_density(union: SegmentUnion, theta: float) -> PiecewiseConstDens
     return PiecewiseConstDensity(cuts, values, tuple(atoms))
 
 
-def maximal_value(density: PiecewiseConstDensity, t: float) -> float:
-    """Exact centered Hardy-Littlewood maximal value sup_r nu((t-r, t+r)) / 2r.
+def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.ndarray:
+    """Exact centered Hardy-Littlewood maximal value sup_r nu((t-r, t+r)) / 2r
+    at each point of `ts`.
 
     The window mass g(r) is piecewise linear in r with breakpoints where
     t +- r meets a density breakpoint or an atom, so g(r)/2r is monotone
     between consecutive breakpoints; the supremum is attained at a breakpoint
-    (from the left or the right) or in the r -> 0+ limit. Returns inf when an
-    atom sits exactly at t.
-    """
-    if density.total_mass <= 0.0:
-        raise ValueError("maximal function of the zero measure")
-    for p, m in density.atoms:
-        if p == t:
-            return math.inf
-
-    candidates = set()
-    for p in density.breakpoints.tolist():
-        r = abs(p - t)
-        if r > 0.0:
-            candidates.add(r)
-    for p, _ in density.atoms:
-        candidates.add(abs(p - t))
-
-    best = density.small_window_limit(t)
-    for r in sorted(candidates):
-        # atoms are resolved by |p - t| vs r, never via the float endpoints
-        # t +- r (which may overshoot an atom position by an ulp)
-        dense = density.dense_mass_centered(t, r)
-        inner = math.fsum(m for p, m in density.atoms if abs(p - t) < r)
-        boundary = math.fsum(m for p, m in density.atoms if abs(p - t) == r)
-        best = max(best, (dense + inner) / (2.0 * r))
-        if boundary > 0.0:
-            best = max(best, (dense + inner + boundary) / (2.0 * r))
-    return best
-
-
-def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.ndarray:
-    """maximal_value at many points, vectorized over the same candidate logic.
-
-    Agrees with maximal_value pointwise (same formulas): for every point and
-    candidate radius, the dense window mass is accumulated piece by piece
-    from the overlap of each density piece with the centered window, and
-    atoms are resolved by |p - t| against the radius.
+    (from the left or the right) or in the r -> 0+ limit, and is inf when an
+    atom sits exactly at t. For every point and candidate radius, the dense
+    window mass is accumulated piece by piece from the overlap of each density
+    piece with the centered window, and atoms are resolved by |p - t| against
+    the radius. The scalar reference `maximal_value` in tests/reference.py
+    evaluates the same formulas one point at a time.
     """
     ts = np.asarray(ts, dtype=float)
     if density.total_mass <= 0.0:
@@ -364,7 +285,7 @@ def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.n
             g_open += density.values[p] * np.clip(overlap, 0.0, None)
     g_right = g_open.copy()
     for p, m in density.atoms:
-        # atom membership via |p - t| vs r, matching maximal_value
+        # atom membership via |p - t| vs r, never via the float endpoints t +- r
         adist = np.abs(p - ts[:, None])
         g_open += m * (adist < radii)
         g_right += m * (adist <= radii)

@@ -368,19 +368,6 @@ def _cloud_of(model) -> tuple[np.ndarray, np.ndarray, float]:
     raise TypeError(f"unsupported model {type(model)!r}")
 
 
-def hausdorff_content(model, min_radius: float = 0.0) -> float:
-    """Greedy upper estimate of the Hausdorff content H_inf (sum of ball radii).
-
-    Covers a point-cloud surrogate of the set (cloud slack is added to the
-    covering radii) with balls of radius >= min_radius chosen greedily by
-    covered-mass per unit radius, from a geometric ladder of radii. The result
-    is the cost of an actual cover, hence >= the true content, and is capped
-    by the single enclosing ball, hence <= diam(set).
-    """
-    pts, wts, slack = _cloud_of(model)
-    return _cloud_content(pts, wts, slack, min_radius)
-
-
 def _cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
                    min_radius: float = 0.0) -> float:
     if len(pts) == 0:
@@ -469,30 +456,3 @@ def segment_distances(pts: np.ndarray, segments: Iterable[Segment]) -> np.ndarra
         d = np.hypot(pts[:, 0] - (ax + t * vx), pts[:, 1] - (ay + t * vy))
         np.minimum(best, d, out=best)
     return best
-
-
-def dyadic_neighborhood(model, delta: float) -> DyadicSquareSet:
-    """The delta-neighborhood realized on the dyadic grid.
-
-    Uses cells at level ceil(log2(1/delta)) whose centers lie within Chebyshev
-    distance delta + side/2 of the set's point cloud.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    level = max(0, math.ceil(math.log2(1.0 / delta)))
-    side = 2.0**-level
-    pts, _, slack = _cloud_of(model)
-    reach = delta + slack
-    cells = set()
-    n = 2**level
-    for x, y in pts:
-        i0 = int(math.floor((x - reach) / side))
-        i1 = int(math.floor((x + reach) / side))
-        root_iv = int(math.floor((y - reach) / side))
-        j1 = int(math.floor((y + reach) / side))
-        for i in range(max(0, i0), min(n - 1, i1) + 1):
-            for j in range(max(0, root_iv), min(n - 1, j1) + 1):
-                cx, cy = (i + 0.5) * side, (j + 0.5) * side
-                if max(abs(cx - x), abs(cy - y)) <= reach + side / 2.0:
-                    cells.add((i, j))
-    return DyadicSquareSet(level, cells)

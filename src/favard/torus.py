@@ -191,11 +191,6 @@ def triadic_cover(theta: float, level: int) -> TriadicInterval:
     return TriadicInterval(level, idx)
 
 
-def triadic_nav(j: TriadicInterval):
-    """Parent, the three children, and the concentric triple 3J of a triadic interval."""
-    return j.parent(), j.children(), j.dilate(3.0)
-
-
 DirectionInterval = Union[AngleInterval, TriadicInterval]
 
 
@@ -203,35 +198,6 @@ def _as_intervals(directions) -> tuple[DirectionInterval, ...]:
     if isinstance(directions, (AngleInterval, TriadicInterval)):
         return (directions,)
     return tuple(directions)
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """A (possibly truncated) two-sided cone X(x, I, r, R).
-
-    `directions` is a single arc or a finite union of arcs; `inner`/`outer`
-    are the truncation radii (outer may be inf). Membership of the apex
-    follows the union-of-lines definition: it belongs to the untruncated cone
-    and is excluded as soon as inner > 0.
-    """
-
-    apex: tuple[float, float]
-    directions: tuple[DirectionInterval, ...]
-    inner: float = 0.0
-    outer: float = math.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "directions", _as_intervals(self.directions))
-        if self.inner < 0.0 or self.outer <= self.inner:
-            raise ValueError("need 0 <= inner < outer")
-
-    def contains(self, y) -> bool:
-        pts = np.asarray(y, dtype=float).reshape(1, 2)
-        return bool(self.mask(pts)[0])
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        return cone_mask(np.asarray(self.apex, dtype=float), self.directions, pts,
-                         self.inner, self.outer)
 
 
 def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarray,
@@ -257,61 +223,6 @@ def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarr
     return ok
 
 
-def cone_mask(apex: np.ndarray, directions, pts: np.ndarray,
-              inner: float = 0.0, outer: float = math.inf) -> np.ndarray:
-    """Vectorized membership of `pts` in X(apex, directions, inner, outer).
-
-    Radial convention: |y - x| <= outer always; the inner truncation is the
-    half-open |y - x| > inner when inner > 0 (annuli (rho^{k+1}, rho^k] tile),
-    and no inner constraint when inner == 0 (the apex belongs to the cone).
-    """
-    pts = np.asarray(pts, dtype=float)
-    diff = pts - apex
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    radial = dist <= outer + TOL if math.isfinite(outer) else np.ones(len(pts), dtype=bool)
-    if inner > 0.0:
-        radial &= dist > inner
-    direction = np.zeros(len(pts), dtype=bool)
-    for interval in _as_intervals(directions):
-        direction |= _direction_mask(apex, interval, pts, dist)
-    return radial & direction
-
-
-def in_cone(spec: ConeSpec, y) -> bool:
-    """Membership test for a single-arc cone via the sine characterization.
-
-    Rejects arcs of half-width > 1/4, where the characterization breaks. The
-    closed radial convention inner <= |x-y| <= outer is used here (this is the
-    pointwise predicate; the measure-side operations use half-open inner
-    truncation so that annuli tile).
-    """
-    if len(spec.directions) != 1:
-        raise ValueError("in_cone expects a single direction interval")
-    interval = spec.directions[0]
-    a = interval.half_width
-    if a > 0.25 + TOL:
-        raise ValueError(f"half-width {a} > 1/4: sine characterization unavailable")
-    apex = np.asarray(spec.apex, dtype=float)
-    d = float(np.hypot(y[0] - apex[0], y[1] - apex[1]))
-    if d < spec.inner - TOL or d > spec.outer + TOL:
-        return False
-    e_perp = direction_vector(perp(interval.center))
-    lhs = abs((y[0] - apex[0]) * e_perp[0] + (y[1] - apex[1]) * e_perp[1])
-    return lhs <= math.sin(2.0 * math.pi * a) * d + TOL
-
-
-def d_metric(interval: DirectionInterval, x, y) -> float:
-    """The anisotropic metric d_I with perpendicular weight H(I)^-2.
-
-    d_I(x, y) = (H(I)^-2 |pi_I_perp(x) - pi_I_perp(y)|^2
-                 + |pi_I(x) - pi_I(y)|^2)^(1/2),
-    where pi_I projects along the midpoint direction of I. Balls are tubes of
-    dimensions H(I) r x r pointing along I. This is the one-row call of
-    d_metric_many.
-    """
-    return float(d_metric_many(interval, x, np.reshape(y, (1, 2)))[0])
-
-
 def _metric_coords(interval: DirectionInterval, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H(I)^-1 pi_I_perp, pi_I) of each row, by elementwise products."""
     e = direction_vector(interval.center)
@@ -319,19 +230,13 @@ def _metric_coords(interval: DirectionInterval, diff: np.ndarray) -> tuple[np.nd
 
 
 def d_metric_many(interval: DirectionInterval, x, pts: np.ndarray) -> np.ndarray:
-    """d_I(x, p) for every row p of `pts`.
+    """d_I(x, p) for every row p of `pts`, for the anisotropic metric
+    d_I(x, y) = (H(I)^-2 |pi_I_perp(x - y)|^2 + |pi_I(x - y)|^2)^(1/2),
+    where pi_I projects along the midpoint direction of I: balls are tubes of
+    dimensions H(I) r x r pointing along I.
 
     Each value depends only on its own row, and swapping x and p negates both
     coordinates, so d_I is exactly symmetric.
     """
     diff = np.asarray(pts, dtype=float) - np.asarray(x, dtype=float)
     return np.hypot(*_metric_coords(interval, diff))
-
-
-def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray:
-    """Coordinates in which d_I becomes the Euclidean distance.
-
-    Maps p to (H(I)^-1 pi_I_perp(p), pi_I(p)); the inverse is the
-    rotation-plus-scaling isometry (R^2, euclid) -> (R^2, d_I).
-    """
-    return np.column_stack(_metric_coords(interval, np.asarray(pts, dtype=float)))

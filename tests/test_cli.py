@@ -209,6 +209,29 @@ class TestChecks:
         self._assert_config_error(tmp_path, capsys, key, value)
 
 
+class TestTreeCheck:
+    def test_bad_chain_constants(self, tmp_path):
+        assert main(["--out", str(tmp_path), "tree-check"]) == 0
+        results = json.loads((tmp_path / "tree_check_report.json").read_text())["results"]
+        expected = {"single_line": 0.0, "two_direction": 0.0, "cantor_horizontal": 2.76328125}
+        assert list(results) == list(expected)
+        for name, constant in expected.items():
+            chain = results[name]["bad_chain"]
+            assert chain["zero_rhs_violations"] == 0
+            assert chain["max_constant"] == pytest.approx(constant, abs=1e-9)
+
+    def test_bad_chain_violation_exits_2(self, tmp_path, monkeypatch):
+        import favard.cli
+
+        monkeypatch.setattr(favard.cli, "bad_chain_check",
+                            lambda tree, bad: {"max_constant": 0.0, "zero_rhs_violations": 1})
+        assert main(["--out", str(tmp_path), "tree-check"]) == 2
+        results = json.loads((tmp_path / "tree_check_report.json").read_text())["results"]
+        # the tree properties hold: the exit code comes from the bad chain alone
+        assert all(rep["all_pass"] for rep in results.values())
+        assert all(rep["bad_chain"]["zero_rhs_violations"] == 1 for rep in results.values())
+
+
 class TestRerun:
     """A rerun into the same --out writes the same bytes as a fresh run."""
 

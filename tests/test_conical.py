@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from favard import conical, projection
-from favard.conical import (_auto_energy_high, bad_scale_counts, bad_scales, cone_mass,
-                            cone_mass_exact, conical_energy,
-                            energy_integral_quadrature, scale_index,
-                            select_bounded_projection_set,
+from favard.conical import (_auto_energy_high, bad_scale_counts, conical_energy, scale_index,
                             select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
                           _direction_mask, perp, project, triadic_cover, wrap)
+from tests.reference import (bad_scales, cone_mass, cone_mass_exact, energy_integral_quadrature,
+                             select_bounded_projection_set)
 
 
 def measure_at(points, weights=None):

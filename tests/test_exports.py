@@ -1,29 +1,14 @@
 import ast
-import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from favard.cli import main
 from favard.config import ExperimentConfig
-from favard.conical import conical_energy, select_good_directions, write_energy_csv
+from favard.conical import select_good_directions
 from favard.fixtures import single_line_instance, stages_for
-from favard.lattice import cubes_to_json, descend
-from favard.sets import DiscreteMeasure, Segment, SegmentUnion
-from favard.torus import AngleInterval, TriadicInterval
+from favard.sets import Segment, SegmentUnion
+from favard.torus import AngleInterval
 from favard.tree import build_tree
-
-
-def test_energy_csv(tmp_path):
-    mu = DiscreteMeasure(np.array([[0.3, 0.0], [0.1, 0.05]]), np.array([1.0, 0.5]))
-    prof = conical_energy(mu, (0, 0), AngleInterval(0.0, 0.1), 0.5, 0, 4)
-    path = tmp_path / "energy.csv"
-    write_energy_csv(path, [((0.0, 0.0), prof)])
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 5
-    assert {r["k"] for r in rows} == {"0", "1", "2", "3", "4"}
 
 
 def test_selection_json(tmp_path):
@@ -36,18 +21,6 @@ def test_selection_json(tmp_path):
     assert data["kappa"] == 0.5
     first = next(iter(data["atoms"].values()))
     assert first["intervals"][0]["level"] == 4
-
-
-def test_lattice_dump(tmp_path):
-    pts = np.random.default_rng(0).random((40, 2))
-    j = TriadicInterval(1, 0)
-    cubes = descend(pts, np.arange(40), j, 0, j, 0)
-    path = tmp_path / "cubes.json"
-    cubes_to_json(path, cubes, pts)
-    data = json.loads(path.read_text())
-    assert len(data) == len(cubes)
-    assert sum(len(c["atom_ids"]) for c in data) == 40
-    assert data[0]["interval"]["kind"] == "triadic"
 
 
 def test_tree_dump(tmp_path):
@@ -118,6 +91,50 @@ def test_every_public_symbol_is_used():
     assert ("sets.py: DiscreteMeasure.restrict", "restrict") in defined
     unused = sorted(label for label, name in defined if name not in used)
     assert unused == []
+
+
+def _top_level_definitions():
+    """(label, name, node) of each module-level function, class and assigned
+    name of the package."""
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                yield f"{path.name}: {name}", name, node
+
+
+# definitions no command needs to reach: package metadata
+UNREACHED_BY_DESIGN = ["__init__.py: __version__"]
+
+
+def test_every_definition_is_reached_from_the_cli():
+    """Every module-level definition of the package is reached from
+    `cli.main` through the names the reached definitions use. The closure is
+    conservative: a name reaches every definition that carries it, in any
+    module, and attribute names count, so `x.f` reaches every module-level
+    `f`. Code only the tests need lives in tests/reference.py."""
+    by_name: dict[str, list] = {}
+    for label, name, node in _top_level_definitions():
+        by_name.setdefault(name, []).append((label, node))
+    assert [label for label, _ in by_name["main"]] == ["cli.py: main"]
+    reached: set[str] = set()
+    todo = ["main"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in by_name.get(name, ()):
+                todo.extend(_references(node) - reached)
+    unreached = sorted(label for name, defs in by_name.items() if name not in reached
+                       for label, _ in defs)
+    assert unreached == UNREACHED_BY_DESIGN
 
 
 def _defaulted_parameters(func: ast.FunctionDef, is_method: bool):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from favard.conical import bad_scales
 from favard.graphs import (GraphCertificate, _scale_range, extract_graph, reduce_bad_scales,
                            verify_lipschitz)
 from favard.torus import AngleInterval, TriadicInterval, _direction_mask
+from tests.reference import bad_scales
 
 
 def abs_graph_points(n=25, span=0.3):

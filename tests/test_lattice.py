@@ -7,10 +7,10 @@ from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
 from favard import lattice
-from favard.lattice import (AnisoCube, base_cells, cell_order, check_cube_invariants,
-                            children, descend, shatter, side_exponent, whitney)
-from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric, d_metric_many
+from favard.lattice import AnisoCube, cell_order, check_cube_invariants, descend, side_exponent
+from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import build_tree
+from tests.reference import BaseLattice, base_cells, children, d_metric, shatter, whitney
 
 
 def reference_cell_center_atom(idx, key, side, coords):
@@ -446,7 +446,6 @@ class TestWhitney:
 class TestBaseLattice:
     def test_partition_and_nesting(self):
         import numpy as np
-        from favard.lattice import BaseLattice
         rng = np.random.default_rng(9)
         pts = rng.uniform(-2, 2, size=(150, 2))
         lat = BaseLattice(pts, AngleInterval(0.2, 0.1), levels=range(0, 5))
@@ -455,7 +454,6 @@ class TestBaseLattice:
 
     def test_designated_centers_are_members(self):
         import numpy as np
-        from favard.lattice import BaseLattice
         rng = np.random.default_rng(10)
         pts = rng.uniform(0, 1, size=(60, 2))
         lat = BaseLattice(pts, None, levels=[2])

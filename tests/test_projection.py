@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from favard.projection import (IntervalUnion1D, PiecewiseConstDensity, Projector, favard,
-                               favard_mc, maximal_value, maximal_values_batch,
-                               midpoint_measures, project_segments, projection_measures,
+from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_mc,
+                               maximal_values_batch, midpoint_measures, projection_measures,
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 from favard.torus import direction_vector, perp, project
+from tests.reference import IntervalUnion1D, maximal_value, project_segments
 
 
 def random_density(rng, allow_atoms=True):

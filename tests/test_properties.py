@@ -5,10 +5,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favard.projection import IntervalUnion1D, project_segments, pushforward_density
+from favard.projection import pushforward_density
 from favard.sets import Segment, SegmentUnion
-from favard.torus import (AngleInterval, ConeSpec, TriadicInterval, d_metric,
-                          in_cone, triadic_cover)
+from favard.torus import AngleInterval, TriadicInterval, triadic_cover
+from tests.reference import ConeSpec, IntervalUnion1D, d_metric, in_cone, project_segments
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)

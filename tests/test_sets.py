@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from favard.projection import project_segments
 from favard.graphs import _scale_range
 from favard.sets import (TOL, DyadicSquareSet, Segment,
                          SegmentUnion, _cloud_content, _cloud_of, ahlfors_constant,
-                         dyadic_neighborhood, four_corners, hausdorff_content,
-                         pairwise_extremes, segment_distances, split_parallel)
+                         four_corners, pairwise_extremes, segment_distances, split_parallel)
+from tests.reference import hausdorff_content, project_segments
 
 
 class TestSegment:
@@ -303,19 +302,6 @@ class TestCloudContent:
                           float(rng.choice([0.0, 1 / 64, 0.1]))))
         for args in cases:
             assert _cloud_content(*args) == reference_cloud_content(*args)
-
-
-class TestDyadicNeighborhood:
-    def test_levels_and_cover(self):
-        u = SegmentUnion([Segment((0.2, 0.5), (0.8, 0.5))])
-        nb = dyadic_neighborhood(u, 1 / 16)
-        assert nb.level == 4
-        # every atom sits inside the neighborhood cells
-        atoms = u.atoms(0.01)
-        side = nb.side
-        for p in atoms.points:
-            i, j = int(p[0] / side), int(p[1] / side)
-            assert (i, j) in nb.cells
 
 
 class TestSegmentDistances:

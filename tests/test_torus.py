@@ -5,10 +5,9 @@ import pytest
 
 from favard.projection import Projector
 from favard.sets import four_corners
-from favard.torus import (AngleInterval, ConeSpec, TriadicInterval, cone_mask,
-                          circ_dist, d_metric, d_metric_many, direction_vector, in_cone,
-                          line_angle, perp, project, to_metric_coords,
-                          triadic_cover, triadic_nav, wrap)
+from favard.torus import (AngleInterval, TriadicInterval, circ_dist, d_metric_many,
+                          direction_vector, line_angle, perp, project, triadic_cover, wrap)
+from tests.reference import ConeSpec, cone_mask, d_metric, in_cone, to_metric_coords
 
 SQ2 = math.sqrt(2.0)
 
@@ -95,12 +94,6 @@ class TestIntervals:
     def test_triadic_cover_half_open(self):
         assert triadic_cover(1 / 3, 1) == TriadicInterval(1, 1)
         assert triadic_cover(0.9999999, 1) == TriadicInterval(1, 2)
-
-    def test_triadic_nav_tuple(self):
-        parent, kids, tripled = triadic_nav(TriadicInterval(2, 4))
-        assert parent == TriadicInterval(1, 1)
-        assert len(kids) == 3
-        assert isinstance(tripled, AngleInterval)
 
 
 class TestCones:

@@ -6,16 +6,17 @@ import pytest
 
 from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
-                             stages_for, synthetic_stages_constant_core,
-                             two_direction_instance)
+                             stages_for, two_direction_instance)
 from favard.lattice import AnisoCube
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
-from favard.torus import AngleInterval, TriadicInterval, d_metric, direction_vector
-from favard.tree import (TriadicUnits, bad_chain_check, grow_families,
+from favard.torus import TOL, AngleInterval, TriadicInterval
+from favard.tree import (TriadicUnits, _merge_angle_intervals, bad_chain_check, grow_families,
                          build_good_stages, build_tree, collect_bad_cubes,
-                         find_gap_interval, good_at_scale_all, maximal_intervals,
+                         good_at_scale_all, maximal_intervals,
                          packing_sums, propagate_good_directions, verify_tree,
                          TreeNode)
+from tests.reference import (d_metric, find_gap_interval, gap_instance,
+                             synthetic_stages_constant_core)
 
 
 def line_atoms(n=96, y=0.0):
@@ -430,6 +431,39 @@ class TestBadCubes:
             assert rep["max_constant"] < 64.0
 
 
+class TestMergeAngleIntervals:
+    """Seeded random arcs. Each set has an arc straddling theta = 0 and one
+    starting just past 0 inside its reach, so the wrap-around join runs; the
+    arcs total less than the torus, so only that join can unite the two."""
+
+    @staticmethod
+    def _covered(arcs, grid):
+        """AngleInterval.contains at every grid angle, for the union of arcs."""
+        out = np.zeros(len(grid), dtype=bool)
+        for arc in arcs:
+            d = np.abs(grid - arc.center)
+            out |= np.minimum(d, 1.0 - d) <= arc.half_width + TOL
+        return out
+
+    def test_disjoint_outputs_with_the_same_union(self):
+        rng = np.random.default_rng(17)
+        grid = (np.arange(20_000) + 0.5) / 20_000
+        for _ in range(200):
+            hw0 = rng.uniform(0.01, 0.05)
+            c0 = rng.uniform(-hw0 / 2, hw0 / 2)
+            hw1 = rng.uniform(0.005, 0.03)
+            low1 = rng.uniform(0.0, c0 + hw0)
+            arcs = [AngleInterval(c0, hw0), AngleInterval(low1 + hw1, hw1)]
+            arcs += [AngleInterval(rng.random(), rng.uniform(0.002, 0.04))
+                     for _ in range(rng.integers(0, 7))]
+            merged = _merge_angle_intervals(arcs)
+            for i, a in enumerate(merged):
+                assert not any(a.intersects(b) for b in merged[i + 1:])
+            assert np.array_equal(self._covered(merged, grid), self._covered(arcs, grid))
+            joined = [a for a in merged if a.contains(0.0)]
+            assert len(joined) == 1 and joined[0].contains(arcs[1].center)
+
+
 class TestPropagation:
     def test_root_families_finish_round_one(self):
         atoms = line_atoms(48)
@@ -464,35 +498,6 @@ class TestPropagation:
         with pytest.raises(ValueError, match="witness bound"):
             propagate_good_directions(atoms, np.ones(n, bool), fams, ROOT, 2.0, 8.0,
                                       params, segment_model=segs)
-
-
-def gap_instance(n_line=160, offset_sign=1.0, ladder=0, gap_m=128.0):
-    """F = holey horizontal line plus the apex, J around the vertical, an
-    exterior annulus witness above the hole; optional ladder atoms occupying
-    strips 1..ladder with decreasing perpendicular gaps (drives the beats
-    chain exactly `ladder` steps)."""
-    h_j = 1 / 512
-    j_iv = AngleInterval(0.25, h_j / 2)
-    r = 0.25
-    x_apex = np.array([0.0, 0.0])
-    alpha = 8.0
-    ang = 0.25 + offset_sign * 3.0 * h_j
-    y = x_apex + 0.6 * r * direction_vector(ang)
-    yx, yy = y
-    xs = np.linspace(-0.5, 0.5, n_line)
-    keep = xs[np.abs(xs - yx) > 0.01]  # hole below the witness
-    base = np.column_stack([keep, np.zeros(len(keep))])
-    f_pts = np.vstack([base, x_apex])
-    extra = [y]
-    n_strips = math.ceil(8.0 * 2.0 * gap_m)
-    gap_par = abs(yy)
-    for k in range(1, ladder + 1):
-        perp_val = yx * (1 - 0.5 * k / (ladder + 1))
-        extra.append(np.array([perp_val, yy + k * gap_par / (2 * n_strips + 1)]))
-    pts = np.vstack([f_pts, np.array(extra)])
-    w = np.full(len(pts), 0.5 / len(pts))
-    mu = DiscreteMeasure(pts, w)
-    return mu, np.arange(len(f_pts)), j_iv, x_apex, r, alpha, len(f_pts) - 1
 
 
 class TestGapInterval:
