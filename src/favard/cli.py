@@ -24,8 +24,8 @@ from .graphs import extract_graph
 from .lattice import check_cube_invariants, descend
 from .pipeline import run_pipeline
 from .projection import favard, favard_mc, midpoint_measures
-from .sets import (DyadicSquareSet, Segment, SegmentUnion, four_corners,
-                   pairwise_extremes, segment_distances, split_parallel)
+from .sets import (DyadicSquareSet, SegmentUnion, four_corners, pairwise_extremes,
+                   read_csv_rows, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
 from .tree import bad_chain_check, build_tree, collect_bad_cubes, packing_sums, verify_tree
 
@@ -157,36 +157,26 @@ def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK if report["all_stage_invariants"] else EXIT_INVARIANT
 
 
-def _load_polyline(path: str) -> list[Segment]:
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected x,y")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-numeric field") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InputError(f"{path}:{lineno}: non-finite coordinate")
-            pts.append((x, y))
+def _load_polyline(path: str) -> SegmentUnion:
+    """The polyline through the x,y rows of a CSV, repeated vertices skipped."""
+    try:
+        pts = read_csv_rows(path, 2)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if len(pts) < 2:
         raise InputError(f"{path}: a polyline needs at least two points")
-    return [Segment(a, b) for a, b in zip(pts, pts[1:]) if a != b]
+    moves = (pts[1:] != pts[:-1]).any(axis=1)
+    return SegmentUnion.from_endpoints(pts[:-1][moves], pts[1:][moves])
 
 
 def cmd_content(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
-    curve = SegmentUnion(_load_polyline(args.curve))
+    curve = _load_polyline(args.curve)
     delta = args.delta
     from .sets import _cloud_of, _cloud_content
     e_pts, e_w, e_slack = _cloud_of(model)
 
-    d_curve = segment_distances(e_pts, curve.segments)
+    d_curve = segment_distances(e_pts, curve)
     near_mask = d_curve <= 3.0 * delta
     lhs = _cloud_content(e_pts[near_mask], e_w[near_mask], e_slack) \
         if near_mask.any() else 0.0

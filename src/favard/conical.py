@@ -172,34 +172,11 @@ class SelectionResult:
     atoms: DiscreteMeasure
     eprime: np.ndarray                   # boolean mask over atoms
     family: GoodDirectionFamily
-    kappa: float
-    m_bound: float
     g_length: float                      # H(G)
     eprime_mass_fraction: float          # selected mass over total mass
     min_family_length: float             # smallest per-atom family union length
     energy_ratios: dict[int, float]      # atom -> energy / (M * H(G))
     fourier_ratios: dict[int, float]     # atom -> energy / int_G pi_theta mu(pi_theta x)
-
-    def to_json(self, path) -> None:
-        """Selection output keyed by atom index."""
-        import json
-
-        payload = {
-            "kappa": self.kappa, "m_bound": self.m_bound, "g_length": self.g_length,
-            "eprime_mass_fraction": self.eprime_mass_fraction,
-            "atoms": {
-                str(i): {
-                    "point": [float(self.atoms.points[i][0]),
-                              float(self.atoms.points[i][1])],
-                    "intervals": [{"level": iv.level, "index": iv.index,
-                                   "witness": th} for iv, th in fam],
-                    "energy_ratio": self.energy_ratios.get(i),
-                }
-                for i, fam in sorted(self.family.families.items())
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
 
 
 def select_good_directions(union: SegmentUnion, directions, kappa: float,
@@ -295,7 +272,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
         rhs = math.fsum(pointwise[i])
         fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
 
-    return SelectionResult(mu, eprime, fam, kappa, m_bound, total_len,
+    return SelectionResult(mu, eprime, fam, total_len,
                            eprime_mass / total_mass if total_mass else 0.0,
                            min_len, energy_ratios, fourier_ratios)
 

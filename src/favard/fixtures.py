@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
+from .sets import DiscreteMeasure, SegmentUnion, four_corners, split_parallel
 from .torus import TriadicInterval
 from .tree import Family, GoodStages, build_good_stages
 
@@ -17,7 +17,7 @@ FIXTURE_A, FIXTURE_M = 2.0, 8.0
 
 def single_line_instance(pitch: float = 1.0 / 128.0):
     """One horizontal unit segment; families point at the transverse root."""
-    union = SegmentUnion([Segment((0.0, 0.0), (1.0, 0.0))])
+    union = SegmentUnion.from_endpoints([(0.0, 0.0)], [(1.0, 0.0)])
     atoms = union.atoms(pitch)
     root_iv = TRANSVERSE_ROOT
     theta_w = 0.24
@@ -53,12 +53,9 @@ def two_direction_instance():
 
 def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
     """The horizontal part of the four_corners(2) skeleton, scaled to diam <= 1."""
-    skel = four_corners(2).skeleton()
-    horiz, _ = split_parallel(skel)
+    horiz, _ = split_parallel(four_corners(2).skeleton())
     scale = 0.7  # diameter of the unit-square skeleton is sqrt(2)
-    segs = [Segment((s.a[0] * scale, s.a[1] * scale),
-                    (s.b[0] * scale, s.b[1] * scale)) for s in horiz.segments]
-    union = SegmentUnion(segs, parallel_hint=0.0)
+    union = horiz.mapped(lambda pts: pts * scale, parallel_hint=0.0)
     atoms = union.atoms(pitch * scale)
     root_iv = TRANSVERSE_ROOT
     theta_w = 0.24

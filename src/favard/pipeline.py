@@ -10,14 +10,14 @@ from .config import ExperimentConfig
 from .conical import bad_scale_counts, select_good_directions
 from .graphs import _scale_range, extract_graph, verify_lipschitz
 from .projection import projection_measures
-from .sets import DiscreteMeasure, Segment, SegmentUnion, ahlfors_constant
+from .sets import DiscreteMeasure, SegmentUnion, ahlfors_constant
 from .torus import AngleInterval, TriadicInterval, perp, wrap
 from .tree import propagate_good_directions
 
 
-def _rotate_quarter(pts: np.ndarray) -> np.ndarray:
-    """Rotate by +90 degrees: (x, y) -> (-y, x)."""
-    return np.column_stack([-pts[:, 1], pts[:, 0]])
+def _rotate_quarter(pts: np.ndarray, shift=(0.0, 0.0)) -> np.ndarray:
+    """Rotate by +90 degrees, (x, y) -> (-y, x), then subtract shift."""
+    return np.column_stack([-pts[:, 1] - shift[0], pts[:, 0] - shift[1]])
 
 
 def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> dict:
@@ -32,18 +32,11 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     with the stage name when the back-mapped certificate fails.
     """
     report: dict = {"kappa": kappa}
-    if union.parallel_hint is None:
-        directions = {round(s.direction_angle, 9) for s in union.segments}
-        if len(directions) > 1:
-            raise ValueError("stage normalize: input segments are not parallel")
-    diam = union.diameter()
-    pts0 = union.endpoints()
-    lo = pts0.min(axis=0)
-    scale = 1.0 / diam
-    segs = [Segment(((s.a[0] - lo[0]) * scale, (s.a[1] - lo[1]) * scale),
-                    ((s.b[0] - lo[0]) * scale, (s.b[1] - lo[1]) * scale))
-            for s in union.segments]
-    norm = SegmentUnion(segs, parallel_hint=union.parallel_hint)
+    if union.parallel_hint is None and not union.parallel_to(union.direction_angles[0], 1e-9):
+        raise ValueError("stage normalize: input segments are not parallel")
+    lo = union.endpoints().min(axis=0)
+    scale = 1.0 / union.diameter()
+    norm = union.mapped(lambda pts: (pts - lo) * scale, union.parallel_hint)
     report["normalization"] = {"scale": scale, "offset": lo.tolist()}
 
     a_const = max(2.0, ahlfors_constant(norm, 400, cfg.seed))
@@ -91,12 +84,9 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
         raise ValueError("stage selection: selected mass below kappa/4 of the total")
 
     atoms = selection.atoms
-    rot_atoms = DiscreteMeasure(_rotate_quarter(atoms.points), atoms.weights)
-    shift = rot_atoms.points.min(axis=0)
-    rot_atoms = DiscreteMeasure(rot_atoms.points - shift, atoms.weights)
-    rot_union = SegmentUnion(
-        [Segment((-s.a[1] - shift[0], s.a[0] - shift[1]),
-                 (-s.b[1] - shift[0], s.b[0] - shift[1])) for s in norm.segments])
+    shift = _rotate_quarter(atoms.points).min(axis=0)     # rotated atoms start at 0
+    rot_atoms = DiscreteMeasure(_rotate_quarter(atoms.points, shift), atoms.weights)
+    rot_union = norm.mapped(lambda pts: _rotate_quarter(pts, shift))
 
     families = {i: fam for i, fam in selection.family.families.items()}
     prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import SegmentUnion
-from .torus import direction_vector, project, row_dot
+from .torus import direction_vector, row_dot
 
 PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 DEFAULT_N_ANGLES = 2048
@@ -26,12 +26,6 @@ DEFAULT_N_ANGLES = 2048
 SWEEP_BLOCK = 4096     # projected intervals per angle block of the sweep
 MC_CHUNK = 100_000     # needles drawn from the generator at a time
 NEEDLE_BLOCK = 32_768  # needle-segment pairs per block of the Monte Carlo hit test
-
-
-def _segment_coords(union: SegmentUnion) -> np.ndarray:
-    """(4, n) array with rows ax, ay, bx, by of the segment endpoints."""
-    ends = union.endpoints()
-    return np.stack([ends[0::2, 0], ends[0::2, 1], ends[1::2, 0], ends[1::2, 1]])
 
 
 def _sweep(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -78,7 +72,7 @@ def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
     Memory stays bounded by blocks of about SWEEP_BLOCK projected intervals,
     and each value depends only on its own angle.
     """
-    return _sweep(_segment_coords(union), np.asarray(thetas, dtype=float).reshape(-1))
+    return _sweep(union.coords, np.asarray(thetas, dtype=float).reshape(-1))
 
 
 def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
@@ -96,7 +90,7 @@ def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
         raise ValueError("n_angles must be >= 2")
     m = n_angles // 2 if n_angles % 2 == 0 else n_angles
     thetas = (np.arange(m) + 0.5) / n_angles
-    coords = _segment_coords(union)
+    coords = union.coords
     shards = max(1, int(workers))
     bounds = np.linspace(0, m, shards + 1, dtype=int)
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -137,10 +131,10 @@ def favard_mc(union: SegmentUnion, needle_count: int,
     """
     if needle_count < 100:
         raise ValueError("needle_count must be >= 100")
-    if not union.segments:
+    if not len(union):
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()
-    ax, ay, bx, by = _segment_coords(union)
+    ax, ay, bx, by = union.coords
     block = max(1, NEEDLE_BLOCK // len(ax))
     rng = np.random.default_rng(rng_seed)
     hits = 0
@@ -229,26 +223,27 @@ def pushforward_density(union: SegmentUnion, theta: float) -> PiecewiseConstDens
     A segment of direction phi contributes density 1/|cos(2 pi (theta - phi))|
     on the projection of its endpoints; segments with |cos| < PERP_CUTOFF
     contribute an atom of mass = length at the projected point. Total mass
-    equals the total length of E.
+    equals the total length of E. Each piece's value is added to the cells
+    whose midpoints lie strictly inside it, one piece after another in
+    segment order, so the float sums do not depend on how they are batched.
     """
-    pieces = []
-    atoms = []
-    for s in union.segments:
-        c = abs(math.cos(2.0 * math.pi * (theta - s.direction_angle)))
-        pa, pb = project(theta, s.a), project(theta, s.b)
-        lo, hi = min(pa, pb), max(pa, pb)
-        if c < PERP_CUTOFF or hi - lo <= 0.0:
-            atoms.append(((lo + hi) / 2.0, s.length))
-        else:
-            pieces.append((lo, hi, s.length / (hi - lo)))
-    if not pieces:
-        return PiecewiseConstDensity(np.zeros(1), np.zeros(0), tuple(atoms))
-    cuts = np.array(sorted({p[0] for p in pieces} | {p[1] for p in pieces}))
-    values = np.zeros(len(cuts) - 1)
+    e = direction_vector(theta)
+    pa, pb = row_dot(union.coords[:2].T, e), row_dot(union.coords[2:].T, e)
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+    c = np.abs(np.cos(2.0 * math.pi * (theta - union.direction_angles)))
+    point = (c < PERP_CUTOFF) | (hi - lo <= 0.0)
+    atoms = tuple(zip(((lo + hi) / 2.0)[point].tolist(), union.lengths[point].tolist()))
+    lo, hi, mass = lo[~point], hi[~point], union.lengths[~point]
+    if not len(lo):
+        return PiecewiseConstDensity(np.zeros(1), np.zeros(0), atoms)
+    cuts = np.array(sorted({*lo.tolist(), *hi.tolist()}))   # np.unique imports numpy.ma
     mids = (cuts[:-1] + cuts[1:]) / 2.0
-    for lo, hi, v in pieces:
-        values[(mids > lo) & (mids < hi)] += v
-    return PiecewiseConstDensity(cuts, values, tuple(atoms))
+    first, stop = np.searchsorted(mids, lo, side="right"), np.searchsorted(mids, hi)
+    counts = stop - first
+    piece = np.repeat(np.arange(len(lo)), counts)
+    cell = np.arange(len(piece)) - np.repeat(np.cumsum(counts) - counts, counts) + first[piece]
+    values = np.bincount(cell, (mass / (hi - lo))[piece], len(cuts) - 1)
+    return PiecewiseConstDensity(cuts, values, atoms)
 
 
 def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.ndarray:

@@ -4,6 +4,13 @@ The two carriers are finite unions of segments (with mu = arclength) and sets
 of dyadic squares. Segments discretize into weighted atoms; projections and
 Favard length never use the discretization and stay exact.
 
+A segment union is one array: `SegmentUnion.coords` has shape (4, n) and rows
+x1, y1, x2, y2, so column k holds the endpoints of segment k; `lengths` holds
+their `math.hypot` lengths. Every union, whether read from a file, built from
+`Segment` values or mapped from another union, passes the one validity rule
+of `_checked_lengths`. This module is the only one that knows the format:
+the others read `coords` and `lengths` or call the union's methods.
+
 File formats: a segment union is a CSV with one ``x1,y1,x2,y2`` row per
 segment; a dyadic square set is JSON ``{"level": k, "cells": [[i, j], ...]}``.
 """
@@ -12,8 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -23,93 +31,105 @@ DEFAULT_ATOMS_PER_SEGMENT = 64
 PAIR_TILE = 512     # side of the largest distance tile pairwise_extremes builds
 
 
+def _checked_lengths(coords: np.ndarray) -> np.ndarray:
+    """The `math.hypot` length of each column x1, y1, x2, y2 of `coords`.
+
+    This is the one validity rule of a segment: a non-finite coordinate or
+    coincident endpoints raise ValueError.
+    """
+    lengths = np.array([math.hypot(x2 - x1, y2 - y1)
+                        for x1, y1, x2, y2 in zip(*coords.tolist())])
+    finite = np.isfinite(coords).all(axis=0)
+    bad = np.flatnonzero(~(finite & (lengths > 0.0)))
+    if len(bad):
+        x1, y1, x2, y2 = coords[:, bad[0]].tolist()
+        kind = "degenerate" if finite[bad[0]] else "non-finite"
+        raise ValueError(f"{kind} segment {(x1, y1)} -> {(x2, y2)}")
+    return lengths
+
+
 @dataclass(frozen=True)
 class Segment:
     """Closed segment with distinct endpoints."""
 
     a: tuple[float, float]
     b: tuple[float, float]
+    length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", (float(self.a[0]), float(self.a[1])))
         object.__setattr__(self, "b", (float(self.b[0]), float(self.b[1])))
-        if not all(map(math.isfinite, self.a + self.b)):
-            raise ValueError(f"non-finite segment {self.a} -> {self.b}")
-        if self.length <= 0.0:
-            raise ValueError(f"degenerate segment {self.a} -> {self.b}")
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1])
+        coords = np.array([self.a + self.b]).T
+        object.__setattr__(self, "length", float(_checked_lengths(coords)[0]))
 
     @property
     def direction_angle(self) -> float:
         """Direction of the carrying line, in [0, 1/2)."""
         return line_angle((self.b[0] - self.a[0], self.b[1] - self.a[1]))
 
-    @property
-    def horizontal(self) -> bool:
-        return abs(self.a[1] - self.b[1]) <= TOL * max(1.0, self.length)
-
-    @property
-    def vertical(self) -> bool:
-        return abs(self.a[0] - self.b[0]) <= TOL * max(1.0, self.length)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return np.array([self.a[0] + t * (self.b[0] - self.a[0]),
-                         self.a[1] + t * (self.b[1] - self.a[1])])
-
-    def ball_intersection_length(self, center, r: float) -> float:
-        """Exact arclength of the segment inside the closed disk B(center, r)."""
-        ax, ay = self.a
-        vx, vy = self.b[0] - ax, self.b[1] - ay
-        ln = self.length
-        ux, uy = vx / ln, vy / ln
-        # parameter (in arclength) of the foot of the perpendicular
-        t0 = (center[0] - ax) * ux + (center[1] - ay) * uy
-        dist2 = (center[0] - ax) ** 2 + (center[1] - ay) ** 2 - t0 * t0
-        half2 = r * r - dist2
-        if half2 <= 0.0:
-            return 0.0
-        half = math.sqrt(half2)
-        lo, hi = max(0.0, t0 - half), min(ln, t0 + half)
-        return max(0.0, hi - lo)
-
 
 class SegmentUnion:
     """Finite union of segments; mu is arclength on the union.
 
     Overlaps are not merged: the total length is the sum of the segment
-    lengths (inputs are expected to be essentially disjoint).
+    lengths (inputs are expected to be essentially disjoint). The endpoint
+    array `coords` is read-only.
     """
 
     def __init__(self, segments: Iterable[Segment], parallel_hint: Optional[float] = None):
-        self.segments: list[Segment] = list(segments)
+        segments = list(segments)
+        self._store([s.a for s in segments], [s.b for s in segments], parallel_hint)
+
+    @classmethod
+    def from_endpoints(cls, a, b, parallel_hint: Optional[float] = None) -> "SegmentUnion":
+        """The union of the segments a[k] -> b[k] of two (n, 2) point arrays."""
+        union = cls.__new__(cls)
+        union._store(a, b, parallel_hint)
+        return union
+
+    def _store(self, a, b, parallel_hint: Optional[float]) -> None:
+        a = np.asarray(a, dtype=float).reshape(-1, 2)
+        b = np.asarray(b, dtype=float).reshape(-1, 2)
+        self.coords = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]])
+        self.coords.flags.writeable = False
+        self.lengths = _checked_lengths(self.coords)
         self.parallel_hint = parallel_hint
-        if parallel_hint is not None:
-            for s in self.segments:
-                gap = abs(s.direction_angle - (parallel_hint % 0.5))
-                if min(gap, 0.5 - gap) > 1e-12:
-                    raise ValueError(
-                        f"segment direction {s.direction_angle} != parallel hint {parallel_hint}")
+        if parallel_hint is not None and not self.parallel_to(parallel_hint, 1e-12):
+            raise ValueError(f"segment directions differ from parallel hint {parallel_hint}")
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.coords.shape[1]
 
-    def __iter__(self):
-        return iter(self.segments)
+    @property
+    def segments(self) -> list[Segment]:
+        """The segments as `Segment` values, built on each access."""
+        return [Segment((x1, y1), (x2, y2)) for x1, y1, x2, y2 in self.coords.T.tolist()]
+
+    @cached_property
+    def direction_angles(self) -> np.ndarray:
+        """Direction of each segment's carrying line, in [0, 1/2)."""
+        return np.array([line_angle((x2 - x1, y2 - y1))
+                         for x1, y1, x2, y2 in zip(*self.coords.tolist())])
+
+    def parallel_to(self, angle: float, tol: float) -> bool:
+        """Whether every segment direction is within tol of angle mod 1/2."""
+        gap = np.abs(self.direction_angles - angle % 0.5)
+        return bool(np.all(np.minimum(gap, 0.5 - gap) <= tol))
+
+    def mapped(self, f: Callable[[np.ndarray], np.ndarray],
+               parallel_hint: Optional[float] = None) -> "SegmentUnion":
+        """The union of the images of the segments under the point map f,
+        which takes an (n, 2) array of points to an (n, 2) array."""
+        return SegmentUnion.from_endpoints(f(self.coords[:2].T), f(self.coords[2:].T),
+                                           parallel_hint)
 
     @property
     def total_length(self) -> float:
-        return math.fsum(s.length for s in self.segments)
+        return math.fsum(self.lengths.tolist())
 
     def endpoints(self) -> np.ndarray:
-        """(2n, 2) array of all endpoints."""
-        out = np.empty((2 * len(self.segments), 2))
-        for i, s in enumerate(self.segments):
-            out[2 * i] = s.a
-            out[2 * i + 1] = s.b
-        return out
+        """(2n, 2) array of all endpoints: a and b of each segment in turn."""
+        return self.coords.T.reshape(-1, 2)
 
     def diameter(self) -> float:
         return float(np.max(pairwise_extremes(self.endpoints())[1], initial=0.0))
@@ -120,61 +140,80 @@ class SegmentUnion:
         r = float(np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]))) if len(pts) else 0.0
         return c, r
 
-    def default_pitch(self) -> float:
-        if not self.segments:
-            raise ValueError("empty union has no pitch")
-        return min(s.length for s in self.segments) / DEFAULT_ATOMS_PER_SEGMENT
-
     def atoms(self, pitch: Optional[float] = None) -> "DiscreteMeasure":
         """Discretize into atoms of arclength ~pitch placed at piece midpoints.
 
         Each segment splits into ceil(length / pitch) equal pieces; the atom
         weight is the exact piece length, so total mass equals total length.
+        The default pitch gives the shortest segment DEFAULT_ATOMS_PER_SEGMENT
+        pieces.
         """
         if pitch is not None and not 0.0 < pitch < math.inf:
             raise ValueError(f"atom pitch must be finite and > 0, got {pitch}")
-        if not self.segments:
+        if not len(self):
             return DiscreteMeasure(np.empty((0, 2)), np.empty(0))
         if pitch is None:
-            pitch = self.default_pitch()
-        pts, wts = [], []
-        for s in self.segments:
-            n = max(1, math.ceil(s.length / pitch))
-            w = s.length / n
-            for i in range(n):
-                pts.append(s.point_at((i + 0.5) / n))
-                wts.append(w)
-        return DiscreteMeasure(np.array(pts).reshape(-1, 2), np.array(wts))
+            pitch = float(self.lengths.min()) / DEFAULT_ATOMS_PER_SEGMENT
+        counts = np.maximum(1, np.ceil(self.lengths / pitch)).astype(np.int64)
+        seg = np.repeat(np.arange(len(self)), counts)
+        piece = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = (piece + 0.5) / counts[seg]
+        x1, y1, x2, y2 = self.coords[:, seg]
+        return DiscreteMeasure(np.column_stack([x1 + t * (x2 - x1), y1 + t * (y2 - y1)]),
+                               np.repeat(self.lengths / counts, counts))
 
     def ball_mass(self, center, r: float) -> float:
-        return math.fsum(s.ball_intersection_length(center, r) for s in self.segments)
+        """Exact arclength of the union inside the closed disk B(center, r)."""
+        x1, y1, x2, y2 = self.coords
+        ux, uy = (x2 - x1) / self.lengths, (y2 - y1) / self.lengths
+        dx, dy = center[0] - x1, center[1] - y1
+        # arclength parameter of the foot of the perpendicular; float_power is
+        # libm pow, as Python's ** is, where x * x can differ in the last bit
+        t0 = dx * ux + dy * uy
+        half2 = r * r - (np.float_power(dx, 2) + np.float_power(dy, 2) - t0 * t0)
+        half = np.sqrt(np.maximum(half2, 0.0))
+        inside = np.maximum(0.0, np.minimum(self.lengths, t0 + half) - np.maximum(0.0, t0 - half))
+        return math.fsum(inside[half2 > 0.0].tolist())
 
     @classmethod
     def from_csv(cls, path) -> "SegmentUnion":
-        segs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected x1,y1,x2,y2, got {line!r}")
-                try:
-                    x1, y1, x2, y2 = (float(p) for p in parts)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from exc
-                if not all(map(math.isfinite, (x1, y1, x2, y2))):
-                    raise ValueError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
-                segs.append(Segment((x1, y1), (x2, y2)))
-        if not segs:
+        rows = read_csv_rows(path, 4)
+        if not len(rows):
             raise ValueError(f"{path}: no segments")
-        return cls(segs)
+        return cls.from_endpoints(rows[:, :2], rows[:, 2:])
 
     def to_csv(self, path) -> None:
+        # repr of Python floats (not np.float64) writes the shortest round trip
         with open(path, "w", encoding="utf-8") as fh:
-            for s in self.segments:
-                fh.write(f"{s.a[0]!r},{s.a[1]!r},{s.b[0]!r},{s.b[1]!r}\n")
+            fh.writelines(f"{x1!r},{y1!r},{x2!r},{y2!r}\n"
+                          for x1, y1, x2, y2 in self.coords.T.tolist())
+
+
+def read_csv_rows(path, width: int) -> np.ndarray:
+    """The (n, width) array of the rows of a comma-separated numeric file.
+
+    Blank lines and lines starting with '#' are skipped; a row of another
+    width, a non-numeric field or a non-finite value raises ValueError
+    naming path:line.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} comma-separated "
+                                 f"values, got {line!r}")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 @dataclass
@@ -246,20 +285,13 @@ class DyadicSquareSet:
         Projections never shrink: pi_theta of a square equals pi_theta of its
         boundary, so the skeleton has the same projections as the square union.
         """
+        # (i, j, kind): the edge from corner (i, j) rightwards (0) or upwards (1)
+        edges = sorted({edge for i, j in self.cells      # bottom, top, left, right
+                        for edge in ((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1))})
+        i, j, kind = np.array(edges).T
         s = self.side
-        edges: set[tuple[int, int, int]] = set()
-        for i, j in self.cells:
-            edges.add((i, j, 0))      # bottom horizontal
-            edges.add((i, j + 1, 0))  # top horizontal
-            edges.add((i, j, 1))      # left vertical
-            edges.add((i + 1, j, 1))  # right vertical
-        segs = []
-        for i, j, kind in sorted(edges):
-            if kind == 0:
-                segs.append(Segment((i * s, j * s), ((i + 1) * s, j * s)))
-            else:
-                segs.append(Segment((i * s, j * s), (i * s, (j + 1) * s)))
-        return SegmentUnion(segs)
+        return SegmentUnion.from_endpoints(np.column_stack([i * s, j * s]),
+                                           np.column_stack([(i + 1 - kind) * s, (j + kind) * s]))
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -292,20 +324,21 @@ def four_corners(n: int) -> DyadicSquareSet:
 def split_parallel(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:
     """Split an axis-parallel union into (horizontal, vertical) parts.
 
-    Rejects oblique segments. Either part may be empty; empty parts are
-    returned as unions with no segments (constructed without validation).
+    A segment is horizontal (vertical) when its endpoints' y (x) coordinates
+    differ by at most TOL * max(1, length). Rejects oblique segments. Either
+    part may be empty.
     """
-    hor, ver = [], []
-    for s in union.segments:
-        if s.horizontal:
-            hor.append(s)
-        elif s.vertical:
-            ver.append(s)
-        else:
-            raise ValueError(f"oblique segment {s.a} -> {s.b} in split_parallel")
-    out_h = SegmentUnion(hor, parallel_hint=0.0) if hor else SegmentUnion([])
-    out_v = SegmentUnion(ver, parallel_hint=0.25) if ver else SegmentUnion([])
-    return out_h, out_v
+    x1, y1, x2, y2 = union.coords
+    slack = TOL * np.maximum(1.0, union.lengths)
+    hor = np.abs(y1 - y2) <= slack
+    ver = ~hor & (np.abs(x1 - x2) <= slack)
+    oblique = np.flatnonzero(~(hor | ver))
+    if len(oblique):
+        x1, y1, x2, y2 = union.coords[:, oblique[0]].tolist()
+        raise ValueError(f"oblique segment {(x1, y1)} -> {(x2, y2)} in split_parallel")
+    a, b = union.coords[:2].T, union.coords[2:].T
+    return (SegmentUnion.from_endpoints(a[hor], b[hor], 0.0),
+            SegmentUnion.from_endpoints(a[ver], b[ver], 0.25))
 
 
 def ahlfors_constant(model, sample_count: int, seed: int = 0) -> float:
@@ -320,45 +353,34 @@ def ahlfors_constant(model, sample_count: int, seed: int = 0) -> float:
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = rng.random((sample_count, 3))
+    u1, u2, u3 = rng.random((sample_count, 3)).T
     if isinstance(model, SegmentUnion):
-        segs = model.segments
-        lengths = np.array([s.length for s in segs])
-        cum = np.cumsum(lengths) / lengths.sum()
-        diam = model.diameter()
-        best = 1.0
-        for u1, u2, u3 in draws:
-            k = int(np.searchsorted(cum, u1, side="right"))
-            k = min(k, len(segs) - 1)
-            x = segs[k].point_at(u2)
-            r = max(1e-9, u3) * diam
-            mass = model.ball_mass(x, r)
-            if mass > 0.0:
-                best = max(best, mass / r, r / mass)
-        return best
-    if isinstance(model, DyadicSquareSet):
-        centers = model.cell_centers()
-        diam = model.diameter()
-        best = 1.0
-        for u1, u2, u3 in draws:
-            x = centers[min(int(u1 * len(centers)), len(centers) - 1)]
-            r = max(model.side, u3 * diam)
-            mass = model.ball_mass(x, r)
-            if mass > 0.0:
-                best = max(best, mass / r, r / mass)
-        return best
-    raise TypeError(f"unsupported model {type(model)!r}")
+        # a segment drawn by length, then a uniform point on it
+        cum = np.cumsum(model.lengths) / model.lengths.sum()
+        k = np.minimum(np.searchsorted(cum, u1, side="right"), len(model) - 1)
+        x1, y1, x2, y2 = model.coords[:, k]
+        centers = np.column_stack([x1 + u2 * (x2 - x1), y1 + u2 * (y2 - y1)])
+        radii = np.maximum(1e-9, u3) * model.diameter()
+    elif isinstance(model, DyadicSquareSet):
+        cells = model.cell_centers()
+        centers = cells[np.minimum((u1 * len(cells)).astype(np.int64), len(cells) - 1)]
+        radii = np.maximum(model.side, u3 * model.diameter())
+    else:
+        raise TypeError(f"unsupported model {type(model)!r}")
+    masses = np.array([model.ball_mass(x, r) for x, r in zip(centers, radii)])
+    hit = masses > 0.0
+    ratios = np.concatenate([masses[hit] / radii[hit], radii[hit] / masses[hit]])
+    return float(np.max(ratios, initial=1.0))
 
 
 def _cloud_of(model) -> tuple[np.ndarray, np.ndarray, float]:
     """(points, weights, slack): a cloud covering the model within `slack`."""
     if isinstance(model, SegmentUnion):
-        if not model.segments:
+        if not len(model):
             return np.empty((0, 2)), np.empty(0), 0.0
         atoms = model.atoms()
-        pitch = max(s.length / max(1, math.ceil(s.length / model.default_pitch()))
-                    for s in model.segments)
-        return atoms.points, atoms.weights, pitch / 2.0
+        # an atom's weight is its piece length, so the largest is the pitch
+        return atoms.points, atoms.weights, float(atoms.weights.max()) / 2.0
     if isinstance(model, DyadicSquareSet):
         pts = model.cell_centers()
         w = np.full(len(pts), model.side)
@@ -443,13 +465,12 @@ def pairwise_extremes(pts: np.ndarray,
     return near, far
 
 
-def segment_distances(pts: np.ndarray, segments: Iterable[Segment]) -> np.ndarray:
-    """Euclidean distance from each point to the nearest of the segments."""
+def segment_distances(pts: np.ndarray, union: SegmentUnion) -> np.ndarray:
+    """Euclidean distance from each point to the nearest segment of the union."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     best = np.full(len(pts), math.inf)
-    for s in segments:
-        ax, ay = s.a
-        vx, vy = s.b[0] - ax, s.b[1] - ay
+    for ax, ay, bx, by in union.coords.T.tolist():
+        vx, vy = bx - ax, by - ay
         den = vx * vx + vy * vy
         t = ((pts[:, 0] - ax) * vx + (pts[:, 1] - ay) * vy) / den
         t = np.clip(t, 0.0, 1.0)

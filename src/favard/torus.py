@@ -59,16 +59,12 @@ def row_dot(pts, v) -> np.ndarray:
     return pts[..., 0] * v[0] + pts[..., 1] * v[1]
 
 
-def project(theta: float, p) -> float:
-    """Orthogonal projection pi_theta(p) = p . e_theta."""
-    return float(row_dot(p, direction_vector(theta)))
-
-
 def line_angle(v) -> float:
     """Direction of the line spanned by a nonzero vector, as an angle in [0, 1/2)."""
     a = math.atan2(v[1], v[0]) / (2.0 * math.pi)
     a = math.fmod(a, 0.5)
-    return a + 0.5 if a < 0.0 else a
+    a = a + 0.5 if a < 0.0 else a
+    return 0.0 if a == 0.5 else a    # a tiny negative angle rounds up to 1/2
 
 
 @dataclass(frozen=True)

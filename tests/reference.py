@@ -3,11 +3,12 @@
 Nothing here runs in a command. Three kinds of definitions live here:
 
 - slow references that the fast paths of the package are checked against
-  (exact interval-union projections, the scalar maximal function, single
-  apex cone masses and bad scales, the scalar d_J metric, base-cell grids,
-  one-step descents, the quadrature form of the conical energy, the
-  Hausdorff content of a model, and the constant-core stages of the
-  no-shattering tree);
+  (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
+  pushforward densities and the parallel split; exact interval-union
+  projections, the scalar maximal function, single apex cone masses and bad
+  scales, the scalar d_J metric, base-cell grids, one-step descents, the
+  quadrature form of the conical energy, the Hausdorff content of a model,
+  and the constant-core stages of the no-shattering tree);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -27,8 +28,10 @@ from favard.config import ExperimentConfig
 from favard.conical import _annulus_scales, _atoms_of, _interval_key, annulus_mask
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend
-from favard.projection import PiecewiseConstDensity, Projector, projection_measures
-from favard.sets import DiscreteMeasure, SegmentUnion, _cloud_content, _cloud_of
+from favard.projection import (PERP_CUTOFF, PiecewiseConstDensity, Projector,
+                               projection_measures)
+from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
+                         _cloud_content, _cloud_of)
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           perp, row_dot)
@@ -176,6 +179,33 @@ class IntervalUnion1D:
         return lo < len(self.intervals) and self.intervals[lo][0] <= t
 
 
+def project(theta: float, p) -> float:
+    """Orthogonal projection pi_theta(p) = p . e_theta."""
+    return float(row_dot(p, direction_vector(theta)))
+
+
+def pushforward_density_by_segment(union: SegmentUnion, theta: float) -> PiecewiseConstDensity:
+    """pushforward_density, one segment and one piece at a time."""
+    pieces = []
+    atoms = []
+    for s in union.segments:
+        c = abs(math.cos(2.0 * math.pi * (theta - s.direction_angle)))
+        pa, pb = project(theta, s.a), project(theta, s.b)
+        lo, hi = min(pa, pb), max(pa, pb)
+        if c < PERP_CUTOFF or hi - lo <= 0.0:
+            atoms.append(((lo + hi) / 2.0, s.length))
+        else:
+            pieces.append((lo, hi, s.length / (hi - lo)))
+    if not pieces:
+        return PiecewiseConstDensity(np.zeros(1), np.zeros(0), tuple(atoms))
+    cuts = np.array(sorted({p[0] for p in pieces} | {p[1] for p in pieces}))
+    values = np.zeros(len(cuts) - 1)
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    for lo, hi, v in pieces:
+        values[(mids > lo) & (mids < hi)] += v
+    return PiecewiseConstDensity(cuts, values, tuple(atoms))
+
+
 def project_segments(union: SegmentUnion, theta: float) -> IntervalUnion1D:
     """Exact projection pi_theta(E) of a segment union, as an interval union."""
     e = direction_vector(theta)
@@ -224,8 +254,74 @@ def maximal_value(density: PiecewiseConstDensity, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sets: Hausdorff content of a model
+# sets: one segment at a time, and the Hausdorff content of a model
 # ---------------------------------------------------------------------------
+
+
+def atoms_by_segment(union: SegmentUnion, pitch: float) -> DiscreteMeasure:
+    """SegmentUnion.atoms, one segment and one piece at a time."""
+    pts, wts = [], []
+    for s in union.segments:
+        n = max(1, math.ceil(s.length / pitch))
+        w = s.length / n
+        for i in range(n):
+            t = (i + 0.5) / n
+            pts.append((s.a[0] + t * (s.b[0] - s.a[0]), s.a[1] + t * (s.b[1] - s.a[1])))
+            wts.append(w)
+    return DiscreteMeasure(np.array(pts).reshape(-1, 2), np.array(wts))
+
+
+def ball_intersection_length(s: Segment, center, r: float) -> float:
+    """Exact arclength of the segment inside the closed disk B(center, r)."""
+    ax, ay = s.a
+    vx, vy = s.b[0] - ax, s.b[1] - ay
+    ln = s.length
+    ux, uy = vx / ln, vy / ln
+    # parameter (in arclength) of the foot of the perpendicular
+    t0 = (center[0] - ax) * ux + (center[1] - ay) * uy
+    dist2 = (center[0] - ax) ** 2 + (center[1] - ay) ** 2 - t0 * t0
+    half2 = r * r - dist2
+    if half2 <= 0.0:
+        return 0.0
+    half = math.sqrt(half2)
+    lo, hi = max(0.0, t0 - half), min(ln, t0 + half)
+    return max(0.0, hi - lo)
+
+
+def ball_mass_by_segment(union: SegmentUnion, center, r: float) -> float:
+    """SegmentUnion.ball_mass, one segment at a time."""
+    return math.fsum(ball_intersection_length(s, center, r) for s in union.segments)
+
+
+def skeleton_by_edge(squares: DyadicSquareSet) -> SegmentUnion:
+    """DyadicSquareSet.skeleton, one cell and one edge at a time."""
+    s = squares.side
+    edges: set[tuple[int, int, int]] = set()
+    for i, j in squares.cells:
+        edges.add((i, j, 0))      # bottom horizontal
+        edges.add((i, j + 1, 0))  # top horizontal
+        edges.add((i, j, 1))      # left vertical
+        edges.add((i + 1, j, 1))  # right vertical
+    segs = []
+    for i, j, kind in sorted(edges):
+        if kind == 0:
+            segs.append(Segment((i * s, j * s), ((i + 1) * s, j * s)))
+        else:
+            segs.append(Segment((i * s, j * s), (i * s, (j + 1) * s)))
+    return SegmentUnion(segs)
+
+
+def split_parallel_by_segment(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:
+    """split_parallel, one segment at a time."""
+    hor, ver = [], []
+    for s in union.segments:
+        if abs(s.a[1] - s.b[1]) <= TOL * max(1.0, s.length):
+            hor.append(s)
+        elif abs(s.a[0] - s.b[0]) <= TOL * max(1.0, s.length):
+            ver.append(s)
+        else:
+            raise ValueError(f"oblique segment {s.a} -> {s.b} in split_parallel")
+    return SegmentUnion(hor, parallel_hint=0.0), SegmentUnion(ver, parallel_hint=0.25)
 
 
 def hausdorff_content(model, min_radius: float = 0.0) -> float:

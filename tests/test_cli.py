@@ -282,6 +282,19 @@ class TestPipelineCLI:
         assert not (tmp_path / "pipeline_report.json").exists()
 
 
+    def test_directions_are_compared_across_the_half_turn_seam(self, tmp_path, capsys):
+        # the middle segment's direction is -1.1e-16 turns, which line_angle
+        # used to round to 1/2 and the normalize stage took for non-parallel
+        path = tmp_path / "seam.csv"
+        path.write_text("0,0,0.5,0\n0.6,0.5,1,0.49999999999999994\n0,0.2,0.3,0.2\n")
+        assert main(["--out", str(tmp_path), "pipeline", str(path), "--kappa", "0.3"]) == 0
+        assert json.loads((tmp_path / "pipeline_report.json").read_text())[
+            "certificate"]["retained_atoms"] == 193
+        path.write_text("0,0,0.5,0\n0.6,0.5,1,0.51\n0,0.2,0.3,0.2\n")
+        assert main(["--out", str(tmp_path), "pipeline", str(path), "--kappa", "0.3"]) == 3
+        assert "stage normalize" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, unit_segment_csv, tmp_path):
         proc = subprocess.run(

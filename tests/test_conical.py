@@ -10,9 +10,9 @@ from favard.conical import (_auto_energy_high, bad_scale_counts, conical_energy,
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
-                          _direction_mask, perp, project, triadic_cover, wrap)
+                          _direction_mask, perp, triadic_cover, wrap)
 from tests.reference import (bad_scales, cone_mass, cone_mass_exact, energy_integral_quadrature,
-                             select_bounded_projection_set)
+                             project, select_bounded_projection_set)
 
 
 def measure_at(points, weights=None):

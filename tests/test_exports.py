@@ -4,23 +4,9 @@ from pathlib import Path
 
 from favard.cli import main
 from favard.config import ExperimentConfig
-from favard.conical import select_good_directions
 from favard.fixtures import single_line_instance, stages_for
 from favard.sets import Segment, SegmentUnion
-from favard.torus import AngleInterval
 from favard.tree import build_tree
-
-
-def test_selection_json(tmp_path):
-    u = SegmentUnion([Segment((0, 0), (1, 0))])
-    res = select_good_directions(u, AngleInterval(0.0, 0.02), kappa=0.5,
-                                 triadic_depth=4, samples_per_length=800)
-    path = tmp_path / "selection.json"
-    res.to_json(path)
-    data = json.loads(path.read_text())
-    assert data["kappa"] == 0.5
-    first = next(iter(data["atoms"].values()))
-    assert first["intervals"][0]["level"] == 4
 
 
 def test_tree_dump(tmp_path):
@@ -49,13 +35,14 @@ def test_compute_per_angle(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Names a module uses: loads, attribute accesses and imported names."""
+def _references(tree: ast.AST, attributes: bool = True) -> set[str]:
+    """Names a module uses: loads, imported names and, with `attributes`,
+    attribute accesses."""
     out: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and attributes:
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
@@ -116,10 +103,11 @@ UNREACHED_BY_DESIGN = ["__init__.py: __version__"]
 
 def test_every_definition_is_reached_from_the_cli():
     """Every module-level definition of the package is reached from
-    `cli.main` through the names the reached definitions use. The closure is
-    conservative: a name reaches every definition that carries it, in any
-    module, and attribute names count, so `x.f` reaches every module-level
-    `f`. Code only the tests need lives in tests/reference.py."""
+    `cli.main` through the names the reached definitions load or import. A
+    name reaches every definition that carries it, in any module; attribute
+    names do not count, so a method or field named `f` does not keep a dead
+    module-level `f` alive. Code only the tests need lives in
+    tests/reference.py."""
     by_name: dict[str, list] = {}
     for label, name, node in _top_level_definitions():
         by_name.setdefault(name, []).append((label, node))
@@ -131,7 +119,7 @@ def test_every_definition_is_reached_from_the_cli():
         if name not in reached:
             reached.add(name)
             for _, node in by_name.get(name, ()):
-                todo.extend(_references(node) - reached)
+                todo.extend(_references(node, attributes=False) - reached)
     unreached = sorted(label for name, defs in by_name.items() if name not in reached
                        for label, _ in defs)
     assert unreached == UNREACHED_BY_DESIGN
@@ -177,3 +165,19 @@ def test_every_keyword_is_passed():
                        for n_pos, kws, starred in calls.get(func.name, [])):
                 never.append(f"{label}({param})")
     assert never == []
+
+
+def test_only_sets_knows_the_segment_format():
+    """No module of the package but sets.py names `Segment` or reads
+    `.segments`: the others use the endpoint array of SegmentUnion."""
+    leaks = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        if path.name == "sets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "Segment" \
+                    or isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "Segment" for alias in node.names) \
+                    or isinstance(node, ast.Attribute) and node.attr == "segments":
+                leaks.append(f"{path.name}:{node.lineno}")
+    assert leaks == []

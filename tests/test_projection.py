@@ -8,8 +8,10 @@ from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_
                                maximal_values_batch, midpoint_measures, projection_measures,
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
-from favard.torus import direction_vector, perp, project
-from tests.reference import IntervalUnion1D, maximal_value, project_segments
+from favard.torus import direction_vector, perp
+from tests.reference import (IntervalUnion1D, maximal_value, project, project_segments,
+                             pushforward_density_by_segment)
+from tests.test_sets import oracle_unions
 
 
 def random_density(rng, allow_atoms=True):
@@ -472,6 +474,19 @@ class TestPushforward:
             theta = rng.random()
             d = pushforward_density(u, theta)
             assert d.total_mass == pytest.approx(u.total_length, abs=1e-9)
+
+    def test_matches_the_segment_loop(self):
+        rng = np.random.default_rng(21)
+        for u in oracle_unions():
+            # axis angles, random ones, and the perpendicular of a segment
+            thetas = [0.0, 0.125, 0.25, 0.5, 0.75, *rng.random(6),
+                      u.segments[0].direction_angle + 0.25]
+            for theta in thetas:
+                got = pushforward_density(u, theta)
+                want = pushforward_density_by_segment(u, theta)
+                assert np.array_equal(got.breakpoints, want.breakpoints)
+                assert np.array_equal(got.values, want.values)
+                assert got.atoms == want.atoms
 
 
 class TestMaximal:

@@ -4,10 +4,73 @@ import numpy as np
 import pytest
 
 from favard.graphs import _scale_range
-from favard.sets import (TOL, DyadicSquareSet, Segment,
+from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segment,
                          SegmentUnion, _cloud_content, _cloud_of, ahlfors_constant,
                          four_corners, pairwise_extremes, segment_distances, split_parallel)
-from tests.reference import hausdorff_content, project_segments
+from tests.reference import (atoms_by_segment, ball_mass_by_segment, hausdorff_content,
+                             project_segments, skeleton_by_edge, split_parallel_by_segment)
+
+
+def oracle_unions():
+    """Seeded oblique unions and axis-parallel ones (skeletons, a stack, a
+    union with a repeated segment) for the array-path oracles."""
+    rng = np.random.default_rng(12)
+    unions = [SegmentUnion([Segment(tuple(rng.uniform(-1, 2, 2)), tuple(rng.uniform(-1, 2, 2)))
+                            for _ in range(int(rng.integers(1, 40)))]) for _ in range(8)]
+    unions += [four_corners(n).skeleton() for n in (0, 1, 2)]
+    unions.append(SegmentUnion([Segment((0, 0.0124 * i), (0.05, 0.0124 * i)) for i in range(60)]))
+    unions.append(SegmentUnion([Segment((0, 0), (1, 0))] * 2 + [Segment((0.3, -1), (0.3, 2))]))
+    return unions
+
+
+def same_union(u: SegmentUnion, v: SegmentUnion) -> bool:
+    return np.array_equal(u.coords, v.coords) and np.array_equal(u.lengths, v.lengths) \
+        and u.parallel_hint == v.parallel_hint
+
+
+class TestArrayPathsMatchTheSegmentLoops:
+    """Each array path of SegmentUnion gives exactly what the per-segment
+    loop it replaced gives."""
+
+    @pytest.mark.parametrize("pitch", [None, 1 / 7, 1 / 64, 0.013])
+    def test_atoms(self, pitch):
+        for u in oracle_unions():
+            got = u.atoms(pitch)
+            want = atoms_by_segment(u, pitch or min(u.lengths) / DEFAULT_ATOMS_PER_SEGMENT)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
+
+    def test_ball_mass(self):
+        rng = np.random.default_rng(5)
+        for u in oracle_unions():
+            centers = np.concatenate([u.atoms(1 / 4).points[::3], rng.uniform(-1, 2, (10, 2))])
+            for c in centers:
+                for r in (1e-3, 0.07, 0.4, 3.0):
+                    assert u.ball_mass(c, r) == ball_mass_by_segment(u, c, r)
+
+    def test_skeleton(self):
+        rng = np.random.default_rng(8)
+        sets = [four_corners(n) for n in range(4)] + [DyadicSquareSet(1, [(0, 0), (1, 0)])]
+        sets += [DyadicSquareSet(4, {tuple(c) for c in rng.integers(0, 16, (30, 2))})
+                 for _ in range(5)]
+        for sq in sets:
+            assert same_union(sq.skeleton(), skeleton_by_edge(sq))
+
+    def test_split_parallel(self):
+        parallel = [u for u in oracle_unions() if all(
+            s.direction_angle in (0.0, 0.25) for s in u.segments)]
+        assert len(parallel) == 5
+        # long segments, axis-parallel only within TOL * length
+        parallel.append(SegmentUnion([Segment((0, 0), (10, 5e-12)), Segment((3, 1), (3, 11))]))
+        for u in parallel + [split_parallel(u)[0] for u in parallel]:
+            for got, want in zip(split_parallel(u), split_parallel_by_segment(u)):
+                assert same_union(got, want)
+        for u in oracle_unions()[:8]:
+            with pytest.raises(ValueError, match="oblique") as got:
+                split_parallel(u)
+            with pytest.raises(ValueError, match="oblique") as want:
+                split_parallel_by_segment(u)
+            assert str(got.value) == str(want.value)
 
 
 class TestSegment:
@@ -28,12 +91,12 @@ class TestSegment:
         assert Segment((0, 0), (0, 3)).direction_angle == pytest.approx(0.25)
 
     def test_ball_intersection_exact(self):
-        s = Segment((0, 0), (4, 0))
-        assert s.ball_intersection_length((2, 0), 1.0) == pytest.approx(2.0)
-        assert s.ball_intersection_length((0, 0), 1.0) == pytest.approx(1.0)
-        assert s.ball_intersection_length((2, 2), 1.0) == 0.0
+        u = SegmentUnion([Segment((0, 0), (4, 0))])
+        assert u.ball_mass((2, 0), 1.0) == pytest.approx(2.0)
+        assert u.ball_mass((0, 0), 1.0) == pytest.approx(1.0)
+        assert u.ball_mass((2, 2), 1.0) == 0.0
         # chord at height 0.6 with radius 1: half-length 0.8
-        assert s.ball_intersection_length((2, 0.6), 1.0) == pytest.approx(1.6)
+        assert u.ball_mass((2, 0.6), 1.0) == pytest.approx(1.6)
 
 
 class TestSegmentUnion:
@@ -232,7 +295,7 @@ class TestHausdorffContent:
         # square misses every cell of this Cantor set by 1/4)
         gamma = SegmentUnion([Segment((0.0, 1 / 32), (1.0, 1 / 32))])
         e_pts, e_w, e_slack = _cloud_of(fc)
-        d_curve = segment_distances(e_pts, gamma.segments)
+        d_curve = segment_distances(e_pts, gamma)
         lhs_mask = d_curve <= 3 * delta
         lhs = _cloud_content(e_pts[lhs_mask], e_w[lhs_mask], e_slack)
         g_atoms = gamma.atoms(delta / 4)
@@ -306,8 +369,8 @@ class TestCloudContent:
 
 class TestSegmentDistances:
     def test_basic(self):
-        segs = [Segment((0, 0), (1, 0))]
-        d = segment_distances(np.array([[0.5, 0.3], [2.0, 0.0]]), segs)
+        u = SegmentUnion([Segment((0, 0), (1, 0))])
+        d = segment_distances(np.array([[0.5, 0.3], [2.0, 0.0]]), u)
         assert d[0] == pytest.approx(0.3)
         assert d[1] == pytest.approx(1.0)
 

@@ -6,8 +6,8 @@ import pytest
 from favard.projection import Projector
 from favard.sets import four_corners
 from favard.torus import (AngleInterval, TriadicInterval, circ_dist, d_metric_many,
-                          direction_vector, line_angle, perp, project, triadic_cover, wrap)
-from tests.reference import ConeSpec, cone_mask, d_metric, in_cone, to_metric_coords
+                          direction_vector, line_angle, perp, triadic_cover, wrap)
+from tests.reference import ConeSpec, cone_mask, d_metric, in_cone, project, to_metric_coords
 
 SQ2 = math.sqrt(2.0)
 
@@ -49,6 +49,7 @@ class TestAngles:
         assert line_angle((1.0, 0.0)) == 0.0
         assert line_angle((-1.0, 0.0)) == 0.0
         assert line_angle((0.0, -2.0)) == 0.25
+        assert line_angle((1.0, -5.5e-17)) == 0.0     # rounds to 1/2 before wrapping
 
 
 class TestIntervals:
