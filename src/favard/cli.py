@@ -160,7 +160,7 @@ def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
 def _load_polyline(path: str) -> SegmentUnion:
     """The polyline through the x,y rows of a CSV, repeated vertices skipped."""
     try:
-        pts = read_csv_rows(path, 2)
+        pts, _ = read_csv_rows(path, 2)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if len(pts) < 2:

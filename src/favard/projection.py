@@ -4,9 +4,13 @@ Projections of a segment union are exact interval unions; the Favard length
 integrates their measure over the direction torus with a midpoint rule (the
 integrand is piecewise smooth with kinks only at segment directions, which
 midpoints avoid). A Buffon-style Monte Carlo estimator cross-checks the
-quadrature. Pushforwards of arclength are piecewise constant densities plus
-atoms for (near-)perpendicular segments, and the Hardy-Littlewood maximal
-function of such a density is evaluated exactly.
+quadrature. Both work on the connected pieces of the union's piece table
+(`SegmentUnion.pieces`): a piece projects onto one interval, the lowest to
+the highest of its projected vertices, and a union whose table would cost
+more than its 2n endpoints falls back to one piece per segment.
+Pushforwards of arclength are piecewise constant densities plus atoms for
+(near-)perpendicular segments, and the Hardy-Littlewood maximal function of
+such a density is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 DEFAULT_N_ANGLES = 2048
 
 
-SWEEP_BLOCK = 4096     # projected intervals per angle block of the sweep
-MC_CHUNK = 100_000     # needles drawn from the generator at a time
-NEEDLE_BLOCK = 32_768  # needle-segment pairs per block of the Monte Carlo hit test
+SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of the sweep
+MC_CHUNK = 100_000      # needles drawn from the generator at a time
+NEEDLE_BLOCK = 65_536   # needle-slot pairs per block of the Monte Carlo hit test
 
 
-def _sweep(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Measure of pi_theta(E) for each angle, from the (4, n) endpoint rows.
+def _sweep(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Measure of pi_theta(E) for each angle, from the (K, C) piece table.
 
-    With the projected intervals sorted by low end and runmax_i the running
-    maximum of the high ends, the measure is
+    Each piece projects onto the interval from the lowest to the highest of
+    its K projected vertex slots. With those intervals sorted by low end and
+    runmax_i the running maximum of the high ends, the measure is
         (runmax_last - low_first) - sum_i max(0, low_{i+1} - runmax_i).
     A gap between tied lows is exactly 0, so each value depends only on the
     multiset of intervals, never on how ties are ordered. That lets each
@@ -40,26 +45,24 @@ def _sweep(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     order: the sort stays exact and the values do not depend on block or
     shard boundaries.
     """
-    n_seg = coords.shape[1]
+    n_pieces = xs.shape[1]
     out = np.zeros(len(thetas))
-    if n_seg == 0:
+    if n_pieces == 0:
         return out
     ang = 2.0 * math.pi * thetas
     ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
-    ax, ay, bx, by = coords
-    block = max(1, SWEEP_BLOCK // n_seg)
-    order = np.arange(n_seg)
+    xs, ys = xs[:, None, :], ys[:, None, :]
+    block = max(1, SWEEP_BLOCK // xs.size)
+    order = np.arange(n_pieces)
     for c in range(0, len(thetas), block):
-        ex_b, ey_b = ex[c:c + block], ey[c:c + block]
-        pa = ax * ex_b + ay * ey_b
-        pb = bx * ex_b + by * ey_b
-        lows = np.minimum(pa, pb)
+        proj = xs * ex[c:c + block] + ys * ey[c:c + block]      # (K, angles, C)
+        lows = proj.min(axis=0)
         # sort each angle starting from the previous angle's order
         idx = np.argsort(np.take(lows, order, axis=1), axis=1, kind="stable")
         perm = order[idx]
-        flat = perm + (n_seg * np.arange(len(perm)))[:, None]
+        flat = perm + (n_pieces * np.arange(len(perm)))[:, None]
         lows = np.take(lows, flat)
-        run = np.maximum.accumulate(np.take(np.maximum(pa, pb), flat), axis=1)
+        run = np.maximum.accumulate(np.take(proj.max(axis=0), flat), axis=1)
         gaps = np.maximum(lows[:, 1:] - run[:, :-1], 0.0).sum(axis=1)
         out[c:c + block] = (run[:, -1] - lows[:, 0]) - gaps
         order = perm[-1]
@@ -69,10 +72,10 @@ def _sweep(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
     """Measure of pi_theta(E) for each angle of `thetas` (vectorized sweep).
 
-    Memory stays bounded by blocks of about SWEEP_BLOCK projected intervals,
-    and each value depends only on its own angle.
+    Memory stays bounded by blocks of about SWEEP_BLOCK projected vertex
+    slots of the piece table, and each value depends only on its own angle.
     """
-    return _sweep(union.coords, np.asarray(thetas, dtype=float).reshape(-1))
+    return _sweep(*union.pieces, np.asarray(thetas, dtype=float).reshape(-1))
 
 
 def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
@@ -84,22 +87,23 @@ def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
     itself: only its first n/2 angles are swept and the values are tiled, so
     entries i and i + n/2 are equal. Odd n sweeps the full grid. The swept
     angles are split into `workers` contiguous shards run on threads; every
-    value is independent of the shard it lands in.
+    value is independent of the shard it lands in. The piece table is built
+    before the threads start.
     """
     if n_angles < 2:
         raise ValueError("n_angles must be >= 2")
     m = n_angles // 2 if n_angles % 2 == 0 else n_angles
     thetas = (np.arange(m) + 0.5) / n_angles
-    coords = union.coords
+    xs, ys = union.pieces
     shards = max(1, int(workers))
     bounds = np.linspace(0, m, shards + 1, dtype=int)
     spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if shards == 1 or len(spans) == 1:
-        parts = [_sweep(coords, thetas[a:b]) for a, b in spans]
+        parts = [_sweep(xs, ys, thetas[a:b]) for a, b in spans]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(lambda ab: _sweep(coords, thetas[ab[0]:ab[1]]), spans))
+            parts = list(pool.map(lambda ab: _sweep(xs, ys, thetas[ab[0]:ab[1]]), spans))
     return np.tile(np.concatenate(parts), n_angles // m)
 
 
@@ -125,17 +129,20 @@ def favard_mc(union: SegmentUnion, needle_count: int,
     Samples (theta, t) with theta uniform on the torus and t uniform on a
     window of half-width R covering every projection; the indicator that the
     line pi_theta^{-1}(t) meets E, scaled by the window size 2R, has mean
-    Fav(E). Needles are drawn MC_CHUNK at a time and tested against every
-    segment in blocks of about NEEDLE_BLOCK needle-segment pairs, so memory
-    stays bounded whatever the needle count.
+    Fav(E). A needle meets E exactly when it meets the projection interval
+    of one of its connected pieces. Needles are drawn MC_CHUNK at a time and
+    tested against every piece in blocks of about NEEDLE_BLOCK needle-slot
+    pairs of the piece table, so memory stays bounded whatever the needle
+    count.
     """
     if needle_count < 100:
         raise ValueError("needle_count must be >= 100")
     if not len(union):
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()
-    ax, ay, bx, by = union.coords
-    block = max(1, NEEDLE_BLOCK // len(ax))
+    xs, ys = union.pieces
+    xs, ys = xs[:, None, :], ys[:, None, :]
+    block = max(1, NEEDLE_BLOCK // xs.size)
     rng = np.random.default_rng(rng_seed)
     hits = 0
     done = 0
@@ -147,10 +154,9 @@ def favard_mc(union: SegmentUnion, needle_count: int,
         ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
         t = center[0] * ex + center[1] * ey + offsets[:, None]
         for c in range(0, m, block):
-            ex_b, ey_b, t_b = ex[c:c + block], ey[c:c + block], t[c:c + block]
-            pa = ax * ex_b + ay * ey_b
-            pb = bx * ex_b + by * ey_b
-            inside = (t_b >= np.minimum(pa, pb)) & (t_b <= np.maximum(pa, pb))
+            proj = xs * ex[c:c + block] + ys * ey[c:c + block]   # (K, needles, C)
+            t_b = t[c:c + block]
+            inside = (t_b >= proj.min(axis=0)) & (t_b <= proj.max(axis=0))
             hits += int(np.count_nonzero(inside.any(axis=1)))
         done += m
     window = 2.0 * radius

@@ -31,11 +31,20 @@ DEFAULT_ATOMS_PER_SEGMENT = 64
 PAIR_TILE = 512     # side of the largest distance tile pairwise_extremes builds
 
 
+class BadSegment(ValueError):
+    """A segment that breaks the validity rule; `index` is its column."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def _checked_lengths(coords: np.ndarray) -> np.ndarray:
     """The `math.hypot` length of each column x1, y1, x2, y2 of `coords`.
 
     This is the one validity rule of a segment: a non-finite coordinate or
-    coincident endpoints raise ValueError.
+    coincident endpoints raise BadSegment, a ValueError naming the first
+    such column.
     """
     lengths = np.array([math.hypot(x2 - x1, y2 - y1)
                         for x1, y1, x2, y2 in zip(*coords.tolist())])
@@ -44,7 +53,7 @@ def _checked_lengths(coords: np.ndarray) -> np.ndarray:
     if len(bad):
         x1, y1, x2, y2 = coords[:, bad[0]].tolist()
         kind = "degenerate" if finite[bad[0]] else "non-finite"
-        raise ValueError(f"{kind} segment {(x1, y1)} -> {(x2, y2)}")
+        raise BadSegment(f"{kind} segment {(x1, y1)} -> {(x2, y2)}", int(bad[0]))
     return lengths
 
 
@@ -110,6 +119,65 @@ class SegmentUnion:
         """Direction of each segment's carrying line, in [0, 1/2)."""
         return np.array([line_angle((x2 - x1, y2 - y1))
                          for x1, y1, x2, y2 in zip(*self.coords.tolist())])
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The piece table: (K, C) arrays xs, ys of the vertices of each
+        connected piece of the union, read-only.
+
+        Segments join where their endpoints have exactly equal coordinates.
+        Column c holds the distinct vertices of piece c in order of first
+        appearance, padded with the piece's first vertex; pieces are ordered by
+        their first segment. A shared vertex projects to the same float in
+        every segment through it, so a piece projects exactly onto the one
+        interval [min, max] of its vertex projections. When the table would
+        have more than 2n slots (K * C > 2n, e.g. a long polyline beside many
+        loose segments), the pieces are the segments themselves: K = 2, rows
+        a and b, which is also what a union without shared endpoints gives.
+        """
+        n = len(self)
+        ends = self.endpoints()                       # a_0, b_0, a_1, b_1, ...
+        # number the distinct points in order of their first endpoint; lexsort
+        # is stable and, unlike np.unique, does not import numpy.ma
+        by_point = np.lexsort((ends[:, 0], ends[:, 1]))
+        starts = np.ones(2 * n, dtype=bool)
+        starts[1:] = (ends[by_point[1:]] != ends[by_point[:-1]]).any(axis=1)
+        first = np.zeros(2 * n, dtype=bool)
+        first[by_point[starts]] = True
+        number = np.cumsum(first) - 1
+        vertex = np.empty(2 * n, dtype=np.int64)
+        vertex[by_point] = number[by_point[starts]][np.cumsum(starts) - 1]
+
+        # union-find that keeps the smaller number as the root, so each root
+        # is its piece's first vertex
+        parent = list(range(int(np.count_nonzero(first))))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        for u, v in zip(vertex[0::2].tolist(), vertex[1::2].tolist()):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+        root = np.array([find(v) for v in range(len(parent))], dtype=np.int64)
+        sizes = np.bincount(root, minlength=len(parent))
+        roots = np.flatnonzero(sizes)
+        k, c = int(sizes.max(initial=0)), len(roots)
+        if k * c > 2 * n:
+            xs, ys = self.coords[0::2], self.coords[1::2]
+        else:
+            verts = ends[first]
+            col = (np.cumsum(sizes > 0) - 1)[root]
+            by_piece = np.argsort(col, kind="stable")
+            col = col[by_piece]
+            slot = np.arange(len(col)) - (np.cumsum(sizes[roots]) - sizes[roots])[col]
+            xs, ys = np.empty((k, c)), np.empty((k, c))
+            xs[:], ys[:] = verts[roots, 0], verts[roots, 1]
+            xs[slot, col], ys[slot, col] = verts[by_piece, 0], verts[by_piece, 1]
+        xs.flags.writeable = ys.flags.writeable = False
+        return xs, ys
 
     def parallel_to(self, angle: float, tol: float) -> bool:
         """Whether every segment direction is within tol of angle mod 1/2."""
@@ -177,10 +245,13 @@ class SegmentUnion:
 
     @classmethod
     def from_csv(cls, path) -> "SegmentUnion":
-        rows = read_csv_rows(path, 4)
+        rows, lines = read_csv_rows(path, 4)
         if not len(rows):
             raise ValueError(f"{path}: no segments")
-        return cls.from_endpoints(rows[:, :2], rows[:, 2:])
+        try:
+            return cls.from_endpoints(rows[:, :2], rows[:, 2:])
+        except BadSegment as exc:
+            raise ValueError(f"{path}:{lines[exc.index]}: {exc}") from None
 
     def to_csv(self, path) -> None:
         # repr of Python floats (not np.float64) writes the shortest round trip
@@ -189,14 +260,15 @@ class SegmentUnion:
                           for x1, y1, x2, y2 in self.coords.T.tolist())
 
 
-def read_csv_rows(path, width: int) -> np.ndarray:
-    """The (n, width) array of the rows of a comma-separated numeric file.
+def read_csv_rows(path, width: int) -> tuple[np.ndarray, list[int]]:
+    """The (n, width) array of the rows of a comma-separated numeric file,
+    and the line number of each row.
 
     Blank lines and lines starting with '#' are skipped; a row of another
     width, a non-numeric field or a non-finite value raises ValueError
     naming path:line.
     """
-    rows = []
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -213,7 +285,8 @@ def read_csv_rows(path, width: int) -> np.ndarray:
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
             rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, width)
+            lines.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, width), lines
 
 
 @dataclass

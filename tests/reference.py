@@ -4,11 +4,12 @@ Nothing here runs in a command. Three kinds of definitions live here:
 
 - slow references that the fast paths of the package are checked against
   (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
-  pushforward densities and the parallel split; exact interval-union
-  projections, the scalar maximal function, single apex cone masses and bad
-  scales, the scalar d_J metric, base-cell grids, one-step descents, the
-  quadrature form of the conical energy, the Hausdorff content of a model,
-  and the constant-core stages of the no-shattering tree);
+  pushforward densities, the parallel split, the Favard sweep and the
+  Monte Carlo needle test; exact interval-union projections, the scalar
+  maximal function, single apex cone masses and bad scales, the scalar d_J
+  metric, base-cell grids, one-step descents, the quadrature form of the
+  conical energy, the Hausdorff content of a model, and the constant-core
+  stages of the no-shattering tree);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -28,7 +29,7 @@ from favard.config import ExperimentConfig
 from favard.conical import _annulus_scales, _atoms_of, _interval_key, annulus_mask
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend
-from favard.projection import (PERP_CUTOFF, PiecewiseConstDensity, Projector,
+from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
                          _cloud_content, _cloud_of)
@@ -215,6 +216,85 @@ def project_segments(union: SegmentUnion, theta: float) -> IntervalUnion1D:
         pb = s.b[0] * e[0] + s.b[1] * e[1]
         pairs.append((min(pa, pb), max(pa, pb)))
     return IntervalUnion1D.from_pairs(pairs)
+
+
+SEGMENT_SWEEP_BLOCK = 4096      # projected intervals per angle block of sweep_by_segment
+SEGMENT_NEEDLE_BLOCK = 32_768   # needle-segment pairs per block of favard_mc_by_segment
+
+
+def sweep_by_segment(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The per-segment block sweep that the piece-table sweep replaced:
+    measure of pi_theta(E) for each angle, from the (4, n) endpoint rows.
+
+    With the projected intervals sorted by low end and runmax_i the running
+    maximum of the high ends, the measure is
+        (runmax_last - low_first) - sum_i max(0, low_{i+1} - runmax_i).
+    A gap between tied lows is exactly 0, so each value depends only on the
+    multiset of intervals, never on how ties are ordered. That lets each
+    block start its stable (run-adaptive) sort from the previous angle's
+    order: the sort stays exact and the values do not depend on block or
+    shard boundaries.
+    """
+    n_seg = coords.shape[1]
+    out = np.zeros(len(thetas))
+    if n_seg == 0:
+        return out
+    ang = 2.0 * math.pi * thetas
+    ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    ax, ay, bx, by = coords
+    block = max(1, SEGMENT_SWEEP_BLOCK // n_seg)
+    order = np.arange(n_seg)
+    for c in range(0, len(thetas), block):
+        ex_b, ey_b = ex[c:c + block], ey[c:c + block]
+        pa = ax * ex_b + ay * ey_b
+        pb = bx * ex_b + by * ey_b
+        lows = np.minimum(pa, pb)
+        # sort each angle starting from the previous angle's order
+        idx = np.argsort(np.take(lows, order, axis=1), axis=1, kind="stable")
+        perm = order[idx]
+        flat = perm + (n_seg * np.arange(len(perm)))[:, None]
+        lows = np.take(lows, flat)
+        run = np.maximum.accumulate(np.take(np.maximum(pa, pb), flat), axis=1)
+        gaps = np.maximum(lows[:, 1:] - run[:, :-1], 0.0).sum(axis=1)
+        out[c:c + block] = (run[:, -1] - lows[:, 0]) - gaps
+        order = perm[-1]
+    return out
+
+
+def favard_mc_by_segment(union: SegmentUnion, needle_count: int,
+                         rng_seed: int = 0) -> tuple[float, float]:
+    """The per-segment needle test that the piece-table favard_mc replaced:
+    needles drawn MC_CHUNK at a time and tested against every segment in
+    blocks of about SEGMENT_NEEDLE_BLOCK needle-segment pairs."""
+    if needle_count < 100:
+        raise ValueError("needle_count must be >= 100")
+    if not len(union):
+        return 0.0, 0.0
+    center, radius = union.bounding_center_radius()
+    ax, ay, bx, by = union.coords
+    block = max(1, SEGMENT_NEEDLE_BLOCK // len(ax))
+    rng = np.random.default_rng(rng_seed)
+    hits = 0
+    done = 0
+    while done < needle_count:
+        m = min(MC_CHUNK, needle_count - done)
+        thetas = rng.random(m)
+        offsets = (2.0 * rng.random(m) - 1.0) * radius
+        ang = 2.0 * math.pi * thetas
+        ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        t = center[0] * ex + center[1] * ey + offsets[:, None]
+        for c in range(0, m, block):
+            ex_b, ey_b, t_b = ex[c:c + block], ey[c:c + block], t[c:c + block]
+            pa = ax * ex_b + ay * ey_b
+            pb = bx * ex_b + by * ey_b
+            inside = (t_b >= np.minimum(pa, pb)) & (t_b <= np.maximum(pa, pb))
+            hits += int(np.count_nonzero(inside.any(axis=1)))
+        done += m
+    window = 2.0 * radius
+    p = hits / needle_count
+    estimate = window * p
+    stderr = window * math.sqrt(max(p * (1.0 - p), 0.0) / needle_count)
+    return estimate, stderr
 
 
 def maximal_value(density: PiecewiseConstDensity, t: float) -> float:

@@ -75,6 +75,13 @@ class TestCompute:
         assert f"{path}:2: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "compute_report.json").exists()
 
+    def test_zero_length_row_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("0,0,1,0\n0.5,0.5,0.5,0.5\n")
+        assert main(["--out", str(tmp_path), "compute", str(path)]) == 1
+        assert f"{path}:2: degenerate segment (0.5, 0.5) -> (0.5, 0.5)" in capsys.readouterr().err
+        assert not (tmp_path / "compute_report.json").exists()
+
     def test_per_angle_rows_are_the_summed_values(self, tmp_path):
         # on this input, re-projecting each angle one by one gives rows whose
         # mean misses the reported favard by an ulp

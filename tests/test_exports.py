@@ -35,17 +35,71 @@ def test_compute_per_angle(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """The names a function or comprehension binds in its own scope: its
+    parameters or loop targets and every name its body assigns, defines or
+    imports, less those it declares global or nonlocal."""
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        bound, todo = set(), [g.target for g in scope.generators]
+    declared: set[str] = set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue                                 # a nested scope binds its own names
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, _FUNCTIONS + _COMPREHENSIONS) or node is scope:
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def _references(tree: ast.AST, attributes: bool = True) -> set[str]:
     """Names a module uses: loads, imported names and, with `attributes`,
-    attribute accesses."""
+    attribute accesses. A load of a name that an enclosing function or
+    comprehension binds (a parameter, an assigned local, a loop target) is
+    that local, not a use of a module-level definition."""
     out: set[str] = set()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, local: set[str]) -> None:
+        if isinstance(node, _FUNCTIONS):
+            # decorators, defaults and annotations belong to the enclosing scope
+            for outer in (*getattr(node, "decorator_list", ()), node.args,
+                          getattr(node, "returns", None)):
+                if outer is not None:
+                    visit(outer, local)
+            inner = local | _bound_names(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, inner)
+            return
+        if isinstance(node, _COMPREHENSIONS):
+            local = local | _bound_names(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            if node.id not in local:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute) and attributes:
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, set())
     return out
 
 

@@ -9,9 +9,9 @@ from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 from favard.torus import direction_vector, perp
-from tests.reference import (IntervalUnion1D, maximal_value, project, project_segments,
-                             pushforward_density_by_segment)
-from tests.test_sets import oracle_unions
+from tests.reference import (IntervalUnion1D, favard_mc_by_segment, maximal_value, project,
+                             project_segments, pushforward_density_by_segment, sweep_by_segment)
+from tests.test_sets import mixed_union, oracle_unions, polyline, star
 
 
 def random_density(rng, allow_atoms=True):
@@ -262,6 +262,38 @@ class TestSweep:
 
     def test_empty_union(self):
         assert projection_measures(SegmentUnion([]), np.array([0.1, 0.2])).tolist() == [0.0, 0.0]
+
+
+def piece_inputs():
+    """sweep_inputs() and unions whose piece tables differ from the segments:
+    the four_corners(0..5) skeletons, a 200-vertex polyline, a 50-segment
+    star, duplicate and reversed segments, and a polyline beside loose
+    segments that takes the segment fallback."""
+    rng = np.random.default_rng(16)
+    duplicates = SegmentUnion([Segment((0, 0), (1, 0))] * 3
+                              + [Segment((1, 0), (0, 0)), Segment((0.5, 2), (3, 2))])
+    return (sweep_inputs() + [four_corners(k).skeleton() for k in range(6)]
+            + [polyline(200, rng), star(50, rng), duplicates, mixed_union(rng)])
+
+
+class TestPiecesMatchTheSegments:
+    """The sweep and the needle test over the piece table against the
+    per-segment forms they replaced."""
+
+    def test_sweep_within_rounding_of_the_per_segment_sweep(self):
+        rng = np.random.default_rng(17)
+        thetas = np.concatenate([[0.0, 0.125, 0.25, 0.5, 0.75], rng.random(40),
+                                 (np.arange(64) + 0.5) / 64])
+        for u in piece_inputs():
+            fast = projection_measures(u, thetas)
+            assert np.all(np.abs(fast - sweep_by_segment(u.coords, thetas)) <= 1e-13 * u.diameter())
+
+    def test_needle_estimate_equals_the_per_segment_test(self):
+        # 100,500 needles cross the 100,000-needle draw chunk
+        for u in piece_inputs():
+            needles = 100_500 if len(u) <= 16 else 3_000
+            for seed in (0, 1):
+                assert favard_mc(u, needles, seed) == favard_mc_by_segment(u, needles, seed)
 
 
 def mapped(union, f):

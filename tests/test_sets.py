@@ -73,6 +73,133 @@ class TestArrayPathsMatchTheSegmentLoops:
             assert str(got.value) == str(want.value)
 
 
+def polyline(n_vertices: int, rng) -> SegmentUnion:
+    """A random-walk polyline: one connected piece of n_vertices vertices."""
+    pts = np.cumsum(rng.uniform(-1, 1, (n_vertices, 2)), axis=0)
+    return SegmentUnion.from_endpoints(pts[:-1], pts[1:])
+
+
+def star(n_segments: int, rng) -> SegmentUnion:
+    """n_segments segments from the origin: one piece of n_segments + 1 vertices."""
+    return SegmentUnion.from_endpoints(np.zeros((n_segments, 2)),
+                                       rng.uniform(-1, 1, (n_segments, 2)))
+
+
+def mixed_union(rng) -> SegmentUnion:
+    """A 30-vertex polyline beside 100 loose segments. Its pieces would take
+    30 x 101 slots, more than its 2 x 129 endpoints, so its piece table is
+    the segments themselves."""
+    line, loose = polyline(30, rng), rng.uniform(5, 6, (100, 4))
+    return SegmentUnion.from_endpoints(np.concatenate([line.coords[:2].T, loose[:, :2]]),
+                                       np.concatenate([line.coords[2:].T, loose[:, 2:]]))
+
+
+def shared_endpoint_unions():
+    """Seeded unions whose segments join at forced shared endpoints: segments
+    between points of a small pool, in random order among loose segments,
+    plus a corner shared as 0.0 and -0.0, a polyline, a star, duplicate and
+    reversed segments, and a union that takes the segment fallback."""
+    rng = np.random.default_rng(21)
+    unions = []
+    for _ in range(60):
+        pool = rng.uniform(-1, 1, (int(rng.integers(2, 10)), 2))
+        m = int(rng.integers(1, 25))
+        i = rng.integers(0, len(pool), m)
+        j = (i + rng.integers(1, len(pool), m)) % len(pool)
+        loose = rng.uniform(-1, 1, (int(rng.integers(0, 6)), 4))
+        a, b = np.concatenate([pool[i], loose[:, :2]]), np.concatenate([pool[j], loose[:, 2:]])
+        order = rng.permutation(len(a))
+        unions.append(SegmentUnion.from_endpoints(a[order], b[order]))
+    unions.append(SegmentUnion([Segment((2, 2), (3, 3)), Segment((0.0, 0.0), (1, 0)),
+                                Segment((-0.0, 0.0), (0, 1))]))
+    unions += [polyline(40, rng), star(12, rng), mixed_union(rng), four_corners(2).skeleton(),
+               SegmentUnion([Segment((0, 0), (1, 0))] * 3 + [Segment((1, 0), (0, 0))])]
+    return unions
+
+
+def components_by_search(union: SegmentUnion) -> list[set]:
+    """The vertex sets of the connected pieces, ordered by first segment, by
+    a search over the segments; points join by ==, so 0.0 and -0.0 are one."""
+    neighbours: dict = {}
+    for x1, y1, x2, y2 in union.coords.T.tolist():
+        neighbours.setdefault((x1, y1), set()).add((x2, y2))
+        neighbours.setdefault((x2, y2), set()).add((x1, y1))
+    seen, pieces = set(), []
+    for p in neighbours:
+        if p not in seen:
+            seen.add(p)
+            piece, todo = set(), [p]
+            while todo:
+                q = todo.pop()
+                piece.add(q)
+                todo += [r for r in neighbours[q] - seen]
+                seen |= neighbours[q]
+            pieces.append(piece)
+    return pieces
+
+
+class TestPieceTable:
+    @staticmethod
+    def columns(union):
+        xs, ys = union.pieces
+        return [list(zip(xs[:, j].tolist(), ys[:, j].tolist())) for j in range(xs.shape[1])]
+
+    def test_properties(self):
+        for u in shared_endpoint_unions():
+            xs, _ = u.pieces
+            assert xs.shape[0] * xs.shape[1] <= 2 * len(u)
+            segments = [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in u.coords.T.tolist()]
+            cols = self.columns(u)
+            for col in cols:
+                verts = set(col)
+                # padding only repeats the piece's first vertex
+                distinct = len(verts)
+                assert len(set(col[:distinct])) == distinct
+                assert col[distinct:] == [col[0]] * (len(col) - distinct)
+                # the piece is connected through the union's own segments
+                inner = [s for s in segments if s[0] in verts and s[1] in verts]
+                assert {p for s in inner for p in s} == verts
+                reached, todo = {col[0]}, [col[0]]
+                while todo:
+                    q = todo.pop()
+                    for a, b in inner:
+                        for x, y in ((a, b), (b, a)):
+                            if x == q and y not in reached:
+                                reached.add(y)
+                                todo.append(y)
+                assert reached == verts
+            for a, b in segments:
+                assert any(a in col and b in col for col in cols)
+
+    def test_pieces_are_the_components_unless_the_segments_are_smaller(self):
+        for u in shared_endpoint_unions():
+            pieces = components_by_search(u)
+            xs, ys = u.pieces
+            if max(map(len, pieces)) * len(pieces) > 2 * len(u):
+                assert np.array_equal(xs, u.coords[0::2]) and np.array_equal(ys, u.coords[1::2])
+            else:
+                assert [set(col) for col in self.columns(u)] == pieces
+
+    def test_signed_zero_corner_joins(self):
+        u = SegmentUnion([Segment((0.0, 0.0), (1, 0)), Segment((-0.0, 0.0), (0, 1))])
+        assert u.pieces[0].shape == (3, 1)
+
+    def test_table_shapes(self):
+        rng = np.random.default_rng(3)
+        assert four_corners(2).skeleton().pieces[0].shape == (4, 16)
+        assert polyline(200, rng).pieces[0].shape == (200, 1)
+        assert star(50, rng).pieces[0].shape == (51, 1)
+        assert mixed_union(rng).pieces[0].shape == (2, 129)
+        assert SegmentUnion([]).pieces[0].shape[1] == 0
+
+    def test_without_shared_endpoints_the_pieces_are_the_segments(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 40):
+            u = SegmentUnion.from_endpoints(rng.random((n, 2)), rng.random((n, 2)))
+            xs, ys = u.pieces
+            assert np.array_equal(xs, u.coords[0::2]) and np.array_equal(ys, u.coords[1::2])
+
+
 class TestSegment:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
