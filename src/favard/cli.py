@@ -248,7 +248,7 @@ def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, make in fixtures.items():
         stages = make()
-        tree = build_tree(stages, cfg)
+        tree = build_tree(stages)
         bad = collect_bad_cubes(tree)
         rep = verify_tree(tree)
         rep["packing"] = {k: v for k, v in packing_sums(tree).items()

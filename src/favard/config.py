@@ -12,7 +12,7 @@ directly. Keys (a config file may set any subset; unknown keys are an error):
 - ``c_j``: the root-interval length budget c_j / (A M).
 - ``c_m``: the projection bound M = c_m / kappa.
 - ``seed``: seed of every random draw.
-- ``workers``: threads of the Favard quadrature; FAVARD_WORKERS overrides it.
+- ``workers``: threads of the Favard quadrature.
 
 Every command embeds the full configuration and a content hash of its inputs
 in the emitted JSON, so results are reproducible byte-for-byte given the same
@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,9 +43,6 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        env = os.environ.get("FAVARD_WORKERS")
-        if env:
-            self.workers = max(1, int(env))
         if not (0.0 < self.rho <= 0.5):
             raise ValueError("rho must lie in (0, 1/2]")
         if self.atom_pitch is not None and not 0.0 < self.atom_pitch < math.inf:

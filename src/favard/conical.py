@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
 from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, _as_intervals,
@@ -149,29 +148,14 @@ def bad_scale_counts(model, xs: np.ndarray, direction: DirectionInterval, rho: f
     return counts
 
 
-@dataclass
-class GoodDirectionFamily:
-    """Per-atom families of disjoint triadic intervals with witness angles.
-
-    families[i] is a list of (interval, witness_theta) pairs for atom i; the
-    witness satisfies mu_{theta}(x_i) <= m_bound (checked where recorded).
-    """
-
-    families: dict[int, list[tuple[TriadicInterval, float]]]
-    m_bound: float
-
-    def intervals(self, i: int) -> list[TriadicInterval]:
-        return [iv for iv, _ in self.families.get(i, [])]
-
-    def union_length(self, i: int) -> float:
-        return math.fsum(iv.length for iv in self.intervals(i))
+Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
 
 
 @dataclass
 class SelectionResult:
     atoms: DiscreteMeasure
     eprime: np.ndarray                   # boolean mask over atoms
-    family: GoodDirectionFamily
+    families: dict[int, Family]          # per selected atom; each witness has mu_theta <= M
     g_length: float                      # H(G)
     eprime_mass_fraction: float          # selected mass over total mass
     min_family_length: float             # smallest per-atom family union length
@@ -180,7 +164,7 @@ class SelectionResult:
 
 
 def select_good_directions(union: SegmentUnion, directions, kappa: float,
-                           m_bound: Optional[float] = None, *,
+                           m_bound: float, *,
                            samples_per_length: int = 729,
                            triadic_depth: int = 6,
                            rho: float = 0.5,
@@ -194,12 +178,10 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     The families are the depth-`triadic_depth` triadic intervals containing at
     least one sampled direction that is good for the atom; the witness is such
     a sample. Conical energies over the perpendicular families are recorded as
-    ratios against M H(G). M defaults to the config's c_m / kappa.
+    ratios against M H(G).
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    if m_bound is None:
-        m_bound = ExperimentConfig.c_m / kappa
     intervals = _as_intervals(directions)
     total_len = math.fsum(iv.length for iv in intervals)
     if total_len <= 0.0:
@@ -231,18 +213,15 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     eprime = good_len >= (kappa / 4.0) * total_len - TOL
     eprime_mass = math.fsum(mu.weights[eprime].tolist())
 
-    families: dict[int, list[tuple[TriadicInterval, float]]] = {}
+    covers = [triadic_cover(theta, triadic_depth) for theta in thetas]
+    families: dict[int, Family] = {}
     for i in np.nonzero(eprime)[0]:
-        chosen: dict[tuple[int, int], float] = {}
-        for j, theta in enumerate(thetas):
-            if good[j, i]:
-                key_iv = triadic_cover(theta, triadic_depth)
-                chosen.setdefault((key_iv.level, key_iv.index), theta)
-        families[int(i)] = [(TriadicInterval(lv, ix), th)
-                            for (lv, ix), th in sorted(chosen.items())]
-
-    fam = GoodDirectionFamily(families, m_bound)
-    min_len = min((fam.union_length(i) for i in families), default=0.0)
+        chosen: dict[TriadicInterval, float] = {}
+        for j in np.nonzero(good[:, i])[0]:
+            chosen.setdefault(covers[j], thetas[j])
+        families[int(i)] = sorted(chosen.items())
+    min_len = min((math.fsum(iv.length for iv, _ in fam) for fam in families.values()),
+                  default=0.0)
 
     # pointwise pushforward values integrated over each family, the reference
     # quantity the energies are compared against: each (member, node) pair is
@@ -272,7 +251,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
         rhs = math.fsum(pointwise[i])
         fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
 
-    return SelectionResult(mu, eprime, fam, total_len,
+    return SelectionResult(mu, eprime, families, total_len,
                            eprime_mass / total_mass if total_mass else 0.0,
                            min_len, energy_ratios, fourier_ratios)
 

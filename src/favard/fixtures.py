@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
+from .conical import Family
 from .sets import DiscreteMeasure, SegmentUnion, four_corners, split_parallel
 from .torus import TriadicInterval
-from .tree import Family, GoodStages, build_good_stages
+from .tree import GoodStages, build_good_stages
 
 # [6/27, 7/27): a transverse (near-vertical) triadic direction interval
 TRANSVERSE_ROOT = TriadicInterval(3, 6)

@@ -88,10 +88,8 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     rot_atoms = DiscreteMeasure(_rotate_quarter(atoms.points, shift), atoms.weights)
     rot_union = norm.mapped(lambda pts: _rotate_quarter(pts, shift))
 
-    families = {i: fam for i, fam in selection.family.families.items()}
-    prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,
-                                     a_const, m_bound, cfg,
-                                     segment_model=rot_union)
+    prop = propagate_good_directions(rot_atoms, selection.eprime, selection.families, root_iv,
+                                     a_const, m_bound, cfg, segment_model=rot_union)
     report["propagation"] = {
         "rounds": prop.rounds,
         "trace": prop.trace,

@@ -28,7 +28,7 @@ import numpy as np
 from .torus import TOL, line_angle
 
 DEFAULT_ATOMS_PER_SEGMENT = 64
-PAIR_TILE = 512     # side of the largest distance tile pairwise_extremes builds
+DIST_TILE_SIDE = 512    # side of the largest distance tile pairwise_extremes builds
 
 
 class BadSegment(ValueError):
@@ -515,18 +515,18 @@ def pairwise_extremes(pts: np.ndarray,
     """Per-point (nearest, farthest) Euclidean distance to the other points of
     `pts`, or to the points of `cloud` when one is given.
 
-    The distance matrix is built in tiles of at most PAIR_TILE x PAIR_TILE, so
-    memory stays bounded on large inputs. A point with nothing to compare
+    The distance matrix is built in tiles of at most DIST_TILE_SIDE x
+    DIST_TILE_SIDE, so memory stays bounded on large inputs. A point with nothing to compare
     against gets (inf, -inf).
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     other = pts if cloud is None else np.asarray(cloud, dtype=float).reshape(-1, 2)
     near = np.full(len(pts), math.inf)
     far = np.full(len(pts), -math.inf)
-    for a in range(0, len(pts), PAIR_TILE):
-        pa, rows = pts[a:a + PAIR_TILE], slice(a, a + PAIR_TILE)
-        for b in range(0, len(other), PAIR_TILE):
-            pb = other[b:b + PAIR_TILE]
+    for a in range(0, len(pts), DIST_TILE_SIDE):
+        pa, rows = pts[a:a + DIST_TILE_SIDE], slice(a, a + DIST_TILE_SIDE)
+        for b in range(0, len(other), DIST_TILE_SIDE):
+            pb = other[b:b + DIST_TILE_SIDE]
             d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
             on_diagonal = cloud is None and a == b
             if on_diagonal:

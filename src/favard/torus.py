@@ -104,9 +104,12 @@ class AngleInterval:
         return circ_dist(self.center, other.center) <= self.half_width + other.half_width + TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TriadicInterval:
-    """Triadic interval [index 3^-level, (index+1) 3^-level) on T."""
+    """Triadic interval [index 3^-level, (index+1) 3^-level) on T.
+
+    Intervals compare, sort and hash as their (level, index) pairs.
+    """
 
     level: int
     index: int

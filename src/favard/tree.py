@@ -9,7 +9,8 @@ the structural properties exhaustively; ``collect_bad_cubes`` and
 ``packing_sums`` measure the packing quantities, and ``bad_chain_check``
 bounds each point's energy by the bad cubes containing it;
 ``propagate_good_directions`` iterates the stage construction until the
-finished set is large.
+finished set is large. The stages keep the config they were built with, and
+every later step reads it from them.
 
 All interval-measure arithmetic runs in integer units of 3^-D for a common
 depth D, so coverage tests and packing sums are exact.
@@ -24,14 +25,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import _auto_energy_high, annulus_mask, bad_scale_counts, conical_energy
+from .conical import Family, _auto_energy_high, annulus_mask, bad_scale_counts, conical_energy
 from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
 from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
 
-Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
-MAX_ROUNDS = 64                                  # hard cap on propagation rounds
+MAX_ROUNDS = 64     # hard cap on propagation rounds
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ class TriadicUnits:
 def maximal_intervals(ivs: Sequence[TriadicInterval]) -> list[TriadicInterval]:
     """Maximal members of a family of triadic intervals (containment order)."""
     out: list[TriadicInterval] = []
-    for iv in sorted(set(ivs), key=lambda t: (t.level, t.index)):
+    for iv in sorted(set(ivs)):
         if not any(kept.contains(iv) for kept in out):
             out.append(iv)
     return out
@@ -96,7 +96,7 @@ class GoodStages:
     root_iv: TriadicInterval
     m_bound: float
     eps: float
-    rho: float
+    params: ExperimentConfig                 # the config the stages were built with
     units: TriadicUnits
     eprime: np.ndarray                       # bool mask over atoms
     families: dict[int, Family]              # per-selected-atom direction families
@@ -105,23 +105,16 @@ class GoodStages:
     cover: dict[int, list[TriadicInterval]]
     filtered: dict[int, list[TriadicInterval]]
     core: dict[int, list[TriadicInterval]]
-    full_cover: np.ndarray
-    partial_cover: np.ndarray
+    full_cover: np.ndarray                   # controlled points whose cover is the root
     scale_budget: float
     checks: dict
 
     def core_universe(self) -> list[TriadicInterval]:
-        seen = {}
-        for ivs in self.core.values():
-            for iv in ivs:
-                seen[(iv.level, iv.index)] = iv
-        return [seen[k] for k in sorted(seen)]
+        return sorted({iv for ivs in self.core.values() for iv in ivs})
 
     def core_carriers(self, interval: TriadicInterval) -> np.ndarray:
-        key = (interval.level, interval.index)
-        out = [i for i, ivs in self.core.items()
-               if any((iv.level, iv.index) == key for iv in ivs)]
-        return np.array(sorted(out), dtype=np.int64)
+        return np.array(sorted(i for i, ivs in self.core.items() if interval in ivs),
+                        dtype=np.int64)
 
 
 def _family_intervals(fam: Family) -> list[TriadicInterval]:
@@ -242,14 +235,8 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         interval_budget = max(interval_budget, energy_threshold / units.to_float(g0_len))
 
     full_cover = np.zeros(len(atoms), dtype=bool)
-    partial_cover = np.zeros(len(atoms), dtype=bool)
-    root_key = (root_iv.level, root_iv.index)
     for i in np.nonzero(controlled)[0]:
-        i = int(i)
-        if [(iv.level, iv.index) for iv in cover[i]] == [root_key]:
-            full_cover[i] = True
-        else:
-            partial_cover[i] = True
+        full_cover[i] = cover[int(i)] == [root_iv]
 
     checks = {
         "chebyshev_e0": chebyshev_ok,
@@ -257,9 +244,9 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         "g1_large": g1_large_ok,
         "g0_covers": g0_covers_ok,
     }
-    return GoodStages(atoms, root_iv, m_bound, eps, params.rho, units, eprime, families,
+    return GoodStages(atoms, root_iv, m_bound, eps, params, units, eprime, families,
                       energy_threshold, controlled, cover, filtered, core, full_cover,
-                      partial_cover, a_const * interval_budget, checks)
+                      a_const * interval_budget, checks)
 
 
 @dataclass
@@ -338,7 +325,7 @@ def grow_families(stages: GoodStages) -> FamilyGrowth:
 def good_at_scale_all(stages: GoodStages, k: int) -> dict[int, list[TriadicInterval]]:
     """Good intervals at scale k for every atom: maximal intervals I carried
     by a controlled point within the d_I-ball of radius 10 rho^k around x."""
-    rho = stages.rho
+    rho = stages.params.rho
     pts = stages.atoms.points
     n = len(pts)
     radius = 10.0 * rho**k
@@ -389,7 +376,6 @@ class StoppedPiece:
 @dataclass
 class DirectionTree:
     stages: GoodStages
-    params: ExperimentConfig
     nodes: dict[int, TreeNode]
     generations: list[list[int]]
     roots: list[int]
@@ -435,11 +421,7 @@ def _sees_core_direction(stages: GoodStages, atom_idx: np.ndarray, interval: Tri
 
 
 def _owns_core_interval(stages: GoodStages, atom_idx: np.ndarray, interval: TriadicInterval) -> bool:
-    key = (interval.level, interval.index)
-    for i in atom_idx:
-        if stages.controlled[i] and any((iv.level, iv.index) == key for iv in stages.core[int(i)]):
-            return True
-    return False
+    return any(stages.controlled[i] and interval in stages.core[int(i)] for i in atom_idx)
 
 
 def _goodness_integral(stages: GoodStages, good_k: dict[int, list[TriadicInterval]],
@@ -456,17 +438,18 @@ def _goodness_integral(stages: GoodStages, good_k: dict[int, list[TriadicInterva
     return lhs, rhs
 
 
-def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) -> DirectionTree:
-    """Grow the direction tree of anisotropic cubes.
+def build_tree(stages: GoodStages) -> DirectionTree:
+    """Grow the direction tree of anisotropic cubes, with the stages' config.
 
     Generation 0 takes the cubes of the root-adapted partition that meet the
-    controlled set. A child that sees a core direction and carries the
-    near-full goodness integral joins the tree; failing the integral starts
-    the shattering cascade over the triadic children of its interval, where
-    strict core membership decides. Shattering deeper than the family depth
-    indicates a construction bug and raises.
+    controlled set. Each child piece is placed by one rule: a piece that sees
+    no core direction ends; a child of a node joins the tree if it carries
+    the near-full goodness integral, a shattered piece if it owns a core
+    interval; any other piece shatters over the triadic children of its
+    interval. Shattering deeper than the family depth indicates a
+    construction bug and raises.
     """
-    params = params or ExperimentConfig()
+    params = stages.params
     rho = params.rho
     pts = stages.atoms.points
     all_idx = np.arange(len(pts), dtype=np.int64)
@@ -475,13 +458,10 @@ def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) ->
     nodes: dict[int, TreeNode] = {}
     stopped: list[StoppedPiece] = []
     roots: list[int] = []
-    counter = 0
 
     def new_node(cube: AnisoCube, gen: int, interval: TriadicInterval, tag: str,
                  parent: Optional[int]) -> int:
-        nonlocal counter
-        nid = counter
-        counter += 1
+        nid = len(nodes)
         root_id = nid if tag in ("root0", "root") else nodes[parent].root_id
         nodes[nid] = TreeNode(nid, cube, gen, interval, tag, parent, root_id)
         if parent is not None:
@@ -504,46 +484,37 @@ def build_tree(stages: GoodStages, params: Optional[ExperimentConfig] = None) ->
         good_k = good_by_scale[k + 1] = good_at_scale_all(stages, k + 1)
         next_gen: list[int] = []
 
-        def classify_shattered(piece: AnisoCube, j_piece: TriadicInterval,
-                               parent_node: int, depth: int) -> None:
-            if not _sees_core_direction(stages, piece.atom_idx, j_piece):
-                stopped.append(StoppedPiece("end", k + 1, j_piece, piece.atom_idx,
-                                            parent_node))
+        def place(piece: AnisoCube, interval: TriadicInterval, parent: int,
+                  depth: int) -> None:
+            if not _sees_core_direction(stages, piece.atom_idx, interval):
+                stopped.append(StoppedPiece("end", k + 1, interval, piece.atom_idx, parent))
                 return
-            if _owns_core_interval(stages, piece.atom_idx, j_piece):
-                next_gen.append(new_node(piece, k + 1, j_piece, "root", parent_node))
+            if depth == 0:
+                lhs, rhs = _goodness_integral(stages, good_k, piece.atom_idx, interval)
+                joins, tag = lhs >= rhs - 1e-12, "good"
+            else:
+                joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
+            if joins:
+                next_gen.append(new_node(piece, k + 1, interval, tag, parent))
                 return
             if depth >= depth_cap:
                 raise RuntimeError(
                     f"shattering did not terminate by depth {depth} at generation "
-                    f"{k + 1}; interval {j_piece}, atoms {piece.atom_idx[:8]}")
-            stopped.append(StoppedPiece("sh", k + 1, j_piece, piece.atom_idx,
-                                        parent_node))
-            for j_child in j_piece.children():
-                for sub in descend(pts, piece.atom_idx, j_piece, k + 1, j_child, 0, rho):
-                    classify_shattered(sub, j_child, parent_node, depth + 1)
+                    f"{k + 1}; interval {interval}, atoms {piece.atom_idx[:8]}")
+            stopped.append(StoppedPiece("sh", k + 1, interval, piece.atom_idx, parent))
+            for j_child in interval.children():
+                for sub in descend(pts, piece.atom_idx, interval, k + 1, j_child, 0, rho):
+                    place(sub, j_child, parent, depth + 1)
 
         for nid in generations[k]:
             node = nodes[nid]
-            kids = descend(pts, node.cube.atom_idx, node.interval, k, node.interval, 1, rho)
-            for piece in kids:
-                if not _sees_core_direction(stages, piece.atom_idx, node.interval):
-                    stopped.append(StoppedPiece("end", k + 1, node.interval,
-                                                piece.atom_idx, nid))
-                    continue
-                lhs, rhs = _goodness_integral(stages, good_k, piece.atom_idx, node.interval)
-                if lhs >= rhs - 1e-12:
-                    next_gen.append(new_node(piece, k + 1, node.interval, "good", nid))
-                else:
-                    stopped.append(StoppedPiece("sh", k + 1, node.interval,
-                                                piece.atom_idx, nid))
-                    for j_child in node.interval.children():
-                        for sub in descend(pts, piece.atom_idx, node.interval, k + 1,
-                                           j_child, 0, rho):
-                            classify_shattered(sub, j_child, nid, 1)
+            for piece in descend(pts, node.cube.atom_idx, node.interval, k, node.interval,
+                                 1, rho):
+                place(piece, node.interval, nid, 0)
+        del place      # the recursive closure refers to itself; free the tree by refcount
         generations.append(next_gen)
 
-    return DirectionTree(stages, params, nodes, generations, roots, stopped, good_by_scale)
+    return DirectionTree(stages, nodes, generations, roots, stopped, good_by_scale)
 
 
 def packing_sums(tree: DirectionTree) -> dict:
@@ -578,7 +549,7 @@ def collect_bad_cubes(tree: DirectionTree) -> list[int]:
     meets the atoms. Marks nodes in place and returns their ids."""
     stages = tree.stages
     mu = stages.atoms
-    rho = tree.params.rho
+    rho = stages.params.rho
     bad = []
     for nid, node in tree.nodes.items():
         wide = node.interval.dilate(15.0)
@@ -608,11 +579,10 @@ def verify_tree(tree: DirectionTree) -> dict:
     plus the measured constants. Everything is exact on atoms (tolerance TOL).
     """
     stages = tree.stages
-    params = tree.params
     units = stages.units
     pts = stages.atoms.points
     w = stages.atoms.weights
-    rho = params.rho
+    rho = stages.params.rho
     report: dict = {}
 
     atom_sets = {nid: frozenset(node.cube.atom_idx.tolist())
@@ -690,8 +660,7 @@ def verify_tree(tree: DirectionTree) -> dict:
     t6 = True
     for nid, node in tree.nodes.items():
         root = tree.nodes[node.root_id]
-        if (node.interval.level, node.interval.index) != \
-                (root.interval.level, root.interval.index):
+        if node.interval != root.interval:
             t6 = False
     report["subtree_interval_constant"] = t6
 
@@ -761,7 +730,7 @@ def bad_chain_check(tree: DirectionTree, bad_ids: list[int]) -> dict:
             continue
         wide = [iv.dilate(15.0) for iv in stages.core[i]]
         merged = _merge_angle_intervals(wide)
-        prof = conical_energy(stages.atoms, pts[i], merged, stages.rho, 0,
+        prof = conical_energy(stages.atoms, pts[i], merged, stages.params.rho, 0,
                               len(tree.generations) - 1)
         lhs = prof.total_float
         rhs = stages.m_bound * math.fsum(

@@ -753,22 +753,22 @@ def whitney(open_set: Sequence[tuple[float, float]], min_exp: int = -40,
 # ---------------------------------------------------------------------------
 
 
-def synthetic_stages_constant_core(atoms: DiscreteMeasure,
-                                   root_iv: TriadicInterval) -> GoodStages:
+def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInterval,
+                                   params: Optional[ExperimentConfig] = None) -> GoodStages:
     """Stages whose core family is the whole root interval for every atom:
-    the no-shattering reference instance, at the default config."""
-    defaults = ExperimentConfig     # class attributes: the field defaults
+    the no-shattering reference instance, at `params` (default config)."""
+    params = params or ExperimentConfig()
     n = len(atoms)
     all_mask = np.ones(n, dtype=bool)
     return GoodStages(
         atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M,
-        eps=defaults.c_eps / (FIXTURE_A * FIXTURE_M), rho=defaults.rho,
-        units=TriadicUnits(root_iv.level + defaults.triadic_depth + 3),
+        eps=params.c_eps / (FIXTURE_A * FIXTURE_M), params=params,
+        units=TriadicUnits(root_iv.level + params.triadic_depth + 3),
         eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
         energy_threshold=1.0, controlled=all_mask,
         cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
         core={i: [root_iv] for i in range(n)},
-        full_cover=all_mask.copy(), partial_cover=np.zeros(n, dtype=bool),
+        full_cover=all_mask.copy(),
         scale_budget=FIXTURE_A * FIXTURE_M, checks={"synthetic": True},
     )
 

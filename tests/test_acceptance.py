@@ -298,7 +298,7 @@ class TestCriterion8Tree:
         lines = []
         for name, stages in fixtures.items():
             t0 = time.time()
-            tree = build_tree(stages, params)
+            tree = build_tree(stages)
             collect_bad_cubes(tree)
             rep = verify_tree(tree)
             packing = packing_sums(tree)

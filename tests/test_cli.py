@@ -27,11 +27,6 @@ def cantor_json(tmp_path):
 
 
 class TestConfig:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FAVARD_WORKERS", "3")
-        cfg = ExperimentConfig()
-        assert cfg.workers == 3
-
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"rho": 0.5, "bogus": 1}))

@@ -367,7 +367,7 @@ class TestSelection:
     def test_good_directions_single_segment(self):
         u = SegmentUnion([Segment((0, 0), (1, 0))])
         g = AngleInterval(0.0, 0.02)
-        res = select_good_directions(u, g, kappa=0.5, triadic_depth=4,
+        res = select_good_directions(u, g, kappa=0.5, m_bound=6.0 / 0.5, triadic_depth=4,
                                      samples_per_length=2000)
         assert res.eprime.all()
         assert res.min_family_length >= (0.5 / 5) * res.g_length - 1e-12
@@ -377,16 +377,16 @@ class TestSelection:
         u = SegmentUnion([Segment((0, 0), (1, 0))])
         g = AngleInterval(0.25, 0.01)  # perpendicular: zero projections
         with pytest.raises(ValueError, match="theta"):
-            select_good_directions(u, g, kappa=0.5)
+            select_good_directions(u, g, kappa=0.5, m_bound=6.0 / 0.5)
 
     def test_cantor_horizontal_end_to_end(self):
         horiz, _ = split_parallel(four_corners(2).skeleton())
         g = AngleInterval(0.0, 0.02)
-        res = select_good_directions(horiz, g, kappa=0.05, triadic_depth=5,
+        res = select_good_directions(horiz, g, kappa=0.05, m_bound=6.0 / 0.05, triadic_depth=5,
                                      samples_per_length=1500, pitch=1 / 16 / 16)
         assert res.eprime_mass_fraction >= 0.05 / 4
         assert res.min_family_length >= (0.05 / 5) * res.g_length - 1e-12
-        for i, members in res.family.families.items():
+        for i, members in res.families.items():
             ivs = [iv for iv, _ in members]
             for a in range(len(ivs)):
                 for b in range(a + 1, len(ivs)):
@@ -405,12 +405,12 @@ class TestSelection:
             return pushforward_density(union, theta)
 
         monkeypatch.setattr(projection, "pushforward_density", counting)
-        res = select_good_directions(horiz, g, **kwargs)
+        res = select_good_directions(horiz, g, m_bound=6.0 / kwargs["kappa"], **kwargs)
         monkeypatch.undo()
         assert len(built) == len(set(built))
         expected = reference_selection(horiz, g, **kwargs)
         assert np.array_equal(res.eprime, expected["eprime"])
-        assert res.family.families == expected["families"]
+        assert res.families == expected["families"]
         assert res.energy_ratios == expected["energy_ratios"]
         assert res.fourier_ratios == expected["fourier_ratios"]
         # nodes shared by several atoms' families: a density per node repeats

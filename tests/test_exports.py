@@ -12,7 +12,7 @@ from favard.tree import build_tree
 def test_tree_dump(tmp_path):
     params = ExperimentConfig(k_max=2, triadic_depth=2)
     stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
-    tree = build_tree(stages, params)
+    tree = build_tree(stages)
     path = tmp_path / "tree.json"
     tree.to_json(path)
     data = json.loads(path.read_text())

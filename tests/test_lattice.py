@@ -359,7 +359,7 @@ class TestNetSweepOracle:
             return cubes
 
         monkeypatch.setattr("favard.tree.descend", checked)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         assert len(calls) > 1 and len(tree.nodes) > 0
 
 

@@ -68,31 +68,6 @@ def reference_sweep(union, thetas):
     return np.clip(np.maximum(highs, prev) - np.maximum(lows, prev), 0.0, None).sum(axis=1)
 
 
-def reference_favard_mc(union, needle_count, rng_seed=0):
-    """The dense favard_mc that the needle-blocked one replaced: one
-    (needles x segments) hit test per 100,000-needle chunk."""
-    center, radius = union.bounding_center_radius()
-    ends = union.endpoints()
-    rng = np.random.default_rng(rng_seed)
-    hits = done = 0
-    while done < needle_count:
-        m = min(100_000, needle_count - done)
-        thetas = rng.random(m)
-        offsets = (2.0 * rng.random(m) - 1.0) * radius
-        ang = 2.0 * math.pi * thetas
-        ex, ey = np.cos(ang), np.sin(ang)
-        t = center[0] * ex + center[1] * ey + offsets
-        proj = ends[:, 0][None, :] * ex[:, None] + ends[:, 1][None, :] * ey[:, None]
-        lows = np.minimum(proj[:, 0::2], proj[:, 1::2])
-        highs = np.maximum(proj[:, 0::2], proj[:, 1::2])
-        inside = (t[:, None] >= lows) & (t[:, None] <= highs)
-        hits += int(np.count_nonzero(inside.any(axis=1)))
-        done += m
-    window = 2.0 * radius
-    p = hits / needle_count
-    return window * p, window * math.sqrt(max(p * (1.0 - p), 0.0) / needle_count)
-
-
 def sweep_inputs():
     """Unions with shared endpoints, duplicate segments, segments
     perpendicular to the test angles, and 1-3 random segments."""
@@ -466,7 +441,7 @@ class TestFavardMC:
         for u in unions:
             for seed in (0, 1, 2):
                 for needles in (100, 230_001):
-                    assert favard_mc(u, needles, seed) == reference_favard_mc(u, needles, seed)
+                    assert favard_mc(u, needles, seed) == favard_mc_by_segment(u, needles, seed)
 
     def test_needle_count_guard(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,27 @@ class TestIntervals:
         assert triadic_cover(1 / 3, 1) == TriadicInterval(1, 1)
         assert triadic_cover(0.9999999, 1) == TriadicInterval(1, 2)
 
+    def test_triadic_order_and_hash_are_those_of_level_index_pairs(self):
+        # sets, dict keys and sorting of intervals stand in for (level, index)
+        # keys; 40 intervals of levels 0-3, so equal pairs occur too
+        rng = np.random.default_rng(18)
+
+        def draw():
+            level = int(rng.integers(0, 4))
+            return TriadicInterval(level, int(rng.integers(0, 3**level)))
+
+        pairs = [(draw(), draw()) for _ in range(2000)]
+        assert any(a == b for a, b in pairs) and any(a.level == b.level != 0 and a != b
+                                                     for a, b in pairs)
+        for a, b in pairs:
+            ka, kb = (a.level, a.index), (b.level, b.index)
+            assert (a < b, a <= b, a == b, a > b) == (ka < kb, ka <= kb, ka == kb, ka > kb)
+            assert hash(a) == hash(ka)
+        ivs = [iv for pair in pairs for iv in pair]
+        assert [(iv.level, iv.index) for iv in sorted(ivs)] == \
+            sorted((iv.level, iv.index) for iv in ivs)
+        assert len(set(ivs)) == len({(iv.level, iv.index) for iv in ivs})
+
 
 class TestCones:
     def test_axis_point_inside(self):

@@ -64,7 +64,7 @@ class TestGoodStages:
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.cover[i0] == [child]
-        assert stages.partial_cover[i0]
+        assert stages.controlled[i0] and not stages.full_cover[i0]
 
     def test_zero_energy_keeps_filter_trivial(self):
         atoms = line_atoms()
@@ -154,7 +154,7 @@ def good_at_scale(stages, x_idx, k):
         if len(carriers) == 0:
             continue
         d = min(d_metric(interval, pts[x_idx], pts[c]) for c in carriers)
-        if d < 10.0 * stages.rho**k:
+        if d < 10.0 * stages.params.rho**k:
             raw.append(interval)
     return maximal_intervals(raw)
 
@@ -210,7 +210,7 @@ class TestGoodAtScale:
         if thinned:
             for i in list(stages.core)[::3]:
                 stages.core[i] = []
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         fresh = {k: good_at_scale_all(stages, k) for k in range(1, params.k_max + 1)}
         assert tree.good_by_scale == fresh
         assert verify_tree(tree) == verify_tree(dataclasses.replace(tree, good_by_scale=fresh))
@@ -226,9 +226,9 @@ class TestGoodAtScale:
 class TestBuildTree:
     def test_no_shattering_with_constant_core(self):
         _, atoms, _, _, root_iv = single_line_instance(pitch=1 / 128)
-        stages = synthetic_stages_constant_core(atoms, root_iv)
         params = ExperimentConfig(k_max=4, triadic_depth=4)
-        tree = build_tree(stages, params)
+        stages = synthetic_stages_constant_core(atoms, root_iv, params)
+        tree = build_tree(stages)
         assert all(s.kind != "sh" for s in tree.stopped)
         assert all(tree.nodes[nid].tag in ("root0", "good") for nid in tree.nodes)
         rep = verify_tree(tree)
@@ -238,13 +238,13 @@ class TestBuildTree:
         atoms = line_atoms(16)
         stages = synthetic_stages_constant_core(atoms, ROOT)
         stages.controlled[:] = False
-        tree = build_tree(stages, ExperimentConfig(k_max=2, triadic_depth=2))
+        tree = build_tree(stages)
         assert len(tree.nodes) == 0
 
     def test_two_direction_shatters(self):
         params = ExperimentConfig(k_max=4, triadic_depth=4)
         stages = stages_for(*two_direction_instance(), params=params)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         sh = [s for s in tree.stopped if s.kind == "sh"]
         assert sh
         deep_roots = [r for r in tree.roots
@@ -262,7 +262,7 @@ class TestBuildTree:
     def test_single_line_properties(self):
         params = ExperimentConfig(k_max=4, triadic_depth=4)
         stages = stages_for(*single_line_instance()[1:], params=params)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         rep = verify_tree(tree)
         assert rep["all_pass"], rep
 
@@ -283,7 +283,7 @@ class TestBuildTree:
         stages = stages_for(*make(), params=params)
         for i in list(stages.core)[::3]:
             stages.core[i] = []
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         collect_bad_cubes(tree)
         rep = verify_tree(tree)
         assert {key: rep[key] for key in self.NINE_PROPERTIES} == \
@@ -339,7 +339,7 @@ class TestAncestryOracle:
         if thinned:
             for i in list(stages.core)[::3]:
                 stages.core[i] = []
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         assert _ancestry(tree) == reference_ancestry(tree) == \
             {"unique_ancestor": True, "product_disjointness": True}
 
@@ -347,7 +347,7 @@ class TestAncestryOracle:
     def _small_tree():
         params = ExperimentConfig(k_max=2, triadic_depth=2)
         stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
-        return build_tree(stages, params)
+        return build_tree(stages)
 
     @staticmethod
     def _add_root0(tree, atom_idx, like, interval=None):
@@ -389,7 +389,7 @@ class TestBadCubes:
     def test_transverse_line_narrow_generations_clean(self):
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance()[1:], params=params)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         bad = collect_bad_cubes(tree)
         # the widened cone at generation >= 1 misses the horizontal direction
         for nid in bad:
@@ -406,9 +406,9 @@ class TestBadCubes:
         extra = np.array([[0.31, 0.25 * 1.0001]])
         pts = np.vstack([atoms.points, extra])
         mu = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
-        stages = synthetic_stages_constant_core(mu, ROOT)
         params = ExperimentConfig(k_max=3, triadic_depth=3)
-        tree = build_tree(stages, params)
+        stages = synthetic_stages_constant_core(mu, ROOT, params)
+        tree = build_tree(stages)
         bad = collect_bad_cubes(tree)
         gens = {tree.nodes[b].generation for b in bad}
         assert 2 in gens  # 0.25 ~ rho^2
@@ -417,13 +417,13 @@ class TestBadCubes:
         atoms = line_atoms(8)
         stages = synthetic_stages_constant_core(atoms, ROOT)
         stages.controlled[:] = False
-        tree = build_tree(stages, ExperimentConfig(k_max=2, triadic_depth=2))
+        tree = build_tree(stages)
         assert collect_bad_cubes(tree) == []
 
     def test_bad_chain_constants(self):
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         bad = collect_bad_cubes(tree)
         rep = bad_chain_check(tree, bad)
         assert rep["zero_rhs_violations"] == 0
@@ -477,10 +477,36 @@ class TestPropagation:
         child = ROOT.children()[2]
         fams = {i: [(child, child.center)] for i in range(48)}
         res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
-        assert res.rounds <= 3
+        assert res.rounds == 1
         assert math.fsum(atoms.weights[res.finished_mask].tolist()) >= 0.25 - 1e-12
         for t in res.trace:
             assert t["containment_ok"] and t["growth_ok"]
+
+    @pytest.mark.parametrize("levels", [2, 3], ids=["level5", "level6"])
+    def test_deep_family_grows_one_level_per_round(self, levels):
+        # each round's parents lift the family one triadic level, and nothing
+        # finishes before the family is the root. A line has zero conical
+        # energy, so the growth constant of every later round reads 0.0
+        atoms = line_atoms(48)
+        iv = ROOT
+        for _ in range(levels):
+            iv = iv.children()[2]
+        fams = {i: [(iv, iv.center)] for i in range(48)}
+        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+        assert res.rounds == levels
+        assert [t["e_fin_mass_fraction"] for t in res.trace] == [0.0] * (levels - 1) + [1.0]
+        assert "energy_growth_constant" not in res.trace[0]
+        assert [t["energy_growth_constant"] for t in res.trace[1:]] == [0.0] * (levels - 1)
+        for t in res.trace:
+            assert t["containment_ok"] and t["growth_ok"]
+
+    def test_round_cap_raises_with_the_trace(self, monkeypatch):
+        monkeypatch.setattr("favard.tree.MAX_ROUNDS", 1)
+        atoms = line_atoms(48)
+        iv = ROOT.children()[2].children()[2]
+        fams = {i: [(iv, iv.center)] for i in range(48)}
+        with pytest.raises(RuntimeError, match="did not finish within 1 rounds; trace: r1: fin=0"):
+            propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
 
     def test_empty_family_rejected(self):
         atoms = line_atoms(8)
@@ -556,7 +582,7 @@ class TestStopFamilies:
     def test_stop_pieces_attach_to_roots(self):
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*two_direction_instance(), params=params)
-        tree = build_tree(stages, params)
+        tree = build_tree(stages)
         covered = []
         for r in tree.roots:
             covered.extend(id(s) for s in tree.stop_of(r))
