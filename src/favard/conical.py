@@ -5,6 +5,12 @@ Annuli use the half-open radial convention (r, R] so that the dyadic annuli
 (rho^{k+1}, rho^k] tile without double counting; per-scale masses accumulate
 as exact rationals so that energies are exactly additive over disjoint
 direction sets, independent of grouping.
+
+One kernel turns distances and cones into scales: ``scale_index`` is the
+(r, R] rule and ``annulus_scales`` applies it to a block of apexes. Bad-scale
+counts, the tree's bad cubes and the reduction's scale table all call it;
+only ``conical_energy`` masks each arc of its own distance row. One ceiling,
+``scale_ceiling``, bounds the scales worth visiting.
 """
 
 from __future__ import annotations
@@ -23,16 +29,6 @@ from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, _as_inte
                     _direction_mask, direction_vector, row_dot, triadic_cover, wrap)
 
 
-def _atoms_of(model, pitch: Optional[float] = None) -> DiscreteMeasure:
-    if isinstance(model, DiscreteMeasure):
-        return model
-    if isinstance(model, SegmentUnion):
-        return model.atoms(pitch)
-    if isinstance(model, np.ndarray):
-        return DiscreteMeasure(model, np.ones(len(model)))
-    raise TypeError(f"no atom model for {type(model)!r}")
-
-
 def _interval_key(interval: DirectionInterval) -> tuple[float, float]:
     return (wrap(interval.center - interval.half_width), interval.half_width)
 
@@ -46,21 +42,6 @@ def scale_index(dist: np.ndarray, rho: float, low: int, high: int) -> np.ndarray
     radii = np.array([rho**k for k in range(high + 1, low - 1, -1)])   # ascending
     j = np.searchsorted(radii, dist, side="left")       # radii[j - 1] < d <= radii[j]
     return np.where((j > 0) & (j < len(radii)), high + 1 - j, -1)
-
-
-def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
-                 r: float, big_r: float) -> np.ndarray:
-    """Atoms of mu in X(x, interval, r, R) with the half-open convention (r, R]."""
-    apex = np.asarray(x, dtype=float)
-    diff = mu.points - apex
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    if math.isfinite(big_r):
-        radial = dist <= big_r
-    else:
-        radial = np.ones(len(dist), dtype=bool)
-    if r > 0.0:
-        radial &= dist > r
-    return radial & _direction_mask(apex, interval, mu.points, dist)
 
 
 @dataclass
@@ -117,10 +98,11 @@ def conical_energy(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     return EnergyProfile(rho, low, high, masses)
 
 
-def _annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
-                    rho: float, low: int, high: int) -> np.ndarray:
+def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
+                   rho: float, low: int, high: int) -> np.ndarray:
     """scale[a, j]: the k in [low, high] with pts[j] in X(apexes[a], direction,
-    rho^{k+1}, rho^k), or -1."""
+    rho^{k+1}, rho^k), or -1. The one place outside conical_energy where a
+    distance and a cone become a scale."""
     apex = np.asarray(apexes, dtype=float).reshape(-1, 1, 2)
     diff = pts - apex
     dist = np.hypot(diff[..., 0], diff[..., 1])
@@ -128,24 +110,35 @@ def _annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInt
                     scale_index(dist, rho, low, high), -1)
 
 
-def bad_scale_counts(model, xs: np.ndarray, direction: DirectionInterval, rho: float = 0.5,
-                     low: int = 0, high: int = 30) -> np.ndarray:
+def bad_scale_counts(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
+                     rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
     """Number of bad scales of each row x of `xs`: the k in [low, high] with
-    X(x, direction, rho^{k+1}, rho^k) meeting the atom model, from one
+    X(x, direction, rho^{k+1}, rho^k) meeting the atoms `pts`, from one
     (apexes x atoms) scale block per PAIR_TILE pairs."""
     if low > high:
         raise ValueError("need low <= high")
-    pts = _atoms_of(model).points
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     step = max(1, PAIR_TILE // max(1, len(pts)))
     counts = np.zeros(len(xs), dtype=np.int64)
     for lo in range(0, len(xs), step):
-        scale = np.sort(_annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high),
+        scale = np.sort(annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high),
                         axis=1)
         new = scale >= 0           # the first of each distinct scale
         new[:, 1:] &= scale[:, 1:] != scale[:, :-1]
         counts[lo:lo + step] = new.sum(axis=1)
     return counts
+
+
+def scale_ceiling(pts: np.ndarray, rho: float) -> int:
+    """Smallest high scale past which every annulus around every atom is
+    empty: one more than the scale of the minimum atom gap. Coincident atoms
+    have no gap, so they raise."""
+    if len(pts) < 2:
+        return 1
+    gap = float(pairwise_extremes(pts)[0].min())
+    if gap <= 0.0:
+        raise ValueError("coincident points have no cone-free scale range")
+    return max(1, math.ceil(math.log(gap) / math.log(rho))) + 1
 
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
@@ -186,7 +179,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
     total_len = math.fsum(iv.length for iv in intervals)
     if total_len <= 0.0:
         raise ValueError("empty direction set")
-    mu = _atoms_of(union, pitch)
+    mu = union.atoms(pitch)
     total_mass = mu.total_mass
 
     # deterministic midpoint samples, proportional to arc length
@@ -240,7 +233,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
             for i, value in zip(atoms, values.tolist()):
                 pointwise[i].append(value)
 
-    energy_high = _auto_energy_high(mu, rho)
+    energy_high = scale_ceiling(mu.points, rho)
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
     for i, members in families.items():
@@ -255,14 +248,3 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
                            eprime_mass / total_mass if total_mass else 0.0,
                            min_len, energy_ratios, fourier_ratios)
 
-
-def _auto_energy_high(mu: DiscreteMeasure, rho: float) -> int:
-    """Smallest k_high making the truncated sum exact: past the minimum atom gap
-    every annulus is empty."""
-    if len(mu) < 2:
-        return 1
-    gap = float(pairwise_extremes(mu.points)[0].min())
-    if gap <= 0.0:
-        return 40
-    k = max(1, math.ceil(math.log(gap) / math.log(rho)))
-    return min(k + 1, 60)

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .conical import bad_scale_counts, scale_index
+from .conical import annulus_scales, bad_scale_counts, scale_ceiling
 from .sets import pairwise_extremes
-from .torus import TOL, DirectionInterval, _direction_mask, direction_vector, perp, row_dot
+from .torus import (PAIR_TILE, TOL, DirectionInterval, _direction_mask, direction_vector, perp,
+                    row_dot)
 
 
 @dataclass
@@ -96,16 +97,6 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
     return ok, lip
 
 
-def _scale_range(pts: np.ndarray, rho: float) -> int:
-    """High scale index covering every pairwise distance from below."""
-    if len(pts) < 2:
-        return 1
-    best = float(pairwise_extremes(pts)[0].min())
-    if best <= 0.0:
-        raise ValueError("coincident points have no cone-free scale range")
-    return max(1, math.ceil(math.log(best) / math.log(rho))) + 1
-
-
 def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionInterval,
                       m_cap: int, rho: float = 0.5) -> np.ndarray:
     """Shrink the set until every point has at most m_cap - 1 bad scales for
@@ -120,7 +111,7 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     """
     pts_all = np.asarray(points, dtype=float)
     idx = np.array(sorted(idx), dtype=np.int64)
-    high = _scale_range(pts_all[idx], rho)
+    high = scale_ceiling(pts_all[idx], rho)
 
     counts = bad_scale_counts(pts_all[idx], pts_all[idx], interval, rho, 0, high)
     offenders = [(int(i), int(c)) for i, c in zip(idx, counts) if c > m_cap]
@@ -133,13 +124,12 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     pts = pts_all[idx]
     n = len(idx)
     # scale[a, j]: the annulus (rho^{k+1}, rho^k], k <= high, of apex a that
-    # holds j inside the halved cone, or -1; hits[a, k] counts its witnesses
-    scale = np.full((n, n), -1, dtype=np.int16)
-    for a in range(n):
-        diff = pts - pts[a]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        dmask = _direction_mask(pts[a], half, pts, dist)
-        scale[a, dmask] = scale_index(dist[dmask], rho, 0, high)
+    # holds j inside the halved cone, or -1, one block of about PAIR_TILE
+    # pairs at a time; hits[a, k] counts its witnesses
+    scale = np.empty((n, n), dtype=np.int16)
+    step = max(1, PAIR_TILE // max(1, n))
+    for lo in range(0, n, step):
+        scale[lo:lo + step] = annulus_scales(pts, pts[lo:lo + step], half, rho, 0, high)
     hits = np.zeros((n, high + 1), dtype=np.int64)
     rows, cols = np.nonzero(scale >= 0)
     np.add.at(hits, (rows, scale[rows, cols]), 1)

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import bad_scale_counts, select_good_directions
-from .graphs import _scale_range, extract_graph, verify_lipschitz
+from .conical import bad_scale_counts, scale_ceiling, select_good_directions
+from .graphs import extract_graph, verify_lipschitz
 from .projection import projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, ahlfors_constant
 from .torus import AngleInterval, TriadicInterval, perp, wrap
@@ -100,7 +100,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
 
     f_idx = np.nonzero(prop.finished_mask)[0]
     half_j0 = root_iv.dilate(0.5)
-    high = _scale_range(rot_atoms.points[f_idx], cfg.rho)
+    high = scale_ceiling(rot_atoms.points[f_idx], cfg.rho)
     finished = rot_atoms.points[f_idx]
     m0 = int(bad_scale_counts(finished, finished, half_j0, cfg.rho, 0, high).max(initial=0))
     report["bad_scale_bound"] = {"m0": m0, "scale_high": high}

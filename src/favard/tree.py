@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import Family, _auto_energy_high, annulus_mask, bad_scale_counts, conical_energy
+from .conical import Family, bad_scale_counts, conical_energy, scale_ceiling
 from .lattice import AnisoCube, descend
 from .projection import Projector
 from .sets import DiscreteMeasure
@@ -124,21 +124,19 @@ def _family_intervals(fam: Family) -> list[TriadicInterval]:
 def _maximal_cover(root_iv: TriadicInterval, members: list[TriadicInterval],
                    units: TriadicUnits, eps: float) -> list[TriadicInterval]:
     """Maximal triadic descendants of the root covered by the members to
-    fraction at least 1 - eps."""
+    fraction at least 1 - eps, in depth-first order."""
     out: list[TriadicInterval] = []
-
-    def rec(iv: TriadicInterval) -> None:
+    todo = [root_iv]
+    while todo:
+        iv = todo.pop()
         cov = units.cover_length(iv, members)
         if cov == 0:
-            return
+            continue
         need = (1.0 - eps) * units.length(iv)
         if cov >= need - 1e-9:
             out.append(iv)
-            return
-        for ch in iv.children():
-            rec(ch)
-
-    rec(root_iv)
+        else:
+            todo.extend(reversed(iv.children()))
     return out
 
 
@@ -151,6 +149,14 @@ def _clip_to(target: TriadicInterval, members: list[TriadicInterval]) -> list[Tr
         elif m.contains(target):
             return [target]
     return pieces
+
+
+def _stage_constants(root_iv: TriadicInterval, a_const: float, m_bound: float,
+                     params: ExperimentConfig) -> tuple[float, TriadicUnits]:
+    """The stages' coverage slack eps = c_eps / (A M) and their exact units,
+    3^-D with D the root's level plus the family depth plus three."""
+    return (params.c_eps / (a_const * m_bound),
+            TriadicUnits(root_iv.level + params.triadic_depth + 3))
 
 
 def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
@@ -166,8 +172,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     their middle children. Verified side conditions land in `checks`.
     """
     params = params or ExperimentConfig()
-    eps = params.c_eps / (a_const * m_bound)
-    units = TriadicUnits(root_iv.level + params.triadic_depth + 3)
+    eps, units = _stage_constants(root_iv, a_const, m_bound, params)
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
     if emass <= 0.0:
@@ -181,7 +186,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
         if len(maximal_intervals(ivs)) != len(ivs):
             raise ValueError(f"family of atom {i} is not disjoint")
 
-    high = _auto_energy_high(atoms, params.rho)
+    high = scale_ceiling(atoms.points, params.rho)
 
     energies: dict[int, float] = {}
     for i in np.nonzero(eprime)[0]:
@@ -545,25 +550,23 @@ def packing_sums(tree: DirectionTree) -> dict:
 
 
 def collect_bad_cubes(tree: DirectionTree) -> list[int]:
-    """Nodes Q with some member x whose annulus cone X(x, 15 J_Q, rho l(Q), l(Q))
-    meets the atoms. Marks nodes in place and returns their ids."""
+    """Nodes Q of generation g with some member x whose annulus cone
+    X(x, 15 J_Q, rho^{g+1}, rho^g) meets the atoms, i.e. g is a bad scale of x
+    for 15 J_Q. The nodes of one (interval, generation) share one blocked
+    count. Marks nodes in place and returns their ids."""
     stages = tree.stages
-    mu = stages.atoms
+    pts = stages.atoms.points
     rho = stages.params.rho
-    bad = []
-    for nid, node in tree.nodes.items():
-        wide = node.interval.dilate(15.0)
-        ell = rho**node.generation
-        found = False
-        for i in node.cube.atom_idx:
-            mask = annulus_mask(mu, stages.atoms.points[i], wide, rho * ell, ell)
-            if mask.any():
-                found = True
-                break
-        node.is_bad = found
-        if found:
-            bad.append(nid)
-    return bad
+    groups: dict[tuple[TriadicInterval, int], list[TreeNode]] = {}
+    for node in tree.nodes.values():
+        groups.setdefault((node.interval, node.generation), []).append(node)
+    for (interval, g), group in groups.items():
+        members = np.concatenate([node.cube.atom_idx for node in group])
+        hit = bad_scale_counts(pts, pts[members], interval.dilate(15.0), rho, g, g) > 0
+        ends = np.cumsum([len(node.cube.atom_idx) for node in group])[:-1]
+        for node, node_hit in zip(group, np.split(hit, ends)):
+            node.is_bad = bool(node_hit.any())
+    return [nid for nid, node in tree.nodes.items() if node.is_bad]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +683,7 @@ def verify_tree(tree: DirectionTree) -> dict:
     t8 = True
     worst = 0.0
     for nid, node in tree.nodes.items():
-        counts = bad_scale_counts(stages.atoms, pts[node.cube.atom_idx],
+        counts = bad_scale_counts(pts, pts[node.cube.atom_idx],
                                   node.interval.dilate(0.8), rho, 0, node.generation)
         for count in counts.tolist():
             worst = max(worst, count / stages.scale_budget)
@@ -793,7 +796,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     params = params or ExperimentConfig()
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
-    units = TriadicUnits(root_iv.level + params.triadic_depth + 3)
+    eps, units = _stage_constants(root_iv, a_const, m_bound, params)
 
     tau = math.inf
     for i in np.nonzero(eprime)[0]:
@@ -805,7 +808,6 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     if not (tau > 0.0):
         raise ValueError("family hypothesis fails: some family has zero length")
 
-    eps = params.c_eps / (a_const * m_bound)
     cap = min(MAX_ROUNDS, math.ceil(12.0 / (eps * tau)) + 1)
 
     if segment_model is not None:

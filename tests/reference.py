@@ -6,10 +6,11 @@ Nothing here runs in a command. Three kinds of definitions live here:
   (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
   pushforward densities, the parallel split, the Favard sweep and the
   Monte Carlo needle test; exact interval-union projections, the scalar
-  maximal function, single apex cone masses and bad scales, the scalar d_J
-  metric, base-cell grids, one-step descents, the quadrature form of the
-  conical energy, the Hausdorff content of a model, and the constant-core
-  stages of the no-shattering tree);
+  maximal function, annulus masks, single apex cone masses and bad scales,
+  the scalar d_J metric, base-cell grids, one-step descents, the quadrature
+  form of the conical energy, the Hausdorff content of a model, the
+  constant-core stages of the no-shattering tree, and the per-atom test of
+  the tree's bad cubes);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from favard.config import ExperimentConfig
-from favard.conical import _annulus_scales, _atoms_of, _interval_key, annulus_mask
+from favard.conical import _interval_key, annulus_scales
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
@@ -36,7 +37,7 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           perp, row_dot)
-from favard.tree import GoodStages, TriadicUnits
+from favard.tree import DirectionTree, GoodStages, _stage_constants
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,21 @@ def hausdorff_content(model, min_radius: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
+                 r: float, big_r: float) -> np.ndarray:
+    """Atoms of mu in X(x, interval, r, R) with the half-open convention (r, R]."""
+    apex = np.asarray(x, dtype=float)
+    diff = mu.points - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    if math.isfinite(big_r):
+        radial = dist <= big_r
+    else:
+        radial = np.ones(len(dist), dtype=bool)
+    if r > 0.0:
+        radial &= dist > r
+    return radial & _direction_mask(apex, interval, mu.points, dist)
+
+
 def cone_mass_exact(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> Fraction:
     """mu(X(x, G, r, R)) as an exact rational.
 
@@ -487,17 +503,17 @@ class BadScaleSet:
         return k in self.scales
 
 
-def bad_scales(model, x, direction: DirectionInterval, rho: float = 0.5,
+def bad_scales(pts: np.ndarray, x, direction: DirectionInterval, rho: float = 0.5,
                low: int = 0, high: int = 30,
                restrict: Optional[np.ndarray] = None) -> BadScaleSet:
     """Bad scales of x for the direction interval: k with X(x, J, rho^{k+1}, rho^k)
-    meeting the atom model (or the subset selected by the boolean `restrict`).
+    meeting the atoms `pts` (or the subset selected by the boolean `restrict`).
     """
     if low > high:
         raise ValueError("need low <= high")
-    mu = _atoms_of(model)
-    pts = mu.points if restrict is None else mu.points[restrict]
-    scale = _annulus_scales(pts, x, direction, rho, low, high)[0]
+    if restrict is not None:
+        pts = pts[restrict]
+    scale = annulus_scales(pts, x, direction, rho, low, high)[0]
     return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
 
 
@@ -533,7 +549,7 @@ def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: fl
     measure = float(projection_measures(union, [theta])[0])
     if measure <= 0.0:
         raise ValueError(f"projection at theta={theta} has zero measure")
-    mu = _atoms_of(union)
+    mu = union.atoms()
     keep = Projector(union).mu_theta(theta, mu.points) <= m_bound + TOL
     total = mu.total_mass
     selected = math.fsum(mu.weights[keep].tolist())
@@ -749,7 +765,7 @@ def whitney(open_set: Sequence[tuple[float, float]], min_exp: int = -40,
 
 
 # ---------------------------------------------------------------------------
-# tree: stages whose core is the whole root interval
+# tree: stages whose core is the whole root interval, per-atom bad cubes
 # ---------------------------------------------------------------------------
 
 
@@ -760,10 +776,9 @@ def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInter
     params = params or ExperimentConfig()
     n = len(atoms)
     all_mask = np.ones(n, dtype=bool)
+    eps, units = _stage_constants(root_iv, FIXTURE_A, FIXTURE_M, params)
     return GoodStages(
-        atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M,
-        eps=params.c_eps / (FIXTURE_A * FIXTURE_M), params=params,
-        units=TriadicUnits(root_iv.level + params.triadic_depth + 3),
+        atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M, eps=eps, params=params, units=units,
         eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
         energy_threshold=1.0, controlled=all_mask,
         cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
@@ -771,6 +786,22 @@ def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInter
         full_cover=all_mask.copy(),
         scale_budget=FIXTURE_A * FIXTURE_M, checks={"synthetic": True},
     )
+
+
+def bad_cubes_by_atom(tree: DirectionTree) -> list[int]:
+    """Ids of the nodes Q of generation g with a member whose annulus mask
+    X(x, 15 J_Q, rho^{g+1}, rho^g) is not empty, one member at a time: the
+    oracle of collect_bad_cubes' grouped counts. Marks nothing."""
+    mu = tree.stages.atoms
+    rho = tree.stages.params.rho
+    bad = []
+    for nid, node in tree.nodes.items():
+        wide = node.interval.dilate(15.0)
+        g = node.generation
+        if any(annulus_mask(mu, mu.points[i], wide, rho ** (g + 1), rho**g).any()
+               for i in node.cube.atom_idx):
+            bad.append(nid)
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,27 @@ class TestPipelineCLI:
         assert "stage extract" in capsys.readouterr().err
         assert not (tmp_path / "pipeline_report.json").exists()
 
+    def test_coincident_atoms_fail_at_selection(self, tmp_path, capsys, monkeypatch):
+        # a repeated segment gives coincident atoms; the scale ceiling of the
+        # selection stage rejects them before propagation starts
+        import favard.pipeline
+
+        path = tmp_path / "repeated.csv"
+        SegmentUnion.from_endpoints([(0, 0), (0, 0), (0, 0.5)],
+                                    [(1, 0), (1, 0), (1, 0.5)]).to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 256, "atom_pitch": 1 / 64}))
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("propagation reached")
+
+        monkeypatch.setattr(favard.pipeline, "propagate_good_directions", propagate)
+        code = main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "0.06"])
+        assert code == 3
+        assert "coincident points have no cone-free scale range" in capsys.readouterr().err
+        assert not (tmp_path / "pipeline_report.json").exists()
+
 
     def test_directions_are_compared_across_the_half_turn_seam(self, tmp_path, capsys):
         # the middle segment's direction is -1.1e-16 turns, which line_angle

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from favard import conical, projection
-from favard.conical import (_auto_energy_high, bad_scale_counts, conical_energy, scale_index,
+from favard.conical import (bad_scale_counts, conical_energy, scale_ceiling, scale_index,
                             select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
@@ -231,20 +231,20 @@ class TestBadScales:
     def test_axis_perpendicular_empty(self):
         mu = measure_at([[x, 0.0] for x in np.linspace(0.1, 1, 10)])
         j = AngleInterval(0.25, 0.1)
-        bs = bad_scales(mu, (0.5, 0.0), j, 0.5, 0, 8)
+        bs = bad_scales(mu.points, (0.5, 0.0), j, 0.5, 0, 8)
         assert len(bs) == 0
 
     def test_dyadic_chain(self):
         pts = [[2.0**-k, 0.0] for k in range(1, 7)]
         mu = measure_at(pts + [[0.0, 0.0]])
         j = AngleInterval(0.0, 0.05)
-        bs = bad_scales(mu, (0.0, 0.0), j, 0.5, 0, 7)
+        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 0, 7)
         assert bs.scales == frozenset(range(1, 7))
 
     def test_empty_restriction(self):
         mu = measure_at([[0.5, 0.0]])
         j = AngleInterval(0.0, 0.05)
-        bs = bad_scales(mu, (0.0, 0.0), j, 0.5, 0, 7,
+        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 0, 7,
                         restrict=np.zeros(1, dtype=bool))
         assert len(bs) == 0
 
@@ -254,8 +254,8 @@ class TestBadScales:
         mu = measure_at(pts)
         j = AngleInterval(0.1, 0.08)
         mask = rng.random(50) < 0.5
-        full = bad_scales(mu, (0, 0), j, 0.5, 0, 10)
-        part = bad_scales(mu, (0, 0), j, 0.5, 0, 10, restrict=mask)
+        full = bad_scales(mu.points, (0, 0), j, 0.5, 0, 10)
+        part = bad_scales(mu.points, (0, 0), j, 0.5, 0, 10, restrict=mask)
         assert part.scales <= full.scales
 
     def test_bad_count_vs_energy(self):
@@ -269,7 +269,7 @@ class TestBadScales:
             x = pts[20]
             j = AngleInterval(rng.random(), 0.03 + 0.05 * rng.random())
             l, jj = 0, 10
-            bs = bad_scales(mu, x, j, 0.5, l, jj)
+            bs = bad_scales(mu.points, x, j, 0.5, l, jj)
             prof = conical_energy(mu, x, j.dilate(1.5), 0.5, l, jj)
             a_proxy = 40.0  # crude Ahlfors proxy for the perturbed line
             bound = a_proxy / j.length * prof.total_float + 4.0
@@ -287,7 +287,7 @@ class TestBadScales:
         theta = j.center + 0.01
         m_val = Projector(segs).mu_theta(perp(theta), [x])[0]
         l, jj = 0, 8
-        bs = bad_scales(mu, x, j, 0.5, l, jj)
+        bs = bad_scales(mu.points, x, j, 0.5, l, jj)
         prof = conical_energy(mu, x, j, 0.5, l, jj)
         assert len(bs) > 0
         c_meas = prof.total_float / (m_val * j.length * len(bs))
@@ -443,7 +443,7 @@ def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5,
                 chosen.setdefault((iv.level, iv.index), theta)
         families[int(i)] = [(TriadicInterval(lv, ix), th)
                             for (lv, ix), th in sorted(chosen.items())]
-    high = _auto_energy_high(mu, rho)
+    high = scale_ceiling(mu.points, rho)
     energy_ratios, fourier_ratios = {}, {}
     for i, members in families.items():
         energy = conical_energy(mu, mu.points[i], [iv.perp() for iv, _ in members],

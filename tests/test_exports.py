@@ -235,3 +235,20 @@ def test_only_sets_knows_the_segment_format():
                     or isinstance(node, ast.Attribute) and node.attr == "segments":
                 leaks.append(f"{path.name}:{node.lineno}")
     assert leaks == []
+
+
+def test_only_conical_names_the_scale_rule():
+    """No module of the package but conical.py names `scale_index`: the
+    others get their scales from conical's kernel, so a second annulus rule
+    fails here."""
+    leaks = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        if path.name == "conical.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "scale_index" \
+                    or isinstance(node, ast.Attribute) and node.attr == "scale_index" \
+                    or isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "scale_index" for alias in node.names):
+                leaks.append(f"{path.name}:{node.lineno}")
+    assert leaks == []

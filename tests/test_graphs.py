@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from favard.graphs import (GraphCertificate, _scale_range, extract_graph, reduce_bad_scales,
+from favard import conical, graphs
+from favard.conical import scale_ceiling
+from favard.graphs import (GraphCertificate, extract_graph, reduce_bad_scales,
                            verify_lipschitz)
 from favard.torus import AngleInterval, TriadicInterval, _direction_mask
 from tests.reference import bad_scales
@@ -17,7 +19,7 @@ def reference_reduce(points, idx, interval, m_cap, rho=0.5):
     after each deletion: the oracle for the incremental counts."""
     pts_all = np.asarray(points, dtype=float)
     idx = np.array(sorted(idx), dtype=np.int64)
-    high = _scale_range(pts_all[idx], rho)
+    high = scale_ceiling(pts_all[idx], rho)
     half = interval.dilate(0.5) if isinstance(interval, AngleInterval) else \
         interval.as_angle_interval().dilate(0.5)
     keep = idx.copy()
@@ -54,7 +56,7 @@ def precondition_subset(pts, interval, m_cap, rho):
     """Indices left after dropping, one at a time, the point with the most bad
     scales until none has more than m_cap for the full interval."""
     idx = list(range(len(pts)))
-    high = _scale_range(pts, rho)
+    high = scale_ceiling(pts, rho)
     while True:
         counts = [len(bad_scales(pts[idx], pts[i], interval, rho, 0, high)) for i in idx]
         if max(counts) <= m_cap:
@@ -128,7 +130,13 @@ class TestReduce:
             assert len(bs) <= max(m_cap, 1) - 1
 
 
-    def test_incremental_counts_match_full_recount(self):
+    @pytest.mark.parametrize("tile", [graphs.PAIR_TILE, 1, 700],
+                             ids=["one_block", "rows", "blocks"])
+    def test_incremental_counts_match_full_recount(self, tile, monkeypatch):
+        # the scale table and the bad-scale counts are built in blocks of
+        # about PAIR_TILE pairs; the block boundaries must not move `keep`
+        monkeypatch.setattr(graphs, "PAIR_TILE", tile)
+        monkeypatch.setattr(conical, "PAIR_TILE", tile)
         deletions = {1: 0, 2: 0, 3: 0}
         for seed in range(24):
             rng = np.random.default_rng(seed)

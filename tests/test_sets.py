@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from favard.graphs import _scale_range
+from favard.conical import scale_ceiling
 from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segment,
                          SegmentUnion, _cloud_content, _cloud_of, ahlfors_constant,
                          four_corners, pairwise_extremes, segment_distances, split_parallel)
@@ -505,7 +505,7 @@ class TestSegmentDistances:
 # The hand-rolled loops that pairwise_extremes replaced, kept as oracles.
 
 def row_loop_min_gap(pts):
-    """The row loop of the old graphs._scale_range."""
+    """The row loop of the old graphs._scale_range (now conical.scale_ceiling)."""
     best = math.inf
     for i in range(len(pts)):
         diff = pts[i + 1:] - pts[i]
@@ -596,6 +596,6 @@ class TestPairwiseExtremes:
         pts = clouds()["n1300"]
         rho = 0.5
         expected = max(1, math.ceil(math.log(row_loop_min_gap(pts)) / math.log(rho))) + 1
-        assert _scale_range(pts, rho) == expected
+        assert scale_ceiling(pts, rho) == expected
         with pytest.raises(ValueError, match="coincident"):
-            _scale_range(clouds()["coincident"], rho)
+            scale_ceiling(clouds()["coincident"], rho)

@@ -1,21 +1,23 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from favard.config import ExperimentConfig
-from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
-                             stages_for, two_direction_instance)
+from favard.fixtures import (FIXTURE_A, FIXTURE_M, cantor_horizontal_instance,
+                             single_line_instance, stages_for, two_direction_instance)
 from favard.lattice import AnisoCube
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
 from favard.torus import TOL, AngleInterval, TriadicInterval
-from favard.tree import (TriadicUnits, _merge_angle_intervals, bad_chain_check, grow_families,
+from favard.tree import (TriadicUnits, _maximal_cover, _merge_angle_intervals, bad_chain_check,
+                         grow_families,
                          build_good_stages, build_tree, collect_bad_cubes,
                          good_at_scale_all, maximal_intervals,
                          packing_sums, propagate_good_directions, verify_tree,
                          TreeNode)
-from tests.reference import (d_metric, find_gap_interval, gap_instance,
+from tests.reference import (bad_cubes_by_atom, d_metric, find_gap_interval, gap_instance,
                              synthetic_stages_constant_core)
 
 
@@ -45,6 +47,59 @@ class TestTriadicUnits:
         out = maximal_intervals(parts)
         assert TriadicInterval(1, 0) in out and TriadicInterval(2, 5) in out
         assert TriadicInterval(2, 0) not in out
+
+
+def recursive_maximal_cover(root_iv, members, units, eps):
+    """The recursive form of _maximal_cover: the oracle of its visiting order."""
+    out = []
+
+    def rec(iv):
+        cov = units.cover_length(iv, members)
+        if cov == 0:
+            return
+        if cov >= (1.0 - eps) * units.length(iv) - 1e-9:
+            out.append(iv)
+            return
+        for ch in iv.children():
+            rec(ch)
+
+    rec(root_iv)
+    return out
+
+
+def random_members(rng, n):
+    """n triadic descendants of ROOT, one to four levels below it."""
+    out = []
+    for _ in range(n):
+        depth = int(rng.integers(1, 5))
+        out.append(TriadicInterval(ROOT.level + depth,
+                                   ROOT.index * 3**depth + int(rng.integers(0, 3**depth))))
+    return out
+
+
+class TestMaximalCover:
+    def test_matches_the_recursive_order(self):
+        units = TriadicUnits(ROOT.level + 6)
+        deepest = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            members = random_members(rng, int(rng.integers(1, 40)))
+            for eps in (0.05, 0.3, 0.7):
+                got = _maximal_cover(ROOT, members, units, eps)
+                assert got == recursive_maximal_cover(ROOT, members, units, eps), (seed, eps)
+                deepest = max(deepest, len({iv.level for iv in got}))
+        assert deepest >= 3      # covers mixing three levels take the stack's order
+
+    def test_leaves_no_reference_cycle(self):
+        units = TriadicUnits(ROOT.level + 6)
+        members = random_members(np.random.default_rng(0), 30)
+        gc.collect()
+        gc.disable()
+        try:
+            assert _maximal_cover(ROOT, members, units, 0.3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGoodStages:
@@ -86,6 +141,16 @@ class TestGoodStages:
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.core[i0] == [ROOT.middle_child()]
+
+    def test_synthetic_stages_share_the_stage_constants(self):
+        params = ExperimentConfig(triadic_depth=3, c_eps=0.5)
+        atoms = line_atoms(16)
+        fams = {i: [(ROOT, 0.24)] for i in range(16)}
+        built = build_good_stages(atoms, np.ones(16, bool), fams, ROOT, FIXTURE_A, FIXTURE_M,
+                                  params)
+        synthetic = synthetic_stages_constant_core(atoms, ROOT, params)
+        assert (built.eps, built.units.depth) == (synthetic.eps, synthetic.units.depth) \
+            == (0.5 / (FIXTURE_A * FIXTURE_M), ROOT.level + 3 + 3)
 
     def test_family_outside_root_rejected(self):
         atoms = line_atoms(8)
@@ -412,6 +477,22 @@ class TestBadCubes:
         bad = collect_bad_cubes(tree)
         gens = {tree.nodes[b].generation for b in bad}
         assert 2 in gens  # 0.25 ~ rho^2
+
+    @pytest.mark.parametrize("make,rho,n_bad", [
+        (lambda: single_line_instance()[1:], 0.5, 9),
+        (two_direction_instance, 0.5, 6),
+        (lambda: cantor_horizontal_instance()[1:], 0.5, 249),
+        (lambda: cantor_horizontal_instance()[1:], 0.3, 117),
+    ], ids=["single_line", "two_direction", "cantor_horizontal", "cantor_horizontal_rho_0.3"])
+    def test_grouped_counts_match_the_per_atom_masks(self, make, rho, n_bad):
+        tree = build_tree(stages_for(*make(), params=ExperimentConfig(rho=rho)))
+        bad = collect_bad_cubes(tree)
+        assert bad == bad_cubes_by_atom(tree)
+        assert len(bad) == n_bad
+        assert sum(node.is_bad for node in tree.nodes.values()) == n_bad
+        if rho != 0.5:
+            # the tree reaches a generation g where rho * rho^g != rho^(g+1)
+            assert any(rho * rho**g != rho ** (g + 1) for g in range(len(tree.generations)))
 
     def test_empty_tree_no_bad(self):
         atoms = line_atoms(8)
