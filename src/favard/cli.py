@@ -27,7 +27,7 @@ from .projection import favard, favard_mc, midpoint_measures
 from .sets import (DyadicSquareSet, SegmentUnion, four_corners, pairwise_extremes,
                    read_csv_rows, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
-from .tree import bad_chain_check, build_tree, collect_bad_cubes, packing_sums, verify_tree
+from .tree import bad_chain_check, build_tree, packing_sums, verify_tree
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -249,12 +249,10 @@ def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
     for name, make in fixtures.items():
         stages = make()
         tree = build_tree(stages)
-        bad = collect_bad_cubes(tree)
         rep = verify_tree(tree)
-        rep["packing"] = {k: v for k, v in packing_sums(tree).items()
-                          if k != "bad_per_root_mass"}
+        rep["packing"] = packing_sums(tree)
         rep["nodes"] = len(tree.nodes)
-        rep["bad_chain"] = chain = bad_chain_check(tree, bad)
+        rep["bad_chain"] = chain = bad_chain_check(tree)
         results[name] = rep
         tree.to_json(out_dir / f"tree_{name}.json")
         print(f"{name}: all_pass = {rep['all_pass']} ({rep['nodes']} nodes), "

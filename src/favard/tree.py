@@ -5,12 +5,12 @@ Pipeline order: per-point families of good triadic direction intervals come in
 the energy-controlled stages; ``build_tree`` grows the tree of anisotropic
 cubes adapted to the very good directions, with the shattering procedure that
 narrows the direction interval at a fixed generation; ``verify_tree`` checks
-the structural properties exhaustively; ``collect_bad_cubes`` and
-``packing_sums`` measure the packing quantities, and ``bad_chain_check``
-bounds each point's energy by the bad cubes containing it;
-``propagate_good_directions`` iterates the stage construction until the
-finished set is large. The stages keep the config they were built with, and
-every later step reads it from them.
+the structural properties exhaustively; ``packing_sums`` measures the packing
+quantities, and ``bad_chain_check`` bounds each point's energy by the bad
+cubes containing it; ``propagate_good_directions`` iterates the stage
+construction until the finished set is large. The stages keep the config
+they were built with, and every later step reads it from them. The bad cubes
+are a cached property of the tree, so no check depends on which ran first.
 
 All interval-measure arithmetic runs in integer units of 3^-D for a common
 depth D, so coverage tests and packing sums are exact.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -364,7 +365,6 @@ class TreeNode:
     parent: Optional[int]
     root_id: int
     children: list[int] = field(default_factory=list)
-    is_bad: bool = False           # set by collect_bad_cubes
 
 
 @dataclass
@@ -399,8 +399,16 @@ class DirectionTree:
         members = set(self.tree_of(root_id))
         return [s for s in self.stopped if s.parent_node in members]
 
+    @cached_property
+    def bad_ids(self) -> frozenset[int]:
+        """Nodes Q of generation g with some member x whose annulus cone
+        X(x, 15 J_Q, rho^{g+1}, rho^g) meets the atoms, i.e. g is a bad scale
+        of x for 15 J_Q."""
+        counts = _bad_counts_by_node(self, 15.0, from_scale_zero=False)
+        return frozenset(nid for nid, c in counts.items() if c.any())
+
     def to_json(self, path) -> None:
-        """Forest dump with per-node {generation, interval, atom_ids, tag}."""
+        """Forest dump with per-node {generation, interval, atom_ids, tag, bad}."""
         import json
 
         rows = []
@@ -412,7 +420,7 @@ class DirectionTree:
                              "index": node.interval.index},
                 "atom_ids": [int(i) for i in node.cube.atom_idx],
                 "tag": node.tag, "parent": node.parent, "root": node.root_id,
-                "bad": node.is_bad,
+                "bad": nid in self.bad_ids,
             })
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1)
@@ -522,51 +530,62 @@ def build_tree(stages: GoodStages) -> DirectionTree:
     return DirectionTree(stages, nodes, generations, roots, stopped, good_by_scale)
 
 
-def packing_sums(tree: DirectionTree) -> dict:
-    """Roots and bad packing sums against the eps^-1 * root-length * mass budget."""
+def _bad_counts_by_node(tree: DirectionTree, dilation: float,
+                        from_scale_zero: bool) -> dict[int, np.ndarray]:
+    """Per node Q of generation g, the bad-scale count of each member for
+    dilation * J_Q over the scales [0, g], or [g, g] alone. The nodes of one
+    (interval, generation) share one blocked count."""
+    pts = tree.stages.atoms.points
+    rho = tree.stages.params.rho
+    groups: dict[tuple[TriadicInterval, int], list[int]] = {}
+    for nid, node in tree.nodes.items():
+        groups.setdefault((node.interval, node.generation), []).append(nid)
+    out: dict[int, np.ndarray] = {}
+    for (interval, g), group in groups.items():
+        idx = [tree.nodes[nid].cube.atom_idx for nid in group]
+        counts = bad_scale_counts(pts, pts[np.concatenate(idx)], interval.dilate(dilation),
+                                  rho, 0 if from_scale_zero else g, g)
+        out.update(zip(group, np.split(counts, np.cumsum([len(a) for a in idx])[:-1])))
+    return out
+
+
+def _atom_holders(tree: DirectionTree) -> list[dict[int, list[int]]]:
+    """Per generation, atom -> ids of the nodes of that generation holding
+    it, in generation-list order."""
+    holders = []
+    for gen in tree.generations:
+        by_atom: dict[int, list[int]] = {}
+        for nid in gen:
+            for a in tree.nodes[nid].cube.atom_idx.tolist():
+                by_atom.setdefault(a, []).append(nid)
+        holders.append(by_atom)
+    return holders
+
+
+def _roots_packing(tree: DirectionTree) -> dict:
+    """Roots packing sum against the eps^-1 * root-length * mass budget."""
     stages = tree.stages
     units = stages.units
-    w = stages.atoms.weights
     roots_sum = math.fsum(
         units.to_float(units.length(tree.nodes[r].interval)) * tree.node_mass(r)
         for r in tree.roots)
     budget = (1.0 / stages.eps) * units.to_float(units.length(stages.root_iv)) * \
-        math.fsum(w.tolist())
-    bad = [nid for nid, node in tree.nodes.items() if node.is_bad]
-    bad_sum = math.fsum(
-        units.to_float(units.length(tree.nodes[b].interval)) * tree.node_mass(b)
-        for b in bad)
-    per_root: dict[int, float] = {}
-    for b in bad:
-        rid = tree.nodes[b].root_id
-        per_root[rid] = per_root.get(rid, 0.0) + tree.node_mass(b)
+        math.fsum(stages.atoms.weights.tolist())
     return {
         "roots_sum": roots_sum,
         "roots_budget": budget,
         "roots_within_budget": roots_sum <= budget + 1e-9,
-        "bad_sum": bad_sum,
-        "bad_per_root_mass": per_root,
     }
 
 
-def collect_bad_cubes(tree: DirectionTree) -> list[int]:
-    """Nodes Q of generation g with some member x whose annulus cone
-    X(x, 15 J_Q, rho^{g+1}, rho^g) meets the atoms, i.e. g is a bad scale of x
-    for 15 J_Q. The nodes of one (interval, generation) share one blocked
-    count. Marks nodes in place and returns their ids."""
-    stages = tree.stages
-    pts = stages.atoms.points
-    rho = stages.params.rho
-    groups: dict[tuple[TriadicInterval, int], list[TreeNode]] = {}
-    for node in tree.nodes.values():
-        groups.setdefault((node.interval, node.generation), []).append(node)
-    for (interval, g), group in groups.items():
-        members = np.concatenate([node.cube.atom_idx for node in group])
-        hit = bad_scale_counts(pts, pts[members], interval.dilate(15.0), rho, g, g) > 0
-        ends = np.cumsum([len(node.cube.atom_idx) for node in group])[:-1]
-        for node, node_hit in zip(group, np.split(hit, ends)):
-            node.is_bad = bool(node_hit.any())
-    return [nid for nid, node in tree.nodes.items() if node.is_bad]
+def packing_sums(tree: DirectionTree) -> dict:
+    """Roots and bad packing sums: the roots against their budget, and the
+    interval-length-times-mass sum of the bad cubes."""
+    units = tree.stages.units
+    bad_sum = math.fsum(
+        units.to_float(units.length(tree.nodes[b].interval)) * tree.node_mass(b)
+        for b in tree.bad_ids)
+    return {**_roots_packing(tree), "bad_sum": bad_sum}
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +595,12 @@ def collect_bad_cubes(tree: DirectionTree) -> list[int]:
 
 C_BAD = 64.0     # bad scales per point allowed, in units of the stage scale budget
 
+# the pass/fail flags of verify_tree, all of which all_pass requires
+TREE_PROPERTIES = ("sandwich_balls", "goodness_integral", "unique_ancestor",
+                   "product_disjointness", "roots_packing",
+                   "subtree_interval_constant", "core_covering",
+                   "bad_scale_budget", "children_products_nested_disjoint")
+
 
 def verify_tree(tree: DirectionTree) -> dict:
     """Exhaustive structural checks of the tree; returns named pass/fail flags
@@ -584,7 +609,6 @@ def verify_tree(tree: DirectionTree) -> dict:
     stages = tree.stages
     units = stages.units
     pts = stages.atoms.points
-    w = stages.atoms.weights
     rho = stages.params.rho
     report: dict = {}
 
@@ -623,13 +647,7 @@ def verify_tree(tree: DirectionTree) -> dict:
     # product, so q is compared with the holders of its atoms alone.
     t3 = True
     t4 = True
-    holders = []
-    for gen in tree.generations:
-        by_atom: dict[int, list[int]] = {}
-        for p in gen:
-            for a in atom_sets[p]:
-                by_atom.setdefault(a, []).append(p)
-        holders.append(by_atom)
+    holders = _atom_holders(tree)
     for k, gen in enumerate(tree.generations):
         for l in range(k + 1):
             for q in gen:
@@ -654,43 +672,27 @@ def verify_tree(tree: DirectionTree) -> dict:
     report["product_disjointness"] = t4
 
     # roots packing
-    packing = packing_sums(tree)
+    packing = _roots_packing(tree)
     report["roots_packing"] = packing["roots_within_budget"]
     report["roots_sum"] = packing["roots_sum"]
     report["roots_budget"] = packing["roots_budget"]
 
     # constant interval inside each subtree
-    t6 = True
-    for nid, node in tree.nodes.items():
-        root = tree.nodes[node.root_id]
-        if node.interval != root.interval:
-            t6 = False
-    report["subtree_interval_constant"] = t6
+    report["subtree_interval_constant"] = all(
+        node.interval == tree.nodes[node.root_id].interval for node in tree.nodes.values())
 
     # unique covering node per controlled point, core interval, scale
-    t7 = True
-    for k, gen in enumerate(tree.generations):
-        for i in np.nonzero(stages.controlled)[0]:
-            i = int(i)
-            for j in stages.core[i]:
-                hits = [nid for nid in gen
-                        if i in atom_sets[nid] and tree.nodes[nid].interval.contains(j)]
-                if len(hits) != 1:
-                    t7 = False
-    report["core_covering"] = t7
+    report["core_covering"] = all(
+        sum(tree.nodes[nid].interval.contains(j) for nid in by_atom.get(i, ())) == 1
+        for by_atom in holders
+        for i in np.nonzero(stages.controlled)[0].tolist() for j in stages.core[i])
 
-    # bad scale count against C * scale_budget
-    t8 = True
-    worst = 0.0
-    for nid, node in tree.nodes.items():
-        counts = bad_scale_counts(pts, pts[node.cube.atom_idx],
-                                  node.interval.dilate(0.8), rho, 0, node.generation)
-        for count in counts.tolist():
-            worst = max(worst, count / stages.scale_budget)
-            if count > C_BAD * stages.scale_budget + TOL:
-                t8 = False
-    report["bad_scale_budget"] = t8
-    report["bad_scale_max_ratio"] = worst
+    # the most bad scales of any member against C * scale_budget
+    top = max((int(c.max(initial=0))
+               for c in _bad_counts_by_node(tree, 0.8, from_scale_zero=True).values()),
+              default=0)
+    report["bad_scale_budget"] = top <= C_BAD * stages.scale_budget + TOL
+    report["bad_scale_max_ratio"] = top / stages.scale_budget
 
     # children's products are pairwise disjoint inside the parent's
     chc = True
@@ -708,15 +710,11 @@ def verify_tree(tree: DirectionTree) -> dict:
                     chc = False
     report["children_products_nested_disjoint"] = chc
 
-    checked = ("sandwich_balls", "goodness_integral", "unique_ancestor",
-               "product_disjointness", "roots_packing",
-               "subtree_interval_constant", "core_covering",
-               "bad_scale_budget", "children_products_nested_disjoint")
-    report["all_pass"] = all(bool(report[key]) for key in checked)
+    report["all_pass"] = all(bool(report[key]) for key in TREE_PROPERTIES)
     return report
 
 
-def bad_chain_check(tree: DirectionTree, bad_ids: list[int]) -> dict:
+def bad_chain_check(tree: DirectionTree) -> dict:
     """Pointwise reduction of energies to the bad-cube sum: for controlled x,
     the energy over the union of the widened core intervals is at most
     C * M * (sum of interval lengths of the bad cubes containing x); records
@@ -726,9 +724,8 @@ def bad_chain_check(tree: DirectionTree, bad_ids: list[int]) -> dict:
     pts = stages.atoms.points
     worst = 0.0
     zero_violations = 0
-    atom_sets = {nid: frozenset(tree.nodes[nid].cube.atom_idx.tolist()) for nid in bad_ids}
-    for i in np.nonzero(stages.controlled)[0]:
-        i = int(i)
+    holders = _atom_holders(tree)
+    for i in np.nonzero(stages.controlled)[0].tolist():
         if not stages.core[i]:
             continue
         wide = [iv.dilate(15.0) for iv in stages.core[i]]
@@ -738,7 +735,7 @@ def bad_chain_check(tree: DirectionTree, bad_ids: list[int]) -> dict:
         lhs = prof.total_float
         rhs = stages.m_bound * math.fsum(
             units.to_float(units.length(tree.nodes[nid].interval))
-            for nid in bad_ids if i in atom_sets[nid])
+            for by_atom in holders for nid in by_atom.get(i, ()) if nid in tree.bad_ids)
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
         elif lhs > 1e-9:

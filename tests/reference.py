@@ -9,8 +9,9 @@ Nothing here runs in a command. Three kinds of definitions live here:
   maximal function, annulus masks, single apex cone masses and bad scales,
   the scalar d_J metric, base-cell grids, one-step descents, the quadrature
   form of the conical energy, the Hausdorff content of a model, the
-  constant-core stages of the no-shattering tree, and the per-atom test of
-  the tree's bad cubes);
+  constant-core stages of the no-shattering tree, the per-atom test of
+  the tree's bad cubes, and the one-node-at-a-time budget and bad-chain
+  checks);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from favard.config import ExperimentConfig
-from favard.conical import _interval_key, annulus_scales
+from favard.conical import _interval_key, annulus_scales, bad_scale_counts, conical_energy
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
@@ -37,7 +38,8 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           perp, row_dot)
-from favard.tree import DirectionTree, GoodStages, _stage_constants
+from favard.tree import (C_BAD, DirectionTree, GoodStages, _merge_angle_intervals,
+                         _stage_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +767,7 @@ def whitney(open_set: Sequence[tuple[float, float]], min_exp: int = -40,
 
 
 # ---------------------------------------------------------------------------
-# tree: stages whose core is the whole root interval, per-atom bad cubes
+# tree: stages whose core is the whole root interval, per-node checks
 # ---------------------------------------------------------------------------
 
 
@@ -791,7 +793,7 @@ def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInter
 def bad_cubes_by_atom(tree: DirectionTree) -> list[int]:
     """Ids of the nodes Q of generation g with a member whose annulus mask
     X(x, 15 J_Q, rho^{g+1}, rho^g) is not empty, one member at a time: the
-    oracle of collect_bad_cubes' grouped counts. Marks nothing."""
+    oracle of DirectionTree.bad_ids' grouped counts."""
     mu = tree.stages.atoms
     rho = tree.stages.params.rho
     bad = []
@@ -802,6 +804,49 @@ def bad_cubes_by_atom(tree: DirectionTree) -> list[int]:
                for i in node.cube.atom_idx):
             bad.append(nid)
     return bad
+
+
+def bad_scale_budget_by_node(tree: DirectionTree) -> dict:
+    """verify_tree's bad-scale budget check with one count per node: each
+    member's bad scales in [0, g] for 0.8 J_Q against C_BAD * scale_budget.
+    The oracle of its grouped counts."""
+    stages = tree.stages
+    pts = stages.atoms.points
+    ok, worst = True, 0.0
+    for node in tree.nodes.values():
+        counts = bad_scale_counts(pts, pts[node.cube.atom_idx], node.interval.dilate(0.8),
+                                  stages.params.rho, 0, node.generation)
+        for count in counts.tolist():
+            worst = max(worst, count / stages.scale_budget)
+            if count > C_BAD * stages.scale_budget + TOL:
+                ok = False
+    return {"bad_scale_budget": ok, "bad_scale_max_ratio": worst}
+
+
+def bad_chain_by_node(tree: DirectionTree) -> dict:
+    """bad_chain_check testing every bad cube of bad_cubes_by_atom for each
+    controlled atom: the oracle of its atom-indexed lookup."""
+    stages = tree.stages
+    units = stages.units
+    pts = stages.atoms.points
+    bad_ids = bad_cubes_by_atom(tree)
+    atom_sets = {nid: frozenset(tree.nodes[nid].cube.atom_idx.tolist()) for nid in bad_ids}
+    worst = 0.0
+    zero_violations = 0
+    for i in np.nonzero(stages.controlled)[0].tolist():
+        if not stages.core[i]:
+            continue
+        merged = _merge_angle_intervals([iv.dilate(15.0) for iv in stages.core[i]])
+        lhs = conical_energy(stages.atoms, pts[i], merged, stages.params.rho, 0,
+                             len(tree.generations) - 1).total_float
+        rhs = stages.m_bound * math.fsum(
+            units.to_float(units.length(tree.nodes[nid].interval))
+            for nid in bad_ids if i in atom_sets[nid])
+        if rhs > 0.0:
+            worst = max(worst, lhs / rhs)
+        elif lhs > 1e-9:
+            zero_violations += 1
+    return {"max_constant": worst, "zero_rhs_violations": zero_violations}
 
 
 # ---------------------------------------------------------------------------

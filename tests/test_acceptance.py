@@ -21,7 +21,7 @@ from favard.projection import PiecewiseConstDensity, favard, favard_mc
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment,
                          SegmentUnion, four_corners, split_parallel)
 from favard.torus import AngleInterval, TriadicInterval, direction_vector
-from favard.tree import build_tree, collect_bad_cubes, packing_sums, verify_tree
+from favard.tree import build_tree, packing_sums, verify_tree
 from tests.reference import (ConeSpec, bad_scales, d_metric, energy_integral_quadrature,
                              find_gap_interval, gap_instance, in_cone, maximal_value,
                              to_metric_coords, whitney)
@@ -299,7 +299,6 @@ class TestCriterion8Tree:
         for name, stages in fixtures.items():
             t0 = time.time()
             tree = build_tree(stages)
-            collect_bad_cubes(tree)
             rep = verify_tree(tree)
             packing = packing_sums(tree)
             elapsed = time.time() - t0
@@ -307,7 +306,7 @@ class TestCriterion8Tree:
             assert packing["roots_within_budget"], name
             assert elapsed < 60.0, (name, elapsed)
             lines.append(f"{name} ({len(tree.nodes)} nodes, {elapsed:.1f}s)")
-        report("8: PASS the eight structural tree properties on " + ", ".join(lines))
+        report("8: PASS the nine structural tree properties on " + ", ".join(lines))
 
 
 class TestCriterion9GapInterval:

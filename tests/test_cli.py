@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,29 @@ class TestChecks:
         self._assert_config_error(tmp_path, capsys, key, value)
 
 
+TREE_GOLDEN = Path(__file__).parent / "golden" / "tree_check_report.json"
+
+
+def _assert_matches(value, frozen, where="results"):
+    """Same keys in the same order, same booleans and integers, floats at
+    rel 1e-12."""
+    assert type(value) is type(frozen), where
+    if isinstance(frozen, dict):
+        assert list(value) == list(frozen), where
+        for key in frozen:
+            _assert_matches(value[key], frozen[key], f"{where}.{key}")
+    elif isinstance(frozen, float):
+        assert math.isclose(value, frozen, rel_tol=1e-12, abs_tol=0.0), (where, value, frozen)
+    else:
+        assert value == frozen, where
+
+
 class TestTreeCheck:
+    def test_report_matches_the_golden(self, tmp_path):
+        assert main(["--out", str(tmp_path), "tree-check"]) == 0
+        results = json.loads((tmp_path / "tree_check_report.json").read_text())["results"]
+        _assert_matches(results, json.loads(TREE_GOLDEN.read_text())["results"])
+
     def test_bad_chain_constants(self, tmp_path):
         assert main(["--out", str(tmp_path), "tree-check"]) == 0
         results = json.loads((tmp_path / "tree_check_report.json").read_text())["results"]
@@ -226,7 +249,7 @@ class TestTreeCheck:
         import favard.cli
 
         monkeypatch.setattr(favard.cli, "bad_chain_check",
-                            lambda tree, bad: {"max_constant": 0.0, "zero_rhs_violations": 1})
+                            lambda tree: {"max_constant": 0.0, "zero_rhs_violations": 1})
         assert main(["--out", str(tmp_path), "tree-check"]) == 2
         results = json.loads((tmp_path / "tree_check_report.json").read_text())["results"]
         # the tree properties hold: the exit code comes from the bad chain alone

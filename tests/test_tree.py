@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 
 import numpy as np
@@ -11,13 +12,14 @@ from favard.fixtures import (FIXTURE_A, FIXTURE_M, cantor_horizontal_instance,
 from favard.lattice import AnisoCube
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion
 from favard.torus import TOL, AngleInterval, TriadicInterval
-from favard.tree import (TriadicUnits, _maximal_cover, _merge_angle_intervals, bad_chain_check,
-                         grow_families,
-                         build_good_stages, build_tree, collect_bad_cubes,
+from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
+                         _merge_angle_intervals, bad_chain_check, grow_families,
+                         build_good_stages, build_tree,
                          good_at_scale_all, maximal_intervals,
                          packing_sums, propagate_good_directions, verify_tree,
                          TreeNode)
-from tests.reference import (bad_cubes_by_atom, d_metric, find_gap_interval, gap_instance,
+from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
+                             d_metric, find_gap_interval, gap_instance,
                              synthetic_stages_constant_core)
 
 
@@ -331,10 +333,7 @@ class TestBuildTree:
         rep = verify_tree(tree)
         assert rep["all_pass"], rep
 
-    NINE_PROPERTIES = ("sandwich_balls", "goodness_integral", "unique_ancestor",
-                       "product_disjointness", "roots_packing",
-                       "subtree_interval_constant", "core_covering",
-                       "bad_scale_budget", "children_products_nested_disjoint")
+    NINE_PROPERTIES = TREE_PROPERTIES
 
     @pytest.mark.parametrize("make,nodes,shatters", [
         (lambda: single_line_instance()[1:], 392, 18),
@@ -349,8 +348,8 @@ class TestBuildTree:
         for i in list(stages.core)[::3]:
             stages.core[i] = []
         tree = build_tree(stages)
-        collect_bad_cubes(tree)
         rep = verify_tree(tree)
+        assert len(self.NINE_PROPERTIES) == 9
         assert {key: rep[key] for key in self.NINE_PROPERTIES} == \
             dict.fromkeys(self.NINE_PROPERTIES, True)
         assert rep["all_pass"]
@@ -455,7 +454,7 @@ class TestBadCubes:
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance()[1:], params=params)
         tree = build_tree(stages)
-        bad = collect_bad_cubes(tree)
+        bad = tree.bad_ids
         # the widened cone at generation >= 1 misses the horizontal direction
         for nid in bad:
             node = tree.nodes[nid]
@@ -474,8 +473,7 @@ class TestBadCubes:
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = synthetic_stages_constant_core(mu, ROOT, params)
         tree = build_tree(stages)
-        bad = collect_bad_cubes(tree)
-        gens = {tree.nodes[b].generation for b in bad}
+        gens = {tree.nodes[b].generation for b in tree.bad_ids}
         assert 2 in gens  # 0.25 ~ rho^2
 
     @pytest.mark.parametrize("make,rho,n_bad", [
@@ -484,12 +482,14 @@ class TestBadCubes:
         (lambda: cantor_horizontal_instance()[1:], 0.5, 249),
         (lambda: cantor_horizontal_instance()[1:], 0.3, 117),
     ], ids=["single_line", "two_direction", "cantor_horizontal", "cantor_horizontal_rho_0.3"])
-    def test_grouped_counts_match_the_per_atom_masks(self, make, rho, n_bad):
+    def test_grouped_counts_match_the_per_atom_masks(self, make, rho, n_bad, tmp_path):
         tree = build_tree(stages_for(*make(), params=ExperimentConfig(rho=rho)))
-        bad = collect_bad_cubes(tree)
+        bad = sorted(tree.bad_ids)
         assert bad == bad_cubes_by_atom(tree)
         assert len(bad) == n_bad
-        assert sum(node.is_bad for node in tree.nodes.values()) == n_bad
+        tree.to_json(tmp_path / "tree.json")
+        assert sum(row["bad"] for row in json.loads((tmp_path / "tree.json").read_text())) \
+            == n_bad
         if rho != 0.5:
             # the tree reaches a generation g where rho * rho^g != rho^(g+1)
             assert any(rho * rho**g != rho ** (g + 1) for g in range(len(tree.generations)))
@@ -499,17 +499,95 @@ class TestBadCubes:
         stages = synthetic_stages_constant_core(atoms, ROOT)
         stages.controlled[:] = False
         tree = build_tree(stages)
-        assert collect_bad_cubes(tree) == []
+        assert tree.bad_ids == frozenset()
 
     def test_bad_chain_constants(self):
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params)
         tree = build_tree(stages)
-        bad = collect_bad_cubes(tree)
-        rep = bad_chain_check(tree, bad)
+        rep = bad_chain_check(tree)
         assert rep["zero_rhs_violations"] == 0
-        if bad:
+        if tree.bad_ids:
             assert rep["max_constant"] < 64.0
+
+
+class TestChecksWithoutCallOrder:
+    def test_bad_cubes_do_not_depend_on_call_order(self, tmp_path):
+        def bad_facts(tree, name):
+            tree.to_json(tmp_path / name)
+            flags = {row["id"]: row["bad"] for row in json.loads((tmp_path / name).read_text())}
+            return packing_sums(tree)["bad_sum"], flags
+
+        def make():
+            return build_tree(stages_for(*two_direction_instance(), params=ExperimentConfig()))
+
+        fresh = make()
+        first = bad_facts(fresh, "fresh.json")
+        checked = make()
+        verify_tree(checked)
+        bad_chain_check(checked)
+        assert bad_facts(checked, "checked.json") == first
+        assert first[0] == pytest.approx(1 / 27, rel=1e-12)
+        assert [nid for nid, flag in first[1].items() if flag] == bad_cubes_by_atom(fresh)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_grouped_checks_match_the_per_node_loops(self, make, thinned, rho):
+        stages = stages_for(*make(), params=ExperimentConfig(rho=rho))
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        tree = build_tree(stages)
+        rep = verify_tree(tree)
+        assert {key: rep[key] for key in ("bad_scale_budget", "bad_scale_max_ratio")} == \
+            bad_scale_budget_by_node(tree)
+        assert bad_chain_check(tree) == bad_chain_by_node(tree)
+
+    def test_shrunk_scale_budget_fails_the_budget_check(self):
+        tree = build_tree(stages_for(*cantor_horizontal_instance()[1:],
+                                     params=ExperimentConfig()))
+        rep = verify_tree(tree)
+        assert rep["all_pass"]
+        assert rep["bad_scale_max_ratio"] == pytest.approx(0.0445, abs=1e-4)
+        worst = round(rep["bad_scale_max_ratio"] * tree.stages.scale_budget)   # largest count
+
+        def with_budget(budget):
+            return dataclasses.replace(
+                tree, stages=dataclasses.replace(tree.stages, scale_budget=budget))
+
+        # at the bound the worst count passes; at half of it the check fails alone
+        assert verify_tree(with_budget(worst / C_BAD)) == \
+            {**rep, "bad_scale_max_ratio": C_BAD}
+        over = with_budget(worst / (2 * C_BAD))
+        assert verify_tree(over) == {**rep, "bad_scale_budget": False,
+                                     "bad_scale_max_ratio": 2 * C_BAD, "all_pass": False}
+        assert bad_scale_budget_by_node(over) == {"bad_scale_budget": False,
+                                                  "bad_scale_max_ratio": 2 * C_BAD}
+
+    @pytest.mark.parametrize("corrupt", ["drop", "duplicate"])
+    def test_core_covering_needs_exactly_one_covering_node(self, corrupt):
+        params = ExperimentConfig(k_max=2, triadic_depth=2)
+        tree = build_tree(stages_for(*single_line_instance(pitch=1 / 64)[1:], params=params))
+        stages = tree.stages
+        assert verify_tree(tree)["core_covering"]
+        i = next(i for i in np.nonzero(stages.controlled)[0].tolist() if stages.core[i])
+        k = len(tree.generations) - 1
+        cover = [nid for nid in tree.generations[k]
+                 if i in tree.nodes[nid].cube.atom_idx
+                 and tree.nodes[nid].interval.contains(stages.core[i][0])]
+        assert len(cover) == 1
+        generations = [list(gen) for gen in tree.generations]
+        if corrupt == "drop":
+            generations[k].remove(cover[0])
+        else:
+            generations[k].append(cover[0])
+        rep = verify_tree(dataclasses.replace(tree, generations=generations))
+        assert not rep["core_covering"]
+        assert not rep["all_pass"]
 
 
 class TestMergeAngleIntervals:
