@@ -6,17 +6,17 @@ Annuli use the half-open radial convention (r, R] so that the dyadic annuli
 as exact rationals so that energies are exactly additive over disjoint
 direction sets, independent of grouping.
 
-One kernel turns distances and cones into scales: ``scale_index`` is the
-(r, R] rule and ``annulus_scales`` applies it to a block of apexes. Bad-scale
-counts, the tree's bad cubes and the reduction's scale table all call it;
-only ``conical_energy`` masks each arc of its own distance row. One ceiling,
-``scale_ceiling``, bounds the scales worth visiting.
+``scale_index`` is the (r, R] rule that turns distances into scales, and
+both block kernels apply it to (apexes x atoms) blocks of about PAIR_TILE
+pairs: ``annulus_scales`` for one arc (bad-scale counts, the tree's bad cubes
+and the reduction's scale table), ``conical_energy`` for one direction set per
+apex (every energy of selection and the tree, one call per site). One
+ceiling, ``scale_ceiling``, bounds the scales worth visiting.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -65,44 +65,71 @@ class EnergyProfile:
         return [float(m) for m in self.masses]
 
 
-def conical_energy(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
-                   low: int = 0, high: int = 30) -> EnergyProfile:
-    """Truncated conical energy sum_{k=low}^{high} mu(X(x, G, rho^{k+1}, rho^k)) / rho^k.
+def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
+                   low: int = 0, high: int = 30) -> list[EnergyProfile]:
+    """Truncated conical energies sum_{k=low}^{high} mu(X(x, G, rho^{k+1}, rho^k)) / rho^k,
+    one profile per row: row a is the apex apexes[a] over direction_sets[a].
 
     Comparable (two-sidedly, with rho-dependent constants) to the integral
     form int mu(X(x, G, rho r, r)) / r dr/r over the matching range. Additive
     over disjoint direction sets exactly: every per-scale mass is an exact
-    rational and the arcs are processed in canonical order.
+    rational. The apexes go in blocks of about PAIR_TILE (apex, atom) pairs;
+    in each block every distinct arc masks only the rows that carry it (an
+    atom on two touching closed arcs counts twice), and the hits are counted
+    per (row, scale, weight), so each mass adds n * w / rho^k once per weight.
+    An empty direction set has zero masses.
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
     if low > high:
         raise ValueError("need low <= high")
-    intervals = sorted(_as_intervals(directions), key=_interval_key)
-    apex = np.asarray(x, dtype=float)
-    diff = mu.points - apex
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist, rho, low, high)
-    ks: list[int] = []
-    ws: list[float] = []
-    for interval in intervals:
-        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
-        ks += scale[sel].tolist()
-        ws += mu.weights[sel].tolist()
-    # the sums are exact, so the n atoms of one scale and one weight, over all
-    # arcs, add n * w at once
-    masses = [Fraction(0) for _ in range(high - low + 1)]
+    apexes = np.asarray(apexes, dtype=float).reshape(-1, 2)
+    sets = [_as_intervals(directions) for directions in direction_sets]
+    if len(sets) != len(apexes):
+        raise ValueError("need one direction set per apex")
+    weight_code: dict[float, int] = {}      # a dict, not np.unique: no numpy.ma import
+    w_code = np.array([weight_code.setdefault(w, len(weight_code))
+                       for w in mu.weights.tolist()], dtype=np.int64)
+    weights = list(weight_code)
+    n_k, n_w = high - low + 1, len(weights)
     r = Fraction(rho)
-    for (k, w), n in Counter(zip(ks, ws)).items():
-        masses[k - low] += Fraction(w) * n / r**k
-    return EnergyProfile(rho, low, high, masses)
+    term: dict[int, Fraction] = {}          # k * n_w + w -> weights[w] / rho^(low + k)
+    masses = [[Fraction(0)] * n_k for _ in sets]
+    step = max(1, PAIR_TILE // max(1, len(mu)))
+    for lo in range(0, len(apexes), step):
+        apex = apexes[lo:lo + step].reshape(-1, 1, 2)
+        diff = mu.points - apex
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        scale = scale_index(dist, rho, low, high)
+        carriers: dict[DirectionInterval, list[int]] = {}
+        for a, intervals in enumerate(sets[lo:lo + step]):
+            for interval in intervals:
+                carriers.setdefault(interval, []).append(a)
+        hits = [np.empty(0, dtype=np.int64)]
+        for interval in sorted(carriers, key=_interval_key):
+            rows = np.array(carriers[interval])
+            row_scale = scale[rows]
+            sel = _direction_mask(apex[rows], interval, mu.points, dist[rows]) & (row_scale >= 0)
+            a, j = np.nonzero(sel)
+            hits.append((rows[a] * n_k + row_scale[a, j] - low) * n_w + w_code[j])
+        # equal codes are one (row, scale, weight): count each run of the sorted codes
+        code = np.sort(np.concatenate(hits))
+        first = np.flatnonzero(np.diff(code, prepend=-1))
+        counts = np.diff(first, append=len(code))
+        for c, n in zip(code[first].tolist(), counts.tolist()):
+            row, kw = divmod(c, n_k * n_w)
+            k, w = divmod(kw, n_w)
+            if kw not in term:
+                term[kw] = Fraction(weights[w]) / r ** (low + k)
+            masses[lo + row][k] += term[kw] * n
+    return [EnergyProfile(rho, low, high, row) for row in masses]
 
 
 def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
                    rho: float, low: int, high: int) -> np.ndarray:
     """scale[a, j]: the k in [low, high] with pts[j] in X(apexes[a], direction,
-    rho^{k+1}, rho^k), or -1. The one place outside conical_energy where a
-    distance and a cone become a scale."""
+    rho^{k+1}, rho^k), or -1: the one-arc block that every bad-scale test
+    shares; conical_energy masks its own blocks per direction set."""
     apex = np.asarray(apexes, dtype=float).reshape(-1, 1, 2)
     diff = pts - apex
     dist = np.hypot(diff[..., 0], diff[..., 1])
@@ -233,12 +260,12 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
             for i, value in zip(atoms, values.tolist()):
                 pointwise[i].append(value)
 
-    energy_high = scale_ceiling(mu.points, rho)
+    profiles = conical_energy(mu, mu.points[list(families)],
+                              [[iv.perp() for iv, _ in members] for members in families.values()],
+                              rho, 0, scale_ceiling(mu.points, rho))
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
-    for i, members in families.items():
-        perp_intervals = [iv.perp() for iv, _ in members]
-        prof = conical_energy(mu, mu.points[i], perp_intervals, rho, 0, energy_high)
+    for i, prof in zip(families, profiles):
         energy = prof.total_float
         energy_ratios[i] = energy / (m_bound * total_len)
         rhs = math.fsum(pointwise[i])

@@ -189,56 +189,47 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
 
     high = scale_ceiling(atoms.points, params.rho)
 
-    energies: dict[int, float] = {}
-    for i in np.nonzero(eprime)[0]:
-        fam = families.get(int(i), [])
-        ivs = _family_intervals(fam)
-        if not ivs:
-            energies[int(i)] = 0.0
-            continue
-        prof = conical_energy(atoms, atoms.points[i], ivs, params.rho, 0, high)
-        energies[int(i)] = prof.total_float
+    # an empty family has zero masses, so its energy is 0.0
+    selected = np.nonzero(eprime)[0]
+    energies = [prof.total_float for prof in conical_energy(
+        atoms, atoms.points[selected],
+        [_family_intervals(families.get(int(i), [])) for i in selected], params.rho, 0, high)]
 
-    weighted = math.fsum(energies[int(i)] * atoms.weights[i] for i in np.nonzero(eprime)[0])
+    weighted = math.fsum(e * w for e, w in zip(energies, atoms.weights[selected].tolist()))
     energy_threshold = weighted / emass + 1.0
 
     controlled = np.zeros(len(atoms), dtype=bool)
-    for i in np.nonzero(eprime)[0]:
-        if energies[int(i)] <= 2.0 * energy_threshold + TOL:
-            controlled[i] = True
+    controlled[selected] = np.array(energies) <= 2.0 * energy_threshold + TOL
     e0_mass = math.fsum(atoms.weights[controlled].tolist())
     chebyshev_ok = e0_mass >= emass / 2.0 - TOL
 
-    cover: dict[int, list[TriadicInterval]] = {}
-    filtered: dict[int, list[TriadicInterval]] = {}
-    core: dict[int, list[TriadicInterval]] = {}
-    interval_budget = m_bound
-    g1_large_ok = True
-    g0_covers_ok = True
-    for i in np.nonzero(controlled)[0]:
-        i = int(i)
-        members = _family_intervals(families[i])
-        cover_ivs = _maximal_cover(root_iv, members, units, eps)
-        cover[i] = cover_ivs
-        g0_len = units.union_length(cover_ivs)
-        if units.cover_length(root_iv, cover_ivs) < units.union_length(members):
-            g0_covers_ok = False
-        kept = []
-        for iv in cover_ivs:
-            pieces = _clip_to(iv, members)
-            if not pieces:
-                continue
-            prof = conical_energy(atoms, atoms.points[i], pieces, params.rho, 0, high)
-            bound = 4.0 * (units.length(iv) / g0_len) * energy_threshold
-            if prof.total_float <= bound + TOL:
-                kept.append(iv)
-        filtered[i] = kept
-        g_len = units.union_length(members)
-        g1_cap = sum(units.cover_length(iv, members) for iv in kept)
-        if g1_cap < g_len / 3.0 - 1e-9:
-            g1_large_ok = False
-        core[i] = [iv.middle_child() for iv in kept]
-        interval_budget = max(interval_budget, energy_threshold / units.to_float(g0_len))
+    members = {i: _family_intervals(families[i]) for i in np.nonzero(controlled)[0].tolist()}
+    cover = {i: _maximal_cover(root_iv, ivs, units, eps) for i, ivs in members.items()}
+    g0_len = {i: units.union_length(ivs) for i, ivs in cover.items()}
+    g0_covers_ok = all(units.cover_length(root_iv, cover[i]) >= units.union_length(ivs)
+                       for i, ivs in members.items())
+
+    # the filtered family keeps the cover members whose energy over the
+    # family pieces inside them is at most 4 (H(J) / H(G_0)) times the threshold
+    pairs: list[tuple[int, TriadicInterval, list[TriadicInterval]]] = []
+    for i, ivs in members.items():
+        for iv in cover[i]:
+            pieces = _clip_to(iv, ivs)
+            if pieces:
+                pairs.append((i, iv, pieces))
+    piece_energies = conical_energy(atoms, atoms.points[[i for i, _, _ in pairs]],
+                                    [pieces for _, _, pieces in pairs], params.rho, 0, high)
+    filtered: dict[int, list[TriadicInterval]] = {i: [] for i in members}
+    for (i, iv, _), prof in zip(pairs, piece_energies):
+        if prof.total_float <= 4.0 * (units.length(iv) / g0_len[i]) * energy_threshold + TOL:
+            filtered[i].append(iv)
+
+    core = {i: [iv.middle_child() for iv in kept] for i, kept in filtered.items()}
+    g1_large_ok = all(sum(units.cover_length(iv, members[i]) for iv in kept)
+                      >= units.union_length(members[i]) / 3.0 - 1e-9
+                      for i, kept in filtered.items())
+    interval_budget = max([m_bound] + [energy_threshold / units.to_float(g0_len[i])
+                                       for i in members])
 
     full_cover = np.zeros(len(atoms), dtype=bool)
     for i in np.nonzero(controlled)[0]:
@@ -725,13 +716,12 @@ def bad_chain_check(tree: DirectionTree) -> dict:
     worst = 0.0
     zero_violations = 0
     holders = _atom_holders(tree)
-    for i in np.nonzero(stages.controlled)[0].tolist():
-        if not stages.core[i]:
-            continue
-        wide = [iv.dilate(15.0) for iv in stages.core[i]]
-        merged = _merge_angle_intervals(wide)
-        prof = conical_energy(stages.atoms, pts[i], merged, stages.params.rho, 0,
-                              len(tree.generations) - 1)
+    cored = [i for i in np.nonzero(stages.controlled)[0].tolist() if stages.core[i]]
+    profiles = conical_energy(
+        stages.atoms, pts[cored],
+        [_merge_angle_intervals([iv.dilate(15.0) for iv in stages.core[i]]) for i in cored],
+        stages.params.rho, 0, len(tree.generations) - 1)
+    for i, prof in zip(cored, profiles):
         lhs = prof.total_float
         rhs = stages.m_bound * math.fsum(
             units.to_float(units.length(tree.nodes[nid].interval))

@@ -6,9 +6,9 @@ Nothing here runs in a command. Three kinds of definitions live here:
   (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
   pushforward densities, the parallel split, the Favard sweep and the
   Monte Carlo needle test; exact interval-union projections, the scalar
-  maximal function, annulus masks, single apex cone masses and bad scales,
-  the scalar d_J metric, base-cell grids, one-step descents, the quadrature
-  form of the conical energy, the Hausdorff content of a model, the
+  maximal function, annulus masks, single apex cone masses, energies and
+  bad scales, the scalar d_J metric, base-cell grids, one-step descents, the
+  quadrature form of the conical energy, the Hausdorff content of a model, the
   constant-core stages of the no-shattering tree, the per-atom test of
   the tree's bad cubes, and the one-node-at-a-time budget and bad-chain
   checks);
@@ -21,6 +21,7 @@ Nothing here runs in a command. Three kinds of definitions live here:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from favard.config import ExperimentConfig
-from favard.conical import _interval_key, annulus_scales, bad_scale_counts, conical_energy
+from favard.conical import (EnergyProfile, _interval_key, annulus_scales, bad_scale_counts,
+                            scale_index)
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
@@ -462,6 +464,42 @@ def cone_mass(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> flo
     return float(cone_mass_exact(mu, x, directions, r, big_r))
 
 
+def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
+                      low: int = 0, high: int = 30) -> EnergyProfile:
+    """The conical energy of one apex from its own distance row, arc by arc in
+    canonical order: the oracle of the blocked conical_energy."""
+    if not (0.0 < rho <= 0.5):
+        raise ValueError("rho must lie in (0, 1/2]")
+    if low > high:
+        raise ValueError("need low <= high")
+    intervals = sorted(_as_intervals(directions), key=_interval_key)
+    apex = np.asarray(x, dtype=float)
+    diff = mu.points - apex
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    scale = scale_index(dist, rho, low, high)
+    ks: list[int] = []
+    ws: list[float] = []
+    for interval in intervals:
+        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
+        ks += scale[sel].tolist()
+        ws += mu.weights[sel].tolist()
+    # the sums are exact, so the n atoms of one scale and one weight, over all
+    # arcs, add n * w at once
+    masses = [Fraction(0) for _ in range(high - low + 1)]
+    r = Fraction(rho)
+    for (k, w), n in Counter(zip(ks, ws)).items():
+        masses[k - low] += Fraction(w) * n / r**k
+    return EnergyProfile(rho, low, high, masses)
+
+
+def conical_energy_by_row(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
+                          low: int = 0, high: int = 30) -> list[EnergyProfile]:
+    """conical_energy's signature with one conical_energy_at call per row."""
+    return [conical_energy_at(mu, x, directions, rho, low, high)
+            for x, directions in zip(np.asarray(apexes, dtype=float).reshape(-1, 2),
+                                     direction_sets)]
+
+
 def energy_integral_quadrature(mu: DiscreteMeasure, x, directions, rho: float,
                                r_min: float, r_max: float, n: int = 400) -> float:
     """Independent quadrature oracle for int_{r_min}^{r_max} mu(X(x,G,rho r,r))/r dr/r.
@@ -837,8 +875,8 @@ def bad_chain_by_node(tree: DirectionTree) -> dict:
         if not stages.core[i]:
             continue
         merged = _merge_angle_intervals([iv.dilate(15.0) for iv in stages.core[i]])
-        lhs = conical_energy(stages.atoms, pts[i], merged, stages.params.rho, 0,
-                             len(tree.generations) - 1).total_float
+        lhs = conical_energy_at(stages.atoms, pts[i], merged, stages.params.rho, 0,
+                                len(tree.generations) - 1).total_float
         rhs = stages.m_bound * math.fsum(
             units.to_float(units.length(tree.nodes[nid].interval))
             for nid in bad_ids if i in atom_sets[nid])

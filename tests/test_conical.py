@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,9 @@ from favard.conical import (bad_scale_counts, conical_energy, scale_ceiling, sca
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
-                          _direction_mask, perp, triadic_cover, wrap)
-from tests.reference import (bad_scales, cone_mass, cone_mass_exact, energy_integral_quadrature,
-                             project, select_bounded_projection_set)
+                          _direction_mask, direction_vector, perp, triadic_cover, wrap)
+from tests.reference import (bad_scales, cone_mass, cone_mass_exact, conical_energy_at,
+                             energy_integral_quadrature, project, select_bounded_projection_set)
 
 
 def measure_at(points, weights=None):
@@ -95,14 +96,14 @@ class TestConicalEnergy:
                 for dirs in (AngleInterval(rng.random(), 0.1),
                              (AngleInterval(0.1, 0.03), TriadicInterval(2, 5),
                               AngleInterval(0.7, 0.3))):
-                    prof = conical_energy(mu, x, dirs, rho, 1, 9)
+                    prof = conical_energy(mu, [x], [dirs], rho, 1, 9)[0]
                     assert prof.masses == reference_energy_masses(mu, x, dirs, rho, 1, 9)
                     filled.append(sum(m != 0 for m in prof.masses))
         assert sum(filled) >= len(filled)
 
     def test_empty_annuli(self):
         mu = measure_at([[5.0, 5.0]])
-        prof = conical_energy(mu, (0, 0), AngleInterval(0.25, 0.1), 0.5, 0, 6)
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.25, 0.1)], 0.5, 0, 6)[0]
         assert prof.total == 0
 
     def test_single_atom_one_annulus(self):
@@ -110,7 +111,7 @@ class TestConicalEnergy:
         w = 0.7
         d = 0.5 ** (k0 + 0.5)
         mu = measure_at([[d, 0.0]], [w])
-        prof = conical_energy(mu, (0, 0), AngleInterval(0.0, 0.05), 0.5, 0, 8)
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 0, 8)[0]
         masses = prof.masses_float()
         assert masses[k0] == pytest.approx(w / 0.5**k0)
         assert sum(m != 0 for m in masses) == 1
@@ -118,7 +119,7 @@ class TestConicalEnergy:
     def test_boundary_atom_outer_annulus(self):
         # an atom at exactly rho^k belongs to annulus k, not k-1
         mu = measure_at([[0.25, 0.0]])
-        prof = conical_energy(mu, (0, 0), AngleInterval(0.0, 0.05), 0.5, 0, 6)
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 0, 6)[0]
         masses = prof.masses_float()
         assert masses[2] > 0 and masses[1] == 0
 
@@ -131,16 +132,16 @@ class TestConicalEnergy:
             c = rng.random()
             filtered_fam = AngleInterval(c, 0.02 + 0.02 * rng.random())
             core_fam = AngleInterval(c + 0.25 * (1 + rng.random()), 0.03)
-            p_union = conical_energy(mu, x, (filtered_fam, core_fam), 0.5, 0, 10)
-            p1 = conical_energy(mu, x, filtered_fam, 0.5, 0, 10)
-            p2 = conical_energy(mu, x, core_fam, 0.5, 0, 10)
+            p_union = conical_energy(mu, [x], [(filtered_fam, core_fam)], 0.5, 0, 10)[0]
+            p1 = conical_energy(mu, [x], [filtered_fam], 0.5, 0, 10)[0]
+            p2 = conical_energy(mu, [x], [core_fam], 0.5, 0, 10)[0]
             assert p_union.total == p1.total + p2.total
             for a, b, c_ in zip(p_union.masses, p1.masses, p2.masses):
                 assert a == b + c_
 
     def test_triadic_intervals_accepted(self):
         mu = measure_at([[0.3, 0.0]])
-        prof = conical_energy(mu, (0, 0), TriadicInterval(2, 0), 0.5, 0, 5)
+        prof = conical_energy(mu, [(0, 0)], [TriadicInterval(2, 0)], 0.5, 0, 5)[0]
         assert prof.total_float >= 0.0
 
     def test_two_sided_integral_comparison(self):
@@ -154,7 +155,7 @@ class TestConicalEnergy:
                 x = rng.uniform(-0.2, 0.2, 2)
                 g = AngleInterval(rng.random(), 0.05 + 0.1 * rng.random())
                 l, j = 0, 7
-                prof = conical_energy(mu, x, g, rho, l, j)
+                prof = conical_energy(mu, [x], [g], rho, l, j)[0]
                 mid = energy_integral_quadrature(mu, x, g, rho, rho**j, rho**l, 300)
                 inner = math.fsum(prof.masses_float()[1:-1])
                 full = prof.total_float
@@ -165,6 +166,69 @@ class TestConicalEnergy:
                 assert inner <= 64.0 * mid + 1e-9
                 assert mid <= 64.0 * full + 1e-9
         assert worst_lo <= 64.0 and worst_hi <= 64.0
+
+
+class TestBlockedEnergy:
+    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    @pytest.mark.parametrize("tile", ["default", "rows", "non_divisor"])
+    def test_rows_match_the_per_apex_oracle(self, rho, tile, monkeypatch):
+        # the arcs [1/9, 2/9] and [2/9, 3/9] touch at 2/9, and two atoms lie
+        # on that line through the origin; an arc past 1/4 (angle test), the
+        # full circle and an arc listed twice; apexes on atoms, the origin
+        # twice, empty sets
+        rng = np.random.default_rng(12)
+        edge = direction_vector(2 / 9)
+        pts = np.vstack([rng.normal(scale=0.4, size=(120, 2)), [0.3 * edge, -0.04 * edge]])
+        apexes = np.vstack([np.zeros((2, 2)), pts[:30:2], rng.normal(scale=0.4, size=(20, 2))])
+        touching = (TriadicInterval(2, 1), TriadicInterval(2, 2))
+        shared = touching + (AngleInterval(0.6, 0.3),)
+        per_row = [(), touching, (AngleInterval(0.3, 0.5),), (AngleInterval(0.9, 0.2),) * 2] + [
+            [AngleInterval(rng.random(), w) for w in rng.choice([0.01, 0.05, 0.2, 0.3], 1 + a % 3)]
+            for a in range(len(apexes) - 4)]
+        step = {"default": conical.PAIR_TILE // len(pts), "rows": 1, "non_divisor": 7}[tile]
+        monkeypatch.setattr(conical, "PAIR_TILE", step * len(pts))
+        assert (tile == "default") == (step >= len(apexes))
+        assert tile != "non_divisor" or len(apexes) % step != 0
+        filled = 0
+        for w in (np.full(len(pts), 1 / 96), rng.choice([1 / 3, 0.1, 2.5], len(pts)),
+                  rng.uniform(0.1, 1.0, len(pts))):
+            mu = measure_at(pts, w)
+            for sets in ([shared] * len(apexes), per_row):
+                got = conical_energy(mu, apexes, sets, rho, 1, 12)
+                want = [conical_energy_at(mu, x, dirs, rho, 1, 12) for x, dirs in zip(apexes, sets)]
+                assert [p.masses for p in got] == [p.masses for p in want]
+                assert {(p.rho, p.low, p.high) for p in got} == {(rho, 1, 12)}
+                filled += sum(m != 0 for p in got for m in p.masses)
+        assert got[0].masses == [0] * 12            # per_row[0] is the empty set
+        assert filled >= 6 * len(apexes)
+
+    def test_touching_arcs_count_the_shared_edge_twice(self):
+        mu = measure_at([0.3 * direction_vector(2 / 9)], [0.7])
+        left, right = TriadicInterval(2, 1), TriadicInterval(2, 2)
+        both, one, other = conical_energy(mu, [(0, 0)] * 3, [(left, right), left, right], 0.5, 0, 4)
+        assert one.masses == other.masses == [0, Fraction(0.7) / Fraction(0.5), 0, 0, 0]
+        assert both.masses == [2 * m for m in one.masses]
+
+    def test_no_rows(self):
+        mu = measure_at([[1.0, 0.0]])
+        assert conical_energy(mu, np.empty((0, 2)), [], 0.5, 0, 4) == []
+        with pytest.raises(ValueError):
+            conical_energy(mu, [(0, 0)], [], 0.5, 0, 4)
+
+    def test_blocks_bound_the_memory(self):
+        # one (apexes x atoms x 2) difference array for all rows would take
+        # 4096 * 1000 * 16 bytes, about 65 MB
+        rng = np.random.default_rng(13)
+        mu = measure_at(rng.random((4096, 2)), rng.choice([1 / 3, 0.1, 2.5], 4096))
+        dirs = (AngleInterval(0.1, 0.05), AngleInterval(0.6, 0.3))
+        tracemalloc.start()
+        try:
+            profiles = conical_energy(mu, rng.random((1000, 2)), [dirs] * 1000, 0.5, 0, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profiles) == 1000 and all(p.total > 0 for p in profiles)
+        assert peak < 8 * 2**20
 
 
 class TestScaleIndex:
@@ -270,7 +334,7 @@ class TestBadScales:
             j = AngleInterval(rng.random(), 0.03 + 0.05 * rng.random())
             l, jj = 0, 10
             bs = bad_scales(mu.points, x, j, 0.5, l, jj)
-            prof = conical_energy(mu, x, j.dilate(1.5), 0.5, l, jj)
+            prof = conical_energy(mu, [x], [j.dilate(1.5)], 0.5, l, jj)[0]
             a_proxy = 40.0  # crude Ahlfors proxy for the perturbed line
             bound = a_proxy / j.length * prof.total_float + 4.0
             if len(bs):
@@ -288,7 +352,7 @@ class TestBadScales:
         m_val = Projector(segs).mu_theta(perp(theta), [x])[0]
         l, jj = 0, 8
         bs = bad_scales(mu.points, x, j, 0.5, l, jj)
-        prof = conical_energy(mu, x, j, 0.5, l, jj)
+        prof = conical_energy(mu, [x], [j], 0.5, l, jj)[0]
         assert len(bs) > 0
         c_meas = prof.total_float / (m_val * j.length * len(bs))
         assert c_meas <= 64.0
@@ -446,8 +510,8 @@ def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5,
     high = scale_ceiling(mu.points, rho)
     energy_ratios, fourier_ratios = {}, {}
     for i, members in families.items():
-        energy = conical_energy(mu, mu.points[i], [iv.perp() for iv, _ in members],
-                                rho, 0, high).total_float
+        energy = conical_energy_at(mu, mu.points[i], [iv.perp() for iv, _ in members],
+                                   rho, 0, high).total_float
         energy_ratios[i] = energy / (m_bound * total_len)
         pointwise = []
         for iv, _ in members:

@@ -252,3 +252,44 @@ def test_only_conical_names_the_scale_rule():
                         alias.name == "scale_index" for alias in node.names):
                 leaks.append(f"{path.name}:{node.lineno}")
     assert leaks == []
+
+
+def _calls_in_loops(tree: ast.AST, name: str) -> list[int]:
+    """Lines of the calls of `name` that run once per iteration: in the body
+    of a for loop, in the test or body of a while loop, and anywhere in a
+    comprehension but the iterable of its first generator."""
+    lines: list[int] = []
+
+    def visit(node: ast.AST, looped: bool) -> None:
+        if looped and isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            lines.append(node.lineno)
+        once, repeated = list(ast.iter_child_nodes(node)), []
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            once, repeated = [node.target, node.iter, *node.orelse], node.body
+        elif isinstance(node, ast.While):
+            once, repeated = node.orelse, [node.test, *node.body]
+        elif isinstance(node, _COMPREHENSIONS):
+            first = node.generators[0]
+            once = [first.iter]
+            repeated = [first.target, *first.ifs] + [
+                child for child in ast.iter_child_nodes(node) if child is not first]
+        for child in once:
+            visit(child, looped)
+        for child in repeated:
+            visit(child, True)
+
+    visit(tree, False)
+    return lines
+
+
+def test_no_energy_call_in_a_loop():
+    """No module of the package calls conical_energy once per iteration of a
+    loop or a comprehension: each call site hands the blocked kernel all of
+    its apexes at once."""
+    looped = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        looped += [f"{path.name}:{line}"
+                   for line in _calls_in_loops(tree, "conical_energy")]
+    assert looped == []

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from favard import conical, pipeline, tree as tree_module
 from favard.config import ExperimentConfig
-from favard.fixtures import (FIXTURE_A, FIXTURE_M, cantor_horizontal_instance,
+from favard.fixtures import (FIXTURE_A, FIXTURE_M, TRANSVERSE_ROOT, cantor_horizontal_instance,
                              single_line_instance, stages_for, two_direction_instance)
 from favard.lattice import AnisoCube
-from favard.sets import DiscreteMeasure, Segment, SegmentUnion
+from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from favard.torus import TOL, AngleInterval, TriadicInterval
 from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
                          _merge_angle_intervals, bad_chain_check, grow_families,
@@ -19,6 +20,7 @@ from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
                          packing_sums, propagate_good_directions, verify_tree,
                          TreeNode)
 from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
+                             conical_energy_at, conical_energy_by_row,
                              d_metric, find_gap_interval, gap_instance,
                              synthetic_stages_constant_core)
 
@@ -588,6 +590,111 @@ class TestChecksWithoutCallOrder:
         rep = verify_tree(dataclasses.replace(tree, generations=generations))
         assert not rep["core_covering"]
         assert not rep["all_pass"]
+
+
+def uneven_energy_instance():
+    """A row of 40 atoms with a vertical partner 2^-9 above the sixth and one
+    2^-6 above the 26th. Every family is five separated level-5 intervals of
+    the transverse root, one of which holds the vertical, so only the two
+    pairs have energy: at rho = 1/2 the close pair lies far above the
+    threshold, and the other pair is controlled but over its share on the
+    vertical member, which the filtered family drops."""
+    xs = np.linspace(0.0, 1.0, 40)
+    pts = np.vstack([np.column_stack([xs, np.zeros(40)]),
+                     [[xs[5], 2.0**-9], [xs[25], 2.0**-6]]])
+    atoms = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+    members = [TriadicInterval(5, k) for k in (54, 56, 58, 60, 62)]
+    families = {i: [(iv, iv.center) for iv in members] for i in range(len(pts))}
+    return atoms, np.ones(len(pts), dtype=bool), families, TRANSVERSE_ROOT
+
+
+class TestOneEnergyCallPerSite:
+    """Selection and the tree hand all apexes of a call site to one blocked
+    conical_energy call; the per-apex oracle in its place changes nothing."""
+
+    @staticmethod
+    def counted(monkeypatch, energy):
+        calls = []
+
+        def wrapped(mu, apexes, direction_sets, *args):
+            calls.append(len(direction_sets))
+            return energy(mu, apexes, direction_sets, *args)
+
+        monkeypatch.setattr(conical, "conical_energy", wrapped)
+        monkeypatch.setattr(tree_module, "conical_energy", wrapped)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:],
+                                      uneven_energy_instance],
+                             ids=["single_line", "two_direction", "cantor_horizontal",
+                                  "uneven_energy"])
+    def test_stages_and_bad_chain_match_the_per_apex_oracle(self, make, rho, monkeypatch):
+        def facts(energy):
+            calls = self.counted(monkeypatch, energy)
+            out = []
+            for thinned in (False, True):
+                stages = stages_for(*make(), params=ExperimentConfig(rho=rho))
+                out.append((stages.energy_threshold, stages.controlled.tolist(),
+                            stages.filtered, stages.core, stages.checks))
+                if thinned:
+                    for i in list(stages.core)[::3]:
+                        stages.core[i] = []
+                out.append(bad_chain_check(build_tree(stages)))
+            return out, calls
+
+        fast, calls = facts(conical.conical_energy)
+        assert len(calls) == 6                 # two per build_good_stages, one per check
+        assert min(calls) > 1
+        assert facts(conical_energy_by_row)[0] == fast
+
+    def test_energy_filters_read_each_atoms_own_energy(self):
+        # on the other fixtures every atom is controlled and keeps its whole
+        # cover, so an energy handed to the wrong atom would change nothing
+        atoms, eprime, families, root_iv = uneven_energy_instance()
+        stages = stages_for(atoms, eprime, families, root_iv, params=ExperimentConfig())
+        units, bound = stages.units, 2.0 * stages.energy_threshold + TOL
+        high = conical.scale_ceiling(atoms.points, 0.5)
+
+        def energy(i, ivs):
+            return conical_energy_at(atoms, atoms.points[i], ivs, 0.5, 0, high).total_float
+
+        members = [iv for iv, _ in families[0]]
+        assert stages.controlled.tolist() == \
+            [energy(i, members) <= bound for i in range(len(atoms))]
+        for i, cover in stages.cover.items():
+            assert cover == members
+            assert stages.filtered[i] == [
+                iv for iv in cover
+                if energy(i, [iv]) <= 4.0 * (units.length(iv) / units.union_length(cover))
+                * stages.energy_threshold + TOL]
+        assert np.nonzero(~stages.controlled)[0].tolist() == [5, 40]
+        assert sorted(i for i, kept in stages.filtered.items() if kept != members) == [25, 41]
+
+    def test_selection_matches_the_per_apex_oracle(self, monkeypatch):
+        horiz, _ = split_parallel(four_corners(1).skeleton())
+        cfg = ExperimentConfig(n_angles=1024, atom_pitch=1 / 128)
+        selections = []
+
+        def recorded(*args, **kwargs):
+            selections.append(conical.select_good_directions(*args, **kwargs))
+            return selections[-1]
+
+        monkeypatch.setattr(pipeline, "select_good_directions", recorded)
+
+        def facts(energy):
+            calls = self.counted(monkeypatch, energy)
+            report = pipeline.run_pipeline(horiz, 0.06, cfg)
+            sel = selections.pop()
+            return (report, sel.energy_ratios, sel.fourier_ratios), calls
+
+        fast, calls = facts(conical.conical_energy)
+        # selection, then build_good_stages' two calls in one propagation round
+        assert len(calls) == 3 and calls[:2] == [len(fast[1])] * 2 and calls[2] > 1
+        assert facts(conical_energy_by_row)[0] == fast
+        assert any(v > 0.0 for v in fast[1].values())
 
 
 class TestMergeAngleIntervals:
