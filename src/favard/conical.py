@@ -109,7 +109,7 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
         for interval in sorted(carriers, key=_interval_key):
             rows = np.array(carriers[interval])
             row_scale = scale[rows]
-            sel = _direction_mask(apex[rows], interval, mu.points, dist[rows]) & (row_scale >= 0)
+            sel = _direction_mask(diff[rows], interval, dist[rows]) & (row_scale >= 0)
             a, j = np.nonzero(sel)
             hits.append((rows[a] * n_k + row_scale[a, j] - low) * n_w + w_code[j])
         # equal codes are one (row, scale, weight): count each run of the sorted codes
@@ -133,7 +133,7 @@ def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInte
     apex = np.asarray(apexes, dtype=float).reshape(-1, 1, 2)
     diff = pts - apex
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    return np.where(_direction_mask(apex, direction, pts, dist),
+    return np.where(_direction_mask(diff, direction, dist),
                     scale_index(dist, rho, low, high), -1)
 
 

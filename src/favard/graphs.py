@@ -82,7 +82,7 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
     for i in range(n):
         diff = pts[i + 1:] - pts[i]
         dist = np.hypot(diff[:, 0], diff[:, 1])
-        inside = _direction_mask(pts[i], interval, pts[i + 1:], dist)
+        inside = _direction_mask(diff, interval, dist)
         if inside.any():
             ok = False
         dt = np.abs(t_vals[i + 1:] - t_vals[i])

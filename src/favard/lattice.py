@@ -56,7 +56,9 @@ def cell_order(idx: np.ndarray, coords: np.ndarray,
     d2 = (sub[:, 0] - mid[:, 0]) ** 2 + (sub[:, 1] - mid[:, 1]) ** 2
     order = np.lexsort((idx, sub[:, 1], sub[:, 0], d2, keys[:, 1], keys[:, 0]))
     keys = keys[order]
-    return order, np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return order, first
 
 
 @dataclass
@@ -135,11 +137,13 @@ def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInter
     if np.any(owner < 0):
         raise AssertionError("net maximality violated: no pretty-close net point")
 
+    # the atoms grouped by owner, each group ascending
     atom_owner = owner[cell]
-    groups = np.split(atoms[np.lexsort((atoms, atom_owner))],
-                      np.cumsum(np.bincount(atom_owner, minlength=len(net)))[:-1])
-    return [AnisoCube(group, net[i], gen, interval, m, rho)
-            for i, group in enumerate(groups) if len(group)]
+    grouped = atoms[np.lexsort((atoms, atom_owner))]
+    sizes = np.bincount(atom_owner, minlength=len(net)).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [AnisoCube(grouped[end - size:end], net[i], gen, interval, m, rho)
+            for i, (size, end) in enumerate(zip(sizes, ends)) if size]
 
 
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,

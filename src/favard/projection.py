@@ -7,7 +7,8 @@ midpoints avoid). A Buffon-style Monte Carlo estimator cross-checks the
 quadrature. Both work on the connected pieces of the union's piece table
 (`SegmentUnion.pieces`): a piece projects onto one interval, the lowest to
 the highest of its projected vertices, and a union whose table would cost
-more than its 2n endpoints falls back to one piece per segment.
+more than its 2n endpoints falls back to one piece per segment. A needle
+projects the vertices only of the pieces whose bounding disc its line meets.
 Pushforwards of arclength are piecewise constant densities plus atoms for
 (near-)perpendicular segments, and the Hardy-Littlewood maximal function of
 such a density is evaluated exactly.
@@ -30,6 +31,15 @@ DEFAULT_N_ANGLES = 2048
 SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of the sweep
 MC_CHUNK = 100_000      # needles drawn from the generator at a time
 NEEDLE_BLOCK = 65_536   # needle-slot pairs per block of the Monte Carlo hit test
+# Widening of each piece's bounding disc in the needle test, in units of
+# R + |c| (R the needle window's half-width, c the disc's center). The
+# piece's vertices, and the t of every needle that hits it, lie within
+# 1.5 (R + |c|) of the origin, so one float dot product x ex + y ey is off by
+# at most 2^-52 * 1.5 (R + |c|) < 4e-16 (R + |c|). The slack is over 10^6 times
+# that, and over 10^5 times the few such roundings that the disc and vertex
+# tests chain, so every pair that the exact vertex test calls a hit meets the
+# disc.
+DISC_SLACK = 1e-9
 
 
 def _sweep(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -122,6 +132,19 @@ def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int =
     return math.fsum(midpoint_measures(union, n_angles, workers).tolist()) / n_angles
 
 
+def _piece_discs(xs: np.ndarray, ys: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bounding disc of each piece of the (K, C) table, for needles in a
+    window of half-width `radius`: a (C, 3) matrix `disc` with
+    disc @ (ex, ey, t) = t - c . e, c the midpoint of the piece's vertex box,
+    and the (C, 1) column `reach`, the farthest vertex from c widened by
+    DISC_SLACK. A needle line can meet the piece only where
+    |t - c . e| <= reach."""
+    cx = (xs.min(axis=0) + xs.max(axis=0)) / 2.0
+    cy = (ys.min(axis=0) + ys.max(axis=0)) / 2.0
+    reach = np.hypot(xs - cx, ys - cy).max(axis=0) + DISC_SLACK * (radius + np.hypot(cx, cy))
+    return np.stack((-cx, -cy, np.ones(len(cx))), axis=1), reach[:, None]
+
+
 def favard_mc(union: SegmentUnion, needle_count: int,
               rng_seed: int = 0) -> tuple[float, float]:
     """Unbiased Buffon-needle estimate of Fav(E) with its standard error.
@@ -131,9 +154,14 @@ def favard_mc(union: SegmentUnion, needle_count: int,
     line pi_theta^{-1}(t) meets E, scaled by the window size 2R, has mean
     Fav(E). A needle meets E exactly when it meets the projection interval
     of one of its connected pieces. Needles are drawn MC_CHUNK at a time and
-    tested against every piece in blocks of about NEEDLE_BLOCK needle-slot
-    pairs of the piece table, so memory stays bounded whatever the needle
-    count.
+    go in blocks of NEEDLE_BLOCK // (K * C) needles, about NEEDLE_BLOCK
+    needle-slot pairs of the (K, C) piece table. A block first keeps the
+    (piece, needle) pairs whose line meets the piece's bounding disc, widened
+    by DISC_SLACK; only those pairs project the piece's vertices, each
+    piece's vertex columns repeated over its pairs, and take the exact
+    interval test. The disc keeps every pair that the exact test would call a
+    hit, so the count is that of testing every piece, and memory stays
+    bounded whatever the needle count.
     """
     if needle_count < 100:
         raise ValueError("needle_count must be >= 100")
@@ -141,8 +169,9 @@ def favard_mc(union: SegmentUnion, needle_count: int,
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()
     xs, ys = union.pieces
-    xs, ys = xs[:, None, :], ys[:, None, :]
+    disc, reach = _piece_discs(xs, ys, radius)
     block = max(1, NEEDLE_BLOCK // xs.size)
+    piece_rows = np.arange(xs.shape[1] + 1)
     rng = np.random.default_rng(rng_seed)
     hits = 0
     done = 0
@@ -151,13 +180,29 @@ def favard_mc(union: SegmentUnion, needle_count: int,
         thetas = rng.random(m)
         offsets = (2.0 * rng.random(m) - 1.0) * radius
         ang = 2.0 * math.pi * thetas
-        ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        t = center[0] * ex + center[1] * ey + offsets[:, None]
+        lines = np.empty((3, m))                                # rows ex, ey, t
+        ex, ey = np.cos(ang, out=lines[0]), np.sin(ang, out=lines[1])
+        lines[2] = center[0] * ex + center[1] * ey + offsets
         for c in range(0, m, block):
-            proj = xs * ex[c:c + block] + ys * ey[c:c + block]   # (K, needles, C)
-            t_b = t[c:c + block]
-            inside = (t_b >= proj.min(axis=0)) & (t_b <= proj.max(axis=0))
-            hits += int(np.count_nonzero(inside.any(axis=1)))
+            ex_b, ey_b, t_b = needle_rows = lines[:, c:c + block]
+            # the (piece, needle) pairs that meet the disc, in piece order
+            gap = disc @ needle_rows                            # (C, needles)
+            meets = np.abs(gap, out=gap) <= reach
+            pair = np.flatnonzero(meets)
+            row_start = needle_rows.shape[1] * piece_rows
+            ends = np.searchsorted(pair, row_start)
+            counts = ends[1:] - ends[:-1]                       # pairs per piece
+            needle = pair - np.repeat(row_start[:-1], counts)
+            # the exact test on those pairs: x ex + y ey per vertex slot, rounded as
+            # a test of every pair rounds it; a pair's result replaces its mask entry
+            px = np.repeat(xs, counts, axis=1)                  # (K, pairs)
+            py = np.repeat(ys, counts, axis=1)
+            px *= ex_b[needle]
+            py *= ey_b[needle]
+            proj = np.add(px, py, out=px)
+            t_n = t_b[needle]
+            meets.reshape(-1)[pair] = (t_n >= proj.min(axis=0)) & (t_n <= proj.max(axis=0))
+            hits += np.count_nonzero(meets.any(axis=0))         # needles with a hit
         done += m
     window = 2.0 * radius
     p = hits / needle_count

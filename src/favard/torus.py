@@ -199,9 +199,10 @@ def _as_intervals(directions) -> tuple[DirectionInterval, ...]:
     return tuple(directions)
 
 
-def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarray,
+def _direction_mask(diff: np.ndarray, interval: DirectionInterval,
                     dist: np.ndarray) -> np.ndarray:
-    """Directional part of cone membership for one arc (closed, with TOL).
+    """Directional part of cone membership for one arc (closed, with TOL), for
+    each row of `diff` = pts - apex, whose lengths are `dist`.
 
     Uses the algebraic characterization |pi_perp gap| <= sin(2 pi a) |x - y|
     when the half-width a is <= 1/4; wider arcs fall back to the arc-distance
@@ -210,8 +211,7 @@ def _direction_mask(apex: np.ndarray, interval: DirectionInterval, pts: np.ndarr
     center = interval.center
     a = interval.half_width
     if a >= 0.5 - TOL:
-        return np.ones(len(pts), dtype=bool)
-    diff = pts - apex
+        return np.ones(diff.shape[:-1], dtype=bool)
     if a <= 0.25:
         lhs = np.abs(row_dot(diff, direction_vector(perp(center))))
         return lhs <= math.sin(2.0 * math.pi * a) * dist + TOL

@@ -94,7 +94,7 @@ def cone_mask(apex: np.ndarray, directions, pts: np.ndarray,
         radial &= dist > inner
     direction = np.zeros(len(pts), dtype=bool)
     for interval in _as_intervals(directions):
-        direction |= _direction_mask(apex, interval, pts, dist)
+        direction |= _direction_mask(diff, interval, dist)
     return radial & direction
 
 
@@ -439,7 +439,7 @@ def annulus_mask(mu: DiscreteMeasure, x, interval: DirectionInterval,
         radial = np.ones(len(dist), dtype=bool)
     if r > 0.0:
         radial &= dist > r
-    return radial & _direction_mask(apex, interval, mu.points, dist)
+    return radial & _direction_mask(diff, interval, dist)
 
 
 def cone_mass_exact(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> Fraction:
@@ -480,7 +480,7 @@ def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     ks: list[int] = []
     ws: list[float] = []
     for interval in intervals:
-        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
+        sel = _direction_mask(diff, interval, dist) & (scale >= 0)
         ks += scale[sel].tolist()
         ws += mu.weights[sel].tolist()
     # the sums are exact, so the n atoms of one scale and one weight, over all
@@ -514,7 +514,7 @@ def energy_integral_quadrature(mu: DiscreteMeasure, x, directions, rho: float,
     dist = np.hypot(diff[:, 0], diff[:, 1])
     dmask = np.zeros(len(dist), dtype=bool)
     for interval in _as_intervals(directions):
-        dmask |= _direction_mask(apex, interval, mu.points, dist)
+        dmask |= _direction_mask(diff, interval, dist)
     d_in = dist[dmask]
     w_in = mu.weights[dmask]
     logs = np.linspace(math.log(r_min), math.log(r_max), n + 1)
@@ -954,7 +954,7 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     for zi in np.nonzero(big_ball)[0]:
         diff = f_pts - pts[zi]
         dist = np.hypot(diff[:, 0], diff[:, 1])
-        dmask = _direction_mask(pts[zi], interval, f_pts, dist)
+        dmask = _direction_mask(diff, interval, dist)
         hit = dmask & (dist > lam * r) & (dist <= big * big_r)
         if hit.any():
             raise ValueError(
@@ -964,8 +964,8 @@ def find_gap_interval(atoms: DiscreteMeasure, f_idx: np.ndarray,
     # (iv) the exterior annular witness
     diff = pts - x
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    in_alpha = _direction_mask(x, interval.dilate(alpha), pts, dist)
-    in_j = _direction_mask(x, interval, pts, dist)
+    in_alpha = _direction_mask(diff, interval.dilate(alpha), dist)
+    in_j = _direction_mask(diff, interval, dist)
     annulus = (dist > rho * r) & (dist <= r)
     witnesses = np.nonzero(in_alpha & ~in_j & annulus)[0]
     checks["iv_witness"] = len(witnesses) > 0

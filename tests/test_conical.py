@@ -75,7 +75,7 @@ def reference_energy_masses(mu, x, directions, rho, low, high):
     masses = [Fraction(0) for _ in range(high - low + 1)]
     for interval in sorted(_as_intervals(directions),
                            key=lambda iv: (wrap(iv.center - iv.half_width), iv.half_width)):
-        sel = _direction_mask(apex, interval, mu.points, dist) & (scale >= 0)
+        sel = _direction_mask(diff, interval, dist) & (scale >= 0)
         for w, k in zip(mu.weights[sel].tolist(), scale[sel].tolist()):
             masses[k - low] += Fraction(w) / Fraction(rho) ** k
     return masses
@@ -262,7 +262,7 @@ def reference_bad_scales(pts, x, direction, rho, low, high):
     apex = np.asarray(x, dtype=float)
     diff = pts - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist[_direction_mask(apex, direction, pts, dist)], rho, low, high)
+    scale = scale_index(dist[_direction_mask(diff, direction, dist)], rho, low, high)
     return frozenset(np.unique(scale[scale >= 0]).tolist())
 
 

@@ -30,7 +30,7 @@ def reference_reduce(points, idx, interval, m_cap, rho=0.5):
         for a in range(len(keep)):
             diff = pts - pts[a]
             dist = np.hypot(diff[:, 0], diff[:, 1])
-            dmask = _direction_mask(pts[a], half, pts, dist)
+            dmask = _direction_mask(diff, half, dist)
             n_bad = 0
             incid = []
             for k in range(0, high + 1):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from favard import projection
 from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_mc,
                                maximal_values_batch, midpoint_measures, projection_measures,
                                pushforward_density)
@@ -274,6 +275,49 @@ class TestPiecesMatchTheSegments:
 def mapped(union, f):
     """The union with both endpoints of every segment mapped by f."""
     return SegmentUnion([Segment(f(*s.a), f(*s.b)) for s in union.segments])
+
+
+def disc_inputs():
+    """Unions for the needle disc pass: four_corners(2) translated by
+    (1e6, -3e5) and scaled by 1e-6, a 200-segment polyline (one piece, whose
+    disc is the whole window), a polyline beside loose segments (one piece
+    per segment) and four_corners(3)."""
+    rng = np.random.default_rng(18)
+    sk = four_corners(2).skeleton()
+    return [mapped(sk, lambda x, y: (x + 1e6, y - 3e5)), mapped(sk, lambda x, y: (x * 1e-6, y * 1e-6)),
+            polyline(201, rng), mixed_union(rng), four_corners(3).skeleton()]
+
+
+class TestNeedleDiscPass:
+    """The bounding-disc pass keeps every hit, so favard_mc counts what the
+    per-segment test counts, whatever the block size."""
+
+    def test_estimate_equals_the_per_segment_test(self):
+        for u in disc_inputs():
+            for seed in (0, 1):
+                assert favard_mc(u, 20_000, seed) == favard_mc_by_segment(u, 20_000, seed)
+
+    @pytest.mark.parametrize("needle_block", [1, 1_000])
+    def test_block_size_does_not_change_the_count(self, monkeypatch, needle_block):
+        # a block of one needle, and blocks that do not divide the 3,001 needles
+        monkeypatch.setattr(projection, "NEEDLE_BLOCK", needle_block)
+        for u in disc_inputs():
+            assert favard_mc(u, 3_001, 2) == favard_mc_by_segment(u, 3_001, 2)
+
+    def test_every_exact_hit_meets_its_disc(self):
+        u = four_corners(2).skeleton()
+        center, radius = u.bounding_center_radius()
+        xs, ys = u.pieces
+        disc, reach = projection._piece_discs(xs, ys, radius)
+        rng = np.random.default_rng(19)
+        ang = 2.0 * math.pi * rng.random(10_000)
+        ex, ey = np.cos(ang), np.sin(ang)
+        t = center[0] * ex + center[1] * ey + (2.0 * rng.random(10_000) - 1.0) * radius
+        proj = xs[:, :, None] * ex + ys[:, :, None] * ey                    # (K, C, needles)
+        hit = (t >= proj.min(axis=0)) & (t <= proj.max(axis=0))
+        near = np.abs(disc @ np.stack((ex, ey, t))) <= reach
+        assert hit.sum() > 1_000
+        assert not np.any(hit & ~near)
 
 
 class TestSweepMetamorphic:
