@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig, content_hash
 from .graphs import extract_graph
-from .lattice import check_cube_invariants, descend
+from .lattice import check_cube_invariants, descend_all
 from .pipeline import run_pipeline
 from .projection import favard, favard_mc, midpoint_measures
 from .sets import (DyadicSquareSet, SegmentUnion, four_corners, pairwise_extremes,
@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVARIANT = 2
 EXIT_HYPOTHESIS = 3
+
+LATTICE_BLOCK = 50          # lattice-check instances per descend_all call
 
 
 class InputError(Exception):
@@ -115,6 +117,9 @@ def cmd_mc(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
+    if args.n_max < 0:
+        print("usage error: --n-max must be >= 0", file=sys.stderr)
+        return EXIT_IO
     if args.n_max > 6:
         print("resource guard: n_max must be <= 6", file=sys.stderr)
         return EXIT_IO
@@ -206,26 +211,35 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
+    if args.instances < 1:
+        print("usage error: --instances must be >= 1", file=sys.stderr)
+        return EXIT_IO
     rng = np.random.default_rng(cfg.seed)
     failures = 0
     reports = []
-    for trial in range(args.instances):
-        n = int(rng.integers(30, 120))
-        pts = rng.random((n, 2))
-        # alternate H(J) in {1/3, 1/27}
-        h_choice = TriadicInterval(1, int(rng.integers(0, 3))) if trial % 2 == 0 \
-            else TriadicInterval(3, int(rng.integers(0, 27)))
-        l = int(rng.integers(0, 3))
-        k = int(rng.integers(0, 3))
-        cubes = descend(pts, np.arange(n), h_choice, k, h_choice, l, cfg.rho)
-        rep = check_cube_invariants(pts, np.arange(n), cubes, k + l)
-        ok = rep["partition"] and rep["sandwich_outer"] and rep["sandwich_inner"] \
-            and rep["net_separation"]
-        reports.append({"trial": trial, "H(J)": h_choice.length, **{
-            key: rep[key] for key in ("partition", "sandwich_outer", "sandwich_inner",
-                                      "net_separation", "cube_count")}})
-        if not ok:
-            failures += 1
+    # the instances are drawn in trial order and descend in blocks of
+    # LATTICE_BLOCK, so one block of instances and cubes is alive at a time
+    for lo in range(0, args.instances, LATTICE_BLOCK):
+        block = []
+        for trial in range(lo, min(lo + LATTICE_BLOCK, args.instances)):
+            n = int(rng.integers(30, 120))
+            pts = rng.random((n, 2))
+            # alternate H(J) in {1/3, 1/27}
+            h_choice = TriadicInterval(1, int(rng.integers(0, 3))) if trial % 2 == 0 \
+                else TriadicInterval(3, int(rng.integers(0, 27)))
+            l = int(rng.integers(0, 3))
+            k = int(rng.integers(0, 3))
+            block.append((pts, np.arange(n), h_choice, k, h_choice, l))
+        for trial, (job, cubes) in enumerate(zip(block, descend_all(block, cfg.rho)), lo):
+            pts, carrier, h_choice, k, _, l = job
+            rep = check_cube_invariants(pts, carrier, cubes, k + l)
+            ok = rep["partition"] and rep["sandwich_outer"] and rep["sandwich_inner"] \
+                and rep["net_separation"]
+            reports.append({"trial": trial, "H(J)": h_choice.length, **{
+                key: rep[key] for key in ("partition", "sandwich_outer", "sandwich_inner",
+                                          "net_separation", "cube_count")}})
+            if not ok:
+                failures += 1
     payload = {"command": "lattice-check", "config": cfg.to_dict(),
                "instances": args.instances, "failures": failures, "reports": reports}
     path = _write_report(args.out, "lattice_check_report", payload)

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .torus import PAIR_TILE, TOL, DirectionInterval, d_metric_many
+from .torus import (PAIR_TILE, TOL, DirectionInterval, _metric_coords, d_metric_many,
+                    direction_vector)
 
 
 def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
@@ -41,23 +42,23 @@ def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
     return m
 
 
-def cell_order(idx: np.ndarray, coords: np.ndarray,
-               side: float) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms `idx` sorted by half-open grid cell of side `side`, cells in
-    key order, and within a cell by squared distance from the cell's
-    geometric center, then by mapped coordinates, then by index.
+def cell_order(idx: np.ndarray, coords: np.ndarray, side: np.ndarray,
+               carrier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms `idx`, at `coords` (one row each), sorted by carrier, then by
+    half-open grid cell of their own `side`, cells in key order, and within a
+    cell by squared distance from the cell's geometric center, then by
+    coordinates, then by index.
 
     Returns (order, first): positions into `idx`, and a mask of the sorted
     atoms that open a cell, which are the cells' center atoms.
     """
-    sub = coords[idx]
-    keys = np.floor(sub / side).astype(np.int64)
-    mid = (keys + 0.5) * side
-    d2 = (sub[:, 0] - mid[:, 0]) ** 2 + (sub[:, 1] - mid[:, 1]) ** 2
-    order = np.lexsort((idx, sub[:, 1], sub[:, 0], d2, keys[:, 1], keys[:, 0]))
-    keys = keys[order]
+    keys = np.floor(coords / side[:, None]).astype(np.int64)
+    mid = (keys + 0.5) * side[:, None]
+    d2 = (coords[:, 0] - mid[:, 0]) ** 2 + (coords[:, 1] - mid[:, 1]) ** 2
+    order = np.lexsort((idx, coords[:, 1], coords[:, 0], d2, keys[:, 1], keys[:, 0], carrier))
+    keys, carrier = keys[order], carrier[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1) | (carrier[1:] != carrier[:-1])
     return order, first
 
 
@@ -91,59 +92,106 @@ class AnisoCube:
 
 def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
             k: int, interval: DirectionInterval, l: int, rho: float = 0.5) -> list[AnisoCube]:
-    """Dyadic descendants of the carrier at generation k+l adapted to `interval`.
+    """The cubes of one carrier: `descend_all` of the single job."""
+    return descend_all([(points, member_idx, j_parent, k, interval, l)], rho)[0]
 
-    The carrier is the atom set `member_idx`; `interval` must be contained in
-    `j_parent` and `l >= 0`. Returns a partition of the carrier into cubes.
+
+def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
+    """Dyadic descendants of many carriers, one cube list per job.
+
+    A job is (points, member_idx, j_parent, k, interval, l): the carrier is
+    the atom set `member_idx` of `points`, descended to generation k+l and
+    adapted to `interval`, which must be contained in `j_parent`; l >= 0.
+    Each list partitions its carrier, and depends on its own job only.
     """
-    member_idx = np.asarray(member_idx, dtype=np.int64)
-    if len(member_idx) == 0:
-        raise ValueError("descend of an empty carrier")
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    h_child = interval.length
-    if h_child > j_parent.length + TOL:
-        raise ValueError("interval must be contained in the parent interval")
-    gen = k + l
-    m = side_exponent(h_child, k, l, rho)
-    side = rho**m
-    pts = np.asarray(points, dtype=float)
+    if not jobs:
+        return []
+    gens, sides, ms, frames, arrays = [], [], [], [], {}
+    for points, member_idx, j_parent, k, interval, l in jobs:
+        if len(member_idx) == 0:
+            raise ValueError("descend of an empty carrier")
+        if l < 0:
+            raise ValueError("l must be >= 0")
+        if interval.length > j_parent.length + TOL:
+            raise ValueError("interval must be contained in the parent interval")
+        m = side_exponent(interval.length, k, l, rho)
+        gens.append(k + l)
+        ms.append(m)
+        sides.append(rho**m)
+        frames.append((*direction_vector(interval.center), interval.length,
+                       rho ** (k + l), 3.0 * rho ** (k + l)))
+        arrays.setdefault(id(points), points)
+    # the atoms of every carrier as rows of one stacked point array
+    offset = dict(zip(arrays, np.cumsum([0] + [len(p) for p in arrays.values()]).tolist()))
+    stacked = np.concatenate([np.asarray(p, dtype=float) for p in arrays.values()])
+    idx = np.concatenate([np.asarray(job[1], dtype=np.int64) for job in jobs])
+    sizes = [len(job[1]) for job in jobs]
+    carrier = np.repeat(np.arange(len(jobs)), sizes)
+    coords = stacked[idx + np.repeat([offset[id(job[0])] for job in jobs], sizes)]
 
-    order, first = cell_order(member_idx, pts, side)
-    atoms = member_idx[order]
+    order, first = cell_order(idx, coords, np.repeat(sides, sizes), carrier)
+    atoms, carrier = idx[order], carrier[order]
     cell = np.cumsum(first) - 1
     centers = atoms[first]
-    c = pts[centers]
 
-    # greedy maximal net over cell centers, swept in lexicographic order of the
-    # center coordinates. Each net point adds one d_J row against all centers:
-    # centers within sep are no longer free, and every cell keeps the first net
-    # point that is "very close" (close) and the first within sep (near).
-    sep = 3.0 * rho**gen
-    very_close = rho**gen
+    # greedy maximal nets over the cell centers of every carrier, each swept
+    # in lexicographic order of the center coordinates. A round takes the
+    # first free center of every carrier that has one and adds one d_J value
+    # per cell of those carriers that no net point is "very close" to yet:
+    # centers within sep are no longer free, and every cell keeps the first
+    # net point very close to it (close) and the first within sep (near).
+    c = coords[order[first]]
+    sweep = np.lexsort((c[:, 1], c[:, 0], carrier[first]))
+    c, car = c[sweep], carrier[first][sweep]
+    ex, ey, length, very_close, sep = (np.array(col) for col in zip(*frames))
     free = np.ones(len(c), dtype=bool)
     close = np.full(len(c), -1)
     near = np.full(len(c), -1)
-    net: list[int] = []
-    for t in np.lexsort((c[:, 1], c[:, 0])):
-        if not free[t]:
-            continue
-        d = d_metric_many(interval, c[t], c)
-        free &= d > sep
-        close[(close < 0) & (d <= very_close + TOL)] = len(net)
-        near[(near < 0) & (d <= sep + TOL)] = len(net)
-        net.append(int(centers[t]))
+    net: list[np.ndarray] = []
+    pending = np.arange(len(c))
+    count = 0
+    while True:
+        fr = pending[free[pending]]
+        if not len(fr):
+            break
+        t = fr[np.r_[True, car[fr[1:]] != car[fr[:-1]]]]
+        slot = np.full(len(jobs), -1)
+        slot[car[t]] = np.arange(len(t))
+        pending = pending[slot[car[pending]] >= 0]
+        own = slot[car[pending]]
+        j = car[pending]
+        e = (ex[j], ey[j])
+        d = np.hypot(*_metric_coords(e, length[j], c[pending] - c[t[own]]))
+        free[pending] &= d > sep[j]
+        hit = d <= very_close[j] + TOL
+        close[pending[hit]] = count + own[hit]
+        reach = (near[pending] < 0) & (d <= sep[j] + TOL)
+        near[pending[reach]] = count + own[reach]
+        net.append(t)
+        count += len(t)
+        pending = pending[~hit]
     owner = np.where(close >= 0, close, near)
     if np.any(owner < 0):
         raise AssertionError("net maximality violated: no pretty-close net point")
 
-    # the atoms grouped by owner, each group ascending
-    atom_owner = owner[cell]
-    grouped = atoms[np.lexsort((atoms, atom_owner))]
-    sizes = np.bincount(atom_owner, minlength=len(net)).tolist()
-    ends = np.cumsum(sizes).tolist()
-    return [AnisoCube(grouped[end - size:end], net[i], gen, interval, m, rho)
-            for i, (size, end) in enumerate(zip(sizes, ends)) if size]
+    # the atoms grouped by (carrier, net point), each group ascending; within
+    # a carrier the net points keep their round order, which is sweep order
+    net_pos = np.concatenate(net)
+    by_carrier = np.argsort(car[net_pos], kind="stable")
+    cell_owner = np.empty(len(c), dtype=np.int64)
+    cell_owner[sweep] = owner
+    atom_owner = cell_owner[cell]
+    grouped = atoms[np.lexsort((atoms, atom_owner, carrier))]
+    sizes = np.bincount(atom_owner, minlength=count)[by_carrier]
+    bounds = np.r_[0, np.cumsum(sizes)].tolist()
+    net_atoms = centers[sweep][net_pos[by_carrier]].tolist()
+    per_job = np.bincount(car[net_pos], minlength=len(jobs)).tolist()
+    out, q = [], 0
+    for job, n_net, gen, m in zip(jobs, per_job, gens, ms):
+        out.append([AnisoCube(grouped[bounds[i]:bounds[i + 1]], net_atoms[i], gen, job[4], m,
+                              rho) for i in range(q, q + n_net)])
+        q += n_net
+    return out
 
 
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,

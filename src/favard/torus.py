@@ -222,10 +222,11 @@ def _direction_mask(diff: np.ndarray, interval: DirectionInterval,
     return ok
 
 
-def _metric_coords(interval: DirectionInterval, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H(I)^-1 pi_I_perp, pi_I) of each row, by elementwise products."""
-    e = direction_vector(interval.center)
-    return row_dot(diff, (-e[1], e[0])) / interval.length, row_dot(diff, e)
+def _metric_coords(e, length, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H(I)^-1 pi_I_perp, pi_I) of each row, by elementwise products, for the
+    midpoint direction e = (e[0], e[1]) and length H(I) of I; e and the length
+    may hold one value per row."""
+    return row_dot(diff, (-e[1], e[0])) / length, row_dot(diff, e)
 
 
 def d_metric_many(interval: DirectionInterval, x, pts: np.ndarray) -> np.ndarray:
@@ -238,4 +239,4 @@ def d_metric_many(interval: DirectionInterval, x, pts: np.ndarray) -> np.ndarray
     coordinates, so d_I is exactly symmetric.
     """
     diff = np.asarray(pts, dtype=float) - np.asarray(x, dtype=float)
-    return np.hypot(*_metric_coords(interval, diff))
+    return np.hypot(*_metric_coords(direction_vector(interval.center), interval.length, diff))

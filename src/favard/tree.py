@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .conical import Family, bad_scale_counts, conical_energy, scale_ceiling
-from .lattice import AnisoCube, descend
+from .lattice import AnisoCube, descend, descend_all
 from .projection import Projector
 from .sets import DiscreteMeasure
 from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
@@ -506,15 +506,20 @@ def build_tree(stages: GoodStages) -> DirectionTree:
                     f"shattering did not terminate by depth {depth} at generation "
                     f"{k + 1}; interval {interval}, atoms {piece.atom_idx[:8]}")
             stopped.append(StoppedPiece("sh", k + 1, interval, piece.atom_idx, parent))
-            for j_child in interval.children():
-                for sub in descend(pts, piece.atom_idx, interval, k + 1, j_child, 0, rho):
+            kids = interval.children()
+            jobs = [(pts, piece.atom_idx, interval, k + 1, j_child, 0) for j_child in kids]
+            for j_child, subs in zip(kids, descend_all(jobs, rho)):
+                for sub in subs:
                     place(sub, j_child, parent, depth + 1)
 
-        for nid in generations[k]:
-            node = nodes[nid]
-            for piece in descend(pts, node.cube.atom_idx, node.interval, k, node.interval,
-                                 1, rho):
-                place(piece, node.interval, nid, 0)
+        # the whole generation descends in one call; its pieces are placed
+        # node by node, so node ids follow the generation order
+        gen_nodes = [nodes[nid] for nid in generations[k]]
+        jobs = [(pts, node.cube.atom_idx, node.interval, k, node.interval, 1)
+                for node in gen_nodes]
+        for node, pieces in zip(gen_nodes, descend_all(jobs, rho)):
+            for piece in pieces:
+                place(piece, node.interval, node.node_id, 0)
         del place      # the recursive closure refers to itself; free the tree by refcount
         generations.append(next_gen)
 

@@ -7,11 +7,11 @@ Nothing here runs in a command. Three kinds of definitions live here:
   pushforward densities, the parallel split, the Favard sweep and the
   Monte Carlo needle test; exact interval-union projections, the scalar
   maximal function, annulus masks, single apex cone masses, energies and
-  bad scales, the scalar d_J metric, base-cell grids, one-step descents, the
-  quadrature form of the conical energy, the Hausdorff content of a model, the
-  constant-core stages of the no-shattering tree, the per-atom test of
-  the tree's bad cubes, and the one-node-at-a-time budget and bad-chain
-  checks);
+  bad scales, the scalar d_J metric, base-cell grids, the per-carrier
+  descend loop, one-step descents, the quadrature form of the conical
+  energy, the Hausdorff content of a model, the constant-core stages of
+  the no-shattering tree, the per-atom test of the tree's bad cubes, and
+  the one-node-at-a-time budget and bad-chain checks);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -32,7 +32,7 @@ from favard.config import ExperimentConfig
 from favard.conical import (EnergyProfile, _interval_key, annulus_scales, bad_scale_counts,
                             scale_index)
 from favard.fixtures import FIXTURE_A, FIXTURE_M
-from favard.lattice import AnisoCube, cell_order, descend
+from favard.lattice import AnisoCube, cell_order, descend, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
@@ -139,7 +139,8 @@ def to_metric_coords(interval: DirectionInterval, pts: np.ndarray) -> np.ndarray
     Maps p to (H(I)^-1 pi_I_perp(p), pi_I(p)); the inverse is the
     rotation-plus-scaling isometry (R^2, euclid) -> (R^2, d_I).
     """
-    return np.column_stack(_metric_coords(interval, np.asarray(pts, dtype=float)))
+    return np.column_stack(_metric_coords(direction_vector(interval.center), interval.length,
+                                          np.asarray(pts, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +601,7 @@ def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: fl
 
 
 # ---------------------------------------------------------------------------
-# lattice: base-cell grids and one-step descents
+# lattice: base-cell grids, the per-carrier descend loop and one-step descents
 # ---------------------------------------------------------------------------
 
 
@@ -646,7 +647,8 @@ class BaseLattice:
 
     def center_atom(self, m: int, key: tuple[int, int]) -> int:
         idx = self.levels[m][key]
-        return int(idx[cell_order(idx, self._coords, self.rho**m)[0][0]])
+        side = np.full(len(idx), self.rho**m)
+        return int(idx[cell_order(idx, self._coords[idx], side, np.zeros_like(idx))[0][0]])
 
     def verify(self) -> dict:
         """Partition of the cloud at every level, and exact nesting."""
@@ -665,6 +667,55 @@ class BaseLattice:
                 if len({owner[int(i)] for i in idx}) != 1:
                     nesting = False
         return {"partition": partition, "nesting": nesting}
+
+
+def loop_descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
+                 k: int, interval: DirectionInterval, l: int, rho: float) -> list[AnisoCube]:
+    """descend of one carrier with one d_J row per net point against all of
+    its cell centers: the per-carrier loop the batched rounds of
+    `descend_all` are checked against."""
+    member_idx = np.asarray(member_idx, dtype=np.int64)
+    if len(member_idx) == 0:
+        raise ValueError("descend of an empty carrier")
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if interval.length > j_parent.length + TOL:
+        raise ValueError("interval must be contained in the parent interval")
+    gen = k + l
+    m = side_exponent(interval.length, k, l, rho)
+    pts = np.asarray(points, dtype=float)
+    n = len(member_idx)
+    order, first = cell_order(member_idx, pts[member_idx], np.full(n, rho**m),
+                              np.zeros(n, dtype=np.int64))
+    atoms = member_idx[order]
+    cell = np.cumsum(first) - 1
+    centers = atoms[first]
+    c = pts[centers]
+
+    sep = 3.0 * rho**gen
+    very_close = rho**gen
+    free = np.ones(len(c), dtype=bool)
+    close = np.full(len(c), -1)
+    near = np.full(len(c), -1)
+    net: list[int] = []
+    for t in np.lexsort((c[:, 1], c[:, 0])):
+        if not free[t]:
+            continue
+        d = d_metric_many(interval, c[t], c)
+        free &= d > sep
+        close[(close < 0) & (d <= very_close + TOL)] = len(net)
+        near[(near < 0) & (d <= sep + TOL)] = len(net)
+        net.append(int(centers[t]))
+    owner = np.where(close >= 0, close, near)
+    if np.any(owner < 0):
+        raise AssertionError("net maximality violated: no pretty-close net point")
+
+    atom_owner = owner[cell]
+    grouped = atoms[np.lexsort((atoms, atom_owner))]
+    sizes = np.bincount(atom_owner, minlength=len(net)).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [AnisoCube(grouped[end - size:end], net[i], gen, interval, m, rho)
+            for i, (size, end) in enumerate(zip(sizes, ends)) if size]
 
 
 def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:

@@ -141,6 +141,11 @@ class TestCantorDecay:
     def test_resource_guard(self, tmp_path):
         assert main(["--out", str(tmp_path), "cantor-decay", "--n-max", "9"]) == 1
 
+    def test_negative_n_max_is_usage_error(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "cantor-decay", "--n-max", "-1"]) == 1
+        assert "--n-max must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestContent:
     def test_bottom_row_line(self, cantor_json, tmp_path):
@@ -176,6 +181,23 @@ class TestChecks:
     def test_lattice_check(self, tmp_path):
         assert main(["--out", str(tmp_path), "lattice-check",
                      "--instances", "12"]) == 0
+
+    def test_lattice_check_blocks_keep_the_draws(self, tmp_path):
+        # 60 instances span two descend blocks; the first 12 reports are
+        # those of a 12-instance run
+        reports = []
+        for count in ("12", "60"):
+            out = tmp_path / count
+            assert main(["--out", str(out), "lattice-check", "--instances", count]) == 0
+            reports.append(json.loads((out / "lattice_check_report.json").read_text())["reports"])
+        assert [r["trial"] for r in reports[1]] == list(range(60))
+        assert reports[1][:12] == reports[0]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_lattice_check_needs_an_instance(self, tmp_path, capsys, count):
+        assert main(["--out", str(tmp_path), "lattice-check", "--instances", count]) == 1
+        assert "--instances must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_extract_graph_cli(self, tmp_path):
         path = tmp_path / "line.csv"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
 from favard import lattice
-from favard.lattice import AnisoCube, cell_order, check_cube_invariants, descend, side_exponent
+from favard.lattice import (AnisoCube, cell_order, check_cube_invariants, descend, descend_all,
+                            side_exponent)
 from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import build_tree
-from tests.reference import BaseLattice, base_cells, children, d_metric, shatter, whitney
+from tests.reference import (BaseLattice, base_cells, children, d_metric, loop_descend, shatter,
+                             whitney)
 
 
 def reference_cell_center_atom(idx, key, side, coords):
@@ -95,8 +98,10 @@ def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
 
 
 def assert_same_cubes(got, want):
-    assert [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m) for c in got] == \
-        [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m) for c in want]
+    assert [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m, c.interval, c.rho)
+            for c in got] == \
+        [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m, c.interval, c.rho)
+         for c in want]
 
 
 class TestSideRule:
@@ -333,34 +338,130 @@ class TestNetSweepOracle:
         for idx, key, want in (([4, 1, 3, 2, 0], (0, 0), 0), ([4, 2, 1], (0, 0), 2),
                                ([1, 4], (0, 0), 4), ([5, 6], (0, 0), 6), ([8, 7], (1, 0), 8)):
             idx = np.array(idx)
-            assert idx[cell_order(idx, pts, 1.0)[0][0]] == \
+            order = cell_order(idx, pts[idx], np.ones(len(idx)), np.zeros_like(idx))[0]
+            assert idx[order[0]] == \
                 reference_cell_center_atom(idx, key, 1.0, pts) == want
 
+    # (descend_all calls, jobs) of build_tree per unthinned fixture. The jobs
+    # are 3 roots, 846 per-node descents and the 204 children of 68 shatters;
+    # the calls are one per root, per generation and per shatter
+    TREE_CALLS = {"single_line": (24, 448), "two_direction": (50, 331),
+                  "cantor_horizontal": (12, 274)}
+
     @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
-    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
-                                      two_direction_instance,
-                                      lambda: cantor_horizontal_instance()[1:]],
+    @pytest.mark.parametrize("name,make", [("single_line", lambda: single_line_instance()[1:]),
+                                           ("two_direction", two_direction_instance),
+                                           ("cantor_horizontal",
+                                            lambda: cantor_horizontal_instance()[1:])],
                              ids=["single_line", "two_direction", "cantor_horizontal"])
-    def test_tree_fixtures(self, make, thinned, monkeypatch):
+    def test_tree_fixtures(self, name, make, thinned, monkeypatch):
         params = ExperimentConfig()
         stages = stages_for(*make(), params=params)
         if thinned:
             for i in list(stages.core)[::3]:
                 stages.core[i] = []
-        calls = []
+        calls, jobs = [], []
+        kernel = lattice.descend_all
 
-        def checked(points, member_idx, j_parent, k, interval, l, rho):
-            cubes = descend(points, member_idx, j_parent, k, interval, l, rho)
-            assert_same_cubes(cubes, reference_descend(points, member_idx, j_parent, k,
-                                                       interval, l, rho))
-            assert check_cube_invariants(points, member_idx, cubes, k + l) == \
-                reference_check_cube_invariants(points, member_idx, cubes, k + l)
-            calls.append(len(cubes))
-            return cubes
+        def checked(batch, rho):
+            calls.append(len(batch))
+            out = kernel(batch, rho)
+            for (points, member_idx, j_parent, k, interval, l), cubes in zip(batch, out):
+                assert_same_cubes(cubes, reference_descend(points, member_idx, j_parent, k,
+                                                           interval, l, rho))
+                assert check_cube_invariants(points, member_idx, cubes, k + l) == \
+                    reference_check_cube_invariants(points, member_idx, cubes, k + l)
+                jobs.append(len(cubes))
+            return out
 
-        monkeypatch.setattr("favard.tree.descend", checked)
+        # the root's descend reaches the kernel through the lattice module
+        monkeypatch.setattr(lattice, "descend_all", checked)
+        monkeypatch.setattr("favard.tree.descend_all", checked)
         tree = build_tree(stages)
-        assert len(calls) > 1 and len(tree.nodes) > 0
+        assert len(tree.nodes) > 0
+        if not thinned:
+            assert (len(calls), len(jobs)) == self.TREE_CALLS[name]
+
+    def test_tree_calls_total(self):
+        assert [sum(c) for c in zip(*self.TREE_CALLS.values())] == [86, 3 + 846 + 204]
+
+
+def random_jobs(rng, count):
+    """descend_all jobs over one shared point array and fresh ones: triadic
+    and angle intervals, the parent the interval itself or a wider one,
+    l in {0, 1, 2}, carriers of one to 60 atoms in random order."""
+    shared = rng.random((150, 2))
+    jobs = []
+    for _ in range(count):
+        points = shared if rng.random() < 0.5 else rng.random((int(rng.integers(1, 80)), 2))
+        size = 1 if rng.random() < 0.2 else int(rng.integers(1, min(60, len(points)) + 1))
+        member_idx = rng.permutation(len(points))[:size]
+        if rng.random() < 0.5:
+            level = int(rng.integers(1, 4))
+            interval = TriadicInterval(level, int(rng.integers(0, 3**level)))
+            j_parent = interval.parent() if rng.random() < 0.5 else interval
+        else:
+            interval = AngleInterval(float(rng.random()), float(rng.uniform(0.005, 0.2)))
+            j_parent = AngleInterval(interval.center, 2 * interval.half_width) \
+                if rng.random() < 0.5 else interval
+        jobs.append((points, member_idx, j_parent, int(rng.integers(0, 3)), interval,
+                     int(rng.integers(0, 3))))
+    return jobs
+
+
+class TestDescendAll:
+    """The batched kernel gives every job the cubes of the per-carrier sweep
+    and of the scalar reference, whatever else shares its call."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    def test_random_job_lists(self, rho):
+        rng = np.random.default_rng(11)
+        seen = []
+        for _ in range(6):
+            jobs = random_jobs(rng, 25)
+            out = descend_all(jobs, rho)
+            assert len(out) == len(jobs)
+            for job, cubes in zip(jobs, out):
+                assert_same_cubes(cubes, loop_descend(*job, rho))
+                assert_same_cubes(cubes, reference_descend(*job, rho))
+            seen += jobs
+        # every kind of job the kernel must handle took part
+        assert {type(job[4]) for job in seen} == {TriadicInterval, AngleInterval}
+        assert {job[5] for job in seen} == {0, 1, 2}
+        assert any(len(job[1]) == 1 for job in seen)
+        assert any(job[2] != job[4] for job in seen)
+        arrays = Counter(id(job[0]) for job in seen).most_common()
+        assert len(arrays) > 1 and arrays[0][1] > 1       # separate and shared points
+
+    def test_batch_independence(self):
+        rng = np.random.default_rng(12)
+        jobs = random_jobs(rng, 40)
+        alone = [descend_all([job], 0.5)[0] for job in jobs]
+        for got, want in zip(descend_all(jobs, 0.5), alone):
+            assert_same_cubes(got, want)
+        perm = rng.permutation(len(jobs))
+        for i, got in zip(perm, descend_all([jobs[i] for i in perm], 0.5)):
+            assert_same_cubes(got, alone[i])
+        # the same carrier twice in one call
+        for got in descend_all([jobs[0], jobs[0]], 0.5):
+            assert_same_cubes(got, alone[0])
+
+    def test_no_jobs(self):
+        assert descend_all([], 0.5) == []
+
+    @pytest.mark.parametrize("bad", [
+        (np.zeros((1, 2)), np.array([], dtype=int), TriadicInterval(1, 0), 0,
+         TriadicInterval(1, 0), 0),
+        (np.zeros((1, 2)), np.array([0]), TriadicInterval(1, 0), 1, TriadicInterval(1, 0), -1),
+        (np.zeros((1, 2)), np.array([0]), TriadicInterval(2, 0), 0, TriadicInterval(1, 0), 0),
+    ], ids=["empty_carrier", "negative_l", "too_wide"])
+    def test_invalid_jobs_raise(self, bad):
+        good = random_jobs(np.random.default_rng(13), 4)
+        for jobs in ([bad], [*good[:2], bad, *good[2:]]):
+            with pytest.raises(ValueError):
+                descend_all(jobs, 0.5)
+        with pytest.raises(ValueError):
+            loop_descend(*bad, 0.5)
 
 
 class TestWhitney:
