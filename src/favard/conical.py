@@ -3,12 +3,12 @@
 Masses of truncated cones under a discrete measure drive everything here.
 Annuli use the half-open radial convention (r, R] so that the dyadic annuli
 (rho^{k+1}, rho^k] tile without double counting; per-scale masses accumulate
-as exact rationals so that energies are exactly additive over disjoint
-direction sets, independent of grouping.
+as integer numerators over one denominator so that energies are exactly
+additive over disjoint direction sets, independent of grouping.
 
 ``scale_index`` is the (r, R] rule that turns distances into scales, and
 both block kernels apply it to (apexes x atoms) blocks of about PAIR_TILE
-pairs: ``annulus_scales`` for one arc (bad-scale counts, the tree's bad cubes
+pairs: ``annulus_scales`` for one arc (bad-scale tables, the tree's bad cubes
 and the reduction's scale table), ``conical_energy`` for one direction set per
 apex (every energy of selection and the tree, one call per site). One
 ceiling, ``scale_ceiling``, bounds the scales worth visiting.
@@ -46,20 +46,27 @@ def scale_index(dist: np.ndarray, rho: float, low: int, high: int) -> np.ndarray
 
 @dataclass
 class EnergyProfile:
-    """Per-scale normalized annulus masses m_k = mu(X(x, G, rho^{k+1}, rho^k)) / rho^k."""
+    """Per-scale normalized annulus masses m_k = mu(X(x, G, rho^{k+1}, rho^k)) / rho^k
+    = numerators[k - low] / denominator, exactly: the denominator is the weights'
+    common power-of-two denominator times p^high, for rho = p/q."""
 
     rho: float
     low: int
     high: int
-    masses: list[Fraction]
+    numerators: list[int]
+    denominator: int
+
+    @property
+    def masses(self) -> list[Fraction]:
+        return [Fraction(n, self.denominator) for n in self.numerators]
 
     @property
     def total(self) -> Fraction:
-        return sum(self.masses, Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     @property
     def total_float(self) -> float:
-        return float(self.total)
+        return sum(self.numerators) / self.denominator    # int / int rounds correctly
 
     def masses_float(self) -> list[float]:
         return [float(m) for m in self.masses]
@@ -72,12 +79,12 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
 
     Comparable (two-sidedly, with rho-dependent constants) to the integral
     form int mu(X(x, G, rho r, r)) / r dr/r over the matching range. Additive
-    over disjoint direction sets exactly: every per-scale mass is an exact
-    rational. The apexes go in blocks of about PAIR_TILE (apex, atom) pairs;
-    in each block every distinct arc masks only the rows that carry it (an
-    atom on two touching closed arcs counts twice), and the hits are counted
-    per (row, scale, weight), so each mass adds n * w / rho^k once per weight.
-    An empty direction set has zero masses.
+    over disjoint direction sets exactly: every mass is an integer over one
+    denominator. The apexes go in blocks of about PAIR_TILE (apex, atom)
+    pairs; in each block every distinct arc masks only the rows that carry it
+    (an atom on two touching closed arcs counts twice), and the hits are
+    counted per (row, scale, weight), so each numerator adds n times the
+    weight's term once per weight. An empty direction set has zero masses.
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
@@ -90,11 +97,14 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
     weight_code: dict[float, int] = {}      # a dict, not np.unique: no numpy.ma import
     w_code = np.array([weight_code.setdefault(w, len(weight_code))
                        for w in mu.weights.tolist()], dtype=np.int64)
-    weights = list(weight_code)
-    n_k, n_w = high - low + 1, len(weights)
-    r = Fraction(rho)
-    term: dict[int, Fraction] = {}          # k * n_w + w -> weights[w] / rho^(low + k)
-    masses = [[Fraction(0)] * n_k for _ in sets]
+    ratios = [w.as_integer_ratio() for w in weight_code]    # denominators: powers of two
+    unit = max((d for _, d in ratios), default=1)
+    p, q = rho.as_integer_ratio()
+    n_k, n_w = high - low + 1, len(ratios)
+    # weight w / rho^(low + k) = term[k * n_w + w] / (unit p^high)
+    term = [n * (unit // d) * q ** (low + k) * p ** (high - low - k)
+            for k in range(n_k) for n, d in ratios]
+    sums = [[0] * n_k for _ in sets]
     step = max(1, PAIR_TILE // max(1, len(mu)))
     for lo in range(0, len(apexes), step):
         apex = apexes[lo:lo + step].reshape(-1, 1, 2)
@@ -118,11 +128,8 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
         counts = np.diff(first, append=len(code))
         for c, n in zip(code[first].tolist(), counts.tolist()):
             row, kw = divmod(c, n_k * n_w)
-            k, w = divmod(kw, n_w)
-            if kw not in term:
-                term[kw] = Fraction(weights[w]) / r ** (low + k)
-            masses[lo + row][k] += term[kw] * n
-    return [EnergyProfile(rho, low, high, row) for row in masses]
+            sums[lo + row][kw // n_w] += n * term[kw]
+    return [EnergyProfile(rho, low, high, row, unit * p**high) for row in sums]
 
 
 def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
@@ -137,23 +144,27 @@ def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInte
                     scale_index(dist, rho, low, high), -1)
 
 
-def bad_scale_counts(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
-                     rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
-    """Number of bad scales of each row x of `xs`: the k in [low, high] with
-    X(x, direction, rho^{k+1}, rho^k) meeting the atoms `pts`, from one
-    (apexes x atoms) scale block per PAIR_TILE pairs."""
+def bad_scale_table(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
+                    rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
+    """hit[a, k - low]: whether k in [low, high] is a bad scale of xs[a], i.e.
+    X(xs[a], direction, rho^{k+1}, rho^k) meets `pts`; PAIR_TILE pairs a block."""
     if low > high:
         raise ValueError("need low <= high")
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     step = max(1, PAIR_TILE // max(1, len(pts)))
-    counts = np.zeros(len(xs), dtype=np.int64)
+    hit = np.zeros((len(xs), high - low + 1), dtype=bool)
     for lo in range(0, len(xs), step):
-        scale = np.sort(annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high),
-                        axis=1)
-        new = scale >= 0           # the first of each distinct scale
-        new[:, 1:] &= scale[:, 1:] != scale[:, :-1]
-        counts[lo:lo + step] = new.sum(axis=1)
-    return counts
+        scale = annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high)
+        a, j = np.nonzero(scale >= 0)
+        hit[lo + a, scale[a, j] - low] = True
+    return hit
+
+
+def bad_scale_counts(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
+                     rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
+    """Number of bad scales of each row x of `xs`: the k in [low, high] with
+    X(x, direction, rho^{k+1}, rho^k) meeting the atoms `pts`."""
+    return bad_scale_table(pts, xs, direction, rho, low, high).sum(axis=1)
 
 
 def scale_ceiling(pts: np.ndarray, rho: float) -> int:

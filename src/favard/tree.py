@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import Family, bad_scale_counts, conical_energy, scale_ceiling
+from .conical import Family, bad_scale_table, conical_energy, scale_ceiling
 from .lattice import AnisoCube, descend, descend_all
 from .projection import Projector
 from .sets import DiscreteMeasure
-from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
+from .torus import PAIR_TILE, TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
 
 MAX_ROUNDS = 64     # hard cap on propagation rounds
 
@@ -319,26 +319,32 @@ def grow_families(stages: GoodStages) -> FamilyGrowth:
 # ---------------------------------------------------------------------------
 
 
-def good_at_scale_all(stages: GoodStages, k: int) -> dict[int, list[TriadicInterval]]:
-    """Good intervals at scale k for every atom: maximal intervals I carried
-    by a controlled point within the d_I-ball of radius 10 rho^k around x."""
-    rho = stages.params.rho
+def _core_minima(stages: GoodStages) -> list[tuple[TriadicInterval, np.ndarray]]:
+    """Per core interval I, each atom's least d_I to I's carriers, in PAIR_TILE tiles."""
     pts = stages.atoms.points
-    n = len(pts)
-    radius = 10.0 * rho**k
-    raw: dict[int, list[TriadicInterval]] = {i: [] for i in range(n)}
+    step = max(1, PAIR_TILE // max(1, len(pts)))
+    out = []
     for interval in stages.core_universe():
         carriers = stages.core_carriers(interval)
-        if len(carriers) == 0:
-            continue
-        dmin = np.full(n, math.inf)
-        for c in carriers:
-            d = d_metric_many(interval, pts[c], pts)
-            np.minimum(dmin, d, out=dmin)
-        hit = dmin < radius
-        for i in np.nonzero(hit)[0]:
-            raw[int(i)].append(interval)
-    return {i: maximal_intervals(ivs) for i, ivs in raw.items()}
+        dmin = np.full(len(pts), math.inf)
+        for lo in range(0, len(carriers), step):
+            d = d_metric_many(interval, pts[carriers[lo:lo + step], None], pts)
+            np.minimum(dmin, d.min(axis=0), out=dmin)
+        out.append((interval, dmin))
+    return out
+
+
+def good_at_scale_all(stages: GoodStages, k: int, minima: Optional[list] = None
+                      ) -> dict[int, list[TriadicInterval]]:
+    """Good intervals at scale k for every atom: maximal intervals I carried by
+    a controlled point within the d_I-ball of radius 10 rho^k around x. `minima`
+    (_core_minima) does not depend on k: build_tree scans it once for all k."""
+    radius = 10.0 * stages.params.rho**k
+    raw: list[list[TriadicInterval]] = [[] for _ in range(len(stages.atoms))]
+    for interval, dmin in _core_minima(stages) if minima is None else minima:
+        for i in np.flatnonzero(dmin < radius).tolist():
+            raw[i].append(interval)
+    return {i: maximal_intervals(ivs) for i, ivs in enumerate(raw)}
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +384,24 @@ class DirectionTree:
     stopped: list[StoppedPiece]
     # good_at_scale_all(stages, k) for k = 1..k_max, as build_tree grew the tree
     good_by_scale: dict[int, dict[int, list[TriadicInterval]]]
+    _cover: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def goodness_integral(self, k: int, atom_idx: np.ndarray,
+                          interval: TriadicInterval) -> tuple[float, float]:
+        """(integral over the piece of |interval n good(y, k)| dmu(y), (1 - eps) *
+        interval length * piece mass), from one cover-length table per (k, interval),
+        filled on demand from good_by_scale and shared by build_tree and verify_tree."""
+        units = self.stages.units
+        if (k, interval) not in self._cover:
+            good_k = self.good_by_scale[k]
+            # atoms share few distinct good families: one length per family
+            length = cache(lambda ivs: units.to_float(units.cover_length(interval, ivs)))
+            self._cover[k, interval] = np.array(
+                [length(tuple(good_k[i])) for i in range(len(self.stages.atoms))])
+        w = self.stages.atoms.weights[atom_idx]
+        lhs = math.fsum((w * self._cover[k, interval][atom_idx]).tolist())
+        return lhs, (1.0 - self.stages.eps) * units.to_float(units.length(interval)) * \
+            math.fsum(w.tolist())
 
     def node_mass(self, node_id: int) -> float:
         return self.nodes[node_id].cube.mass(self.stages.atoms.weights)
@@ -395,8 +419,8 @@ class DirectionTree:
         """Nodes Q of generation g with some member x whose annulus cone
         X(x, 15 J_Q, rho^{g+1}, rho^g) meets the atoms, i.e. g is a bad scale
         of x for 15 J_Q."""
-        counts = _bad_counts_by_node(self, 15.0, from_scale_zero=False)
-        return frozenset(nid for nid, c in counts.items() if c.any())
+        return frozenset(nid for nid, hit in _bad_scale_tables(self, 15.0).items()
+                         if hit[:, -1].any())
 
     def to_json(self, path) -> None:
         """Forest dump with per-node {generation, interval, atom_ids, tag, bad}."""
@@ -409,12 +433,12 @@ class DirectionTree:
                 "id": nid, "generation": node.generation,
                 "interval": {"level": node.interval.level,
                              "index": node.interval.index},
-                "atom_ids": [int(i) for i in node.cube.atom_idx],
+                "atom_ids": node.cube.atom_idx.tolist(),
                 "tag": node.tag, "parent": node.parent, "root": node.root_id,
                 "bad": nid in self.bad_ids,
             })
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
+            fh.write(json.dumps(rows, indent=1))      # one write, not one per token
 
 
 def _sees_core_direction(stages: GoodStages, atom_idx: np.ndarray, interval: TriadicInterval) -> bool:
@@ -426,20 +450,6 @@ def _sees_core_direction(stages: GoodStages, atom_idx: np.ndarray, interval: Tri
 
 def _owns_core_interval(stages: GoodStages, atom_idx: np.ndarray, interval: TriadicInterval) -> bool:
     return any(stages.controlled[i] and interval in stages.core[int(i)] for i in atom_idx)
-
-
-def _goodness_integral(stages: GoodStages, good_k: dict[int, list[TriadicInterval]],
-                 atom_idx: np.ndarray, interval: TriadicInterval) -> tuple[float, float]:
-    """(integral over the piece of |interval n good(y, k)| dmu(y),
-    (1 - eps) * interval length * piece mass)."""
-    units = stages.units
-    w = stages.atoms.weights
-    vals = [w[i] * units.to_float(units.cover_length(interval, good_k[int(i)]))
-            for i in atom_idx]
-    lhs = math.fsum(vals)
-    mass = math.fsum(w[atom_idx].tolist())
-    rhs = (1.0 - stages.eps) * units.to_float(units.length(interval)) * mass
-    return lhs, rhs
 
 
 def build_tree(stages: GoodStages) -> DirectionTree:
@@ -483,9 +493,10 @@ def build_tree(stages: GoodStages) -> DirectionTree:
 
     depth_cap = params.triadic_depth + 2
 
-    good_by_scale: dict[int, dict[int, list[TriadicInterval]]] = {}
+    minima = _core_minima(stages)
+    tree = DirectionTree(stages, nodes, generations, roots, stopped, {
+        k: good_at_scale_all(stages, k, minima) for k in range(1, params.k_max + 1)})
     for k in range(params.k_max):
-        good_k = good_by_scale[k + 1] = good_at_scale_all(stages, k + 1)
         next_gen: list[int] = []
 
         def place(piece: AnisoCube, interval: TriadicInterval, parent: int,
@@ -494,7 +505,7 @@ def build_tree(stages: GoodStages) -> DirectionTree:
                 stopped.append(StoppedPiece("end", k + 1, interval, piece.atom_idx, parent))
                 return
             if depth == 0:
-                lhs, rhs = _goodness_integral(stages, good_k, piece.atom_idx, interval)
+                lhs, rhs = tree.goodness_integral(k + 1, piece.atom_idx, interval)
                 joins, tag = lhs >= rhs - 1e-12, "good"
             else:
                 joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
@@ -522,26 +533,26 @@ def build_tree(stages: GoodStages) -> DirectionTree:
                 place(piece, node.interval, node.node_id, 0)
         del place      # the recursive closure refers to itself; free the tree by refcount
         generations.append(next_gen)
+    return tree
 
-    return DirectionTree(stages, nodes, generations, roots, stopped, good_by_scale)
 
-
-def _bad_counts_by_node(tree: DirectionTree, dilation: float,
-                        from_scale_zero: bool) -> dict[int, np.ndarray]:
-    """Per node Q of generation g, the bad-scale count of each member for
-    dilation * J_Q over the scales [0, g], or [g, g] alone. The nodes of one
-    (interval, generation) share one blocked count."""
-    pts = tree.stages.atoms.points
-    rho = tree.stages.params.rho
-    groups: dict[tuple[TriadicInterval, int], list[int]] = {}
-    for nid, node in tree.nodes.items():
-        groups.setdefault((node.interval, node.generation), []).append(nid)
+def _bad_scale_tables(tree: DirectionTree, dilation: float) -> dict[int, np.ndarray]:
+    """Per node Q of generation g, hit[a, k] for each member a and k in
+    [0, g]: whether k is a bad scale of a for dilation * J_Q, from one table
+    per interval over its nodes' members, up to its deepest generation."""
+    pts, rho = tree.stages.atoms.points, tree.stages.params.rho
+    groups: dict[TriadicInterval, list[TreeNode]] = {}
+    for node in tree.nodes.values():
+        groups.setdefault(node.interval, []).append(node)
     out: dict[int, np.ndarray] = {}
-    for (interval, g), group in groups.items():
-        idx = [tree.nodes[nid].cube.atom_idx for nid in group]
-        counts = bad_scale_counts(pts, pts[np.concatenate(idx)], interval.dilate(dilation),
-                                  rho, 0 if from_scale_zero else g, g)
-        out.update(zip(group, np.split(counts, np.cumsum([len(a) for a in idx])[:-1])))
+    for interval, group in groups.items():
+        held = np.zeros(len(pts), dtype=bool)
+        held[np.concatenate([node.cube.atom_idx for node in group])] = True
+        row = np.cumsum(held) - 1                 # atom -> its row of the table
+        table = bad_scale_table(pts, pts[held], interval.dilate(dilation), rho, 0,
+                                max(node.generation for node in group))
+        out.update((node.node_id, table[row[node.cube.atom_idx], :node.generation + 1])
+                   for node in group)
     return out
 
 
@@ -598,45 +609,48 @@ TREE_PROPERTIES = ("sandwich_balls", "goodness_integral", "unique_ancestor",
                    "bad_scale_budget", "children_products_nested_disjoint")
 
 
+def _sandwich_balls(tree: DirectionTree) -> bool:
+    """Each node Q of generation g holds the atoms of the Euclidean ball of radius
+    H(J_Q) rho^(g+3) about its center and lies in the d_J ball of radius 4 rho^g:
+    one block of each per (interval, generation), in PAIR_TILE (node, atom) tiles."""
+    units, pts, rho = tree.stages.units, tree.stages.atoms.points, tree.stages.params.rho
+    groups: dict[tuple[TriadicInterval, int], list[TreeNode]] = {}
+    for node in tree.nodes.values():
+        groups.setdefault((node.interval, node.generation), []).append(node)
+    step = max(1, PAIR_TILE // max(1, len(pts)))
+    for (interval, g), group in groups.items():
+        r_in = units.to_float(units.length(interval)) * rho ** (g + 3)
+        for block in (group[lo:lo + step] for lo in range(0, len(group), step)):
+            centers = pts[[node.cube.center_idx for node in block]]
+            rows = np.repeat(np.arange(len(block)), [len(node.cube) for node in block])
+            atoms = np.concatenate([node.cube.atom_idx for node in block])
+            outside = np.ones((len(block), len(pts)), dtype=bool)
+            outside[rows, atoms] = False
+            d_euc = np.hypot(pts[:, 0] - centers[:, 0, None], pts[:, 1] - centers[:, 1, None])
+            if np.any((d_euc <= r_in - TOL) & outside) or np.any(
+                    d_metric_many(interval, centers[rows], pts[atoms]) > 4.0 * rho**g + TOL):
+                return False
+    return True
+
+
 def verify_tree(tree: DirectionTree) -> dict:
     """Exhaustive structural checks of the tree; returns named pass/fail flags
     plus the measured constants. Everything is exact on atoms (tolerance TOL).
     """
     stages = tree.stages
-    units = stages.units
-    pts = stages.atoms.points
-    rho = stages.params.rho
     report: dict = {}
 
     atom_sets = {nid: frozenset(node.cube.atom_idx.tolist())
                  for nid, node in tree.nodes.items()}
 
-    # sandwich: Euclidean inner ball and d_J outer ball
-    t1 = True
-    for node in tree.nodes.values():
-        center = pts[node.cube.center_idx]
-        h_j = units.to_float(units.length(node.interval))
-        r_in = h_j * rho ** (node.generation + 3)
-        d_euc = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-        inner = np.nonzero(d_euc <= r_in - TOL)[0]
-        if not all(int(i) in atom_sets[node.node_id] for i in inner):
-            t1 = False
-        d_out = d_metric_many(node.interval, center, pts[node.cube.atom_idx])
-        if np.any(d_out > 4.0 * rho**node.generation + TOL):
-            t1 = False
-    report["sandwich_balls"] = t1
+    report["sandwich_balls"] = _sandwich_balls(tree)
 
     # goodness integral for every node of generation >= 1, on the good
     # intervals build_tree computed for its scale
-    t2 = True
-    for k in range(1, len(tree.generations)):
-        good_k = tree.good_by_scale[k]
-        for nid in tree.generations[k]:
-            node = tree.nodes[nid]
-            lhs, rhs = _goodness_integral(stages, good_k, node.cube.atom_idx, node.interval)
-            if lhs < rhs - 1e-9:
-                t2 = False
-    report["goodness_integral"] = t2
+    report["goodness_integral"] = all(
+        lhs >= rhs - 1e-9 for k in range(1, len(tree.generations)) for lhs, rhs in (
+            tree.goodness_integral(k, tree.nodes[nid].cube.atom_idx, tree.nodes[nid].interval)
+            for nid in tree.generations[k]))
 
     # unique ordering ancestor; same/lower generations nest or split. Only a
     # node sharing an atom with q can hold all of q's atoms or meet q's
@@ -684,9 +698,8 @@ def verify_tree(tree: DirectionTree) -> dict:
         for i in np.nonzero(stages.controlled)[0].tolist() for j in stages.core[i])
 
     # the most bad scales of any member against C * scale_budget
-    top = max((int(c.max(initial=0))
-               for c in _bad_counts_by_node(tree, 0.8, from_scale_zero=True).values()),
-              default=0)
+    top = max((int(hit.sum(axis=1).max(initial=0))
+               for hit in _bad_scale_tables(tree, 0.8).values()), default=0)
     report["bad_scale_budget"] = top <= C_BAD * stages.scale_budget + TOL
     report["bad_scale_max_ratio"] = top / stages.scale_budget
 

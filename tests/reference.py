@@ -11,7 +11,7 @@ Nothing here runs in a command. Three kinds of definitions live here:
   descend loop, one-step descents, the quadrature form of the conical
   energy, the Hausdorff content of a model, the constant-core stages of
   the no-shattering tree, the per-atom test of the tree's bad cubes, and
-  the one-node-at-a-time budget and bad-chain checks);
+  the one-node-at-a-time sandwich, budget and bad-chain checks);
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from favard.config import ExperimentConfig
-from favard.conical import (EnergyProfile, _interval_key, annulus_scales, bad_scale_counts,
-                            scale_index)
+from favard.conical import _interval_key, annulus_scales, bad_scale_counts, scale_index
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.lattice import AnisoCube, cell_order, descend, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
@@ -465,8 +464,26 @@ def cone_mass(mu: DiscreteMeasure, x, directions, r: float, big_r: float) -> flo
     return float(cone_mass_exact(mu, x, directions, r, big_r))
 
 
+@dataclass
+class RationalProfile:
+    """The oracle's energy profile: per-scale masses summed as Fractions."""
+
+    rho: float
+    low: int
+    high: int
+    masses: list[Fraction]
+
+    @property
+    def total(self) -> Fraction:
+        return sum(self.masses, Fraction(0))
+
+    @property
+    def total_float(self) -> float:
+        return float(self.total)
+
+
 def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
-                      low: int = 0, high: int = 30) -> EnergyProfile:
+                      low: int = 0, high: int = 30) -> RationalProfile:
     """The conical energy of one apex from its own distance row, arc by arc in
     canonical order: the oracle of the blocked conical_energy."""
     if not (0.0 < rho <= 0.5):
@@ -490,11 +507,11 @@ def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
     r = Fraction(rho)
     for (k, w), n in Counter(zip(ks, ws)).items():
         masses[k - low] += Fraction(w) * n / r**k
-    return EnergyProfile(rho, low, high, masses)
+    return RationalProfile(rho, low, high, masses)
 
 
 def conical_energy_by_row(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
-                          low: int = 0, high: int = 30) -> list[EnergyProfile]:
+                          low: int = 0, high: int = 30) -> list[RationalProfile]:
     """conical_energy's signature with one conical_energy_at call per row."""
     return [conical_energy_at(mu, x, directions, rho, low, high)
             for x, directions in zip(np.asarray(apexes, dtype=float).reshape(-1, 2),
@@ -893,6 +910,30 @@ def bad_cubes_by_atom(tree: DirectionTree) -> list[int]:
                for i in node.cube.atom_idx):
             bad.append(nid)
     return bad
+
+
+def sandwich_halves_by_node(tree: DirectionTree) -> dict:
+    """verify_tree's sandwich check one node at a time: "inner" when every
+    node Q of generation g holds each atom of the Euclidean ball of radius
+    H(J_Q) rho^(g+3) about its center, "outer" when each member lies in the
+    d_J ball of radius 4 rho^g about it. The oracle of its blocked check,
+    whose flag is the conjunction of the two halves."""
+    units = tree.stages.units
+    pts = tree.stages.atoms.points
+    rho = tree.stages.params.rho
+    inner_ok = outer_ok = True
+    for node in tree.nodes.values():
+        center = pts[node.cube.center_idx]
+        h_j = units.to_float(units.length(node.interval))
+        r_in = h_j * rho ** (node.generation + 3)
+        d_euc = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        members = set(node.cube.atom_idx.tolist())
+        if not all(int(i) in members for i in np.nonzero(d_euc <= r_in - TOL)[0]):
+            inner_ok = False
+        d_out = d_metric_many(node.interval, center, pts[node.cube.atom_idx])
+        if np.any(d_out > 4.0 * rho**node.generation + TOL):
+            outer_ok = False
+    return {"inner": inner_ok, "outer": outer_ok}
 
 
 def bad_scale_budget_by_node(tree: DirectionTree) -> dict:

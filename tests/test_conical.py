@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from favard import conical, projection
-from favard.conical import (bad_scale_counts, conical_energy, scale_ceiling, scale_index,
-                            select_good_directions)
+from favard.conical import (bad_scale_counts, bad_scale_table, conical_energy, scale_ceiling,
+                            scale_index, select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
@@ -231,6 +231,31 @@ class TestBlockedEnergy:
         assert peak < 8 * 2**20
 
 
+class TestExactEnergySums:
+    """The integer scale sums of conical_energy against the per-apex oracle,
+    which adds Fractions."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.45, 0.3])
+    def test_masses_and_totals_match_the_fraction_oracle(self, rho):
+        # binary exponents from 2^1 to 2^-70, so the common unit is far below
+        # most weights' own denominators; every third row has no directions
+        rng = np.random.default_rng(21)
+        pts = rng.normal(scale=0.4, size=(80, 2))
+        mu = measure_at(pts, rng.choice([0.5, 2.0**-70, 3 * 2.0**-40, 1 / 3, 0.1, 7.25],
+                                        len(pts)))
+        apexes = np.vstack([pts[:10], rng.normal(scale=0.4, size=(5, 2))])
+        sets = [(), AngleInterval(0.2, 0.05),
+                (TriadicInterval(1, 0), AngleInterval(0.7, 0.3))] * 5
+        got = conical_energy(mu, apexes, sets, rho, 0, 14)
+        want = [conical_energy_at(mu, x, d, rho, 0, 14) for x, d in zip(apexes, sets)]
+        assert [p.masses for p in got] == [p.masses for p in want]
+        assert [p.total for p in got] == [p.total for p in want]
+        assert [p.total_float for p in got] == [p.total_float for p in want]
+        assert all(p.total == sum(p.masses) for p in got)
+        assert all(p.total == 0 and p.masses == [0] * 15 for p in got[::3])
+        assert sum(p.total > 0 for p in got) >= 8
+
+
 class TestScaleIndex:
     @staticmethod
     def per_k_loop(dist, rho, low, high):
@@ -285,6 +310,8 @@ class TestBadScales:
                 assert [bad_scales(pts, x, j, rho, low, high).scales for x in xs] == want
                 assert bad_scale_counts(pts, xs, j, rho, low, high).tolist() == \
                     [len(w) for w in want]
+                assert [frozenset((np.flatnonzero(row) + low).tolist())
+                        for row in bad_scale_table(pts, xs, j, rho, low, high)] == want
                 assert [bad_scales(pts, x, j, rho, low, high, restrict=mask).scales
                         for x in xs[:10]] == \
                     [reference_bad_scales(pts[mask], x, j, rho, low, high) for x in xs[:10]]

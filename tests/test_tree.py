@@ -12,7 +12,7 @@ from favard.fixtures import (FIXTURE_A, FIXTURE_M, TRANSVERSE_ROOT, cantor_horiz
                              single_line_instance, stages_for, two_direction_instance)
 from favard.lattice import AnisoCube
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
-from favard.torus import TOL, AngleInterval, TriadicInterval
+from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
                          _merge_angle_intervals, bad_chain_check, grow_families,
                          build_good_stages, build_tree,
@@ -22,7 +22,7 @@ from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
 from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
                              conical_energy_at, conical_energy_by_row,
                              d_metric, find_gap_interval, gap_instance,
-                             synthetic_stages_constant_core)
+                             sandwich_halves_by_node, synthetic_stages_constant_core)
 
 
 def line_atoms(n=96, y=0.0):
@@ -592,6 +592,127 @@ class TestChecksWithoutCallOrder:
         assert not rep["all_pass"]
 
 
+def _with_node(tree, nid, **changes):
+    """A copy of the tree with node `nid` replaced by a copy with `changes`."""
+    nodes = dict(tree.nodes)
+    nodes[nid] = dataclasses.replace(tree.nodes[nid], **changes)
+    return dataclasses.replace(tree, nodes=nodes)
+
+
+def _with_center(tree, nid, center_idx):
+    node = tree.nodes[nid]
+    return _with_node(tree, nid, cube=dataclasses.replace(node.cube, center_idx=center_idx))
+
+
+class TestEachFlagCanFail:
+    """A built tree corrupted so that exactly one of verify_tree's flags
+    reads False, and all_pass with it."""
+
+    @staticmethod
+    def _tree(make=two_direction_instance):
+        return build_tree(stages_for(*make(), params=ExperimentConfig()))
+
+    @staticmethod
+    def _fails_alone(tree, bad, flag, **measured):
+        rep = verify_tree(tree)
+        assert rep["all_pass"]
+        assert verify_tree(bad) == {**rep, **measured, flag: False, "all_pass": False}
+
+    def test_sandwich_inner_half(self):
+        # a non-member atom made the center: the inner ball about it holds an
+        # atom outside the node, while the members stay in the outer ball
+        tree = self._tree()
+        pts = tree.stages.atoms.points
+        rho = tree.stages.params.rho
+        bad = next(
+            _with_center(tree, nid, a) for nid, node in tree.nodes.items()
+            for a in range(len(pts)) if a not in node.cube.atom_idx
+            and d_metric_many(node.interval, pts[a], pts[node.cube.atom_idx]).max()
+            <= 4.0 * rho**node.generation - 1e-6)
+        assert sandwich_halves_by_node(bad) == {"inner": False, "outer": True}
+        self._fails_alone(tree, bad, "sandwich_balls")
+
+    def test_sandwich_outer_half(self):
+        # a member made the center: its inner ball holds members only, but
+        # the far end of the node leaves the d_J ball about it (the cantor
+        # fixture has nodes wide enough)
+        tree = self._tree(lambda: cantor_horizontal_instance()[1:])
+        pts = tree.stages.atoms.points
+        rho = tree.stages.params.rho
+        bad = next(
+            _with_center(tree, nid, a) for nid, node in tree.nodes.items()
+            for a in node.cube.atom_idx.tolist()
+            if d_metric_many(node.interval, pts[a], pts[node.cube.atom_idx]).max()
+            > 4.0 * rho**node.generation + 1e-6
+            and sandwich_halves_by_node(_with_center(tree, nid, a))["inner"])
+        assert sandwich_halves_by_node(bad) == {"inner": True, "outer": False}
+        self._fails_alone(tree, bad, "sandwich_balls")
+
+    def test_goodness_integral(self):
+        # no good interval at scale 1: every generation-1 integral is zero
+        tree = self._tree()
+        assert tree.generations[1]
+        good = {**tree.good_by_scale, 1: {i: [] for i in tree.good_by_scale[1]}}
+        self._fails_alone(tree, dataclasses.replace(tree, good_by_scale=good),
+                          "goodness_integral")
+
+    def test_roots_packing(self):
+        # eps past 1 puts the budget eps^-1 |root| mu(E) below the roots sum,
+        # and the goodness bound (1 - eps) |J| mu(Q) below zero
+        tree = self._tree()
+        bad = dataclasses.replace(tree, stages=dataclasses.replace(tree.stages, eps=1e3))
+        budget = packing_sums(bad)["roots_budget"]
+        assert budget < packing_sums(tree)["roots_sum"]
+        self._fails_alone(tree, bad, "roots_packing", roots_budget=budget)
+
+    def test_subtree_interval_constant(self):
+        # a node filed under a root whose interval differs from its own
+        tree = self._tree()
+        nid, other = next((nid, r) for nid, node in tree.nodes.items() for r in tree.roots
+                          if tree.nodes[r].interval != node.interval)
+        self._fails_alone(tree, _with_node(tree, nid, root_id=other),
+                          "subtree_interval_constant")
+
+    def test_children_products_nested_disjoint(self):
+        # a child listed twice meets itself
+        tree = self._tree()
+        nid, node = next((nid, node) for nid, node in tree.nodes.items() if node.children)
+        self._fails_alone(tree, _with_node(tree, nid, children=node.children + node.children[:1]),
+                          "children_products_nested_disjoint")
+
+
+class TestBlockedTreeKernels:
+    """The good tables, the sandwich check and the bad-scale tables in tiles
+    of one row each against the one-block run and the per-node loops."""
+
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_row_tiles_match_the_per_node_loops(self, make, thinned, monkeypatch):
+        params = ExperimentConfig()
+        stages = stages_for(*make(), params=params)
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        whole = build_tree(stages)
+        rep = verify_tree(whole)
+        assert max(len(stages.core_carriers(iv)) for iv in stages.core_universe()) > 1
+        monkeypatch.setattr(tree_module, "PAIR_TILE", 1)
+        monkeypatch.setattr(conical, "PAIR_TILE", 1)
+        tiled = build_tree(stages)
+        assert tiled.good_by_scale == whole.good_by_scale
+        assert [(n.cube.atom_idx.tolist(), n.interval, n.tag) for n in tiled.nodes.values()] \
+            == [(n.cube.atom_idx.tolist(), n.interval, n.tag) for n in whole.nodes.values()]
+        assert verify_tree(tiled) == rep
+        assert rep["sandwich_balls"] and sandwich_halves_by_node(tiled) == \
+            {"inner": True, "outer": True}
+        assert sorted(tiled.bad_ids) == sorted(whole.bad_ids) == bad_cubes_by_atom(tiled)
+        assert {key: rep[key] for key in ("bad_scale_budget", "bad_scale_max_ratio")} == \
+            bad_scale_budget_by_node(tiled)
+
+
 def uneven_energy_instance():
     """A row of 40 atoms with a vertical partner 2^-9 above the sixth and one
     2^-6 above the 26th. Every family is five separated level-5 intervals of
@@ -624,7 +745,7 @@ class TestOneEnergyCallPerSite:
         monkeypatch.setattr(tree_module, "conical_energy", wrapped)
         return calls
 
-    @pytest.mark.parametrize("rho", [0.5, 0.3])
+    @pytest.mark.parametrize("rho", [0.5, 0.45, 0.3])
     @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
                                       two_direction_instance,
                                       lambda: cantor_horizontal_instance()[1:],
