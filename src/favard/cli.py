@@ -2,15 +2,16 @@
 
 Subcommands: compute, mc, cantor-decay, pipeline, content, lattice-check,
 tree-check, extract-graph. Every command writes a JSON report embedding the
-full configuration and a content hash of its inputs. Exit codes: 0 all
-asserted invariants passed, 1 I/O or usage error (including non-finite
-input), 2 invariant or postcondition failure, 3 hypothesis/precondition
-failure.
+full configuration and a content hash of its inputs. Numeric arguments are
+range-checked as they are parsed. Exit codes: 0 all asserted invariants
+passed, 1 I/O or usage error (including non-finite input or arguments), 2
+invariant or postcondition failure, 3 hypothesis/precondition failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -19,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, content_hash
-from .graphs import extract_graph
+from .config import ExperimentConfig, content_hash, write_json
+from .graphs import extract_graph, mass_benchmark
 from .lattice import check_cube_invariants, descend_all
 from .pipeline import run_pipeline
-from .projection import favard, favard_mc, midpoint_measures
-from .sets import (DyadicSquareSet, SegmentUnion, four_corners, pairwise_extremes,
-                   read_csv_rows, segment_distances, split_parallel)
+from .projection import MIN_NEEDLES, favard, favard_mc, midpoint_measures
+from .sets import (DyadicSquareSet, SegmentUnion, _cloud_content, _cloud_of, four_corners,
+                   pairwise_extremes, read_csv_rows, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
 from .tree import bad_chain_check, build_tree, packing_sums, verify_tree
 
@@ -63,8 +64,7 @@ def _write_report(out_dir: str, name: str, payload: dict) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, default=str)
+    write_json(path, payload)
     return path
 
 
@@ -83,15 +83,12 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
     if args.per_angle:
         thetas = (np.arange(n) + 0.5) / n
         rows = [{"theta": t, "measure": m} for t, m in zip(thetas.tolist(), values.tolist())]
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "projection_measures.json", "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
+        _write_report(args.out, "projection_measures", rows)
     status = EXIT_OK
     if args.mc:
         est, se = favard_mc(union, args.mc, cfg.seed)
         payload["mc"] = {"estimate": est, "stderr": se, "needles": args.mc}
-        payload["mc_within_3_sigma"] = abs(est - exact) <= 3.0 * se
+        payload["mc_within_3_sigma"] = bool(abs(est - exact) <= 3.0 * se)
         if not payload["mc_within_3_sigma"]:
             status = EXIT_INVARIANT
     path = _write_report(args.out, "compute_report", payload)
@@ -117,12 +114,6 @@ def cmd_mc(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
-    if args.n_max < 0:
-        print("usage error: --n-max must be >= 0", file=sys.stderr)
-        return EXIT_IO
-    if args.n_max > 6:
-        print("resource guard: n_max must be <= 6", file=sys.stderr)
-        return EXIT_IO
     rows = []
     for n in range(args.n_max + 1):
         skel = four_corners(n).skeleton()
@@ -146,12 +137,10 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
-    model = _load_model(args.input)
-    if isinstance(model, DyadicSquareSet):
-        horiz, vert = split_parallel(model.skeleton())
+    union = _load_model(args.input)
+    if isinstance(union, DyadicSquareSet):
+        horiz, vert = split_parallel(union.skeleton())
         union = horiz if horiz.total_length >= vert.total_length else vert
-    else:
-        union = model
     report = run_pipeline(union, args.kappa, cfg)
     report.update({"command": "pipeline", "input": args.input,
                    "input_hash": content_hash(args.input), "config": cfg.to_dict()})
@@ -178,7 +167,6 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
     curve = _load_polyline(args.curve)
     delta = args.delta
-    from .sets import _cloud_of, _cloud_content
     e_pts, e_w, e_slack = _cloud_of(model)
 
     d_curve = segment_distances(e_pts, curve)
@@ -211,9 +199,6 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
-    if args.instances < 1:
-        print("usage error: --instances must be >= 1", file=sys.stderr)
-        return EXIT_IO
     rng = np.random.default_rng(cfg.seed)
     failures = 0
     reports = []
@@ -298,7 +283,6 @@ def cmd_extract_graph(args, cfg: ExperimentConfig) -> int:
         writer.writerow(["atom_index"])
         for i in cert.retained_idx:
             writer.writerow([i])
-    from .graphs import mass_benchmark
     retained_mass = math.fsum(atoms.weights[cert.retained_idx].tolist())
     payload = {"command": "extract-graph", "input": args.input,
                "input_hash": content_hash(args.input), "config": cfg.to_dict(),
@@ -314,6 +298,21 @@ def cmd_extract_graph(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _ranged(kind: type, ok, text: str):
+    """An argparse type: the argument as `kind` when `ok` holds for it, else a
+    usage error saying that it must be `text`. NaN lies in no range."""
+    def parse(value: str):
+        with contextlib.suppress(ValueError):
+            if ok(x := kind(value)):
+                return x
+        raise argparse.ArgumentTypeError(f"must be {text}, got {value!r}")
+    return parse
+
+
+def _at_least(least: int):
+    return _ranged(int, lambda n: n >= least, f"an integer >= {least}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="favard",
@@ -324,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="exact Favard length of a set model")
     p.add_argument("input")
-    p.add_argument("--n-angles", type=int, default=None)
-    p.add_argument("--mc", type=int, default=None,
+    p.add_argument("--n-angles", type=_at_least(2), default=None)
+    p.add_argument("--mc", type=_at_least(MIN_NEEDLES), default=None,
                    help="cross-check with this many Monte Carlo needles")
     p.add_argument("--per-angle", action="store_true",
                    help="also emit per-angle projection measures as JSON rows")
@@ -333,26 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Buffon-needle Monte Carlo Favard estimate")
     p.add_argument("input")
-    p.add_argument("--needles", type=int, default=1_000_000)
+    p.add_argument("--needles", type=_at_least(MIN_NEEDLES), default=1_000_000)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("cantor-decay", help="Favard decay table of the 4-corners sets")
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", default=5,    # resource guard: at most 6
+                   type=_ranged(int, lambda n: 0 <= n <= 6, "an integer in [0, 6]"))
     p.set_defaults(func=cmd_cantor_decay)
 
     p = sub.add_parser("pipeline", help="end-to-end graph extraction pipeline")
     p.add_argument("input")
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_ranged(float, lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+                   required=True)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("content", help="Hausdorff content comparison near a curve")
     p.add_argument("input")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_ranged(float, lambda x: 0.0 < x < math.inf,
+                                           "finite and > 0"), required=True)
     p.add_argument("--curve", required=True, help="polyline CSV (x,y per line)")
     p.set_defaults(func=cmd_content)
 
     p = sub.add_parser("lattice-check", help="lattice invariants on random instances")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_at_least(1), default=100)
     p.set_defaults(func=cmd_lattice_check)
 
     p = sub.add_parser("tree-check", help="tree properties on the reference fixtures")
@@ -360,17 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-graph", help="bad-scale reduction and certificate")
     p.add_argument("input")
-    p.add_argument("--center", type=float, required=True, help="interval center angle")
-    p.add_argument("--half-width", type=float, required=True)
-    p.add_argument("--m0", type=int, required=True)
+    p.add_argument("--center", type=_ranged(float, math.isfinite, "finite"), required=True,
+                   help="interval center angle")
+    p.add_argument("--half-width", type=_ranged(float, lambda x: 0.0 < x <= 0.5,
+                                                "in (0, 1/2]"), required=True)
+    p.add_argument("--m0", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_extract_graph)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     except (OSError, ValueError, TypeError) as exc:

@@ -16,7 +16,7 @@ directly. Keys (a config file may set any subset; unknown keys are an error):
 
 Every command embeds the full configuration and a content hash of its inputs
 in the emitted JSON, so results are reproducible byte-for-byte given the same
-config and worker count.
+config and worker count; ``write_json`` writes every such file.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` to `path` as JSON indented by one space, in one write, a
+    value JSON cannot hold as its str: every report, tree dump and certificate."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=1, default=str))
 
 
 def content_hash(path) -> str:

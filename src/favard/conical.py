@@ -6,12 +6,13 @@ Annuli use the half-open radial convention (r, R] so that the dyadic annuli
 as integer numerators over one denominator so that energies are exactly
 additive over disjoint direction sets, independent of grouping.
 
-``scale_index`` is the (r, R] rule that turns distances into scales, and
-both block kernels apply it to (apexes x atoms) blocks of about PAIR_TILE
-pairs: ``annulus_scales`` for one arc (bad-scale tables, the tree's bad cubes
-and the reduction's scale table), ``conical_energy`` for one direction set per
-apex (every energy of selection and the tree, one call per site). One
-ceiling, ``scale_ceiling``, bounds the scales worth visiting.
+Scales run over [0, high]: sets are normalized to diameter 1, so the scales
+rho^k <= 1 start at k = 0. ``scale_index`` is the (r, R] rule that turns
+distances into scales, and both block kernels apply it to the (apexes x
+atoms) blocks of ``torus.row_blocks``: ``annulus_scales`` for one arc
+(bad-scale tables, the tree's bad cubes and the reduction's scale table),
+``conical_energy`` for one direction set per apex (every energy of selection
+and the tree, one call per site). ``scale_ceiling`` bounds the scales.
 """
 
 from __future__ import annotations
@@ -25,21 +26,21 @@ import numpy as np
 
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
-from .torus import (PAIR_TILE, TOL, DirectionInterval, TriadicInterval, _as_intervals,
-                    _direction_mask, direction_vector, row_dot, triadic_cover, wrap)
+from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals, _direction_mask,
+                    direction_vector, row_blocks, row_dot, triadic_cover, wrap)
 
 
 def _interval_key(interval: DirectionInterval) -> tuple[float, float]:
     return (wrap(interval.center - interval.half_width), interval.half_width)
 
 
-def scale_index(dist: np.ndarray, rho: float, low: int, high: int) -> np.ndarray:
-    """Per distance d, the scale k in [low, high] with rho^{k+1} < d <= rho^k, or -1.
+def scale_index(dist: np.ndarray, rho: float, high: int) -> np.ndarray:
+    """Per distance d, the scale k in [0, high] with rho^{k+1} < d <= rho^k, or -1.
 
     The annulus radii are the Python floats rho**k, so every caller that
     compares against rho**k directly classifies each distance the same way.
     """
-    radii = np.array([rho**k for k in range(high + 1, low - 1, -1)])   # ascending
+    radii = np.array([rho**k for k in range(high + 1, -1, -1)])   # ascending
     j = np.searchsorted(radii, dist, side="left")       # radii[j - 1] < d <= radii[j]
     return np.where((j > 0) & (j < len(radii)), high + 1 - j, -1)
 
@@ -47,11 +48,10 @@ def scale_index(dist: np.ndarray, rho: float, low: int, high: int) -> np.ndarray
 @dataclass
 class EnergyProfile:
     """Per-scale normalized annulus masses m_k = mu(X(x, G, rho^{k+1}, rho^k)) / rho^k
-    = numerators[k - low] / denominator, exactly: the denominator is the weights'
-    common power-of-two denominator times p^high, for rho = p/q."""
+    = numerators[k] / denominator for k in [0, high], exactly: the denominator is
+    the weights' common power-of-two denominator times p^high, for rho = p/q."""
 
     rho: float
-    low: int
     high: int
     numerators: list[int]
     denominator: int
@@ -73,14 +73,14 @@ class EnergyProfile:
 
 
 def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
-                   low: int = 0, high: int = 30) -> list[EnergyProfile]:
-    """Truncated conical energies sum_{k=low}^{high} mu(X(x, G, rho^{k+1}, rho^k)) / rho^k,
+                   high: int = 30) -> list[EnergyProfile]:
+    """Truncated conical energies sum_{k=0}^{high} mu(X(x, G, rho^{k+1}, rho^k)) / rho^k,
     one profile per row: row a is the apex apexes[a] over direction_sets[a].
 
     Comparable (two-sidedly, with rho-dependent constants) to the integral
     form int mu(X(x, G, rho r, r)) / r dr/r over the matching range. Additive
     over disjoint direction sets exactly: every mass is an integer over one
-    denominator. The apexes go in blocks of about PAIR_TILE (apex, atom)
+    denominator. The apexes go in the row blocks of the (apexes x atoms)
     pairs; in each block every distinct arc masks only the rows that carry it
     (an atom on two touching closed arcs counts twice), and the hits are
     counted per (row, scale, weight), so each numerator adds n times the
@@ -88,8 +88,6 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
-    if low > high:
-        raise ValueError("need low <= high")
     apexes = np.asarray(apexes, dtype=float).reshape(-1, 2)
     sets = [_as_intervals(directions) for directions in direction_sets]
     if len(sets) != len(apexes):
@@ -100,19 +98,17 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
     ratios = [w.as_integer_ratio() for w in weight_code]    # denominators: powers of two
     unit = max((d for _, d in ratios), default=1)
     p, q = rho.as_integer_ratio()
-    n_k, n_w = high - low + 1, len(ratios)
-    # weight w / rho^(low + k) = term[k * n_w + w] / (unit p^high)
-    term = [n * (unit // d) * q ** (low + k) * p ** (high - low - k)
-            for k in range(n_k) for n, d in ratios]
+    n_k, n_w = high + 1, len(ratios)
+    # weight w / rho^k = term[k * n_w + w] / (unit p^high)
+    term = [n * (unit // d) * q**k * p ** (high - k) for k in range(n_k) for n, d in ratios]
     sums = [[0] * n_k for _ in sets]
-    step = max(1, PAIR_TILE // max(1, len(mu)))
-    for lo in range(0, len(apexes), step):
-        apex = apexes[lo:lo + step].reshape(-1, 1, 2)
+    for block in row_blocks(len(apexes), len(mu)):
+        apex = apexes[block].reshape(-1, 1, 2)
         diff = mu.points - apex
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        scale = scale_index(dist, rho, low, high)
+        scale = scale_index(dist, rho, high)
         carriers: dict[DirectionInterval, list[int]] = {}
-        for a, intervals in enumerate(sets[lo:lo + step]):
+        for a, intervals in enumerate(sets[block]):
             for interval in intervals:
                 carriers.setdefault(interval, []).append(a)
         hits = [np.empty(0, dtype=np.int64)]
@@ -121,50 +117,47 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
             row_scale = scale[rows]
             sel = _direction_mask(diff[rows], interval, dist[rows]) & (row_scale >= 0)
             a, j = np.nonzero(sel)
-            hits.append((rows[a] * n_k + row_scale[a, j] - low) * n_w + w_code[j])
+            hits.append((rows[a] * n_k + row_scale[a, j]) * n_w + w_code[j])
         # equal codes are one (row, scale, weight): count each run of the sorted codes
         code = np.sort(np.concatenate(hits))
         first = np.flatnonzero(np.diff(code, prepend=-1))
         counts = np.diff(first, append=len(code))
         for c, n in zip(code[first].tolist(), counts.tolist()):
             row, kw = divmod(c, n_k * n_w)
-            sums[lo + row][kw // n_w] += n * term[kw]
-    return [EnergyProfile(rho, low, high, row, unit * p**high) for row in sums]
+            sums[block.start + row][kw // n_w] += n * term[kw]
+    return [EnergyProfile(rho, high, row, unit * p**high) for row in sums]
 
 
 def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInterval,
-                   rho: float, low: int, high: int) -> np.ndarray:
-    """scale[a, j]: the k in [low, high] with pts[j] in X(apexes[a], direction,
+                   rho: float, high: int) -> np.ndarray:
+    """scale[a, j]: the k in [0, high] with pts[j] in X(apexes[a], direction,
     rho^{k+1}, rho^k), or -1: the one-arc block that every bad-scale test
     shares; conical_energy masks its own blocks per direction set."""
     apex = np.asarray(apexes, dtype=float).reshape(-1, 1, 2)
     diff = pts - apex
     dist = np.hypot(diff[..., 0], diff[..., 1])
     return np.where(_direction_mask(diff, direction, dist),
-                    scale_index(dist, rho, low, high), -1)
+                    scale_index(dist, rho, high), -1)
 
 
 def bad_scale_table(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
-                    rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
-    """hit[a, k - low]: whether k in [low, high] is a bad scale of xs[a], i.e.
-    X(xs[a], direction, rho^{k+1}, rho^k) meets `pts`; PAIR_TILE pairs a block."""
-    if low > high:
-        raise ValueError("need low <= high")
+                    rho: float = 0.5, high: int = 30) -> np.ndarray:
+    """hit[a, k]: whether k in [0, high] is a bad scale of xs[a], i.e.
+    X(xs[a], direction, rho^{k+1}, rho^k) meets `pts`; one row block at a time."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    step = max(1, PAIR_TILE // max(1, len(pts)))
-    hit = np.zeros((len(xs), high - low + 1), dtype=bool)
-    for lo in range(0, len(xs), step):
-        scale = annulus_scales(pts, xs[lo:lo + step], direction, rho, low, high)
+    hit = np.zeros((len(xs), high + 1), dtype=bool)
+    for block in row_blocks(len(xs), len(pts)):
+        scale = annulus_scales(pts, xs[block], direction, rho, high)
         a, j = np.nonzero(scale >= 0)
-        hit[lo + a, scale[a, j] - low] = True
+        hit[block.start + a, scale[a, j]] = True
     return hit
 
 
 def bad_scale_counts(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
-                     rho: float = 0.5, low: int = 0, high: int = 30) -> np.ndarray:
-    """Number of bad scales of each row x of `xs`: the k in [low, high] with
+                     rho: float = 0.5, high: int = 30) -> np.ndarray:
+    """Number of bad scales of each row x of `xs`: the k in [0, high] with
     X(x, direction, rho^{k+1}, rho^k) meeting the atoms `pts`."""
-    return bad_scale_table(pts, xs, direction, rho, low, high).sum(axis=1)
+    return bad_scale_table(pts, xs, direction, rho, high).sum(axis=1)
 
 
 def scale_ceiling(pts: np.ndarray, rho: float) -> int:
@@ -273,7 +266,7 @@ def select_good_directions(union: SegmentUnion, directions, kappa: float,
 
     profiles = conical_energy(mu, mu.points[list(families)],
                               [[iv.perp() for iv, _ in members] for members in families.values()],
-                              rho, 0, scale_ceiling(mu.points, rho))
+                              rho, scale_ceiling(mu.points, rho))
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
     for i, prof in zip(families, profiles):

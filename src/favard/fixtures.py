@@ -56,7 +56,7 @@ def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
     """The horizontal part of the four_corners(2) skeleton, scaled to diam <= 1."""
     horiz, _ = split_parallel(four_corners(2).skeleton())
     scale = 0.7  # diameter of the unit-square skeleton is sqrt(2)
-    union = horiz.mapped(lambda pts: pts * scale, parallel_hint=0.0)
+    union = horiz.mapped(lambda pts: pts * scale)
     atoms = union.atoms(pitch * scale)
     root_iv = TRANSVERSE_ROOT
     theta_w = 0.24

@@ -10,14 +10,14 @@ yields a certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 import numpy as np
 
+from .config import write_json
 from .conical import annulus_scales, bad_scale_counts, scale_ceiling
 from .sets import pairwise_extremes
-from .torus import (PAIR_TILE, TOL, DirectionInterval, _direction_mask, direction_vector, perp,
+from .torus import (TOL, DirectionInterval, _direction_mask, direction_vector, perp, row_blocks,
                     row_dot)
 
 
@@ -39,11 +39,10 @@ class GraphCertificate:
     cone_half_width: float
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"theta0": self.theta0, "lip": self.lip,
-                       "cone_half_width": self.cone_half_width,
-                       "points": self.points,
-                       "retained_idx": self.retained_idx}, fh, indent=1)
+        write_json(path, {"theta0": self.theta0, "lip": self.lip,
+                          "cone_half_width": self.cone_half_width,
+                          "points": self.points,
+                          "retained_idx": self.retained_idx})
 
     def evaluate(self, t: float) -> float:
         ps = sorted(self.points)
@@ -113,7 +112,7 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     idx = np.array(sorted(idx), dtype=np.int64)
     high = scale_ceiling(pts_all[idx], rho)
 
-    counts = bad_scale_counts(pts_all[idx], pts_all[idx], interval, rho, 0, high)
+    counts = bad_scale_counts(pts_all[idx], pts_all[idx], interval, rho, high)
     offenders = [(int(i), int(c)) for i, c in zip(idx, counts) if c > m_cap]
     if offenders:
         raise ValueError(
@@ -124,12 +123,11 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
     pts = pts_all[idx]
     n = len(idx)
     # scale[a, j]: the annulus (rho^{k+1}, rho^k], k <= high, of apex a that
-    # holds j inside the halved cone, or -1, one block of about PAIR_TILE
-    # pairs at a time; hits[a, k] counts its witnesses
+    # holds j inside the halved cone, or -1, one row block at a time;
+    # hits[a, k] counts its witnesses
     scale = np.empty((n, n), dtype=np.int16)
-    step = max(1, PAIR_TILE // max(1, n))
-    for lo in range(0, n, step):
-        scale[lo:lo + step] = annulus_scales(pts, pts[lo:lo + step], half, rho, 0, high)
+    for block in row_blocks(n, n):
+        scale[block] = annulus_scales(pts, pts[block], half, rho, high)
     hits = np.zeros((n, high + 1), dtype=np.int64)
     rows, cols = np.nonzero(scale >= 0)
     np.add.at(hits, (rows, scale[rows, cols]), 1)
@@ -154,7 +152,7 @@ def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionIn
         alive[drop] = False
     keep = idx[alive]
 
-    if np.any(bad_scale_counts(pts_all[keep], pts_all[keep], half, rho, 0, high) > m_cap - 1):
+    if np.any(bad_scale_counts(pts_all[keep], pts_all[keep], half, rho, high) > m_cap - 1):
         raise AssertionError("reduction postcondition failed")
     return keep
 

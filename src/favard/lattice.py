@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .torus import (PAIR_TILE, TOL, DirectionInterval, _metric_coords, d_metric_many,
-                    direction_vector)
+from .torus import (TOL, DirectionInterval, _metric_coords, d_metric_many, direction_vector,
+                    row_blocks)
 
 
 def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
@@ -225,14 +225,13 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
             max_rel_dist = max(max_rel_dist, float((d / scale[owner]).max()))
         if np.any(d > 4.0 * scale[owner] + TOL):
             sandwich_outer = False
-        step = max(1, PAIR_TILE // (len(pts) + len(group)))
-        for lo in range(0, len(group), step):
-            rows = np.arange(lo, min(lo + step, len(group)))
+        for block in row_blocks(len(group), len(pts) + len(group)):
+            rows = np.arange(block.start, block.stop)
             s = scale[rows, None]
             dc = d_metric_many(interval, centers[rows, None], pts[carrier])
             member = np.zeros((len(rows), len(pts)), dtype=bool)
-            own = (owner >= lo) & (owner < lo + step)
-            member[owner[own] - lo, atoms[own]] = True
+            own = (owner >= block.start) & (owner < block.stop)
+            member[owner[own] - block.start, atoms[own]] = True
             if not np.all(member[:, carrier][dc < 0.5 * s]):
                 sandwich_inner = False
             # separation from each cube to the later cubes of its interval

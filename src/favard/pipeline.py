@@ -31,12 +31,14 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     ValueError with the stage name on hypothesis failure, AssertionError
     with the stage name when the back-mapped certificate fails.
     """
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     report: dict = {"kappa": kappa}
-    if union.parallel_hint is None and not union.parallel_to(union.direction_angles[0], 1e-9):
+    if not union.parallel_to(union.direction_angles[0], 1e-9):
         raise ValueError("stage normalize: input segments are not parallel")
     lo = union.endpoints().min(axis=0)
     scale = 1.0 / union.diameter()
-    norm = union.mapped(lambda pts: (pts - lo) * scale, union.parallel_hint)
+    norm = union.mapped(lambda pts: (pts - lo) * scale)
     report["normalization"] = {"scale": scale, "offset": lo.tolist()}
 
     a_const = max(2.0, ahlfors_constant(norm, 400, cfg.seed))
@@ -102,7 +104,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     half_j0 = root_iv.dilate(0.5)
     high = scale_ceiling(rot_atoms.points[f_idx], cfg.rho)
     finished = rot_atoms.points[f_idx]
-    m0 = int(bad_scale_counts(finished, finished, half_j0, cfg.rho, 0, high).max(initial=0))
+    m0 = int(bad_scale_counts(finished, finished, half_j0, cfg.rho, high).max(initial=0))
     report["bad_scale_bound"] = {"m0": m0, "scale_high": high}
 
     cert = extract_graph(rot_atoms.points[f_idx], half_j0, m0, cfg.rho)

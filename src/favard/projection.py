@@ -30,6 +30,7 @@ DEFAULT_N_ANGLES = 2048
 
 SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of the sweep
 MC_CHUNK = 100_000      # needles drawn from the generator at a time
+MIN_NEEDLES = 100       # the fewest needles favard_mc accepts
 NEEDLE_BLOCK = 65_536   # needle-slot pairs per block of the Monte Carlo hit test
 # Widening of each piece's bounding disc in the needle test, in units of
 # R + |c| (R the needle window's half-width, c the disc's center). The
@@ -163,8 +164,8 @@ def favard_mc(union: SegmentUnion, needle_count: int,
     hit, so the count is that of testing every piece, and memory stays
     bounded whatever the needle count.
     """
-    if needle_count < 100:
-        raise ValueError("needle_count must be >= 100")
+    if needle_count < MIN_NEEDLES:
+        raise ValueError(f"needle_count must be >= {MIN_NEEDLES}")
     if not len(union):
         return 0.0, 0.0
     center, radius = union.bounding_center_radius()

@@ -85,26 +85,23 @@ class SegmentUnion:
     array `coords` is read-only.
     """
 
-    def __init__(self, segments: Iterable[Segment], parallel_hint: Optional[float] = None):
+    def __init__(self, segments: Iterable[Segment]):
         segments = list(segments)
-        self._store([s.a for s in segments], [s.b for s in segments], parallel_hint)
+        self._store([s.a for s in segments], [s.b for s in segments])
 
     @classmethod
-    def from_endpoints(cls, a, b, parallel_hint: Optional[float] = None) -> "SegmentUnion":
+    def from_endpoints(cls, a, b) -> "SegmentUnion":
         """The union of the segments a[k] -> b[k] of two (n, 2) point arrays."""
         union = cls.__new__(cls)
-        union._store(a, b, parallel_hint)
+        union._store(a, b)
         return union
 
-    def _store(self, a, b, parallel_hint: Optional[float]) -> None:
+    def _store(self, a, b) -> None:
         a = np.asarray(a, dtype=float).reshape(-1, 2)
         b = np.asarray(b, dtype=float).reshape(-1, 2)
         self.coords = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]])
         self.coords.flags.writeable = False
         self.lengths = _checked_lengths(self.coords)
-        self.parallel_hint = parallel_hint
-        if parallel_hint is not None and not self.parallel_to(parallel_hint, 1e-12):
-            raise ValueError(f"segment directions differ from parallel hint {parallel_hint}")
 
     def __len__(self) -> int:
         return self.coords.shape[1]
@@ -184,12 +181,10 @@ class SegmentUnion:
         gap = np.abs(self.direction_angles - angle % 0.5)
         return bool(np.all(np.minimum(gap, 0.5 - gap) <= tol))
 
-    def mapped(self, f: Callable[[np.ndarray], np.ndarray],
-               parallel_hint: Optional[float] = None) -> "SegmentUnion":
+    def mapped(self, f: Callable[[np.ndarray], np.ndarray]) -> "SegmentUnion":
         """The union of the images of the segments under the point map f,
         which takes an (n, 2) array of points to an (n, 2) array."""
-        return SegmentUnion.from_endpoints(f(self.coords[:2].T), f(self.coords[2:].T),
-                                           parallel_hint)
+        return SegmentUnion.from_endpoints(f(self.coords[:2].T), f(self.coords[2:].T))
 
     @property
     def total_length(self) -> float:
@@ -410,8 +405,8 @@ def split_parallel(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:
         x1, y1, x2, y2 = union.coords[:, oblique[0]].tolist()
         raise ValueError(f"oblique segment {(x1, y1)} -> {(x2, y2)} in split_parallel")
     a, b = union.coords[:2].T, union.coords[2:].T
-    return (SegmentUnion.from_endpoints(a[hor], b[hor], 0.0),
-            SegmentUnion.from_endpoints(a[ver], b[ver], 0.25))
+    return (SegmentUnion.from_endpoints(a[hor], b[hor]),
+            SegmentUnion.from_endpoints(a[ver], b[ver]))
 
 
 def ahlfors_constant(model, sample_count: int, seed: int = 0) -> float:

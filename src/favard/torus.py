@@ -26,6 +26,14 @@ import numpy as np
 TOL = 1e-12
 PAIR_TILE = 1 << 14     # pairwise values per block where a pair matrix is built
 
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of range(rows), max(1, PAIR_TILE // width) rows each:
+    the blocks of a (rows x width) pair matrix in every pairwise kernel."""
+    step = max(1, PAIR_TILE // max(1, width))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def wrap(theta: float) -> float:
     """Representative of theta in [0, 1)."""
     t = math.fmod(theta, 1.0)
@@ -75,6 +83,8 @@ class AngleInterval:
     half_width: float
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not (0.0 < self.half_width <= 0.5):
             raise ValueError(f"half_width must lie in (0, 1/2], got {self.half_width}")
         object.__setattr__(self, "center", wrap(self.center))

@@ -25,12 +25,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, write_json
 from .conical import Family, bad_scale_table, conical_energy, scale_ceiling
 from .lattice import AnisoCube, descend, descend_all
 from .projection import Projector
 from .sets import DiscreteMeasure
-from .torus import PAIR_TILE, TOL, AngleInterval, TriadicInterval, d_metric_many, perp, wrap
+from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, row_blocks, wrap
 
 MAX_ROUNDS = 64     # hard cap on propagation rounds
 
@@ -193,7 +193,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     selected = np.nonzero(eprime)[0]
     energies = [prof.total_float for prof in conical_energy(
         atoms, atoms.points[selected],
-        [_family_intervals(families.get(int(i), [])) for i in selected], params.rho, 0, high)]
+        [_family_intervals(families.get(int(i), [])) for i in selected], params.rho, high)]
 
     weighted = math.fsum(e * w for e, w in zip(energies, atoms.weights[selected].tolist()))
     energy_threshold = weighted / emass + 1.0
@@ -218,7 +218,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
             if pieces:
                 pairs.append((i, iv, pieces))
     piece_energies = conical_energy(atoms, atoms.points[[i for i, _, _ in pairs]],
-                                    [pieces for _, _, pieces in pairs], params.rho, 0, high)
+                                    [pieces for _, _, pieces in pairs], params.rho, high)
     filtered: dict[int, list[TriadicInterval]] = {i: [] for i in members}
     for (i, iv, _), prof in zip(pairs, piece_energies):
         if prof.total_float <= 4.0 * (units.length(iv) / g0_len[i]) * energy_threshold + TOL:
@@ -319,32 +319,30 @@ def grow_families(stages: GoodStages) -> FamilyGrowth:
 # ---------------------------------------------------------------------------
 
 
-def _core_minima(stages: GoodStages) -> list[tuple[TriadicInterval, np.ndarray]]:
-    """Per core interval I, each atom's least d_I to I's carriers, in PAIR_TILE tiles."""
+def good_at_scale_all(stages: GoodStages, scales: Iterable[int]
+                      ) -> dict[int, dict[int, list[TriadicInterval]]]:
+    """Per scale k of `scales`, the good intervals of every atom: the maximal
+    intervals I carried by a controlled point within the d_I-ball of radius
+    10 rho^k around the atom. Each core interval's least d_I from each atom to
+    its carriers does not depend on k: one blocked scan, thresholded per k."""
     pts = stages.atoms.points
-    step = max(1, PAIR_TILE // max(1, len(pts)))
-    out = []
+    minima = []
     for interval in stages.core_universe():
         carriers = stages.core_carriers(interval)
         dmin = np.full(len(pts), math.inf)
-        for lo in range(0, len(carriers), step):
-            d = d_metric_many(interval, pts[carriers[lo:lo + step], None], pts)
+        for block in row_blocks(len(carriers), len(pts)):
+            d = d_metric_many(interval, pts[carriers[block], None], pts)
             np.minimum(dmin, d.min(axis=0), out=dmin)
-        out.append((interval, dmin))
+        minima.append((interval, dmin))
+    out = {}
+    for k in scales:
+        radius = 10.0 * stages.params.rho**k
+        raw: list[list[TriadicInterval]] = [[] for _ in range(len(pts))]
+        for interval, dmin in minima:
+            for i in np.flatnonzero(dmin < radius).tolist():
+                raw[i].append(interval)
+        out[k] = {i: maximal_intervals(ivs) for i, ivs in enumerate(raw)}
     return out
-
-
-def good_at_scale_all(stages: GoodStages, k: int, minima: Optional[list] = None
-                      ) -> dict[int, list[TriadicInterval]]:
-    """Good intervals at scale k for every atom: maximal intervals I carried by
-    a controlled point within the d_I-ball of radius 10 rho^k around x. `minima`
-    (_core_minima) does not depend on k: build_tree scans it once for all k."""
-    radius = 10.0 * stages.params.rho**k
-    raw: list[list[TriadicInterval]] = [[] for _ in range(len(stages.atoms))]
-    for interval, dmin in _core_minima(stages) if minima is None else minima:
-        for i in np.flatnonzero(dmin < radius).tolist():
-            raw[i].append(interval)
-    return {i: maximal_intervals(ivs) for i, ivs in enumerate(raw)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +380,7 @@ class DirectionTree:
     generations: list[list[int]]
     roots: list[int]
     stopped: list[StoppedPiece]
-    # good_at_scale_all(stages, k) for k = 1..k_max, as build_tree grew the tree
+    # good_at_scale_all(stages, range(1, k_max + 1)), as build_tree grew the tree
     good_by_scale: dict[int, dict[int, list[TriadicInterval]]]
     _cover: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -424,21 +422,13 @@ class DirectionTree:
 
     def to_json(self, path) -> None:
         """Forest dump with per-node {generation, interval, atom_ids, tag, bad}."""
-        import json
-
-        rows = []
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            rows.append({
-                "id": nid, "generation": node.generation,
-                "interval": {"level": node.interval.level,
-                             "index": node.interval.index},
-                "atom_ids": node.cube.atom_idx.tolist(),
-                "tag": node.tag, "parent": node.parent, "root": node.root_id,
-                "bad": nid in self.bad_ids,
-            })
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rows, indent=1))      # one write, not one per token
+        write_json(path, [{
+            "id": nid, "generation": node.generation,
+            "interval": {"level": node.interval.level, "index": node.interval.index},
+            "atom_ids": node.cube.atom_idx.tolist(),
+            "tag": node.tag, "parent": node.parent, "root": node.root_id,
+            "bad": nid in self.bad_ids,
+        } for nid, node in sorted(self.nodes.items())])
 
 
 def _sees_core_direction(stages: GoodStages, atom_idx: np.ndarray, interval: TriadicInterval) -> bool:
@@ -493,9 +483,8 @@ def build_tree(stages: GoodStages) -> DirectionTree:
 
     depth_cap = params.triadic_depth + 2
 
-    minima = _core_minima(stages)
-    tree = DirectionTree(stages, nodes, generations, roots, stopped, {
-        k: good_at_scale_all(stages, k, minima) for k in range(1, params.k_max + 1)})
+    tree = DirectionTree(stages, nodes, generations, roots, stopped,
+                         good_at_scale_all(stages, range(1, params.k_max + 1)))
     for k in range(params.k_max):
         next_gen: list[int] = []
 
@@ -549,7 +538,7 @@ def _bad_scale_tables(tree: DirectionTree, dilation: float) -> dict[int, np.ndar
         held = np.zeros(len(pts), dtype=bool)
         held[np.concatenate([node.cube.atom_idx for node in group])] = True
         row = np.cumsum(held) - 1                 # atom -> its row of the table
-        table = bad_scale_table(pts, pts[held], interval.dilate(dilation), rho, 0,
+        table = bad_scale_table(pts, pts[held], interval.dilate(dilation), rho,
                                 max(node.generation for node in group))
         out.update((node.node_id, table[row[node.cube.atom_idx], :node.generation + 1])
                    for node in group)
@@ -612,15 +601,14 @@ TREE_PROPERTIES = ("sandwich_balls", "goodness_integral", "unique_ancestor",
 def _sandwich_balls(tree: DirectionTree) -> bool:
     """Each node Q of generation g holds the atoms of the Euclidean ball of radius
     H(J_Q) rho^(g+3) about its center and lies in the d_J ball of radius 4 rho^g:
-    one block of each per (interval, generation), in PAIR_TILE (node, atom) tiles."""
+    one block of each per (interval, generation), in row blocks of nodes."""
     units, pts, rho = tree.stages.units, tree.stages.atoms.points, tree.stages.params.rho
     groups: dict[tuple[TriadicInterval, int], list[TreeNode]] = {}
     for node in tree.nodes.values():
         groups.setdefault((node.interval, node.generation), []).append(node)
-    step = max(1, PAIR_TILE // max(1, len(pts)))
     for (interval, g), group in groups.items():
         r_in = units.to_float(units.length(interval)) * rho ** (g + 3)
-        for block in (group[lo:lo + step] for lo in range(0, len(group), step)):
+        for block in (group[part] for part in row_blocks(len(group), len(pts))):
             centers = pts[[node.cube.center_idx for node in block]]
             rows = np.repeat(np.arange(len(block)), [len(node.cube) for node in block])
             atoms = np.concatenate([node.cube.atom_idx for node in block])
@@ -738,7 +726,7 @@ def bad_chain_check(tree: DirectionTree) -> dict:
     profiles = conical_energy(
         stages.atoms, pts[cored],
         [_merge_angle_intervals([iv.dilate(15.0) for iv in stages.core[i]]) for i in cored],
-        stages.params.rho, 0, len(tree.generations) - 1)
+        stages.params.rho, len(tree.generations) - 1)
     for i, prof in zip(cored, profiles):
         lhs = prof.total_float
         rhs = stages.m_bound * math.fsum(

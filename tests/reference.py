@@ -15,7 +15,9 @@ Nothing here runs in a command. Three kinds of definitions live here:
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
-  its synthetic instance (acceptance criterion 9).
+  its synthetic instance (acceptance criterion 9);
+- `tile_pairs`, which shrinks the pair blocks of the kernels and records the
+  blocks they build, for the tiling tests.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from favard import torus
 from favard.config import ExperimentConfig
 from favard.conical import _interval_key, annulus_scales, bad_scale_counts, scale_index
 from favard.fixtures import FIXTURE_A, FIXTURE_M
@@ -38,7 +41,7 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion
                          _cloud_content, _cloud_of)
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
-                          perp, row_dot)
+                          perp, row_blocks, row_dot)
 from favard.tree import (C_BAD, DirectionTree, GoodStages, _merge_angle_intervals,
                          _stage_constants)
 
@@ -46,6 +49,23 @@ from favard.tree import (C_BAD, DirectionTree, GoodStages, _merge_angle_interval
 # ---------------------------------------------------------------------------
 # torus: cones and the d_J metric
 # ---------------------------------------------------------------------------
+
+
+def tile_pairs(monkeypatch, tile: int, *modules) -> list[int]:
+    """Set torus.PAIR_TILE to `tile` and have each of `modules` build its pair
+    blocks through a recorder; returns the block count of every row_blocks
+    call those modules make, in call order."""
+    counts: list[int] = []
+
+    def recorded(rows: int, width: int) -> list[slice]:
+        blocks = row_blocks(rows, width)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(torus, "PAIR_TILE", tile)
+    for module in modules:
+        monkeypatch.setattr(module, "row_blocks", recorded)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -406,7 +426,7 @@ def split_parallel_by_segment(union: SegmentUnion) -> tuple[SegmentUnion, Segmen
             ver.append(s)
         else:
             raise ValueError(f"oblique segment {s.a} -> {s.b} in split_parallel")
-    return SegmentUnion(hor, parallel_hint=0.0), SegmentUnion(ver, parallel_hint=0.25)
+    return SegmentUnion(hor), SegmentUnion(ver)
 
 
 def hausdorff_content(model, min_radius: float = 0.0) -> float:
@@ -469,7 +489,6 @@ class RationalProfile:
     """The oracle's energy profile: per-scale masses summed as Fractions."""
 
     rho: float
-    low: int
     high: int
     masses: list[Fraction]
 
@@ -483,18 +502,16 @@ class RationalProfile:
 
 
 def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
-                      low: int = 0, high: int = 30) -> RationalProfile:
+                      high: int = 30) -> RationalProfile:
     """The conical energy of one apex from its own distance row, arc by arc in
     canonical order: the oracle of the blocked conical_energy."""
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
-    if low > high:
-        raise ValueError("need low <= high")
     intervals = sorted(_as_intervals(directions), key=_interval_key)
     apex = np.asarray(x, dtype=float)
     diff = mu.points - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist, rho, low, high)
+    scale = scale_index(dist, rho, high)
     ks: list[int] = []
     ws: list[float] = []
     for interval in intervals:
@@ -503,17 +520,17 @@ def conical_energy_at(mu: DiscreteMeasure, x, directions, rho: float = 0.5,
         ws += mu.weights[sel].tolist()
     # the sums are exact, so the n atoms of one scale and one weight, over all
     # arcs, add n * w at once
-    masses = [Fraction(0) for _ in range(high - low + 1)]
+    masses = [Fraction(0) for _ in range(high + 1)]
     r = Fraction(rho)
     for (k, w), n in Counter(zip(ks, ws)).items():
-        masses[k - low] += Fraction(w) * n / r**k
-    return RationalProfile(rho, low, high, masses)
+        masses[k] += Fraction(w) * n / r**k
+    return RationalProfile(rho, high, masses)
 
 
 def conical_energy_by_row(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
-                          low: int = 0, high: int = 30) -> list[RationalProfile]:
+                          high: int = 30) -> list[RationalProfile]:
     """conical_energy's signature with one conical_energy_at call per row."""
-    return [conical_energy_at(mu, x, directions, rho, low, high)
+    return [conical_energy_at(mu, x, directions, rho, high)
             for x, directions in zip(np.asarray(apexes, dtype=float).reshape(-1, 2),
                                      direction_sets)]
 
@@ -548,10 +565,9 @@ def energy_integral_quadrature(mu: DiscreteMeasure, x, directions, rho: float,
 
 @dataclass(frozen=True)
 class BadScaleSet:
-    """Scales k in [low, high] whose annulus cone meets the (restricted) set."""
+    """Scales k in [0, high] whose annulus cone meets the (restricted) set."""
 
     scales: frozenset[int]
-    low: int
     high: int
 
     def __len__(self) -> int:
@@ -562,17 +578,14 @@ class BadScaleSet:
 
 
 def bad_scales(pts: np.ndarray, x, direction: DirectionInterval, rho: float = 0.5,
-               low: int = 0, high: int = 30,
-               restrict: Optional[np.ndarray] = None) -> BadScaleSet:
+               high: int = 30, restrict: Optional[np.ndarray] = None) -> BadScaleSet:
     """Bad scales of x for the direction interval: k with X(x, J, rho^{k+1}, rho^k)
     meeting the atoms `pts` (or the subset selected by the boolean `restrict`).
     """
-    if low > high:
-        raise ValueError("need low <= high")
     if restrict is not None:
         pts = pts[restrict]
-    scale = annulus_scales(pts, x, direction, rho, low, high)[0]
-    return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), low, high)
+    scale = annulus_scales(pts, x, direction, rho, high)[0]
+    return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), high)
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +958,7 @@ def bad_scale_budget_by_node(tree: DirectionTree) -> dict:
     ok, worst = True, 0.0
     for node in tree.nodes.values():
         counts = bad_scale_counts(pts, pts[node.cube.atom_idx], node.interval.dilate(0.8),
-                                  stages.params.rho, 0, node.generation)
+                                  stages.params.rho, node.generation)
         for count in counts.tolist():
             worst = max(worst, count / stages.scale_budget)
             if count > C_BAD * stages.scale_budget + TOL:
@@ -967,7 +980,7 @@ def bad_chain_by_node(tree: DirectionTree) -> dict:
         if not stages.core[i]:
             continue
         merged = _merge_angle_intervals([iv.dilate(15.0) for iv in stages.core[i]])
-        lhs = conical_energy_at(stages.atoms, pts[i], merged, stages.params.rho, 0,
+        lhs = conical_energy_at(stages.atoms, pts[i], merged, stages.params.rho,
                                 len(tree.generations) - 1).total_float
         rhs = stages.m_bound * math.fsum(
             units.to_float(units.length(tree.nodes[nid].interval))

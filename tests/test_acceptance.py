@@ -214,9 +214,9 @@ class TestCriterion5Energies:
             c = rng.random()
             arc_a = AngleInterval(c, 0.02 + 0.02 * rng.random())
             arc_b = AngleInterval(c + 0.25 * (1 + rng.random()), 0.03)
-            p_union = conical_energy(mu, [x], [(arc_a, arc_b)], 0.5, 0, 10)[0]
-            p1 = conical_energy(mu, [x], [arc_a], 0.5, 0, 10)[0]
-            p2 = conical_energy(mu, [x], [arc_b], 0.5, 0, 10)[0]
+            p_union = conical_energy(mu, [x], [(arc_a, arc_b)], 0.5, 10)[0]
+            p1 = conical_energy(mu, [x], [arc_a], 0.5, 10)[0]
+            p2 = conical_energy(mu, [x], [arc_b], 0.5, 10)[0]
             assert p_union.total == p1.total + p2.total  # exact rationals
 
         worst = 0.0
@@ -225,9 +225,9 @@ class TestCriterion5Energies:
             mu = DiscreteMeasure(pts, rng.uniform(0.2, 1.0, 60))
             x = rng.uniform(-0.2, 0.2, 2)
             g = AngleInterval(rng.random(), 0.05 + 0.1 * rng.random())
-            l, j = 0, 7
-            prof = conical_energy(mu, [x], [g], 0.5, l, j)[0]
-            mid = energy_integral_quadrature(mu, x, g, 0.5, 0.5**j, 0.5**l, 300)
+            j = 7
+            prof = conical_energy(mu, [x], [g], 0.5, j)[0]
+            mid = energy_integral_quadrature(mu, x, g, 0.5, 0.5**j, 1.0, 300)
             inner = math.fsum(prof.masses_float()[1:-1])
             full = prof.total_float
             if mid > 0:
@@ -339,7 +339,7 @@ class TestCriterion10Extraction:
         for _ in range(5):
             pts = rng.random((20, 2)) * 0.6
             j = AngleInterval(0.25, 0.03)
-            m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 0, 14))
+            m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 14))
                      for i in range(len(pts)))
             cert = extract_graph(pts, j, m0)
             ok, _ = verify_lipschitz(pts[cert.retained_idx],

@@ -9,6 +9,7 @@ import pytest
 
 from favard.cli import main
 from favard.config import ExperimentConfig
+from favard.pipeline import run_pipeline
 from favard.projection import favard
 from favard.sets import Segment, SegmentUnion, four_corners, split_parallel
 
@@ -113,7 +114,7 @@ class TestCompute:
                      "--n-angles", "2048", "--mc", "300000"])
         assert code == 0
         report = json.loads((tmp_path / "compute_report.json").read_text())
-        assert report["mc_within_3_sigma"]
+        assert report["mc_within_3_sigma"] is True     # a JSON true, not the string "True"
 
 
 class TestMC:
@@ -143,7 +144,7 @@ class TestCantorDecay:
 
     def test_negative_n_max_is_usage_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "cantor-decay", "--n-max", "-1"]) == 1
-        assert "--n-max must be >= 0" in capsys.readouterr().err
+        assert "argument --n-max: must be an integer in [0, 6]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -196,7 +197,7 @@ class TestChecks:
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_lattice_check_needs_an_instance(self, tmp_path, capsys, count):
         assert main(["--out", str(tmp_path), "lattice-check", "--instances", count]) == 1
-        assert "--instances must be >= 1" in capsys.readouterr().err
+        assert "argument --instances: must be an integer >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_extract_graph_cli(self, tmp_path):
@@ -232,6 +233,53 @@ class TestChecks:
         ("seed", 1.5), ("n_angles", 2.5), ("c_n", 0), ("c_y", math.nan)])
     def test_degenerate_config_value_is_config_error(self, tmp_path, capsys, key, value):
         self._assert_config_error(tmp_path, capsys, key, value)
+
+
+class TestArgumentRanges:
+    """An argument outside its range, or any other usage error, exits 1 with
+    a message naming the argument, before any output is written. The inputs
+    are valid, so without the range check each command would run."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        segs, curve, squares = tmp_path / "segs.csv", tmp_path / "curve.csv", tmp_path / "fc1.json"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(segs)
+        curve.write_text("0.0,0.03125\n1.0,0.03125\n")
+        four_corners(1).to_json(squares)
+        return {"segs": str(segs), "curve": str(curve), "squares": str(squares)}
+
+    BAD = [
+        (["pipeline", "{segs}", "--kappa", "0"], "argument --kappa"),
+        (["pipeline", "{segs}", "--kappa", "nan"], "argument --kappa"),
+        (["pipeline", "{segs}", "--kappa", "-1"], "argument --kappa"),
+        (["pipeline", "{segs}", "--kappa", "1"], "argument --kappa"),
+        (["extract-graph", "{segs}", "--center", "nan", "--half-width", "0.04", "--m0", "0"],
+         "argument --center"),
+        (["extract-graph", "{segs}", "--center", "inf", "--half-width", "0.04", "--m0", "0"],
+         "argument --center"),
+        (["extract-graph", "{segs}", "--center", "0.25", "--half-width", "0", "--m0", "0"],
+         "argument --half-width"),
+        (["extract-graph", "{segs}", "--center", "0.25", "--half-width", "0.04", "--m0", "-1"],
+         "argument --m0"),
+        (["content", "{squares}", "--delta", "0", "--curve", "{curve}"], "argument --delta"),
+        (["content", "{squares}", "--delta", "nan", "--curve", "{curve}"], "argument --delta"),
+        (["content", "{squares}", "--delta", "-1", "--curve", "{curve}"], "argument --delta"),
+        (["content", "{squares}", "--delta", "inf", "--curve", "{curve}"], "argument --delta"),
+        (["compute", "{squares}", "--n-angles", "0"], "argument --n-angles"),
+        (["compute", "{squares}", "--mc", "0"], "argument --mc"),
+        (["compute", "{squares}", "--mc", "50"], "argument --mc"),
+        (["mc", "{squares}", "--needles", "50"], "argument --needles"),
+        (["compute", "{squares}", "--n-angles", "1.5"], "argument --n-angles"),
+        (["compute", "{squares}", "--bogus"], "unrecognized arguments"),
+    ]
+
+    @pytest.mark.parametrize("argv, error", BAD,
+                             ids=["_".join(argv[:1] + argv[2:]) for argv, _ in BAD])
+    def test_exits_1_before_writing(self, tmp_path, capsys, inputs, argv, error):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *(a.format(**inputs) for a in argv)]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 TREE_GOLDEN = Path(__file__).parent / "golden" / "tree_check_report.json"
@@ -311,6 +359,42 @@ class TestPipelineCLI:
         code = main(["--config", str(cfg), "--out", str(tmp_path),
                      "pipeline", str(path), "--kappa", "0.9"])
         assert code == 3
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1.0, math.nan])
+    def test_kappa_outside_the_unit_interval_is_rejected_first(self, kappa):
+        # kappa = 0 used to reach the division M = c_m / kappa
+        horiz, _ = split_parallel(four_corners(1).skeleton())
+        with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\)"):
+            run_pipeline(horiz, kappa, ExperimentConfig(n_angles=256))
+
+    def test_square_set_input_goes_through_the_parallel_check(self, tmp_path, monkeypatch):
+        # the longer part of the split skeleton is checked for parallel
+        # segments like a CSV input, and reports as the same segments do
+        squares, segs = tmp_path / "fc1.json", tmp_path / "fc1.csv"
+        four_corners(1).to_json(squares)
+        split_parallel(four_corners(1).skeleton())[0].to_csv(segs)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 1024, "atom_pitch": 1 / 128}))
+        checked = []
+        parallel_to = SegmentUnion.parallel_to
+
+        def recorded(union, angle, tol):
+            checked.append(tol)
+            return parallel_to(union, angle, tol)
+
+        monkeypatch.setattr(SegmentUnion, "parallel_to", recorded)
+        reports = []
+        for path in (squares, segs):
+            out = tmp_path / path.suffix[1:]
+            assert main(["--config", str(cfg), "--out", str(out), "pipeline", str(path),
+                         "--kappa", "0.06"]) == 0
+            report = json.loads((out / "pipeline_report.json").read_text())
+            assert report.pop("input") == str(path)
+            assert report.pop("input_hash") != ""
+            reports.append(report)
+        assert checked == [1e-9, 1e-9]
+        assert reports[0] == reports[1]
+        assert reports[0]["certificate"]["retained_atoms"] > 0
 
     def test_failed_postcondition_exits_2_naming_the_stage(self, tmp_path, capsys,
                                                            monkeypatch):

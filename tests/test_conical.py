@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from favard import conical, projection
+from favard import conical, projection, torus
 from favard.conical import (bad_scale_counts, bad_scale_table, conical_energy, scale_ceiling,
                             scale_index, select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
@@ -13,7 +13,8 @@ from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, sp
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
                           _direction_mask, direction_vector, perp, triadic_cover, wrap)
 from tests.reference import (bad_scales, cone_mass, cone_mass_exact, conical_energy_at,
-                             energy_integral_quadrature, project, select_bounded_projection_set)
+                             energy_integral_quadrature, project, select_bounded_projection_set,
+                             tile_pairs)
 
 
 def measure_at(points, weights=None):
@@ -65,19 +66,19 @@ class TestConeMass:
             assert total == parts  # exact rational equality
 
 
-def reference_energy_masses(mu, x, directions, rho, low, high):
+def reference_energy_masses(mu, x, directions, rho, high):
     """conical_energy's per-scale masses summed atom by atom in canonical arc
     order: the oracle of its grouped sums."""
     apex = np.asarray(x, dtype=float)
     diff = mu.points - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist, rho, low, high)
-    masses = [Fraction(0) for _ in range(high - low + 1)]
+    scale = scale_index(dist, rho, high)
+    masses = [Fraction(0) for _ in range(high + 1)]
     for interval in sorted(_as_intervals(directions),
                            key=lambda iv: (wrap(iv.center - iv.half_width), iv.half_width)):
         sel = _direction_mask(diff, interval, dist) & (scale >= 0)
         for w, k in zip(mu.weights[sel].tolist(), scale[sel].tolist()):
-            masses[k - low] += Fraction(w) / Fraction(rho) ** k
+            masses[k] += Fraction(w) / Fraction(rho) ** k
     return masses
 
 
@@ -96,14 +97,14 @@ class TestConicalEnergy:
                 for dirs in (AngleInterval(rng.random(), 0.1),
                              (AngleInterval(0.1, 0.03), TriadicInterval(2, 5),
                               AngleInterval(0.7, 0.3))):
-                    prof = conical_energy(mu, [x], [dirs], rho, 1, 9)[0]
-                    assert prof.masses == reference_energy_masses(mu, x, dirs, rho, 1, 9)
+                    prof = conical_energy(mu, [x], [dirs], rho, 9)[0]
+                    assert prof.masses == reference_energy_masses(mu, x, dirs, rho, 9)
                     filled.append(sum(m != 0 for m in prof.masses))
         assert sum(filled) >= len(filled)
 
     def test_empty_annuli(self):
         mu = measure_at([[5.0, 5.0]])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.25, 0.1)], 0.5, 0, 6)[0]
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.25, 0.1)], 0.5, 6)[0]
         assert prof.total == 0
 
     def test_single_atom_one_annulus(self):
@@ -111,7 +112,7 @@ class TestConicalEnergy:
         w = 0.7
         d = 0.5 ** (k0 + 0.5)
         mu = measure_at([[d, 0.0]], [w])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 0, 8)[0]
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 8)[0]
         masses = prof.masses_float()
         assert masses[k0] == pytest.approx(w / 0.5**k0)
         assert sum(m != 0 for m in masses) == 1
@@ -119,7 +120,7 @@ class TestConicalEnergy:
     def test_boundary_atom_outer_annulus(self):
         # an atom at exactly rho^k belongs to annulus k, not k-1
         mu = measure_at([[0.25, 0.0]])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 0, 6)[0]
+        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 6)[0]
         masses = prof.masses_float()
         assert masses[2] > 0 and masses[1] == 0
 
@@ -132,20 +133,20 @@ class TestConicalEnergy:
             c = rng.random()
             filtered_fam = AngleInterval(c, 0.02 + 0.02 * rng.random())
             core_fam = AngleInterval(c + 0.25 * (1 + rng.random()), 0.03)
-            p_union = conical_energy(mu, [x], [(filtered_fam, core_fam)], 0.5, 0, 10)[0]
-            p1 = conical_energy(mu, [x], [filtered_fam], 0.5, 0, 10)[0]
-            p2 = conical_energy(mu, [x], [core_fam], 0.5, 0, 10)[0]
+            p_union = conical_energy(mu, [x], [(filtered_fam, core_fam)], 0.5, 10)[0]
+            p1 = conical_energy(mu, [x], [filtered_fam], 0.5, 10)[0]
+            p2 = conical_energy(mu, [x], [core_fam], 0.5, 10)[0]
             assert p_union.total == p1.total + p2.total
             for a, b, c_ in zip(p_union.masses, p1.masses, p2.masses):
                 assert a == b + c_
 
     def test_triadic_intervals_accepted(self):
         mu = measure_at([[0.3, 0.0]])
-        prof = conical_energy(mu, [(0, 0)], [TriadicInterval(2, 0)], 0.5, 0, 5)[0]
+        prof = conical_energy(mu, [(0, 0)], [TriadicInterval(2, 0)], 0.5, 5)[0]
         assert prof.total_float >= 0.0
 
     def test_two_sided_integral_comparison(self):
-        # dyadic sum over [l+1, j-1] <= C int <= C^2 * sum over [l, j]
+        # dyadic sum over [1, j-1] <= C int <= C^2 * sum over [0, j]
         rng = np.random.default_rng(2)
         worst_lo, worst_hi = 0.0, 0.0
         for rho in (0.5, 1.0 / 3.0):
@@ -154,9 +155,9 @@ class TestConicalEnergy:
                 mu = measure_at(pts, rng.uniform(0.2, 1.0, 60))
                 x = rng.uniform(-0.2, 0.2, 2)
                 g = AngleInterval(rng.random(), 0.05 + 0.1 * rng.random())
-                l, j = 0, 7
-                prof = conical_energy(mu, [x], [g], rho, l, j)[0]
-                mid = energy_integral_quadrature(mu, x, g, rho, rho**j, rho**l, 300)
+                j = 7
+                prof = conical_energy(mu, [x], [g], rho, j)[0]
+                mid = energy_integral_quadrature(mu, x, g, rho, rho**j, 1.0, 300)
                 inner = math.fsum(prof.masses_float()[1:-1])
                 full = prof.total_float
                 if mid > 0:
@@ -185,8 +186,8 @@ class TestBlockedEnergy:
         per_row = [(), touching, (AngleInterval(0.3, 0.5),), (AngleInterval(0.9, 0.2),) * 2] + [
             [AngleInterval(rng.random(), w) for w in rng.choice([0.01, 0.05, 0.2, 0.3], 1 + a % 3)]
             for a in range(len(apexes) - 4)]
-        step = {"default": conical.PAIR_TILE // len(pts), "rows": 1, "non_divisor": 7}[tile]
-        monkeypatch.setattr(conical, "PAIR_TILE", step * len(pts))
+        step = {"default": torus.PAIR_TILE // len(pts), "rows": 1, "non_divisor": 7}[tile]
+        blocks = tile_pairs(monkeypatch, step * len(pts), conical)
         assert (tile == "default") == (step >= len(apexes))
         assert tile != "non_divisor" or len(apexes) % step != 0
         filled = 0
@@ -194,26 +195,27 @@ class TestBlockedEnergy:
                   rng.uniform(0.1, 1.0, len(pts))):
             mu = measure_at(pts, w)
             for sets in ([shared] * len(apexes), per_row):
-                got = conical_energy(mu, apexes, sets, rho, 1, 12)
-                want = [conical_energy_at(mu, x, dirs, rho, 1, 12) for x, dirs in zip(apexes, sets)]
+                got = conical_energy(mu, apexes, sets, rho, 12)
+                want = [conical_energy_at(mu, x, dirs, rho, 12) for x, dirs in zip(apexes, sets)]
                 assert [p.masses for p in got] == [p.masses for p in want]
-                assert {(p.rho, p.low, p.high) for p in got} == {(rho, 1, 12)}
+                assert {(p.rho, p.high) for p in got} == {(rho, 12)}
                 filled += sum(m != 0 for p in got for m in p.masses)
-        assert got[0].masses == [0] * 12            # per_row[0] is the empty set
+        assert got[0].masses == [0] * 13            # per_row[0] is the empty set
         assert filled >= 6 * len(apexes)
+        assert set(blocks) == {-(-len(apexes) // step)}
 
     def test_touching_arcs_count_the_shared_edge_twice(self):
         mu = measure_at([0.3 * direction_vector(2 / 9)], [0.7])
         left, right = TriadicInterval(2, 1), TriadicInterval(2, 2)
-        both, one, other = conical_energy(mu, [(0, 0)] * 3, [(left, right), left, right], 0.5, 0, 4)
+        both, one, other = conical_energy(mu, [(0, 0)] * 3, [(left, right), left, right], 0.5, 4)
         assert one.masses == other.masses == [0, Fraction(0.7) / Fraction(0.5), 0, 0, 0]
         assert both.masses == [2 * m for m in one.masses]
 
     def test_no_rows(self):
         mu = measure_at([[1.0, 0.0]])
-        assert conical_energy(mu, np.empty((0, 2)), [], 0.5, 0, 4) == []
+        assert conical_energy(mu, np.empty((0, 2)), [], 0.5, 4) == []
         with pytest.raises(ValueError):
-            conical_energy(mu, [(0, 0)], [], 0.5, 0, 4)
+            conical_energy(mu, [(0, 0)], [], 0.5, 4)
 
     def test_blocks_bound_the_memory(self):
         # one (apexes x atoms x 2) difference array for all rows would take
@@ -223,7 +225,7 @@ class TestBlockedEnergy:
         dirs = (AngleInterval(0.1, 0.05), AngleInterval(0.6, 0.3))
         tracemalloc.start()
         try:
-            profiles = conical_energy(mu, rng.random((1000, 2)), [dirs] * 1000, 0.5, 0, 12)
+            profiles = conical_energy(mu, rng.random((1000, 2)), [dirs] * 1000, 0.5, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,8 +248,8 @@ class TestExactEnergySums:
         apexes = np.vstack([pts[:10], rng.normal(scale=0.4, size=(5, 2))])
         sets = [(), AngleInterval(0.2, 0.05),
                 (TriadicInterval(1, 0), AngleInterval(0.7, 0.3))] * 5
-        got = conical_energy(mu, apexes, sets, rho, 0, 14)
-        want = [conical_energy_at(mu, x, d, rho, 0, 14) for x, d in zip(apexes, sets)]
+        got = conical_energy(mu, apexes, sets, rho, 14)
+        want = [conical_energy_at(mu, x, d, rho, 14) for x, d in zip(apexes, sets)]
         assert [p.masses for p in got] == [p.masses for p in want]
         assert [p.total for p in got] == [p.total for p in want]
         assert [p.total_float for p in got] == [p.total_float for p in want]
@@ -258,46 +260,47 @@ class TestExactEnergySums:
 
 class TestScaleIndex:
     @staticmethod
-    def per_k_loop(dist, rho, low, high):
+    def per_k_loop(dist, rho, high):
         """The per-scale loop scale_index replaces."""
         out = np.full(len(dist), -1)
-        for k in range(low, high + 1):
+        for k in range(high + 1):
             out[(dist > rho ** (k + 1)) & (dist <= rho**k)] = k
         return out
 
     @pytest.mark.parametrize("rho", [0.5, 0.3])
-    @pytest.mark.parametrize("low, high", [(0, 30), (2, 7), (4, 4)])
-    def test_matches_the_per_k_loop(self, rho, low, high):
-        powers = np.array([rho**k for k in range(low - 1, high + 3)])
+    @pytest.mark.parametrize("high", [30, 7, 0])
+    def test_matches_the_per_k_loop(self, rho, high):
+        powers = np.array([rho**k for k in range(-1, high + 3)])
         dist = np.concatenate([
             np.random.default_rng(0).random(2000) ** 6 * 2.0,
             powers,
             np.nextafter(powers, 0.0),
             np.nextafter(powers, np.inf),
-            [0.0, rho**low * 1.5, 3.0],
+            [0.0, 1.5, 3.0],
         ])
-        got = scale_index(dist, rho, low, high)
-        assert np.array_equal(got, self.per_k_loop(dist, rho, low, high))
-        assert (got == -1).any() and (got == low).any() and (got == high).any()
+        got = scale_index(dist, rho, high)
+        assert np.array_equal(got, self.per_k_loop(dist, rho, high))
+        assert (got == -1).any() and (got == 0).any() and (got == high).any()
 
 
-def reference_bad_scales(pts, x, direction, rho, low, high):
+def reference_bad_scales(pts, x, direction, rho, high):
     """The bad scales of one apex from its own distance row: the oracle of the
     (apexes x atoms) blocks behind bad_scales and bad_scale_counts."""
     apex = np.asarray(x, dtype=float)
     diff = pts - apex
     dist = np.hypot(diff[:, 0], diff[:, 1])
-    scale = scale_index(dist[_direction_mask(diff, direction, dist)], rho, low, high)
+    scale = scale_index(dist[_direction_mask(diff, direction, dist)], rho, high)
     return frozenset(np.unique(scale[scale >= 0]).tolist())
 
 
 class TestBadScales:
-    @pytest.mark.parametrize("tile", [conical.PAIR_TILE, 1, 700],
+    @pytest.mark.parametrize("tile", [torus.PAIR_TILE, 1, 700],
                              ids=["one_block", "rows", "blocks"])
     def test_blocks_match_the_per_apex_rows(self, tile, monkeypatch):
         # narrow arcs (sine test), an arc past 1/4 (angle test) and the full
         # circle; coincident atoms and apexes on atoms
-        monkeypatch.setattr(conical, "PAIR_TILE", tile)
+        one_block = tile == torus.PAIR_TILE
+        blocks = tile_pairs(monkeypatch, tile, conical)
         rng = np.random.default_rng(8)
         pts = np.vstack([rng.normal(scale=0.4, size=(150, 2)), np.zeros((2, 2))])
         xs = np.vstack([pts[::3], rng.normal(scale=0.4, size=(20, 2))])
@@ -305,37 +308,38 @@ class TestBadScales:
         seen = set()
         for j in (AngleInterval(0.1, 0.02), TriadicInterval(2, 4), AngleInterval(0.6, 0.3),
                   AngleInterval(0.0, 0.5)):
-            for rho, low, high in ((0.5, 0, 12), (1 / 3, 2, 7)):
-                want = [reference_bad_scales(pts, x, j, rho, low, high) for x in xs]
-                assert [bad_scales(pts, x, j, rho, low, high).scales for x in xs] == want
-                assert bad_scale_counts(pts, xs, j, rho, low, high).tolist() == \
+            for rho, high in ((0.5, 12), (1 / 3, 7)):
+                want = [reference_bad_scales(pts, x, j, rho, high) for x in xs]
+                assert [bad_scales(pts, x, j, rho, high).scales for x in xs] == want
+                assert bad_scale_counts(pts, xs, j, rho, high).tolist() == \
                     [len(w) for w in want]
-                assert [frozenset((np.flatnonzero(row) + low).tolist())
-                        for row in bad_scale_table(pts, xs, j, rho, low, high)] == want
-                assert [bad_scales(pts, x, j, rho, low, high, restrict=mask).scales
+                assert [frozenset(np.flatnonzero(row).tolist())
+                        for row in bad_scale_table(pts, xs, j, rho, high)] == want
+                assert [bad_scales(pts, x, j, rho, high, restrict=mask).scales
                         for x in xs[:10]] == \
-                    [reference_bad_scales(pts[mask], x, j, rho, low, high) for x in xs[:10]]
+                    [reference_bad_scales(pts[mask], x, j, rho, high) for x in xs[:10]]
                 seen.update(len(w) for w in want)
         assert len(seen) >= 5
+        assert (max(blocks) > 1) != one_block
         assert bad_scale_counts(pts, np.empty((0, 2)), j).tolist() == []
 
     def test_axis_perpendicular_empty(self):
         mu = measure_at([[x, 0.0] for x in np.linspace(0.1, 1, 10)])
         j = AngleInterval(0.25, 0.1)
-        bs = bad_scales(mu.points, (0.5, 0.0), j, 0.5, 0, 8)
+        bs = bad_scales(mu.points, (0.5, 0.0), j, 0.5, 8)
         assert len(bs) == 0
 
     def test_dyadic_chain(self):
         pts = [[2.0**-k, 0.0] for k in range(1, 7)]
         mu = measure_at(pts + [[0.0, 0.0]])
         j = AngleInterval(0.0, 0.05)
-        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 0, 7)
+        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 7)
         assert bs.scales == frozenset(range(1, 7))
 
     def test_empty_restriction(self):
         mu = measure_at([[0.5, 0.0]])
         j = AngleInterval(0.0, 0.05)
-        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 0, 7,
+        bs = bad_scales(mu.points, (0.0, 0.0), j, 0.5, 7,
                         restrict=np.zeros(1, dtype=bool))
         assert len(bs) == 0
 
@@ -345,8 +349,8 @@ class TestBadScales:
         mu = measure_at(pts)
         j = AngleInterval(0.1, 0.08)
         mask = rng.random(50) < 0.5
-        full = bad_scales(mu.points, (0, 0), j, 0.5, 0, 10)
-        part = bad_scales(mu.points, (0, 0), j, 0.5, 0, 10, restrict=mask)
+        full = bad_scales(mu.points, (0, 0), j, 0.5, 10)
+        part = bad_scales(mu.points, (0, 0), j, 0.5, 10, restrict=mask)
         assert part.scales <= full.scales
 
     def test_bad_count_vs_energy(self):
@@ -359,9 +363,8 @@ class TestBadScales:
             mu = measure_at(pts, np.full(40, 1.0 / 40))
             x = pts[20]
             j = AngleInterval(rng.random(), 0.03 + 0.05 * rng.random())
-            l, jj = 0, 10
-            bs = bad_scales(mu.points, x, j, 0.5, l, jj)
-            prof = conical_energy(mu, [x], [j.dilate(1.5)], 0.5, l, jj)[0]
+            bs = bad_scales(mu.points, x, j, 0.5, 10)
+            prof = conical_energy(mu, [x], [j.dilate(1.5)], 0.5, 10)[0]
             a_proxy = 40.0  # crude Ahlfors proxy for the perturbed line
             bound = a_proxy / j.length * prof.total_float + 4.0
             if len(bs):
@@ -377,9 +380,8 @@ class TestBadScales:
         j = AngleInterval(0.0, 0.02)
         theta = j.center + 0.01
         m_val = Projector(segs).mu_theta(perp(theta), [x])[0]
-        l, jj = 0, 8
-        bs = bad_scales(mu.points, x, j, 0.5, l, jj)
-        prof = conical_energy(mu, [x], [j], 0.5, l, jj)[0]
+        bs = bad_scales(mu.points, x, j, 0.5, 8)
+        prof = conical_energy(mu, [x], [j], 0.5, 8)[0]
         assert len(bs) > 0
         c_meas = prof.total_float / (m_val * j.length * len(bs))
         assert c_meas <= 64.0
@@ -538,7 +540,7 @@ def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5,
     energy_ratios, fourier_ratios = {}, {}
     for i, members in families.items():
         energy = conical_energy_at(mu, mu.points[i], [iv.perp() for iv, _ in members],
-                                   rho, 0, high).total_float
+                                   rho, high).total_float
         energy_ratios[i] = energy / (m_bound * total_len)
         pointwise = []
         for iv, _ in members:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from favard import conical, graphs
+from favard import conical, graphs, torus
 from favard.conical import scale_ceiling
 from favard.graphs import (GraphCertificate, extract_graph, reduce_bad_scales,
                            verify_lipschitz)
 from favard.torus import AngleInterval, TriadicInterval, _direction_mask
-from tests.reference import bad_scales
+from tests.reference import bad_scales, tile_pairs
 
 
 def abs_graph_points(n=25, span=0.3):
@@ -58,7 +58,7 @@ def precondition_subset(pts, interval, m_cap, rho):
     idx = list(range(len(pts)))
     high = scale_ceiling(pts, rho)
     while True:
-        counts = [len(bad_scales(pts[idx], pts[i], interval, rho, 0, high)) for i in idx]
+        counts = [len(bad_scales(pts[idx], pts[i], interval, rho, high)) for i in idx]
         if max(counts) <= m_cap:
             return np.array(idx)
         del idx[int(np.argmax(counts))]
@@ -121,22 +121,22 @@ class TestReduce:
         pts = rng.random((30, 2)) * 0.7
         j = AngleInterval(0.25, 0.03)
         high = 14
-        m_cap = max(len(bad_scales(pts, pts[i], j, 0.5, 0, high))
+        m_cap = max(len(bad_scales(pts, pts[i], j, 0.5, high))
                     for i in range(30))
         keep = reduce_bad_scales(pts, np.arange(30), j, max(m_cap, 1))
         half = j.dilate(0.5)
         for i in keep:
-            bs = bad_scales(pts[keep], pts[i], half, 0.5, 0, high)
+            bs = bad_scales(pts[keep], pts[i], half, 0.5, high)
             assert len(bs) <= max(m_cap, 1) - 1
 
 
-    @pytest.mark.parametrize("tile", [graphs.PAIR_TILE, 1, 700],
+    @pytest.mark.parametrize("tile", [torus.PAIR_TILE, 1, 700],
                              ids=["one_block", "rows", "blocks"])
     def test_incremental_counts_match_full_recount(self, tile, monkeypatch):
         # the scale table and the bad-scale counts are built in blocks of
         # about PAIR_TILE pairs; the block boundaries must not move `keep`
-        monkeypatch.setattr(graphs, "PAIR_TILE", tile)
-        monkeypatch.setattr(conical, "PAIR_TILE", tile)
+        one_block = tile == torus.PAIR_TILE
+        blocks = tile_pairs(monkeypatch, tile, graphs, conical)
         deletions = {1: 0, 2: 0, 3: 0}
         for seed in range(24):
             rng = np.random.default_rng(seed)
@@ -156,6 +156,7 @@ class TestReduce:
                 deletions[m_cap] += len(idx) - len(keep)
         # the comparison must cover real greedy deletions at every cap
         assert all(d > 0 for d in deletions.values()), deletions
+        assert (max(blocks) > 1) != one_block
 
 
 class TestExtract:
@@ -186,7 +187,7 @@ class TestExtract:
             pts = rng.random((20, 2)) * 0.6
             j = AngleInterval(0.25, 0.03)
             high = 14
-            m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 0, high))
+            m0 = max(len(bad_scales(pts, pts[i], j, 0.5, high))
                      for i in range(len(pts)))
             cert = extract_graph(pts, j, m0)
             final = AngleInterval(0.25, 0.03 * 2.0**-m0)
@@ -199,7 +200,7 @@ class TestExtract:
         rng = np.random.default_rng(3)
         pts = rng.random((18, 2)) * 0.6
         j = AngleInterval(0.25, 0.03)
-        m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 0, 14))
+        m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 14))
                  for i in range(len(pts)))
         cert = extract_graph(pts, j, m0)
         final = AngleInterval(0.25, j.half_width * 2.0**-m0)
@@ -211,7 +212,7 @@ class TestExtract:
         rng = np.random.default_rng(4)
         pts = rng.random((24, 2)) * 0.6
         j = AngleInterval(0.25, 0.04)
-        m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 0, 14))
+        m0 = max(len(bad_scales(pts, pts[i], j, 0.5, 14))
                  for i in range(len(pts)))
         sizes = []
         keep = np.arange(len(pts))

@@ -7,13 +7,13 @@ import pytest
 from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
-from favard import lattice
+from favard import lattice, torus
 from favard.lattice import (AnisoCube, cell_order, check_cube_invariants, descend, descend_all,
                             side_exponent)
 from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import build_tree
 from tests.reference import (BaseLattice, base_cells, children, d_metric, loop_descend, shatter,
-                             whitney)
+                             tile_pairs, whitney)
 
 
 def reference_cell_center_atom(idx, key, side, coords):
@@ -312,9 +312,10 @@ class TestNetSweepOracle:
                               b.rho * 2)]
         return moved, recentered, [*cubes, a], merged, rescaled
 
-    @pytest.mark.parametrize("tile", [lattice.PAIR_TILE, 1], ids=["one_block", "row_blocks"])
+    @pytest.mark.parametrize("tile", [torus.PAIR_TILE, 1], ids=["one_block", "row_blocks"])
     def test_corrupted_cubes(self, tile, monkeypatch):
-        monkeypatch.setattr(lattice, "PAIR_TILE", tile)
+        one_block = tile == torus.PAIR_TILE
+        blocks = tile_pairs(monkeypatch, tile, lattice)
         broken = {"partition": 0, "sandwich_outer": 0, "sandwich_inner": 0,
                   "net_separation": 0}
         for pts, iv, k, l in lattice_check_instances(40):
@@ -328,6 +329,7 @@ class TestNetSweepOracle:
                 for key in broken:
                     broken[key] += not report[key]
         assert all(broken.values()), broken
+        assert (max(blocks) > 1) != one_block
 
     def test_center_atom_ties(self):
         # equidistant from the cell center (0.5, 0.5): ties break by x, then y,

@@ -24,8 +24,7 @@ def oracle_unions():
 
 
 def same_union(u: SegmentUnion, v: SegmentUnion) -> bool:
-    return np.array_equal(u.coords, v.coords) and np.array_equal(u.lengths, v.lengths) \
-        and u.parallel_hint == v.parallel_hint
+    return np.array_equal(u.coords, v.coords) and np.array_equal(u.lengths, v.lengths)
 
 
 class TestArrayPathsMatchTheSegmentLoops:
@@ -227,10 +226,6 @@ class TestSegment:
 
 
 class TestSegmentUnion:
-    def test_parallel_hint_validation(self):
-        with pytest.raises(ValueError):
-            SegmentUnion([Segment((0, 0), (1, 0.2))], parallel_hint=0.0)
-
     def test_atoms_mass_conservation(self):
         u = SegmentUnion([Segment((0, 0), (1, 0)), Segment((0, 1), (0.3, 1))])
         atoms = u.atoms(0.01)

@@ -5,8 +5,8 @@ import pytest
 
 from favard.projection import Projector
 from favard.sets import four_corners
-from favard.torus import (AngleInterval, TriadicInterval, circ_dist, d_metric_many,
-                          direction_vector, line_angle, perp, triadic_cover, wrap)
+from favard.torus import (PAIR_TILE, AngleInterval, TriadicInterval, circ_dist, d_metric_many,
+                          direction_vector, line_angle, perp, row_blocks, triadic_cover, wrap)
 from tests.reference import ConeSpec, cone_mask, d_metric, in_cone, project, to_metric_coords
 
 SQ2 = math.sqrt(2.0)
@@ -58,6 +58,11 @@ class TestIntervals:
         assert iv.dilate(2.0).half_width == 0.4
         assert iv.dilate(10.0).half_width == 0.5
         assert iv.dilate(2.0).center == iv.center
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            AngleInterval(center, 0.1)
 
     def test_perp_shifts_center(self):
         iv = AngleInterval(0.1, 0.05)
@@ -346,3 +351,33 @@ class TestConeBallInclusions:
             assert di <= 2.0 * c_factor * dj + 1e-12
             assert dj <= 2.0 * c_factor * di + 1e-12
         assert worst <= 2.0
+
+
+class TestRowBlocks:
+    @staticmethod
+    def covered(blocks, rows):
+        return [i for block in blocks for i in range(rows)[block]]
+
+    def test_no_rows(self):
+        assert row_blocks(0, 10) == []
+        assert row_blocks(0, 0) == []
+
+    def test_blocks_tile_the_rows(self):
+        # 3 * PAIR_TILE pairs in rows of 300: the last block is short
+        rows, width = 3 * PAIR_TILE // 300 + 7, 300
+        blocks = row_blocks(rows, width)
+        assert self.covered(blocks, rows) == list(range(rows))
+        assert {b.stop - b.start for b in blocks[:-1]} == {PAIR_TILE // width}
+        assert 0 < blocks[-1].stop - blocks[-1].start < PAIR_TILE // width
+        assert blocks[-1].stop == rows
+
+    def test_width_zero_is_one_pair_per_row(self):
+        # no pairs per row: as many rows per block as pairs in a tile
+        blocks = row_blocks(PAIR_TILE + 5, 0)
+        assert [(b.start, b.stop) for b in blocks] == \
+            [(0, PAIR_TILE), (PAIR_TILE, PAIR_TILE + 5)]
+
+    @pytest.mark.parametrize("width", [PAIR_TILE + 1, 5 * PAIR_TILE])
+    def test_rows_wider_than_a_tile_go_one_at_a_time(self, width):
+        blocks = row_blocks(4, width)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 2), (2, 3), (3, 4)]

@@ -22,7 +22,8 @@ from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
 from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
                              conical_energy_at, conical_energy_by_row,
                              d_metric, find_gap_interval, gap_instance,
-                             sandwich_halves_by_node, synthetic_stages_constant_core)
+                             sandwich_halves_by_node, synthetic_stages_constant_core,
+                             tile_pairs)
 
 
 def line_atoms(n=96, y=0.0):
@@ -239,7 +240,7 @@ class TestGoodAtScale:
         _, atoms, eprime, fams, root_iv = single_line_instance(pitch=1 / 32)
         stages = stages_for(atoms, eprime, fams, root_iv)
         # at k = 0 the ball radius 10 in d_I reaches every atom of the segment
-        full = good_at_scale_all(stages, 0)
+        full = good_at_scale_all(stages, [0])[0]
         universe = stages.core_universe()
         for i in range(len(atoms)):
             assert full[i] == maximal_intervals(universe)
@@ -260,8 +261,10 @@ class TestGoodAtScale:
                 stages.core[i] = []
             k_top += 3
         emptied = False
-        for k in range(k_top + 1):
-            batch = good_at_scale_all(stages, k)
+        tables = good_at_scale_all(stages, range(k_top + 1))
+        assert sorted(tables) == list(range(k_top + 1))
+        for k, batch in tables.items():
+            assert batch == good_at_scale_all(stages, [k])[k]
             assert sorted(batch) == list(range(len(stages.atoms)))
             for i in range(len(stages.atoms)):
                 assert batch[i] == good_at_scale(stages, i, k), (k, i)
@@ -280,7 +283,7 @@ class TestGoodAtScale:
             for i in list(stages.core)[::3]:
                 stages.core[i] = []
         tree = build_tree(stages)
-        fresh = {k: good_at_scale_all(stages, k) for k in range(1, params.k_max + 1)}
+        fresh = {k: good_at_scale_all(stages, [k])[k] for k in range(1, params.k_max + 1)}
         assert tree.good_by_scale == fresh
         assert verify_tree(tree) == verify_tree(dataclasses.replace(tree, good_by_scale=fresh))
 
@@ -699,8 +702,7 @@ class TestBlockedTreeKernels:
         whole = build_tree(stages)
         rep = verify_tree(whole)
         assert max(len(stages.core_carriers(iv)) for iv in stages.core_universe()) > 1
-        monkeypatch.setattr(tree_module, "PAIR_TILE", 1)
-        monkeypatch.setattr(conical, "PAIR_TILE", 1)
+        blocks = tile_pairs(monkeypatch, 1, tree_module, conical)
         tiled = build_tree(stages)
         assert tiled.good_by_scale == whole.good_by_scale
         assert [(n.cube.atom_idx.tolist(), n.interval, n.tag) for n in tiled.nodes.values()] \
@@ -711,6 +713,7 @@ class TestBlockedTreeKernels:
         assert sorted(tiled.bad_ids) == sorted(whole.bad_ids) == bad_cubes_by_atom(tiled)
         assert {key: rep[key] for key in ("bad_scale_budget", "bad_scale_max_ratio")} == \
             bad_scale_budget_by_node(tiled)
+        assert max(blocks) > 1
 
 
 def uneven_energy_instance():
@@ -780,7 +783,7 @@ class TestOneEnergyCallPerSite:
         high = conical.scale_ceiling(atoms.points, 0.5)
 
         def energy(i, ivs):
-            return conical_energy_at(atoms, atoms.points[i], ivs, 0.5, 0, high).total_float
+            return conical_energy_at(atoms, atoms.points[i], ivs, 0.5, high).total_float
 
         members = [iv for iv, _ in families[0]]
         assert stages.controlled.tolist() == \
