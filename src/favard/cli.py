@@ -202,8 +202,8 @@ def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     failures = 0
     reports = []
-    # the instances are drawn in trial order and descend in blocks of
-    # LATTICE_BLOCK, so one block of instances and cubes is alive at a time
+    # the instances are drawn in trial order and go to descend_all in blocks
+    # of LATTICE_BLOCK, so one block of instances and cubes is alive at a time
     for lo in range(0, args.instances, LATTICE_BLOCK):
         block = []
         for trial in range(lo, min(lo + LATTICE_BLOCK, args.instances)):
@@ -214,10 +214,10 @@ def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
                 else TriadicInterval(3, int(rng.integers(0, 27)))
             l = int(rng.integers(0, 3))
             k = int(rng.integers(0, 3))
-            block.append((pts, np.arange(n), h_choice, k, h_choice, l))
+            block.append((pts, np.arange(n), h_choice, k + l))
         for trial, (job, cubes) in enumerate(zip(block, descend_all(block, cfg.rho)), lo):
-            pts, carrier, h_choice, k, _, l = job
-            rep = check_cube_invariants(pts, carrier, cubes, k + l)
+            pts, carrier, h_choice, _ = job
+            rep = check_cube_invariants(pts, carrier, cubes)
             ok = rep["partition"] and rep["sandwich_outer"] and rep["sandwich_inner"] \
                 and rep["net_separation"]
             reports.append({"trial": trial, "H(J)": h_choice.length, **{

@@ -72,10 +72,12 @@ class ExperimentConfig:
 
 
 def write_json(path, payload) -> None:
-    """Write `payload` to `path` as JSON indented by one space, in one write, a
-    value JSON cannot hold as its str: every report, tree dump and certificate."""
+    """Write `payload` to `path` as JSON indented by one space, in one write:
+    every report, tree dump and certificate. A value JSON cannot hold raises
+    TypeError before the file is opened, so the previous file keeps its bytes."""
+    text = json.dumps(payload, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=1, default=str))
+        fh.write(text)
 
 
 def content_hash(path) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -57,19 +56,8 @@ class EnergyProfile:
     denominator: int
 
     @property
-    def masses(self) -> list[Fraction]:
-        return [Fraction(n, self.denominator) for n in self.numerators]
-
-    @property
-    def total(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.denominator)
-
-    @property
     def total_float(self) -> float:
         return sum(self.numerators) / self.denominator    # int / int rounds correctly
-
-    def masses_float(self) -> list[float]:
-        return [float(m) for m in self.masses]
 
 
 def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,

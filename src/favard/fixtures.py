@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import Family
 from .sets import DiscreteMeasure, SegmentUnion, four_corners, split_parallel
 from .torus import TriadicInterval
 from .tree import GoodStages, build_good_stages
@@ -21,8 +20,7 @@ def single_line_instance(pitch: float = 1.0 / 128.0):
     union = SegmentUnion.from_endpoints([(0.0, 0.0)], [(1.0, 0.0)])
     atoms = union.atoms(pitch)
     root_iv = TRANSVERSE_ROOT
-    theta_w = 0.24
-    families = {i: [(root_iv, theta_w)] for i in range(len(atoms))}
+    families = {i: [root_iv] for i in range(len(atoms))}
     eprime = np.ones(len(atoms), dtype=bool)
     return union, atoms, eprime, families, root_iv
 
@@ -31,11 +29,10 @@ def two_direction_instance():
     """Two spatially separated clusters carrying different triadic children.
 
     The left cluster's atoms carry the left child of the root interval, the
-    right cluster's
-    the right child, so the first tree generation must shatter.
+    right cluster's the right child, so the first tree generation must shatter.
     """
     root_iv = TRANSVERSE_ROOT
-    left_dir, mid_dir, right_dir = root_iv.children()
+    left_dir, _, right_dir = root_iv.children()
     xs_left = np.linspace(0.0, 0.35, 24)
     xs_right = np.linspace(0.65, 1.0, 24)
     pts = np.concatenate([
@@ -43,11 +40,7 @@ def two_direction_instance():
         np.column_stack([xs_right, np.zeros_like(xs_right)]),
     ])
     atoms = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
-    families: dict[int, Family] = {}
-    for i in range(len(xs_left)):
-        families[i] = [(left_dir, left_dir.center)]
-    for i in range(len(xs_left), len(pts)):
-        families[i] = [(right_dir, right_dir.center)]
+    families = {i: [left_dir] if i < len(xs_left) else [right_dir] for i in range(len(pts))}
     eprime = np.ones(len(pts), dtype=bool)
     return atoms, eprime, families, root_iv
 
@@ -59,8 +52,7 @@ def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
     union = horiz.mapped(lambda pts: pts * scale)
     atoms = union.atoms(pitch * scale)
     root_iv = TRANSVERSE_ROOT
-    theta_w = 0.24
-    families = {i: [(root_iv, theta_w)] for i in range(len(atoms))}
+    families = {i: [root_iv] for i in range(len(atoms))}
     eprime = np.ones(len(atoms), dtype=bool)
     return union, atoms, eprime, families, root_iv
 

@@ -44,21 +44,6 @@ class GraphCertificate:
                           "points": self.points,
                           "retained_idx": self.retained_idx})
 
-    def evaluate(self, t: float) -> float:
-        ps = sorted(self.points)
-        if not ps:
-            raise ValueError("empty certificate")
-        if t <= ps[0][0]:
-            return ps[0][1]
-        if t >= ps[-1][0]:
-            return ps[-1][1]
-        for (t0, f0), (t1, f1) in zip(ps, ps[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return f0
-                return f0 + (f1 - f0) * (t - t0) / (t1 - t0)
-        return ps[-1][1]
-
 
 def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[bool, float]:
     """Exhaustive pairwise cone-emptiness test and the realized slope.

@@ -1,16 +1,16 @@
 """Generalized anisotropic dyadic lattices.
 
 The base lattice is one fixed half-open square grid (origin 0) on the plane;
-its levels nest exactly. Descendants of a carrier adapted to a direction interval J are built
-by grouping base cells around a greedily chosen 3 rho^{k+l}-separated net of
-cell centers in the metric d_J: cells within d_J-distance rho^{k+l} of a net
-point are "very close" (the unique such point takes them), remaining cells go
-to the first net point within 3 rho^{k+l}. Every output cube Q then satisfies
-the sandwich
+its levels nest exactly. The cubes of generation g of a carrier adapted to a
+direction interval J are built by grouping base cells around a greedily
+chosen 3 rho^g-separated net of cell centers in the metric d_J: cells within
+d_J-distance rho^g of a net point are "very close" (the unique such point
+takes them), remaining cells go to the first net point within 3 rho^g. Every
+output cube Q then satisfies the sandwich
 
-    B_J(x_Q, 0.5 rho^{k+l}) n P  subset  Q  subset  B_J(x_Q, 4 rho^{k+l}) n P.
+    B_J(x_Q, 0.5 rho^g) n P  subset  Q  subset  B_J(x_Q, 4 rho^g) n P.
 
-The base-cell side rho^m obeys H(J) rho^{k+l+2} < 5 rho^m <= H(J) rho^{k+l+1}.
+The base-cell side rho^m obeys H(J) rho^{g+2} < 5 rho^m <= H(J) rho^{g+1}.
 """
 
 from __future__ import annotations
@@ -25,19 +25,19 @@ from .torus import (TOL, DirectionInterval, _metric_coords, d_metric_many, direc
                     row_blocks)
 
 
-def side_exponent(h_j: float, k: int, l: int, rho: float) -> int:
-    """The unique integer m with H(J) rho^{k+l+2} < 5 rho^m <= H(J) rho^{k+l+1}."""
+def side_exponent(h_j: float, gen: int, rho: float) -> int:
+    """The unique integer m with H(J) rho^{gen+2} < 5 rho^m <= H(J) rho^{gen+1}."""
     if not (0.0 < h_j <= 1.0):
         raise ValueError("interval length must lie in (0, 1]")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
-    target = h_j * rho ** (k + l + 1) / 5.0
+    target = h_j * rho ** (gen + 1) / 5.0
     m = math.ceil(math.log(target) / math.log(rho) - 1e-9)
     while rho**m > target:
         m += 1
     while rho ** (m - 1) <= target:
         m -= 1
-    if not (h_j * rho ** (k + l + 2) < 5 * rho**m <= h_j * rho ** (k + l + 1)):
+    if not (h_j * rho ** (gen + 2) < 5 * rho**m <= h_j * rho ** (gen + 1)):
         raise AssertionError("side rule violated; rho/H(J) out of supported range")
     return m
 
@@ -66,8 +66,9 @@ def cell_order(idx: np.ndarray, coords: np.ndarray, side: np.ndarray,
 class AnisoCube:
     """A cube of the generalized lattice: a set of atoms with a centered tube.
 
-    The ball B_Q is B_{J_Q}(x_Q, 4 rho^k); `base_m` is the level of the base
-    cells the cube is a union of.
+    `level` is the cube's generation g and `interval` its direction interval
+    J_Q; the tree reads both from here. The ball B_Q is B_{J_Q}(x_Q, 4
+    rho^g); `base_m` is the level of the base cells the cube is a union of.
     """
 
     atom_idx: np.ndarray
@@ -83,43 +84,33 @@ class AnisoCube:
     def __len__(self) -> int:
         return len(self.atom_idx)
 
-    def center(self, points: np.ndarray) -> np.ndarray:
-        return points[self.center_idx]
-
     def mass(self, weights: np.ndarray) -> float:
         return math.fsum(weights[self.atom_idx].tolist())
-
-
-def descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
-            k: int, interval: DirectionInterval, l: int, rho: float = 0.5) -> list[AnisoCube]:
-    """The cubes of one carrier: `descend_all` of the single job."""
-    return descend_all([(points, member_idx, j_parent, k, interval, l)], rho)[0]
 
 
 def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
     """Dyadic descendants of many carriers, one cube list per job.
 
-    A job is (points, member_idx, j_parent, k, interval, l): the carrier is
-    the atom set `member_idx` of `points`, descended to generation k+l and
-    adapted to `interval`, which must be contained in `j_parent`; l >= 0.
-    Each list partitions its carrier, and depends on its own job only.
+    A job is (points, member_idx, interval, gen): the carrier is the atom
+    set `member_idx` of `points`, cut into the cubes of generation gen >= 0
+    adapted to `interval`. A child generation of a cube is the job of its
+    atoms at gen + 1; a shattered piece keeps its generation and takes a
+    narrower interval. Each list partitions its carrier, and depends on its
+    own job only.
     """
     if not jobs:
         return []
-    gens, sides, ms, frames, arrays = [], [], [], [], {}
-    for points, member_idx, j_parent, k, interval, l in jobs:
+    sides, ms, frames, arrays = [], [], [], {}
+    for points, member_idx, interval, gen in jobs:
         if len(member_idx) == 0:
-            raise ValueError("descend of an empty carrier")
-        if l < 0:
-            raise ValueError("l must be >= 0")
-        if interval.length > j_parent.length + TOL:
-            raise ValueError("interval must be contained in the parent interval")
-        m = side_exponent(interval.length, k, l, rho)
-        gens.append(k + l)
+            raise ValueError("a descent job has an empty carrier")
+        if gen < 0:
+            raise ValueError("gen must be >= 0")
+        m = side_exponent(interval.length, gen, rho)
         ms.append(m)
         sides.append(rho**m)
         frames.append((*direction_vector(interval.center), interval.length,
-                       rho ** (k + l), 3.0 * rho ** (k + l)))
+                       rho**gen, 3.0 * rho**gen))
         arrays.setdefault(id(points), points)
     # the atoms of every carrier as rows of one stacked point array
     offset = dict(zip(arrays, np.cumsum([0] + [len(p) for p in arrays.values()]).tolist()))
@@ -187,16 +178,17 @@ def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
     net_atoms = centers[sweep][net_pos[by_carrier]].tolist()
     per_job = np.bincount(car[net_pos], minlength=len(jobs)).tolist()
     out, q = [], 0
-    for job, n_net, gen, m in zip(jobs, per_job, gens, ms):
-        out.append([AnisoCube(grouped[bounds[i]:bounds[i + 1]], net_atoms[i], gen, job[4], m,
+    for (_, _, interval, gen), n_net, m in zip(jobs, per_job, ms):
+        out.append([AnisoCube(grouped[bounds[i]:bounds[i + 1]], net_atoms[i], gen, interval, m,
                               rho) for i in range(q, q + n_net)])
         q += n_net
     return out
 
 
 def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
-                          cubes: Sequence[AnisoCube], gen: int) -> dict:
-    """Exact lattice invariants: partition, sandwich (0.5 / 4 radii), separation.
+                          cubes: Sequence[AnisoCube]) -> dict:
+    """Exact lattice invariants: partition, sandwich (0.5 / 4 radii at each
+    cube's own scale rho^level), separation.
 
     Returns a report dict; every boolean is an exact (tolerance TOL) check.
     """
@@ -216,7 +208,7 @@ def check_cube_invariants(points: np.ndarray, carrier_idx: np.ndarray,
     for c in cubes:
         by_interval.setdefault(c.interval, []).append(c)
     for interval, group in by_interval.items():
-        scale = np.array([c.rho**gen for c in group])
+        scale = np.array([c.rho**c.level for c in group])
         centers = pts[[c.center_idx for c in group]]
         owner = np.repeat(np.arange(len(group)), [len(c) for c in group])
         atoms = np.concatenate([c.atom_idx for c in group])

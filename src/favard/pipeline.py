@@ -7,11 +7,11 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .conical import bad_scale_counts, scale_ceiling, select_good_directions
+from .conical import Family, bad_scale_counts, scale_ceiling, select_good_directions
 from .graphs import extract_graph, verify_lipschitz
-from .projection import projection_measures
+from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, ahlfors_constant
-from .torus import AngleInterval, TriadicInterval, perp, wrap
+from .torus import TOL, AngleInterval, TriadicInterval, perp, wrap
 from .tree import propagate_good_directions
 
 
@@ -20,16 +20,63 @@ def _rotate_quarter(pts: np.ndarray, shift=(0.0, 0.0)) -> np.ndarray:
     return np.column_stack([-pts[:, 1] - shift[0], pts[:, 0] - shift[1]])
 
 
+def _root_interval(grid: np.ndarray, good: np.ndarray, level: int
+                   ) -> tuple[TriadicInterval, float]:
+    """The level-`level` triadic interval with the largest fraction of good
+    grid angles (the lowest index among ties) and that fraction, from one
+    pass over the angles in [0, 1): each goes into the interval whose
+    half-open bounds [low, high) hold it, found from the guess int(t 3^level)
+    by at most one step. An interval without angles scores 0, and some angle
+    is good, so only the intervals holding angles compete."""
+    n = 3**level
+    counts: dict[int, list[int]] = {}
+    for t, ok in zip(grid.tolist(), good.tolist()):
+        iv = TriadicInterval(level, min(int(t * n), n - 1))
+        if t < iv.low:
+            iv = TriadicInterval(level, iv.index - 1)
+        elif t >= iv.high:
+            iv = TriadicInterval(level, iv.index + 1)
+        tally = counts.setdefault(iv.index, [0, 0])
+        tally[0] += ok
+        tally[1] += 1
+    score = {i: float(hits) / total for i, (hits, total) in counts.items()}
+    best = min(score, key=lambda i: (-score[i], i))
+    return TriadicInterval(level, best), score[best]
+
+
+def _check_witnesses(segment_model: SegmentUnion, atoms: DiscreteMeasure, eprime: np.ndarray,
+                     families: dict[int, Family], m_bound: float) -> None:
+    """Witness bound: every witness satisfies mu_theta_perp(x) <= M.
+
+    Evaluated on the segment model (the atomized pushforward has no bounded
+    maximal function), one density per distinct witness angle.
+    """
+    projector = Projector(segment_model)
+    by_angle: dict[float, list[int]] = {}
+    for i in np.nonzero(eprime)[0]:
+        for _, th in families.get(int(i), []):
+            by_angle.setdefault(perp(th), []).append(int(i))
+    for t, idx in by_angle.items():
+        vals = projector.mu_theta(t, atoms.points[idx])
+        bad = np.nonzero(vals > m_bound + TOL)[0]
+        if len(bad):
+            raise ValueError(
+                f"witness bound fails: witness angle {wrap(t - 0.25)} at atom "
+                f"{idx[bad[0]]} has mu_theta_perp = {vals[bad[0]]} > M = {m_bound}")
+
+
 def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> dict:
     """The end-to-end extraction pipeline on a parallel segment union.
 
     Stages: normalize to diameter 1; find the big-projection directions and a
     triadic root interval inside them; select per-atom good families;
-    propagate the families in the quarter-rotated frame (where the
+    check each witness angle against M, then propagate the families, as
+    lists of intervals, in the quarter-rotated frame (where the
     perpendicular families stay triadic); bound the bad scales of the
     finished set; extract a Lipschitz graph and map it back. Raises
     ValueError with the stage name on hypothesis failure, AssertionError
-    with the stage name when the back-mapped certificate fails.
+    with the stage name when a propagation stage check or the back-mapped
+    certificate fails.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
@@ -55,14 +102,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
                          f" max ratio = {measures.max() / total}")
 
     level = max(1, math.ceil(math.log(a_const * m_bound / cfg.c_j) / math.log(3.0)))
-    best, best_score = None, -1.0
-    for idx in range(3**level):
-        j = TriadicInterval(level, idx)
-        inside = (grid >= j.low) & (grid < j.high)
-        score = float(np.count_nonzero(good & inside)) / max(1, np.count_nonzero(inside))
-        if score > best_score:
-            best, best_score = j, score
-    root_iv = best
+    root_iv, best_score = _root_interval(grid, good, level)
     report["root_iv"] = {"level": root_iv.level, "index": root_iv.index, "coverage": best_score}
     if best_score < 1.0:
         raise ValueError("stage directions: no triadic root interval fully inside "
@@ -90,8 +130,10 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     rot_atoms = DiscreteMeasure(_rotate_quarter(atoms.points, shift), atoms.weights)
     rot_union = norm.mapped(lambda pts: _rotate_quarter(pts, shift))
 
-    prop = propagate_good_directions(rot_atoms, selection.eprime, selection.families, root_iv,
-                                     a_const, m_bound, cfg, segment_model=rot_union)
+    _check_witnesses(rot_union, rot_atoms, selection.eprime, selection.families, m_bound)
+    families = {i: [iv for iv, _ in fam] for i, fam in selection.families.items()}
+    prop = propagate_good_directions(rot_atoms, selection.eprime, families, root_iv,
+                                     a_const, m_bound, cfg)
     report["propagation"] = {
         "rounds": prop.rounds,
         "trace": prop.trace,

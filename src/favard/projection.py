@@ -236,21 +236,6 @@ class PiecewiseConstDensity:
             if len(self.values) else 0.0
         return dense + math.fsum(m for _, m in self.atoms)
 
-    def dense_mass_centered(self, t: float, r: float) -> float:
-        """Density mass of (t - r, t + r), computed in t-centered coordinates.
-
-        Shifting the breakpoints by t before clipping avoids the cancellation
-        of (t + r) - (t - r); a window strictly inside one piece contributes
-        exactly value * 2r.
-        """
-        if r <= 0.0 or not len(self.values):
-            return 0.0
-        shifted = self.breakpoints - t
-        lo = np.maximum(shifted[:-1], -r)
-        hi = np.minimum(shifted[1:], r)
-        overlap = np.clip(hi - lo, 0.0, None)
-        return float(overlap @ self.values)
-
     def _adjacent_values(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Density values just left and right of each t (0 outside the pieces)."""
         padded = np.concatenate(([0.0], self.values, [0.0]))

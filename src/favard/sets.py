@@ -71,11 +71,6 @@ class Segment:
         coords = np.array([self.a + self.b]).T
         object.__setattr__(self, "length", float(_checked_lengths(coords)[0]))
 
-    @property
-    def direction_angle(self) -> float:
-        """Direction of the carrying line, in [0, 1/2)."""
-        return line_angle((self.b[0] - self.a[0], self.b[1] - self.a[1]))
-
 
 class SegmentUnion:
     """Finite union of segments; mu is arclength on the union.
@@ -306,9 +301,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return math.fsum(self.weights.tolist())
 
-    def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points[mask], self.weights[mask])
-
 
 class DyadicSquareSet:
     """Union of closed dyadic squares [i 2^-k, (i+1) 2^-k] x [j 2^-k, (j+1) 2^-k]."""
@@ -335,17 +327,6 @@ class DyadicSquareSet:
     def cell_centers(self) -> np.ndarray:
         s = self.side
         return np.array([[(i + 0.5) * s, (j + 0.5) * s] for i, j in sorted(self.cells)])
-
-    def diameter(self) -> float:
-        pts = self.cell_centers()
-        lo, hi = pts.min(axis=0) - self.side / 2, pts.max(axis=0) + self.side / 2
-        return float(np.hypot(*(hi - lo)))
-
-    def ball_mass(self, center, r: float) -> float:
-        """Cell-counting proxy for the 1-d mass of a ball: side per cell center hit."""
-        pts = self.cell_centers()
-        inside = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]) <= r + TOL
-        return float(np.count_nonzero(inside)) * self.side
 
     def skeleton(self) -> SegmentUnion:
         """Union of the 4 boundary edges of every cell, shared edges kept once.
@@ -409,33 +390,26 @@ def split_parallel(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:
             SegmentUnion.from_endpoints(a[ver], b[ver]))
 
 
-def ahlfors_constant(model, sample_count: int, seed: int = 0) -> float:
-    """Sampled estimate (from below) of the Ahlfors regularity constant.
+def ahlfors_constant(union: SegmentUnion, sample_count: int, seed: int = 0) -> float:
+    """Sampled estimate (from below) of the Ahlfors regularity constant of a
+    segment union.
 
     Draws (x, r) with x on the set and r uniform in (0, diam); returns the
     largest of mass/r and r/mass over the samples, at least 1. Ball masses are
-    exact arclength for segment unions and cell-counting for square sets.
-    Extending sample_count with the same seed only adds samples, so the
-    estimate is nondecreasing in sample_count.
+    exact arclength. Extending sample_count with the same seed only adds
+    samples, so the estimate is nondecreasing in sample_count.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     u1, u2, u3 = rng.random((sample_count, 3)).T
-    if isinstance(model, SegmentUnion):
-        # a segment drawn by length, then a uniform point on it
-        cum = np.cumsum(model.lengths) / model.lengths.sum()
-        k = np.minimum(np.searchsorted(cum, u1, side="right"), len(model) - 1)
-        x1, y1, x2, y2 = model.coords[:, k]
-        centers = np.column_stack([x1 + u2 * (x2 - x1), y1 + u2 * (y2 - y1)])
-        radii = np.maximum(1e-9, u3) * model.diameter()
-    elif isinstance(model, DyadicSquareSet):
-        cells = model.cell_centers()
-        centers = cells[np.minimum((u1 * len(cells)).astype(np.int64), len(cells) - 1)]
-        radii = np.maximum(model.side, u3 * model.diameter())
-    else:
-        raise TypeError(f"unsupported model {type(model)!r}")
-    masses = np.array([model.ball_mass(x, r) for x, r in zip(centers, radii)])
+    # a segment drawn by length, then a uniform point on it
+    cum = np.cumsum(union.lengths) / union.lengths.sum()
+    k = np.minimum(np.searchsorted(cum, u1, side="right"), len(union) - 1)
+    x1, y1, x2, y2 = union.coords[:, k]
+    centers = np.column_stack([x1 + u2 * (x2 - x1), y1 + u2 * (y2 - y1)])
+    radii = np.maximum(1e-9, u3) * union.diameter()
+    masses = np.array([union.ball_mass(x, r) for x, r in zip(centers, radii)])
     hit = masses > 0.0
     ratios = np.concatenate([masses[hit] / radii[hit], radii[hit] / masses[hit]])
     return float(np.max(ratios, initial=1.0))

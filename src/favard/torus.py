@@ -163,11 +163,6 @@ class TriadicInterval:
         """The child sharing the parent's center."""
         return TriadicInterval(self.level + 1, 3 * self.index + 1)
 
-    def contains_angle(self, theta: float) -> bool:
-        """Half-open membership theta in [low, high)."""
-        t = wrap(theta)
-        return self.low <= t < self.high
-
     def contains(self, other: "TriadicInterval") -> bool:
         """Containment of triadic intervals (integer arithmetic, exact)."""
         if other.level < self.level:

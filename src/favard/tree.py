@@ -1,16 +1,19 @@
 """The good-direction tree: stage families, shattering, packing, propagation.
 
 Pipeline order: per-point families of good triadic direction intervals come in
-(from selection or synthetic fixtures); ``build_good_stages`` prunes them to
-the energy-controlled stages; ``build_tree`` grows the tree of anisotropic
-cubes adapted to the very good directions, with the shattering procedure that
-narrows the direction interval at a fixed generation; ``verify_tree`` checks
-the structural properties exhaustively; ``packing_sums`` measures the packing
-quantities, and ``bad_chain_check`` bounds each point's energy by the bad
-cubes containing it; ``propagate_good_directions`` iterates the stage
-construction until the finished set is large. The stages keep the config
-they were built with, and every later step reads it from them. The bad cubes
-are a cached property of the tree, so no check depends on which ran first.
+(from selection or synthetic fixtures), each a list of triadic intervals;
+``build_good_stages`` prunes them to the energy-controlled stages;
+``build_tree`` grows the tree of anisotropic cubes adapted to the very good
+directions, with the shattering procedure that narrows the direction interval
+at a fixed generation, and each node reads its generation and interval from
+its cube; ``verify_tree`` checks the structural properties exhaustively;
+``packing_sums`` measures the packing quantities, and ``bad_chain_check``
+bounds each point's energy by the bad cubes containing it;
+``propagate_good_directions`` iterates the stage construction until the
+finished set is large, and stops at a stage check that fails. The stages keep
+the config they were built with, and every later step reads it from them. The
+bad cubes are a cached property of the tree, so no check depends on which ran
+first.
 
 All interval-measure arithmetic runs in integer units of 3^-D for a common
 depth D, so coverage tests and packing sums are exact.
@@ -26,13 +29,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, write_json
-from .conical import Family, bad_scale_table, conical_energy, scale_ceiling
-from .lattice import AnisoCube, descend, descend_all
-from .projection import Projector
+from .conical import bad_scale_table, conical_energy, scale_ceiling
+from .lattice import AnisoCube, descend_all
 from .sets import DiscreteMeasure
-from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, perp, row_blocks, wrap
+from .torus import TOL, AngleInterval, TriadicInterval, d_metric_many, row_blocks, wrap
 
 MAX_ROUNDS = 64     # hard cap on propagation rounds
+# the stage checks of build_good_stages that stop propagation when False
+STAGE_CHECKS = ("chebyshev_e0", "g0_covers", "g1_large")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ class GoodStages:
     params: ExperimentConfig                 # the config the stages were built with
     units: TriadicUnits
     eprime: np.ndarray                       # bool mask over atoms
-    families: dict[int, Family]              # per-selected-atom direction families
+    families: dict[int, list[TriadicInterval]]   # per-selected-atom direction families
     energy_threshold: float                  # twice-average energy cutoff
     controlled: np.ndarray                   # energy-controlled subset of selected
     cover: dict[int, list[TriadicInterval]]
@@ -116,10 +120,6 @@ class GoodStages:
     def core_carriers(self, interval: TriadicInterval) -> np.ndarray:
         return np.array(sorted(i for i, ivs in self.core.items() if interval in ivs),
                         dtype=np.int64)
-
-
-def _family_intervals(fam: Family) -> list[TriadicInterval]:
-    return [iv for iv, _ in fam]
 
 
 def _maximal_cover(root_iv: TriadicInterval, members: list[TriadicInterval],
@@ -161,7 +161,7 @@ def _stage_constants(root_iv: TriadicInterval, a_const: float, m_bound: float,
 
 
 def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
-                      families: dict[int, Family], root_iv: TriadicInterval,
+                      families: dict[int, list[TriadicInterval]], root_iv: TriadicInterval,
                       a_const: float, m_bound: float,
                       params: Optional[ExperimentConfig] = None) -> GoodStages:
     """Prune per-point families to the energy-controlled stage families.
@@ -179,8 +179,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     if emass <= 0.0:
         raise ValueError("the selected set carries no mass")
 
-    for i, fam in families.items():
-        ivs = _family_intervals(fam)
+    for i, ivs in families.items():
         for iv in ivs:
             if not root_iv.contains(iv):
                 raise ValueError(f"family interval {iv} of atom {i} outside the root interval")
@@ -193,7 +192,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     selected = np.nonzero(eprime)[0]
     energies = [prof.total_float for prof in conical_energy(
         atoms, atoms.points[selected],
-        [_family_intervals(families.get(int(i), [])) for i in selected], params.rho, high)]
+        [families.get(int(i), []) for i in selected], params.rho, high)]
 
     weighted = math.fsum(e * w for e, w in zip(energies, atoms.weights[selected].tolist()))
     energy_threshold = weighted / emass + 1.0
@@ -203,7 +202,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     e0_mass = math.fsum(atoms.weights[controlled].tolist())
     chebyshev_ok = e0_mass >= emass / 2.0 - TOL
 
-    members = {i: _family_intervals(families[i]) for i in np.nonzero(controlled)[0].tolist()}
+    members = {i: families[i] for i in np.nonzero(controlled)[0].tolist()}
     cover = {i: _maximal_cover(root_iv, ivs, units, eps) for i, ivs in members.items()}
     g0_len = {i: units.union_length(ivs) for i, ivs in cover.items()}
     g0_covers_ok = all(units.cover_length(root_iv, cover[i]) >= units.union_length(ivs)
@@ -248,7 +247,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
 
 @dataclass
 class FamilyGrowth:
-    families: dict[int, Family]
+    families: dict[int, list[TriadicInterval]]
     finished_mask: np.ndarray
     containment_ok: bool
     growth_ok: bool
@@ -260,40 +259,31 @@ def grow_families(stages: GoodStages) -> FamilyGrowth:
     of the filtered-stage members.
 
     Points outside the controlled set keep their family; points whose cover
-    family is already the whole root interval jump straight to it. Witness
-    angles are inherited from a contained old member. Verifies the two-sided
-    containment and the measured unfinished growth against the rigorous
-    (eps/3) bound.
+    family is already the whole root interval jump straight to it. Verifies
+    the two-sided containment and the measured unfinished growth against the
+    rigorous (eps/3) bound.
     """
     units = stages.units
-    out: dict[int, Family] = {}
+    out: dict[int, list[TriadicInterval]] = {}
     root_iv = stages.root_iv
     e_fin = np.zeros(len(stages.atoms), dtype=bool)
     containment_ok = True
     min_ratio = math.inf
 
-    def witness_for(target: TriadicInterval, fam: Family) -> float:
-        for iv, th in fam:
-            if target.contains(iv):
-                return th
-        raise AssertionError(f"no old member inside {target}")
-
     for i in np.nonzero(stages.eprime)[0]:
         i = int(i)
-        fam = stages.families[i]
+        old_ivs = stages.families[i]
         if not stages.controlled[i]:
-            out[i] = list(fam)
+            out[i] = list(old_ivs)
             continue
         if stages.full_cover[i]:
-            out[i] = [(root_iv, witness_for(root_iv, fam))]
+            out[i] = [root_iv]
             e_fin[i] = True
             continue
         parents = [iv.parent() for iv in stages.filtered[i]]
-        merged = maximal_intervals(_family_intervals(fam) + parents)
-        new_fam = [(iv, witness_for(iv, fam)) for iv in merged]
-        out[i] = new_fam
+        merged = maximal_intervals(old_ivs + parents)
+        out[i] = merged
 
-        old_ivs = _family_intervals(fam)
         for iv in old_ivs:
             if not any(m.contains(iv) for m in merged):
                 containment_ok = False
@@ -352,14 +342,22 @@ def good_at_scale_all(stages: GoodStages, scales: Iterable[int]
 
 @dataclass
 class TreeNode:
-    node_id: int
+    """A node of the tree: its cube, whose level and interval are the node's
+    generation and direction interval, and its place in the forest."""
+
     cube: AnisoCube
-    generation: int
-    interval: TriadicInterval
     tag: str                       # "root0" | "good" | "root"
     parent: Optional[int]
     root_id: int
     children: list[int] = field(default_factory=list)
+
+    @property
+    def generation(self) -> int:
+        return self.cube.level
+
+    @property
+    def interval(self) -> TriadicInterval:
+        return self.cube.interval
 
 
 @dataclass
@@ -367,9 +365,7 @@ class StoppedPiece:
     """A shattered or ended piece that did not join the tree."""
 
     kind: str                      # "end" | "sh"
-    generation: int
-    interval: TriadicInterval
-    atom_idx: np.ndarray
+    cube: AnisoCube
     parent_node: int
 
 
@@ -403,14 +399,6 @@ class DirectionTree:
 
     def node_mass(self, node_id: int) -> float:
         return self.nodes[node_id].cube.mass(self.stages.atoms.weights)
-
-    def tree_of(self, root_id: int) -> list[int]:
-        return [nid for nid, node in self.nodes.items() if node.root_id == root_id]
-
-    def stop_of(self, root_id: int) -> list[StoppedPiece]:
-        """The stop family of a root: Sh/End pieces hanging off its subtree."""
-        members = set(self.tree_of(root_id))
-        return [s for s in self.stopped if s.parent_node in members]
 
     @cached_property
     def bad_ids(self) -> frozenset[int]:
@@ -456,72 +444,63 @@ def build_tree(stages: GoodStages) -> DirectionTree:
     params = stages.params
     rho = params.rho
     pts = stages.atoms.points
-    all_idx = np.arange(len(pts), dtype=np.int64)
-    root_iv = stages.root_iv
 
     nodes: dict[int, TreeNode] = {}
     stopped: list[StoppedPiece] = []
     roots: list[int] = []
+    generations: list[list[int]] = [[] for _ in range(params.k_max + 1)]
 
-    def new_node(cube: AnisoCube, gen: int, interval: TriadicInterval, tag: str,
-                 parent: Optional[int]) -> int:
+    def new_node(cube: AnisoCube, tag: str, parent: Optional[int]) -> None:
         nid = len(nodes)
         root_id = nid if tag in ("root0", "root") else nodes[parent].root_id
-        nodes[nid] = TreeNode(nid, cube, gen, interval, tag, parent, root_id)
+        nodes[nid] = TreeNode(cube, tag, parent, root_id)
+        generations[cube.level].append(nid)
         if parent is not None:
             nodes[parent].children.append(nid)
         if tag in ("root0", "root"):
             roots.append(nid)
-        return nid
 
-    top = descend(pts, all_idx, root_iv, 0, root_iv, 0, rho)
-    gen0 = []
-    for cube in top:
+    for cube in descend_all([(pts, np.arange(len(pts)), stages.root_iv, 0)], rho)[0]:
         if np.any(stages.controlled[cube.atom_idx]):
-            gen0.append(new_node(cube, 0, root_iv, "root0", None))
-    generations = [gen0]
+            new_node(cube, "root0", None)
 
     depth_cap = params.triadic_depth + 2
-
     tree = DirectionTree(stages, nodes, generations, roots, stopped,
                          good_at_scale_all(stages, range(1, params.k_max + 1)))
+
+    def place(piece: AnisoCube, parent: int, depth: int) -> None:
+        interval = piece.interval
+        if not _sees_core_direction(stages, piece.atom_idx, interval):
+            stopped.append(StoppedPiece("end", piece, parent))
+            return
+        if depth == 0:
+            lhs, rhs = tree.goodness_integral(piece.level, piece.atom_idx, interval)
+            joins, tag = lhs >= rhs - 1e-12, "good"
+        else:
+            joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
+        if joins:
+            new_node(piece, tag, parent)
+            return
+        if depth >= depth_cap:
+            raise RuntimeError(
+                f"shattering did not terminate by depth {depth} at generation "
+                f"{piece.level}; interval {interval}, atoms {piece.atom_idx[:8]}")
+        stopped.append(StoppedPiece("sh", piece, parent))
+        # the shattered pieces keep the generation and take the child intervals
+        jobs = [(pts, piece.atom_idx, j_child, piece.level) for j_child in interval.children()]
+        for subs in descend_all(jobs, rho):
+            for sub in subs:
+                place(sub, parent, depth + 1)
+
+    # each generation descends in one call; its pieces are placed node by
+    # node, so node ids follow the generation order
     for k in range(params.k_max):
-        next_gen: list[int] = []
-
-        def place(piece: AnisoCube, interval: TriadicInterval, parent: int,
-                  depth: int) -> None:
-            if not _sees_core_direction(stages, piece.atom_idx, interval):
-                stopped.append(StoppedPiece("end", k + 1, interval, piece.atom_idx, parent))
-                return
-            if depth == 0:
-                lhs, rhs = tree.goodness_integral(k + 1, piece.atom_idx, interval)
-                joins, tag = lhs >= rhs - 1e-12, "good"
-            else:
-                joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
-            if joins:
-                next_gen.append(new_node(piece, k + 1, interval, tag, parent))
-                return
-            if depth >= depth_cap:
-                raise RuntimeError(
-                    f"shattering did not terminate by depth {depth} at generation "
-                    f"{k + 1}; interval {interval}, atoms {piece.atom_idx[:8]}")
-            stopped.append(StoppedPiece("sh", k + 1, interval, piece.atom_idx, parent))
-            kids = interval.children()
-            jobs = [(pts, piece.atom_idx, interval, k + 1, j_child, 0) for j_child in kids]
-            for j_child, subs in zip(kids, descend_all(jobs, rho)):
-                for sub in subs:
-                    place(sub, j_child, parent, depth + 1)
-
-        # the whole generation descends in one call; its pieces are placed
-        # node by node, so node ids follow the generation order
-        gen_nodes = [nodes[nid] for nid in generations[k]]
-        jobs = [(pts, node.cube.atom_idx, node.interval, k, node.interval, 1)
-                for node in gen_nodes]
-        for node, pieces in zip(gen_nodes, descend_all(jobs, rho)):
+        jobs = [(pts, nodes[nid].cube.atom_idx, nodes[nid].interval, k + 1)
+                for nid in generations[k]]
+        for nid, pieces in zip(generations[k], descend_all(jobs, rho)):
             for piece in pieces:
-                place(piece, node.interval, node.node_id, 0)
-        del place      # the recursive closure refers to itself; free the tree by refcount
-        generations.append(next_gen)
+                place(piece, nid, 0)
+    del place      # the recursive closure refers to itself; free the tree by refcount
     return tree
 
 
@@ -530,18 +509,18 @@ def _bad_scale_tables(tree: DirectionTree, dilation: float) -> dict[int, np.ndar
     [0, g]: whether k is a bad scale of a for dilation * J_Q, from one table
     per interval over its nodes' members, up to its deepest generation."""
     pts, rho = tree.stages.atoms.points, tree.stages.params.rho
-    groups: dict[TriadicInterval, list[TreeNode]] = {}
-    for node in tree.nodes.values():
-        groups.setdefault(node.interval, []).append(node)
+    groups: dict[TriadicInterval, list[tuple[int, TreeNode]]] = {}
+    for nid, node in tree.nodes.items():
+        groups.setdefault(node.interval, []).append((nid, node))
     out: dict[int, np.ndarray] = {}
     for interval, group in groups.items():
         held = np.zeros(len(pts), dtype=bool)
-        held[np.concatenate([node.cube.atom_idx for node in group])] = True
+        held[np.concatenate([node.cube.atom_idx for _, node in group])] = True
         row = np.cumsum(held) - 1                 # atom -> its row of the table
         table = bad_scale_table(pts, pts[held], interval.dilate(dilation), rho,
-                                max(node.generation for node in group))
-        out.update((node.node_id, table[row[node.cube.atom_idx], :node.generation + 1])
-                   for node in group)
+                                max(node.generation for _, node in group))
+        out.update((nid, table[row[node.cube.atom_idx], :node.generation + 1])
+                   for nid, node in group)
     return out
 
 
@@ -768,23 +747,22 @@ class PropagationResult:
     finished_mask: np.ndarray
     rounds: int
     trace: list[dict]
-    families: dict[int, Family]
+    families: dict[int, list[TriadicInterval]]
     stages: GoodStages
 
 
 def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
-                              families: dict[int, Family], root_iv: TriadicInterval,
-                              a_const: float, m_bound: float,
-                              params: Optional[ExperimentConfig] = None,
-                              segment_model=None) -> PropagationResult:
+                              families: dict[int, list[TriadicInterval]],
+                              root_iv: TriadicInterval, a_const: float, m_bound: float,
+                              params: Optional[ExperimentConfig] = None) -> PropagationResult:
     """Iterate stage construction and family growth until the finished set
     (family union = the whole root interval) carries a quarter of the
-    selected mass. Given a `segment_model`, every witness is first checked
-    against the bound M.
+    selected mass. A family is a list of triadic intervals.
 
     The average family fraction grows by at least (eps/12) tau per
     unfinished round, so the loop ends within ceil(12 / (eps tau)) rounds;
-    exceeding the cap (or MAX_ROUNDS) raises with the trace.
+    exceeding the cap (or MAX_ROUNDS) raises with the trace. A False stage
+    check (STAGE_CHECKS) raises AssertionError naming the flag and round.
     """
     params = params or ExperimentConfig()
     eprime = np.asarray(eprime, dtype=bool)
@@ -796,15 +774,12 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
         fam = families.get(int(i), [])
         if not fam:
             raise ValueError(f"selected atom {i} has an empty family")
-        ln = units.union_length([iv for iv, _ in fam]) / units.length(root_iv)
+        ln = units.union_length(fam) / units.length(root_iv)
         tau = min(tau, ln)
     if not (tau > 0.0):
         raise ValueError("family hypothesis fails: some family has zero length")
 
     cap = min(MAX_ROUNDS, math.ceil(12.0 / (eps * tau)) + 1)
-
-    if segment_model is not None:
-        _check_witnesses(segment_model, atoms, eprime, families, m_bound)
 
     trace: list[dict] = []
     current = {i: list(f) for i, f in families.items()}
@@ -812,10 +787,14 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     prev_energy = None
     for round_no in range(1, cap + 1):
         stages = build_good_stages(atoms, eprime, current, root_iv, a_const, m_bound, params)
+        failed = [flag for flag in STAGE_CHECKS if not stages.checks[flag]]
+        if failed:
+            raise AssertionError(f"stage propagation: round {round_no} fails the stage "
+                                 f"check {', '.join(failed)}")
         gs = grow_families(stages)
         fin_mass = math.fsum(atoms.weights[gs.finished_mask].tolist())
         avg_len = math.fsum(
-            atoms.weights[i] * units.union_length([iv for iv, _ in current[int(i)]])
+            atoms.weights[i] * units.union_length(current[int(i)])
             / units.length(root_iv)
             for i in np.nonzero(eprime)[0]) / emass
         avg_energy = stages.energy_threshold - 1.0
@@ -843,23 +822,3 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
         + "; ".join(f"r{t['round']}: fin={t['e_fin_mass_fraction']:.3f}, "
                     f"avg={t['avg_family_fraction']:.4f}" for t in trace))
 
-
-def _check_witnesses(segment_model, atoms: DiscreteMeasure, eprime: np.ndarray,
-                     families: dict[int, Family], m_bound: float) -> None:
-    """Witness bound: every witness satisfies mu_theta_perp(x) <= M.
-
-    Evaluated on the segment model (the atomized pushforward has no bounded
-    maximal function), one density per distinct witness angle.
-    """
-    projector = Projector(segment_model)
-    by_angle: dict[float, list[int]] = {}
-    for i in np.nonzero(eprime)[0]:
-        for iv, th in families.get(int(i), []):
-            by_angle.setdefault(perp(th), []).append(int(i))
-    for t, idx in by_angle.items():
-        vals = projector.mu_theta(t, atoms.points[idx])
-        bad = np.nonzero(vals > m_bound + TOL)[0]
-        if len(bad):
-            raise ValueError(
-                f"witness bound fails: witness angle {wrap(t - 0.25)} at atom "
-                f"{idx[bad[0]]} has mu_theta_perp = {vals[bad[0]]} > M = {m_bound}")

@@ -10,8 +10,13 @@ Nothing here runs in a command. Three kinds of definitions live here:
   bad scales, the scalar d_J metric, base-cell grids, the per-carrier
   descend loop, one-step descents, the quadrature form of the conical
   energy, the Hausdorff content of a model, the constant-core stages of
-  the no-shattering tree, the per-atom test of the tree's bad cubes, and
-  the one-node-at-a-time sandwich, budget and bad-chain checks);
+  the no-shattering tree, the per-atom test of the tree's bad cubes, the
+  one-node-at-a-time sandwich, budget and bad-chain checks, and the
+  interval-by-interval search for the pipeline's root interval);
+- small accessors that only the tests read: a segment's direction, a
+  triadic interval's angle membership, a density's centered window mass,
+  an energy profile's exact masses and total and its float masses, and a
+  root's stop family;
 - the bounded-projection step, checked against its weak-(1,1) bookkeeping;
 - two constructions of the paper that feed no stage of the pipeline: the
   Whitney decomposition (acceptance criterion 7) and the gap interval with
@@ -34,17 +39,69 @@ from favard import torus
 from favard.config import ExperimentConfig
 from favard.conical import _interval_key, annulus_scales, bad_scale_counts, scale_index
 from favard.fixtures import FIXTURE_A, FIXTURE_M
-from favard.lattice import AnisoCube, cell_order, descend, side_exponent
+from favard.conical import EnergyProfile
+from favard.lattice import AnisoCube, cell_order, descend_all, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
                          _cloud_content, _cloud_of)
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
-                          perp, row_blocks, row_dot)
-from favard.tree import (C_BAD, DirectionTree, GoodStages, _merge_angle_intervals,
-                         _stage_constants)
+                          line_angle, perp, row_blocks, row_dot, wrap)
+from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece,
+                         _merge_angle_intervals, _stage_constants)
 
+
+# ---------------------------------------------------------------------------
+# accessors only the tests read
+# ---------------------------------------------------------------------------
+
+
+def direction_angle(segment: Segment) -> float:
+    """Direction of a segment's carrying line, in [0, 1/2)."""
+    return line_angle((segment.b[0] - segment.a[0], segment.b[1] - segment.a[1]))
+
+
+def contains_angle(interval: TriadicInterval, theta: float) -> bool:
+    """Half-open membership theta in [low, high)."""
+    t = wrap(theta)
+    return interval.low <= t < interval.high
+
+
+def dense_mass_centered(density: PiecewiseConstDensity, t: float, r: float) -> float:
+    """Density mass of (t - r, t + r), computed in t-centered coordinates.
+
+    Shifting the breakpoints by t before clipping avoids the cancellation
+    of (t + r) - (t - r); a window strictly inside one piece contributes
+    exactly value * 2r.
+    """
+    if r <= 0.0 or not len(density.values):
+        return 0.0
+    shifted = density.breakpoints - t
+    lo = np.maximum(shifted[:-1], -r)
+    hi = np.minimum(shifted[1:], r)
+    overlap = np.clip(hi - lo, 0.0, None)
+    return float(overlap @ density.values)
+
+
+def profile_masses(profile: EnergyProfile) -> list[Fraction]:
+    """An energy profile's exact per-scale masses."""
+    return [Fraction(n, profile.denominator) for n in profile.numerators]
+
+
+def profile_total(profile: EnergyProfile) -> Fraction:
+    """An energy profile's exact total."""
+    return Fraction(sum(profile.numerators), profile.denominator)
+
+
+def masses_float(profile: EnergyProfile) -> list[float]:
+    return [float(m) for m in profile_masses(profile)]
+
+
+def stop_of(tree: DirectionTree, root_id: int) -> list[StoppedPiece]:
+    """The stop family of a root: Sh/End pieces hanging off its subtree."""
+    members = {nid for nid, node in tree.nodes.items() if node.root_id == root_id}
+    return [s for s in tree.stopped if s.parent_node in members]
 
 # ---------------------------------------------------------------------------
 # torus: cones and the d_J metric
@@ -215,7 +272,7 @@ def pushforward_density_by_segment(union: SegmentUnion, theta: float) -> Piecewi
     pieces = []
     atoms = []
     for s in union.segments:
-        c = abs(math.cos(2.0 * math.pi * (theta - s.direction_angle)))
+        c = abs(math.cos(2.0 * math.pi * (theta - direction_angle(s))))
         pa, pb = project(theta, s.a), project(theta, s.b)
         lo, hi = min(pa, pb), max(pa, pb)
         if c < PERP_CUTOFF or hi - lo <= 0.0:
@@ -349,7 +406,7 @@ def maximal_value(density: PiecewiseConstDensity, t: float) -> float:
     for r in sorted(candidates):
         # atoms are resolved by |p - t| vs r, never via the float endpoints
         # t +- r (which may overshoot an atom position by an ulp)
-        dense = density.dense_mass_centered(t, r)
+        dense = dense_mass_centered(density, t, r)
         inner = math.fsum(m for p, m in density.atoms if abs(p - t) < r)
         boundary = math.fsum(m for p, m in density.atoms if abs(p - t) == r)
         best = max(best, (dense + inner) / (2.0 * r))
@@ -627,7 +684,7 @@ def select_bounded_projection_set(union: SegmentUnion, theta: float, m_bound: fl
     hyp = m_bound >= C_WEAK * total / measure
     rep = BoundedProjectionReport(theta, m_bound, measure, total, selected,
                                   hyp, selected >= measure / 2.0 - TOL)
-    return mu.restrict(keep), keep, rep
+    return DiscreteMeasure(mu.points[keep], mu.weights[keep]), keep, rep
 
 
 # ---------------------------------------------------------------------------
@@ -699,20 +756,23 @@ class BaseLattice:
         return {"partition": partition, "nesting": nesting}
 
 
-def loop_descend(points: np.ndarray, member_idx: np.ndarray, j_parent: DirectionInterval,
-                 k: int, interval: DirectionInterval, l: int, rho: float) -> list[AnisoCube]:
-    """descend of one carrier with one d_J row per net point against all of
-    its cell centers: the per-carrier loop the batched rounds of
+def descend_one(points: np.ndarray, member_idx: np.ndarray, interval: DirectionInterval,
+                gen: int, rho: float = 0.5) -> list[AnisoCube]:
+    """The cubes of one carrier: `descend_all` of the single job."""
+    return descend_all([(points, member_idx, interval, gen)], rho)[0]
+
+
+def loop_descend(points: np.ndarray, member_idx: np.ndarray, interval: DirectionInterval,
+                 gen: int, rho: float) -> list[AnisoCube]:
+    """The cubes of one carrier with one d_J row per net point against all
+    of its cell centers: the per-carrier loop the batched rounds of
     `descend_all` are checked against."""
     member_idx = np.asarray(member_idx, dtype=np.int64)
     if len(member_idx) == 0:
-        raise ValueError("descend of an empty carrier")
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if interval.length > j_parent.length + TOL:
-        raise ValueError("interval must be contained in the parent interval")
-    gen = k + l
-    m = side_exponent(interval.length, k, l, rho)
+        raise ValueError("a descent job has an empty carrier")
+    if gen < 0:
+        raise ValueError("gen must be >= 0")
+    m = side_exponent(interval.length, gen, rho)
     pts = np.asarray(points, dtype=float)
     n = len(member_idx)
     order, first = cell_order(member_idx, pts[member_idx], np.full(n, rho**m),
@@ -750,12 +810,12 @@ def loop_descend(points: np.ndarray, member_idx: np.ndarray, j_parent: Direction
 
 def shatter(points: np.ndarray, cube: AnisoCube, j_child: DirectionInterval) -> list[AnisoCube]:
     """Re-partition a cube at its own generation, adapted to a narrower interval."""
-    return descend(points, cube.atom_idx, cube.interval, cube.level, j_child, 0, cube.rho)
+    return descend_one(points, cube.atom_idx, j_child, cube.level, cube.rho)
 
 
 def children(points: np.ndarray, cube: AnisoCube) -> list[AnisoCube]:
     """Descend one generation with the same direction interval."""
-    return descend(points, cube.atom_idx, cube.interval, cube.level, cube.interval, 1, cube.rho)
+    return descend_one(points, cube.atom_idx, cube.interval, cube.level + 1, cube.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +960,7 @@ def synthetic_stages_constant_core(atoms: DiscreteMeasure, root_iv: TriadicInter
     eps, units = _stage_constants(root_iv, FIXTURE_A, FIXTURE_M, params)
     return GoodStages(
         atoms=atoms, root_iv=root_iv, m_bound=FIXTURE_M, eps=eps, params=params, units=units,
-        eprime=all_mask.copy(), families={i: [(root_iv, root_iv.center)] for i in range(n)},
+        eprime=all_mask.copy(), families={i: [root_iv] for i in range(n)},
         energy_threshold=1.0, controlled=all_mask,
         cover={i: [root_iv] for i in range(n)}, filtered={i: [root_iv] for i in range(n)},
         core={i: [root_iv] for i in range(n)},
@@ -1176,3 +1236,24 @@ def gap_instance(n_line=160, offset_sign=1.0, ladder=0, gap_m=128.0):
     w = np.full(len(pts), 0.5 / len(pts))
     mu = DiscreteMeasure(pts, w)
     return mu, np.arange(len(f_pts)), j_iv, x_apex, r, alpha, len(f_pts) - 1
+
+
+# ---------------------------------------------------------------------------
+# pipeline: the root interval, one triadic interval at a time
+# ---------------------------------------------------------------------------
+
+
+def root_interval_by_loop(grid: np.ndarray, good: np.ndarray, level: int
+                          ) -> tuple[TriadicInterval, float]:
+    """The level-`level` triadic interval with the largest fraction of good
+    grid angles, the first in index order among ties, and that fraction,
+    by a scan of all 3^level intervals: the oracle of the pipeline's
+    one-pass search."""
+    best, best_score = None, -1.0
+    for idx in range(3**level):
+        j = TriadicInterval(level, idx)
+        inside = (grid >= j.low) & (grid < j.high)
+        score = float(np.count_nonzero(good & inside)) / max(1, np.count_nonzero(inside))
+        if score > best_score:
+            best, best_score = j, score
+    return best, best_score

@@ -16,14 +16,15 @@ from favard.conical import conical_energy
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
 from favard.graphs import extract_graph, verify_lipschitz
-from favard.lattice import check_cube_invariants, descend
+from favard.lattice import check_cube_invariants
 from favard.projection import PiecewiseConstDensity, favard, favard_mc
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment,
                          SegmentUnion, four_corners, split_parallel)
 from favard.torus import AngleInterval, TriadicInterval, direction_vector
 from favard.tree import build_tree, packing_sums, verify_tree
-from tests.reference import (ConeSpec, bad_scales, d_metric, energy_integral_quadrature,
-                             find_gap_interval, gap_instance, in_cone, maximal_value,
+from tests.reference import (ConeSpec, bad_scales, d_metric, dense_mass_centered, descend_one,
+                             energy_integral_quadrature, find_gap_interval, gap_instance,
+                             in_cone, masses_float, maximal_value, profile_total,
                              to_metric_coords, whitney)
 
 GOLDEN = Path(__file__).parent / "golden" / "cantor_favard.json"
@@ -193,7 +194,7 @@ class TestCriterion4MaximalOracle:
             grid = list(np.linspace(rmax / 10_000, rmax, 10_000)) + sorted(cands)
             best = d.small_window_limit(t)
             for r in grid:
-                dense = d.dense_mass_centered(t, r)
+                dense = dense_mass_centered(d, t, r)
                 inner = sum(mm for p, mm in d.atoms if abs(p - t) < r)
                 bdy = sum(mm for p, mm in d.atoms if abs(p - t) == r)
                 best = max(best, (dense + inner) / (2 * r),
@@ -217,7 +218,7 @@ class TestCriterion5Energies:
             p_union = conical_energy(mu, [x], [(arc_a, arc_b)], 0.5, 10)[0]
             p1 = conical_energy(mu, [x], [arc_a], 0.5, 10)[0]
             p2 = conical_energy(mu, [x], [arc_b], 0.5, 10)[0]
-            assert p_union.total == p1.total + p2.total  # exact rationals
+            assert profile_total(p_union) == profile_total(p1) + profile_total(p2)  # exact
 
         worst = 0.0
         for _ in range(30):
@@ -228,7 +229,7 @@ class TestCriterion5Energies:
             j = 7
             prof = conical_energy(mu, [x], [g], 0.5, j)[0]
             mid = energy_integral_quadrature(mu, x, g, 0.5, 0.5**j, 1.0, 300)
-            inner = math.fsum(prof.masses_float()[1:-1])
+            inner = math.fsum(masses_float(prof)[1:-1])
             full = prof.total_float
             if mid > 0:
                 worst = max(worst, inner / mid)
@@ -250,8 +251,8 @@ class TestCriterion6Lattice:
                 else TriadicInterval(3, int(rng.integers(0, 27)))
             k = int(rng.integers(0, 3))
             l = int(rng.integers(0, 3))
-            cubes = descend(pts, np.arange(n), h_iv, k, h_iv, l)
-            rep = check_cube_invariants(pts, np.arange(n), cubes, k + l)
+            cubes = descend_one(pts, np.arange(n), h_iv, k + l)
+            rep = check_cube_invariants(pts, np.arange(n), cubes)
             assert rep["partition"], trial
             assert rep["sandwich_outer"], trial
             assert rep["sandwich_inner"], trial

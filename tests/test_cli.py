@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from favard import pipeline, tree
 from favard.cli import main
-from favard.config import ExperimentConfig
+from favard.config import ExperimentConfig, write_json
 from favard.pipeline import run_pipeline
 from favard.projection import favard
 from favard.sets import Segment, SegmentUnion, four_corners, split_parallel
+from favard.torus import TriadicInterval
+from tests.reference import root_interval_by_loop
 
 
 @pytest.fixture
@@ -40,6 +43,17 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert ExperimentConfig.from_file(path).n_angles == 512
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)], ids=["int64", "bool_"])
+    def test_write_json_rejects_what_json_cannot_hold(self, tmp_path, value):
+        # the value raises instead of turning into its str, and the previous
+        # report at the path keeps its bytes
+        path = tmp_path / "report.json"
+        write_json(path, {"ok": True})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"ok": value})
+        assert path.read_bytes() == before
 
 
 class TestCompute:
@@ -350,6 +364,75 @@ class TestRerun:
 
 
 class TestPipelineCLI:
+    def test_root_interval_matches_the_interval_scan(self):
+        # random good masks over midpoint grids, random angles, and angles on
+        # the triadic bounds and one ulp below them (where int(t 3^level) is
+        # one too low or one too high), with ties between equally covered
+        # intervals
+        rng = np.random.default_rng(23)
+        for level in range(1, 7):
+            bounds = np.arange(1, 3**level + 1) / 3**level
+            for grid in ((np.arange(256) + 0.5) / 256, (np.arange(97) + 0.5) / 97,
+                         np.sort(rng.random(60)), bounds[:-1], np.nextafter(bounds, 0)):
+                for p in (0.1, 0.5, 0.9, 1.0):
+                    good = rng.random(len(grid)) < p
+                    good[rng.integers(len(grid))] = True
+                    assert pipeline._root_interval(grid, good, level) == \
+                        root_interval_by_loop(grid, good, level), (level, len(grid), p)
+            # each angle whose guess is off by one, as the only good angle
+            n = 3**level
+            grid = np.r_[bounds[:-1], np.nextafter(bounds, 0)]
+            off = [a for a, t in enumerate(grid.tolist())
+                   if not int(t * n) / n <= t < (int(t * n) + 1) / n]
+            assert len(off) == {5: 4, 6: 135}.get(level, 0)
+            for a in off:
+                good = np.arange(len(grid)) == a
+                assert pipeline._root_interval(grid, good, level) == \
+                    root_interval_by_loop(grid, good, level)
+
+    def test_small_kappa_finishes(self, tmp_path):
+        # the root level at kappa 1e-8 is 20: 3^20 intervals, of which the
+        # 256 grid angles fill at most 256
+        path = tmp_path / "segs.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 256}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "1e-8"]) == 0
+        root = json.loads((tmp_path / "pipeline_report.json").read_text())["root_iv"]
+        assert (root["level"], root["coverage"]) == (20, 1.0)
+
+    def test_witness_bound_checked(self):
+        # witnesses perpendicular to the segment: mu_theta_perp is huge
+        segs = SegmentUnion([Segment((0.0, 0.0), (1.0, 0.0))])
+        atoms = segs.atoms(1 / 48)
+        n = len(atoms)
+        fams = {i: [(TriadicInterval(3, 6), 0.0)] for i in range(n)}
+        with pytest.raises(ValueError, match="witness bound"):
+            pipeline._check_witnesses(segs, atoms, np.ones(n, bool), fams, 8.0)
+
+    @pytest.mark.parametrize("flag", tree.STAGE_CHECKS)
+    def test_failed_stage_check_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch,
+                                                        flag):
+        path = tmp_path / "segs.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 1024, "atom_pitch": 1 / 128}))
+        build = tree.build_good_stages
+
+        def failing(*args):
+            stages = build(*args)
+            stages.checks[flag] = False
+            return stages
+
+        monkeypatch.setattr(tree, "build_good_stages", failing)
+        code = main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "0.06"])
+        assert code == 2
+        assert f"stage propagation: round 1 fails the stage check {flag}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "pipeline_report.json").exists()
+
     def test_kappa_too_large_is_hypothesis_failure(self, tmp_path):
         path = tmp_path / "segs.csv"
         horiz, _ = split_parallel(four_corners(1).skeleton())

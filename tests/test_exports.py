@@ -103,9 +103,9 @@ def _references(tree: ast.AST, attributes: bool = True) -> set[str]:
     return out
 
 
-def _source_trees():
-    """The parsed modules of the source, the tests and the benchmark."""
-    for folder in ("src", "tests", "perfbench"):
+def _source_trees(folders=("src", "tests", "perfbench")):
+    """The parsed modules of `folders`: the source, the tests and the benchmark."""
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             yield ast.parse(path.read_text(encoding="utf-8"))
 
@@ -125,11 +125,12 @@ def _public_definitions():
 
 def test_every_public_symbol_is_used():
     """Every public function, class, method and property of the package is
-    used somewhere in the source, the tests or the benchmark, besides its own
-    definition (a definition is not a reference in the AST)."""
-    used = set().union(*(_references(tree) for tree in _source_trees()))
+    used somewhere in the source or the benchmark, besides its own
+    definition (a definition is not a reference in the AST). Code only the
+    tests use lives in tests/reference.py."""
+    used = set().union(*(_references(tree) for tree in _source_trees(("src", "perfbench"))))
     defined = [(label, node.name) for label, node, _ in _public_definitions()]
-    assert ("sets.py: DiscreteMeasure.restrict", "restrict") in defined
+    assert ("tree.py: DirectionTree.node_mass", "node_mass") in defined
     unused = sorted(label for label, name in defined if name not in used)
     assert unused == []
 
@@ -293,3 +294,19 @@ def test_no_energy_call_in_a_loop():
         looped += [f"{path.name}:{line}"
                    for line in _calls_in_loops(tree, "conical_energy")]
     assert looped == []
+
+
+def test_tree_and_lattice_import_nothing_from_projection():
+    """tree.py and lattice.py work on cubes and interval families alone: no
+    import of theirs reaches the projection layer, whose witness check of
+    propagation runs in the pipeline."""
+    leaks = []
+    for name in ("tree.py", "lattice.py"):
+        for node in ast.walk(ast.parse((ROOT / "src" / "favard" / name).read_text(
+                encoding="utf-8"))):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module or "", *(a.name for a in node.names)] \
+                if isinstance(node, ast.ImportFrom) else []
+            if any(module.split(".")[-1] == "projection" for module in modules):
+                leaks.append(f"{name}:{node.lineno}")
+    assert leaks == []

@@ -3,8 +3,7 @@ import pytest
 
 from favard import conical, graphs, torus
 from favard.conical import scale_ceiling
-from favard.graphs import (GraphCertificate, extract_graph, reduce_bad_scales,
-                           verify_lipschitz)
+from favard.graphs import extract_graph, reduce_bad_scales, verify_lipschitz
 from favard.torus import AngleInterval, TriadicInterval, _direction_mask
 from tests.reference import bad_scales, tile_pairs
 
@@ -227,12 +226,6 @@ class TestExtract:
         pts = np.array([[0.0, 0.0], [3.0, 0.0]])
         with pytest.raises(ValueError, match="diameter"):
             extract_graph(pts, AngleInterval(0.25, 0.05), 1)
-
-    def test_certificate_evaluate(self):
-        cert = GraphCertificate(0.5, 1.0, [(0.0, 0.0), (1.0, 1.0)], [0, 1], 0.05)
-        assert cert.evaluate(0.5) == pytest.approx(0.5)
-        assert cert.evaluate(-1.0) == 0.0
-        assert cert.evaluate(2.0) == 1.0
 
     def test_json_export(self, tmp_path):
         cert = extract_graph(abs_graph_points(9), AngleInterval(0.25, 0.1), 0)

@@ -8,12 +8,11 @@ from favard.config import ExperimentConfig
 from favard.fixtures import (cantor_horizontal_instance, single_line_instance,
                              stages_for, two_direction_instance)
 from favard import lattice, torus
-from favard.lattice import (AnisoCube, cell_order, check_cube_invariants, descend, descend_all,
-                            side_exponent)
+from favard.lattice import AnisoCube, cell_order, check_cube_invariants, descend_all, side_exponent
 from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import build_tree
-from tests.reference import (BaseLattice, base_cells, children, d_metric, loop_descend, shatter,
-                             tile_pairs, whitney)
+from tests.reference import (BaseLattice, base_cells, children, d_metric, descend_one,
+                             loop_descend, shatter, tile_pairs, whitney)
 
 
 def reference_cell_center_atom(idx, key, side, coords):
@@ -26,12 +25,11 @@ def reference_cell_center_atom(idx, key, side, coords):
     return int(idx[order[0]])
 
 
-def reference_descend(points, member_idx, j_parent, k, interval, l, rho=0.5):
-    """descend with one scalar d_J per (cell, net point) pair: the oracle of
-    the net sweep."""
+def reference_descend(points, member_idx, interval, gen, rho=0.5):
+    """The cubes of one carrier with one scalar d_J per (cell, net point)
+    pair: the oracle of the net sweep."""
     member_idx = np.asarray(member_idx, dtype=np.int64)
-    gen = k + l
-    m = side_exponent(interval.length, k, l, rho)
+    m = side_exponent(interval.length, gen, rho)
     pts = np.asarray(points, dtype=float)
     cell_list = []
     for key, rel in base_cells(pts[member_idx], None, m, rho).items():
@@ -60,19 +58,19 @@ def reference_descend(points, member_idx, j_parent, k, interval, l, rho=0.5):
             for i, parts in groups.items() if parts]
 
 
-def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
+def reference_check_cube_invariants(points, carrier_idx, cubes):
     """check_cube_invariants cube by cube: the sandwich from one d_J row per
     cube and an `isin` of its inner atoms, the separation from one scalar d_J
-    per pair of cube centers.
+    per pair of cube centers, each at the scale of the cube's own level.
 
     The partition entry comes from the library call.
     """
-    report = check_cube_invariants(points, carrier_idx, cubes, gen)
+    report = check_cube_invariants(points, carrier_idx, cubes)
     carrier = np.sort(np.asarray(carrier_idx, dtype=np.int64))
     outer = inner = True
     max_rel = 0.0
     for c in cubes:
-        scale = c.rho**gen
+        scale = c.rho**c.level
         d = d_metric_many(c.interval, points[c.center_idx], points[c.atom_idx])
         if len(d):
             max_rel = max(max_rel, float(d.max()) / scale)
@@ -89,8 +87,9 @@ def reference_check_cube_invariants(points, carrier_idx, cubes, gen):
                 continue
             d = d_metric(cubes[i].interval, points[cubes[i].center_idx],
                          points[cubes[j].center_idx])
-            min_sep = min(min_sep, d / cubes[i].rho**gen)
-            if d <= 3.0 * cubes[i].rho**gen:
+            scale = cubes[i].rho**cubes[i].level
+            min_sep = min(min_sep, d / scale)
+            if d <= 3.0 * scale:
                 separation = False
     return {**report, "sandwich_outer": outer, "sandwich_inner": inner,
             "max_center_dist_over_scale": max_rel, "net_separation": separation,
@@ -109,15 +108,15 @@ class TestSideRule:
     @pytest.mark.parametrize("k,l", [(0, 0), (0, 1), (2, 0), (3, 2)])
     def test_unique_integer(self, h, k, l):
         rho = 0.5
-        m = side_exponent(h, k, l, rho)
+        m = side_exponent(h, k + l, rho)
         assert h * rho ** (k + l + 2) < 5 * rho**m <= h * rho ** (k + l + 1)
 
     def test_shatter_grows_m(self):
         # re-shattering with a grandchild interval divides H(J) by 9 and the
         # side rule advances m accordingly
         rho = 0.5
-        m0 = side_exponent(1 / 3, 2, 0, rho)
-        m2 = side_exponent(1 / 27, 2, 0, rho)
+        m0 = side_exponent(1 / 3, 2, rho)
+        m2 = side_exponent(1 / 27, 2, rho)
         assert m2 > m0
         assert 1 / 27 * rho**4 < 5 * rho**m2 <= 1 / 27 * rho**3
 
@@ -159,27 +158,26 @@ class TestDescend:
     def test_single_cell_single_cube(self):
         pts = np.array([[0.5, 0.5]])
         j = TriadicInterval(1, 0)
-        cubes = descend(pts, np.array([0]), j, 0, j, 0)
+        cubes = descend_one(pts, np.array([0]), j, 0)
         assert len(cubes) == 1
         assert list(cubes[0].atom_idx) == [0]
 
     def test_separated_line_one_cube_each(self):
-        # atoms spaced 3.5 rho^{k+l} apart in d_J: every center its own net point
+        # atoms spaced 3.5 rho^gen apart in d_J: every center its own net point
         j = AngleInterval(0.25, 0.05)  # vertical tube metric; along y d_J = |dy|
         pts = np.column_stack([np.zeros(6), 3.5 * np.arange(6.0)])
-        cubes = descend(pts, np.arange(6), j, 0, j, 0)
+        cubes = descend_one(pts, np.arange(6), j, 0)
         assert len(cubes) == 6
 
     def test_very_close_pair_merges(self):
         j = AngleInterval(0.25, 0.05)
         pts = np.array([[0.0, 0.0], [0.0, 0.8]])  # d_J = 0.8 < 1
-        cubes = descend(pts, np.arange(2), j, 0, j, 0)
+        cubes = descend_one(pts, np.arange(2), j, 0)
         assert len(cubes) == 1
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(ValueError):
-            descend(np.zeros((1, 2)), np.array([], dtype=int),
-                    TriadicInterval(1, 0), 0, TriadicInterval(1, 0), 0)
+            descend_one(np.zeros((1, 2)), np.array([], dtype=int), TriadicInterval(1, 0), 0)
 
     def test_partition_and_sandwich_random(self):
         rng = np.random.default_rng(1)
@@ -190,8 +188,8 @@ class TestDescend:
                 else TriadicInterval(3, int(rng.integers(0, 27)))
             k = int(rng.integers(0, 3))
             l = int(rng.integers(0, 2))
-            cubes = descend(pts, np.arange(n), h_iv, k, h_iv, l)
-            rep = check_cube_invariants(pts, np.arange(n), cubes, k + l)
+            cubes = descend_one(pts, np.arange(n), h_iv, k + l)
+            rep = check_cube_invariants(pts, np.arange(n), cubes)
             assert rep["partition"]
             assert rep["sandwich_outer"]
             assert rep["sandwich_inner"]
@@ -202,21 +200,21 @@ class TestDescend:
         rng = np.random.default_rng(2)
         pts = rng.random((60, 2))
         j = TriadicInterval(2, 3)
-        parents = descend(pts, np.arange(60), j, 0, j, 0)
+        parents = descend_one(pts, np.arange(60), j, 0)
         for p in parents:
             kids = children(pts, p)
-            rep = check_cube_invariants(pts, p.atom_idx, kids, p.level + 1)
+            rep = check_cube_invariants(pts, p.atom_idx, kids)
             assert rep["partition"] and rep["sandwich_outer"]
 
     def test_shatter_keeps_generation(self):
         rng = np.random.default_rng(3)
         pts = rng.random((60, 2))
         j = TriadicInterval(1, 1)
-        parents = descend(pts, np.arange(60), j, 0, j, 0)
+        parents = descend_one(pts, np.arange(60), j, 0)
         p = max(parents, key=len)
         pieces = shatter(pts, p, j.children()[1])
         assert all(q.level == p.level for q in pieces)
-        rep = check_cube_invariants(pts, p.atom_idx, pieces, p.level)
+        rep = check_cube_invariants(pts, p.atom_idx, pieces)
         assert rep["partition"] and rep["net_separation"]
 
     def test_mass_lower_bound_recorded(self):
@@ -226,7 +224,7 @@ class TestDescend:
         pts = np.column_stack([xs, np.zeros(400)])
         w = np.full(400, 1.0 / 400)
         j = TriadicInterval(3, 6)
-        cubes = descend(pts, np.arange(400), j, 0, j, 0)
+        cubes = descend_one(pts, np.arange(400), j, 0)
         worst = min(c.mass(w) / (j.length * 1.0) for c in cubes)
         assert worst > 0.0  # positive lower bound; the constant is recorded
         print(f"mass lower bound constant c*A: {worst:.4f}")
@@ -242,7 +240,7 @@ def lattice_check_instances(count=200):
             else TriadicInterval(3, int(rng.integers(0, 27)))
         l = int(rng.integers(0, 3))
         k = int(rng.integers(0, 3))
-        yield pts, h_choice, k, l
+        yield pts, h_choice, k + l
 
 
 def tie_carriers():
@@ -255,28 +253,28 @@ def tie_carriers():
     for pts in (grid, line, tilted, doubled, 0.5 * grid + 0.25):
         for iv in (TriadicInterval(1, 0), TriadicInterval(2, 4), TriadicInterval(3, 6),
                    AngleInterval(0.0, 0.05), AngleInterval(0.25, 0.01)):
-            for k, l in ((0, 0), (0, 2), (2, 1)):
-                yield pts, iv, k, l
+            for gen in (0, 2, 3):
+                yield pts, iv, gen
 
 
 class TestNetSweepOracle:
-    """descend and check_cube_invariants give the cubes and reports of their
-    scalar references."""
+    """descend_all and check_cube_invariants give the cubes and reports of
+    their scalar references."""
 
-    def check(self, pts, iv, k, l):
+    def check(self, pts, iv, gen):
         carrier = np.arange(len(pts))
-        cubes = descend(pts, carrier, iv, k, iv, l)
-        assert_same_cubes(cubes, reference_descend(pts, carrier, iv, k, iv, l))
-        assert check_cube_invariants(pts, carrier, cubes, k + l) == \
-            reference_check_cube_invariants(pts, carrier, cubes, k + l)
+        cubes = descend_one(pts, carrier, iv, gen)
+        assert_same_cubes(cubes, reference_descend(pts, carrier, iv, gen))
+        assert check_cube_invariants(pts, carrier, cubes) == \
+            reference_check_cube_invariants(pts, carrier, cubes)
 
     def test_lattice_check_instances(self):
-        for pts, iv, k, l in lattice_check_instances():
-            self.check(pts, iv, k, l)
+        for pts, iv, gen in lattice_check_instances():
+            self.check(pts, iv, gen)
 
     def test_tie_carriers(self):
-        for pts, iv, k, l in tie_carriers():
-            self.check(pts, iv, k, l)
+        for pts, iv, gen in tie_carriers():
+            self.check(pts, iv, gen)
 
     def test_separation_boundary(self):
         # centers exactly 3 rho^gen apart along the interval are not separated
@@ -284,8 +282,8 @@ class TestNetSweepOracle:
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.5], [0.5, 0.0]])
         cubes = [AnisoCube([i], i, 0, iv, 0, 0.5) for i in range(3)] + \
             [AnisoCube([3], 3, 0, TriadicInterval(1, 0), 0, 0.5)]
-        report = check_cube_invariants(pts, np.arange(4), cubes, 0)
-        assert report == reference_check_cube_invariants(pts, np.arange(4), cubes, 0)
+        report = check_cube_invariants(pts, np.arange(4), cubes)
+        assert report == reference_check_cube_invariants(pts, np.arange(4), cubes)
         assert not report["net_separation"]
         assert report["min_net_separation_over_scale"] == 3.0
 
@@ -318,14 +316,14 @@ class TestNetSweepOracle:
         blocks = tile_pairs(monkeypatch, tile, lattice)
         broken = {"partition": 0, "sandwich_outer": 0, "sandwich_inner": 0,
                   "net_separation": 0}
-        for pts, iv, k, l in lattice_check_instances(40):
+        for pts, iv, gen in lattice_check_instances(40):
             carrier = np.arange(len(pts))
-            cubes = descend(pts, carrier, iv, k, iv, l)
+            cubes = descend_one(pts, carrier, iv, gen)
             if len(cubes) < 3 or len(cubes[0]) < 2:
                 continue
             for bad in self._corrupted(pts, cubes):
-                report = check_cube_invariants(pts, carrier, bad, k + l)
-                assert report == reference_check_cube_invariants(pts, carrier, bad, k + l)
+                report = check_cube_invariants(pts, carrier, bad)
+                assert report == reference_check_cube_invariants(pts, carrier, bad)
                 for key in broken:
                     broken[key] += not report[key]
         assert all(broken.values()), broken
@@ -368,16 +366,13 @@ class TestNetSweepOracle:
         def checked(batch, rho):
             calls.append(len(batch))
             out = kernel(batch, rho)
-            for (points, member_idx, j_parent, k, interval, l), cubes in zip(batch, out):
-                assert_same_cubes(cubes, reference_descend(points, member_idx, j_parent, k,
-                                                           interval, l, rho))
-                assert check_cube_invariants(points, member_idx, cubes, k + l) == \
-                    reference_check_cube_invariants(points, member_idx, cubes, k + l)
+            for (points, member_idx, interval, gen), cubes in zip(batch, out):
+                assert_same_cubes(cubes, reference_descend(points, member_idx, interval, gen, rho))
+                assert check_cube_invariants(points, member_idx, cubes) == \
+                    reference_check_cube_invariants(points, member_idx, cubes)
                 jobs.append(len(cubes))
             return out
 
-        # the root's descend reaches the kernel through the lattice module
-        monkeypatch.setattr(lattice, "descend_all", checked)
         monkeypatch.setattr("favard.tree.descend_all", checked)
         tree = build_tree(stages)
         assert len(tree.nodes) > 0
@@ -390,8 +385,8 @@ class TestNetSweepOracle:
 
 def random_jobs(rng, count):
     """descend_all jobs over one shared point array and fresh ones: triadic
-    and angle intervals, the parent the interval itself or a wider one,
-    l in {0, 1, 2}, carriers of one to 60 atoms in random order."""
+    and angle intervals, generations 0 to 4, carriers of one to 60 atoms in
+    random order."""
     shared = rng.random((150, 2))
     jobs = []
     for _ in range(count):
@@ -401,13 +396,9 @@ def random_jobs(rng, count):
         if rng.random() < 0.5:
             level = int(rng.integers(1, 4))
             interval = TriadicInterval(level, int(rng.integers(0, 3**level)))
-            j_parent = interval.parent() if rng.random() < 0.5 else interval
         else:
             interval = AngleInterval(float(rng.random()), float(rng.uniform(0.005, 0.2)))
-            j_parent = AngleInterval(interval.center, 2 * interval.half_width) \
-                if rng.random() < 0.5 else interval
-        jobs.append((points, member_idx, j_parent, int(rng.integers(0, 3)), interval,
-                     int(rng.integers(0, 3))))
+        jobs.append((points, member_idx, interval, int(rng.integers(0, 5))))
     return jobs
 
 
@@ -428,10 +419,9 @@ class TestDescendAll:
                 assert_same_cubes(cubes, reference_descend(*job, rho))
             seen += jobs
         # every kind of job the kernel must handle took part
-        assert {type(job[4]) for job in seen} == {TriadicInterval, AngleInterval}
-        assert {job[5] for job in seen} == {0, 1, 2}
+        assert {type(job[2]) for job in seen} == {TriadicInterval, AngleInterval}
+        assert {job[3] for job in seen} == set(range(5))
         assert any(len(job[1]) == 1 for job in seen)
-        assert any(job[2] != job[4] for job in seen)
         arrays = Counter(id(job[0]) for job in seen).most_common()
         assert len(arrays) > 1 and arrays[0][1] > 1       # separate and shared points
 
@@ -452,11 +442,9 @@ class TestDescendAll:
         assert descend_all([], 0.5) == []
 
     @pytest.mark.parametrize("bad", [
-        (np.zeros((1, 2)), np.array([], dtype=int), TriadicInterval(1, 0), 0,
-         TriadicInterval(1, 0), 0),
-        (np.zeros((1, 2)), np.array([0]), TriadicInterval(1, 0), 1, TriadicInterval(1, 0), -1),
-        (np.zeros((1, 2)), np.array([0]), TriadicInterval(2, 0), 0, TriadicInterval(1, 0), 0),
-    ], ids=["empty_carrier", "negative_l", "too_wide"])
+        (np.zeros((1, 2)), np.array([], dtype=int), TriadicInterval(1, 0), 0),
+        (np.zeros((1, 2)), np.array([0]), TriadicInterval(1, 0), -1),
+    ], ids=["empty_carrier", "negative_gen"])
     def test_invalid_jobs_raise(self, bad):
         good = random_jobs(np.random.default_rng(13), 4)
         for jobs in ([bad], [*good[:2], bad, *good[2:]]):

@@ -10,8 +10,9 @@ from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 from favard.torus import direction_vector, perp
-from tests.reference import (IntervalUnion1D, favard_mc_by_segment, maximal_value, project,
-                             project_segments, pushforward_density_by_segment, sweep_by_segment)
+from tests.reference import (IntervalUnion1D, dense_mass_centered, direction_angle,
+                             favard_mc_by_segment, maximal_value, project, project_segments,
+                             pushforward_density_by_segment, sweep_by_segment)
 from tests.test_sets import mixed_union, oracle_unions, polyline, star
 
 
@@ -40,7 +41,7 @@ def oracle_maximal(density, t, n=10_000):
     for r in rs:
         if r <= 0:
             continue
-        dense = density.dense_mass_centered(t, r)
+        dense = dense_mass_centered(density, t, r)
         inner = sum(m for p, m in density.atoms if abs(p - t) < r)
         bdy = sum(m for p, m in density.atoms if abs(p - t) == r)
         best = max(best, (dense + inner) / (2 * r), (dense + inner + bdy) / (2 * r))
@@ -531,7 +532,7 @@ class TestPushforward:
         for u in oracle_unions():
             # axis angles, random ones, and the perpendicular of a segment
             thetas = [0.0, 0.125, 0.25, 0.5, 0.75, *rng.random(6),
-                      u.segments[0].direction_angle + 0.25]
+                      direction_angle(u.segments[0]) + 0.25]
             for theta in thetas:
                 got = pushforward_density(u, theta)
                 want = pushforward_density_by_segment(u, theta)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from favard.projection import pushforward_density
 from favard.sets import Segment, SegmentUnion
 from favard.torus import AngleInterval, TriadicInterval, triadic_cover
-from tests.reference import ConeSpec, IntervalUnion1D, d_metric, in_cone, project_segments
+from tests.reference import (ConeSpec, IntervalUnion1D, contains_angle, d_metric, in_cone,
+                             project_segments)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -71,7 +72,7 @@ def test_d_metric_triangle(x1, x2, y1, y2, z1, z2, center, hw):
 @given(angles, st.integers(min_value=0, max_value=8))
 def test_triadic_cover_contains(theta, level):
     iv = triadic_cover(theta, level)
-    assert iv.contains_angle(theta)
+    assert contains_angle(iv, theta)
     if level > 0:
         assert iv.parent().contains(iv)
 

@@ -11,7 +11,7 @@ from favard.config import ExperimentConfig
 from favard.fixtures import (FIXTURE_A, FIXTURE_M, TRANSVERSE_ROOT, cantor_horizontal_instance,
                              single_line_instance, stages_for, two_direction_instance)
 from favard.lattice import AnisoCube
-from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
+from favard.sets import DiscreteMeasure, four_corners, split_parallel
 from favard.torus import TOL, AngleInterval, TriadicInterval, d_metric_many
 from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
                          _merge_angle_intervals, bad_chain_check, grow_families,
@@ -22,7 +22,7 @@ from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
 from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
                              conical_energy_at, conical_energy_by_row,
                              d_metric, find_gap_interval, gap_instance,
-                             sandwich_halves_by_node, synthetic_stages_constant_core,
+                             sandwich_halves_by_node, stop_of, synthetic_stages_constant_core,
                              tile_pairs)
 
 
@@ -110,7 +110,7 @@ class TestMaximalCover:
 class TestGoodStages:
     def test_root_family_forces_full_cover(self):
         atoms = line_atoms()
-        fams = {i: [(ROOT, 0.24)] for i in range(len(atoms))}
+        fams = {i: [ROOT] for i in range(len(atoms))}
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         assert all(stages.cover[i] == [ROOT] for i in np.nonzero(stages.controlled)[0]
                    for i in [int(i)])
@@ -120,7 +120,7 @@ class TestGoodStages:
         # one child covers only 1/3 < 1 - eps of the root: the cover stops at the child
         atoms = line_atoms()
         child = ROOT.children()[0]
-        fams = {i: [(child, child.center)] for i in range(len(atoms))}
+        fams = {i: [child] for i in range(len(atoms))}
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.cover[i0] == [child]
@@ -128,7 +128,7 @@ class TestGoodStages:
 
     def test_zero_energy_keeps_filter_trivial(self):
         atoms = line_atoms()
-        fams = {i: [(ROOT, 0.24)] for i in range(len(atoms))}
+        fams = {i: [ROOT] for i in range(len(atoms))}
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         for i in np.nonzero(stages.controlled)[0]:
             assert stages.filtered[int(i)] == stages.cover[int(i)]
@@ -142,7 +142,7 @@ class TestGoodStages:
 
     def test_core_middle_children(self):
         atoms = line_atoms()
-        fams = {i: [(ROOT, 0.24)] for i in range(len(atoms))}
+        fams = {i: [ROOT] for i in range(len(atoms))}
         stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.core[i0] == [ROOT.middle_child()]
@@ -150,7 +150,7 @@ class TestGoodStages:
     def test_synthetic_stages_share_the_stage_constants(self):
         params = ExperimentConfig(triadic_depth=3, c_eps=0.5)
         atoms = line_atoms(16)
-        fams = {i: [(ROOT, 0.24)] for i in range(16)}
+        fams = {i: [ROOT] for i in range(16)}
         built = build_good_stages(atoms, np.ones(16, bool), fams, ROOT, FIXTURE_A, FIXTURE_M,
                                   params)
         synthetic = synthetic_stages_constant_core(atoms, ROOT, params)
@@ -160,13 +160,13 @@ class TestGoodStages:
     def test_family_outside_root_rejected(self):
         atoms = line_atoms(8)
         bad = TriadicInterval(3, 7)
-        fams = {i: [(bad, bad.center)] for i in range(8)}
+        fams = {i: [bad] for i in range(8)}
         with pytest.raises(ValueError, match="outside the root"):
             build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
 
     def test_overlapping_family_rejected(self):
         atoms = line_atoms(8)
-        fams = {i: [(ROOT, 0.24), (ROOT.children()[0], 0.23)] for i in range(8)}
+        fams = {i: [ROOT, ROOT.children()[0]] for i in range(8)}
         with pytest.raises(ValueError, match="disjoint"):
             build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
 
@@ -175,37 +175,37 @@ class TestGstar:
     def test_outside_controlled_keeps_family(self):
         atoms = line_atoms(32)
         child = ROOT.children()[0]
-        fams = {i: [(child, child.center)] for i in range(32)}
+        fams = {i: [child] for i in range(32)}
         stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
         # force one point out of E_0
         stages.controlled[0] = False
         gs = grow_families(stages)
-        assert [iv for iv, _ in gs.families[0]] == [child]
+        assert gs.families[0] == [child]
 
     def test_full_cover_jumps_to_root(self):
         atoms = line_atoms(32)
-        fams = {i: [(ROOT, 0.24)] for i in range(32)}
+        fams = {i: [ROOT] for i in range(32)}
         stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
         gs = grow_families(stages)
         for i in np.nonzero(stages.full_cover)[0]:
-            assert [iv for iv, _ in gs.families[int(i)]] == [ROOT]
+            assert gs.families[int(i)] == [ROOT]
             assert gs.finished_mask[int(i)]
 
     def test_parent_absorbs_child(self):
         atoms = line_atoms(32)
         child = ROOT.children()[0]
-        fams = {i: [(child, child.center)] for i in range(32)}
+        fams = {i: [child] for i in range(32)}
         stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
         gs = grow_families(stages)
         i0 = int(np.nonzero(stages.controlled)[0][0])
-        assert [iv for iv, _ in gs.families[i0]] == [ROOT]
+        assert gs.families[i0] == [ROOT]
         assert gs.containment_ok
 
     def test_growth_bound(self):
         # two-level family: G* strictly grows on E_0 \ E_Fin
         atoms = line_atoms(48)
         grandchild = ROOT.children()[0].children()[0]
-        fams = {i: [(grandchild, grandchild.center)] for i in range(48)}
+        fams = {i: [grandchild] for i in range(48)}
         stages = build_good_stages(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
         gs = grow_families(stages)
         assert gs.containment_ok
@@ -424,9 +424,9 @@ class TestAncestryOracle:
         `like`'s interval unless another is given."""
         old = tree.nodes[like]
         nid = max(tree.nodes) + 1
-        cube = AnisoCube(atom_idx, old.cube.center_idx, 0, old.cube.interval,
+        cube = AnisoCube(atom_idx, old.cube.center_idx, 0, interval or old.interval,
                          old.cube.base_m, old.cube.rho)
-        tree.nodes[nid] = TreeNode(nid, cube, 0, interval or old.interval, "root0", None, nid)
+        tree.nodes[nid] = TreeNode(cube, "root0", None, nid)
         tree.generations[0].append(nid)
 
     def test_half_copy_breaks_both(self):
@@ -728,7 +728,7 @@ def uneven_energy_instance():
                      [[xs[5], 2.0**-9], [xs[25], 2.0**-6]]])
     atoms = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
     members = [TriadicInterval(5, k) for k in (54, 56, 58, 60, 62)]
-    families = {i: [(iv, iv.center) for iv in members] for i in range(len(pts))}
+    families = {i: list(members) for i in range(len(pts))}
     return atoms, np.ones(len(pts), dtype=bool), families, TRANSVERSE_ROOT
 
 
@@ -785,7 +785,7 @@ class TestOneEnergyCallPerSite:
         def energy(i, ivs):
             return conical_energy_at(atoms, atoms.points[i], ivs, 0.5, high).total_float
 
-        members = [iv for iv, _ in families[0]]
+        members = families[0]
         assert stages.controlled.tolist() == \
             [energy(i, members) <= bound for i in range(len(atoms))]
         for i, cover in stages.cover.items():
@@ -857,7 +857,7 @@ class TestMergeAngleIntervals:
 class TestPropagation:
     def test_root_families_finish_round_one(self):
         atoms = line_atoms(48)
-        fams = {i: [(ROOT, 0.24)] for i in range(48)}
+        fams = {i: [ROOT] for i in range(48)}
         res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
         assert res.rounds == 1
         assert res.finished_mask.all()
@@ -865,7 +865,7 @@ class TestPropagation:
     def test_single_child_grows_to_root(self):
         atoms = line_atoms(48)
         child = ROOT.children()[2]
-        fams = {i: [(child, child.center)] for i in range(48)}
+        fams = {i: [child] for i in range(48)}
         res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
         assert res.rounds == 1
         assert math.fsum(atoms.weights[res.finished_mask].tolist()) >= 0.25 - 1e-12
@@ -881,7 +881,7 @@ class TestPropagation:
         iv = ROOT
         for _ in range(levels):
             iv = iv.children()[2]
-        fams = {i: [(iv, iv.center)] for i in range(48)}
+        fams = {i: [iv] for i in range(48)}
         res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
         assert res.rounds == levels
         assert [t["e_fin_mass_fraction"] for t in res.trace] == [0.0] * (levels - 1) + [1.0]
@@ -894,7 +894,7 @@ class TestPropagation:
         monkeypatch.setattr("favard.tree.MAX_ROUNDS", 1)
         atoms = line_atoms(48)
         iv = ROOT.children()[2].children()[2]
-        fams = {i: [(iv, iv.center)] for i in range(48)}
+        fams = {i: [iv] for i in range(48)}
         with pytest.raises(RuntimeError, match="did not finish within 1 rounds; trace: r1: fin=0"):
             propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
 
@@ -903,17 +903,6 @@ class TestPropagation:
         fams = {i: [] for i in range(8)}
         with pytest.raises(ValueError, match="empty family"):
             propagate_good_directions(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
-
-    def test_witness_hypothesis_checked(self):
-        segs = SegmentUnion([Segment((0.0, 0.0), (1.0, 0.0))])
-        atoms = segs.atoms(1 / 48)
-        n = len(atoms)
-        # witness perpendicular to the segment: mu_theta_perp is huge
-        fams = {i: [(ROOT, 0.0)] for i in range(n)}
-        params = ExperimentConfig()
-        with pytest.raises(ValueError, match="witness bound"):
-            propagate_good_directions(atoms, np.ones(n, bool), fams, ROOT, 2.0, 8.0,
-                                      params, segment_model=segs)
 
 
 class TestGapInterval:
@@ -969,12 +958,30 @@ class TestGapInterval:
 
 
 class TestStopFamilies:
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_nodes_and_pieces_read_their_cubes(self, make):
+        # a node's generation is its place in the generation lists; a stopped
+        # piece hangs one generation below its parent node, and a shattered
+        # one splits the interval it was given into its children's
+        tree = build_tree(stages_for(*make(), params=ExperimentConfig()))
+        assert {nid: node.generation for nid, node in tree.nodes.items()} == \
+            {nid: k for k, gen in enumerate(tree.generations) for nid in gen}
+        assert all(node.interval == node.cube.interval for node in tree.nodes.values())
+        for piece in tree.stopped:
+            parent = tree.nodes[piece.parent_node]
+            assert piece.cube.level == parent.generation + 1
+            assert parent.interval.contains(piece.cube.interval)
+        assert {s.kind for s in tree.stopped} <= {"end", "sh"}
+
     def test_stop_pieces_attach_to_roots(self):
         params = ExperimentConfig(k_max=3, triadic_depth=3)
         stages = stages_for(*two_direction_instance(), params=params)
         tree = build_tree(stages)
         covered = []
         for r in tree.roots:
-            covered.extend(id(s) for s in tree.stop_of(r))
+            covered.extend(id(s) for s in stop_of(tree, r))
         assert len(covered) == len(tree.stopped)
         assert len(set(covered)) == len(covered)
