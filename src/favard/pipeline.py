@@ -44,14 +44,14 @@ def _root_interval(grid: np.ndarray, good: np.ndarray, level: int
     return TriadicInterval(level, best), score[best]
 
 
-def _check_witnesses(segment_model: SegmentUnion, atoms: DiscreteMeasure, eprime: np.ndarray,
+def _check_witnesses(union: SegmentUnion, atoms: DiscreteMeasure, eprime: np.ndarray,
                      families: dict[int, Family], m_bound: float) -> None:
     """Witness bound: every witness satisfies mu_theta_perp(x) <= M.
 
     Evaluated on the segment model (the atomized pushforward has no bounded
     maximal function), one density per distinct witness angle.
     """
-    projector = Projector(segment_model)
+    projector = Projector(union)
     by_angle: dict[float, list[int]] = {}
     for i in np.nonzero(eprime)[0]:
         for _, th in families.get(int(i), []):
