@@ -25,7 +25,7 @@ from .graphs import extract_graph, mass_benchmark
 from .lattice import check_cube_invariants, descend_all
 from .pipeline import run_pipeline
 from .projection import MIN_NEEDLES, favard, favard_mc, midpoint_measures
-from .sets import (DyadicSquareSet, SegmentUnion, _cloud_content, _cloud_of, four_corners,
+from .sets import (DyadicSquareSet, SegmentUnion, cloud_content, cloud_of, four_corners,
                    pairwise_extremes, read_csv_rows, segment_distances, split_parallel)
 from .torus import AngleInterval, TriadicInterval
 from .tree import bad_chain_check, build_tree, packing_sums, verify_tree
@@ -167,18 +167,16 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
     model = _load_model(args.input)
     curve = _load_polyline(args.curve)
     delta = args.delta
-    e_pts, e_w, e_slack = _cloud_of(model)
+    e_pts, e_w, e_slack = cloud_of(model)
 
     d_curve = segment_distances(e_pts, curve)
     near_mask = d_curve <= 3.0 * delta
-    lhs = _cloud_content(e_pts[near_mask], e_w[near_mask], e_slack) \
-        if near_mask.any() else 0.0
+    lhs = cloud_content(e_pts[near_mask], e_w[near_mask], e_slack)
 
     gamma_atoms = curve.atoms(delta / 4.0)
     d_e = pairwise_extremes(gamma_atoms.points, e_pts)[0]
     g_mask = d_e <= delta + e_slack
-    rhs = _cloud_content(gamma_atoms.points[g_mask], gamma_atoms.weights[g_mask],
-                         delta / 8.0) if g_mask.any() else 0.0
+    rhs = cloud_content(gamma_atoms.points[g_mask], gamma_atoms.weights[g_mask], delta / 8.0)
 
     if lhs == 0.0 and rhs == 0.0:
         ratio = "empty"

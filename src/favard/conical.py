@@ -25,7 +25,7 @@ import numpy as np
 
 from .projection import Projector, projection_measures
 from .sets import DiscreteMeasure, SegmentUnion, pairwise_extremes
-from .torus import (TOL, DirectionInterval, TriadicInterval, _as_intervals, _direction_mask,
+from .torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _direction_mask,
                     direction_vector, row_blocks, row_dot, triadic_cover, wrap)
 
 
@@ -60,10 +60,11 @@ class EnergyProfile:
         return sum(self.numerators) / self.denominator    # int / int rounds correctly
 
 
-def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5,
-                   high: int = 30) -> list[EnergyProfile]:
+def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float,
+                   high: int) -> list[EnergyProfile]:
     """Truncated conical energies sum_{k=0}^{high} mu(X(x, G, rho^{k+1}, rho^k)) / rho^k,
-    one profile per row: row a is the apex apexes[a] over direction_sets[a].
+    one profile per row: row a is the apex apexes[a] over the direction set
+    G = direction_sets[a], a sequence of intervals.
 
     Comparable (two-sidedly, with rho-dependent constants) to the integral
     form int mu(X(x, G, rho r, r)) / r dr/r over the matching range. Additive
@@ -77,8 +78,7 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
     apexes = np.asarray(apexes, dtype=float).reshape(-1, 2)
-    sets = [_as_intervals(directions) for directions in direction_sets]
-    if len(sets) != len(apexes):
+    if len(direction_sets) != len(apexes):
         raise ValueError("need one direction set per apex")
     weight_code: dict[float, int] = {}      # a dict, not np.unique: no numpy.ma import
     w_code = np.array([weight_code.setdefault(w, len(weight_code))
@@ -89,14 +89,14 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float = 0.5
     n_k, n_w = high + 1, len(ratios)
     # weight w / rho^k = term[k * n_w + w] / (unit p^high)
     term = [n * (unit // d) * q**k * p ** (high - k) for k in range(n_k) for n, d in ratios]
-    sums = [[0] * n_k for _ in sets]
+    sums = [[0] * n_k for _ in direction_sets]
     for block in row_blocks(len(apexes), len(mu)):
         apex = apexes[block].reshape(-1, 1, 2)
         diff = mu.points - apex
         dist = np.hypot(diff[..., 0], diff[..., 1])
         scale = scale_index(dist, rho, high)
         carriers: dict[DirectionInterval, list[int]] = {}
-        for a, intervals in enumerate(sets[block]):
+        for a, intervals in enumerate(direction_sets[block]):
             for interval in intervals:
                 carriers.setdefault(interval, []).append(a)
         hits = [np.empty(0, dtype=np.int64)]
@@ -129,7 +129,7 @@ def annulus_scales(pts: np.ndarray, apexes: np.ndarray, direction: DirectionInte
 
 
 def bad_scale_table(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
-                    rho: float = 0.5, high: int = 30) -> np.ndarray:
+                    rho: float, high: int) -> np.ndarray:
     """hit[a, k]: whether k in [0, high] is a bad scale of xs[a], i.e.
     X(xs[a], direction, rho^{k+1}, rho^k) meets `pts`; one row block at a time."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
@@ -142,7 +142,7 @@ def bad_scale_table(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterva
 
 
 def bad_scale_counts(pts: np.ndarray, xs: np.ndarray, direction: DirectionInterval,
-                     rho: float = 0.5, high: int = 30) -> np.ndarray:
+                     rho: float, high: int) -> np.ndarray:
     """Number of bad scales of each row x of `xs`: the k in [0, high] with
     X(x, direction, rho^{k+1}, rho^k) meeting the atoms `pts`."""
     return bad_scale_table(pts, xs, direction, rho, high).sum(axis=1)
@@ -161,6 +161,7 @@ def scale_ceiling(pts: np.ndarray, rho: float) -> int:
 
 
 Family = list[tuple[TriadicInterval, float]]     # (interval, witness angle)
+SAMPLES_PER_INTERVAL = 6    # selection's direction samples per family-depth triadic interval
 
 
 @dataclass
@@ -175,38 +176,30 @@ class SelectionResult:
     fourier_ratios: dict[int, float]     # atom -> energy / int_G pi_theta mu(pi_theta x)
 
 
-def select_good_directions(union: SegmentUnion, directions, kappa: float,
-                           m_bound: float, *,
-                           samples_per_length: int = 729,
-                           triadic_depth: int = 6,
-                           rho: float = 0.5,
-                           pitch: Optional[float] = None) -> SelectionResult:
+def select_good_directions(union: SegmentUnion, arc: AngleInterval, kappa: float,
+                           m_bound: float, *, triadic_depth: int, rho: float,
+                           pitch: Optional[float]) -> SelectionResult:
     """Select the large-mass subset with per-point good triadic direction
     families (big projections to bounded projections to finite families).
 
-    directions: the measurable set G of directions with large projections, as
-    one arc or a union of arcs. Every sampled theta in G must satisfy
-    H(pi_theta(E)) > kappa H(E); otherwise the offending theta is reported.
-    The families are the depth-`triadic_depth` triadic intervals containing at
-    least one sampled direction that is good for the atom; the witness is such
-    a sample. Conical energies over the perpendicular families are recorded as
-    ratios against M H(G).
+    arc: the set G of directions with large projections, one arc, sampled at
+    the midpoints of n = max(2, round(SAMPLES_PER_INTERVAL 3^N H(G))) equal
+    cells, SAMPLES_PER_INTERVAL per triadic interval of the family depth N =
+    `triadic_depth`. Every sample must satisfy H(pi_theta(E)) > kappa H(E);
+    otherwise the offending theta is reported. The families are the depth-N
+    triadic intervals containing at least one sample that is good for the
+    atom; the witness is such a sample. Conical energies over the
+    perpendicular families are recorded as ratios against M H(G).
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    intervals = _as_intervals(directions)
-    total_len = math.fsum(iv.length for iv in intervals)
-    if total_len <= 0.0:
-        raise ValueError("empty direction set")
+    total_len = arc.length
     mu = union.atoms(pitch)
     total_mass = mu.total_mass
 
-    # deterministic midpoint samples, proportional to arc length
-    thetas: list[float] = []
-    for iv in intervals:
-        n = max(2, int(round(samples_per_length * iv.length)))
-        thetas.extend(wrap(iv.low + (i + 0.5) * iv.length / n) for i in range(n))
-    weight = total_len / len(thetas)
+    n = max(2, round(SAMPLES_PER_INTERVAL * 3**triadic_depth * total_len))
+    thetas = [wrap(arc.low + (i + 0.5) * total_len / n) for i in range(n)]
+    weight = total_len / n
 
     # one pushforward density per distinct theta, shared by the sampling and
     # the Fourier-ratio loops (quadrature nodes repeat across atoms)

@@ -57,6 +57,5 @@ def cantor_horizontal_instance(pitch: float = 1.0 / 96.0):
     return union, atoms, eprime, families, root_iv
 
 
-def stages_for(atoms, eprime, families, root_iv,
-               params: ExperimentConfig | None = None) -> GoodStages:
+def stages_for(atoms, eprime, families, root_iv, params: ExperimentConfig) -> GoodStages:
     return build_good_stages(atoms, eprime, families, root_iv, FIXTURE_A, FIXTURE_M, params)

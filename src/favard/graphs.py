@@ -82,7 +82,7 @@ def verify_lipschitz(points: np.ndarray, interval: DirectionInterval) -> tuple[b
 
 
 def reduce_bad_scales(points: np.ndarray, idx: np.ndarray, interval: DirectionInterval,
-                      m_cap: int, rho: float = 0.5) -> np.ndarray:
+                      m_cap: int, rho: float) -> np.ndarray:
     """Shrink the set until every point has at most m_cap - 1 bad scales for
     the halved interval.
 

@@ -66,16 +66,15 @@ def cell_order(idx: np.ndarray, coords: np.ndarray, side: np.ndarray,
 class AnisoCube:
     """A cube of the generalized lattice: a set of atoms with a centered tube.
 
-    `level` is the cube's generation g and `interval` its direction interval
-    J_Q; the tree reads both from here. The ball B_Q is B_{J_Q}(x_Q, 4
-    rho^g); `base_m` is the level of the base cells the cube is a union of.
+    `center_idx` is its net point x_Q; `level` is its generation g and
+    `interval` its direction interval J_Q, which the tree reads from here.
+    The ball B_Q is B_{J_Q}(x_Q, 4 rho^g).
     """
 
     atom_idx: np.ndarray
     center_idx: int
     level: int
     interval: DirectionInterval
-    base_m: int
     rho: float
 
     def __post_init__(self):
@@ -96,19 +95,18 @@ def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
     adapted to `interval`. A child generation of a cube is the job of its
     atoms at gen + 1; a shattered piece keeps its generation and takes a
     narrower interval. Each list partitions its carrier, and depends on its
-    own job only.
+    own job only. The base cells (side_exponent) group the atoms and are
+    not kept.
     """
     if not jobs:
         return []
-    sides, ms, frames, arrays = [], [], [], {}
+    sides, frames, arrays = [], [], {}
     for points, member_idx, interval, gen in jobs:
         if len(member_idx) == 0:
             raise ValueError("a descent job has an empty carrier")
         if gen < 0:
             raise ValueError("gen must be >= 0")
-        m = side_exponent(interval.length, gen, rho)
-        ms.append(m)
-        sides.append(rho**m)
+        sides.append(rho**side_exponent(interval.length, gen, rho))
         frames.append((*direction_vector(interval.center), interval.length,
                        rho**gen, 3.0 * rho**gen))
         arrays.setdefault(id(points), points)
@@ -178,9 +176,9 @@ def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
     net_atoms = centers[sweep][net_pos[by_carrier]].tolist()
     per_job = np.bincount(car[net_pos], minlength=len(jobs)).tolist()
     out, q = [], 0
-    for (_, _, interval, gen), n_net, m in zip(jobs, per_job, ms):
-        out.append([AnisoCube(grouped[bounds[i]:bounds[i + 1]], net_atoms[i], gen, interval, m,
-                              rho) for i in range(q, q + n_net)])
+    for (_, _, interval, gen), n_net in zip(jobs, per_job):
+        out.append([AnisoCube(grouped[bounds[i]:bounds[i + 1]], net_atoms[i], gen, interval, rho)
+                    for i in range(q, q + n_net)])
         q += n_net
     return out
 

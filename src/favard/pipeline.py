@@ -14,6 +14,11 @@ from .sets import DiscreteMeasure, SegmentUnion, ahlfors_constant
 from .torus import TOL, AngleInterval, TriadicInterval, perp, wrap
 from .tree import propagate_good_directions
 
+# Selection's samples at depth D = level + 2 sit 3^-D / 12 from a depth-D cell edge;
+# angles in [0, 1) are floats up to 2^-53 apart and a sample with its triadic cover
+# carries under 8 such roundings, so 3^-D / 12 > 8 * 2^-53 holds only for D <= 29.
+MAX_ROOT_LEVEL = 27
+
 
 def _rotate_quarter(pts: np.ndarray, shift=(0.0, 0.0)) -> np.ndarray:
     """Rotate by +90 degrees, (x, y) -> (-y, x), then subtract shift."""
@@ -101,7 +106,12 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
         raise ValueError(f"stage directions: no theta with H(pi_theta(E)) > kappa H(E);"
                          f" max ratio = {measures.max() / total}")
 
-    level = max(1, math.ceil(math.log(a_const * m_bound / cfg.c_j) / math.log(3.0)))
+    exponent = math.log(a_const * m_bound / cfg.c_j) / math.log(3.0)
+    if not exponent <= MAX_ROOT_LEVEL:
+        raise ValueError(f"stage directions: root level ceil(log3(A M / c_j)) = ceil("
+                         f"{exponent:.6g}) passes {MAX_ROOT_LEVEL}: float angles cannot tell "
+                         f"selection's samples apart (M = c_m / kappa = {m_bound})")
+    level = max(1, math.ceil(exponent))
     root_iv, best_score = _root_interval(grid, good, level)
     report["root_iv"] = {"level": root_iv.level, "index": root_iv.index, "coverage": best_score}
     if best_score < 1.0:
@@ -109,11 +119,9 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
                          "the good direction set "
                          f"at level {level} (best coverage {best_score})")
 
-    depth_abs = max(6, root_iv.level + 2)
     selection = select_good_directions(
         norm, root_iv.as_angle_interval(), kappa, m_bound,
-        samples_per_length=6 * 3**depth_abs,
-        triadic_depth=depth_abs, rho=cfg.rho, pitch=cfg.atom_pitch)
+        triadic_depth=max(6, root_iv.level + 2), rho=cfg.rho, pitch=cfg.atom_pitch)
     report["selection"] = {
         "eprime_mass_fraction": selection.eprime_mass_fraction,
         "min_family_length": selection.min_family_length,

@@ -25,7 +25,6 @@ from .sets import SegmentUnion
 from .torus import direction_vector, row_dot
 
 PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
-DEFAULT_N_ANGLES = 2048
 
 
 SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of the sweep
@@ -89,8 +88,7 @@ def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
     return _sweep(*union.pieces, np.asarray(thetas, dtype=float).reshape(-1))
 
 
-def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
-                      workers: int = 1) -> np.ndarray:
+def midpoint_measures(union: SegmentUnion, n_angles: int, workers: int) -> np.ndarray:
     """Measure of pi_theta(E) at each angle of the midpoint grid (i + 1/2)/n.
 
     Projecting onto -e mirrors the projection onto e, so the measure has
@@ -118,7 +116,7 @@ def midpoint_measures(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES,
     return np.tile(np.concatenate(parts), n_angles // m)
 
 
-def favard(union: SegmentUnion, n_angles: int = DEFAULT_N_ANGLES, workers: int = 1) -> float:
+def favard(union: SegmentUnion, n_angles: int, workers: int) -> float:
     """Favard length by midpoint-rule quadrature over theta in [0, 1).
 
     Fav(E) = integral over the torus of the projection measure; the midpoint
@@ -146,8 +144,7 @@ def _piece_discs(xs: np.ndarray, ys: np.ndarray, radius: float) -> tuple[np.ndar
     return np.stack((-cx, -cy, np.ones(len(cx))), axis=1), reach[:, None]
 
 
-def favard_mc(union: SegmentUnion, needle_count: int,
-              rng_seed: int = 0) -> tuple[float, float]:
+def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int) -> tuple[float, float]:
     """Unbiased Buffon-needle estimate of Fav(E) with its standard error.
 
     Samples (theta, t) with theta uniform on the torus and t uniform on a

@@ -390,7 +390,7 @@ def split_parallel(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:
             SegmentUnion.from_endpoints(a[ver], b[ver]))
 
 
-def ahlfors_constant(union: SegmentUnion, sample_count: int, seed: int = 0) -> float:
+def ahlfors_constant(union: SegmentUnion, sample_count: int, seed: int) -> float:
     """Sampled estimate (from below) of the Ahlfors regularity constant of a
     segment union.
 
@@ -415,8 +415,8 @@ def ahlfors_constant(union: SegmentUnion, sample_count: int, seed: int = 0) -> f
     return float(np.max(ratios, initial=1.0))
 
 
-def _cloud_of(model) -> tuple[np.ndarray, np.ndarray, float]:
-    """(points, weights, slack): a cloud covering the model within `slack`."""
+def cloud_of(model) -> tuple[np.ndarray, np.ndarray, float]:
+    """(points, weights, slack): a cloud covering a segment union or square set within slack."""
     if isinstance(model, SegmentUnion):
         if not len(model):
             return np.empty((0, 2)), np.empty(0), 0.0
@@ -427,13 +427,12 @@ def _cloud_of(model) -> tuple[np.ndarray, np.ndarray, float]:
         pts = model.cell_centers()
         w = np.full(len(pts), model.side)
         return pts, w, model.side * math.sqrt(2.0) / 2.0
-    if isinstance(model, DiscreteMeasure):
-        return model.points, model.weights, 0.0
     raise TypeError(f"unsupported model {type(model)!r}")
 
 
-def _cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
-                   min_radius: float = 0.0) -> float:
+def cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
+                  min_radius: float = 0.0) -> float:
+    """Greedy-cover upper estimate of the Hausdorff content of the cloud, 0.0 for no points."""
     if len(pts) == 0:
         return 0.0
     lo, hi = pts.min(axis=0), pts.max(axis=0)

@@ -198,12 +198,6 @@ def triadic_cover(theta: float, level: int) -> TriadicInterval:
 DirectionInterval = Union[AngleInterval, TriadicInterval]
 
 
-def _as_intervals(directions) -> tuple[DirectionInterval, ...]:
-    if isinstance(directions, (AngleInterval, TriadicInterval)):
-        return (directions,)
-    return tuple(directions)
-
-
 def _direction_mask(diff: np.ndarray, interval: DirectionInterval,
                     dist: np.ndarray) -> np.ndarray:
     """Directional part of cone membership for one arc (closed, with TOL), for

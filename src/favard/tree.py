@@ -162,8 +162,7 @@ def _stage_constants(root_iv: TriadicInterval, a_const: float, m_bound: float,
 
 def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
                       families: dict[int, list[TriadicInterval]], root_iv: TriadicInterval,
-                      a_const: float, m_bound: float,
-                      params: Optional[ExperimentConfig] = None) -> GoodStages:
+                      a_const: float, m_bound: float, params: ExperimentConfig) -> GoodStages:
     """Prune per-point families to the energy-controlled stage families.
 
     The controlled set keeps the points whose energy over the family union is
@@ -172,7 +171,6 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     cover members with oversized per-interval energy; the core family takes
     their middle children. Verified side conditions land in `checks`.
     """
-    params = params or ExperimentConfig()
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
@@ -747,24 +745,22 @@ class PropagationResult:
     finished_mask: np.ndarray
     rounds: int
     trace: list[dict]
-    families: dict[int, list[TriadicInterval]]
-    stages: GoodStages
 
 
 def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
                               families: dict[int, list[TriadicInterval]],
                               root_iv: TriadicInterval, a_const: float, m_bound: float,
-                              params: Optional[ExperimentConfig] = None) -> PropagationResult:
+                              params: ExperimentConfig) -> PropagationResult:
     """Iterate stage construction and family growth until the finished set
     (family union = the whole root interval) carries a quarter of the
-    selected mass. A family is a list of triadic intervals.
+    selected mass. A family is a list of triadic intervals. The result is
+    the last round's finished mask, the round count and the per-round trace.
 
     The average family fraction grows by at least (eps/12) tau per
     unfinished round, so the loop ends within ceil(12 / (eps tau)) rounds;
     exceeding the cap (or MAX_ROUNDS) raises with the trace. A False stage
     check (STAGE_CHECKS) raises AssertionError naming the flag and round.
     """
-    params = params or ExperimentConfig()
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
@@ -783,7 +779,6 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
 
     trace: list[dict] = []
     current = {i: list(f) for i, f in families.items()}
-    stages = None
     prev_energy = None
     for round_no in range(1, cap + 1):
         stages = build_good_stages(atoms, eprime, current, root_iv, a_const, m_bound, params)
@@ -815,7 +810,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
         prev_energy = avg_energy
         trace.append(entry)
         if fin_mass >= emass / 4.0 - TOL:
-            return PropagationResult(gs.finished_mask, round_no, trace, gs.families, stages)
+            return PropagationResult(gs.finished_mask, round_no, trace)
         current = gs.families
     raise RuntimeError(
         f"propagation did not finish within {cap} rounds; trace: "

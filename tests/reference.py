@@ -44,8 +44,8 @@ from favard.lattice import AnisoCube, cell_order, descend_all, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
-                         _cloud_content, _cloud_of)
-from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval, _as_intervals,
+                         cloud_content, cloud_of)
+from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           line_angle, perp, row_blocks, row_dot, wrap)
 from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece,
@@ -55,6 +55,13 @@ from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece,
 # ---------------------------------------------------------------------------
 # accessors only the tests read
 # ---------------------------------------------------------------------------
+
+
+def _as_intervals(directions) -> tuple[DirectionInterval, ...]:
+    """A direction set of the oracles: one arc, or a sequence of arcs."""
+    if isinstance(directions, (AngleInterval, TriadicInterval)):
+        return (directions,)
+    return tuple(directions)
 
 
 def direction_angle(segment: Segment) -> float:
@@ -495,8 +502,8 @@ def hausdorff_content(model, min_radius: float = 0.0) -> float:
     is the cost of an actual cover, hence >= the true content, and is capped
     by the single enclosing ball, hence <= diam(set).
     """
-    pts, wts, slack = _cloud_of(model)
-    return _cloud_content(pts, wts, slack, min_radius)
+    pts, wts, slack = cloud_of(model)
+    return cloud_content(pts, wts, slack, min_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +811,7 @@ def loop_descend(points: np.ndarray, member_idx: np.ndarray, interval: Direction
     grouped = atoms[np.lexsort((atoms, atom_owner))]
     sizes = np.bincount(atom_owner, minlength=len(net)).tolist()
     ends = np.cumsum(sizes).tolist()
-    return [AnisoCube(grouped[end - size:end], net[i], gen, interval, m, rho)
+    return [AnisoCube(grouped[end - size:end], net[i], gen, interval, rho)
             for i, (size, end) in enumerate(zip(sizes, ends)) if size]
 
 

@@ -38,13 +38,13 @@ class TestCriterion1FavardClosedForms:
     def test_closed_forms(self):
         t0 = time.time()
         seg = SegmentUnion([Segment((0, 0), (1, 0))])
-        v_seg = favard(seg, 4096)
+        v_seg = favard(seg, 4096, 1)
         elapsed = time.time() - t0
         assert abs(v_seg - 2 / math.pi) <= 1e-3
         assert elapsed < 1.0
 
         square = DyadicSquareSet(0, [(0, 0)]).skeleton()
-        v_sq = favard(square, 4096)
+        v_sq = favard(square, 4096, 1)
         assert abs(v_sq - 4 / math.pi) <= 2e-3
 
         n = 64
@@ -52,7 +52,7 @@ class TestCriterion1FavardClosedForms:
         ring = np.column_stack([np.cos(ang), np.sin(ang)])
         poly = SegmentUnion([Segment(tuple(ring[i]), tuple(ring[i + 1]))
                              for i in range(n)])
-        v_poly = favard(poly, 4096)
+        v_poly = favard(poly, 4096, 1)
         assert abs(v_poly - 2.0) <= 5e-3
         report(f"1: PASS favard closed forms (segment {v_seg:.6f}, square "
                f"{v_sq:.6f}, 64-gon {v_poly:.6f}; segment in {elapsed:.2f}s)")
@@ -68,7 +68,7 @@ class TestCriterion2ExactVsMC:
                             tuple(rng.random(2) + rng.uniform(0.05, 0.3, 2)))
                     for _ in range(count)]
             union = SegmentUnion(segs)
-            exact = favard(union, 2048)
+            exact = favard(union, 2048, 1)
             est, se = favard_mc(union, 1_000_000, rng_seed=trial)
             assert abs(exact - est) <= 3.0 * se, (trial, exact, est, se)
         elapsed = time.time() - t0
@@ -216,8 +216,8 @@ class TestCriterion5Energies:
             arc_a = AngleInterval(c, 0.02 + 0.02 * rng.random())
             arc_b = AngleInterval(c + 0.25 * (1 + rng.random()), 0.03)
             p_union = conical_energy(mu, [x], [(arc_a, arc_b)], 0.5, 10)[0]
-            p1 = conical_energy(mu, [x], [arc_a], 0.5, 10)[0]
-            p2 = conical_energy(mu, [x], [arc_b], 0.5, 10)[0]
+            p1 = conical_energy(mu, [x], [[arc_a]], 0.5, 10)[0]
+            p2 = conical_energy(mu, [x], [[arc_b]], 0.5, 10)[0]
             assert profile_total(p_union) == profile_total(p1) + profile_total(p2)  # exact
 
         worst = 0.0
@@ -227,7 +227,7 @@ class TestCriterion5Energies:
             x = rng.uniform(-0.2, 0.2, 2)
             g = AngleInterval(rng.random(), 0.05 + 0.1 * rng.random())
             j = 7
-            prof = conical_energy(mu, [x], [g], 0.5, j)[0]
+            prof = conical_energy(mu, [x], [[g]], 0.5, j)[0]
             mid = energy_integral_quadrature(mu, x, g, 0.5, 0.5**j, 1.0, 300)
             inner = math.fsum(masses_float(prof)[1:-1])
             full = prof.total_float
@@ -381,7 +381,7 @@ class TestCriterion11CantorRegression:
         values = []
         for n in range(6):
             skel = four_corners(n).skeleton()
-            val = favard(skel, golden["n_angles"])
+            val = favard(skel, golden["n_angles"], 1)
             frozen = golden["values"][str(n)]
             assert abs(val - frozen) <= 1e-9, (n, val, frozen)
             values.append(val)

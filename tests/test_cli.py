@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from favard import pipeline, tree
+from favard import graphs, pipeline, projection, tree
 from favard.cli import main
 from favard.config import ExperimentConfig, write_json
 from favard.pipeline import run_pipeline
@@ -401,6 +401,64 @@ class TestPipelineCLI:
                      "pipeline", str(path), "--kappa", "1e-8"]) == 0
         root = json.loads((tmp_path / "pipeline_report.json").read_text())["root_iv"]
         assert (root["level"], root["coverage"]) == (20, 1.0)
+
+    def test_root_level_bound_is_the_last_level_selection_resolves(self):
+        # at depth D = level + 2, selection's samples sit 3^-D / 12 from a cell
+        # edge, which must exceed 8 float spacings of angles below 1
+        def margin(level):
+            return 3.0 ** -(level + 2) / 12 / (8 * 2.0**-53)
+
+        assert margin(pipeline.MAX_ROOT_LEVEL) > 1.0 >= margin(pipeline.MAX_ROOT_LEVEL + 1)
+
+    @pytest.mark.parametrize("kappa,level", [("1e-16", "35.7963"), ("1e-320", "inf")])
+    def test_tiny_kappa_is_a_directions_failure(self, tmp_path, capsys, kappa, level):
+        # 1e-16 puts the root at level 36, where float angles cannot tell the
+        # selection samples apart; at 1e-320, M = c_m / kappa is infinite
+        path = tmp_path / "segs.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 256}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", kappa]) == 3
+        err = capsys.readouterr().err
+        assert f"stage directions: root level ceil(log3(A M / c_j)) = ceil({level}) passes " \
+            f"{pipeline.MAX_ROOT_LEVEL}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pipeline_report.json").exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_input_work_counts(self, tmp_path, monkeypatch, seed):
+        # the benchmark's pipeline input: 135 densities, 63 batched maximal
+        # function calls, 88 reduction deletions, 1 propagation round
+        path = tmp_path / "segs.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 1024, "atom_pitch": 1 / 128, "seed": seed}))
+        counts = {"densities": 0, "maximal": 0, "deletions": 0}
+        density, maximal, reduce = (projection.pushforward_density,
+                                    projection.maximal_values_batch, graphs.reduce_bad_scales)
+
+        def counted_density(*args):
+            counts["densities"] += 1
+            return density(*args)
+
+        def counted_maximal(*args):
+            counts["maximal"] += 1
+            return maximal(*args)
+
+        def counted_reduce(points, idx, *args):
+            keep = reduce(points, idx, *args)
+            counts["deletions"] += len(idx) - len(keep)
+            return keep
+
+        monkeypatch.setattr(projection, "pushforward_density", counted_density)
+        monkeypatch.setattr(projection, "maximal_values_batch", counted_maximal)
+        monkeypatch.setattr(graphs, "reduce_bad_scales", counted_reduce)
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "0.06"]) == 0
+        report = json.loads((tmp_path / "pipeline_report.json").read_text())
+        assert counts == {"densities": 135, "maximal": 63, "deletions": 88}
+        assert report["propagation"]["rounds"] == 1
 
     def test_witness_bound_checked(self):
         # witnesses perpendicular to the segment: mu_theta_perp is huge

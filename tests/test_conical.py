@@ -10,12 +10,12 @@ from favard.conical import (bad_scale_counts, bad_scale_table, conical_energy, s
                             scale_index, select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
 from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, split_parallel
-from favard.torus import (TOL, AngleInterval, TriadicInterval, _as_intervals,
-                          _direction_mask, direction_vector, perp, triadic_cover, wrap)
-from tests.reference import (bad_scales, cone_mass, cone_mass_exact, conical_energy_at,
-                             energy_integral_quadrature, masses_float, profile_masses,
-                             profile_total, project, select_bounded_projection_set,
-                             tile_pairs)
+from favard.torus import (TOL, AngleInterval, TriadicInterval, _direction_mask,
+                          direction_vector, perp, triadic_cover, wrap)
+from tests.reference import (_as_intervals, bad_scales, cone_mass, cone_mass_exact,
+                             conical_energy_at, energy_integral_quadrature, masses_float,
+                             profile_masses, profile_total, project,
+                             select_bounded_projection_set, tile_pairs)
 
 
 def measure_at(points, weights=None):
@@ -95,7 +95,7 @@ class TestConicalEnergy:
                   rng.uniform(0.1, 1.0, 300)):
             mu = measure_at(pts, w)
             for x in pts[:6]:
-                for dirs in (AngleInterval(rng.random(), 0.1),
+                for dirs in ([AngleInterval(rng.random(), 0.1)],
                              (AngleInterval(0.1, 0.03), TriadicInterval(2, 5),
                               AngleInterval(0.7, 0.3))):
                     prof = conical_energy(mu, [x], [dirs], rho, 9)[0]
@@ -105,7 +105,7 @@ class TestConicalEnergy:
 
     def test_empty_annuli(self):
         mu = measure_at([[5.0, 5.0]])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.25, 0.1)], 0.5, 6)[0]
+        prof = conical_energy(mu, [(0, 0)], [[AngleInterval(0.25, 0.1)]], 0.5, 6)[0]
         assert profile_total(prof) == 0
 
     def test_single_atom_one_annulus(self):
@@ -113,7 +113,7 @@ class TestConicalEnergy:
         w = 0.7
         d = 0.5 ** (k0 + 0.5)
         mu = measure_at([[d, 0.0]], [w])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 8)[0]
+        prof = conical_energy(mu, [(0, 0)], [[AngleInterval(0.0, 0.05)]], 0.5, 8)[0]
         masses = masses_float(prof)
         assert masses[k0] == pytest.approx(w / 0.5**k0)
         assert sum(m != 0 for m in masses) == 1
@@ -121,7 +121,7 @@ class TestConicalEnergy:
     def test_boundary_atom_outer_annulus(self):
         # an atom at exactly rho^k belongs to annulus k, not k-1
         mu = measure_at([[0.25, 0.0]])
-        prof = conical_energy(mu, [(0, 0)], [AngleInterval(0.0, 0.05)], 0.5, 6)[0]
+        prof = conical_energy(mu, [(0, 0)], [[AngleInterval(0.0, 0.05)]], 0.5, 6)[0]
         masses = masses_float(prof)
         assert masses[2] > 0 and masses[1] == 0
 
@@ -135,15 +135,15 @@ class TestConicalEnergy:
             filtered_fam = AngleInterval(c, 0.02 + 0.02 * rng.random())
             core_fam = AngleInterval(c + 0.25 * (1 + rng.random()), 0.03)
             p_union = conical_energy(mu, [x], [(filtered_fam, core_fam)], 0.5, 10)[0]
-            p1 = conical_energy(mu, [x], [filtered_fam], 0.5, 10)[0]
-            p2 = conical_energy(mu, [x], [core_fam], 0.5, 10)[0]
+            p1 = conical_energy(mu, [x], [[filtered_fam]], 0.5, 10)[0]
+            p2 = conical_energy(mu, [x], [[core_fam]], 0.5, 10)[0]
             assert profile_total(p_union) == profile_total(p1) + profile_total(p2)
             for a, b, c_ in zip(*map(profile_masses, (p_union, p1, p2))):
                 assert a == b + c_
 
     def test_triadic_intervals_accepted(self):
         mu = measure_at([[0.3, 0.0]])
-        prof = conical_energy(mu, [(0, 0)], [TriadicInterval(2, 0)], 0.5, 5)[0]
+        prof = conical_energy(mu, [(0, 0)], [[TriadicInterval(2, 0)]], 0.5, 5)[0]
         assert prof.total_float >= 0.0
 
     def test_two_sided_integral_comparison(self):
@@ -157,7 +157,7 @@ class TestConicalEnergy:
                 x = rng.uniform(-0.2, 0.2, 2)
                 g = AngleInterval(rng.random(), 0.05 + 0.1 * rng.random())
                 j = 7
-                prof = conical_energy(mu, [x], [g], rho, j)[0]
+                prof = conical_energy(mu, [x], [[g]], rho, j)[0]
                 mid = energy_integral_quadrature(mu, x, g, rho, rho**j, 1.0, 300)
                 inner = math.fsum(masses_float(prof)[1:-1])
                 full = prof.total_float
@@ -208,7 +208,8 @@ class TestBlockedEnergy:
     def test_touching_arcs_count_the_shared_edge_twice(self):
         mu = measure_at([0.3 * direction_vector(2 / 9)], [0.7])
         left, right = TriadicInterval(2, 1), TriadicInterval(2, 2)
-        both, one, other = conical_energy(mu, [(0, 0)] * 3, [(left, right), left, right], 0.5, 4)
+        both, one, other = conical_energy(mu, [(0, 0)] * 3, [(left, right), [left], [right]],
+                                          0.5, 4)
         assert profile_masses(one) == profile_masses(other) == \
             [0, Fraction(0.7) / Fraction(0.5), 0, 0, 0]
         assert profile_masses(both) == [2 * m for m in profile_masses(one)]
@@ -248,7 +249,7 @@ class TestExactEnergySums:
         mu = measure_at(pts, rng.choice([0.5, 2.0**-70, 3 * 2.0**-40, 1 / 3, 0.1, 7.25],
                                         len(pts)))
         apexes = np.vstack([pts[:10], rng.normal(scale=0.4, size=(5, 2))])
-        sets = [(), AngleInterval(0.2, 0.05),
+        sets = [(), [AngleInterval(0.2, 0.05)],
                 (TriadicInterval(1, 0), AngleInterval(0.7, 0.3))] * 5
         got = conical_energy(mu, apexes, sets, rho, 14)
         want = [conical_energy_at(mu, x, d, rho, 14) for x, d in zip(apexes, sets)]
@@ -323,7 +324,7 @@ class TestBadScales:
                 seen.update(len(w) for w in want)
         assert len(seen) >= 5
         assert (max(blocks) > 1) != one_block
-        assert bad_scale_counts(pts, np.empty((0, 2)), j).tolist() == []
+        assert bad_scale_counts(pts, np.empty((0, 2)), j, 0.5, 30).tolist() == []
 
     def test_axis_perpendicular_empty(self):
         mu = measure_at([[x, 0.0] for x in np.linspace(0.1, 1, 10)])
@@ -366,7 +367,7 @@ class TestBadScales:
             x = pts[20]
             j = AngleInterval(rng.random(), 0.03 + 0.05 * rng.random())
             bs = bad_scales(mu.points, x, j, 0.5, 10)
-            prof = conical_energy(mu, [x], [j.dilate(1.5)], 0.5, 10)[0]
+            prof = conical_energy(mu, [x], [[j.dilate(1.5)]], 0.5, 10)[0]
             a_proxy = 40.0  # crude Ahlfors proxy for the perturbed line
             bound = a_proxy / j.length * prof.total_float + 4.0
             if len(bs):
@@ -383,7 +384,7 @@ class TestBadScales:
         theta = j.center + 0.01
         m_val = Projector(segs).mu_theta(perp(theta), [x])[0]
         bs = bad_scales(mu.points, x, j, 0.5, 8)
-        prof = conical_energy(mu, [x], [j], 0.5, 8)[0]
+        prof = conical_energy(mu, [x], [[j]], 0.5, 8)[0]
         assert len(bs) > 0
         c_meas = prof.total_float / (m_val * j.length * len(bs))
         assert c_meas <= 64.0
@@ -463,7 +464,7 @@ class TestSelection:
         u = SegmentUnion([Segment((0, 0), (1, 0))])
         g = AngleInterval(0.0, 0.02)
         res = select_good_directions(u, g, kappa=0.5, m_bound=6.0 / 0.5, triadic_depth=4,
-                                     samples_per_length=2000)
+                                     rho=0.5, pitch=None)
         assert res.eprime.all()
         assert res.min_family_length >= (0.5 / 5) * res.g_length - 1e-12
         assert max(res.energy_ratios.values()) < 1.0
@@ -472,13 +473,14 @@ class TestSelection:
         u = SegmentUnion([Segment((0, 0), (1, 0))])
         g = AngleInterval(0.25, 0.01)  # perpendicular: zero projections
         with pytest.raises(ValueError, match="theta"):
-            select_good_directions(u, g, kappa=0.5, m_bound=6.0 / 0.5)
+            select_good_directions(u, g, kappa=0.5, m_bound=6.0 / 0.5, triadic_depth=6, rho=0.5,
+                                   pitch=None)
 
     def test_cantor_horizontal_end_to_end(self):
         horiz, _ = split_parallel(four_corners(2).skeleton())
         g = AngleInterval(0.0, 0.02)
         res = select_good_directions(horiz, g, kappa=0.05, m_bound=6.0 / 0.05, triadic_depth=5,
-                                     samples_per_length=1500, pitch=1 / 16 / 16)
+                                     rho=0.5, pitch=1 / 16 / 16)
         assert res.eprime_mass_fraction >= 0.05 / 4
         assert res.min_family_length >= (0.05 / 5) * res.g_length - 1e-12
         for i, members in res.families.items():
@@ -500,7 +502,7 @@ class TestSelection:
             return pushforward_density(union, theta)
 
         monkeypatch.setattr(projection, "pushforward_density", counting)
-        res = select_good_directions(horiz, g, m_bound=6.0 / kwargs["kappa"], **kwargs)
+        res = select_good_directions(horiz, g, m_bound=6.0 / kwargs["kappa"], rho=0.5, **kwargs)
         monkeypatch.undo()
         assert len(built) == len(set(built))
         expected = reference_selection(horiz, g, **kwargs)
@@ -512,14 +514,14 @@ class TestSelection:
         assert expected["builds"] > len(built)
 
 
-def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5,
-                        samples_per_length=729):
+def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5):
     """select_good_directions on one arc with a fresh pushforward density for
-    every sample and every quadrature node (no per-theta reuse)."""
+    every sample and every quadrature node (no per-theta reuse); six samples
+    per depth-`triadic_depth` triadic interval."""
     m_bound = 6.0 / kappa
     mu = union.atoms(pitch)
     total_len = 2.0 * g.half_width
-    n = max(2, int(round(samples_per_length * total_len)))
+    n = max(2, int(round(6 * 3**triadic_depth * total_len)))
     thetas = [wrap(g.center - g.half_width + (i + 0.5) * total_len / n) for i in range(n)]
     builds = 0
     good = np.zeros((len(thetas), len(mu)), dtype=bool)

@@ -193,13 +193,12 @@ def _defaulted_parameters(func: ast.FunctionDef, is_method: bool):
             yield arg.arg, None
 
 
-def test_every_keyword_is_passed():
-    """Every defaulted parameter of a public function or method is passed by
-    some call in the source, the tests or the benchmark: by keyword, or
-    positionally at or past its position. A call with *args passes all
-    of them. A default nothing overrides is a constant, not a knob."""
+def _call_forms(folders) -> dict[str, list[tuple[int, set, bool]]]:
+    """Per called name (a plain name or the attribute of a call), the form of
+    each call in `folders`: its positional argument count, its keyword names
+    (None for **kwargs), and whether it unpacks *args."""
     calls: dict[str, list[tuple[int, set, bool]]] = {}
-    for tree in _source_trees():
+    for tree in _source_trees(folders):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -211,6 +210,15 @@ def test_every_keyword_is_passed():
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             calls.setdefault(name, []).append(
                 (len(node.args), {kw.arg for kw in node.keywords}, starred))
+    return calls
+
+
+def test_every_keyword_is_passed():
+    """Every defaulted parameter of a public function or method is passed by
+    some call in the source, the tests or the benchmark: by keyword, or
+    positionally at or past its position. A call with *args passes all
+    of them. A default nothing overrides is a constant, not a knob."""
+    calls = _call_forms(("src", "tests", "perfbench"))
     never = []
     for label, func, is_method in _public_definitions():
         if not isinstance(func, ast.FunctionDef):
@@ -310,3 +318,49 @@ def test_tree_and_lattice_import_nothing_from_projection():
             if any(module.split(".")[-1] == "projection" for module in modules):
                 leaks.append(f"{name}:{node.lineno}")
     assert leaks == []
+
+
+# the console entry point: a default of its own, for a call from the shell
+ENTRY_POINTS = ["cli.py: main"]
+
+
+def test_every_default_is_used():
+    """Every defaulted parameter of a function or method of the package is
+    left out by some call in the source or the benchmark, resolved by name:
+    a call that passes no *args or **kwargs, does not name it and passes
+    fewer positional arguments than its position. A default that every
+    caller overrides is a second home for a value the callers hold."""
+    calls = _call_forms(("src", "perfbench"))
+    unused = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) \
+                    or f"{path.name}: {func.name}" in ENTRY_POINTS:
+                continue
+            for param, pos in _defaulted_parameters(func, func in methods):
+                if not any(not starred and not {None, param} & kws
+                           and (pos is None or n_pos <= pos)
+                           for n_pos, kws, starred in calls.get(func.name, [])):
+                    unused.append(f"{path.name}: {func.name}({param})")
+    assert unused == []
+
+
+INTERVAL_TYPES = {"AngleInterval", "TriadicInterval", "DirectionInterval"}
+
+
+def test_no_isinstance_on_an_interval_type():
+    """No module of the package switches on the interval type: both interval
+    types carry the attributes every caller reads, and a list of intervals
+    is the one form of a direction set."""
+    switches = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                    and len(node.args) == 2 and any(
+                        getattr(n, "id", getattr(n, "attr", None)) in INTERVAL_TYPES
+                        for n in ast.walk(node.args[1])):
+                switches.append(f"{path.name}:{node.lineno}")
+    assert switches == []

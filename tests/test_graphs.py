@@ -92,28 +92,28 @@ class TestReduce:
         xs = np.linspace(0, 0.9, 15)
         pts = np.column_stack([xs, np.zeros(15)])
         j = AngleInterval(0.25, 0.05)
-        keep = reduce_bad_scales(pts, np.arange(15), j, 1)
+        keep = reduce_bad_scales(pts, np.arange(15), j, 1, 0.5)
         assert len(keep) == 15
 
     def test_two_stacked_atoms_drop_one(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.4]])
         j = AngleInterval(0.25, 0.05)
         # each sees the other in one annulus: Bad = 1 each; target cap 1 -> one goes
-        keep = reduce_bad_scales(pts, np.arange(2), j, 1)
+        keep = reduce_bad_scales(pts, np.arange(2), j, 1, 0.5)
         assert len(keep) == 1
 
     def test_collinear_transverse_untouched(self):
         xs = np.linspace(0, 0.9, 10)
         pts = np.column_stack([xs, np.zeros(10)])
         j = AngleInterval(0.25, 0.04)
-        keep = reduce_bad_scales(pts, np.arange(10), j, 3)
+        keep = reduce_bad_scales(pts, np.arange(10), j, 3, 0.5)
         assert len(keep) == 10
 
     def test_precondition_violation_lists_atoms(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 0.6], [0.0, 0.05]])
         j = AngleInterval(0.25, 0.05)
         with pytest.raises(ValueError, match="precondition"):
-            reduce_bad_scales(pts, np.arange(4), j, 1)
+            reduce_bad_scales(pts, np.arange(4), j, 1, 0.5)
 
     def test_postcondition_rechecked(self):
         rng = np.random.default_rng(0)
@@ -122,7 +122,7 @@ class TestReduce:
         high = 14
         m_cap = max(len(bad_scales(pts, pts[i], j, 0.5, high))
                     for i in range(30))
-        keep = reduce_bad_scales(pts, np.arange(30), j, max(m_cap, 1))
+        keep = reduce_bad_scales(pts, np.arange(30), j, max(m_cap, 1), 0.5)
         half = j.dilate(0.5)
         for i in keep:
             bs = bad_scales(pts[keep], pts[i], half, 0.5, high)
@@ -217,7 +217,7 @@ class TestExtract:
         keep = np.arange(len(pts))
         current = j
         for step in range(m0):
-            keep = reduce_bad_scales(pts, keep, current, m0 - step)
+            keep = reduce_bad_scales(pts, keep, current, m0 - step, 0.5)
             sizes.append(len(keep))
             current = current.dilate(0.5)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))

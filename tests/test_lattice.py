@@ -54,7 +54,7 @@ def reference_descend(points, member_idx, interval, gen, rho=0.5):
         if assigned is None:
             assigned = next(i for i, d in enumerate(dists) if d <= sep + TOL)
         groups[assigned].append(idx)
-    return [AnisoCube(np.sort(np.concatenate(parts)), net[i], gen, interval, m, rho)
+    return [AnisoCube(np.sort(np.concatenate(parts)), net[i], gen, interval, rho)
             for i, parts in groups.items() if parts]
 
 
@@ -97,9 +97,9 @@ def reference_check_cube_invariants(points, carrier_idx, cubes):
 
 
 def assert_same_cubes(got, want):
-    assert [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m, c.interval, c.rho)
+    assert [(c.atom_idx.tolist(), c.center_idx, c.level, c.interval, c.rho)
             for c in got] == \
-        [(c.atom_idx.tolist(), c.center_idx, c.level, c.base_m, c.interval, c.rho)
+        [(c.atom_idx.tolist(), c.center_idx, c.level, c.interval, c.rho)
          for c in want]
 
 
@@ -280,8 +280,8 @@ class TestNetSweepOracle:
         # centers exactly 3 rho^gen apart along the interval are not separated
         iv = AngleInterval(0.0, 0.05)
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.5], [0.5, 0.0]])
-        cubes = [AnisoCube([i], i, 0, iv, 0, 0.5) for i in range(3)] + \
-            [AnisoCube([3], 3, 0, TriadicInterval(1, 0), 0, 0.5)]
+        cubes = [AnisoCube([i], i, 0, iv, 0.5) for i in range(3)] + \
+            [AnisoCube([3], 3, 0, TriadicInterval(1, 0), 0.5)]
         report = check_cube_invariants(pts, np.arange(4), cubes)
         assert report == reference_check_cube_invariants(pts, np.arange(4), cubes)
         assert not report["net_separation"]
@@ -294,20 +294,19 @@ class TestNetSweepOracle:
         cube listed twice, two cubes merged, the first cube's rho halved and the
         last one's doubled."""
         a, b = cubes[0], cubes[-1]
-        moved = [AnisoCube(a.atom_idx[1:], a.center_idx, a.level, a.interval, a.base_m, a.rho),
+        moved = [AnisoCube(a.atom_idx[1:], a.center_idx, a.level, a.interval, a.rho),
                  *cubes[1:-1],
                  AnisoCube(np.r_[b.atom_idx, a.atom_idx[:1]], b.center_idx, b.level,
-                           b.interval, b.base_m, b.rho)]
+                           b.interval, b.rho)]
         far = int(a.atom_idx[np.argmax(d_metric_many(a.interval, pts[a.center_idx],
                                                      pts[a.atom_idx]))])
-        recentered = [AnisoCube(a.atom_idx, far, a.level, a.interval, a.base_m, a.rho),
+        recentered = [AnisoCube(a.atom_idx, far, a.level, a.interval, a.rho),
                       *cubes[1:]]
         merged = [AnisoCube(np.r_[a.atom_idx, b.atom_idx], a.center_idx, a.level,
-                            a.interval, a.base_m, a.rho), *cubes[1:-1]]
-        rescaled = [AnisoCube(a.atom_idx, a.center_idx, a.level, a.interval, a.base_m,
-                              a.rho / 2), *cubes[1:-1],
-                    AnisoCube(b.atom_idx, b.center_idx, b.level, b.interval, b.base_m,
-                              b.rho * 2)]
+                            a.interval, a.rho), *cubes[1:-1]]
+        rescaled = [AnisoCube(a.atom_idx, a.center_idx, a.level, a.interval, a.rho / 2),
+                    *cubes[1:-1],
+                    AnisoCube(b.atom_idx, b.center_idx, b.level, b.interval, b.rho * 2)]
         return moved, recentered, [*cubes, a], merged, rescaled
 
     @pytest.mark.parametrize("tile", [torus.PAIR_TILE, 1], ids=["one_block", "row_blocks"])

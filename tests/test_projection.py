@@ -142,18 +142,18 @@ class TestProjectSegments:
 class TestFavard:
     def test_unit_segment(self):
         u = SegmentUnion([Segment((0, 0), (1, 0))])
-        assert favard(u, 4096) == pytest.approx(2 / math.pi, abs=1e-3)
+        assert favard(u, 4096, 1) == pytest.approx(2 / math.pi, abs=1e-3)
 
     def test_square_boundary(self):
         sk = DyadicSquareSet(0, [(0, 0)]).skeleton()
-        assert favard(sk, 4096) == pytest.approx(4 / math.pi, abs=2e-3)
+        assert favard(sk, 4096, 1) == pytest.approx(4 / math.pi, abs=2e-3)
 
     def test_constant_width_polygon(self):
         n = 64
         ang = 2 * math.pi * np.arange(n + 1) / n
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         u = SegmentUnion([Segment(tuple(pts[i]), tuple(pts[i + 1])) for i in range(n)])
-        assert favard(u, 4096) == pytest.approx(2.0, abs=5e-3)
+        assert favard(u, 4096, 1) == pytest.approx(2.0, abs=5e-3)
 
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(2)
@@ -162,7 +162,7 @@ class TestFavard:
         small = SegmentUnion(segs[:4])
         big = SegmentUnion(segs)
         for n in (16, 64, 256):
-            assert favard(small, n) <= favard(big, n) + 1e-12
+            assert favard(small, n, 1) <= favard(big, n, 1) + 1e-12
 
     def test_upper_bounds(self):
         rng = np.random.default_rng(3)
@@ -170,7 +170,7 @@ class TestFavard:
             segs = [Segment(tuple(rng.random(2)), tuple(rng.random(2) + 0.1))
                     for _ in range(5)]
             u = SegmentUnion(segs)
-            f = favard(u, 512)
+            f = favard(u, 512, 1)
             assert f <= min(u.total_length, u.diameter()) + 1e-9
 
     def test_deterministic_given_workers(self):
@@ -225,7 +225,7 @@ class TestSweep:
         for u in sweep_inputs():
             for n in (64, 63):
                 thetas = (np.arange(n) + 0.5) / n
-                values = midpoint_measures(u, n)
+                values = midpoint_measures(u, n, 1)
                 for workers in (2, 3):
                     assert np.array_equal(midpoint_measures(u, n, workers), values)
                 if n % 2:
@@ -416,7 +416,7 @@ class TestExactFavard:
             for n in (512, 511, 64, 63):
                 h = 1.0 / n
                 bound = h * h * (4 * math.pi**2 * v_max / 24 + 2 * math.pi / 8 * jumps)
-                assert abs(favard(u, n) - exact) <= bound + 1e-13 * u.diameter()
+                assert abs(favard(u, n, 1) - exact) <= bound + 1e-13 * u.diameter()
 
 
 class TestFavardMetamorphic:
@@ -426,12 +426,13 @@ class TestFavardMetamorphic:
         rng = np.random.default_rng(15)
         for u in sweep_inputs():
             dx, dy = rng.uniform(-10, 10, 2)
-            moved = favard(mapped(u, lambda x, y: (x + dx, y + dy)), self.N)
-            assert abs(moved - favard(u, self.N)) <= 1e-13 * (u.diameter() + math.hypot(dx, dy))
+            moved = favard(mapped(u, lambda x, y: (x + dx, y + dy)), self.N, 1)
+            assert abs(moved - favard(u, self.N, 1)) <= 1e-13 * (u.diameter() + math.hypot(dx, dy))
 
     def test_scaling_by_two_doubles_favard(self):
         for u in sweep_inputs():
-            assert favard(mapped(u, lambda x, y: (2 * x, 2 * y)), self.N) == 2 * favard(u, self.N)
+            assert favard(mapped(u, lambda x, y: (2 * x, 2 * y)), self.N, 1) == \
+                2 * favard(u, self.N, 1)
 
     def test_rotation_by_grid_steps(self):
         # the rotated union at theta_i is the union at theta_{i-j}; for j = n/4 + 1
@@ -439,8 +440,8 @@ class TestFavardMetamorphic:
         for j in (1, self.N // 4 + 1):
             c, s = math.cos(2 * math.pi * j / self.N), math.sin(2 * math.pi * j / self.N)
             for u in sweep_inputs():
-                turned = favard(mapped(u, lambda x, y: (c * x - s * y, s * x + c * y)), self.N)
-                assert abs(turned - favard(u, self.N)) <= 1e-12
+                turned = favard(mapped(u, lambda x, y: (c * x - s * y, s * x + c * y)), self.N, 1)
+                assert abs(turned - favard(u, self.N, 1)) <= 1e-12
 
 
 class TestMemory:
@@ -455,11 +456,11 @@ class TestMemory:
 
     def test_favard_mc_memory_bounded(self):
         u = four_corners(2).skeleton()
-        assert self.peak_bytes(favard_mc, u, 100_000) < 16 * 2**20
+        assert self.peak_bytes(favard_mc, u, 100_000, 0) < 16 * 2**20
 
     def test_favard_memory_bounded(self):
         u = four_corners(5).skeleton()
-        assert self.peak_bytes(favard, u, 256) < 8 * 2**20
+        assert self.peak_bytes(favard, u, 256, 1) < 8 * 2**20
 
 
 class TestFavardMC:
@@ -469,11 +470,11 @@ class TestFavardMC:
         assert abs(est - 2 / math.pi) <= 3 * se
 
     def test_empty_union(self):
-        assert favard_mc(SegmentUnion([]), 1000) == (0.0, 0.0)
+        assert favard_mc(SegmentUnion([]), 1000, 0) == (0.0, 0.0)
 
     def test_cross_check_cantor(self):
         sk = four_corners(2).skeleton()
-        exact = favard(sk, 4096)
+        exact = favard(sk, 4096, 1)
         est, se = favard_mc(sk, 1_000_000, rng_seed=1)
         assert abs(est - exact) <= 3 * se
 
@@ -490,7 +491,7 @@ class TestFavardMC:
 
     def test_needle_count_guard(self):
         with pytest.raises(ValueError):
-            favard_mc(SegmentUnion([Segment((0, 0), (1, 0))]), 10)
+            favard_mc(SegmentUnion([Segment((0, 0), (1, 0))]), 10, 0)
 
 
 class TestPushforward:

@@ -5,7 +5,7 @@ import pytest
 
 from favard.conical import scale_ceiling
 from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segment,
-                         SegmentUnion, _cloud_content, _cloud_of, ahlfors_constant,
+                         SegmentUnion, cloud_content, cloud_of, ahlfors_constant,
                          four_corners, pairwise_extremes, segment_distances, split_parallel)
 from tests.reference import (atoms_by_segment, ball_mass_by_segment, direction_angle,
                              hausdorff_content, project_segments, skeleton_by_edge,
@@ -389,28 +389,28 @@ class TestHausdorffContent:
     def test_content_comparison_family(self):
         # content(E n Gamma(3 delta)) >= c * content(E(delta) n Gamma) on
         # crossing instances; the family constant is recorded >= 1/8 here
-        from favard.sets import _cloud_content, _cloud_of
+        from favard.sets import cloud_content, cloud_of
         delta = 1 / 32
         fc = four_corners(2)
         # a horizontal line through the bottom cell row (the midline of the
         # square misses every cell of this Cantor set by 1/4)
         gamma = SegmentUnion([Segment((0.0, 1 / 32), (1.0, 1 / 32))])
-        e_pts, e_w, e_slack = _cloud_of(fc)
+        e_pts, e_w, e_slack = cloud_of(fc)
         d_curve = segment_distances(e_pts, gamma)
         lhs_mask = d_curve <= 3 * delta
-        lhs = _cloud_content(e_pts[lhs_mask], e_w[lhs_mask], e_slack)
+        lhs = cloud_content(e_pts[lhs_mask], e_w[lhs_mask], e_slack)
         g_atoms = gamma.atoms(delta / 4)
         d_e = np.array([np.min(np.hypot(e_pts[:, 0] - p[0], e_pts[:, 1] - p[1]))
                         for p in g_atoms.points])
         rhs_mask = d_e <= delta + e_slack
-        rhs = _cloud_content(g_atoms.points[rhs_mask], g_atoms.weights[rhs_mask],
-                             delta / 8)
+        rhs = cloud_content(g_atoms.points[rhs_mask], g_atoms.weights[rhs_mask],
+                            delta / 8)
         assert lhs > 0 and rhs > 0
         assert lhs >= rhs / 8.0
 
 
 def reference_cloud_content(pts, wts, slack, min_radius=0.0):
-    """_cloud_content as it was before the centers x points distance matrix
+    """cloud_content as it was before the centers x points distance matrix
     moved out of the greedy loop: the matrix is rebuilt on every step."""
     if len(pts) == 0:
         return 0.0
@@ -456,7 +456,7 @@ def reference_cloud_content(pts, wts, slack, min_radius=0.0):
 
 class TestCloudContent:
     def test_matches_the_per_step_oracle(self):
-        pts, wts, slack = _cloud_of(four_corners(2).skeleton())
+        pts, wts, slack = cloud_of(four_corners(2).skeleton())
         cases = [(pts, wts, slack, 1 / 64)]
         rng = np.random.default_rng(15)
         for _ in range(30):
@@ -465,7 +465,7 @@ class TestCloudContent:
             cases.append((cloud, rng.uniform(0.01, 1.0, n), float(rng.choice([0.0, 0.01])),
                           float(rng.choice([0.0, 1 / 64, 0.1]))))
         for args in cases:
-            assert _cloud_content(*args) == reference_cloud_content(*args)
+            assert cloud_content(*args) == reference_cloud_content(*args)
 
 
 class TestSegmentDistances:

@@ -111,7 +111,8 @@ class TestGoodStages:
     def test_root_family_forces_full_cover(self):
         atoms = line_atoms()
         fams = {i: [ROOT] for i in range(len(atoms))}
-        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         assert all(stages.cover[i] == [ROOT] for i in np.nonzero(stages.controlled)[0]
                    for i in [int(i)])
         assert stages.full_cover.sum() == stages.controlled.sum()
@@ -121,7 +122,8 @@ class TestGoodStages:
         atoms = line_atoms()
         child = ROOT.children()[0]
         fams = {i: [child] for i in range(len(atoms))}
-        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.cover[i0] == [child]
         assert stages.controlled[i0] and not stages.full_cover[i0]
@@ -129,13 +131,14 @@ class TestGoodStages:
     def test_zero_energy_keeps_filter_trivial(self):
         atoms = line_atoms()
         fams = {i: [ROOT] for i in range(len(atoms))}
-        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         for i in np.nonzero(stages.controlled)[0]:
             assert stages.filtered[int(i)] == stages.cover[int(i)]
 
     def test_chebyshev_and_filtered_large(self):
         _, atoms, eprime, fams, root_iv = cantor_horizontal_instance(pitch=1 / 48)
-        stages = build_good_stages(atoms, eprime, fams, root_iv, 2.0, 8.0)
+        stages = build_good_stages(atoms, eprime, fams, root_iv, 2.0, 8.0, ExperimentConfig())
         assert stages.checks["chebyshev_e0"]
         assert stages.checks["g1_large"]
         assert stages.checks["g0_covers"]
@@ -143,7 +146,8 @@ class TestGoodStages:
     def test_core_middle_children(self):
         atoms = line_atoms()
         fams = {i: [ROOT] for i in range(len(atoms))}
-        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(len(atoms), bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert stages.core[i0] == [ROOT.middle_child()]
 
@@ -162,13 +166,13 @@ class TestGoodStages:
         bad = TriadicInterval(3, 7)
         fams = {i: [bad] for i in range(8)}
         with pytest.raises(ValueError, match="outside the root"):
-            build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
+            build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0, ExperimentConfig())
 
     def test_overlapping_family_rejected(self):
         atoms = line_atoms(8)
         fams = {i: [ROOT, ROOT.children()[0]] for i in range(8)}
         with pytest.raises(ValueError, match="disjoint"):
-            build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
+            build_good_stages(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0, ExperimentConfig())
 
 
 class TestGstar:
@@ -176,7 +180,8 @@ class TestGstar:
         atoms = line_atoms(32)
         child = ROOT.children()[0]
         fams = {i: [child] for i in range(32)}
-        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         # force one point out of E_0
         stages.controlled[0] = False
         gs = grow_families(stages)
@@ -185,7 +190,8 @@ class TestGstar:
     def test_full_cover_jumps_to_root(self):
         atoms = line_atoms(32)
         fams = {i: [ROOT] for i in range(32)}
-        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         gs = grow_families(stages)
         for i in np.nonzero(stages.full_cover)[0]:
             assert gs.families[int(i)] == [ROOT]
@@ -195,7 +201,8 @@ class TestGstar:
         atoms = line_atoms(32)
         child = ROOT.children()[0]
         fams = {i: [child] for i in range(32)}
-        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(32, bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         gs = grow_families(stages)
         i0 = int(np.nonzero(stages.controlled)[0][0])
         assert gs.families[i0] == [ROOT]
@@ -206,7 +213,8 @@ class TestGstar:
         atoms = line_atoms(48)
         grandchild = ROOT.children()[0].children()[0]
         fams = {i: [grandchild] for i in range(48)}
-        stages = build_good_stages(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+        stages = build_good_stages(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0,
+                                   ExperimentConfig())
         gs = grow_families(stages)
         assert gs.containment_ok
         if not gs.finished_mask.all():
@@ -232,13 +240,13 @@ def good_at_scale(stages, x_idx, k):
 class TestGoodAtScale:
     def test_large_k_reduces_to_carriers(self):
         _, atoms, eprime, fams, root_iv = single_line_instance(pitch=1 / 32)
-        stages = stages_for(atoms, eprime, fams, root_iv)
+        stages = stages_for(atoms, eprime, fams, root_iv, ExperimentConfig())
         g_far = good_at_scale(stages, 0, 14)
         assert g_far == maximal_intervals(stages.core[0])
 
     def test_nearby_carrier_within_ball(self):
         _, atoms, eprime, fams, root_iv = single_line_instance(pitch=1 / 32)
-        stages = stages_for(atoms, eprime, fams, root_iv)
+        stages = stages_for(atoms, eprime, fams, root_iv, ExperimentConfig())
         # at k = 0 the ball radius 10 in d_I reaches every atom of the segment
         full = good_at_scale_all(stages, [0])[0]
         universe = stages.core_universe()
@@ -425,7 +433,7 @@ class TestAncestryOracle:
         old = tree.nodes[like]
         nid = max(tree.nodes) + 1
         cube = AnisoCube(atom_idx, old.cube.center_idx, 0, interval or old.interval,
-                         old.cube.base_m, old.cube.rho)
+                         old.cube.rho)
         tree.nodes[nid] = TreeNode(cube, "root0", None, nid)
         tree.generations[0].append(nid)
 
@@ -858,7 +866,8 @@ class TestPropagation:
     def test_root_families_finish_round_one(self):
         atoms = line_atoms(48)
         fams = {i: [ROOT] for i in range(48)}
-        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0,
+                                        ExperimentConfig())
         assert res.rounds == 1
         assert res.finished_mask.all()
 
@@ -866,7 +875,8 @@ class TestPropagation:
         atoms = line_atoms(48)
         child = ROOT.children()[2]
         fams = {i: [child] for i in range(48)}
-        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0,
+                                        ExperimentConfig())
         assert res.rounds == 1
         assert math.fsum(atoms.weights[res.finished_mask].tolist()) >= 0.25 - 1e-12
         for t in res.trace:
@@ -882,7 +892,8 @@ class TestPropagation:
         for _ in range(levels):
             iv = iv.children()[2]
         fams = {i: [iv] for i in range(48)}
-        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+        res = propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0,
+                                        ExperimentConfig())
         assert res.rounds == levels
         assert [t["e_fin_mass_fraction"] for t in res.trace] == [0.0] * (levels - 1) + [1.0]
         assert "energy_growth_constant" not in res.trace[0]
@@ -896,13 +907,15 @@ class TestPropagation:
         iv = ROOT.children()[2].children()[2]
         fams = {i: [iv] for i in range(48)}
         with pytest.raises(RuntimeError, match="did not finish within 1 rounds; trace: r1: fin=0"):
-            propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0)
+            propagate_good_directions(atoms, np.ones(48, bool), fams, ROOT, 2.0, 8.0,
+                                      ExperimentConfig())
 
     def test_empty_family_rejected(self):
         atoms = line_atoms(8)
         fams = {i: [] for i in range(8)}
         with pytest.raises(ValueError, match="empty family"):
-            propagate_good_directions(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0)
+            propagate_good_directions(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0,
+                                      ExperimentConfig())
 
 
 class TestGapInterval:
