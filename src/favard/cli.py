@@ -50,7 +50,7 @@ def _load_model(path: str):
         if p.suffix == ".json":
             return DyadicSquareSet.from_json(p)
         return SegmentUnion.from_csv(p)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(str(exc)) from exc
 
 

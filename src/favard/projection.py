@@ -27,7 +27,7 @@ from .torus import direction_vector, row_dot
 PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
 
 
-SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of the sweep
+SWEEP_BLOCK = 65_536    # projected vertex slots per angle block of the sweep
 MC_CHUNK = 100_000      # needles drawn from the generator at a time
 MIN_NEEDLES = 100       # the fewest needles favard_mc accepts
 NEEDLE_BLOCK = 65_536   # needle-slot pairs per block of the Monte Carlo hit test
@@ -46,14 +46,15 @@ def _sweep(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Measure of pi_theta(E) for each angle, from the (K, C) piece table.
 
     Each piece projects onto the interval from the lowest to the highest of
-    its K projected vertex slots. With those intervals sorted by low end and
-    runmax_i the running maximum of the high ends, the measure is
-        (runmax_last - low_first) - sum_i max(0, low_{i+1} - runmax_i).
-    A gap between tied lows is exactly 0, so each value depends only on the
-    multiset of intervals, never on how ties are ordered. That lets each
-    block start its stable (run-adaptive) sort from the previous angle's
-    order: the sort stays exact and the values do not depend on block or
-    shard boundaries.
+    its K projected vertex slots. With the low ends L and the high ends H
+    each sorted on its own, the measure is
+        (H_last - L_first) - sum_i max(0, L_i - H_{i-1}),
+    the floats of the sweep in low-end order, whose gaps are
+    max(0, L_i - runmax_{i-1}), runmax the running maximum of the high ends:
+    a gap opens before L_i exactly when the first i intervals end below L_i
+    and the rest at or above it, so runmax_{i-1} = H_{i-1}; with no gap, at
+    most i - 1 high ends lie below L_i, so H_{i-1} >= L_i and both add 0.
+    No angle reads another's sort, so no block carries state to the next.
     """
     n_pieces = xs.shape[1]
     out = np.zeros(len(thetas))
@@ -63,19 +64,15 @@ def _sweep(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
     xs, ys = xs[:, None, :], ys[:, None, :]
     block = max(1, SWEEP_BLOCK // xs.size)
-    order = np.arange(n_pieces)
     for c in range(0, len(thetas), block):
-        proj = xs * ex[c:c + block] + ys * ey[c:c + block]      # (K, angles, C)
-        lows = proj.min(axis=0)
-        # sort each angle starting from the previous angle's order
-        idx = np.argsort(np.take(lows, order, axis=1), axis=1, kind="stable")
-        perm = order[idx]
-        flat = perm + (n_pieces * np.arange(len(perm)))[:, None]
-        lows = np.take(lows, flat)
-        run = np.maximum.accumulate(np.take(proj.max(axis=0), flat), axis=1)
-        gaps = np.maximum(lows[:, 1:] - run[:, :-1], 0.0).sum(axis=1)
-        out[c:c + block] = (run[:, -1] - lows[:, 0]) - gaps
-        order = perm[-1]
+        proj = xs * ex[c:c + block]                             # (K, angles, C)
+        proj += ys * ey[c:c + block]
+        lows, highs = proj.min(axis=0), proj.max(axis=0)
+        lows.sort(axis=1)
+        highs.sort(axis=1)
+        gaps = np.subtract(lows[:, 1:], highs[:, :-1])
+        gaps = np.maximum(gaps, 0.0, out=gaps).sum(axis=1)
+        out[c:c + block] = (highs[:, -1] - lows[:, 0]) - gaps
     return out
 
 
@@ -83,7 +80,7 @@ def projection_measures(union: SegmentUnion, thetas) -> np.ndarray:
     """Measure of pi_theta(E) for each angle of `thetas` (vectorized sweep).
 
     Memory stays bounded by blocks of about SWEEP_BLOCK projected vertex
-    slots of the piece table, and each value depends only on its own angle.
+    slots, and each value depends only on its own angle's sorted ends.
     """
     return _sweep(*union.pieces, np.asarray(thetas, dtype=float).reshape(-1))
 
@@ -95,9 +92,9 @@ def midpoint_measures(union: SegmentUnion, n_angles: int, workers: int) -> np.nd
     period 1/2 in theta. For even n, theta -> theta + 1/2 maps the grid onto
     itself: only its first n/2 angles are swept and the values are tiled, so
     entries i and i + n/2 are equal. Odd n sweeps the full grid. The swept
-    angles are split into `workers` contiguous shards run on threads; every
-    value is independent of the shard it lands in. The piece table is built
-    before the threads start.
+    angles are split into `workers` contiguous shards run on threads; no
+    angle's sweep reads another's, so every value is independent of the
+    shard it lands in. The piece table is built before the threads start.
     """
     if n_angles < 2:
         raise ValueError("n_angles must be >= 2")

@@ -140,21 +140,17 @@ class SegmentUnion:
         vertex = np.empty(2 * n, dtype=np.int64)
         vertex[by_point] = number[by_point[starts]][np.cumsum(starts) - 1]
 
-        # union-find that keeps the smaller number as the root, so each root
-        # is its piece's first vertex
-        parent = list(range(int(np.count_nonzero(first))))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            return v
-
-        for u, v in zip(vertex[0::2].tolist(), vertex[1::2].tolist()):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        root = np.array([find(v) for v in range(len(parent))], dtype=np.int64)
-        sizes = np.bincount(root, minlength=len(parent))
+        # hook the larger root of each segment's ends onto the smaller, then
+        # point every vertex at its root; roots only move to smaller numbers,
+        # so each piece ends rooted at its smallest number, its first vertex
+        a, b = vertex[0::2], vertex[1::2]
+        root = np.arange(np.count_nonzero(first))
+        while (split := root[a] != root[b]).any():
+            ra, rb = root[a[split]], root[b[split]]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(up := root[root], root):
+                root = up
+        sizes = np.bincount(root, minlength=len(root))
         roots = np.flatnonzero(sizes)
         k, c = int(sizes.max(initial=0)), len(roots)
         if k * c > 2 * n:
@@ -306,13 +302,17 @@ class DyadicSquareSet:
     """Union of closed dyadic squares [i 2^-k, (i+1) 2^-k] x [j 2^-k, (j+1) 2^-k]."""
 
     def __init__(self, level: int, cells: Iterable[tuple[int, int]]):
+        cells = [tuple(c) for c in cells]
+        bad = [v for v in (level, *(index for c in cells for index in c))
+               if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"level and cell indices must be integers, got {bad[0]!r}")
         if level < 0:
             raise ValueError("level must be >= 0")
-        self.level = level
+        self.level, n = int(level), 2**level
         self.cells = frozenset((int(i), int(j)) for i, j in cells)
         if not self.cells:
             raise ValueError("empty square set")
-        n = 2**level
         for i, j in self.cells:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"cell ({i}, {j}) out of range at level {level}")
@@ -334,10 +334,13 @@ class DyadicSquareSet:
         Projections never shrink: pi_theta of a square equals pi_theta of its
         boundary, so the skeleton has the same projections as the square union.
         """
-        # (i, j, kind): the edge from corner (i, j) rightwards (0) or upwards (1)
-        edges = sorted({edge for i, j in self.cells      # bottom, top, left, right
-                        for edge in ((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1))})
-        i, j, kind = np.array(edges).T
+        # (i, j, kind): the edge from corner (i, j) rightwards (0) or upwards (1);
+        # each cell's bottom, top, left and right edge, sorted, duplicates dropped
+        ci, cj = np.array(list(self.cells), dtype=np.int64).T
+        edges = np.stack([np.r_[ci, ci, ci, ci + 1], np.r_[cj, cj + 1, cj, cj],
+                          np.repeat([0, 0, 1, 1], len(ci))])
+        edges = edges[:, np.lexsort(edges[::-1])]
+        i, j, kind = edges[:, np.r_[True, (edges[:, 1:] != edges[:, :-1]).any(axis=0)]]
         s = self.side
         return SegmentUnion.from_endpoints(np.column_stack([i * s, j * s]),
                                            np.column_stack([(i + 1 - kind) * s, (j + kind) * s]))
@@ -350,7 +353,7 @@ class DyadicSquareSet:
     def from_json(cls, path) -> "DyadicSquareSet":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls(data["level"], [tuple(c) for c in data["cells"]])
+        return cls(data["level"], data["cells"])
 
 
 def four_corners(n: int) -> DyadicSquareSet:

@@ -5,12 +5,13 @@ Nothing here runs in a command. Three kinds of definitions live here:
 - slow references that the fast paths of the package are checked against
   (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
   pushforward densities, the parallel split, the Favard sweep and the
-  Monte Carlo needle test; exact interval-union projections, the scalar
-  maximal function, annulus masks, single apex cone masses, energies and
-  bad scales, the scalar d_J metric, base-cell grids, the per-carrier
-  descend loop, one-step descents, the quadrature form of the conical
-  energy, the Hausdorff content of a model, the constant-core stages of
-  the no-shattering tree, the per-atom test of the tree's bad cubes, the
+  Monte Carlo needle test; the warm-started argsort sweep, the union-find
+  piece table and the set-based skeleton; exact interval-union projections,
+  the scalar maximal function, annulus masks, single apex cone masses,
+  energies and bad scales, the scalar d_J metric, base-cell grids, the
+  per-carrier descend loop, one-step descents, the quadrature form of the
+  conical energy, the Hausdorff content of a model, the constant-core stages
+  of the no-shattering tree, the per-atom test of the tree's bad cubes, the
   one-node-at-a-time sandwich, budget and bad-chain checks, and the
   interval-by-interval search for the pipeline's root interval);
 - small accessors that only the tests read: a segment's direction, a
@@ -350,6 +351,94 @@ def sweep_by_segment(coords: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+ARGSORT_SWEEP_BLOCK = 32_768    # projected vertex slots per angle block of argsort_sweep
+
+
+def argsort_sweep(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The warm-started argsort sweep that the two-sort sweep replaced:
+    measure of pi_theta(E) for each angle, from the (K, C) piece table.
+
+    Each piece projects onto the interval from the lowest to the highest of
+    its K projected vertex slots. With those intervals sorted by low end and
+    runmax_i the running maximum of the high ends, the measure is
+        (runmax_last - low_first) - sum_i max(0, low_{i+1} - runmax_i).
+    A gap between tied lows is exactly 0, so each value depends only on the
+    multiset of intervals, never on how ties are ordered. That lets each
+    block start its stable (run-adaptive) sort from the previous angle's
+    order: the sort stays exact and the values do not depend on block or
+    shard boundaries.
+    """
+    n_pieces = xs.shape[1]
+    out = np.zeros(len(thetas))
+    if n_pieces == 0:
+        return out
+    ang = 2.0 * math.pi * thetas
+    ex, ey = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    xs, ys = xs[:, None, :], ys[:, None, :]
+    block = max(1, ARGSORT_SWEEP_BLOCK // xs.size)
+    order = np.arange(n_pieces)
+    for c in range(0, len(thetas), block):
+        proj = xs * ex[c:c + block] + ys * ey[c:c + block]      # (K, angles, C)
+        lows = proj.min(axis=0)
+        # sort each angle starting from the previous angle's order
+        idx = np.argsort(np.take(lows, order, axis=1), axis=1, kind="stable")
+        perm = order[idx]
+        flat = perm + (n_pieces * np.arange(len(perm)))[:, None]
+        lows = np.take(lows, flat)
+        run = np.maximum.accumulate(np.take(proj.max(axis=0), flat), axis=1)
+        gaps = np.maximum(lows[:, 1:] - run[:, :-1], 0.0).sum(axis=1)
+        out[c:c + block] = (run[:, -1] - lows[:, 0]) - gaps
+        order = perm[-1]
+    return out
+
+
+def pieces_by_union_find(union: SegmentUnion) -> tuple[np.ndarray, np.ndarray]:
+    """SegmentUnion.pieces with the Python union-find that the array
+    labelling replaced: the (K, C) piece table xs, ys."""
+    n = len(union)
+    ends = union.endpoints()                      # a_0, b_0, a_1, b_1, ...
+    # number the distinct points in order of their first endpoint; lexsort
+    # is stable and, unlike np.unique, does not import numpy.ma
+    by_point = np.lexsort((ends[:, 0], ends[:, 1]))
+    starts = np.ones(2 * n, dtype=bool)
+    starts[1:] = (ends[by_point[1:]] != ends[by_point[:-1]]).any(axis=1)
+    first = np.zeros(2 * n, dtype=bool)
+    first[by_point[starts]] = True
+    number = np.cumsum(first) - 1
+    vertex = np.empty(2 * n, dtype=np.int64)
+    vertex[by_point] = number[by_point[starts]][np.cumsum(starts) - 1]
+
+    # union-find that keeps the smaller number as the root, so each root
+    # is its piece's first vertex
+    parent = list(range(int(np.count_nonzero(first))))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in zip(vertex[0::2].tolist(), vertex[1::2].tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    root = np.array([find(v) for v in range(len(parent))], dtype=np.int64)
+    sizes = np.bincount(root, minlength=len(parent))
+    roots = np.flatnonzero(sizes)
+    k, c = int(sizes.max(initial=0)), len(roots)
+    if k * c > 2 * n:
+        xs, ys = union.coords[0::2], union.coords[1::2]
+    else:
+        verts = ends[first]
+        col = (np.cumsum(sizes > 0) - 1)[root]
+        by_piece = np.argsort(col, kind="stable")
+        col = col[by_piece]
+        slot = np.arange(len(col)) - (np.cumsum(sizes[roots]) - sizes[roots])[col]
+        xs, ys = np.empty((k, c)), np.empty((k, c))
+        xs[:], ys[:] = verts[roots, 0], verts[roots, 1]
+        xs[slot, col], ys[slot, col] = verts[by_piece, 0], verts[by_piece, 1]
+    return xs, ys
+
+
 def favard_mc_by_segment(union: SegmentUnion, needle_count: int,
                          rng_seed: int = 0) -> tuple[float, float]:
     """The per-segment needle test that the piece-table favard_mc replaced:
@@ -478,6 +567,18 @@ def skeleton_by_edge(squares: DyadicSquareSet) -> SegmentUnion:
         else:
             segs.append(Segment((i * s, j * s), (i * s, (j + 1) * s)))
     return SegmentUnion(segs)
+
+
+def skeleton_by_edge_set(squares: DyadicSquareSet) -> SegmentUnion:
+    """DyadicSquareSet.skeleton from a sorted Python set of edge tuples, the
+    form that the array lexsort replaced."""
+    # (i, j, kind): the edge from corner (i, j) rightwards (0) or upwards (1)
+    edges = sorted({edge for i, j in squares.cells      # bottom, top, left, right
+                    for edge in ((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1))})
+    i, j, kind = np.array(edges).T
+    s = squares.side
+    return SegmentUnion.from_endpoints(np.column_stack([i * s, j * s]),
+                                       np.column_stack([(i + 1 - kind) * s, (j + kind) * s]))
 
 
 def split_parallel_by_segment(union: SegmentUnion) -> tuple[SegmentUnion, SegmentUnion]:

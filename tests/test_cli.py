@@ -93,6 +93,26 @@ class TestCompute:
         assert f"{path}:2: degenerate segment (0.5, 0.5) -> (0.5, 0.5)" in capsys.readouterr().err
         assert not (tmp_path / "compute_report.json").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"level": 1, "cells": [[0.7, 1.9]]},
+        {"level": 1.5, "cells": [[0, 0]]},
+        {"level": 1, "cells": [[True, 0]]}], ids=["float-cell", "float-level", "bool-cell"])
+    def test_non_integer_square_set_is_input_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "squares.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--out", str(tmp_path), "compute", str(path)]) == 1
+        assert "integer" in capsys.readouterr().err
+        assert not (tmp_path / "compute_report.json").exists()
+
+    @pytest.mark.parametrize("payload", [{"level": 1, "cells": [5]}, [1, [[0, 0]]]],
+                             ids=["cell-not-a-pair", "not-an-object"])
+    def test_malformed_square_set_is_input_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "squares.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--out", str(tmp_path), "compute", str(path)]) == 1
+        assert "I/O error" in capsys.readouterr().err
+        assert not (tmp_path / "compute_report.json").exists()
+
     def test_per_angle_rows_are_the_summed_values(self, tmp_path):
         # on this input, re-projecting each angle one by one gives rows whose
         # mean misses the reported favard by an ulp

@@ -10,9 +10,10 @@ from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_
                                pushforward_density)
 from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
 from favard.torus import direction_vector, perp
-from tests.reference import (IntervalUnion1D, dense_mass_centered, direction_angle,
-                             favard_mc_by_segment, maximal_value, project, project_segments,
-                             pushforward_density_by_segment, sweep_by_segment)
+from tests.reference import (IntervalUnion1D, argsort_sweep, dense_mass_centered,
+                             direction_angle, favard_mc_by_segment, maximal_value, project,
+                             project_segments, pushforward_density_by_segment,
+                             sweep_by_segment)
 from tests.test_sets import mixed_union, oracle_unions, polyline, star
 
 
@@ -271,6 +272,59 @@ class TestPiecesMatchTheSegments:
             needles = 100_500 if len(u) <= 16 else 3_000
             for seed in (0, 1):
                 assert favard_mc(u, needles, seed) == favard_mc_by_segment(u, needles, seed)
+
+
+def tie_heavy_unions():
+    """Unions whose projected ends tie at the grid angles: duplicate and
+    reversed segments, stacks of equal parallel segments, the edges and
+    diagonals of an integer grid, random segments between integer points,
+    and a full dyadic grid's skeleton."""
+    rng = np.random.default_rng(24)
+    grid = [((i, j), (i + 1, j)) for i in range(5) for j in range(6)]
+    grid += [((i, j), (i, j + 1)) for i in range(6) for j in range(5)]
+    grid += [((i, j), (i + 1, j + 1)) for i in range(5) for j in range(5)]
+    ends = rng.integers(0, 4, (60, 4))
+    ends = ends[(ends[:, :2] != ends[:, 2:]).any(axis=1)]
+    return [SegmentUnion([Segment((0, 0), (1, 0))] * 3 + [Segment((1, 0), (0, 0))]),
+            SegmentUnion([Segment((0, i), (1, i)) for i in range(20)]
+                         + [Segment((i, 0), (i, 1)) for i in range(20)]),
+            SegmentUnion([Segment(a, b) for a, b in grid] * 2),
+            SegmentUnion.from_endpoints(ends[:, :2], ends[:, 2:]),
+            SegmentUnion.from_endpoints(ends[::2, :2], ends[::2, 2:] + 7),
+            DyadicSquareSet(3, [(i, j) for i in range(8) for j in range(8)]).skeleton()]
+
+
+class TestTwoSortSweepEqualsTheArgsortSweep:
+    """The sweep that sorts low and high ends on their own gives exactly the
+    floats of the warm-started argsort sweep it replaced."""
+
+    def test_piece_inputs(self):
+        rng = np.random.default_rng(25)
+        thetas = np.concatenate([[0.0, 0.125, 0.25, 0.375, 0.5, 0.75], rng.random(40),
+                                 (np.arange(64) + 0.5) / 64])
+        for u in piece_inputs():
+            assert np.array_equal(projection_measures(u, thetas), argsort_sweep(*u.pieces, thetas))
+
+    def test_tie_heavy_unions(self):
+        for u in tie_heavy_unions():
+            thetas = np.array([0.0, 0.125, 0.25, 0.375])
+            assert np.array_equal(projection_measures(u, thetas), argsort_sweep(*u.pieces, thetas))
+            for n in (63, 64):
+                m = n // 2 if n % 2 == 0 else n
+                want = np.tile(argsort_sweep(*u.pieces, (np.arange(m) + 0.5) / n), n // m)
+                for workers in (1, 2):
+                    assert np.array_equal(midpoint_measures(u, n, workers), want)
+                assert favard(u, n, 1) == math.fsum(want.tolist()) / n
+
+    @pytest.mark.parametrize("sweep_block", [1, 1_000])
+    def test_block_size_does_not_change_the_values(self, monkeypatch, sweep_block):
+        # a block of one angle, and blocks that split the angles unevenly
+        monkeypatch.setattr(projection, "SWEEP_BLOCK", sweep_block)
+        thetas = (np.arange(101) + 0.5) / 101
+        unions = tie_heavy_unions() + [four_corners(3).skeleton(),
+                                       polyline(50, np.random.default_rng(26))]
+        for u in unions:
+            assert np.array_equal(projection_measures(u, thetas), argsort_sweep(*u.pieces, thetas))
 
 
 def mapped(union, f):

@@ -8,8 +8,8 @@ from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segmen
                          SegmentUnion, cloud_content, cloud_of, ahlfors_constant,
                          four_corners, pairwise_extremes, segment_distances, split_parallel)
 from tests.reference import (atoms_by_segment, ball_mass_by_segment, direction_angle,
-                             hausdorff_content, project_segments, skeleton_by_edge,
-                             split_parallel_by_segment)
+                             hausdorff_content, pieces_by_union_find, project_segments,
+                             skeleton_by_edge, skeleton_by_edge_set, split_parallel_by_segment)
 
 
 def oracle_unions():
@@ -49,11 +49,15 @@ class TestArrayPathsMatchTheSegmentLoops:
                     assert u.ball_mass(c, r) == ball_mass_by_segment(u, c, r)
 
     def test_skeleton(self):
+        # the dense random sets share many edges between adjacent cells
         rng = np.random.default_rng(8)
-        sets = [four_corners(n) for n in range(4)] + [DyadicSquareSet(1, [(0, 0), (1, 0)])]
+        sets = [four_corners(n) for n in range(7)] + [DyadicSquareSet(1, [(0, 0), (1, 0)])]
         sets += [DyadicSquareSet(4, {tuple(c) for c in rng.integers(0, 16, (30, 2))})
                  for _ in range(5)]
+        sets += [DyadicSquareSet(level, {tuple(c) for c in rng.integers(0, 2**level, (m, 2))})
+                 for level, m in ((2, 10), (3, 40), (3, 64), (4, 200), (6, 3000))]
         for sq in sets:
+            assert same_union(sq.skeleton(), skeleton_by_edge_set(sq))
             assert same_union(sq.skeleton(), skeleton_by_edge(sq))
 
     def test_split_parallel(self):
@@ -180,6 +184,29 @@ class TestPieceTable:
             else:
                 assert [set(col) for col in self.columns(u)] == pieces
 
+    def test_equals_the_union_find_table(self):
+        rng = np.random.default_rng(22)
+        unions = shared_endpoint_unions() + [four_corners(k).skeleton() for k in range(6)]
+        unions += [polyline(200, rng), star(50, rng), SegmentUnion([])]
+        for u in unions:
+            for got, want in zip(u.pieces, pieces_by_union_find(u)):
+                assert np.array_equal(got, want)
+
+    def test_shuffled_reversed_polyline_equals_the_union_find_table(self):
+        # numbered in shuffled segment order, the vertices along the line
+        # carry random numbers, so labels travel far before they settle
+        rng = np.random.default_rng(23)
+        pts = np.cumsum(rng.uniform(-1, 1, (20_001, 2)), axis=0)
+        a, b = pts[:-1], pts[1:]
+        flip = rng.random(20_000) < 0.5
+        a, b = np.where(flip[:, None], b, a), np.where(flip[:, None], a, b)
+        order = rng.permutation(20_000)
+        u = SegmentUnion.from_endpoints(a[order], b[order])
+        xs, ys = u.pieces
+        assert xs.shape == (20_001, 1)
+        want_xs, want_ys = pieces_by_union_find(u)
+        assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+
     def test_signed_zero_corner_joins(self):
         u = SegmentUnion([Segment((0.0, 0.0), (1, 0)), Segment((-0.0, 0.0), (0, 1))])
         assert u.pieces[0].shape == (3, 1)
@@ -278,6 +305,25 @@ class TestFourCorners:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             four_corners(13)
+
+
+class TestSquareSetInput:
+    @pytest.mark.parametrize("level, cells", [
+        (1, [(0.7, 1.9)]), (1, [(1.0, 0)]), (1.5, [(0, 0)]), (1.0, [(0, 0)]),
+        (1, [(True, 0)]), (True, [(0, 0)]), (1, [(0, None)])])
+    def test_non_integer_input_rejected(self, level, cells):
+        with pytest.raises(ValueError, match="integer"):
+            DyadicSquareSet(level, cells)
+
+    @pytest.mark.parametrize("cell", [(0, 1, 1), (0,)])
+    def test_cell_of_another_length_rejected(self, cell):
+        with pytest.raises(ValueError):
+            DyadicSquareSet(1, [cell])
+
+    def test_numpy_integers_accepted(self):
+        sq = DyadicSquareSet(np.int64(2), [tuple(c) for c in np.array([[0, 3], [3, 0]])])
+        assert sq.level == 2 and sq.cells == {(0, 3), (3, 0)}
+        assert all(type(v) is int for c in sq.cells for v in c)
 
 
 class TestSkeleton:
