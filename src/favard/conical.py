@@ -211,8 +211,7 @@ def select_good_directions(union: SegmentUnion, arc: AngleInterval, kappa: float
             raise ValueError(
                 f"big projection hypothesis fails at theta={theta}: "
                 f"H(pi_theta(E)) = {measure} <= kappa H(E) = {kappa * total_mass}")
-    good = np.array([projector.mu_theta(theta, mu.points) <= m_bound + TOL
-                     for theta in thetas])
+    good = np.array([projector.bounded(theta, mu.points, m_bound + TOL) for theta in thetas])
 
     good_len = good.sum(axis=0) * weight      # per-atom good-direction measure
     eprime = good_len >= (kappa / 4.0) * total_len - TOL

@@ -11,7 +11,13 @@ more than its 2n endpoints falls back to one piece per segment. A needle
 projects the vertices only of the pieces whose bounding disc its line meets.
 Pushforwards of arclength are piecewise constant densities plus atoms for
 (near-)perpendicular segments, and the Hardy-Littlewood maximal function of
-such a density is evaluated exactly.
+such a density is evaluated exactly. The bounded-projection test
+mu_theta(x) <= M (`Projector.bounded`) first applies two bounds that the
+exact kernel implies: without atoms, no window average exceeds the largest
+density value, so when that value (widened by the kernel's rounding) is at
+most M every row holds; and the kernel's value is at least the two-sided
+limit at t, so a row whose limit exceeds M fails. Only the rows left open
+run the exact kernel.
 """
 
 from __future__ import annotations
@@ -327,11 +333,21 @@ def maximal_values_batch(density: PiecewiseConstDensity, ts: np.ndarray) -> np.n
     return best
 
 
+def _moderate(x: np.ndarray, e: int) -> bool:
+    """Whether every nonzero |x| lies in [2^-e, 2^e] (NaN does not)."""
+    a = np.abs(x[x != 0.0])
+    return bool(np.all((a >= 2.0**-e) & (a <= 2.0**e)))
+
+
 class Projector:
     """mu_theta(x) = M(pi_theta mu)(pi_theta x) for mu = arclength on E.
 
     One pushforward density per angle, built on first use and kept under the
     exact float theta, so every later evaluation at that angle reuses it.
+    `mu_theta` returns the exact maximal values; `bounded` returns only
+    whether they are at most a bound, and runs the exact kernel only on the
+    rows that the density's largest value and its two-sided limits leave
+    open.
     """
 
     def __init__(self, union: SegmentUnion):
@@ -348,3 +364,44 @@ class Projector:
         """mu_theta at each row of the (n, 2) `points`."""
         ts = row_dot(points, direction_vector(theta))
         return maximal_values_batch(self.density(theta), ts)
+
+    def bounded(self, theta: float, points, bound: float) -> np.ndarray:
+        """mu_theta(theta, points) <= bound, row by row, with the same booleans.
+
+        Upper bound: a density without atoms has window averages of at most
+        top = max(values), so every row holds when top (1 + (P + 4) 2^-52)
+        <= bound, P the piece count. Lower bound: maximal_values_batch returns
+        the maximum of its window ratios and small_window_limit(t), so a row
+        whose limit exceeds `bound` fails. The remaining rows run the kernel,
+        which treats each row on its own, so they read its values exactly.
+
+        Why the kernel's value is at most that threshold, with u = 2^-53:
+        for a radius r, piece p overlaps the window in (max(s_p, -r),
+        min(s_{p+1}, r)), s the float edges b - t, which rounding keeps in
+        order; these are disjoint pieces of [-r, r], so their lengths sum to
+        at most 2r and the exact sum of v_p times them to at most 2r top. The
+        kernel rounds each overlap, each product and each of its P additions
+        once, and divides by the exact 2r once: at most P + 3 factors (1 + u),
+        and (1 + u)^(P + 3) < 1 + (P + 4) u for P < 2^26. The limit term is
+        at most top. The threshold is top (1 + 2 (P + 4) u) before its own two
+        roundings, which take less than the spare (P + 4) u. Every nonzero |t| and |b| within [2^-500, 2^500] and
+        value within [2^-400, 2^400] keep each nonzero overlap (a multiple of
+        2^-604) and product a normal float, and a quotient that underflows is
+        off by at most 2^-1075, far below top u; outside that range, or with
+        atoms, every row the limit leaves open runs the kernel. A zero
+        measure raises, with or without points.
+        """
+        density = self.density(theta)
+        if density.total_mass <= 0.0:
+            raise ValueError("maximal function of the zero measure")
+        ts = row_dot(points, direction_vector(theta))
+        values = density.values
+        if (not density.atoms and len(values) < 2**26 and _moderate(ts, 500)
+                and _moderate(density.breakpoints, 500) and _moderate(values, 400)
+                and values.max() * (1.0 + (len(values) + 4) * 2.0**-52) <= bound):
+            return np.ones(len(ts), dtype=bool)
+        out = density.small_window_limit(ts) <= bound
+        rows = np.flatnonzero(out)
+        if len(rows):
+            out[rows] = maximal_values_batch(density, ts[rows]) <= bound
+        return out

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -448,8 +449,9 @@ class TestPipelineCLI:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_input_work_counts(self, tmp_path, monkeypatch, seed):
-        # the benchmark's pipeline input: 135 densities, 63 batched maximal
-        # function calls, 88 reduction deletions, 1 propagation round
+        # the benchmark's pipeline input: 135 densities, 88 reduction
+        # deletions, 1 propagation round; every density's largest value is
+        # far below M, so Projector.bounded never runs the maximal kernel
         path = tmp_path / "segs.csv"
         split_parallel(four_corners(1).skeleton())[0].to_csv(path)
         cfg = tmp_path / "cfg.json"
@@ -477,8 +479,34 @@ class TestPipelineCLI:
         assert main(["--config", str(cfg), "--out", str(tmp_path),
                      "pipeline", str(path), "--kappa", "0.06"]) == 0
         report = json.loads((tmp_path / "pipeline_report.json").read_text())
-        assert counts == {"densities": 135, "maximal": 63, "deletions": 88}
+        assert counts == {"densities": 135, "maximal": 0, "deletions": 88}
         assert report["propagation"]["rounds"] == 1
+
+    def test_round_two_input_runs_the_exact_kernel(self, tmp_path, monkeypatch):
+        # c_m 0.3 makes M = 1.5, below the densities' largest values, so the
+        # bounds leave rows open; selection keeps a proper subset E' and
+        # propagation needs a second round with positive energy growth
+        path = tmp_path / "segs.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 512, "atom_pitch": 1 / 64, "c_m": 0.3}))
+        calls = []
+        maximal = projection.maximal_values_batch
+
+        def counted_maximal(*args):
+            calls.append(len(args[1]))
+            return maximal(*args)
+
+        monkeypatch.setattr(projection, "maximal_values_batch", counted_maximal)
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "pipeline", str(path), "--kappa", "0.2"]) == 0
+        report = json.loads((tmp_path / "pipeline_report.json").read_text())
+        assert calls and min(calls) > 0
+        assert report["m_bound"] == pytest.approx(1.5)
+        assert report["propagation"]["rounds"] == 2
+        assert report["selection"]["eprime_mass_fraction"] < 1.0
+        growth = report["propagation"]["trace"][1]["energy_growth_constant"]
+        assert math.isfinite(growth) and growth > 0.0
 
     def test_witness_bound_checked(self):
         # witnesses perpendicular to the segment: mu_theta_perp is huge
@@ -488,6 +516,48 @@ class TestPipelineCLI:
         fams = {i: [(TriadicInterval(3, 6), 0.0)] for i in range(n)}
         with pytest.raises(ValueError, match="witness bound"):
             pipeline._check_witnesses(segs, atoms, np.ones(n, bool), fams, 8.0)
+
+    @staticmethod
+    def _spike_union():
+        # at projection angle 0 the density is 6 on [0, 0.01] and 1 on
+        # [0.01, 1], with no atoms; a witness angle 0.75 projects onto it
+        return SegmentUnion([Segment((0, 0), (1, 0))]
+                            + [Segment((0, k), (0.01, k)) for k in range(1, 6)])
+
+    def test_witness_bound_fails_without_atoms(self):
+        segs = self._spike_union()
+        density = projection.Projector(segs).density(0.0)
+        assert not density.atoms and density.values.max() == pytest.approx(6.0)
+        atoms = segs.atoms(1 / 48)
+        n = len(atoms)
+        fams = {i: [(TriadicInterval(3, 20), 0.75)] for i in range(n)}
+        vals = projection.Projector(segs).mu_theta(0.0, atoms.points)
+        first = int(np.argmax(vals > 4.0 + 1e-12))
+        with pytest.raises(ValueError, match=(
+                rf"witness bound fails: witness angle 0\.75 at atom {first} has "
+                rf"mu_theta_perp = {re.escape(str(vals[first]))} > M = 4\.0")):
+            pipeline._check_witnesses(segs, atoms, np.ones(n, bool), fams, 4.0)
+
+    def test_witness_bound_holds_below_the_largest_value(self, monkeypatch):
+        # the largest value 6 passes M = 4, yet no witness far from the spike
+        # reaches it: the exact kernel decides, and nothing raises
+        segs = self._spike_union()
+        atoms = segs.atoms(1 / 48)
+        far = atoms.points[:, 0] > 0.5
+        assert far.any() and not far.all()
+        vals = projection.Projector(segs).mu_theta(0.0, atoms.points[far])
+        assert vals.max() <= 4.0
+        calls = []
+        maximal = projection.maximal_values_batch
+
+        def counted_maximal(*args):
+            calls.append(len(args[1]))
+            return maximal(*args)
+
+        monkeypatch.setattr(projection, "maximal_values_batch", counted_maximal)
+        fams = {i: [(TriadicInterval(3, 20), 0.75)] for i in range(len(atoms))}
+        pipeline._check_witnesses(segs, atoms, far, fams, 4.0)
+        assert calls == [int(far.sum())]
 
     @pytest.mark.parametrize("flag", tree.STAGE_CHECKS)
     def test_failed_stage_check_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch,

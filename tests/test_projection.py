@@ -721,3 +721,118 @@ class TestMaximal:
             val = Projector(u).mu_theta(theta, [(0.5, 0.0)])[0]
             assert val == pytest.approx(1.0 / abs(math.sin(2 * math.pi * kappa)),
                                         rel=1e-9)
+
+
+def _on_axis(density):
+    """A projector whose angle-0 density is `density`: the angle-0 direction
+    is (1, 0), so the point (t, 0) projects onto t exactly."""
+    proj = Projector(SegmentUnion([]))
+    proj._densities[0.0] = density
+    return proj
+
+
+def narrow_density(rng):
+    """Pieces 1e-7 to 2e-7 wide just above t = 1000, where the shifted edges
+    b - t round at about 1e-13 of a piece width."""
+    m = int(rng.integers(1, 12))
+    b = 1000.0 + np.cumsum(np.concatenate(([0.0], rng.uniform(1e-7, 2e-7, m))))
+    return PiecewiseConstDensity(b, rng.uniform(0.5, 3.0, m))
+
+
+def flat_density(rng):
+    """Many pieces of one value, the shape on which the kernel's value lands
+    on the largest value or one rounding off it."""
+    m = int(rng.integers(2, 40))
+    b = np.sort(rng.uniform(-1, 1, m + 1))
+    v = np.full(m, float(rng.uniform(1.0, 3.0)))
+    v[rng.random(m) < 0.3] *= rng.uniform(0.0, 1.0)
+    return PiecewiseConstDensity(b, v)
+
+
+class TestBounded:
+    """Projector.bounded against mu_theta <= bound, the exact kernel's test."""
+
+    def cases(self):
+        rng = np.random.default_rng(26)
+        kinds = [lambda: random_density(rng), lambda: random_density(rng, allow_atoms=False),
+                 lambda: narrow_density(rng), lambda: flat_density(rng)]
+        out = []
+        while len(out) < 320:
+            d = kinds[len(out) % 4]()
+            if d.total_mass <= 0.0:
+                continue
+            b = d.breakpoints
+            span = max(b[-1] - b[0], 1e-6)
+            ts = [rng.uniform(b[0] - span, b[-1] + span, 12), b, (b[:-1] + b[1:]) / 2.0,
+                  np.array([p for p, _ in d.atoms])]
+            out.append((d, np.concatenate(ts)))
+        return out
+
+    @staticmethod
+    def bounds(rng, density, ts, exact):
+        """top (1 +- k 2^-52) around the largest value top, and four of the
+        limits and four of the exact values with their float neighbours."""
+        p = len(density.values)
+        top = float(density.values.max()) if p else 1.0
+        out = [top * (1.0 + s * k * 2.0**-52)
+               for s in (1, -1) for k in (0, 1, 2, p + 2, p + 3, p + 4, p + 5, 2 * p + 8)]
+        for vals in (density.small_window_limit(ts), exact[np.isfinite(exact)]):
+            for v in rng.choice(vals, min(4, len(vals)), replace=False).tolist():
+                out += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        return out
+
+    def test_equals_the_kernel_test(self, monkeypatch):
+        calls = []
+        maximal = projection.maximal_values_batch
+
+        def counted_maximal(density, ts):
+            calls.append(len(ts))
+            return maximal(density, ts)
+
+        rng = np.random.default_rng(28)
+        seen = {"upper": 0, "lower": 0, "above_top": 0, "on_atom": 0}
+        for density, ts in self.cases():
+            proj = _on_axis(density)
+            pts = np.column_stack([ts, np.zeros(len(ts))])
+            exact = proj.mu_theta(0.0, pts)
+            if len(density.values) and np.any(exact > density.values.max()):
+                seen["above_top"] += 1
+            seen["on_atom"] += int(np.isinf(exact).any())
+            monkeypatch.setattr(projection, "maximal_values_batch", counted_maximal)
+            for bound in self.bounds(rng, density, ts, exact):
+                calls.clear()
+                got = proj.bounded(0.0, pts, bound)
+                assert got.dtype == bool
+                assert np.array_equal(got, exact <= bound), (density, bound)
+                seen["upper"] += not calls
+                seen["lower"] += bool(calls) and calls[0] < len(ts)
+            monkeypatch.setattr(projection, "maximal_values_batch", maximal)
+        # both bounds decide rows, the kernel's value passes the largest
+        # density value by rounding, and points sit on atoms
+        assert min(seen.values()) > 0, seen
+
+    def test_zero_measure_raises_with_and_without_points(self):
+        proj = _on_axis(PiecewiseConstDensity(np.array([0.0, 1.0]), np.array([0.0])))
+        for pts in (np.zeros((0, 2)), np.array([[0.5, 0.0]])):
+            with pytest.raises(ValueError, match="zero measure"):
+                proj.bounded(0.0, pts, 1.0)
+
+    def test_upper_bound_needs_no_atoms(self):
+        # an atom far from the point leaves the dense value 1 as the largest
+        # density value, but the window reaching the atom averages 3 / 2
+        d = PiecewiseConstDensity(np.array([0.0, 1.0]), np.array([1.0]), ((2.0, 2.0),))
+        proj = _on_axis(d)
+        pts = np.array([[1.0, 0.0]])
+        assert proj.mu_theta(0.0, pts)[0] == pytest.approx(1.5)
+        assert proj.bounded(0.0, pts, 1.2).tolist() == [False]
+
+    def test_pushforwards(self):
+        # real pushforwards at random angles, with M from a range of kappas
+        rng = np.random.default_rng(27)
+        u = four_corners(2).skeleton()
+        mu = u.atoms(1 / 96)
+        proj = Projector(u)
+        for theta in rng.random(20).tolist():
+            exact = proj.mu_theta(theta, mu.points)
+            for m in (0.5, 1.5, 3.0, 6.0, 100.0):
+                assert np.array_equal(proj.bounded(theta, mu.points, m), exact <= m)
