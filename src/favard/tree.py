@@ -122,7 +122,7 @@ class GoodStages:
                         dtype=np.int64)
 
 
-def _maximal_cover(root_iv: TriadicInterval, members: list[TriadicInterval],
+def _maximal_cover(root_iv: TriadicInterval, members: Sequence[TriadicInterval],
                    units: TriadicUnits, eps: float) -> list[TriadicInterval]:
     """Maximal triadic descendants of the root covered by the members to
     fraction at least 1 - eps, in depth-first order."""
@@ -141,7 +141,8 @@ def _maximal_cover(root_iv: TriadicInterval, members: list[TriadicInterval],
     return out
 
 
-def _clip_to(target: TriadicInterval, members: list[TriadicInterval]) -> list[TriadicInterval]:
+def _clip_to(target: TriadicInterval, members: Sequence[TriadicInterval]
+             ) -> list[TriadicInterval]:
     """target n union(members) as a list of triadic intervals (members nested)."""
     pieces = []
     for m in members:
@@ -170,6 +171,12 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     triadic cover of the union at coverage 1 - eps; the filtered family drops
     cover members with oversized per-interval energy; the core family takes
     their middle children. Verified side conditions land in `checks`.
+
+    Atoms share few distinct families, so what a family alone decides (its
+    validation, cover, lengths and coverage checks) is computed once per
+    family; each atom keeps its own lists. A cover member that holds the
+    whole family has the family's direction set, so its energy is the atom's
+    stage energy; only the other (atom, member) pairs go to the piece call.
     """
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
     eprime = np.asarray(eprime, dtype=bool)
@@ -177,11 +184,20 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     if emass <= 0.0:
         raise ValueError("the selected set carries no mass")
 
-    for i, ivs in families.items():
-        for iv in ivs:
+    # atoms share few distinct families: number them in order of first
+    # appearance, and validate each once, naming its first atom
+    number: dict[tuple[TriadicInterval, ...], int] = {}
+    fam_no = {i: number.setdefault(tuple(ivs), len(number)) for i, ivs in families.items()}
+    distinct = list(number)
+    first_atom: dict[int, int] = {}
+    for i, k in fam_no.items():
+        first_atom.setdefault(k, i)
+    for k, i in first_atom.items():
+        fam = distinct[k]
+        for iv in fam:
             if not root_iv.contains(iv):
                 raise ValueError(f"family interval {iv} of atom {i} outside the root interval")
-        if len(maximal_intervals(ivs)) != len(ivs):
+        if len(maximal_intervals(fam)) != len(fam):
             raise ValueError(f"family of atom {i} is not disjoint")
 
     high = scale_ceiling(atoms.points, params.rho)
@@ -200,37 +216,46 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     e0_mass = math.fsum(atoms.weights[controlled].tolist())
     chebyshev_ok = e0_mass >= emass / 2.0 - TOL
 
-    members = {i: families[i] for i in np.nonzero(controlled)[0].tolist()}
-    cover = {i: _maximal_cover(root_iv, ivs, units, eps) for i, ivs in members.items()}
-    g0_len = {i: units.union_length(ivs) for i, ivs in cover.items()}
-    g0_covers_ok = all(units.cover_length(root_iv, cover[i]) >= units.union_length(ivs)
-                       for i, ivs in members.items())
+    # per family of a controlled atom: its cover and, per cover member, the
+    # family pieces inside it, their length and the member's energy bound
+    fam_of = {i: fam_no[i] for i in np.nonzero(controlled)[0].tolist()}
+    cover_of = {k: _maximal_cover(root_iv, distinct[k], units, eps)
+                for k in dict.fromkeys(fam_of.values())}
+    pieces_of = {k: [_clip_to(iv, distinct[k]) for iv in cover] for k, cover in cover_of.items()}
+    piece_len = {k: [units.union_length(p) for p in pieces] for k, pieces in pieces_of.items()}
+    fam_len = {k: units.union_length(distinct[k]) for k in cover_of}
+    g0_len = {k: units.union_length(cover) for k, cover in cover_of.items()}
+    g0_covers_ok = all(units.cover_length(root_iv, cover) >= fam_len[k]
+                       for k, cover in cover_of.items())
 
     # the filtered family keeps the cover members whose energy over the
     # family pieces inside them is at most 4 (H(J) / H(G_0)) times the threshold
-    pairs: list[tuple[int, TriadicInterval, list[TriadicInterval]]] = []
-    for i, ivs in members.items():
-        for iv in cover[i]:
-            pieces = _clip_to(iv, ivs)
-            if pieces:
-                pairs.append((i, iv, pieces))
-    piece_energies = conical_energy(atoms, atoms.points[[i for i, _, _ in pairs]],
-                                    [pieces for _, _, pieces in pairs], params.rho, high)
-    filtered: dict[int, list[TriadicInterval]] = {i: [] for i in members}
-    for (i, iv, _), prof in zip(pairs, piece_energies):
-        if prof.total_float <= 4.0 * (units.length(iv) / g0_len[i]) * energy_threshold + TOL:
-            filtered[i].append(iv)
+    bound = {k: [4.0 * (units.length(iv) / g0_len[k]) * energy_threshold + TOL for iv in cover]
+             for k, cover in cover_of.items()}
+    # a member holding the whole family reads the atom's stage energy; the
+    # other (atom, member) pairs go to one piece call
+    stage_energy = dict(zip(selected.tolist(), energies))
+    part = {k: [j for j, p in enumerate(pieces) if tuple(p) != distinct[k]]
+            for k, pieces in pieces_of.items()}
+    pairs = [(i, j) for i, k in fam_of.items() for j in part[k]]
+    profiles = conical_energy(atoms, atoms.points[[i for i, _ in pairs]],
+                              [pieces_of[fam_of[i]][j] for i, j in pairs], params.rho, high) \
+        if pairs else []
+    piece_energy = {pair: prof.total_float for pair, prof in zip(pairs, profiles)}
+    kept = {i: [j for j, b in enumerate(bound[k])
+                if piece_energy.get((i, j), stage_energy[i]) <= b] for i, k in fam_of.items()}
 
-    core = {i: [iv.middle_child() for iv in kept] for i, kept in filtered.items()}
-    g1_large_ok = all(sum(units.cover_length(iv, members[i]) for iv in kept)
-                      >= units.union_length(members[i]) / 3.0 - 1e-9
-                      for i, kept in filtered.items())
-    interval_budget = max([m_bound] + [energy_threshold / units.to_float(g0_len[i])
-                                       for i in members])
+    cover = {i: list(cover_of[k]) for i, k in fam_of.items()}
+    filtered = {i: [cover[i][j] for j in kept[i]] for i in fam_of}
+    core = {i: [iv.middle_child() for iv in ivs] for i, ivs in filtered.items()}
+    g1_large_ok = all(sum(piece_len[k][j] for j in kept[i]) >= fam_len[k] / 3.0 - 1e-9
+                      for i, k in fam_of.items())
+    interval_budget = max([m_bound] + [energy_threshold / units.to_float(g0_len[k])
+                                       for k in cover_of])
 
     full_cover = np.zeros(len(atoms), dtype=bool)
-    for i in np.nonzero(controlled)[0]:
-        full_cover[i] = cover[int(i)] == [root_iv]
+    for i, k in fam_of.items():
+        full_cover[i] = cover_of[k] == [root_iv]
 
     checks = {
         "chebyshev_e0": chebyshev_ok,
@@ -428,6 +453,18 @@ def _owns_core_interval(stages: GoodStages, atom_idx: np.ndarray, interval: Tria
     return any(stages.controlled[i] and interval in stages.core[int(i)] for i in atom_idx)
 
 
+@dataclass
+class _Piece:
+    """A piece of the shattering cascade: its cube, the node it hangs from,
+    its fate ("end", "sh", or the tag of the node it becomes) and, once
+    shattered, the pieces of its three child intervals."""
+
+    cube: AnisoCube
+    parent: int
+    fate: str = ""
+    subs: list[_Piece] = field(default_factory=list)
+
+
 def build_tree(stages: GoodStages) -> DirectionTree:
     """Grow the direction tree of anisotropic cubes, with the stages' config.
 
@@ -438,6 +475,13 @@ def build_tree(stages: GoodStages) -> DirectionTree:
     interval; any other piece shatters over the triadic children of its
     interval. Shattering deeper than the family depth indicates a
     construction bug and raises.
+
+    A piece's fate depends only on the piece, so each generation's pieces
+    are decided one shattering depth at a time: the nodes of a generation
+    descend in one call, and so do the three child intervals of every piece
+    that shatters at one depth. The nodes and stopped pieces are then
+    emitted depth-first, piece by piece, so node ids follow the order of
+    placing each piece as it comes.
     """
     params = stages.params
     rho = params.rho
@@ -466,39 +510,49 @@ def build_tree(stages: GoodStages) -> DirectionTree:
     tree = DirectionTree(stages, nodes, generations, roots, stopped,
                          good_at_scale_all(stages, range(1, params.k_max + 1)))
 
-    def place(piece: AnisoCube, parent: int, depth: int) -> None:
+    def decide(piece: AnisoCube, depth: int) -> str:
         interval = piece.interval
         if not _sees_core_direction(stages, piece.atom_idx, interval):
-            stopped.append(StoppedPiece("end", piece, parent))
-            return
+            return "end"
         if depth == 0:
             lhs, rhs = tree.goodness_integral(piece.level, piece.atom_idx, interval)
             joins, tag = lhs >= rhs - 1e-12, "good"
         else:
             joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
         if joins:
-            new_node(piece, tag, parent)
-            return
+            return tag
         if depth >= depth_cap:
             raise RuntimeError(
                 f"shattering did not terminate by depth {depth} at generation "
                 f"{piece.level}; interval {interval}, atoms {piece.atom_idx[:8]}")
-        stopped.append(StoppedPiece("sh", piece, parent))
-        # the shattered pieces keep the generation and take the child intervals
-        jobs = [(pts, piece.atom_idx, j_child, piece.level) for j_child in interval.children()]
-        for subs in descend_all(jobs, rho):
-            for sub in subs:
-                place(sub, parent, depth + 1)
+        return "sh"
 
-    # each generation descends in one call; its pieces are placed node by
-    # node, so node ids follow the generation order
     for k in range(params.k_max):
         jobs = [(pts, nodes[nid].cube.atom_idx, nodes[nid].interval, k + 1)
                 for nid in generations[k]]
-        for nid, pieces in zip(generations[k], descend_all(jobs, rho)):
-            for piece in pieces:
-                place(piece, nid, 0)
-    del place      # the recursive closure refers to itself; free the tree by refcount
+        placed = [_Piece(piece, nid) for nid, pieces in zip(generations[k], descend_all(jobs, rho))
+                  for piece in pieces]
+        level, depth = placed, 0
+        while level:
+            for p in level:
+                p.fate = decide(p.cube, depth)
+            shattered = [p for p in level if p.fate == "sh"]
+            if not shattered:
+                break
+            # the shattered pieces keep the generation and take the child intervals
+            out = descend_all([(pts, p.cube.atom_idx, j_child, p.cube.level)
+                               for p in shattered for j_child in p.cube.interval.children()], rho)
+            for n, p in enumerate(shattered):
+                p.subs = [_Piece(sub, p.parent) for subs in out[3 * n:3 * n + 3] for sub in subs]
+            level, depth = [sub for p in shattered for sub in p.subs], depth + 1
+        todo = placed[::-1]
+        while todo:
+            p = todo.pop()
+            if p.fate in ("end", "sh"):
+                stopped.append(StoppedPiece(p.fate, p.cube, p.parent))
+                todo.extend(reversed(p.subs))
+            else:
+                new_node(p.cube, p.fate, p.parent)
     return tree
 
 
@@ -764,13 +818,15 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     eprime = np.asarray(eprime, dtype=bool)
     emass = math.fsum(atoms.weights[eprime].tolist())
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
+    # atoms share few distinct families: one length per family
+    union_length = cache(lambda fam: units.union_length(fam))
 
     tau = math.inf
     for i in np.nonzero(eprime)[0]:
         fam = families.get(int(i), [])
         if not fam:
             raise ValueError(f"selected atom {i} has an empty family")
-        ln = units.union_length(fam) / units.length(root_iv)
+        ln = union_length(tuple(fam)) / units.length(root_iv)
         tau = min(tau, ln)
     if not (tau > 0.0):
         raise ValueError("family hypothesis fails: some family has zero length")
@@ -789,7 +845,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
         gs = grow_families(stages)
         fin_mass = math.fsum(atoms.weights[gs.finished_mask].tolist())
         avg_len = math.fsum(
-            atoms.weights[i] * units.union_length(current[int(i)])
+            atoms.weights[i] * union_length(tuple(current[int(i)]))
             / units.length(root_iv)
             for i in np.nonzero(eprime)[0]) / emass
         avg_energy = stages.energy_threshold - 1.0

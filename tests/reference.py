@@ -11,7 +11,8 @@ Nothing here runs in a command. Three kinds of definitions live here:
   energies and bad scales, the scalar d_J metric, base-cell grids, the
   per-carrier descend loop, one-step descents, the quadrature form of the
   conical energy, the Hausdorff content of a model, the constant-core stages
-  of the no-shattering tree, the per-atom test of the tree's bad cubes, the
+  of the no-shattering tree, the per-atom stages and the per-piece
+  shattering cascade, the per-atom test of the tree's bad cubes, the
   one-node-at-a-time sandwich, budget and bad-chain checks, and the
   interval-by-interval search for the pipeline's root interval);
 - small accessors that only the tests read: a segment's direction, a
@@ -38,7 +39,8 @@ import numpy as np
 
 from favard import torus
 from favard.config import ExperimentConfig
-from favard.conical import _interval_key, annulus_scales, bad_scale_counts, scale_index
+from favard.conical import (_interval_key, annulus_scales, bad_scale_counts, conical_energy,
+                            scale_ceiling, scale_index)
 from favard.fixtures import FIXTURE_A, FIXTURE_M
 from favard.conical import EnergyProfile
 from favard.lattice import AnisoCube, cell_order, descend_all, side_exponent
@@ -49,8 +51,10 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           line_angle, perp, row_blocks, row_dot, wrap)
-from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece,
-                         _merge_angle_intervals, _stage_constants)
+from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece, TreeNode, _clip_to,
+                         _maximal_cover, _merge_angle_intervals, _owns_core_interval,
+                         _sees_core_direction, _stage_constants, good_at_scale_all,
+                         maximal_intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,6 +1162,176 @@ def bad_chain_by_node(tree: DirectionTree) -> dict:
         elif lhs > 1e-9:
             zero_violations += 1
     return {"max_constant": worst, "zero_rhs_violations": zero_violations}
+
+
+# ---------------------------------------------------------------------------
+# tree: the per-atom stages and the per-piece shattering cascade
+# ---------------------------------------------------------------------------
+
+
+def stages_by_atom(atoms: DiscreteMeasure, eprime: np.ndarray,
+                      families: dict[int, list[TriadicInterval]], root_iv: TriadicInterval,
+                      a_const: float, m_bound: float, params: ExperimentConfig) -> GoodStages:
+    """build_good_stages one atom at a time: each atom validates and covers its
+    own family, and every (atom, cover member) pair goes to the piece-energy
+    call. The oracle of its once-per-family work.
+
+    Prunes per-point families to the energy-controlled stage families.
+
+    The controlled set keeps the points whose energy over the family union is
+    at most twice the average (plus one); the cover family is the maximal
+    triadic cover of the union at coverage 1 - eps; the filtered family drops
+    cover members with oversized per-interval energy; the core family takes
+    their middle children. Verified side conditions land in `checks`.
+    """
+    eps, units = _stage_constants(root_iv, a_const, m_bound, params)
+    eprime = np.asarray(eprime, dtype=bool)
+    emass = math.fsum(atoms.weights[eprime].tolist())
+    if emass <= 0.0:
+        raise ValueError("the selected set carries no mass")
+
+    for i, ivs in families.items():
+        for iv in ivs:
+            if not root_iv.contains(iv):
+                raise ValueError(f"family interval {iv} of atom {i} outside the root interval")
+        if len(maximal_intervals(ivs)) != len(ivs):
+            raise ValueError(f"family of atom {i} is not disjoint")
+
+    high = scale_ceiling(atoms.points, params.rho)
+
+    # an empty family has zero masses, so its energy is 0.0
+    selected = np.nonzero(eprime)[0]
+    energies = [prof.total_float for prof in conical_energy(
+        atoms, atoms.points[selected],
+        [families.get(int(i), []) for i in selected], params.rho, high)]
+
+    weighted = math.fsum(e * w for e, w in zip(energies, atoms.weights[selected].tolist()))
+    energy_threshold = weighted / emass + 1.0
+
+    controlled = np.zeros(len(atoms), dtype=bool)
+    controlled[selected] = np.array(energies) <= 2.0 * energy_threshold + TOL
+    e0_mass = math.fsum(atoms.weights[controlled].tolist())
+    chebyshev_ok = e0_mass >= emass / 2.0 - TOL
+
+    members = {i: families[i] for i in np.nonzero(controlled)[0].tolist()}
+    cover = {i: _maximal_cover(root_iv, ivs, units, eps) for i, ivs in members.items()}
+    g0_len = {i: units.union_length(ivs) for i, ivs in cover.items()}
+    g0_covers_ok = all(units.cover_length(root_iv, cover[i]) >= units.union_length(ivs)
+                       for i, ivs in members.items())
+
+    # the filtered family keeps the cover members whose energy over the
+    # family pieces inside them is at most 4 (H(J) / H(G_0)) times the threshold
+    pairs: list[tuple[int, TriadicInterval, list[TriadicInterval]]] = []
+    for i, ivs in members.items():
+        for iv in cover[i]:
+            pieces = _clip_to(iv, ivs)
+            if pieces:
+                pairs.append((i, iv, pieces))
+    piece_energies = conical_energy(atoms, atoms.points[[i for i, _, _ in pairs]],
+                                    [pieces for _, _, pieces in pairs], params.rho, high)
+    filtered: dict[int, list[TriadicInterval]] = {i: [] for i in members}
+    for (i, iv, _), prof in zip(pairs, piece_energies):
+        if prof.total_float <= 4.0 * (units.length(iv) / g0_len[i]) * energy_threshold + TOL:
+            filtered[i].append(iv)
+
+    core = {i: [iv.middle_child() for iv in kept] for i, kept in filtered.items()}
+    g1_large_ok = all(sum(units.cover_length(iv, members[i]) for iv in kept)
+                      >= units.union_length(members[i]) / 3.0 - 1e-9
+                      for i, kept in filtered.items())
+    interval_budget = max([m_bound] + [energy_threshold / units.to_float(g0_len[i])
+                                       for i in members])
+
+    full_cover = np.zeros(len(atoms), dtype=bool)
+    for i in np.nonzero(controlled)[0]:
+        full_cover[i] = cover[int(i)] == [root_iv]
+
+    checks = {
+        "chebyshev_e0": chebyshev_ok,
+        "e0_mass_fraction": e0_mass / emass,
+        "g1_large": g1_large_ok,
+        "g0_covers": g0_covers_ok,
+    }
+    return GoodStages(atoms, root_iv, m_bound, eps, params, units, eprime, families,
+                      energy_threshold, controlled, cover, filtered, core, full_cover,
+                      a_const * interval_budget, checks)
+
+
+def tree_by_piece(stages: GoodStages) -> DirectionTree:
+    """build_tree placing each piece as it comes: a shattered piece's three
+    child intervals descend in their own call and are placed recursively.
+    The oracle of its depth-at-a-time cascade.
+
+    Grows the direction tree of anisotropic cubes, with the stages' config.
+
+    Generation 0 takes the cubes of the root-adapted partition that meet the
+    controlled set. Each child piece is placed by one rule: a piece that sees
+    no core direction ends; a child of a node joins the tree if it carries
+    the near-full goodness integral, a shattered piece if it owns a core
+    interval; any other piece shatters over the triadic children of its
+    interval. Shattering deeper than the family depth indicates a
+    construction bug and raises.
+    """
+    params = stages.params
+    rho = params.rho
+    pts = stages.atoms.points
+
+    nodes: dict[int, TreeNode] = {}
+    stopped: list[StoppedPiece] = []
+    roots: list[int] = []
+    generations: list[list[int]] = [[] for _ in range(params.k_max + 1)]
+
+    def new_node(cube: AnisoCube, tag: str, parent: Optional[int]) -> None:
+        nid = len(nodes)
+        root_id = nid if tag in ("root0", "root") else nodes[parent].root_id
+        nodes[nid] = TreeNode(cube, tag, parent, root_id)
+        generations[cube.level].append(nid)
+        if parent is not None:
+            nodes[parent].children.append(nid)
+        if tag in ("root0", "root"):
+            roots.append(nid)
+
+    for cube in descend_all([(pts, np.arange(len(pts)), stages.root_iv, 0)], rho)[0]:
+        if np.any(stages.controlled[cube.atom_idx]):
+            new_node(cube, "root0", None)
+
+    depth_cap = params.triadic_depth + 2
+    tree = DirectionTree(stages, nodes, generations, roots, stopped,
+                         good_at_scale_all(stages, range(1, params.k_max + 1)))
+
+    def place(piece: AnisoCube, parent: int, depth: int) -> None:
+        interval = piece.interval
+        if not _sees_core_direction(stages, piece.atom_idx, interval):
+            stopped.append(StoppedPiece("end", piece, parent))
+            return
+        if depth == 0:
+            lhs, rhs = tree.goodness_integral(piece.level, piece.atom_idx, interval)
+            joins, tag = lhs >= rhs - 1e-12, "good"
+        else:
+            joins, tag = _owns_core_interval(stages, piece.atom_idx, interval), "root"
+        if joins:
+            new_node(piece, tag, parent)
+            return
+        if depth >= depth_cap:
+            raise RuntimeError(
+                f"shattering did not terminate by depth {depth} at generation "
+                f"{piece.level}; interval {interval}, atoms {piece.atom_idx[:8]}")
+        stopped.append(StoppedPiece("sh", piece, parent))
+        # the shattered pieces keep the generation and take the child intervals
+        jobs = [(pts, piece.atom_idx, j_child, piece.level) for j_child in interval.children()]
+        for subs in descend_all(jobs, rho):
+            for sub in subs:
+                place(sub, parent, depth + 1)
+
+    # each generation descends in one call; its pieces are placed node by
+    # node, so node ids follow the generation order
+    for k in range(params.k_max):
+        jobs = [(pts, nodes[nid].cube.atom_idx, nodes[nid].interval, k + 1)
+                for nid in generations[k]]
+        for nid, pieces in zip(generations[k], descend_all(jobs, rho)):
+            for piece in pieces:
+                place(piece, nid, 0)
+    del place      # the recursive closure refers to itself; free the tree by refcount
+    return tree
 
 
 # ---------------------------------------------------------------------------

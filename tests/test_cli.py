@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from favard import graphs, pipeline, projection, tree
+from favard import conical, graphs, pipeline, projection, tree
 from favard.cli import main
 from favard.config import ExperimentConfig, write_json
 from favard.pipeline import run_pipeline
@@ -447,11 +447,28 @@ class TestPipelineCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "pipeline_report.json").exists()
 
+    @staticmethod
+    def counted_energy(monkeypatch) -> list[int]:
+        """Patch the conical_energy of selection and of the stages to record
+        the apex count of each call."""
+        calls = []
+        energy = conical.conical_energy
+
+        def counted(mu, apexes, *args):
+            calls.append(len(apexes))
+            return energy(mu, apexes, *args)
+
+        monkeypatch.setattr(conical, "conical_energy", counted)
+        monkeypatch.setattr(tree, "conical_energy", counted)
+        return calls
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_input_work_counts(self, tmp_path, monkeypatch, seed):
         # the benchmark's pipeline input: 135 densities, 88 reduction
         # deletions, 1 propagation round; every density's largest value is
-        # far below M, so Projector.bounded never runs the maximal kernel
+        # far below M, so Projector.bounded never runs the maximal kernel.
+        # Two energy calls: selection and the stage energies; every cover
+        # member holds its atom's whole family, so the piece call is skipped
         path = tmp_path / "segs.csv"
         split_parallel(four_corners(1).skeleton())[0].to_csv(path)
         cfg = tmp_path / "cfg.json"
@@ -459,6 +476,7 @@ class TestPipelineCLI:
         counts = {"densities": 0, "maximal": 0, "deletions": 0}
         density, maximal, reduce = (projection.pushforward_density,
                                     projection.maximal_values_batch, graphs.reduce_bad_scales)
+        energy_calls = self.counted_energy(monkeypatch)
 
         def counted_density(*args):
             counts["densities"] += 1
@@ -481,6 +499,7 @@ class TestPipelineCLI:
         report = json.loads((tmp_path / "pipeline_report.json").read_text())
         assert counts == {"densities": 135, "maximal": 0, "deletions": 88}
         assert report["propagation"]["rounds"] == 1
+        assert len(energy_calls) == 2
 
     def test_round_two_input_runs_the_exact_kernel(self, tmp_path, monkeypatch):
         # c_m 0.3 makes M = 1.5, below the densities' largest values, so the
@@ -498,10 +517,14 @@ class TestPipelineCLI:
             return maximal(*args)
 
         monkeypatch.setattr(projection, "maximal_values_batch", counted_maximal)
+        energy_calls = self.counted_energy(monkeypatch)
         assert main(["--config", str(cfg), "--out", str(tmp_path),
                      "pipeline", str(path), "--kappa", "0.2"]) == 0
         report = json.loads((tmp_path / "pipeline_report.json").read_text())
         assert calls and min(calls) > 0
+        # selection, then per round the stage energies and the piece call of
+        # the (atom, cover member) pairs whose member holds part of the family
+        assert energy_calls == [68, 68, 440, 68, 108]
         assert report["m_bound"] == pytest.approx(1.5)
         assert report["propagation"]["rounds"] == 2
         assert report["selection"]["eprime_mass_fraction"] < 1.0

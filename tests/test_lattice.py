@@ -343,9 +343,10 @@ class TestNetSweepOracle:
 
     # (descend_all calls, jobs) of build_tree per unthinned fixture. The jobs
     # are 3 roots, 846 per-node descents and the 204 children of 68 shatters;
-    # the calls are one per root, per generation and per shatter
-    TREE_CALLS = {"single_line": (24, 448), "two_direction": (50, 331),
-                  "cantor_horizontal": (12, 274)}
+    # the calls are one per root (3), per generation (15) and per shattering
+    # depth of a generation at which some piece shatters (4)
+    TREE_CALLS = {"single_line": (7, 448), "two_direction": (8, 331),
+                  "cantor_horizontal": (7, 274)}
 
     @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
     @pytest.mark.parametrize("name,make", [("single_line", lambda: single_line_instance()[1:]),
@@ -379,7 +380,7 @@ class TestNetSweepOracle:
             assert (len(calls), len(jobs)) == self.TREE_CALLS[name]
 
     def test_tree_calls_total(self):
-        assert [sum(c) for c in zip(*self.TREE_CALLS.values())] == [86, 3 + 846 + 204]
+        assert [sum(c) for c in zip(*self.TREE_CALLS.values())] == [22, 3 + 846 + 204]
 
 
 def random_jobs(rng, count):

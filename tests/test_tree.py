@@ -22,8 +22,8 @@ from favard.tree import (C_BAD, TREE_PROPERTIES, TriadicUnits, _maximal_cover,
 from tests.reference import (bad_chain_by_node, bad_cubes_by_atom, bad_scale_budget_by_node,
                              conical_energy_at, conical_energy_by_row,
                              d_metric, find_gap_interval, gap_instance,
-                             sandwich_halves_by_node, stop_of, synthetic_stages_constant_core,
-                             tile_pairs)
+                             sandwich_halves_by_node, stages_by_atom, stop_of,
+                             synthetic_stages_constant_core, tile_pairs, tree_by_piece)
 
 
 def line_atoms(n=96, y=0.0):
@@ -740,6 +740,141 @@ def uneven_energy_instance():
     return atoms, np.ones(len(pts), dtype=bool), families, TRANSVERSE_ROOT
 
 
+def mixed_family_instance(seed):
+    """60 seeded random atoms and vertical partners 2^-9 to 2^-6 above the
+    first six, a quarter of them outside E', each carrying one of four seeded
+    families of random descendants of the transverse root. Two families also
+    hold the vertical direction (level-5 interval 60), so the partners give
+    some atoms an energy above the threshold or a cover member over its
+    share, and families of several intervals have cover members that hold
+    only part of the family."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((60, 2))
+    pts = np.vstack([pts, pts[:6] + [[0.0, 2.0**-j] for j in (9, 6, 9, 6, 7, 8)]])
+    atoms = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+    vertical = [TriadicInterval(5, 60)]
+    shared = [maximal_intervals(random_members(rng, int(rng.integers(1, 6))) + vertical * (k % 2))
+              for k in range(4)]
+    families = {i: list(shared[int(rng.integers(0, 4))]) for i in range(len(pts))}
+    return atoms, rng.random(len(pts)) >= 0.25, families, TRANSVERSE_ROOT
+
+
+def stage_facts(stages):
+    return (stages.energy_threshold, stages.controlled.tolist(), stages.full_cover.tolist(),
+            stages.cover, stages.filtered, stages.core, stages.checks, stages.scale_budget)
+
+
+class TestOncePerFamily:
+    """build_good_stages computes what a family alone decides once per family
+    and sends only the members that do not hold the whole family to the
+    piece call; the per-atom oracle gives the same stages."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.45, 0.3])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:],
+                                      uneven_energy_instance,
+                                      lambda: mixed_family_instance(0),
+                                      lambda: mixed_family_instance(1),
+                                      lambda: mixed_family_instance(4)],
+                             ids=["single_line", "two_direction", "cantor_horizontal",
+                                  "uneven_energy", "mixed_0", "mixed_1", "mixed_4"])
+    def test_matches_the_per_atom_oracle(self, make, rho):
+        params = ExperimentConfig(rho=rho)
+        stages = stages_for(*make(), params=params)
+        assert stage_facts(stages) == \
+            stage_facts(stages_by_atom(*make(), FIXTURE_A, FIXTURE_M, params))
+        # each atom keeps its own lists
+        covers = list(stages.cover.values()) + list(stages.filtered.values())
+        assert len({id(ivs) for ivs in covers}) == len(covers)
+
+    def test_mixed_families_reach_the_piece_call_and_the_filters(self, monkeypatch):
+        calls = TestOneEnergyCallPerSite.counted(monkeypatch, conical.conical_energy)
+        uncontrolled, dropped = [], []
+        for seed in (0, 1, 4):
+            atoms, eprime, families, root_iv = mixed_family_instance(seed)
+            stages = stages_for(atoms, eprime, families, root_iv,
+                                params=ExperimentConfig(rho=0.45))
+            assert len({tuple(families[i]) for i in stages.cover}) >= 3
+            uncontrolled.append(int((eprime & ~stages.controlled).sum()))
+            dropped.append(sum(len(stages.cover[i]) - len(stages.filtered[i])
+                               for i in stages.cover))
+        # every instance makes the piece call, on the members holding part of a family
+        assert len(calls) == 6 and min(calls) > 0
+        assert uncontrolled == [3, 1, 1] and dropped == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad,match", [
+        ([TriadicInterval(3, 7)], r"family interval .* of atom 5 outside the root interval"),
+        ([ROOT, ROOT.children()[0]], "family of atom 5 is not disjoint"),
+    ], ids=["outside", "overlapping"])
+    def test_bad_family_names_its_first_atom(self, bad, match):
+        # atoms 5, 2 and 7 share the bad family; 5 comes first in the dict
+        atoms = line_atoms(8)
+        good = [ROOT.children()[0]]
+        fams = {i: list(bad) if i in (5, 2, 7) else list(good) for i in (0, 1, 5, 2, 3, 7, 4, 6)}
+        for build in (build_good_stages, stages_by_atom):
+            with pytest.raises(ValueError, match=match):
+                build(atoms, np.ones(8, bool), fams, ROOT, 2.0, 8.0, ExperimentConfig())
+
+
+def tree_facts(tree):
+    """Every node's id, parent, tag, root, children, cube atoms, center,
+    generation and interval, and every stopped piece's kind, cube and parent."""
+    def cube(c):
+        return c.atom_idx.tolist(), c.center_idx, c.level, c.interval
+
+    return ([(nid, n.parent, n.tag, n.root_id, n.children, *cube(n.cube))
+             for nid, n in tree.nodes.items()],
+            [(s.kind, *cube(s.cube), s.parent_node) for s in tree.stopped],
+            tree.roots, tree.generations)
+
+
+class TestDepthAtATimeCascade:
+    """build_tree decides each shattering depth at once and emits depth-first:
+    the same forest as placing each piece as it comes."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.45, 0.3])
+    @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
+    @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
+                                      two_direction_instance,
+                                      lambda: cantor_horizontal_instance()[1:]],
+                             ids=["single_line", "two_direction", "cantor_horizontal"])
+    def test_matches_the_per_piece_oracle(self, make, thinned, rho):
+        stages = stages_for(*make(), params=ExperimentConfig(rho=rho))
+        if thinned:
+            for i in list(stages.core)[::3]:
+                stages.core[i] = []
+        tree = build_tree(stages)
+        assert any(s.kind == "sh" for s in tree.stopped)
+        assert tree_facts(tree) == tree_facts(tree_by_piece(stages))
+
+    def test_leaves_no_reference_cycle(self):
+        # no closure refers to itself, so the tree and its pieces go by refcount
+        stages = stages_for(*two_direction_instance(), params=ExperimentConfig())
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_tree(stages)
+            assert any(s.kind == "sh" for s in tree.stopped)
+            del tree
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_shattering_depth_cap_raises(self, monkeypatch):
+        # no shattered piece may join, so two_direction's shatters run to the cap
+        monkeypatch.setattr(tree_module, "_owns_core_interval", lambda *args: False)
+        monkeypatch.setattr("tests.reference._owns_core_interval", lambda *args: False)
+        stages = stages_for(*two_direction_instance(), params=ExperimentConfig())
+        cap = stages.params.triadic_depth + 2
+        with pytest.raises(RuntimeError, match=f"shattering did not terminate by depth {cap} "
+                                               "at generation 1") as fast:
+            build_tree(stages)
+        with pytest.raises(RuntimeError) as slow:
+            tree_by_piece(stages)
+        assert str(fast.value) == str(slow.value)
+
+
 class TestOneEnergyCallPerSite:
     """Selection and the tree hand all apexes of a call site to one blocked
     conical_energy call; the per-apex oracle in its place changes nothing."""
@@ -778,7 +913,10 @@ class TestOneEnergyCallPerSite:
             return out, calls
 
         fast, calls = facts(conical.conical_energy)
-        assert len(calls) == 6                 # two per build_good_stages, one per check
+        # two per build_good_stages, one per check; on the tree-check fixtures
+        # every cover member holds its atom's whole family, so the piece call
+        # is skipped
+        assert len(calls) == (6 if make is uneven_energy_instance else 4)
         assert min(calls) > 1
         assert facts(conical_energy_by_row)[0] == fast
 
@@ -823,8 +961,9 @@ class TestOneEnergyCallPerSite:
             return (report, sel.energy_ratios, sel.fourier_ratios), calls
 
         fast, calls = facts(conical.conical_energy)
-        # selection, then build_good_stages' two calls in one propagation round
-        assert len(calls) == 3 and calls[:2] == [len(fast[1])] * 2 and calls[2] > 1
+        # selection, then build_good_stages' stage energies in one propagation
+        # round; every cover member holds the whole family, so no piece call
+        assert calls == [len(fast[1])] * 2
         assert facts(conical_energy_by_row)[0] == fast
         assert any(v > 0.0 for v in fast[1].values())
 
@@ -900,6 +1039,34 @@ class TestPropagation:
         assert [t["energy_growth_constant"] for t in res.trace[1:]] == [0.0] * (levels - 1)
         for t in res.trace:
             assert t["containment_ok"] and t["growth_ok"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: mixed_family_instance(0), lambda: mixed_family_instance(1),
+        lambda: mixed_family_instance(4),
+        lambda: (line_atoms(48), np.ones(48, bool),
+                 {i: [ROOT.children()[i % 3].children()[2 - i % 2]] for i in range(48)}, ROOT),
+    ], ids=["mixed_0", "mixed_1", "mixed_4", "three_deep_families"])
+    def test_family_fractions_read_each_atoms_family(self, make, monkeypatch):
+        # the per-family length memo against each round's families, atom by atom
+        atoms, eprime, families, root_iv = make()
+        seen = []
+        build = tree_module.build_good_stages
+
+        def recorded(atoms, eprime, families, *args):
+            seen.append(dict(families))
+            return build(atoms, eprime, families, *args)
+
+        monkeypatch.setattr(tree_module, "build_good_stages", recorded)
+        params = ExperimentConfig()
+        res = propagate_good_directions(atoms, eprime, families, root_iv, FIXTURE_A, FIXTURE_M,
+                                        params)
+        units = tree_module._stage_constants(root_iv, FIXTURE_A, FIXTURE_M, params)[1]
+        emass = math.fsum(atoms.weights[eprime].tolist())
+        assert [t["avg_family_fraction"] for t in res.trace] == [
+            math.fsum(atoms.weights[i] * units.union_length(fams[int(i)])
+                      / units.length(root_iv) for i in np.nonzero(eprime)[0]) / emass
+            for fams in seen]
+        assert len({tuple(f) for f in seen[-1].values()}) > 1
 
     def test_round_cap_raises_with_the_trace(self, monkeypatch):
         monkeypatch.setattr("favard.tree.MAX_ROUNDS", 1)
