@@ -26,7 +26,7 @@ from .lattice import check_cube_invariants, descend_all
 from .pipeline import run_pipeline
 from .projection import MIN_NEEDLES, favard, favard_mc, midpoint_measures
 from .sets import (DyadicSquareSet, SegmentUnion, cloud_content, cloud_of, four_corners,
-                   pairwise_extremes, read_csv_rows, segment_distances, split_parallel)
+                   pairwise_extremes, read_csv_rows, segment_distances)
 from .torus import AngleInterval, TriadicInterval
 from .tree import bad_chain_check, build_tree, packing_sums, verify_tree
 
@@ -137,10 +137,7 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
-    union = _load_model(args.input)
-    if isinstance(union, DyadicSquareSet):
-        horiz, vert = split_parallel(union.skeleton())
-        union = horiz if horiz.total_length >= vert.total_length else vert
+    union = _as_segments(_load_model(args.input))
     report = run_pipeline(union, args.kappa, cfg)
     report.update({"command": "pipeline", "input": args.input,
                    "input_hash": content_hash(args.input), "config": cfg.to_dict()})

@@ -74,7 +74,7 @@ def _check_witnesses(union: SegmentUnion, atoms: DiscreteMeasure, eprime: np.nda
 
 
 def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> dict:
-    """The end-to-end extraction pipeline on a parallel segment union.
+    """The end-to-end extraction pipeline on a segment union.
 
     Stages: normalize to diameter 1; find the big-projection directions and a
     triadic root interval inside them; select per-atom good families;
@@ -89,8 +89,6 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     report: dict = {"kappa": kappa}
-    if not union.parallel_to(union.direction_angles[0], 1e-9):
-        raise ValueError("stage normalize: input segments are not parallel")
     lo = union.endpoints().min(axis=0)
     scale = 1.0 / union.diameter()
     norm = union.mapped(lambda pts: (pts - lo) * scale)

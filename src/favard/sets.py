@@ -167,11 +167,6 @@ class SegmentUnion:
         xs.flags.writeable = ys.flags.writeable = False
         return xs, ys
 
-    def parallel_to(self, angle: float, tol: float) -> bool:
-        """Whether every segment direction is within tol of angle mod 1/2."""
-        gap = np.abs(self.direction_angles - angle % 0.5)
-        return bool(np.all(np.minimum(gap, 0.5 - gap) <= tol))
-
     def mapped(self, f: Callable[[np.ndarray], np.ndarray]) -> "SegmentUnion":
         """The union of the images of the segments under the point map f,
         which takes an (n, 2) array of points to an (n, 2) array."""
