@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,10 +70,12 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float,
     form int mu(X(x, G, rho r, r)) / r dr/r over the matching range. Additive
     over disjoint direction sets exactly: every mass is an integer over one
     denominator. The apexes go in the row blocks of the (apexes x atoms)
-    pairs; in each block every distinct arc masks only the rows that carry it
-    (an atom on two touching closed arcs counts twice), and the hits are
-    counted per (row, scale, weight), so each numerator adds n times the
-    weight's term once per weight. An empty direction set has zero masses.
+    pairs. In each block the rows that pass one direction-set object form one
+    group, so each shared set is hashed once; an arc carried once by every row
+    masks the block's own arrays, any other arc only the rows that carry it
+    (an atom on two touching closed arcs counts twice). The hits are counted
+    per (row, scale, weight), so each numerator adds n times the weight's
+    term once per weight. An empty direction set has zero masses.
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
@@ -95,17 +97,24 @@ def conical_energy(mu: DiscreteMeasure, apexes, direction_sets, rho: float,
         diff = mu.points - apex
         dist = np.hypot(diff[..., 0], diff[..., 1])
         scale = scale_index(dist, rho, high)
-        carriers: dict[DirectionInterval, list[int]] = {}
+        in_range = scale >= 0
+        # rows that share one direction-set object are one group, and each
+        # group's intervals are hashed once
+        groups: dict[int, tuple[Sequence[DirectionInterval], list[int]]] = {}
         for a, intervals in enumerate(direction_sets[block]):
+            groups.setdefault(id(intervals), (intervals, []))[1].append(a)
+        carriers: dict[DirectionInterval, list[int]] = {}
+        for intervals, rows in groups.values():
             for interval in intervals:
-                carriers.setdefault(interval, []).append(a)
+                carriers.setdefault(interval, []).extend(rows)
+        every = list(range(len(apex)))
         hits = [np.empty(0, dtype=np.int64)]
         for interval in sorted(carriers, key=_interval_key):
-            rows = np.array(carriers[interval])
-            row_scale = scale[rows]
-            sel = _direction_mask(diff[rows], interval, dist[rows]) & (row_scale >= 0)
-            a, j = np.nonzero(sel)
-            hits.append((rows[a] * n_k + row_scale[a, j]) * n_w + w_code[j])
+            rows = sorted(carriers[interval])
+            take = slice(None) if rows == every else rows    # once by every row: no gather
+            a, j = np.nonzero(_direction_mask(diff[take], interval, dist[take]) & in_range[take])
+            row_ids = np.array(rows)[a]
+            hits.append((row_ids * n_k + scale[row_ids, j]) * n_w + w_code[j])
         # equal codes are one (row, scale, weight): count each run of the sorted codes
         code = np.sort(np.concatenate(hits))
         first = np.flatnonzero(np.diff(code, prepend=-1))
@@ -202,7 +211,7 @@ def select_good_directions(union: SegmentUnion, arc: AngleInterval, kappa: float
     weight = total_len / n
 
     # one pushforward density per distinct theta, shared by the sampling and
-    # the Fourier-ratio loops (quadrature nodes repeat across atoms)
+    # the Fourier-ratio loops (quadrature nodes repeat across families)
     projector = Projector(union)
 
     # big-projection hypothesis, then bounded-projection subsets per sample
@@ -217,45 +226,49 @@ def select_good_directions(union: SegmentUnion, arc: AngleInterval, kappa: float
     eprime = good_len >= (kappa / 4.0) * total_len - TOL
     eprime_mass = math.fsum(mu.weights[eprime].tolist())
 
+    # atoms with one good-sample pattern share one family: it, its
+    # perpendicular direction set and its Fourier block are built once per
+    # pattern, and each atom keeps its own copy of the family
+    selected = np.flatnonzero(eprime).tolist()
+    by_pattern: dict[bytes, list[int]] = {}
+    for i, key in zip(selected, np.packbits(good[:, selected].T, axis=1)):
+        by_pattern.setdefault(key.tobytes(), []).append(i)
     covers = [triadic_cover(theta, triadic_depth) for theta in thetas]
-    families: dict[int, Family] = {}
-    for i in np.nonzero(eprime)[0]:
-        chosen: dict[TriadicInterval, float] = {}
-        for j in np.nonzero(good[:, i])[0]:
-            chosen.setdefault(covers[j], thetas[j])
-        families[int(i)] = sorted(chosen.items())
-    min_len = min((math.fsum(iv.length for iv, _ in fam) for fam in families.values()),
-                  default=0.0)
-
-    # pointwise pushforward values integrated over each family, the reference
-    # quantity the energies are compared against: each (member, node) pair is
-    # looked up once for all atoms that carry the member
-    carriers: dict[TriadicInterval, list[int]] = {}
-    for i, members in families.items():
-        for iv, _ in members:
-            carriers.setdefault(iv, []).append(i)
-    pointwise: dict[int, list[float]] = {i: [] for i in families}
+    shared: dict[int, Family] = {}
+    perps: dict[int, list[AngleInterval]] = {}
+    rhs: dict[int, float] = {}
+    lengths = []
     n = 8
-    for iv, atoms in carriers.items():
-        for kq in range(n):
+    for atoms in by_pattern.values():
+        chosen: dict[TriadicInterval, float] = {}
+        for j in np.flatnonzero(good[:, atoms[0]]).tolist():
+            chosen.setdefault(covers[j], thetas[j])
+        family = sorted(chosen.items())
+        shared.update(dict.fromkeys(atoms, family))
+        perps.update(dict.fromkeys(atoms, [iv.perp() for iv, _ in family]))
+        lengths.append(math.fsum(iv.length for iv, _ in family))
+        # pointwise pushforward values integrated over the family, the
+        # reference quantity the energies are compared against: one (atoms x
+        # nodes) block, and one exactly rounded sum per atom
+        pts = mu.points[atoms]
+        values = np.empty((len(atoms), n * len(family)))
+        for col, (iv, kq) in enumerate((iv, kq) for iv, _ in family for kq in range(n)):
             th = wrap(iv.low + (kq + 0.5) * iv.length / n)
-            ts = row_dot(mu.points[atoms], direction_vector(th))
-            values = projector.density(th).value_at(ts) * iv.length / n
-            for i, value in zip(atoms, values.tolist()):
-                pointwise[i].append(value)
+            values[:, col] = projector.density(th).value_at(
+                row_dot(pts, direction_vector(th))) * iv.length / n
+        rhs.update(zip(atoms, map(math.fsum, values.tolist())))
+    families = {i: list(shared[i]) for i in selected}
 
-    profiles = conical_energy(mu, mu.points[list(families)],
-                              [[iv.perp() for iv, _ in members] for members in families.values()],
+    profiles = conical_energy(mu, mu.points[selected], [perps[i] for i in selected],
                               rho, scale_ceiling(mu.points, rho))
     energy_ratios: dict[int, float] = {}
     fourier_ratios: dict[int, float] = {}
-    for i, prof in zip(families, profiles):
+    for i, prof in zip(selected, profiles):
         energy = prof.total_float
         energy_ratios[i] = energy / (m_bound * total_len)
-        rhs = math.fsum(pointwise[i])
-        fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
+        fourier_ratios[i] = energy / rhs[i] if rhs[i] > 0.0 else math.inf
 
     return SelectionResult(mu, eprime, families, total_len,
                            eprime_mass / total_mass if total_mass else 0.0,
-                           min_len, energy_ratios, fourier_ratios)
+                           min(lengths, default=0.0), energy_ratios, fourier_ratios)
 

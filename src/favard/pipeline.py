@@ -56,14 +56,18 @@ def _check_witnesses(union: SegmentUnion, atoms: DiscreteMeasure, eprime: np.nda
     Evaluated on the segment model (the atomized pushforward has no bounded
     maximal function), one density per distinct witness angle. The exact
     values are computed only for an angle where some witness fails, to name
-    the first one.
+    the first one. Atoms with the same witness angles are one group.
     """
     projector = Projector(union)
+    by_witnesses: dict[tuple[float, ...], list[int]] = {}
+    for i in np.flatnonzero(eprime).tolist():
+        by_witnesses.setdefault(tuple(th for _, th in families.get(i, [])), []).append(i)
     by_angle: dict[float, list[int]] = {}
-    for i in np.nonzero(eprime)[0]:
-        for _, th in families.get(int(i), []):
-            by_angle.setdefault(perp(th), []).append(int(i))
+    for witnesses, group in by_witnesses.items():
+        for th in witnesses:
+            by_angle.setdefault(perp(th), []).extend(group)
     for t, idx in by_angle.items():
+        idx.sort()
         if projector.bounded(t, atoms.points[idx], m_bound + TOL).all():
             continue
         vals = projector.mu_theta(t, atoms.points[idx])

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .torus import TOL, line_angle
+from .torus import TOL, line_angle, row_blocks
 
 DEFAULT_ATOMS_PER_SEGMENT = 64
 DIST_TILE_SIDE = 512    # side of the largest distance tile pairwise_extremes builds
@@ -211,18 +211,26 @@ class SegmentUnion:
         return DiscreteMeasure(np.column_stack([x1 + t * (x2 - x1), y1 + t * (y2 - y1)]),
                                np.repeat(self.lengths / counts, counts))
 
-    def ball_mass(self, center, r: float) -> float:
-        """Exact arclength of the union inside the closed disk B(center, r)."""
+    def ball_masses(self, centers, radii) -> np.ndarray:
+        """Exact arclength of the union inside each closed disk B(centers[b],
+        radii[b]), over the (discs x segments) blocks of torus.row_blocks."""
+        centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        radii = np.asarray(radii, dtype=float).reshape(-1, 1)
         x1, y1, x2, y2 = self.coords
         ux, uy = (x2 - x1) / self.lengths, (y2 - y1) / self.lengths
-        dx, dy = center[0] - x1, center[1] - y1
-        # arclength parameter of the foot of the perpendicular; float_power is
-        # libm pow, as Python's ** is, where x * x can differ in the last bit
-        t0 = dx * ux + dy * uy
-        half2 = r * r - (np.float_power(dx, 2) + np.float_power(dy, 2) - t0 * t0)
-        half = np.sqrt(np.maximum(half2, 0.0))
-        inside = np.maximum(0.0, np.minimum(self.lengths, t0 + half) - np.maximum(0.0, t0 - half))
-        return math.fsum(inside[half2 > 0.0].tolist())
+        out = np.empty(len(centers))
+        for block in row_blocks(len(centers), len(self)):
+            dx, dy = centers[block, :1] - x1, centers[block, 1:] - y1
+            r = radii[block]
+            # arclength parameter of the foot of the perpendicular; float_power
+            # is libm pow, as Python's ** is, where x * x can differ in the last bit
+            t0 = dx * ux + dy * uy
+            half2 = r * r - (np.float_power(dx, 2) + np.float_power(dy, 2) - t0 * t0)
+            half = np.sqrt(np.maximum(half2, 0.0))
+            inside = np.maximum(0.0, np.minimum(self.lengths, t0 + half)
+                                - np.maximum(0.0, t0 - half))
+            out[block] = list(map(math.fsum, inside.tolist()))
+        return out
 
     @classmethod
     def from_csv(cls, path) -> "SegmentUnion":
@@ -407,7 +415,7 @@ def ahlfors_constant(union: SegmentUnion, sample_count: int, seed: int) -> float
     x1, y1, x2, y2 = union.coords[:, k]
     centers = np.column_stack([x1 + u2 * (x2 - x1), y1 + u2 * (y2 - y1)])
     radii = np.maximum(1e-9, u3) * union.diameter()
-    masses = np.array([union.ball_mass(x, r) for x, r in zip(centers, radii)])
+    masses = union.ball_masses(centers, radii)
     hit = masses > 0.0
     ratios = np.concatenate([masses[hit] / radii[hit], radii[hit] / masses[hit]])
     return float(np.max(ratios, initial=1.0))

@@ -202,11 +202,13 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
 
     high = scale_ceiling(atoms.points, params.rho)
 
-    # an empty family has zero masses, so its energy is 0.0
+    # an empty family has zero masses, so its energy is 0.0; atoms of one
+    # family pass its one tuple, which conical_energy hashes once
     selected = np.nonzero(eprime)[0]
     energies = [prof.total_float for prof in conical_energy(
         atoms, atoms.points[selected],
-        [families.get(int(i), []) for i in selected], params.rho, high)]
+        [distinct[fam_no[i]] if i in fam_no else () for i in selected.tolist()],
+        params.rho, high)]
 
     weighted = math.fsum(e * w for e, w in zip(energies, atoms.weights[selected].tolist()))
     energy_threshold = weighted / emass + 1.0
@@ -337,24 +339,29 @@ def good_at_scale_all(stages: GoodStages, scales: Iterable[int]
     """Per scale k of `scales`, the good intervals of every atom: the maximal
     intervals I carried by a controlled point within the d_I-ball of radius
     10 rho^k around the atom. Each core interval's least d_I from each atom to
-    its carriers does not depend on k: one blocked scan, thresholded per k."""
+    its carriers does not depend on k: one blocked scan, thresholded per k.
+    Atoms that reach the same core intervals share one maximal_intervals
+    call per scale, and each keeps its own copy of the result."""
     pts = stages.atoms.points
-    minima = []
-    for interval in stages.core_universe():
+    universe = stages.core_universe()
+    dmin = np.full((len(universe), len(pts)), math.inf)
+    for u, interval in enumerate(universe):
         carriers = stages.core_carriers(interval)
-        dmin = np.full(len(pts), math.inf)
         for block in row_blocks(len(carriers), len(pts)):
             d = d_metric_many(interval, pts[carriers[block], None], pts)
-            np.minimum(dmin, d.min(axis=0), out=dmin)
-        minima.append((interval, dmin))
+            np.minimum(dmin[u], d.min(axis=0), out=dmin[u])
     out = {}
     for k in scales:
-        radius = 10.0 * stages.params.rho**k
-        raw: list[list[TriadicInterval]] = [[] for _ in range(len(pts))]
-        for interval, dmin in minima:
-            for i in np.flatnonzero(dmin < radius).tolist():
-                raw[i].append(interval)
-        out[k] = {i: maximal_intervals(ivs) for i, ivs in enumerate(raw)}
+        near = dmin < 10.0 * stages.params.rho**k
+        maximal: dict[bytes, list[TriadicInterval]] = {}
+        row = {}
+        for i, key in enumerate(np.packbits(near.T, axis=1)):
+            key = key.tobytes()
+            if key not in maximal:
+                maximal[key] = maximal_intervals([universe[u]
+                                                  for u in np.flatnonzero(near[:, i])])
+            row[i] = list(maximal[key])
+        out[k] = row
     return out
 
 

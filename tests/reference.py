@@ -5,10 +5,11 @@ Nothing here runs in a command. Three kinds of definitions live here:
 - slow references that the fast paths of the package are checked against
   (the one-segment-at-a-time forms of atoms, ball masses, skeletons,
   pushforward densities, the parallel split, the Favard sweep and the
-  Monte Carlo needle test; the warm-started argsort sweep, the union-find
-  piece table and the set-based skeleton; exact interval-union projections,
-  the scalar maximal function, annulus masks, single apex cone masses,
-  energies and bad scales, the scalar d_J metric, base-cell grids, the
+  Monte Carlo needle test; the Ahlfors constant one ball at a time; the
+  warm-started argsort sweep, the union-find piece table and the set-based
+  skeleton; exact interval-union projections, the scalar maximal function,
+  annulus masks, single apex cone masses, energies and bad scales,
+  selection with one family per atom, the scalar d_J metric, base-cell grids, the
   per-carrier descend loop, one-step descents, the quadrature form of the
   conical energy, the Hausdorff content of a model, the constant-core stages
   of the no-shattering tree, the per-atom stages and the per-piece
@@ -39,10 +40,10 @@ import numpy as np
 
 from favard import torus
 from favard.config import ExperimentConfig
-from favard.conical import (_interval_key, annulus_scales, bad_scale_counts, conical_energy,
+from favard.conical import (SAMPLES_PER_INTERVAL, EnergyProfile, SelectionResult,
+                            _interval_key, annulus_scales, bad_scale_counts, conical_energy,
                             scale_ceiling, scale_index)
 from favard.fixtures import FIXTURE_A, FIXTURE_M
-from favard.conical import EnergyProfile
 from favard.lattice import AnisoCube, cell_order, descend_all, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
@@ -50,7 +51,7 @@ from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion
                          cloud_content, cloud_of)
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
-                          line_angle, perp, row_blocks, row_dot, wrap)
+                          line_angle, perp, row_blocks, row_dot, triadic_cover, wrap)
 from favard.tree import (C_BAD, DirectionTree, GoodStages, StoppedPiece, TreeNode, _clip_to,
                          _maximal_cover, _merge_angle_intervals, _owns_core_interval,
                          _sees_core_direction, _stage_constants, good_at_scale_all,
@@ -551,8 +552,26 @@ def ball_intersection_length(s: Segment, center, r: float) -> float:
 
 
 def ball_mass_by_segment(union: SegmentUnion, center, r: float) -> float:
-    """SegmentUnion.ball_mass, one segment at a time."""
+    """One row of SegmentUnion.ball_masses, one segment at a time."""
     return math.fsum(ball_intersection_length(s, center, r) for s in union.segments)
+
+
+def ahlfors_constant_by_ball(union: SegmentUnion, sample_count: int, seed: int) -> float:
+    """ahlfors_constant with the same samples and one ball_mass_by_segment
+    call per ball."""
+    rng = np.random.default_rng(seed)
+    u1, u2, u3 = rng.random((sample_count, 3)).T
+    cum = np.cumsum(union.lengths) / union.lengths.sum()
+    k = np.minimum(np.searchsorted(cum, u1, side="right"), len(union) - 1)
+    x1, y1, x2, y2 = union.coords[:, k]
+    centers = np.column_stack([x1 + u2 * (x2 - x1), y1 + u2 * (y2 - y1)])
+    radii = np.maximum(1e-9, u3) * union.diameter()
+    ratios = [1.0]
+    for x, r in zip(centers, radii.tolist()):
+        mass = ball_mass_by_segment(union, x, r)
+        if mass > 0.0:
+            ratios += [mass / r, r / mass]
+    return max(ratios)
 
 
 def skeleton_by_edge(squares: DyadicSquareSet) -> SegmentUnion:
@@ -755,6 +774,71 @@ def bad_scales(pts: np.ndarray, x, direction: DirectionInterval, rho: float = 0.
         pts = pts[restrict]
     scale = annulus_scales(pts, x, direction, rho, high)[0]
     return BadScaleSet(frozenset(np.unique(scale[scale >= 0]).tolist()), high)
+
+
+# ---------------------------------------------------------------------------
+# conical: selection one atom at a time
+# ---------------------------------------------------------------------------
+
+
+def selection_by_atom(union: SegmentUnion, arc: AngleInterval, kappa: float,
+                      m_bound: float, *, triadic_depth: int, rho: float,
+                      pitch: Optional[float]) -> SelectionResult:
+    """select_good_directions with a family built for every atom and the
+    Fourier sums gathered per (family member, node) across the atoms that
+    carry the member: the oracle of the per-pattern path."""
+    total_len = arc.length
+    mu = union.atoms(pitch)
+    total_mass = mu.total_mass
+    n = max(2, round(SAMPLES_PER_INTERVAL * 3**triadic_depth * total_len))
+    thetas = [wrap(arc.low + (i + 0.5) * total_len / n) for i in range(n)]
+    weight = total_len / n
+    projector = Projector(union)
+    for theta, measure in zip(thetas, projection_measures(union, thetas).tolist()):
+        if measure <= kappa * total_mass + TOL:
+            raise ValueError(f"big projection hypothesis fails at theta={theta}")
+    good = np.array([projector.bounded(theta, mu.points, m_bound + TOL) for theta in thetas])
+    good_len = good.sum(axis=0) * weight
+    eprime = good_len >= (kappa / 4.0) * total_len - TOL
+    eprime_mass = math.fsum(mu.weights[eprime].tolist())
+
+    covers = [triadic_cover(theta, triadic_depth) for theta in thetas]
+    families: dict[int, list[tuple[TriadicInterval, float]]] = {}
+    for i in np.nonzero(eprime)[0]:
+        chosen: dict[TriadicInterval, float] = {}
+        for j in np.nonzero(good[:, i])[0]:
+            chosen.setdefault(covers[j], thetas[j])
+        families[int(i)] = sorted(chosen.items())
+    min_len = min((math.fsum(iv.length for iv, _ in fam) for fam in families.values()),
+                  default=0.0)
+
+    carriers: dict[TriadicInterval, list[int]] = {}
+    for i, members in families.items():
+        for iv, _ in members:
+            carriers.setdefault(iv, []).append(i)
+    pointwise: dict[int, list[float]] = {i: [] for i in families}
+    n = 8
+    for iv, atoms in carriers.items():
+        for kq in range(n):
+            th = wrap(iv.low + (kq + 0.5) * iv.length / n)
+            ts = row_dot(mu.points[atoms], direction_vector(th))
+            values = projector.density(th).value_at(ts) * iv.length / n
+            for i, value in zip(atoms, values.tolist()):
+                pointwise[i].append(value)
+
+    profiles = conical_energy(mu, mu.points[list(families)],
+                              [[iv.perp() for iv, _ in members] for members in families.values()],
+                              rho, scale_ceiling(mu.points, rho))
+    energy_ratios: dict[int, float] = {}
+    fourier_ratios: dict[int, float] = {}
+    for i, prof in zip(families, profiles):
+        energy = prof.total_float
+        energy_ratios[i] = energy / (m_bound * total_len)
+        rhs = math.fsum(pointwise[i])
+        fourier_ratios[i] = energy / rhs if rhs > 0.0 else math.inf
+    return SelectionResult(mu, eprime, families, total_len,
+                           eprime_mass / total_mass if total_mass else 0.0,
+                           min_len, energy_ratios, fourier_ratios)
 
 
 # ---------------------------------------------------------------------------

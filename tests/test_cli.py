@@ -561,6 +561,21 @@ class TestPipelineCLI:
                 rf"mu_theta_perp = {re.escape(str(vals[first]))} > M = 4\.0")):
             pipeline._check_witnesses(segs, atoms, np.ones(n, bool), fams, 4.0)
 
+    def test_witness_groups_name_the_lowest_failing_atom(self):
+        # atoms 48-52 fail at witness 0.75; atoms 0, 49 and 51 have one
+        # witness and the rest a second one, so the failing angle gathers
+        # both groups, and the first failing atom in index order is named
+        segs = self._spike_union()
+        atoms = segs.atoms(1 / 48)
+        vals = projection.Projector(segs).mu_theta(0.0, atoms.points)
+        assert np.flatnonzero(vals > 4.0 + 1e-12).tolist() == [48, 49, 50, 51, 52]
+        fams = {i: [(TriadicInterval(3, 20), 0.75)] + [(TriadicInterval(3, 21), 0.8)] * (
+            i not in (0, 49, 51)) for i in range(len(atoms))}
+        with pytest.raises(ValueError, match=(
+                rf"witness bound fails: witness angle 0\.75 at atom 48 has "
+                rf"mu_theta_perp = {re.escape(str(vals[48]))} > M = 4\.0")):
+            pipeline._check_witnesses(segs, atoms, np.ones(len(atoms), bool), fams, 4.0)
+
     def test_witness_bound_holds_below_the_largest_value(self, monkeypatch):
         # the largest value 6 passes M = 4, yet no witness far from the spike
         # reaches it: the exact kernel decides, and nothing raises

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from favard import conical, projection, torus
+from favard import conical, pipeline, projection, torus
+from favard.config import ExperimentConfig
 from favard.conical import (bad_scale_counts, bad_scale_table, conical_energy, scale_ceiling,
                             scale_index, select_good_directions)
 from favard.projection import Projector, maximal_values_batch, pushforward_density
@@ -13,9 +14,10 @@ from favard.sets import DiscreteMeasure, Segment, SegmentUnion, four_corners, sp
 from favard.torus import (TOL, AngleInterval, TriadicInterval, _direction_mask,
                           direction_vector, perp, triadic_cover, wrap)
 from tests.reference import (_as_intervals, bad_scales, cone_mass, cone_mass_exact,
-                             conical_energy_at, energy_integral_quadrature, masses_float,
-                             profile_masses, profile_total, project,
-                             select_bounded_projection_set, tile_pairs)
+                             conical_energy_at, conical_energy_by_row,
+                             energy_integral_quadrature, masses_float, profile_masses,
+                             profile_total, project, select_bounded_projection_set,
+                             selection_by_atom, tile_pairs)
 
 
 def measure_at(points, weights=None):
@@ -204,6 +206,33 @@ class TestBlockedEnergy:
         assert profile_masses(got[0]) == [0] * 13            # per_row[0] is the empty set
         assert filled >= 6 * len(apexes)
         assert set(blocks) == {-(-len(apexes) // step)}
+
+    @pytest.mark.parametrize("tile", ["default", "rows", "split"])
+    def test_arcs_of_every_row_and_of_some_rows(self, tile, monkeypatch):
+        # two set objects hold the same three arcs, one of them with a fourth
+        # arc: the first two are carried by every row, the fourth by odd rows
+        # only; row 3 lists an arc twice, row 4 passes a fresh equal set and
+        # row 5 another set of four. Blocks of 7 rows split each set object's
+        # rows across blocks
+        rng = np.random.default_rng(31)
+        pts = np.vstack([rng.normal(scale=0.4, size=(110, 2)), 0.3 * direction_vector(2 / 9)])
+        mu = measure_at(pts, rng.choice([1 / 3, 0.1, 2.5], len(pts)))
+        apexes = np.vstack([pts[:20], rng.normal(scale=0.4, size=(10, 2))])
+        common = [TriadicInterval(2, 1), TriadicInterval(2, 2), AngleInterval(0.6, 0.3)]
+        plus = common + [AngleInterval(0.1, 0.05)]
+        sets = [plus if a % 2 else common for a in range(len(apexes))]
+        sets[3] = plus + [common[0]]
+        sets[4] = list(common)
+        sets[5] = common[:2] + [AngleInterval(0.35, 0.1), plus[3]]
+        step = {"default": torus.PAIR_TILE // len(pts), "rows": 1, "split": 7}[tile]
+        blocks = tile_pairs(monkeypatch, step * len(pts), conical)
+        for rho in (0.5, 0.3):
+            got = conical_energy(mu, apexes, sets, rho, 12)
+            want = conical_energy_by_row(mu, apexes, sets, rho, 12)
+            assert [profile_masses(p) for p in got] == [p.masses for p in want]
+        assert sum(profile_total(p) > 0 for p in got) >= 25
+        assert set(blocks) == {-(-len(apexes) // step)}
+        assert (blocks[0] == 1) == (tile == "default")
 
     def test_touching_arcs_count_the_shared_edge_twice(self):
         mu = measure_at([0.3 * direction_vector(2 / 9)], [0.7])
@@ -512,6 +541,71 @@ class TestSelection:
         assert res.fourier_ratios == expected["fourier_ratios"]
         # nodes shared by several atoms' families: a density per node repeats
         assert expected["builds"] > len(built)
+
+
+class _Recorded(Exception):
+    pass
+
+
+def selection_arguments(monkeypatch, union, kappa, cfg):
+    """The arguments run_pipeline passes to select_good_directions; the run
+    stops there."""
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Recorded
+
+    monkeypatch.setattr(pipeline, "select_good_directions", recorded)
+    with pytest.raises(_Recorded):
+        pipeline.run_pipeline(union, kappa, cfg)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def oblique_union(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 9)
+    start = rng.random((n, 2))
+    angle = rng.random(n) * math.pi
+    length = 0.05 + 0.5 * rng.random(n)
+    return SegmentUnion.from_endpoints(
+        start, start + length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)]))
+
+
+class TestSelectionPerPattern:
+    """select_good_directions builds each family, perpendicular set and
+    Fourier block once per good-sample pattern; the per-atom oracle builds
+    them for every atom and must agree exactly."""
+
+    CASES = {
+        # (union, kappa, config, distinct families, atoms with positive energy)
+        "full_skeleton": (lambda: four_corners(1).skeleton(), 0.05,
+                          ExperimentConfig(n_angles=512, atom_pitch=1 / 128), 4, 184),
+        "round_two": (lambda: split_parallel(four_corners(1).skeleton())[0], 0.2,
+                      ExperimentConfig(n_angles=512, atom_pitch=1 / 64, c_m=0.3), 30, 0),
+        "oblique": (lambda: oblique_union(10), 0.2,
+                    ExperimentConfig(n_angles=256, atom_pitch=1 / 32, c_m=0.5), 15, 19),
+        "benchmark": (lambda: split_parallel(four_corners(1).skeleton())[0], 0.06,
+                      ExperimentConfig(n_angles=1024, atom_pitch=1 / 128), 1, 184),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_per_atom_oracle(self, case, monkeypatch):
+        make, kappa, cfg, distinct, positive = self.CASES[case]
+        args, kwargs = selection_arguments(monkeypatch, make(), kappa, cfg)
+        got = select_good_directions(*args, **kwargs)
+        want = selection_by_atom(*args, **kwargs)
+        assert np.array_equal(got.eprime, want.eprime)
+        assert list(got.families.items()) == list(want.families.items())
+        assert list(got.energy_ratios.items()) == list(want.energy_ratios.items())
+        assert list(got.fourier_ratios.items()) == list(want.fourier_ratios.items())
+        assert (got.g_length, got.eprime_mass_fraction, got.min_family_length) == \
+            (want.g_length, want.eprime_mass_fraction, want.min_family_length)
+        assert len({tuple(f) for f in got.families.values()}) == distinct
+        # every atom owns its family list
+        assert len({id(f) for f in got.families.values()}) == len(got.families)
+        assert sum(v > 0.0 for v in got.energy_ratios.values()) == positive
 
 
 def reference_selection(union, g, kappa, triadic_depth, pitch, rho=0.5):

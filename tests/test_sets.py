@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from favard import sets, torus
 from favard.conical import scale_ceiling
 from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segment,
                          SegmentUnion, cloud_content, cloud_of, ahlfors_constant,
                          four_corners, pairwise_extremes, segment_distances, split_parallel)
-from tests.reference import (atoms_by_segment, ball_mass_by_segment, direction_angle,
-                             hausdorff_content, pieces_by_union_find, project_segments,
-                             skeleton_by_edge, skeleton_by_edge_set, split_parallel_by_segment)
+from tests.reference import (ahlfors_constant_by_ball, atoms_by_segment, ball_mass_by_segment,
+                             direction_angle, hausdorff_content, pieces_by_union_find,
+                             project_segments, skeleton_by_edge, skeleton_by_edge_set,
+                             split_parallel_by_segment, tile_pairs)
 
 
 def oracle_unions():
@@ -40,13 +42,30 @@ class TestArrayPathsMatchTheSegmentLoops:
             assert np.array_equal(got.points, want.points)
             assert np.array_equal(got.weights, want.weights)
 
-    def test_ball_mass(self):
+    def test_ball_masses(self, monkeypatch):
+        # atoms, random points and every endpoint as centres, each at four
+        # radii and at 1e-9, in one batch per union, in one block, one row
+        # per block and 97 // n rows per block; a disc tangent to a segment
+        # has no mass
         rng = np.random.default_rng(5)
+        filled = 0
         for u in oracle_unions():
-            centers = np.concatenate([u.atoms(1 / 4).points[::3], rng.uniform(-1, 2, (10, 2))])
-            for c in centers:
-                for r in (1e-3, 0.07, 0.4, 3.0):
-                    assert u.ball_mass(c, r) == ball_mass_by_segment(u, c, r)
+            centers = np.concatenate([u.atoms(1 / 4).points[::3], rng.uniform(-1, 2, (10, 2)),
+                                      u.endpoints()])
+            centers = np.repeat(centers, 5, axis=0)
+            radii = np.tile([1e-3, 0.07, 0.4, 3.0, 1e-9], len(centers) // 5)
+            order = rng.permutation(len(centers))
+            centers, radii = centers[order], radii[order]
+            want = [ball_mass_by_segment(u, c, r) for c, r in zip(centers, radii.tolist())]
+            for tile in (torus.PAIR_TILE, 1, 97):
+                blocks = tile_pairs(monkeypatch, tile, sets)
+                assert u.ball_masses(centers, radii).tolist() == want
+                assert blocks == [-(-len(centers) // max(1, tile // len(u)))]
+            filled += sum(m > 0.0 for m in want)
+        assert filled > 1000
+        tangent = SegmentUnion([Segment((0, 0), (4, 0)), Segment((0, 2), (4, 2))])
+        assert tangent.ball_masses([(2, 1), (2, 1.5)], [1.0, 0.5]).tolist() == [0.0, 0.0]
+        assert tangent.ball_masses(np.empty((0, 2)), []).tolist() == []
 
     def test_skeleton(self):
         # the dense random sets share many edges between adjacent cells
@@ -246,11 +265,12 @@ class TestSegment:
 
     def test_ball_intersection_exact(self):
         u = SegmentUnion([Segment((0, 0), (4, 0))])
-        assert u.ball_mass((2, 0), 1.0) == pytest.approx(2.0)
-        assert u.ball_mass((0, 0), 1.0) == pytest.approx(1.0)
-        assert u.ball_mass((2, 2), 1.0) == 0.0
-        # chord at height 0.6 with radius 1: half-length 0.8
-        assert u.ball_mass((2, 0.6), 1.0) == pytest.approx(1.6)
+        # the last disc has a chord at height 0.6 with radius 1: half-length 0.8
+        masses = u.ball_masses([(2, 0), (0, 0), (2, 2), (2, 0.6)], [1.0] * 4)
+        assert masses[0] == pytest.approx(2.0)
+        assert masses[1] == pytest.approx(1.0)
+        assert masses[2] == 0.0
+        assert masses[3] == pytest.approx(1.6)
 
 
 class TestSegmentUnion:
@@ -393,7 +413,7 @@ class TestAhlfors:
     def test_midpoint_ratio_two(self):
         u = SegmentUnion([Segment((0, 0), (10, 0))])
         # small r at the midpoint: mass 2r, ratio 2
-        assert u.ball_mass((5, 0), 0.25) == pytest.approx(0.5)
+        assert u.ball_masses([(5, 0)], [0.25])[0] == pytest.approx(0.5)
 
     def test_monotone_in_sample_count(self):
         sk = four_corners(3).skeleton()
@@ -401,6 +421,16 @@ class TestAhlfors:
         a2 = ahlfors_constant(sk, 200, seed=7)
         a3 = ahlfors_constant(sk, 400, seed=7)
         assert a1 <= a2 <= a3
+
+    @pytest.mark.parametrize("samples", [50, 200, 400])
+    def test_matches_the_per_ball_oracle(self, samples):
+        rng = np.random.default_rng(samples)
+        oblique = SegmentUnion([Segment(tuple(rng.uniform(-1, 2, 2)), tuple(rng.uniform(-1, 2, 2)))
+                                for _ in range(25)])
+        for u in (four_corners(2).skeleton(), oblique, SegmentUnion([Segment((0, 0), (1, 0))])):
+            for seed in (0, 7):
+                assert ahlfors_constant(u, samples, seed) == \
+                    ahlfors_constant_by_ball(u, samples, seed)
 
 
 class TestHausdorffContent:

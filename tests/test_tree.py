@@ -277,7 +277,24 @@ class TestGoodAtScale:
             for i in range(len(stages.atoms)):
                 assert batch[i] == good_at_scale(stages, i, k), (k, i)
             emptied |= any(not ivs for ivs in batch.values())
+            assert len({id(ivs) for ivs in batch.values()}) == len(batch)   # own lists
         assert emptied == thinned
+
+    def test_one_maximal_call_per_distinct_list(self, monkeypatch):
+        params = ExperimentConfig()
+        stages = stages_for(*cantor_horizontal_instance()[1:], params=params)
+        calls = []
+        maximal = tree_module.maximal_intervals
+
+        def counted(ivs):
+            calls.append(tuple(ivs))
+            return maximal(ivs)
+
+        monkeypatch.setattr(tree_module, "maximal_intervals", counted)
+        for k in range(1, params.k_max + 1):
+            calls.clear()
+            good_at_scale_all(stages, [k])
+            assert len(calls) == len(set(calls)) < len(stages.atoms)
 
     @pytest.mark.parametrize("thinned", [False, True], ids=["all_carriers", "thinned"])
     @pytest.mark.parametrize("make", [lambda: single_line_instance()[1:],
