@@ -1,8 +1,10 @@
 """Command line driver.
 
 Subcommands: compute, mc, cantor-decay, pipeline, content, lattice-check,
-tree-check, extract-graph. Every command writes a JSON report embedding the
-full configuration and a content hash of its inputs. Numeric arguments are
+tree-check, extract-graph. Every command writes a JSON report whose header
+(`_header`) names the command, its input file and that file's content hash
+(for a command with an input) and the full configuration; the header leads
+every report but the pipeline's, which puts it last. Numeric arguments are
 range-checked as they are parsed. Exit codes: 0 all asserted invariants
 passed, 1 I/O or usage error (including non-finite input or arguments), 2
 invariant or postcondition failure, 3 hypothesis/precondition failure.
@@ -54,36 +56,50 @@ def _load_model(path: str):
         raise InputError(str(exc)) from exc
 
 
-def _as_segments(model) -> SegmentUnion:
-    if isinstance(model, SegmentUnion):
-        return model
-    return model.skeleton()
+def _load_union(path: str) -> SegmentUnion:
+    """The segment union of an input file; a square set gives its whole skeleton."""
+    model = _load_model(path)
+    return model if isinstance(model, SegmentUnion) else model.skeleton()
 
 
-def _write_report(out_dir: str, name: str, payload: dict) -> Path:
-    out = Path(out_dir)
+def _header(args, cfg: ExperimentConfig) -> dict:
+    """The report header: the command, its input and the input's content hash
+    when it takes one, and the full configuration."""
+    head = {"command": args.command}
+    if "input" in args:
+        head.update(input=args.input, input_hash=content_hash(args.input))
+    return {**head, "config": cfg.to_dict()}
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.json"
+    return out
+
+
+def _write_report(args, name: str, payload: dict) -> Path:
+    path = _out_dir(args) / f"{name}.json"
     write_json(path, payload)
     return path
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_compute(args, cfg: ExperimentConfig) -> int:
-    model = _load_model(args.input)
-    union = _as_segments(model)
+    union = _load_union(args.input)
     n = args.n_angles or cfg.n_angles
     values = midpoint_measures(union, n, cfg.workers)
     exact = math.fsum(values.tolist()) / n      # favard(union, n, workers)
-    payload = {
-        "command": "compute", "input": args.input,
-        "input_hash": content_hash(args.input),
-        "config": cfg.to_dict(),
-        "favard": exact, "n_angles": n, "method": "exact",
-    }
+    payload = {**_header(args, cfg), "favard": exact, "n_angles": n, "method": "exact"}
     if args.per_angle:
         thetas = (np.arange(n) + 0.5) / n
         rows = [{"theta": t, "measure": m} for t, m in zip(thetas.tolist(), values.tolist())]
-        _write_report(args.out, "projection_measures", rows)
+        _write_report(args, "projection_measures", rows)
     status = EXIT_OK
     if args.mc:
         est, se = favard_mc(union, args.mc, cfg.seed)
@@ -91,7 +107,7 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
         payload["mc_within_3_sigma"] = bool(abs(est - exact) <= 3.0 * se)
         if not payload["mc_within_3_sigma"]:
             status = EXIT_INVARIANT
-    path = _write_report(args.out, "compute_report", payload)
+    path = _write_report(args, "compute_report", payload)
     print(f"favard = {exact!r} (n_angles={n}) -> {path}")
     if args.mc:
         print(f"mc     = {payload['mc']['estimate']!r} +- {payload['mc']['stderr']:.3e}"
@@ -100,15 +116,10 @@ def cmd_compute(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_mc(args, cfg: ExperimentConfig) -> int:
-    model = _load_model(args.input)
-    union = _as_segments(model)
-    est, se = favard_mc(union, args.needles, cfg.seed)
-    payload = {
-        "command": "mc", "input": args.input, "input_hash": content_hash(args.input),
-        "config": cfg.to_dict(),
-        "favard": est, "stderr": se, "needles": args.needles, "method": "mc",
-    }
-    path = _write_report(args.out, "mc_report", payload)
+    est, se = favard_mc(_load_union(args.input), args.needles, cfg.seed)
+    payload = {**_header(args, cfg),
+               "favard": est, "stderr": se, "needles": args.needles, "method": "mc"}
+    path = _write_report(args, "mc_report", payload)
     print(f"favard_mc = {est!r} +- {se:.3e} -> {path}")
     return EXIT_OK
 
@@ -122,14 +133,10 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
                      "n_times_favard": n * val,
                      "n_sixth_times_favard": (n ** (1.0 / 6.0)) * val if n else val})
     decreasing = all(rows[i]["favard"] > rows[i + 1]["favard"] for i in range(len(rows) - 1))
-    payload = {"command": "cantor-decay", "config": cfg.to_dict(),
-               "rows": rows, "strictly_decreasing": decreasing}
-    path = _write_report(args.out, "cantor_decay_report", payload)
-    csv_path = Path(args.out) / "cantor_decay.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    payload = {**_header(args, cfg), "rows": rows, "strictly_decreasing": decreasing}
+    path = _write_report(args, "cantor_decay_report", payload)
+    _write_csv(_out_dir(args) / "cantor_decay.csv", list(rows[0]),
+               [list(r.values()) for r in rows])
     for r in rows:
         print(f"n={r['n']}: Fav = {r['favard']!r}")
     print(f"strictly decreasing: {decreasing} -> {path}")
@@ -137,11 +144,9 @@ def cmd_cantor_decay(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_pipeline(args, cfg: ExperimentConfig) -> int:
-    union = _as_segments(_load_model(args.input))
-    report = run_pipeline(union, args.kappa, cfg)
-    report.update({"command": "pipeline", "input": args.input,
-                   "input_hash": content_hash(args.input), "config": cfg.to_dict()})
-    path = _write_report(args.out, "pipeline_report", report)
+    report = run_pipeline(_load_union(args.input), args.kappa, cfg)
+    report.update(_header(args, cfg))           # the header goes last here
+    path = _write_report(args, "pipeline_report", report)
     cert = report["certificate"]
     print(f"certificate: {cert['retained_atoms']} atoms, lip = {cert['lip']:.4g}, "
           f"mass fraction = {cert['retained_mass_fraction']:.4f} -> {path}")
@@ -179,15 +184,14 @@ def cmd_content(args, cfg: ExperimentConfig) -> int:
         ratio = "empty"
     else:
         ratio = lhs / rhs if rhs > 0.0 else math.inf
-    payload = {"command": "content", "input": args.input,
-               "input_hash": content_hash(args.input), "config": cfg.to_dict(),
+    payload = {**_header(args, cfg),
                "delta": delta,
                "content_E_near_curve": lhs, "content_Edelta_on_curve": rhs,
                "ratio": ratio,
                "note": "lower bound for ell(E, delta) from this candidate curve "
                        "only; the supremum over all rectifiable curves is not "
                        "searched"}
-    path = _write_report(args.out, "content_report", payload)
+    path = _write_report(args, "content_report", payload)
     print(f"H_inf(E n Gamma(3d)) = {lhs}; H_inf(E(d) n Gamma) = {rhs}; "
           f"ratio = {ratio} -> {path}")
     return EXIT_OK
@@ -220,9 +224,9 @@ def cmd_lattice_check(args, cfg: ExperimentConfig) -> int:
                                           "net_separation", "cube_count")}})
             if not ok:
                 failures += 1
-    payload = {"command": "lattice-check", "config": cfg.to_dict(),
+    payload = {**_header(args, cfg),
                "instances": args.instances, "failures": failures, "reports": reports}
-    path = _write_report(args.out, "lattice_check_report", payload)
+    path = _write_report(args, "lattice_check_report", payload)
     print(f"lattice invariants: {args.instances - failures}/{args.instances} pass -> {path}")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
@@ -238,8 +242,7 @@ def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
         "cantor_horizontal": lambda: stages_for(*cantor_horizontal_instance()[1:],
                                                 params=cfg),
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     for name, make in fixtures.items():
         stages = make()
         tree = build_tree(stages)
@@ -254,40 +257,31 @@ def cmd_tree_check(args, cfg: ExperimentConfig) -> int:
               f"({chain['zero_rhs_violations']} violations)")
         if not rep["all_pass"] or chain["zero_rhs_violations"] > 0:
             status = EXIT_INVARIANT
-    payload = {"command": "tree-check", "config": cfg.to_dict(), "results": results}
-    path = _write_report(args.out, "tree_check_report", payload)
+    payload = {**_header(args, cfg), "results": results}
+    path = _write_report(args, "tree_check_report", payload)
     print(f"-> {path}")
     return status
 
 
 def cmd_extract_graph(args, cfg: ExperimentConfig) -> int:
-    model = _load_model(args.input)
-    union = _as_segments(model)
-    atoms = union.atoms(cfg.atom_pitch)
+    atoms = _load_union(args.input).atoms(cfg.atom_pitch)
     interval = AngleInterval(args.center, args.half_width)
     try:
         cert = extract_graph(atoms.points, interval, args.m0, cfg.rho)
     except ValueError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     cert.to_json(out / "certificate.json")
-    with open(out / "retained_atoms.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atom_index"])
-        for i in cert.retained_idx:
-            writer.writerow([i])
-    retained_mass = math.fsum(atoms.weights[cert.retained_idx].tolist())
-    payload = {"command": "extract-graph", "input": args.input,
-               "input_hash": content_hash(args.input), "config": cfg.to_dict(),
+    _write_csv(out / "retained_atoms.csv", ["atom_index"], ([i] for i in cert.retained_idx))
+    payload = {**_header(args, cfg),
                "lip": cert.lip, "theta0": cert.theta0,
                "cone_half_width": cert.cone_half_width,
                "retained": len(cert.retained_idx), "total_atoms": len(atoms),
                "mass_benchmark": mass_benchmark(
-                   retained_mass, interval.length, 2.0,
+                   atoms.mass(cert.retained_idx), interval.length, 2.0,
                    atoms.total_mass)}
-    path = _write_report(args.out, "extract_graph_report", payload)
+    path = _write_report(args, "extract_graph_report", payload)
     print(f"certificate: {len(cert.retained_idx)}/{len(atoms)} atoms, "
           f"lip = {cert.lip:.4g} -> {path}")
     return EXIT_OK

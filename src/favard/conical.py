@@ -224,7 +224,7 @@ def select_good_directions(union: SegmentUnion, arc: AngleInterval, kappa: float
 
     good_len = good.sum(axis=0) * weight      # per-atom good-direction measure
     eprime = good_len >= (kappa / 4.0) * total_len - TOL
-    eprime_mass = math.fsum(mu.weights[eprime].tolist())
+    eprime_mass = mu.mass(eprime)
 
     # atoms with one good-sample pattern share one family: it, its
     # perpendicular direction set and its Fourier block are built once per

@@ -83,9 +83,6 @@ class AnisoCube:
     def __len__(self) -> int:
         return len(self.atom_idx)
 
-    def mass(self, weights: np.ndarray) -> float:
-        return math.fsum(weights[self.atom_idx].tolist())
-
 
 def descend_all(jobs: Sequence[tuple], rho: float) -> list[list[AnisoCube]]:
     """Dyadic descendants of many carriers, one cube list per job.

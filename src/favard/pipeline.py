@@ -150,9 +150,7 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     report["propagation"] = {
         "rounds": prop.rounds,
         "trace": prop.trace,
-        "finished_mass_fraction": float(
-            math.fsum(atoms.weights[prop.finished_mask].tolist())
-            / math.fsum(atoms.weights[selection.eprime].tolist())),
+        "finished_mass_fraction": atoms.mass(prop.finished_mask) / atoms.mass(selection.eprime),
     }
 
     f_idx = np.nonzero(prop.finished_mask)[0]
@@ -169,14 +167,14 @@ def run_pipeline(union: SegmentUnion, kappa: float, cfg: ExperimentConfig) -> di
     ok, lip = verify_lipschitz(atoms.points[retained_global], orig_interval)
     if not ok:
         raise AssertionError("stage extract: back-mapped certificate fails the cone test")
+    retained_mass = atoms.mass(retained_global)
     report["certificate"] = {
         "theta0": perp(orig_interval.center),
         "lip": lip,
         "cone_half_width": final_width,
         "retained_atoms": len(retained_global),
-        "retained_mass": math.fsum(atoms.weights[retained_global].tolist()),
-        "retained_mass_fraction": math.fsum(atoms.weights[retained_global].tolist())
-        / math.fsum(atoms.weights.tolist()),
+        "retained_mass": retained_mass,
+        "retained_mass_fraction": retained_mass / atoms.total_mass,
         "retained_idx": retained_global,
     }
     report["all_stage_invariants"] = bool(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import SegmentUnion
+from .sets import SegmentUnion, bounding_circle
 from .torus import direction_vector, row_dot
 
 PERP_CUTOFF = 1e-9     # segments with |cos| below this push forward to an atom
@@ -151,7 +151,8 @@ def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int) -> tuple[fl
     """Unbiased Buffon-needle estimate of Fav(E) with its standard error.
 
     Samples (theta, t) with theta uniform on the torus and t uniform on a
-    window of half-width R covering every projection; the indicator that the
+    window of half-width R covering every projection (R is the radius of the
+    endpoints' `bounding_circle`); the indicator that the
     line pi_theta^{-1}(t) meets E, scaled by the window size 2R, has mean
     Fav(E). A needle meets E exactly when it meets the projection interval
     of one of its connected pieces. Needles are drawn MC_CHUNK at a time and
@@ -168,7 +169,7 @@ def favard_mc(union: SegmentUnion, needle_count: int, rng_seed: int) -> tuple[fl
         raise ValueError(f"needle_count must be >= {MIN_NEEDLES}")
     if not len(union):
         return 0.0, 0.0
-    center, radius = union.bounding_center_radius()
+    center, radius = bounding_circle(union.endpoints())
     xs, ys = union.pieces
     disc, reach = _piece_discs(xs, ys, radius)
     block = max(1, NEEDLE_BLOCK // xs.size)

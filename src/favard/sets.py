@@ -9,7 +9,10 @@ x1, y1, x2, y2, so column k holds the endpoints of segment k; `lengths` holds
 their `math.hypot` lengths. Every union, whether read from a file, built from
 `Segment` values or mapped from another union, passes the one validity rule
 of `_checked_lengths`. This module is the only one that knows the format:
-the others read `coords` and `lengths` or call the union's methods.
+the others read `coords` and `lengths` or call the union's methods. It also
+holds one home each for the mass of an atom subset (`DiscreteMeasure.mass`),
+the enclosing circle of a cloud (`bounding_circle`) and the nearest and
+farthest distances (`pairwise_extremes`, in the blocks of torus.row_blocks).
 
 File formats: a segment union is a CSV with one ``x1,y1,x2,y2`` row per
 segment; a dyadic square set is JSON ``{"level": k, "cells": [[i, j], ...]}``.
@@ -28,7 +31,6 @@ import numpy as np
 from .torus import TOL, line_angle, row_blocks
 
 DEFAULT_ATOMS_PER_SEGMENT = 64
-DIST_TILE_SIDE = 512    # side of the largest distance tile pairwise_extremes builds
 
 
 class BadSegment(ValueError):
@@ -183,12 +185,6 @@ class SegmentUnion:
     def diameter(self) -> float:
         return float(np.max(pairwise_extremes(self.endpoints())[1], initial=0.0))
 
-    def bounding_center_radius(self) -> tuple[np.ndarray, float]:
-        pts = self.endpoints()
-        c = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
-        r = float(np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]))) if len(pts) else 0.0
-        return c, r
-
     def atoms(self, pitch: Optional[float] = None) -> "DiscreteMeasure":
         """Discretize into atoms of arclength ~pitch placed at piece midpoints.
 
@@ -296,9 +292,13 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
+    def mass(self, idx) -> float:
+        """Exactly rounded mass of the atoms a boolean mask or index array selects."""
+        return math.fsum(self.weights[idx].tolist())
+
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.weights.tolist())
+        return self.mass(slice(None))
 
 
 class DyadicSquareSet:
@@ -441,10 +441,7 @@ def cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
     """Greedy-cover upper estimate of the Hausdorff content of the cloud, 0.0 for no points."""
     if len(pts) == 0:
         return 0.0
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    enclosing = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]))) + slack
-    enclosing = max(enclosing, min_radius)
+    enclosing = max(bounding_circle(pts)[1] + slack, min_radius)
     if len(pts) == 1:
         return max(min_radius, slack) if min_radius > 0.0 or slack > 0.0 else 0.0
 
@@ -484,31 +481,35 @@ def cloud_content(pts: np.ndarray, wts: np.ndarray, slack: float,
     return min(total, enclosing)
 
 
+def bounding_circle(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """(center, radius) of a circle holding the points: the center of their
+    bounding box and the largest distance from it. Needs at least one point."""
+    center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    return center, float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
+
+
 def pairwise_extremes(pts: np.ndarray,
                       cloud: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (nearest, farthest) Euclidean distance to the other points of
     `pts`, or to the points of `cloud` when one is given.
 
-    The distance matrix is built in tiles of at most DIST_TILE_SIDE x
-    DIST_TILE_SIDE, so memory stays bounded on large inputs. A point with nothing to compare
+    The distance matrix is built in the row blocks of torus.row_blocks, so
+    memory stays bounded on large inputs; minimum and maximum are exact, so
+    the blocks do not change a value. A point with nothing to compare
     against gets (inf, -inf).
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     other = pts if cloud is None else np.asarray(cloud, dtype=float).reshape(-1, 2)
-    near = np.full(len(pts), math.inf)
-    far = np.full(len(pts), -math.inf)
-    for a in range(0, len(pts), DIST_TILE_SIDE):
-        pa, rows = pts[a:a + DIST_TILE_SIDE], slice(a, a + DIST_TILE_SIDE)
-        for b in range(0, len(other), DIST_TILE_SIDE):
-            pb = other[b:b + DIST_TILE_SIDE]
-            d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
-            on_diagonal = cloud is None and a == b
-            if on_diagonal:
-                np.fill_diagonal(d, math.inf)      # a point is not its own neighbour
-            np.minimum(near[rows], d.min(axis=1), out=near[rows])
-            if on_diagonal:
-                np.fill_diagonal(d, -math.inf)
-            np.maximum(far[rows], d.max(axis=1), out=far[rows])
+    near, far = np.empty(len(pts)), np.empty(len(pts))
+    for rows in row_blocks(len(pts), len(other)):
+        d = np.hypot(pts[rows, None, 0] - other[None, :, 0], pts[rows, None, 1] - other[None, :, 1])
+        own = np.arange(len(d)), np.arange(rows.start, rows.stop)
+        if cloud is None:
+            d[own] = math.inf                   # a point is not its own neighbour
+        near[rows] = d.min(axis=1, initial=math.inf)
+        if cloud is None:
+            d[own] = -math.inf
+        far[rows] = d.max(axis=1, initial=-math.inf)
     return near, far
 
 

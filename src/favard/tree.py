@@ -180,7 +180,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
     """
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
     eprime = np.asarray(eprime, dtype=bool)
-    emass = math.fsum(atoms.weights[eprime].tolist())
+    emass = atoms.mass(eprime)
     if emass <= 0.0:
         raise ValueError("the selected set carries no mass")
 
@@ -215,7 +215,7 @@ def build_good_stages(atoms: DiscreteMeasure, eprime: np.ndarray,
 
     controlled = np.zeros(len(atoms), dtype=bool)
     controlled[selected] = np.array(energies) <= 2.0 * energy_threshold + TOL
-    e0_mass = math.fsum(atoms.weights[controlled].tolist())
+    e0_mass = atoms.mass(controlled)
     chebyshev_ok = e0_mass >= emass / 2.0 - TOL
 
     # per family of a controlled atom: its cover and, per cover member, the
@@ -422,13 +422,10 @@ class DirectionTree:
             length = cache(lambda ivs: units.to_float(units.cover_length(interval, ivs)))
             self._cover[k, interval] = np.array(
                 [length(tuple(good_k[i])) for i in range(len(self.stages.atoms))])
-        w = self.stages.atoms.weights[atom_idx]
-        lhs = math.fsum((w * self._cover[k, interval][atom_idx]).tolist())
+        atoms = self.stages.atoms
+        lhs = math.fsum((atoms.weights[atom_idx] * self._cover[k, interval][atom_idx]).tolist())
         return lhs, (1.0 - self.stages.eps) * units.to_float(units.length(interval)) * \
-            math.fsum(w.tolist())
-
-    def node_mass(self, node_id: int) -> float:
-        return self.nodes[node_id].cube.mass(self.stages.atoms.weights)
+            atoms.mass(atom_idx)
 
     @cached_property
     def bad_ids(self) -> frozenset[int]:
@@ -599,12 +596,12 @@ def _atom_holders(tree: DirectionTree) -> list[dict[int, list[int]]]:
 def _roots_packing(tree: DirectionTree) -> dict:
     """Roots packing sum against the eps^-1 * root-length * mass budget."""
     stages = tree.stages
-    units = stages.units
+    units, mass = stages.units, stages.atoms.mass
     roots_sum = math.fsum(
-        units.to_float(units.length(tree.nodes[r].interval)) * tree.node_mass(r)
+        units.to_float(units.length(tree.nodes[r].interval)) * mass(tree.nodes[r].cube.atom_idx)
         for r in tree.roots)
     budget = (1.0 / stages.eps) * units.to_float(units.length(stages.root_iv)) * \
-        math.fsum(stages.atoms.weights.tolist())
+        stages.atoms.total_mass
     return {
         "roots_sum": roots_sum,
         "roots_budget": budget,
@@ -615,9 +612,9 @@ def _roots_packing(tree: DirectionTree) -> dict:
 def packing_sums(tree: DirectionTree) -> dict:
     """Roots and bad packing sums: the roots against their budget, and the
     interval-length-times-mass sum of the bad cubes."""
-    units = tree.stages.units
+    units, mass = tree.stages.units, tree.stages.atoms.mass
     bad_sum = math.fsum(
-        units.to_float(units.length(tree.nodes[b].interval)) * tree.node_mass(b)
+        units.to_float(units.length(tree.nodes[b].interval)) * mass(tree.nodes[b].cube.atom_idx)
         for b in tree.bad_ids)
     return {**_roots_packing(tree), "bad_sum": bad_sum}
 
@@ -693,15 +690,11 @@ def verify_tree(tree: DirectionTree) -> dict:
                     if atom_sets[q] else tree.generations[l]
                 for p in near:
                     pn = tree.nodes[p]
-                    atoms_sub = atom_sets[q] <= atom_sets[p]
-                    ivs_sub = pn.interval.contains(qn.interval)
-                    if atoms_sub and ivs_sub:
+                    # a node holds itself, so p == q always counts as a hit
+                    if atom_sets[q] <= atom_sets[p] and pn.interval.contains(qn.interval):
                         hits += 1
-                    else:
-                        atoms_meet = bool(atom_sets[q] & atom_sets[p])
-                        ivs_meet = qn.interval.intersects(pn.interval)
-                        if atoms_meet and ivs_meet and not (k == l and p == q):
-                            t4 = False
+                    elif atom_sets[q] & atom_sets[p] and qn.interval.intersects(pn.interval):
+                        t4 = False
                 if hits != 1:
                     t3 = False
     report["unique_ancestor"] = t3
@@ -759,7 +752,12 @@ def bad_chain_check(tree: DirectionTree) -> dict:
     pts = stages.atoms.points
     worst = 0.0
     zero_violations = 0
-    holders = _atom_holders(tree)
+    # the interval lengths of the bad cubes, filed under each of their atoms
+    bad_lengths: dict[int, list[float]] = {}
+    for nid in tree.bad_ids:
+        length = units.to_float(units.length(tree.nodes[nid].interval))
+        for a in tree.nodes[nid].cube.atom_idx.tolist():
+            bad_lengths.setdefault(a, []).append(length)
     cored = [i for i in np.nonzero(stages.controlled)[0].tolist() if stages.core[i]]
     profiles = conical_energy(
         stages.atoms, pts[cored],
@@ -767,9 +765,7 @@ def bad_chain_check(tree: DirectionTree) -> dict:
         stages.params.rho, len(tree.generations) - 1)
     for i, prof in zip(cored, profiles):
         lhs = prof.total_float
-        rhs = stages.m_bound * math.fsum(
-            units.to_float(units.length(tree.nodes[nid].interval))
-            for by_atom in holders for nid in by_atom.get(i, ()) if nid in tree.bad_ids)
+        rhs = stages.m_bound * math.fsum(bad_lengths.get(i, ()))
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
         elif lhs > 1e-9:
@@ -823,7 +819,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
     check (STAGE_CHECKS) raises AssertionError naming the flag and round.
     """
     eprime = np.asarray(eprime, dtype=bool)
-    emass = math.fsum(atoms.weights[eprime].tolist())
+    emass = atoms.mass(eprime)
     eps, units = _stage_constants(root_iv, a_const, m_bound, params)
     # atoms share few distinct families: one length per family
     union_length = cache(lambda fam: units.union_length(fam))
@@ -850,7 +846,7 @@ def propagate_good_directions(atoms: DiscreteMeasure, eprime: np.ndarray,
             raise AssertionError(f"stage propagation: round {round_no} fails the stage "
                                  f"check {', '.join(failed)}")
         gs = grow_families(stages)
-        fin_mass = math.fsum(atoms.weights[gs.finished_mask].tolist())
+        fin_mass = atoms.mass(gs.finished_mask)
         avg_len = math.fsum(
             atoms.weights[i] * union_length(tuple(current[int(i)]))
             / units.length(root_iv)

@@ -48,7 +48,7 @@ from favard.lattice import AnisoCube, cell_order, descend_all, side_exponent
 from favard.projection import (MC_CHUNK, PERP_CUTOFF, PiecewiseConstDensity, Projector,
                                projection_measures)
 from favard.sets import (DiscreteMeasure, DyadicSquareSet, Segment, SegmentUnion,
-                         cloud_content, cloud_of)
+                         bounding_circle, cloud_content, cloud_of)
 from favard.torus import (TOL, AngleInterval, DirectionInterval, TriadicInterval,
                           _direction_mask, _metric_coords, d_metric_many, direction_vector,
                           line_angle, perp, row_blocks, row_dot, triadic_cover, wrap)
@@ -453,7 +453,7 @@ def favard_mc_by_segment(union: SegmentUnion, needle_count: int,
         raise ValueError("needle_count must be >= 100")
     if not len(union):
         return 0.0, 0.0
-    center, radius = union.bounding_center_radius()
+    center, radius = bounding_circle(union.endpoints())
     ax, ay, bx, by = union.coords
     block = max(1, SEGMENT_NEEDLE_BLOCK // len(ax))
     rng = np.random.default_rng(rng_seed)

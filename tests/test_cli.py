@@ -362,6 +362,60 @@ class TestTreeCheck:
         assert all(rep["bad_chain"]["zero_rhs_violations"] == 1 for rep in results.values())
 
 
+HEADER = ["command", "input", "input_hash", "config"]
+
+
+class TestReportHeader:
+    """Every report carries the keys of cli._header, in order: first, and
+    last in the pipeline's report; a command without an input file has no
+    input keys."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        line = tmp_path / "line.csv"
+        SegmentUnion([Segment((x, 0.0), (x + 0.05, 0.0))
+                      for x in np.linspace(0, 0.9, 10)]).to_csv(line)
+        half = tmp_path / "half.csv"
+        split_parallel(four_corners(1).skeleton())[0].to_csv(half)
+        squares = tmp_path / "fc2.json"
+        four_corners(2).to_json(squares)
+        curve = tmp_path / "curve.csv"
+        curve.write_text("0.0,0.03125\n1.0,0.03125\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_angles": 256}))
+        return line, half, squares, curve, cfg
+
+    def test_every_report_starts_with_its_header(self, tmp_path):
+        line, half, squares, curve, cfg = self._inputs(tmp_path)
+        runs = {
+            "compute_report": (["compute", str(squares), "--n-angles", "64"], HEADER),
+            "mc_report": (["mc", str(line), "--needles", "1000"], HEADER),
+            "cantor_decay_report": (["cantor-decay", "--n-max", "1"], ["command", "config"]),
+            "content_report": (["content", str(squares), "--delta", str(1 / 64),
+                                "--curve", str(curve)], HEADER),
+            "lattice_check_report": (["lattice-check", "--instances", "2"],
+                                     ["command", "config"]),
+            "tree_check_report": (["tree-check"], ["command", "config"]),
+            "extract_graph_report": (["extract-graph", str(line), "--center", "0.25",
+                                      "--half-width", "0.04", "--m0", "0"], HEADER),
+        }
+        for name, (argv, keys) in runs.items():
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "--out", str(out), *argv]) == 0
+            report = json.loads((out / f"{name}.json").read_text())
+            assert list(report)[:len(keys)] == keys, name
+            assert report["command"] == argv[0]
+            assert report["config"] == ExperimentConfig(n_angles=256).to_dict()
+            if "input" in keys:
+                assert report["input"] == argv[1]
+        out = tmp_path / "pipeline"
+        assert main(["--config", str(cfg), "--out", str(out), "pipeline", str(half),
+                     "--kappa", "0.05"]) == 0
+        report = json.loads((out / "pipeline_report.json").read_text())
+        assert list(report)[-len(HEADER):] == HEADER
+        assert list(report)[0] != "command"
+
+
 class TestRerun:
     """A rerun into the same --out writes the same bytes as a fresh run."""
 

@@ -130,7 +130,7 @@ def test_every_public_symbol_is_used():
     tests use lives in tests/reference.py."""
     used = set().union(*(_references(tree) for tree in _source_trees(("src", "perfbench"))))
     defined = [(label, node.name) for label, node, _ in _public_definitions()]
-    assert ("tree.py: DirectionTree.node_mass", "node_mass") in defined
+    assert ("tree.py: DirectionTree.goodness_integral", "goodness_integral") in defined
     unused = sorted(label for label, name in defined if name not in used)
     assert unused == []
 
@@ -364,3 +364,51 @@ def test_no_isinstance_on_an_interval_type():
                         for n in ast.walk(node.args[1])):
                 switches.append(f"{path.name}:{node.lineno}")
     assert switches == []
+
+
+def test_only_the_header_stamps_a_report():
+    """In cli.py only `_header` calls content_hash or ExperimentConfig.to_dict:
+    every report takes its command, input, input hash and config from it."""
+    stamps = []
+    for node in ast.parse((ROOT / "src" / "favard" / "cli.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_header":
+            continue
+        stamps += [f"cli.py:{call.lineno}" for call in ast.walk(node)
+                   if isinstance(call, ast.Call) and {"content_hash", "to_dict"} & {
+                       getattr(call.func, "id", None), getattr(call.func, "attr", None)}]
+    assert stamps == []
+
+
+def test_only_torus_names_a_tile():
+    """No module of the package but torus.py defines a module-level name
+    containing TILE: torus.row_blocks is the one blocking rule of the pairwise
+    kernels, and a second tile size fails here."""
+    tiles = sorted(label for label, name, _ in _top_level_definitions()
+                   if "TILE" in name and not label.startswith("torus.py:"))
+    assert tiles == []
+
+
+def _weights_list(node: ast.AST) -> bool:
+    """Whether `node` is `<x>.weights.tolist()` or `<x>.weights[...].tolist()`."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolist"):
+        return False
+    owner = node.func.value
+    if isinstance(owner, ast.Subscript):
+        owner = owner.value
+    return isinstance(owner, ast.Attribute) and owner.attr == "weights"
+
+
+def test_only_the_measure_sums_its_weights():
+    """No module of the package but DiscreteMeasure takes math.fsum over a
+    list of its weights, whole or selected: a mass is DiscreteMeasure.mass.
+    A weighted sum (weights times another factor) is not a mass."""
+    sums = []
+    for path in sorted((ROOT / "src" / "favard").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = {id(n) for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "DiscreteMeasure" for n in ast.walk(node)}
+        sums += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if id(node) not in skip and isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "fsum"
+                 and any(_weights_list(arg) for arg in node.args)]
+    assert sums == []

@@ -8,7 +8,7 @@ from favard import projection
 from favard.projection import (PiecewiseConstDensity, Projector, favard, favard_mc,
                                maximal_values_batch, midpoint_measures, projection_measures,
                                pushforward_density)
-from favard.sets import DyadicSquareSet, Segment, SegmentUnion, four_corners
+from favard.sets import DyadicSquareSet, Segment, SegmentUnion, bounding_circle, four_corners
 from favard.torus import direction_vector, perp
 from tests.reference import (IntervalUnion1D, argsort_sweep, dense_mass_centered,
                              direction_angle, favard_mc_by_segment, maximal_value, project,
@@ -361,7 +361,7 @@ class TestNeedleDiscPass:
 
     def test_every_exact_hit_meets_its_disc(self):
         u = four_corners(2).skeleton()
-        center, radius = u.bounding_center_radius()
+        center, radius = bounding_circle(u.endpoints())
         xs, ys = u.pieces
         disc, reach = projection._piece_discs(xs, ys, radius)
         rng = np.random.default_rng(19)

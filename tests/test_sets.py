@@ -5,9 +5,10 @@ import pytest
 
 from favard import sets, torus
 from favard.conical import scale_ceiling
-from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DyadicSquareSet, Segment,
-                         SegmentUnion, cloud_content, cloud_of, ahlfors_constant,
-                         four_corners, pairwise_extremes, segment_distances, split_parallel)
+from favard.sets import (DEFAULT_ATOMS_PER_SEGMENT, TOL, DiscreteMeasure, DyadicSquareSet,
+                         Segment, SegmentUnion, ahlfors_constant, bounding_circle, cloud_content,
+                         cloud_of, four_corners, pairwise_extremes, segment_distances,
+                         split_parallel)
 from tests.reference import (ahlfors_constant_by_ball, atoms_by_segment, ball_mass_by_segment,
                              direction_angle, hausdorff_content, pieces_by_union_find,
                              project_segments, skeleton_by_edge, skeleton_by_edge_set,
@@ -611,41 +612,96 @@ def clouds():
             "coincident": coincident, "n1300": rng.random((1300, 2))}
 
 
+def row_block_count(rows: int, width: int, tile: int) -> int:
+    """The number of torus.row_blocks a (rows x width) pair matrix takes at `tile`."""
+    return -(-rows // max(1, tile // max(1, width)))
+
+
+TILES = (torus.PAIR_TILE, 1, 97)     # one block, one row per block, 97 // width rows
+
+
 class TestPairwiseExtremes:
+    """Each case at every tile of TILES: the blocks change no value, and each
+    call takes the blocks of torus.row_blocks."""
+
     @pytest.mark.parametrize("name", sorted(clouds()))
-    def test_within_matches_the_old_loops(self, name):
+    def test_within_matches_the_old_loops(self, monkeypatch, name):
         pts = clouds()[name]
-        near, far = pairwise_extremes(pts)
-        assert near.shape == far.shape == (len(pts),)
-        gap = float(np.min(near, initial=math.inf))
-        assert gap == row_loop_min_gap(pts) == blocked_min_gap(pts)
-        assert float(np.max(far, initial=0.0)) == row_loop_diameter(pts)
-        # per point, against the dense matrix with the diagonal excluded
         d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
         np.fill_diagonal(d, math.inf)
-        assert np.array_equal(near, d.min(axis=1, initial=math.inf))
+        nearest = d.min(axis=1, initial=math.inf)
         np.fill_diagonal(d, -math.inf)
-        assert np.array_equal(far, d.max(axis=1, initial=-math.inf))
+        farthest = d.max(axis=1, initial=-math.inf)
+        for tile in TILES:
+            blocks = tile_pairs(monkeypatch, tile, sets)
+            near, far = pairwise_extremes(pts)
+            assert blocks == [row_block_count(len(pts), len(pts), tile)]
+            assert near.shape == far.shape == (len(pts),)
+            gap = float(np.min(near, initial=math.inf))
+            assert gap == row_loop_min_gap(pts) == blocked_min_gap(pts)
+            assert float(np.max(far, initial=0.0)) == row_loop_diameter(pts)
+            # per point, against the dense matrix with the diagonal excluded
+            assert np.array_equal(near, nearest) and np.array_equal(far, farthest)
 
     @pytest.mark.parametrize("name", sorted(clouds()))
-    def test_cloud_matches_the_old_loop(self, name):
+    def test_cloud_matches_the_old_loop(self, monkeypatch, name):
         pts = clouds()[name]
         cloud = np.random.default_rng(4).random((1300, 2))
-        assert np.array_equal(pairwise_extremes(pts, cloud)[0], blocked_cloud_dist(pts, cloud))
-        assert np.array_equal(pairwise_extremes(cloud, pts)[0], blocked_cloud_dist(cloud, pts))
+        for tile in TILES:
+            blocks = tile_pairs(monkeypatch, tile, sets)
+            assert np.array_equal(pairwise_extremes(pts, cloud)[0], blocked_cloud_dist(pts, cloud))
+            assert np.array_equal(pairwise_extremes(cloud, pts)[0], blocked_cloud_dist(cloud, pts))
+            assert blocks == [row_block_count(len(pts), 1300, tile),
+                              row_block_count(1300, len(pts), tile)]
 
-    def test_empty_cloud(self):
+    def test_empty_cloud(self, monkeypatch):
         pts = np.random.default_rng(5).random((7, 2))
-        near, far = pairwise_extremes(pts, np.empty((0, 2)))
-        assert np.array_equal(near, blocked_cloud_dist(pts, np.empty((0, 2))))
-        assert np.all(near == math.inf) and np.all(far == -math.inf)
+        for tile in TILES:
+            blocks = tile_pairs(monkeypatch, tile, sets)
+            near, far = pairwise_extremes(pts, np.empty((0, 2)))
+            assert blocks == [row_block_count(7, 0, tile)]
+            assert np.array_equal(near, blocked_cloud_dist(pts, np.empty((0, 2))))
+            assert np.all(near == math.inf) and np.all(far == -math.inf)
 
-    def test_call_sites_match_the_old_loops(self):
+    def test_call_sites_match_the_old_loops(self, monkeypatch):
         union = four_corners(3).skeleton()
-        assert union.diameter() == row_loop_diameter(union.endpoints())
         pts = clouds()["n1300"]
         rho = 0.5
         expected = max(1, math.ceil(math.log(row_loop_min_gap(pts)) / math.log(rho))) + 1
-        assert scale_ceiling(pts, rho) == expected
-        with pytest.raises(ValueError, match="coincident"):
-            scale_ceiling(clouds()["coincident"], rho)
+        n = 2 * len(union)
+        for tile in TILES:
+            blocks = tile_pairs(monkeypatch, tile, sets)
+            assert union.diameter() == row_loop_diameter(union.endpoints())
+            assert scale_ceiling(pts, rho) == expected
+            with pytest.raises(ValueError, match="coincident"):
+                scale_ceiling(clouds()["coincident"], rho)
+            assert blocks == [row_block_count(n, n, tile), row_block_count(1300, 1300, tile),
+                              row_block_count(4, 4, tile)]
+
+
+class TestBoundingCircle:
+    def test_matches_the_old_formula(self):
+        # the formula SegmentUnion.bounding_center_radius and cloud_content
+        # each wrote before bounding_circle served both
+        rng = np.random.default_rng(21)
+        clouds_ = [rng.random((int(rng.integers(1, 500)), 2)) * rng.uniform(0.01, 5.0)
+                   + rng.uniform(-3, 3, 2) for _ in range(40)]
+        clouds_ += [u.endpoints() for u in oracle_unions()]
+        for pts in clouds_:
+            c = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+            r = float(np.max(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])))
+            center, radius = bounding_circle(pts)
+            assert np.array_equal(center, c) and radius == r
+
+
+class TestDiscreteMeasureMass:
+    def test_equals_the_inline_sums(self):
+        rng = np.random.default_rng(22)
+        mu = DiscreteMeasure(rng.random((300, 2)), rng.uniform(1e-6, 2.0, 300))
+        mask = rng.random(300) < 0.4
+        idx = rng.permutation(300)[:77].tolist()
+        assert mu.mass(mask) == math.fsum(mu.weights[mask].tolist())
+        assert mu.mass(idx) == math.fsum(mu.weights[idx].tolist())
+        assert mu.mass(np.zeros(300, dtype=bool)) == 0.0
+        assert mu.mass(np.array([], dtype=np.int64)) == 0.0
+        assert mu.total_mass == math.fsum(mu.weights.tolist())
